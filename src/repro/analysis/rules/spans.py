@@ -5,11 +5,12 @@ reconstruct (:mod:`repro.obs.spans`) are only well-formed if every span
 that opens also closes - an unclosed span corrupts the parent stack and
 silently reparents every later span in the request.  The context
 manager (``with tracer.span(...)``) makes that structurally impossible,
-so OBS001 pins it as the only sanctioned way to open a span: the
-low-level ``begin_span``/``end_span`` pair is reserved for the tracer
-implementation itself, and a ``span(...)``-returning call anywhere else
-must either be a ``with``-item or a forwarding helper that returns the
-handle for a caller's ``with``.
+so OBS001 pins it as the only sanctioned way to open a span: a
+low-level ``begin_span``/``end_span`` pair (the tracer had one until a
+``Span`` became its own context manager) stays flagged so it cannot
+grow back, and a ``span(...)``-returning call must either be a
+``with``-item or a forwarding helper that returns the span for a
+caller's ``with``.
 """
 
 from __future__ import annotations
@@ -28,9 +29,8 @@ class SpanDisciplineRule(Rule):
 
     Two checks per file:
 
-    * any attribute call of ``begin_span``/``end_span`` outside the
-      tracer implementation (``obs/trace.py``) is flagged - manual
-      begin/end cannot be proven balanced on exception paths;
+    * any attribute call of ``begin_span``/``end_span`` is flagged -
+      manual begin/end cannot be proven balanced on exception paths;
     * any attribute call named ``span`` or ``*_span`` that is neither a
       ``with``-item context expression nor directly ``return``-ed from
       a function whose own name contains ``span`` (a forwarding helper
@@ -39,21 +39,15 @@ class SpanDisciplineRule(Rule):
     """
 
     rule_id = "OBS001"
-    description = ("spans are context-managed: no begin_span/end_span "
-                   "outside the tracer, no un-with'ed span(...) calls")
+    description = ("spans are context-managed: no begin_span/end_span, "
+                   "no un-with'ed span(...) calls")
     hint = ("open the span in a with-statement (or return it from a "
-            "*span* forwarding helper a with consumes); only "
-            "obs/trace.py owns the raw begin_span/end_span lifecycle")
-
-    #: modules allowed to use the raw begin/end API (the implementation)
-    ALLOWED_MODULES = ("obs/trace.py",)
+            "*span* forwarding helper a with consumes); there is no "
+            "raw begin_span/end_span lifecycle to call")
 
     RAW_API = frozenset({"begin_span", "end_span"})
 
     def check_file(self, ctx: FileContext) -> Iterator[Finding]:
-        if any(ctx.relpath.endswith(allowed)
-               for allowed in self.ALLOWED_MODULES):
-            return
         sanctioned = self._sanctioned_call_ids(ctx.tree)
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call) \

@@ -52,7 +52,11 @@ class PSSClient:
             transport_kind, handle, latency, batch_size=batch_size
         )
         self._tracer = NULL_TRACER
+        # Span labels and the simulated clock, bound once (a span per
+        # public call would otherwise re-derive each of them).
+        self._obs_domain = handle.domain_name
         self._obs_shard = getattr(handle, "shard_label", "")
+        self._clock = self._transport.account.clock
         self._pipeline: "ServingPipeline | None" = None
 
     # -- identity / introspection -------------------------------------------
@@ -77,7 +81,7 @@ class PSSClient:
 
     # -- the paper's three calls ---------------------------------------------
 
-    def _client_span(self, op: str, detail: dict | None = None):
+    def _client_span(self, name: str, detail: dict | None = None):
         """Root span for one application-facing call.
 
         Opened once per public operation (so one ``predict`` yields one
@@ -86,15 +90,13 @@ class PSSClient:
         ``enabled`` and hold the handle in a ``with`` block.
         """
         return self._tracer.span(
-            f"client.{op}", domain=self.domain_name, transport="client",
-            shard=self._obs_shard, detail=detail,
-            clock=lambda: self._transport.account.total_ns,
-        )
+            name, self._obs_domain, "client", self._obs_shard, None,
+            detail, self._clock)
 
     def predict(self, features: Sequence[int]) -> int:
         """Signed prediction score: ``int predict(int*, int)``."""
         if self._tracer.enabled:
-            with self._client_span("predict"):
+            with self._client_span("client.predict"):
                 return self._predict_impl(features)
         return self._predict_impl(features)
 
@@ -115,8 +117,8 @@ class PSSClient:
         See docs/PERFORMANCE.md, "Batched and specialized prediction".
         """
         if self._tracer.enabled:
-            with self._client_span("predict_batch",
-                                   detail={"rows": len(feature_rows)}):
+            with self._client_span("client.predict_batch",
+                                   {"rows": len(feature_rows)}):
                 return self._predict_batch_impl(feature_rows)
         return self._predict_batch_impl(feature_rows)
 
@@ -130,7 +132,7 @@ class PSSClient:
     def update(self, features: Sequence[int], direction: bool) -> None:
         """Feedback: ``void update(int*, int, bool dir)``."""
         if self._tracer.enabled:
-            with self._client_span("update"):
+            with self._client_span("client.update"):
                 self._update_impl(features, direction)
             return
         self._update_impl(features, direction)
@@ -143,7 +145,7 @@ class PSSClient:
               reset_all: bool = False) -> None:
         """State wipe: ``void reset(int*, int, bool all)``."""
         if self._tracer.enabled:
-            with self._client_span("reset"):
+            with self._client_span("client.reset"):
                 self._reset_impl(features, reset_all)
             return
         self._reset_impl(features, reset_all)
@@ -169,7 +171,7 @@ class PSSClient:
     def flush(self) -> None:
         """Deliver any batched updates now."""
         if self._tracer.enabled:
-            with self._client_span("flush"):
+            with self._client_span("client.flush"):
                 self._flush_impl()
             return
         self._flush_impl()
@@ -370,14 +372,13 @@ class ResilientClient(PSSClient):
         super().attach_observability(tracer=tracer, metrics=metrics)
         if tracer is not None:
             self._breaker.tracer = tracer
-            self._breaker.trace_domain = self.domain_name
-            self._breaker.trace_clock = \
-                lambda: self._transport.account.total_ns
+            self._breaker.trace_domain = self._obs_domain
+            self._breaker.trace_clock = self._clock
 
     def _trace_client(self, kind: str, detail: dict | None = None) -> None:
         self._tracer.record(
-            kind, domain=self.domain_name, transport="client",
-            ts_ns=self._transport.account.total_ns, detail=detail,
+            kind, domain=self._obs_domain, transport="client",
+            ts_ns=self._clock(), detail=detail,
         )
 
     # -- introspection -------------------------------------------------------

@@ -187,16 +187,15 @@ class DomainHandle:
         shard = self._domain.shard
         return shard.tracer if shard is not None else NULL_TRACER
 
-    def _kernel_span(self, op: str, tracer: TracerLike,
+    def _kernel_span(self, name: str, tracer: TracerLike,
                      detail: dict[str, Any] | None = None
                      ) -> SpanHandleLike:
         """Span for one kernel-side dispatch into this handle's domain
         (callers pre-check ``enabled``; nested spans inherit the
         enclosing transport span's simulated clock)."""
-        return tracer.span(
-            f"kernel.{op}", domain=self._domain.name, transport="kernel",
-            shard=self._domain.shard_label, detail=detail,
-        )
+        domain = self._domain
+        return tracer.span(name, domain.name, "kernel",
+                           domain.shard_label, None, detail)
 
     def _charge_predict(self, tracer: TracerLike, count: int = 1) -> None:
         """Admission charge, wrapped in its own span when traced so the
@@ -205,7 +204,7 @@ class DomainHandle:
         if admission is None:
             return
         if tracer.enabled:
-            with self._kernel_span("admission", tracer,
+            with self._kernel_span("kernel.admission", tracer,
                                    detail={"count": count}):
                 admission.charge_predict(self._identity, count=count)
             return
@@ -214,7 +213,7 @@ class DomainHandle:
     def predict(self, features: Sequence[int]) -> int:
         tracer = self._tracer()
         if tracer.enabled:
-            with self._kernel_span("predict", tracer):
+            with self._kernel_span("kernel.predict", tracer):
                 return self._predict_impl(features, tracer)
         return self._predict_impl(features, tracer)
 
@@ -246,7 +245,7 @@ class DomainHandle:
             return []
         tracer = self._tracer()
         if tracer.enabled:
-            with self._kernel_span("predict_batch", tracer,
+            with self._kernel_span("kernel.predict_batch", tracer,
                                    detail={"rows": len(feature_rows)}):
                 return self._predict_batch_impl(feature_rows, tracer)
         return self._predict_batch_impl(feature_rows, tracer)
@@ -275,7 +274,7 @@ class DomainHandle:
     def update(self, features: Sequence[int], direction: bool) -> None:
         tracer = self._tracer()
         if tracer.enabled:
-            with self._kernel_span("update", tracer):
+            with self._kernel_span("kernel.update", tracer):
                 self._update_impl(features, direction)
             return
         self._update_impl(features, direction)

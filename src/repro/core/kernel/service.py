@@ -198,7 +198,7 @@ class ShardedService:
                     )
             del self._shards[new_shard_count:]
         for shard in self._shards:
-            label = str(shard.shard_id) if new_shard_count > 1 else ""
+            label = shard.label if new_shard_count > 1 else ""
             for domain in shard.domains.values():
                 domain.shard_label = label
         if self.metrics is not None \
@@ -237,11 +237,11 @@ class ShardedService:
             self.tracer.record(
                 "shard_crash", transport="kernel",
                 detail={"domains": len(shard)},
-                shard=str(shard_id),
+                shard=shard.label,
             )
         if self.metrics is not None:
             self.metrics.counter(
-                SHARD_CRASHES_TOTAL, shard=str(shard_id)
+                SHARD_CRASHES_TOTAL, shard=shard.label
             ).inc()
 
     def sync_replicas(self, injector: FaultInjector | None = None) -> int:
@@ -262,7 +262,7 @@ class ShardedService:
                 )
             if self.metrics is not None:
                 self.metrics.gauge(
-                    REPLICA_LAG_GENERATIONS, shard=str(shard.shard_id)
+                    REPLICA_LAG_GENERATIONS, shard=shard.label
                 ).set(float(shard.replica_lag()))
         return refreshed
 
@@ -300,8 +300,7 @@ class ShardedService:
             model_name=model,
             policy=policy or open_policy(),
             shard_id=shard.shard_id,
-            shard_label=(str(shard.shard_id)
-                         if self.num_shards > 1 else ""),
+            shard_label=shard.label if self.num_shards > 1 else "",
             created_by=identity,
         )
         shard.domains[name] = domain
@@ -518,7 +517,7 @@ class ShardedService:
                 rows_here = sum(len(positions)
                                 for positions in groups[shard_id].values())
                 with tracer.span("kernel.dispatch", transport="kernel",
-                                 shard=str(shard_id),
+                                 shard=self._shards[shard_id].label,
                                  detail={"rows": rows_here}):
                     self._dispatch_shard_batch(groups[shard_id],
                                                resolved, scores)

@@ -37,6 +37,9 @@ class Shard:
                  num_replicas: int = 0,
                  metrics: MetricsRegistry | None = None) -> None:
         self.shard_id = shard_id
+        #: ``str(shard_id)``, the form trace and metric labels carry,
+        #: built once
+        self.label = str(shard_id)
         self.domains: dict[str, Domain] = {}
         self.tracer: TracerLike = (tracer if tracer is not None
                                    else NULL_TRACER)
@@ -143,7 +146,7 @@ class Shard:
         if self.tracer.enabled:
             with self.tracer.span("kernel.failover", domain=domain.name,
                                   transport="replica",
-                                  shard=str(self.shard_id)):
+                                  shard=self.label):
                 return self._failover_predict_impl(domain, features)
         return self._failover_predict_impl(domain, features)
 
@@ -170,10 +173,10 @@ class Shard:
                 detail={"replica": replica.replica_id,
                         "lag": max(0, domain.generation
                                    - follower.generation)},
-                shard=str(self.shard_id),
+                shard=self.label,
             )
         if self.metrics is not None:
             self.metrics.counter(
-                FAILOVER_PREDICTIONS_TOTAL, shard=str(self.shard_id)
+                FAILOVER_PREDICTIONS_TOTAL, shard=self.label
             ).inc()
         return score

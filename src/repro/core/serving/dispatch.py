@@ -57,6 +57,13 @@ class Dispatcher:
         self.engine = engine
         self.tracer = tracer
         self.metrics = metrics
+        # Bound once: the label every record carries, the histogram
+        # every drain observes into, and the engine clock spans ride.
+        self._label = str(shard_id)
+        self._batch_hist = (
+            metrics.histogram(BATCH_SIZE, shard=self._label)
+            if metrics is not None else None)
+        self._clock = lambda: engine.now
         self.process: Process | None = None
 
     def start(self) -> Process:
@@ -93,24 +100,21 @@ class Dispatcher:
     def _trace_drain(self, batch: list[Request], trigger: str) -> None:
         """``batch.dispatch`` (every drain) and ``batch.flush_timeout``
         (window-expiry drains) on this shard's track."""
-        if self.metrics is not None:
-            self.metrics.histogram(
-                BATCH_SIZE, shard=str(self.shard_id)
-            ).observe(float(len(batch)))
+        if self._batch_hist is not None:
+            self._batch_hist.observe(float(len(batch)))
         if not self.tracer.enabled:
             return
         now = self.engine.now
-        shard = str(self.shard_id)
         if trigger == "timeout":
             self.tracer.record(
                 "batch.flush_timeout", transport="serving",
-                ts_ns=now, shard=shard,
+                ts_ns=now, shard=self._label,
                 detail={"rows": len(batch),
                         "window_ns": self.batcher.batch_window_ns},
             )
         self.tracer.record(
             "batch.dispatch", transport="serving", ts_ns=now,
-            shard=shard,
+            shard=self._label,
             detail={"rows": len(batch), "trigger": trigger},
         )
 
@@ -118,9 +122,9 @@ class Dispatcher:
         """Run one drained batch against the kernel, under a span."""
         if self.tracer.enabled:
             with self.tracer.span("serve.dispatch", transport="serving",
-                                  shard=str(self.shard_id),
+                                  shard=self._label,
                                   detail={"rows": len(batch)},
-                                  clock=lambda: self.engine.now):
+                                  clock=self._clock):
                 self._execute_impl(batch)
             return
         self._execute_impl(batch)

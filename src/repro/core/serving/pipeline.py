@@ -46,7 +46,7 @@ from repro.obs.metrics import (
     SERVE_LATENCY_NS,
 )
 from repro.obs.slo import SLO, SLOEngine
-from repro.obs.trace import NULL_TRACER, TracerLike
+from repro.obs.trace import TracerLike
 from repro.sim.engine import Engine
 from repro.sim.process import ProcessBody, SimEvent, spawn
 
@@ -115,10 +115,18 @@ class ServingPipeline:
         self.service = service
         self.config = config or ServingConfig()
         self.engine = engine or Engine()
-        self.tracer = (tracer if tracer is not None
-                       else service.tracer) or NULL_TRACER
+        # ``is not None``, never truthiness: a tracer that has not
+        # recorded yet is empty, and an empty Tracer is falsy.
+        self.tracer: TracerLike = (tracer if tracer is not None
+                                   else service.tracer)
         self.metrics = (metrics if metrics is not None
                         else service.metrics)
+        #: completion-sojourn histogram per serving shard, resolved
+        #: once (None without a registry)
+        self._latency_hists = (
+            [self.metrics.histogram(SERVE_LATENCY_NS, shard=str(shard_id))
+             for shard_id in range(service.num_shards)]
+            if self.metrics is not None else None)
         if self.tracer.enabled:
             # Serve mode owns the session clock: every event recorded
             # during the run (kernel spans included) is stamped with
@@ -192,7 +200,8 @@ class ServingPipeline:
                                  submitted_ns=engine.now)
         request = Request(op=op, domain=domain, features=features,
                           future=future, direction=direction,
-                          client_id=client_id, seq=self.seq)
+                          client_id=client_id, shard_id=shard_id,
+                          seq=self.seq)
         self.submitted += 1
         reason = self._admission_reason(domain, shard_id, queue)
         if reason is not None:
@@ -275,11 +284,8 @@ class ServingPipeline:
         self.in_flight -= 1
         sojourn = now - request.future.submitted_ns
         self.latency.observe(sojourn)
-        if self.metrics is not None:
-            self.metrics.histogram(
-                SERVE_LATENCY_NS,
-                shard=str(self.service.shard_of(request.domain)),
-            ).observe(sojourn)
+        if self._latency_hists is not None:
+            self._latency_hists[request.shard_id].observe(sojourn)
         if self.slo_engine is not None:
             self.slo_engine.observe(
                 SERVE_SLO, now,

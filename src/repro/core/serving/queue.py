@@ -49,6 +49,9 @@ class Request:
     direction: bool = False
     client_id: str = ""
     enqueue_ns: float = 0.0
+    #: serving shard the pipeline routed this request to at submit;
+    #: completion files its sojourn under the shard that served it
+    shard_id: int = 0
     #: submission order, stamped by the pipeline - the deterministic
     #: tie-break audit trail for same-timestamp requests
     seq: int = field(default=0, compare=False)
@@ -64,6 +67,12 @@ class RequestQueue:
         self.engine = engine
         self.tracer = tracer
         self.metrics = metrics
+        # Bound once: the label every record carries and the depth
+        # histogram every enqueue observes into.
+        self._label = str(shard_id)
+        self._depth_hist = (
+            metrics.histogram(QUEUE_DEPTH, shard=self._label)
+            if metrics is not None else None)
         #: fired on every enqueue; the dispatcher parks here when idle
         self.nonempty = SimEvent(engine)
         self._items: deque[Request] = deque()
@@ -91,13 +100,11 @@ class RequestQueue:
             self.tracer.record(
                 "queue.enqueue", domain=request.domain,
                 transport="serving", ts_ns=request.enqueue_ns,
-                shard=str(self.shard_id),
+                shard=self._label,
                 detail={"op": request.op, "depth": depth},
             )
-        if self.metrics is not None:
-            self.metrics.histogram(
-                QUEUE_DEPTH, shard=str(self.shard_id)
-            ).observe(float(depth))
+        if self._depth_hist is not None:
+            self._depth_hist.observe(float(depth))
         self.nonempty.fire()
 
     def record_shed(self, request: Request, reason: str) -> None:
@@ -109,13 +116,13 @@ class RequestQueue:
             self.tracer.record(
                 "queue.shed", domain=request.domain,
                 transport="serving", ts_ns=self.engine.now,
-                shard=str(self.shard_id),
+                shard=self._label,
                 detail={"op": request.op, "reason": reason,
                         "depth": len(self._items)},
             )
         if self.metrics is not None:
             self.metrics.counter(
-                SHED_TOTAL, shard=str(self.shard_id), reason=reason
+                SHED_TOTAL, shard=self._label, reason=reason
             ).inc()
 
     def drain(self, limit: int) -> list[Request]:

@@ -221,9 +221,14 @@ class LatencyAccount:
         calls = self.op_calls.get(op, 0)
         return self.op_ns.get(op, 0.0) / calls if calls else 0.0
 
-    @property
-    def total_ns(self) -> float:
+    def clock(self) -> float:
+        """Cumulative simulated ns: this account's clock.  A method so
+        a transport or client can bind ``account.clock`` once as the
+        clock of every span it opens; :attr:`total_ns` is the same
+        value as a property."""
         return self.vdso_ns + self.syscall_ns
+
+    total_ns = property(clock)
 
     @property
     def mean_vdso_ns(self) -> float:

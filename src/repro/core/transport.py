@@ -36,6 +36,9 @@ from repro.core.features import canonical_features
 from repro.core.stats import LatencyAccount
 from repro.obs.trace import NULL_TRACER
 
+#: the operations a transport opens a span around
+SPAN_OPS = ("predict", "predict_batch", "update", "reset", "flush")
+
 #: score-cache probe sentinel distinct from the ``None`` placeholders
 #: that :meth:`VdsoTransport.predict_batch` parks for in-flight misses
 _ABSENT: object = object()
@@ -72,6 +75,10 @@ class Transport:
         # Empty on single-shard services, so their traces and metric
         # series stay byte-identical to the pre-kernel monolith.
         self._obs_shard = getattr(target, "shard_label", "")
+        # What every traced crossing would otherwise rebuild: the span
+        # names and the account's simulated clock, bound once.
+        self._span_names = {op: f"{self.name}.{op}" for op in SPAN_OPS}
+        self._clock = self.account.clock
 
     @property
     def latency_model(self) -> LatencyModel:
@@ -168,15 +175,20 @@ class Transport:
         raise NotImplementedError
 
     def _trace(self, kind: str, dur_ns: float = 0.0,
-               detail: dict | None = None) -> None:
+               detail: dict | None = None,
+               generation: int | None = None) -> None:
         """Record one event on this transport's track (pre-checked for
-        ``enabled`` by callers on the hot path; safe either way)."""
+        ``enabled`` by callers on the hot path; safe either way).
+
+        Reading the target's ``generation`` walks handle -> domain ->
+        model -> weights, so an operation that emits several events (or
+        already read it to key the score cache) hands it in.
+        """
+        if generation is None:
+            generation = getattr(self._target, "generation", 0)
         self._tracer.record(
-            kind, domain=self._obs_domain, transport=self.name,
-            ts_ns=self.account.total_ns, dur_ns=dur_ns,
-            generation=getattr(self._target, "generation", 0),
-            detail=detail, shard=self._obs_shard,
-        )
+            kind, self._obs_domain, self.name, self.account.total_ns,
+            dur_ns, generation, detail, self._obs_shard)
 
     def _op_span(self, op: str, detail: dict | None = None):
         """Span covering one boundary crossing on this transport's
@@ -184,10 +196,8 @@ class Transport:
         a ``with`` block; the account clock makes durations simulated
         ns, so the span is exactly what the crossing charged)."""
         return self._tracer.span(
-            f"{self.name}.{op}", domain=self._obs_domain,
-            transport=self.name, shard=self._obs_shard, detail=detail,
-            clock=lambda: self.account.total_ns,
-        )
+            self._span_names[op], self._obs_domain, self.name,
+            self._obs_shard, None, detail, self._clock)
 
     def reset(self, features: Sequence[int], reset_all: bool) -> None:
         """Resets always cross via syscall: they write kernel state."""
@@ -455,17 +465,20 @@ class VdsoTransport(Transport):
         self.account.charge_vdso(self._latency.vdso_predict_ns)
         self.account.charge_op("predict", self._latency.vdso_predict_ns)
         traced = self._tracer.enabled
+        # Read once per operation: it keys the score cache below and
+        # is stamped on every event this read emits.
+        source = self._generation_source
+        generation = source.generation if source is not None else 0
         if traced:
-            self._trace("predict", dur_ns=self._latency.vdso_predict_ns)
+            self._trace("predict", self._latency.vdso_predict_ns,
+                        generation=generation)
         key = canonical_features(features)
         injector = self._injector
         if injector is not None and injector.plan.stale_read_rate > 0.0:
             return self._predict_injected(key)
-        source = self._generation_source
         if source is None:
             return self._target.predict(key)
         cache = self._score_cache
-        generation = source.generation
         if generation != self._score_cache_generation:
             if cache:
                 cache.clear()
@@ -475,13 +488,13 @@ class VdsoTransport(Transport):
             if score is not None:
                 self.account.record_cache_hit()
                 if traced:
-                    self._trace("cache_hit")
+                    self._trace("cache_hit", generation=generation)
                 if self._cached_recorder is not None:
                     self._cached_recorder(score)
                 return score
         self.account.record_cache_miss()
         if traced:
-            self._trace("cache_miss")
+            self._trace("cache_miss", generation=generation)
         score = self._target.predict(key)
         if len(cache) >= self.SCORE_CACHE_ENTRIES:
             cache.popitem(last=False)
@@ -545,8 +558,9 @@ class VdsoTransport(Transport):
                     self._trace("predict", dur_ns=vdso_ns)
             return self._target_predict_rows(rows)
         cache = self._score_cache
-        # Predictions never move weights, so one generation check covers
-        # the whole batch (the scalar path re-checks an unchanged value).
+        # Predictions never move weights, so one generation read covers
+        # the whole batch: the cache check and every event of every row
+        # (the scalar path re-reads an unchanged value per call).
         generation = source.generation
         if generation != self._score_cache_generation:
             if cache:
@@ -564,12 +578,12 @@ class VdsoTransport(Transport):
             account.charge_vdso(vdso_ns)
             account.charge_op("predict", vdso_ns)
             if traced:
-                self._trace("predict", dur_ns=vdso_ns)
+                self._trace("predict", vdso_ns, generation=generation)
             cached = cache.get(key, _ABSENT)
             if cached is _ABSENT:
                 account.record_cache_miss()
                 if traced:
-                    self._trace("cache_miss")
+                    self._trace("cache_miss", generation=generation)
                 if len(cache) >= limit:
                     cache.popitem(last=False)
                 cache[key] = None
@@ -578,7 +592,7 @@ class VdsoTransport(Transport):
                 continue
             account.record_cache_hit()
             if traced:
-                self._trace("cache_hit")
+                self._trace("cache_hit", generation=generation)
             if cached is None:
                 aliases.append((key, len(scores)))
                 scores.append(None)

@@ -54,7 +54,6 @@ from repro.obs.trace import (
     EVENT_KINDS,
     NULL_TRACER,
     NullTracer,
-    SpanHandle,
     SpanHandleLike,
     TraceEvent,
     Tracer,
@@ -66,7 +65,6 @@ __all__ = [
     "NULL_TRACER",
     "NullTracer",
     "Span",
-    "SpanHandle",
     "SpanHandleLike",
     "TraceEvent",
     "Tracer",

@@ -70,9 +70,8 @@ class FlightRecorder(Tracer):
                generation: int = 0,
                detail: dict[str, Any] | None = None,
                shard: str = "") -> None:
-        super().record(kind, domain=domain, transport=transport,
-                       ts_ns=ts_ns, dur_ns=dur_ns, generation=generation,
-                       detail=detail, shard=shard)
+        Tracer.record(self, kind, domain, transport, ts_ns, dur_ns,
+                      generation, detail, shard)
         if kind in self.triggers:
             self.dump(trigger=kind)
 

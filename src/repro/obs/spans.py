@@ -10,28 +10,41 @@ yields a reconstructable tree.  Spans are opened through the tracer API
 enforced by the OBS001 static rule) and flat events recorded while a
 span is open attach to it via ``TraceEvent.span_id``.
 
-This module is pure data: the open/close machinery lives on
-:class:`~repro.obs.trace.Tracer`, the rendering in
-:mod:`repro.obs.postmortem`.
+A span is one slotted object that is also its own context manager (the
+open/close work happens inline in ``__enter__``/``__exit__`` against
+the owning :class:`~repro.obs.trace.Tracer`'s stack and ring); the
+rendering lives in :mod:`repro.obs.postmortem`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Union
+from dataclasses import dataclass, field
+from types import TracebackType
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Union
+
+if TYPE_CHECKING:
+    from repro.obs.trace import Tracer
 
 #: ``parent_id`` of a root span (and the id of the shared null span)
 ROOT_PARENT = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
-    """One timed, named stage of one request.
+    """One timed, named stage of one request, and its own ``with``.
 
     ``start_ns``/``end_ns`` are simulated nanoseconds on the emitting
     component's timeline (same clock discipline as ``TraceEvent.ts_ns``).
     ``status`` is ``"open"`` while the span is on the tracer's stack,
     then ``"ok"`` or ``"error:<ExceptionType>"``.
+
+    :meth:`Tracer.span <repro.obs.trace.Tracer.span>` allocates one
+    object per span and the ``with`` statement does the rest on it:
+    entering assigns the id, parent and start (a span opened without a
+    clock of its own rides the enclosing span's, so a whole request
+    tree shares one simulated-ns timeline), leaving stamps the end and
+    the status and moves the span into the tracer's ring.  Until it is
+    entered a span has id 0 and is inert.
     """
 
     span_id: int
@@ -44,6 +57,59 @@ class Span:
     end_ns: float = 0.0
     status: str = "open"
     detail: dict[str, Any] | None = None
+    #: owning tracer, this span's (own or inherited) clock and the
+    #: explicit start it was opened with: filled in by ``Tracer.span``
+    #: only, so a hand-built span is plain data and cannot be entered
+    _tracer: Tracer = field(init=False, repr=False, compare=False)
+    _clock: Callable[[], float] | None = field(
+        init=False, repr=False, compare=False)
+    _ts_ns: float | None = field(init=False, repr=False, compare=False)
+
+    def __enter__(self) -> Span:
+        tracer = self._tracer
+        tracer._seq += 1
+        stack = tracer._span_stack
+        clock = self._clock
+        if stack:
+            parent = stack[-1]
+            self.parent_id = parent.span_id
+            if clock is None:
+                clock = self._clock = parent._clock
+        start = self._ts_ns
+        if start is None:
+            if clock is None:
+                clock = tracer.clock
+            start = clock() if clock is not None else float(tracer._seq)
+        self.start_ns = start
+        self.span_id = tracer._next_span_id
+        tracer._next_span_id += 1
+        stack.append(self)
+        return self
+
+    def __exit__(self, exc_type: type[BaseException] | None,
+                 exc: BaseException | None,
+                 tb: TracebackType | None) -> None:
+        tracer = self._tracer
+        tracer._seq += 1
+        clock = self._clock
+        if clock is None:
+            clock = tracer.clock
+        end = clock() if clock is not None else float(tracer._seq)
+        self.end_ns = end if end >= self.start_ns else self.start_ns
+        self.status = ("ok" if exc_type is None
+                       else f"error:{exc_type.__name__}")
+        stack = tracer._span_stack
+        if stack and stack[-1] is self:
+            stack.pop()
+        else:  # mis-nested close: unwind defensively
+            stack[:] = [span for span in stack if span is not self]
+        ring = tracer._spans
+        if len(ring) < tracer.capacity:
+            ring.append(self)
+        else:
+            ring[tracer._span_head] = self
+            tracer._span_head = (tracer._span_head + 1) % tracer.capacity
+            tracer.span_dropped += 1
 
     @property
     def dur_ns(self) -> float:

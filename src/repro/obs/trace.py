@@ -19,7 +19,7 @@ ever built.
 from __future__ import annotations
 
 from types import TracebackType
-from typing import Any, Callable, NamedTuple, Union
+from typing import Any, Callable, NamedTuple, Union, cast
 
 from repro.obs.spans import ROOT_PARENT, Span
 
@@ -104,6 +104,13 @@ class TraceEvent(NamedTuple):
         return d
 
 
+# Allocation without a Python-level frame: the NamedTuple's generated
+# ``__new__`` and a ``Span.__init__`` call would each add one per record.
+_new_event = cast("Callable[[type[TraceEvent], tuple[Any, ...]], "
+                  "TraceEvent]", tuple.__new__)
+_new_span = cast("Callable[[type[Span]], Span]", object.__new__)
+
+
 class Tracer:
     """Bounded ring buffer of :class:`TraceEvent` records.
 
@@ -131,10 +138,6 @@ class Tracer:
         self._span_head = 0
         self._span_stack: list[Span] = []  # open spans, innermost last
         self._next_span_id = 1
-        #: clocks of open spans that carry one (innermost last): a span
-        #: opened without its own clock inherits the enclosing span's,
-        #: so a whole request tree shares one simulated-ns timeline
-        self._clock_stack: list[Callable[[], float]] = []
 
     def __len__(self) -> int:
         return len(self._ring)
@@ -154,9 +157,9 @@ class Tracer:
             ts_ns = self.clock() if self.clock is not None else float(
                 self._seq)
         stack = self._span_stack
-        event = TraceEvent(ts_ns, kind, domain, transport, dur_ns,
-                           generation, detail, shard,
-                           stack[-1].span_id if stack else ROOT_PARENT)
+        event = _new_event(TraceEvent, (
+            ts_ns, kind, domain, transport, dur_ns, generation, detail,
+            shard, stack[-1].span_id if stack else ROOT_PARENT))
         ring = self._ring
         if len(ring) < self.capacity:
             ring.append(event)
@@ -168,61 +171,31 @@ class Tracer:
     def span(self, name: str, domain: str = "", transport: str = "",
              shard: str = "", ts_ns: float | None = None,
              detail: dict[str, Any] | None = None,
-             clock: Callable[[], float] | None = None) -> SpanHandle:
+             clock: Callable[[], float] | None = None) -> Span:
         """Open a span for the duration of a ``with`` block.
 
-        The only sanctioned way to open a span (OBS001 flags direct
-        ``begin_span``/``end_span`` use): the context manager closes it
-        on every path, stamping ``status`` from the in-flight exception.
-        ``clock`` overrides the tracer clock for this span (transports
-        pass their latency account so durations are simulated ns).
+        The only sanctioned way to open a span (OBS001 flags a span
+        call that is not a ``with`` item): the returned
+        :class:`~repro.obs.spans.Span` is its own context manager and
+        closes on every path, stamping ``status`` from the in-flight
+        exception.  ``clock`` overrides the tracer clock for this span
+        and the spans nested in it (transports pass their latency
+        account so durations are simulated ns).  This allocates the
+        span and nothing else.
         """
-        return SpanHandle(self, name, domain, transport, shard, ts_ns,
-                          detail, clock)
-
-    def begin_span(self, name: str, domain: str = "", transport: str = "",
-                   shard: str = "", ts_ns: float | None = None,
-                   detail: dict[str, Any] | None = None) -> Span:
-        """Low-level open: push a span onto the causality stack.
-
-        Prefer :meth:`span`; a begun span that is never passed to
-        :meth:`end_span` pins every later event to a stale parent.
-        """
-        self._seq += 1
-        if ts_ns is None:
-            ts_ns = self.clock() if self.clock is not None else float(
-                self._seq)
-        stack = self._span_stack
-        opened = Span(
-            span_id=self._next_span_id,
-            parent_id=stack[-1].span_id if stack else ROOT_PARENT,
-            name=name, domain=domain, transport=transport, shard=shard,
-            start_ns=ts_ns, detail=detail)
-        self._next_span_id += 1
-        stack.append(opened)
+        opened = _new_span(Span)
+        opened.span_id = opened.parent_id = ROOT_PARENT
+        opened.start_ns = opened.end_ns = 0.0
+        opened.name = name
+        opened.domain = domain
+        opened.transport = transport
+        opened.shard = shard
+        opened.status = "open"
+        opened.detail = detail
+        opened._tracer = self
+        opened._clock = clock
+        opened._ts_ns = ts_ns
         return opened
-
-    def end_span(self, span: Span, status: str = "ok",
-                 ts_ns: float | None = None) -> None:
-        """Low-level close: pop ``span`` and move it to the ring."""
-        self._seq += 1
-        if ts_ns is None:
-            ts_ns = self.clock() if self.clock is not None else float(
-                self._seq)
-        span.end_ns = ts_ns if ts_ns >= span.start_ns else span.start_ns
-        span.status = status
-        stack = self._span_stack
-        if stack and stack[-1] is span:
-            stack.pop()
-        elif span in stack:  # mis-nested close: unwind defensively
-            stack.remove(span)
-        ring = self._spans
-        if len(ring) < self.capacity:
-            ring.append(span)
-        else:
-            ring[self._span_head] = span
-            self._span_head = (self._span_head + 1) % self.capacity
-            self.span_dropped += 1
 
     def current_span_id(self) -> int:
         stack = self._span_stack
@@ -247,60 +220,8 @@ class Tracer:
         self._spans = []
         self._span_head = 0
         self._span_stack = []
-        self._clock_stack = []
         self.span_dropped = 0
         self._next_span_id = 1
-
-
-class SpanHandle:
-    """Context manager pairing one ``begin_span`` with one ``end_span``."""
-
-    __slots__ = ("_tracer", "_name", "_domain", "_transport", "_shard",
-                 "_ts_ns", "_detail", "_clock", "_span", "_pushed")
-
-    def __init__(self, tracer: Tracer, name: str, domain: str,
-                 transport: str, shard: str, ts_ns: float | None,
-                 detail: dict[str, Any] | None,
-                 clock: Callable[[], float] | None) -> None:
-        self._tracer = tracer
-        self._name = name
-        self._domain = domain
-        self._transport = transport
-        self._shard = shard
-        self._ts_ns = ts_ns
-        self._detail = detail
-        self._clock = clock
-        self._span: Span | None = None
-        self._pushed = False
-
-    def __enter__(self) -> Span:
-        tracer = self._tracer
-        clock = self._clock
-        if clock is None and tracer._clock_stack:
-            clock = tracer._clock_stack[-1]
-            self._clock = clock
-        ts = self._ts_ns
-        if ts is None and clock is not None:
-            ts = clock()
-        self._span = tracer.begin_span(
-            self._name, domain=self._domain, transport=self._transport,
-            shard=self._shard, ts_ns=ts, detail=self._detail)
-        if clock is not None:
-            tracer._clock_stack.append(clock)
-            self._pushed = True
-        return self._span
-
-    def __exit__(self, exc_type: type[BaseException] | None,
-                 exc: BaseException | None,
-                 tb: TracebackType | None) -> None:
-        span = self._span
-        if span is None:
-            return
-        if self._pushed:
-            self._tracer._clock_stack.pop()
-        end = self._clock() if self._clock is not None else None
-        status = "ok" if exc_type is None else f"error:{exc_type.__name__}"
-        self._tracer.end_span(span, status=status, ts_ns=end)
 
 
 class NullTracer:
@@ -372,7 +293,7 @@ NULL_SPAN_HANDLE = NullSpanHandle()
 TracerLike = Union[Tracer, NullTracer]
 
 #: what ``tracer.span(...)`` returns: a live handle or the shared no-op
-SpanHandleLike = Union[SpanHandle, NullSpanHandle]
+SpanHandleLike = Union[Span, NullSpanHandle]
 
 #: shared disabled tracer; safe to use as a default everywhere
 NULL_TRACER = NullTracer()

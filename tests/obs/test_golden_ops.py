@@ -1,0 +1,116 @@
+"""Golden operation traces: what one call *does*, not what it returns.
+
+Each test drives one public operation on a traced stack and asserts the
+exact records it leaves - the span tree by name and the event kinds in
+order - so a change that adds a crossing, drops a stage or re-enters the
+kernel on a cache hit fails here even when every score is still right.
+"""
+
+from repro.core.config import PSSConfig
+from repro.core.kernel.admission import AdmissionController
+from repro.core.kernel.service import ShardedService
+from repro.core.serving import ServingConfig, ServingPipeline
+from repro.obs import Tracer, span_children, validate_spans
+
+ROW = (3, 5, 7, 11)
+CONFIG = PSSConfig(num_features=4)
+
+
+def traced_service():
+    tracer = Tracer()
+    service = ShardedService(num_shards=2, tracer=tracer,
+                             admission=AdmissionController())
+    return tracer, service
+
+
+def forest(tracer):
+    """The completed spans as nested ``(name, [children])`` pairs,
+    children in the order they opened."""
+    spans = tracer.spans()
+    roots = validate_spans(spans)
+    children = span_children(spans)
+
+    def node(span):
+        kids = sorted(children.get(span.span_id, ()),
+                      key=lambda child: child.span_id)
+        return span.name, [node(kid) for kid in kids]
+
+    return [node(root) for root in sorted(roots,
+                                          key=lambda s: s.span_id)]
+
+
+def kinds(tracer):
+    return [event.kind for event in tracer.events()]
+
+
+class TestSyncClient:
+    def test_vdso_score_cache_hit_never_enters_the_kernel(self):
+        tracer, service = traced_service()
+        client = service.connect("d", transport="vdso", config=CONFIG)
+        client.predict(ROW)   # fill the score cache
+        tracer.clear()
+        client.predict(ROW)
+        assert forest(tracer) == [
+            ("client.predict", [("vdso.predict", [])])]
+        assert kinds(tracer) == ["predict", "cache_hit"]
+        assert len(tracer) + len(tracer.spans()) == 4
+
+    def test_vdso_score_cache_miss_is_one_kernel_predict(self):
+        tracer, service = traced_service()
+        client = service.connect("d", transport="vdso", config=CONFIG)
+        tracer.clear()
+        client.predict(ROW)
+        assert forest(tracer) == [
+            ("client.predict", [
+                ("vdso.predict", [
+                    ("kernel.predict", [("kernel.admission", [])])])])]
+        assert kinds(tracer) == ["predict", "cache_miss"]
+
+    def test_syscall_batch_of_256_is_one_crossing(self):
+        tracer, service = traced_service()
+        client = service.connect("d", transport="syscall", config=CONFIG)
+        rows = [(i, i + 1, i + 2, i + 3) for i in range(256)]
+        tracer.clear()
+        client.predict_batch(rows)
+        assert forest(tracer) == [
+            ("client.predict_batch", [
+                ("syscall.predict_batch", [
+                    ("kernel.predict_batch", [
+                        ("kernel.admission", []),
+                        ("plan.execute", [])])])])]
+        event, = tracer.events()
+        assert event.kind == "predict_batch"
+        assert event.detail == {"rows": 256}
+        assert client.latency.syscalls == 1
+
+
+class TestPipeline:
+    def build(self):
+        tracer, service = traced_service()
+        service.create_domain("d", config=CONFIG)
+        pipeline = ServingPipeline(service,
+                                   ServingConfig(batch_window_ns=0.0))
+        tracer.clear()
+        return tracer, pipeline
+
+    def test_window_0_predict_is_seven_records(self):
+        tracer, pipeline = self.build()
+        future = pipeline.submit("d", ROW)
+        pipeline.run()
+        assert future.done and future.error is None
+        assert kinds(tracer) == ["queue.enqueue", "batch.dispatch"]
+        assert forest(tracer) == [
+            ("serve.dispatch", [
+                ("kernel.predict_batch", [
+                    ("kernel.route", []),
+                    ("kernel.dispatch", [("plan.execute", [])])])])]
+        assert len(tracer) + len(tracer.spans()) == 7
+
+    def test_window_0_update_is_three_records(self):
+        tracer, pipeline = self.build()
+        future = pipeline.submit("d", ROW, op="update", direction=True)
+        pipeline.run()
+        assert future.done and future.error is None
+        assert kinds(tracer) == ["queue.enqueue", "batch.dispatch"]
+        assert forest(tracer) == [("serve.dispatch", [])]
+        assert len(tracer) + len(tracer.spans()) == 3

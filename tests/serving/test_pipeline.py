@@ -20,6 +20,7 @@ from repro.core.serving import (
     ServingConfig,
     ServingPipeline,
 )
+from repro.obs import MetricsRegistry, Tracer
 
 FEATURES = [3, 5]
 
@@ -206,6 +207,44 @@ class TestVisibility:
         service.create_domain("d")
         from repro.bench.tables import shard_table
         assert "max-q" not in shard_table(service.shard_summaries())
+
+    def test_empty_tracer_is_still_the_pipelines_tracer(self):
+        # An empty Tracer is falsy (it defines __len__): choosing it
+        # by truthiness silently ran the whole pipeline untraced.
+        tracer = Tracer()
+        assert len(tracer) == 0
+        service = ShardedService(tracer=tracer)
+        pipeline = ServingPipeline(service, ServingConfig(),
+                                   tracer=tracer)
+        assert pipeline.tracer is tracer
+        assert ServingPipeline(service).tracer is tracer
+        assert all(q.tracer is tracer for q in pipeline.queues)
+        assert all(d.tracer is tracer for d in pipeline.dispatchers)
+        service.create_domain("d")
+        tracer.clear()
+        pipeline.submit("d", FEATURES, op="update", direction=True)
+        pipeline.run()
+        assert [event.kind for event in tracer.events()] == \
+            ["queue.enqueue", "batch.dispatch"]
+        served, = tracer.spans()
+        assert served.name == "serve.dispatch"
+        assert served.start_ns == pipeline.engine.now  # engine clock
+
+    def test_completion_files_sojourn_under_the_submit_shard(self):
+        metrics = MetricsRegistry()
+        service = ShardedService(num_shards=2, metrics=metrics)
+        service.create_domain("d")
+        pipeline = ServingPipeline(service, ServingConfig())
+        served_by = service.shard_of("d")
+        future = pipeline.submit("d", FEATURES)
+        pipeline.run()
+        assert future.done
+        by_shard = {dict(labels)["shard"]: histogram.count
+                    for (name, labels), histogram
+                    in metrics.histograms()
+                    if name == "pss_serve_latency_ns"}
+        assert by_shard == {str(served_by): 1,
+                            str(1 - served_by): 0}
 
 
 class TestClientSubmit:
