@@ -31,7 +31,6 @@ from repro.core.service import DomainHandle
 from repro.core.stats import LatencyAccount, ResilienceStats
 from repro.core.transport import Transport, make_transport
 from repro.obs.trace import NULL_TRACER
-from repro.sim.process import SimEvent
 
 if TYPE_CHECKING:
     from repro.core.serving.pipeline import ServingPipeline
@@ -422,7 +421,7 @@ class ResilientClient(PSSClient):
             future.complete(self.predict(features))
             return future
         self.stats.predictions += 1
-        outer = CompletionFuture(SimEvent(pipeline.engine),
+        outer = CompletionFuture(pipeline.engine,
                                  submitted_ns=pipeline.engine.now)
         inner = pipeline.submit(self.domain_name, features,
                                 client_id=client_id)
@@ -471,7 +470,7 @@ class ResilientClient(PSSClient):
             self.update(features, direction)
             future.complete(None)
             return future
-        outer = CompletionFuture(SimEvent(pipeline.engine),
+        outer = CompletionFuture(pipeline.engine,
                                  submitted_ns=pipeline.engine.now)
         inner = pipeline.submit(self.domain_name, features,
                                 op="update", direction=direction,

@@ -88,9 +88,9 @@ class Domain:
         if tracer.enabled:
             # One span per batched pass over the weights: this is where
             # the specialized plan (when the model holds one) executes.
-            with tracer.span("plan.execute", domain=self.name,
-                             transport="kernel", shard=self.shard_label,
-                             detail={"rows": len(feature_rows)}):
+            with tracer.span("plan.execute", self.name, "kernel",
+                             self.shard_label, None,
+                             {"rows": len(feature_rows)}):
                 return self._predict_batch_impl(feature_rows)
         return self._predict_batch_impl(feature_rows)
 

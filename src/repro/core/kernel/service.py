@@ -52,6 +52,11 @@ if TYPE_CHECKING:
     from repro.core.faults import FaultInjector, FaultPlan
 
 
+#: one domain's share of a kernel batch: the domain, its rows, and the
+#: request position each row's score goes back to
+_DomainRows = tuple[Domain, list[Sequence[int]], list[int]]
+
+
 class ShardedService:
     """Container and dispatcher for prediction domains, in N shards.
 
@@ -475,9 +480,8 @@ class ShardedService:
         if not requests:
             return []
         if self.tracer.enabled:
-            with self.tracer.span("kernel.predict_batch",
-                                  transport="kernel",
-                                  detail={"rows": len(requests)}):
+            with self.tracer.span("kernel.predict_batch", "", "kernel",
+                                  "", None, {"rows": len(requests)}):
                 return self._predict_batch_impl(requests, identity)
         return self._predict_batch_impl(requests, identity)
 
@@ -487,54 +491,60 @@ class ShardedService:
     ) -> list[int]:
         tracer = self.tracer
         traced = tracer.enabled
-        resolved = [(self.domain(name), features)
-                    for name, features in requests]
+        # One pass resolves each *distinct* domain once and groups its
+        # rows.  First-occurrence order, so the first unknown name
+        # raises the DomainError the scalar loop would - before
+        # anything is charged or scored.
+        by_name: dict[str, _DomainRows] = {}
+        by_shard: dict[int, list[_DomainRows]] = {}
+        count = len(requests)
+        for position, (name, features) in enumerate(requests):
+            group = by_name.get(name)
+            if group is None:
+                domain = self.domain(name)
+                group = by_name[name] = (domain, [], [])
+                members = by_shard.get(domain.shard_id)
+                if members is None:
+                    by_shard[domain.shard_id] = [group]
+                else:
+                    members.append(group)
+            group[1].append(features)
+            group[2].append(position)
         if identity is not None and self.admission is not None:
             if traced:
-                with tracer.span("kernel.admission", transport="kernel",
-                                 detail={"count": len(resolved)}):
-                    self.admission.charge_predict(identity,
-                                                  count=len(resolved))
+                with tracer.span("kernel.admission", "", "kernel", "",
+                                 None, {"count": count}):
+                    self.admission.charge_predict(identity, count=count)
             else:
-                self.admission.charge_predict(identity,
-                                              count=len(resolved))
-        #: shard id -> domain name -> request positions, insertion-ordered
-        groups: dict[int, dict[str, list[int]]] = {}
+                self.admission.charge_predict(identity, count=count)
         if traced:
-            with tracer.span("kernel.route", transport="kernel",
-                             detail={"rows": len(resolved)}) as route:
-                for position, (domain, _features) in enumerate(resolved):
-                    groups.setdefault(domain.shard_id, {}) \
-                          .setdefault(domain.name, []).append(position)
-                route.annotate(shards=len(groups))
-        else:
-            for position, (domain, _features) in enumerate(resolved):
-                groups.setdefault(domain.shard_id, {}) \
-                      .setdefault(domain.name, []).append(position)
-        scores: list[int | None] = [None] * len(resolved)
-        for shard_id in sorted(groups):
+            # Routing is the pass above (it has to finish before the
+            # admission charge); the span keeps the stage in the tree.
+            with tracer.span("kernel.route", "", "kernel", "", None,
+                             {"rows": count, "shards": len(by_shard)}):
+                pass
+        scores: list[int | None] = [None] * count
+        one_shard = len(by_shard) == 1
+        for shard_id in (by_shard if one_shard else sorted(by_shard)):
+            members = by_shard[shard_id]
             if traced:
-                rows_here = sum(len(positions)
-                                for positions in groups[shard_id].values())
-                with tracer.span("kernel.dispatch", transport="kernel",
-                                 shard=self._shards[shard_id].label,
-                                 detail={"rows": rows_here}):
-                    self._dispatch_shard_batch(groups[shard_id],
-                                               resolved, scores)
+                rows_here = count if one_shard else sum(
+                    len(positions)
+                    for _domain, _rows, positions in members)
+                with tracer.span("kernel.dispatch", "", "kernel",
+                                 self._shards[shard_id].label, None,
+                                 {"rows": rows_here}):
+                    self._dispatch_shard_batch(members, scores)
             else:
-                self._dispatch_shard_batch(groups[shard_id],
-                                           resolved, scores)
+                self._dispatch_shard_batch(members, scores)
         return scores  # type: ignore[return-value]
 
     def _dispatch_shard_batch(
-        self, by_domain: dict[str, list[int]],
-        resolved: Sequence[tuple[Domain, Sequence[int]]],
+        self, members: list[_DomainRows],
         scores: list[int | None],
     ) -> None:
         """Score one shard's slice of a batch into ``scores`` in place."""
-        for _name, positions in by_domain.items():
-            domain = resolved[positions[0]][0]
-            rows = [resolved[position][1] for position in positions]
+        for domain, rows, positions in members:
             shard = domain.shard
             if shard is not None and shard.down:
                 row_scores = [shard.failover_predict(domain, row)

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.errors import PSSError
 from repro.core.serving.batcher import MicroBatcher
 from repro.core.serving.queue import Request, RequestQueue
 from repro.obs.metrics import BATCH_SIZE, MetricsRegistry
@@ -59,11 +58,11 @@ class Dispatcher:
         self.metrics = metrics
         # Bound once: the label every record carries, the histogram
         # every drain observes into, and the engine clock spans ride.
-        self._label = str(shard_id)
+        self._label = queue.label
         self._batch_hist = (
             metrics.histogram(BATCH_SIZE, shard=self._label)
             if metrics is not None else None)
-        self._clock = lambda: engine.now
+        self._clock = engine.clock
         self.process: Process | None = None
 
     def start(self) -> Process:
@@ -78,64 +77,73 @@ class Dispatcher:
         the queue's ``nonempty`` event (no scheduled wake-up, so a
         drained simulation terminates), and kernel execution happens
         only after the batch's crossing cost has been charged with a
-        ``yield``.
+        ``yield``.  An unobserved shard (no histogram, no tracer)
+        pays nothing for observability here: it skips
+        :meth:`_trace_drain` and executes without the span wrapper.
         """
         queue = self.queue
+        items = queue.items
         batcher = self.batcher
+        parked = queue.nonempty.wait()  # one command, re-yielded
         while True:
-            if queue.depth == 0:
-                yield queue.nonempty.wait()
-                if queue.depth == 0:  # pragma: no cover - spurious wake
+            if not items:
+                yield parked
+                if not items:  # pragma: no cover - spurious wake
                     continue
-            collect = batcher.collect_ns(queue.depth)
+            collect = batcher.collect_ns(len(items))
             if collect > 0:
                 yield collect
             batch, trigger = batcher.drain(queue)
             if not batch:  # pragma: no cover - drained by a restart
                 continue
-            self._trace_drain(batch, trigger)
+            traced = self.tracer.enabled
+            if traced or self._batch_hist is not None:
+                self._trace_drain(batch, trigger)
             yield batcher.service_ns(len(batch))
-            self._execute(batch)
+            if traced:
+                self._execute_traced(batch)
+            else:
+                self._execute(batch)
 
     def _trace_drain(self, batch: list[Request], trigger: str) -> None:
         """``batch.dispatch`` (every drain) and ``batch.flush_timeout``
         (window-expiry drains) on this shard's track."""
         if self._batch_hist is not None:
             self._batch_hist.observe(float(len(batch)))
-        if not self.tracer.enabled:
+        tracer = self.tracer
+        if not tracer.enabled:
             return
         now = self.engine.now
         if trigger == "timeout":
-            self.tracer.record(
-                "batch.flush_timeout", transport="serving",
-                ts_ns=now, shard=self._label,
-                detail={"rows": len(batch),
-                        "window_ns": self.batcher.batch_window_ns},
-            )
-        self.tracer.record(
-            "batch.dispatch", transport="serving", ts_ns=now,
-            shard=self._label,
-            detail={"rows": len(batch), "trigger": trigger},
-        )
+            tracer.record(
+                "batch.flush_timeout", "", "serving", now, 0.0, 0,
+                {"rows": len(batch),
+                 "window_ns": self.batcher.batch_window_ns},
+                self._label)
+        tracer.record(
+            "batch.dispatch", "", "serving", now, 0.0, 0,
+            {"rows": len(batch), "trigger": trigger}, self._label)
+
+    def _execute_traced(self, batch: list[Request]) -> None:
+        """:meth:`_execute` under a ``serve.dispatch`` span."""
+        with self.tracer.span("serve.dispatch", "", "serving",
+                              self._label, None, {"rows": len(batch)},
+                              self._clock):
+            self._execute(batch)
 
     def _execute(self, batch: list[Request]) -> None:
-        """Run one drained batch against the kernel, under a span."""
-        if self.tracer.enabled:
-            with self.tracer.span("serve.dispatch", transport="serving",
-                                  shard=self._label,
-                                  detail={"rows": len(batch)},
-                                  clock=self._clock):
-                self._execute_impl(batch)
-            return
-        self._execute_impl(batch)
-
-    def _execute_impl(self, batch: list[Request]) -> None:
         """Run one drained batch against the kernel, in FIFO order.
 
         Adjacent predictions collapse into one ``predict_batch`` call;
         updates run individually at their queue position.  A kernel
         error fails exactly the requests it covered - later requests
-        in the batch still execute (their shard may be healthy).
+        in the batch still execute (their shard may be healthy).  That
+        holds for *any* exception, not only :class:`PSSError`: this is
+        the boundary that must keep running, since an error escaping
+        here would end the shard's process and strand every future
+        still queued behind it.  The error is not swallowed - it is
+        counted in ``pipeline.failed`` and re-raised, traceback and
+        all, by each covered future's ``result()``.
         """
         service = self.service
         index = 0
@@ -151,7 +159,7 @@ class Dispatcher:
                         [(request.domain, request.features)
                          for request in run]
                     )
-                except PSSError as error:
+                except Exception as error:
                     for request in run:
                         self.pipeline.request_failed(request, error)
                 else:
@@ -163,7 +171,7 @@ class Dispatcher:
                 try:
                     service.update(request.domain, request.features,
                                    request.direction)
-                except PSSError as error:
+                except Exception as error:
                     self.pipeline.request_failed(request, error)
                 else:
                     self.pipeline.request_done(request, None)

@@ -4,17 +4,25 @@ The event-driven pipeline separates *issuing* a request from
 *completing* it: ``submit`` returns immediately with a
 :class:`CompletionFuture`, and a per-shard dispatcher completes it
 whenever the micro-batch carrying the request finishes crossing the
-kernel.  A future is backed by a :class:`~repro.sim.process.SimEvent`,
-so simulated client processes block on it with ``yield future.wait()``
-exactly like any other sim resource; plain (non-process) callers poll
-``done``/``result()`` after driving the engine.
+kernel.  Simulated client processes block on a future with ``yield
+future.wait()`` exactly like any other sim resource; plain
+(non-process) callers poll ``done``/``result()`` after driving the
+engine.  A request pays only for what it uses: the
+:class:`~repro.sim.process.SimEvent` a parked process needs is built by
+the first ``wait()`` and the callback list by the first
+``add_done_callback``, so a future nobody parks on allocates neither
+and fires nothing at settlement.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable
 
+from repro.sim.engine import Engine
 from repro.sim.process import SimEvent
+
+
+DoneCallback = Callable[["CompletionFuture"], None]
 
 
 class CompletionFuture:
@@ -27,18 +35,21 @@ class CompletionFuture:
     clock.
     """
 
-    __slots__ = ("done", "submitted_ns", "completed_ns", "_event",
-                 "_value", "_error", "_callbacks")
+    __slots__ = ("done", "submitted_ns", "completed_ns", "_engine",
+                 "_event", "_value", "_error", "_callbacks")
 
-    def __init__(self, event: SimEvent | None = None,
+    def __init__(self, engine: Engine | None = None,
                  submitted_ns: float = 0.0) -> None:
         self.done = False
         self.submitted_ns = submitted_ns
         self.completed_ns = 0.0
-        self._event = event
+        #: engine a parked process would wait on (None: the future is
+        #: settled synchronously and ``wait()`` never parks)
+        self._engine = engine
+        self._event: SimEvent | None = None
         self._value: Any = None
         self._error: BaseException | None = None
-        self._callbacks: list[Callable[["CompletionFuture"], None]] = []
+        self._callbacks: list[DoneCallback] | None = None
 
     # -- completion (pipeline side) ----------------------------------------
 
@@ -58,9 +69,11 @@ class CompletionFuture:
         self._value = value
         self._error = error
         self.completed_ns = ts_ns
-        callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            callback(self)
+        callbacks = self._callbacks
+        if callbacks is not None:
+            self._callbacks = None
+            for callback in callbacks:
+                callback(self)
         if self._event is not None:
             self._event.fire(self)
 
@@ -94,15 +107,18 @@ class CompletionFuture:
         return a zero-delay sleep so the process resumes on the next
         engine step instead of parking on an event that already fired.
         """
-        if self.done or self._event is None:
+        if self.done or self._engine is None:
             return 0
-        return self._event.wait()
+        event = self._event
+        if event is None:
+            event = self._event = SimEvent(self._engine)
+        return event.wait()
 
-    def add_done_callback(
-        self, callback: Callable[["CompletionFuture"], None]
-    ) -> None:
+    def add_done_callback(self, callback: DoneCallback) -> None:
         """Run ``callback(self)`` at completion (immediately if done)."""
         if self.done:
             callback(self)
+        elif self._callbacks is None:
+            self._callbacks = [callback]
         else:
             self._callbacks.append(callback)

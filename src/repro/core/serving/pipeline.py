@@ -48,7 +48,7 @@ from repro.obs.metrics import (
 from repro.obs.slo import SLO, SLOEngine
 from repro.obs.trace import TracerLike
 from repro.sim.engine import Engine
-from repro.sim.process import ProcessBody, SimEvent, spawn
+from repro.sim.process import ProcessBody, spawn
 
 if TYPE_CHECKING:
     from repro.core.kernel.service import ShardedService
@@ -131,7 +131,7 @@ class ServingPipeline:
             # Serve mode owns the session clock: every event recorded
             # during the run (kernel spans included) is stamped with
             # the engine's simulated now.
-            self.tracer.clock = lambda: self.engine.now
+            self.tracer.clock = self.engine.clock
         # -- per-shard machinery --
         self.queues = [
             RequestQueue(shard_id, self.engine, tracer=self.tracer,
@@ -195,40 +195,38 @@ class ServingPipeline:
         engine = self.engine
         shard_id = self.service.shard_of(domain)
         queue = self.queues[shard_id]
-        self.seq += 1
-        future = CompletionFuture(SimEvent(engine),
-                                 submitted_ns=engine.now)
-        request = Request(op=op, domain=domain, features=features,
-                          future=future, direction=direction,
-                          client_id=client_id, shard_id=shard_id,
-                          seq=self.seq)
+        self.seq = seq = self.seq + 1
+        now = engine.now
+        future = CompletionFuture(engine, now)
+        request = Request(op, domain, features, future, direction,
+                          client_id, 0.0, shard_id, seq)
         self.submitted += 1
-        reason = self._admission_reason(domain, shard_id, queue)
+        admission = self.service.admission
+        if admission is not None:
+            reason = admission.admit_request(
+                domain, queue.label, len(queue.items),
+                self.config.queue_limit)
+        else:
+            reason = self._unmanaged_reason(domain, queue)
         if reason is not None:
             self.shed_count += 1
             queue.record_shed(request, reason)
             future.fail(RequestShedError(reason, domain, shard_id),
-                        ts_ns=engine.now)
+                        ts_ns=now)
             return future
         queue.push(request)
         self.in_flight += 1
         return future
 
-    def _admission_reason(self, domain: str, shard_id: int,
+    def _unmanaged_reason(self, domain: str,
                           queue: RequestQueue) -> str | None:
-        """Consult the admission controller (or replicate its depth
-        rule when the service runs without one)."""
-        admission = self.service.admission
+        """The admission controller's depth and paging rules, for a
+        service that runs without one."""
         limit = self.config.queue_limit
-        if admission is not None:
-            return admission.admit_request(
-                domain=domain, shard=str(shard_id),
-                queue_depth=queue.depth, queue_limit=limit)
         if limit > 0 and queue.depth >= limit:
             return "queue_full"
         if self.config.shed_on_page \
-                and self.should_shed(domain=domain,
-                                     shard=str(shard_id)):
+                and self.should_shed(domain=domain, shard=queue.label):
             return "slo_page"
         return None
 

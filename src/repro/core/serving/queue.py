@@ -32,14 +32,15 @@ from repro.sim.engine import Engine
 from repro.sim.process import SimEvent
 
 
-@dataclass
+@dataclass(slots=True)
 class Request:
     """One queued operation awaiting dispatch.
 
     ``op`` is ``"predict"`` or ``"update"``; ``direction`` is only
     meaningful for updates.  ``client_id`` is attribution-only (load
     generators label which simulated client issued the request), never
-    consulted by routing or dispatch.
+    consulted by routing or dispatch.  One is built per submit, so the
+    pipeline constructs it positionally: keep the field order.
     """
 
     op: str
@@ -69,9 +70,9 @@ class RequestQueue:
         self.metrics = metrics
         # Bound once: the label every record carries and the depth
         # histogram every enqueue observes into.
-        self._label = str(shard_id)
+        self.label = str(shard_id)
         self._depth_hist = (
-            metrics.histogram(QUEUE_DEPTH, shard=self._label)
+            metrics.histogram(QUEUE_DEPTH, shard=self.label)
             if metrics is not None else None)
         #: fired on every enqueue; the dispatcher parks here when idle
         self.nonempty = SimEvent(engine)
@@ -88,6 +89,14 @@ class RequestQueue:
     def depth(self) -> int:
         return len(self._items)
 
+    @property
+    def items(self) -> deque[Request]:
+        """The live FIFO itself, for the shard's dispatcher to test
+        and measure without a call per wake-up.  Read-only by
+        contract: requests enter through :meth:`push` and leave
+        through :meth:`drain`."""
+        return self._items
+
     def push(self, request: Request) -> None:
         """Append an admitted request and wake the dispatcher."""
         request.enqueue_ns = self.engine.now
@@ -98,11 +107,9 @@ class RequestQueue:
             self.max_depth = depth
         if self.tracer.enabled:
             self.tracer.record(
-                "queue.enqueue", domain=request.domain,
-                transport="serving", ts_ns=request.enqueue_ns,
-                shard=self._label,
-                detail={"op": request.op, "depth": depth},
-            )
+                "queue.enqueue", request.domain, "serving",
+                request.enqueue_ns, 0.0, 0,
+                {"op": request.op, "depth": depth}, self.label)
         if self._depth_hist is not None:
             self._depth_hist.observe(float(depth))
         self.nonempty.fire()
@@ -116,13 +123,13 @@ class RequestQueue:
             self.tracer.record(
                 "queue.shed", domain=request.domain,
                 transport="serving", ts_ns=self.engine.now,
-                shard=self._label,
+                shard=self.label,
                 detail={"op": request.op, "reason": reason,
                         "depth": len(self._items)},
             )
         if self.metrics is not None:
             self.metrics.counter(
-                SHED_TOTAL, shard=self._label, reason=reason
+                SHED_TOTAL, shard=self.label, reason=reason
             ).inc()
 
     def drain(self, limit: int) -> list[Request]:

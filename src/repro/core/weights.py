@@ -232,10 +232,16 @@ class WeightMatrix:
 
         A row that fails validation aborts the whole batch with
         :class:`~repro.core.errors.FeatureError` before any score is
-        returned; earlier misses of the aborted batch may then be
-        re-hashed by later calls (scores are never affected - the cache
-        only memoizes index selection).
+        returned; the aborted batch's reserved slots are released, so
+        its earlier misses are re-hashed by later calls (scores are
+        never affected - the cache only memoizes index selection).
+
+        A one-row batch *is* the scalar path: same counters, LRU
+        order, eviction and :class:`FeatureError`, without setting up
+        the block machinery for a block of one.
         """
+        if len(rows) == 1:
+            return [self.dot(rows[0])]
         cache = self._index_cache
         cache_get = cache.get
         move_to_end = cache.move_to_end
@@ -260,7 +266,16 @@ class WeightMatrix:
             cached = cache_get(key, absent)
             if cached is absent:
                 misses += 1
-                self._check_features(key)
+                try:
+                    self._check_features(key)
+                except FeatureError:
+                    # Un-park this batch's placeholders: nobody is
+                    # left to fill them, and a later probe must not
+                    # find one.
+                    for parked, _position in pending:
+                        if cache_get(parked, absent) is None:
+                            del cache[parked]
+                    raise
                 if len(cache) >= limit:
                     popitem(last=False)
                 cache[key] = None

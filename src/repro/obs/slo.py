@@ -198,19 +198,6 @@ class SLOEngine:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _window(self, slo: SLO, window_ns: float) -> tuple[int, int]:
-        """(good, bad) counts within the trailing ``window_ns``."""
-        cutoff = self._now - window_ns
-        good = bad = 0
-        for ts_ns, ok in self._samples[slo.name]:
-            if ts_ns < cutoff:
-                continue
-            if ok:
-                good += 1
-            else:
-                bad += 1
-        return good, bad
-
     @staticmethod
     def _burn(good: int, bad: int, objective: float) -> float:
         """Burn rate: observed bad fraction over the budgeted fraction.
@@ -235,9 +222,25 @@ class SLOEngine:
             cutoff = self._now - slo.long_window_ns
             while samples and samples[0][0] < cutoff:
                 samples.popleft()
-            good, bad = self._window(slo, slo.long_window_ns)
+            # One walk counts both trailing windows.  The age-out only
+            # trims the head, and ``consume`` may append out of order,
+            # so a stale sample can still sit mid-deque: test the long
+            # cutoff per sample (short <= long, so a sample inside the
+            # short window is inside the long one).
+            short_cutoff = self._now - slo.short_window_ns
+            good = bad = short_good = short_bad = 0
+            for ts_ns, ok in samples:
+                if ts_ns < cutoff:
+                    continue
+                if ok:
+                    good += 1
+                    if ts_ns >= short_cutoff:
+                        short_good += 1
+                else:
+                    bad += 1
+                    if ts_ns >= short_cutoff:
+                        short_bad += 1
             long_burn = self._burn(good, bad, slo.objective)
-            short_good, short_bad = self._window(slo, slo.short_window_ns)
             short_burn = self._burn(short_good, short_bad, slo.objective)
             if short_burn >= self.PAGE_BURN and long_burn >= self.PAGE_BURN:
                 verdict = "page"

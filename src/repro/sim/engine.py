@@ -32,10 +32,13 @@ class Engine:
         self._queue: list[tuple[float, int, Callback]] = []
         self._cancelled: set[int] = set()
 
-    @property
-    def now(self) -> float:
-        """Current simulated time in nanoseconds."""
+    def clock(self) -> float:
+        """Current simulated time in nanoseconds, as a plain method:
+        the callable to hand a tracer or a span as its clock (one bound
+        method, no closure).  :attr:`now` is the same read."""
         return self._now
+
+    now = property(clock)
 
     def schedule(self, delay: float, callback: Callback) -> int:
         """Run ``callback`` after ``delay`` ns; returns a cancellable id."""
@@ -61,10 +64,12 @@ class Engine:
 
     def step(self) -> bool:
         """Fire the next event; returns False when the queue is empty."""
-        while self._queue:
-            time, seq, callback = heapq.heappop(self._queue)
-            if seq in self._cancelled:
-                self._cancelled.discard(seq)
+        queue = self._queue
+        cancelled = self._cancelled
+        while queue:
+            time, seq, callback = heapq.heappop(queue)
+            if cancelled and seq in cancelled:
+                cancelled.discard(seq)
                 continue
             if time < self._now:
                 raise SimulationError("event queue went backwards in time")

@@ -61,7 +61,10 @@ class SimEvent:
 
     def fire(self, payload: object = None) -> int:
         """Wake all waiters now; returns how many were woken."""
-        waiters, self._waiters = self._waiters, []
+        waiters = self._waiters
+        if not waiters:
+            return 0
+        self._waiters = []
         for process in waiters:
             process.resume(payload)
         return len(waiters)
@@ -88,9 +91,11 @@ class Process:
         self._body = body
         self.finished = False
         self._done_event = SimEvent(engine)
+        #: the one callback the start-up step and every sleep schedule
+        self._wake = self._advance
         # Start on the next engine step so construction order does not
         # leak into execution order beyond the engine's FIFO tie-break.
-        engine.schedule(0, lambda: self._advance(None))
+        engine.schedule(0, self._wake)
 
     def join(self) -> Wait:
         """Command for a parent process: wait until this one finishes."""
@@ -100,7 +105,7 @@ class Process:
         """Called by resources/events to continue the process now."""
         self._advance(payload)
 
-    def _advance(self, payload: object) -> None:
+    def _advance(self, payload: object = None) -> None:
         if self.finished:
             return
         try:
@@ -112,14 +117,17 @@ class Process:
         self._dispatch(command)
 
     def _dispatch(self, command: Command) -> None:
-        if isinstance(command, (int, float)):
+        # Exact types first: nearly every command is a plain float or a
+        # Wait, and ``isinstance`` against a tuple costs more than both.
+        kind = type(command)
+        if kind is float or kind is int \
+                or isinstance(command, (int, float)):
             if command < 0:
                 raise SimulationError(
                     f"process {self.name} yielded negative delay {command}"
                 )
-            self.engine.schedule(float(command),
-                                 lambda: self._advance(None))
-        elif isinstance(command, Wait):
+            self.engine.schedule(float(command), self._wake)
+        elif kind is Wait or isinstance(command, Wait):
             command.event._add_waiter(self)
         elif isinstance(command, AcquireCmd):
             command.grant(self)

@@ -1,0 +1,112 @@
+"""A failing kernel call fails its own requests and nothing else.
+
+The Dispatcher is the boundary that must keep running: an exception
+that is not a :class:`PSSError` (a bug in a model, say) used to escape
+``_execute``, end the shard's sim process and strand every future
+queued behind it.  Now any exception fails exactly the requests the
+kernel call covered, is counted in ``pipeline.failed``, and the shard
+keeps draining.
+"""
+
+import pytest
+
+from repro.core.kernel.service import ShardedService
+from repro.core.serving import ServingConfig, ServingPipeline
+
+FEATURES = (3, 5)
+
+
+class BrokenModel:
+    """Stands in for a model with a bug: every entry point raises."""
+
+    def predict(self, features):
+        raise RuntimeError("model bug in predict")
+
+    def update(self, features, direction):
+        raise RuntimeError("model bug in update")
+
+
+def build(**config_kw):
+    service = ShardedService(num_shards=1)
+    service.create_domain("good")
+    service.create_domain("bad").model = BrokenModel()
+    pipeline = ServingPipeline(service, ServingConfig(**config_kw))
+    return service, pipeline
+
+
+def settle_counter(futures):
+    """Done-callback count per future: settled exactly once means 1."""
+    counts = [0] * len(futures)
+
+    def bump(index):
+        def callback(_future):
+            counts[index] += 1
+        return callback
+
+    for index, future in enumerate(futures):
+        future.add_done_callback(bump(index))
+    return counts
+
+
+def test_runtime_error_fails_its_own_futures_and_the_shard_drains():
+    service, pipeline = build()
+    reference = ShardedService()
+    reference.create_domain("good")
+
+    futures = [
+        pipeline.submit("good", FEATURES),
+        pipeline.submit("bad", FEATURES),
+        pipeline.submit("bad", FEATURES, op="update", direction=True),
+        pipeline.submit("good", FEATURES, op="update", direction=True),
+        pipeline.submit("bad", FEATURES),
+        pipeline.submit("good", FEATURES),
+    ]
+    counts = settle_counter(futures)
+    pipeline.run()
+
+    assert all(future.done for future in futures)
+    assert counts == [1] * len(futures)
+    for index in (1, 2, 4):
+        assert isinstance(futures[index].error, RuntimeError)
+        with pytest.raises(RuntimeError, match="model bug"):
+            futures[index].result()
+    # The healthy domain saw exactly the synchronous sequence.
+    assert futures[0].result() == reference.predict("good", FEATURES)
+    reference.update("good", FEATURES, True)
+    assert futures[3].result() is None
+    assert futures[5].result() == reference.predict("good", FEATURES)
+
+    snapshot = pipeline.snapshot()
+    assert (snapshot["completed"], snapshot["failed"],
+            snapshot["in_flight"]) == (3, 3, 0)
+    # The shard's process is still parked on its queue, not dead.
+    assert not pipeline.dispatchers[0].process.finished
+
+
+def test_requests_submitted_after_a_failure_still_settle():
+    _service, pipeline = build()
+    first = pipeline.submit("bad", FEATURES)
+    pipeline.run()
+    assert isinstance(first.error, RuntimeError)
+
+    later = [pipeline.submit("good", FEATURES) for _ in range(3)]
+    pipeline.run()
+    assert [future.error for future in later] == [None] * 3
+    assert pipeline.failed == 1 and pipeline.completed == 3
+
+
+def test_a_failed_run_in_a_micro_batch_does_not_stop_the_rest():
+    """With a batch window the drained batch is predict-run / update /
+    predict-run; the broken update fails alone and both runs score."""
+    _service, pipeline = build(batch_window_ns=200.0, max_batch=8)
+    futures = [
+        pipeline.submit("good", FEATURES),
+        pipeline.submit("bad", FEATURES, op="update", direction=False),
+        pipeline.submit("good", FEATURES),
+    ]
+    counts = settle_counter(futures)
+    pipeline.run()
+    assert counts == [1, 1, 1]
+    assert futures[0].error is None and futures[2].error is None
+    assert isinstance(futures[1].error, RuntimeError)
+    assert pipeline.batch_stats()["batches"] == 1
