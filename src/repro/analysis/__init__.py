@@ -4,10 +4,10 @@ The reproduction's claims - bit-identical kernel/monolith scores,
 fault sequences identical traced or untraced, deterministic ``--seed``
 reports - rest on conventions nothing in the language enforces:
 simulated time only, seeded RNG only, every trace kind registered,
-facade/kernel API parity, transports that close cleanly, no swallowed
-faults.  This package enforces them at the AST level, Mantis-style
-white-box program analysis turned inward on the repo itself, and gates
-CI via ``python -m repro check``.
+transports that close cleanly, no swallowed faults.  This package
+enforces them at the AST level, Mantis-style white-box program analysis
+turned inward on the repo itself, and gates CI via ``python -m repro
+check``.
 
 Layout:
 

@@ -40,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro check",
         description=("Project-specific invariant checker: determinism "
-                     "lint, trace-registry audit, facade/transport "
+                     "lint, trace-registry audit, transport "
                      "contract checks (see docs/INVARIANTS.md)"),
     )
     parser.add_argument("--root", metavar="DIR", default=".",

@@ -4,8 +4,8 @@ The engine is deliberately small: it parses every Python file under the
 project's package root once (:class:`FileContext` carries the AST, the
 raw lines, and the pragma map), hands each context to every registered
 rule's ``check_file`` hook, then gives each rule one ``finish`` pass
-over the whole :class:`Project` for cross-file audits (trace-kind
-registry, facade/kernel parity).  Suppression is resolved centrally so
+over the whole :class:`Project` for cross-file audits (the
+trace-kind registry).  Suppression is resolved centrally so
 every rule honors the same ``# repro: allow RULE`` pragma syntax.
 """
 

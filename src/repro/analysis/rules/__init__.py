@@ -17,7 +17,6 @@ from repro.analysis.concurrency import (
 )
 from repro.analysis.rules.base import Rule
 from repro.analysis.rules.contracts import (
-    FacadeParityRule,
     NoSwallowedExceptionsRule,
     ReplicaReadOnlyRule,
     TransportCloseRule,
@@ -36,10 +35,9 @@ from repro.analysis.rules.tracing import (
 
 #: every shipped rule class, in rule-id order
 RULE_CLASSES: tuple[Type[Rule], ...] = (
-    FacadeParityRule,        # API001
-    TransportCloseRule,      # CTR001
-    NoWallClockRule,         # DET001
-    SeededRngOnlyRule,       # DET002
+    TransportCloseRule,         # CTR001
+    NoWallClockRule,            # DET001
+    SeededRngOnlyRule,          # DET002
     NoSwallowedExceptionsRule,  # EXC001
     SpanDisciplineRule,         # OBS001
     ImmutablePlanRule,          # PLN001

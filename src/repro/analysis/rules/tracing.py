@@ -23,7 +23,8 @@ REGISTRY_NAME = "EVENT_KINDS"
 
 #: method names that emit one trace event with the kind as the first
 #: argument: ``Tracer.record`` plus the project's thin wrappers over it
-EMIT_HELPERS = frozenset({"_trace", "_trace_client", "_trace_transition"})
+EMIT_HELPERS = frozenset({"_trace", "_trace_client", "_trace_transition",
+                          "_charge_crossing"})
 
 
 def _is_emission(call: ast.Call) -> bool:

@@ -5,8 +5,7 @@ count in {1, 2, 4, 8, 16}, the improvement of the HTMBench-like profiled
 configuration and of PSS over the lock-based baseline.
 
 Run with ``python -m repro.bench.experiments.fig2``; pass ``--quick`` to
-sweep a reduced grid, ``--batch N`` to append the batched-prediction
-section (default 1 leaves the output untouched).
+sweep a reduced grid.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from dataclasses import dataclass, field
 from repro.core import PredictionService
 from repro.htm import ComparisonRow, compare_policies
 from repro.htm.stamp import FIGURE2_ORDER, PROFILES
-from repro.bench.batching import batch_section, parse_batch_flag
 from repro.bench.figures import bar_chart
 from repro.bench.tables import (
     fastpath_table,
@@ -81,7 +79,6 @@ def main(argv=None) -> int:
     args = argv if argv is not None else sys.argv[1:]
     session = obs_from_args(args)
     quick = "--quick" in args
-    batch = parse_batch_flag(args)
     result = run_figure2(
         thread_counts=(1, 4, 16) if quick else THREAD_COUNTS,
         seeds=(0,) if quick else (0, 1, 2),
@@ -115,12 +112,6 @@ def main(argv=None) -> int:
         print()
         print("resilience (degraded-mode activity):")
         print(resilience_table(result.domain_reports))
-    if batch > 1:
-        print()
-        print(batch_section(
-            batch,
-            tracer=session.tracer if session.tracer.enabled else None,
-        ))
     if session.active:
         summary = session.finish()
         if summary:

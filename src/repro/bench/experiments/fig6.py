@@ -4,8 +4,7 @@ For every mmap-N worker count, regenerates the Gorman-patch bar and the
 four successive PSS-run bars (the service persists across the four runs).
 
 Run with ``python -m repro.bench.experiments.fig6``; ``--quick`` reduces
-the sweep, ``--batch N`` appends the batched-prediction section
-(default 1 leaves the output untouched).
+the sweep.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 
-from repro.bench.batching import batch_section, parse_batch_flag
 from repro.bench.figures import bar_chart
 from repro.bench.tables import (
     fastpath_table,
@@ -69,7 +67,6 @@ def main(argv=None) -> int:
     args = argv if argv is not None else sys.argv[1:]
     session = obs_from_args(args)
     quick = "--quick" in args
-    batch = parse_batch_flag(args)
     result = run_figure6(
         workers=(4, 12, 30, 64) if quick else FIGURE6_WORKERS,
         duration_ns=150_000_000.0 if quick else None,
@@ -101,12 +98,6 @@ def main(argv=None) -> int:
         print()
         print("resilience (degraded-mode activity):")
         print(resilience_table(result.domain_reports))
-    if batch > 1:
-        print()
-        print(batch_section(
-            batch,
-            tracer=session.tracer if session.tracer.enabled else None,
-        ))
     if session.active:
         summary = session.finish()
         if summary:

@@ -39,9 +39,7 @@ produce byte-identical reports, with or without ``--trace``.
 
 Run with ``python -m repro tenants`` (or
 ``python -m repro.bench.experiments.tenants``); pass ``--quick`` for a
-reduced sweep, ``--chaos`` for the fault schedule, ``--batch N`` to
-append the batched-prediction section (simulated syscall amortization
-at batch size N; the default of 1 leaves the report untouched).
+reduced sweep, ``--chaos`` for the fault schedule.
 """
 
 from __future__ import annotations
@@ -52,7 +50,6 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 
-from repro.bench.batching import batch_section
 from repro.bench.tables import (
     chaos_table,
     fastpath_table,
@@ -655,13 +652,6 @@ def main(argv=None) -> int:
              "byte-identical reports (default: 0)",
     )
     parser.add_argument(
-        "--batch", type=int, default=1, metavar="N",
-        help="append a batched-prediction section comparing "
-             "predict_batch at this batch size against scalar "
-             "predicts on the syscall transport (default: 1 = no "
-             "section, output byte-identical to earlier releases)",
-    )
-    parser.add_argument(
         "--chaos", action="store_true",
         help="run the seeded crash/reshard chaos schedule instead of "
              "the shard-count sweep",
@@ -724,9 +714,6 @@ def main(argv=None) -> int:
         )
         print(result.render())
         status = 0
-    if parsed.batch > 1:
-        print()
-        print(batch_section(parsed.batch, tracer=tracer))
     if session.active:
         summary = session.finish()
         if summary:

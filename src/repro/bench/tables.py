@@ -288,36 +288,6 @@ def serving_table(rows) -> str:
     )
 
 
-def batch_table(batch_rows) -> str:
-    """Batch-amortization table for the ``--batch N`` driver flag.
-
-    One row per measured batch size: rows scored, *simulated* rows/sec
-    (rows over simulated crossing time — deterministic, never wall
-    clock), simulated boundary cost per row, and the speedup over the
-    ``batch=1`` row (the scalar baseline).  ``batch_rows`` is an
-    iterable of dicts with keys ``batch``, ``rows``, ``rows_per_sec``,
-    and ``sim_ns_per_row``.
-    """
-    materialized = list(batch_rows)
-    if not materialized:
-        return "<no batch measurements>"
-    base = materialized[0]["rows_per_sec"]
-    rows = []
-    for entry in materialized:
-        speedup = (entry["rows_per_sec"] / base) if base else 0.0
-        rows.append([
-            entry["batch"],
-            entry["rows"],
-            f"{entry['rows_per_sec']:.0f}",
-            f"{entry['sim_ns_per_row']:.2f}",
-            f"{speedup:.2f}x",
-        ])
-    return format_table(
-        ["batch", "rows", "rows/s", "sim-ns/row", "speedup"],
-        rows,
-    )
-
-
 def chaos_table(rows) -> str:
     """Chaos-schedule outcome table for the ``tenants --chaos`` driver.
 

@@ -16,7 +16,7 @@ Typical use::
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, Sequence, Union
 
 from repro.core.config import LatencyModel, ResilienceConfig
 from repro.core.errors import (
@@ -30,13 +30,17 @@ from repro.core.serving.future import CompletionFuture
 from repro.core.service import DomainHandle
 from repro.core.stats import LatencyAccount, ResilienceStats
 from repro.core.transport import Transport, make_transport
-from repro.obs.trace import NULL_TRACER
+from repro.obs.spanned import named, spanned
+from repro.obs.trace import NULL_TRACER, SpanHandleLike
 
 if TYPE_CHECKING:
     from repro.core.serving.pipeline import ServingPipeline
 
 #: a static fallback: a fixed score, or a pure function of the features
 Fallback = Union[int, Callable[[Sequence[int]], int]]
+
+#: what a resilient client absorbs instead of raising
+_DEGRADABLE = (QuotaExceededError, TransportFault)
 
 
 class PSSClient:
@@ -80,30 +84,24 @@ class PSSClient:
 
     # -- the paper's three calls ---------------------------------------------
 
-    def _client_span(self, name: str, detail: dict | None = None):
-        """Root span for one application-facing call.
-
-        Opened once per public operation (so one ``predict`` yields one
-        span tree however deep the kernel path below runs), on the
-        transport account's simulated clock.  Callers pre-check
-        ``enabled`` and hold the handle in a ``with`` block.
-        """
+    def _client_span(self, name: str,
+                     detail: dict | None = None) -> SpanHandleLike:
+        """Root span for one application-facing call: opened once per
+        public operation (so one ``predict`` yields one span tree
+        however deep the kernel path below runs), on the transport
+        account's simulated clock."""
         return self._tracer.span(
             name, self._obs_domain, "client", self._obs_shard, None,
             detail, self._clock)
 
+    @spanned(named(_client_span, "client.predict"))
     def predict(self, features: Sequence[int]) -> int:
         """Signed prediction score: ``int predict(int*, int)``."""
-        if self._tracer.enabled:
-            with self._client_span("client.predict"):
-                return self._predict_impl(features)
-        return self._predict_impl(features)
-
-    def _predict_impl(self, features: Sequence[int]) -> int:
         # Canonicalize once at the API boundary; caches and batch
         # buffers below reuse this tuple instead of re-tupling.
         return self._transport.predict(canonical_features(features))
 
+    @spanned(named(_client_span, "client.predict_batch", rows=True))
     def predict_batch(
         self, feature_rows: Sequence[Sequence[int]]
     ) -> list[int]:
@@ -115,42 +113,19 @@ class PSSClient:
         pass over the score cache and the domain's specialized plan).
         See docs/PERFORMANCE.md, "Batched and specialized prediction".
         """
-        if self._tracer.enabled:
-            with self._client_span("client.predict_batch",
-                                   {"rows": len(feature_rows)}):
-                return self._predict_batch_impl(feature_rows)
-        return self._predict_batch_impl(feature_rows)
-
-    def _predict_batch_impl(
-        self, feature_rows: Sequence[Sequence[int]]
-    ) -> list[int]:
         return self._transport.predict_batch(
             [canonical_features(features) for features in feature_rows]
         )
 
+    @spanned(named(_client_span, "client.update"))
     def update(self, features: Sequence[int], direction: bool) -> None:
         """Feedback: ``void update(int*, int, bool dir)``."""
-        if self._tracer.enabled:
-            with self._client_span("client.update"):
-                self._update_impl(features, direction)
-            return
-        self._update_impl(features, direction)
-
-    def _update_impl(self, features: Sequence[int],
-                     direction: bool) -> None:
         self._transport.update(canonical_features(features), direction)
 
+    @spanned(named(_client_span, "client.reset"))
     def reset(self, features: Sequence[int],
               reset_all: bool = False) -> None:
         """State wipe: ``void reset(int*, int, bool all)``."""
-        if self._tracer.enabled:
-            with self._client_span("client.reset"):
-                self._reset_impl(features, reset_all)
-            return
-        self._reset_impl(features, reset_all)
-
-    def _reset_impl(self, features: Sequence[int],
-                    reset_all: bool) -> None:
         self._transport.reset(canonical_features(features), reset_all)
 
     # -- conveniences ---------------------------------------------------------
@@ -167,15 +142,9 @@ class PSSClient:
         """``update(features, False)`` - the paper's -1 reward."""
         self.update(features, False)
 
+    @spanned(named(_client_span, "client.flush"))
     def flush(self) -> None:
         """Deliver any batched updates now."""
-        if self._tracer.enabled:
-            with self._client_span("client.flush"):
-                self._flush_impl()
-            return
-        self._flush_impl()
-
-    def _flush_impl(self) -> None:
         self._transport.flush()
 
     # -- async serving (event-driven pipeline) -------------------------------
@@ -400,7 +369,82 @@ class ResilientClient(PSSClient):
         fb = self._fallback
         return fb(features) if callable(fb) else fb
 
+    # -- the degrade ladder ---------------------------------------------------
+
+    def _degrade(self, error: "QuotaExceededError | TransportFault",
+                 trip_breaker: bool = True) -> str:
+        """Classify a failed operation and count it; returns the
+        reason it degrades for.
+
+        A shed is the service asking for less load and a quota
+        rejection is a healthy transport refusing an over-budget
+        tenant: neither is retried and neither trips the breaker.
+        Only a transport fault does, and only on the synchronous path
+        (``trip_breaker``) - the pipeline and ``close`` never consult
+        the breaker, so they do not feed it either.
+        """
+        stats = self.stats
+        if isinstance(error, RequestShedError):
+            stats.shed_requests += 1
+            return error.reason
+        if isinstance(error, QuotaExceededError):
+            stats.quota_rejections += 1
+            return "quota"
+        stats.transport_failures += 1
+        if trip_breaker:
+            self._breaker.record_failure()
+        return "transport_fault"
+
+    def _serve_fallback(self, reason: str,
+                        rows: Sequence[Sequence[int]],
+                        batch: bool = False) -> list[int]:
+        """Answer ``rows`` from the static fallback, counted and
+        traced under ``reason``."""
+        self._last_was_fallback = True
+        self.stats.fallback_predictions += len(rows)
+        if self._tracer.enabled:
+            detail: dict[str, Any] = {"reason": reason}
+            if batch:
+                detail["rows"] = len(rows)
+            self._trace_client("fallback", detail=detail)
+        return [self.fallback_score(features) for features in rows]
+
     # -- async serving: degraded completion ----------------------------------
+
+    def _submit_guarded(self, pipeline: "ServingPipeline",
+                        features: tuple[int, ...], client_id: str,
+                        op: str = "predict",
+                        direction: bool = False) -> CompletionFuture:
+        """Queue one request; the returned future settles when it does,
+        but never with an error the degrade ladder absorbs.  No retry:
+        shedding is the service asking for less load, so replaying the
+        request would defeat it."""
+        outer = CompletionFuture(pipeline.engine,
+                                 submitted_ns=pipeline.engine.now)
+        inner = pipeline.submit(self.domain_name, features, op=op,
+                                direction=direction, client_id=client_id)
+        is_predict = op == "predict"
+
+        def settle(done: CompletionFuture) -> None:
+            error = done.error
+            if error is None:
+                if is_predict:
+                    self._last_was_fallback = False
+                result = done.result()
+            elif not isinstance(error, _DEGRADABLE):
+                outer.fail(error, ts_ns=done.completed_ns)
+                return
+            else:
+                reason = self._degrade(error, trip_breaker=False)
+                if is_predict:
+                    result = self._serve_fallback(reason, (features,))[0]
+                else:
+                    self.stats.dropped_updates += 1
+                    result = None
+            outer.complete(result, ts_ns=done.completed_ns)
+
+        inner.add_done_callback(settle)
+        return outer
 
     def submit(self, features: Sequence[int],
                client_id: str = "") -> CompletionFuture:
@@ -411,48 +455,14 @@ class ResilientClient(PSSClient):
         A shed (:class:`RequestShedError`), quota rejection, or kernel
         fault on the batch completes the future with the static
         fallback score instead - the async analogue of the synchronous
-        degraded path.  No retry: shedding is the service asking for
-        less load, so replaying the request would defeat it.
+        degraded path.
         """
-        features = canonical_features(features)
         pipeline = self._pipeline
         if pipeline is None:
-            future = CompletionFuture()
-            future.complete(self.predict(features))
-            return future
+            return super().submit(features, client_id)
+        features = canonical_features(features)
         self.stats.predictions += 1
-        outer = CompletionFuture(pipeline.engine,
-                                 submitted_ns=pipeline.engine.now)
-        inner = pipeline.submit(self.domain_name, features,
-                                client_id=client_id)
-
-        def settle(done: CompletionFuture) -> None:
-            error = done.error
-            if error is None:
-                outer.complete(done.result(), ts_ns=done.completed_ns)
-                return
-            if isinstance(error, RequestShedError):
-                self.stats.shed_requests += 1
-                reason = error.reason
-            elif isinstance(error, QuotaExceededError):
-                self.stats.quota_rejections += 1
-                reason = "quota"
-            elif isinstance(error, TransportFault):
-                self.stats.transport_failures += 1
-                reason = "transport_fault"
-            else:
-                outer.fail(error, ts_ns=done.completed_ns)
-                return
-            self._last_was_fallback = True
-            self.stats.fallback_predictions += 1
-            if self._tracer.enabled:
-                self._trace_client("fallback",
-                                   detail={"reason": reason})
-            outer.complete(self.fallback_score(features),
-                           ts_ns=done.completed_ns)
-
-        inner.add_done_callback(settle)
-        return outer
+        return self._submit_guarded(pipeline, features, client_id)
 
     def submit_update(self, features: Sequence[int], direction: bool,
                       client_id: str = "") -> CompletionFuture:
@@ -463,77 +473,35 @@ class ResilientClient(PSSClient):
         synchronous degraded path drops hints while the breaker is
         open.
         """
-        features = canonical_features(features)
         pipeline = self._pipeline
         if pipeline is None:
-            future = CompletionFuture()
-            self.update(features, direction)
-            future.complete(None)
-            return future
-        outer = CompletionFuture(pipeline.engine,
-                                 submitted_ns=pipeline.engine.now)
-        inner = pipeline.submit(self.domain_name, features,
-                                op="update", direction=direction,
-                                client_id=client_id)
+            return super().submit_update(features, direction, client_id)
+        return self._submit_guarded(
+            pipeline, canonical_features(features), client_id,
+            op="update", direction=direction)
 
-        def settle(done: CompletionFuture) -> None:
-            error = done.error
-            if error is not None:
-                if isinstance(error, RequestShedError):
-                    self.stats.shed_requests += 1
-                elif isinstance(error, QuotaExceededError):
-                    self.stats.quota_rejections += 1
-                elif isinstance(error, TransportFault):
-                    self.stats.transport_failures += 1
-                else:
-                    outer.fail(error, ts_ns=done.completed_ns)
-                    return
-                self.stats.dropped_updates += 1
-            outer.complete(None, ts_ns=done.completed_ns)
+    # -- the guarded calls ----------------------------------------------------
 
-        inner.add_done_callback(settle)
-        return outer
-
-    # -- the guarded calls (span wrappers inherited from PSSClient) ----------
-
-    def _predict_impl(self, features: Sequence[int]) -> int:
+    @spanned(named(PSSClient._client_span, "client.predict"))
+    def predict(self, features: Sequence[int]) -> int:
+        """``predict`` that answers from the static fallback instead of
+        raising when the breaker is open, the tenant is over quota, or
+        the transport still faults after the retries."""
         features = canonical_features(features)
         self.stats.predictions += 1
         self._last_was_fallback = False
         if not self._breaker.allow():
-            self._last_was_fallback = True
-            self.stats.fallback_predictions += 1
-            if self._tracer.enabled:
-                self._trace_client("fallback",
-                                   detail={"reason": "breaker_open"})
-            return self.fallback_score(features)
+            return self._serve_fallback("breaker_open", (features,))[0]
         try:
-            score = self._attempt(
-                lambda: self._transport.predict(features)
-            )
-        except QuotaExceededError:
-            # Not a transport failure: no retry, no breaker trip.  The
-            # tenant is over budget, so serve the static fallback.
-            self.stats.quota_rejections += 1
-            self._last_was_fallback = True
-            self.stats.fallback_predictions += 1
-            if self._tracer.enabled:
-                self._trace_client("fallback",
-                                   detail={"reason": "quota"})
-            return self.fallback_score(features)
-        except TransportFault:
-            self.stats.transport_failures += 1
-            self._breaker.record_failure()
-            self._last_was_fallback = True
-            self.stats.fallback_predictions += 1
-            if self._tracer.enabled:
-                self._trace_client("fallback",
-                                   detail={"reason": "transport_fault"})
-            return self.fallback_score(features)
+            score = self._attempt(self._transport.predict, features)
+        except _DEGRADABLE as error:
+            return self._serve_fallback(
+                self._degrade(error), (features,))[0]
         self._breaker.record_success()
         return score
 
-    def _predict_batch_impl(
+    @spanned(named(PSSClient._client_span, "client.predict_batch", rows=True))
+    def predict_batch(
         self, feature_rows: Sequence[Sequence[int]]
     ) -> list[int]:
         """Batch predict with whole-batch degraded semantics.
@@ -553,83 +521,54 @@ class ResilientClient(PSSClient):
         self.stats.predictions += len(rows)
         self._last_was_fallback = False
         if not self._breaker.allow():
-            self._last_was_fallback = True
-            self.stats.fallback_predictions += len(rows)
-            if self._tracer.enabled:
-                self._trace_client("fallback",
-                                   detail={"reason": "breaker_open",
-                                           "rows": len(rows)})
-            return [self.fallback_score(key) for key in rows]
+            return self._serve_fallback("breaker_open", rows, batch=True)
         try:
-            scores = self._attempt(
-                lambda: self._transport.predict_batch(rows)
-            )
-        except QuotaExceededError:
-            # Not a transport failure: no retry, no breaker trip.
-            self.stats.quota_rejections += 1
-            self._last_was_fallback = True
-            self.stats.fallback_predictions += len(rows)
-            if self._tracer.enabled:
-                self._trace_client("fallback",
-                                   detail={"reason": "quota",
-                                           "rows": len(rows)})
-            return [self.fallback_score(key) for key in rows]
-        except TransportFault:
-            self.stats.transport_failures += 1
-            self._breaker.record_failure()
-            self._last_was_fallback = True
-            self.stats.fallback_predictions += len(rows)
-            if self._tracer.enabled:
-                self._trace_client("fallback",
-                                   detail={"reason": "transport_fault",
-                                           "rows": len(rows)})
-            return [self.fallback_score(key) for key in rows]
+            scores = self._attempt(self._transport.predict_batch, rows)
+        except _DEGRADABLE as error:
+            return self._serve_fallback(
+                self._degrade(error), rows, batch=True)
         self._breaker.record_success()
         return scores
 
-    def _update_impl(self, features: Sequence[int],
-                     direction: bool) -> None:
+    @spanned(named(PSSClient._client_span, "client.update"))
+    def update(self, features: Sequence[int], direction: bool) -> None:
+        """``update`` that drops the hint (counted) instead of raising."""
         features = canonical_features(features)
         if not self._breaker.allow():
             self.stats.dropped_updates += 1
             return
         try:
-            self._attempt(
-                lambda: self._transport.update(features, direction)
-            )
-        except QuotaExceededError:
-            # Updates are hints; an over-budget tenant's hints are
-            # dropped without touching the breaker.
-            self.stats.quota_rejections += 1
-            self.stats.dropped_updates += 1
-        except TransportFault as fault:
-            self.stats.transport_failures += 1
-            if fault.lost_records == 0:
-                # Syscall-style update: the record never reached a
-                # buffer, so _attempt could not have counted it.
+            self._attempt(self._transport.update, features, direction)
+        except _DEGRADABLE as error:
+            self._degrade(error)
+            if isinstance(error, QuotaExceededError) \
+                    or error.lost_records == 0:
+                # The record never reached a buffer, so _attempt could
+                # not have counted it among a crossing's lost records.
                 self.stats.dropped_updates += 1
-            self._breaker.record_failure()
         else:
             self._breaker.record_success()
 
-    def _reset_impl(self, features: Sequence[int],
-                    reset_all: bool) -> None:
+    @spanned(named(PSSClient._client_span, "client.reset"))
+    def reset(self, features: Sequence[int],
+              reset_all: bool = False) -> None:
+        """``reset`` that drops the wipe (counted) instead of raising."""
         features = canonical_features(features)
         if not self._breaker.allow():
             self.stats.dropped_resets += 1
             return
         try:
-            self._attempt(
-                lambda: self._transport.reset(features, reset_all)
-            )
-        except TransportFault:
-            self.stats.transport_failures += 1
+            self._attempt(self._transport.reset, features, reset_all)
+        except TransportFault as fault:
+            self._degrade(fault)
             self.stats.dropped_resets += 1
-            self._breaker.record_failure()
         else:
             self._breaker.record_success()
 
-    def _flush_impl(self) -> None:
+    @spanned(named(PSSClient._client_span, "client.flush"))
+    def flush(self) -> None:
+        """``flush`` that counts an undelivered batch instead of
+        raising."""
         if self.pending_updates == 0:
             return
         if not self._breaker.allow():
@@ -641,30 +580,24 @@ class ResilientClient(PSSClient):
         # hide the loss.
         try:
             self._transport.flush()
-        except QuotaExceededError as exc:
-            self.stats.quota_rejections += 1
-            self.stats.dropped_updates += getattr(exc, "lost_records", 0)
-        except TransportFault as fault:
-            self.stats.transport_failures += 1
-            self.stats.dropped_updates += fault.lost_records
-            self._breaker.record_failure()
+        except _DEGRADABLE as error:
+            self._degrade(error)
+            self.stats.dropped_updates += getattr(error, "lost_records", 0)
         else:
             self._breaker.record_success()
 
     def close(self) -> None:
         try:
             self._transport.close()
-        except QuotaExceededError as exc:
-            self.stats.quota_rejections += 1
-            self.stats.dropped_updates += getattr(exc, "lost_records", 0)
-        except TransportFault as fault:
-            self.stats.transport_failures += 1
-            self.stats.dropped_updates += fault.lost_records
+        except _DEGRADABLE as error:
+            self._degrade(error, trip_breaker=False)
+            self.stats.dropped_updates += getattr(error, "lost_records", 0)
 
     # -- retry machinery ------------------------------------------------------
 
-    def _attempt(self, operation: Callable[[], object]):
-        """Run ``operation`` with bounded retry + exponential backoff.
+    def _attempt(self, operation: Callable[..., Any], *args: Any) -> Any:
+        """Run ``operation(*args)`` with bounded retry + exponential
+        backoff.
 
         Batch records lost with any failed crossing are counted here
         (they are gone whether or not a later attempt succeeds).
@@ -672,7 +605,7 @@ class ResilientClient(PSSClient):
         config = self.resilience
         for attempt in range(config.max_attempts):
             try:
-                return operation()
+                return operation(*args)
             except TransportFault as fault:
                 self.stats.dropped_updates += fault.lost_records
                 if attempt + 1 >= config.max_attempts:

@@ -2,7 +2,7 @@
 
 Layer diagram (see ``docs/ARCHITECTURE.md``)::
 
-    ShardedService            kernel facade: routing + admission + obs
+    ShardedService            the kernel: routing + admission + obs
       ├─ ShardRouter          slot-ring name -> shard placement
       │    └─ SlotRing        N virtual slots, migratable one at a time
       ├─ AdmissionController  per-tenant quotas (domains/updates/predicts)
@@ -17,8 +17,8 @@ Layer diagram (see ``docs/ARCHITECTURE.md``)::
                 ▲
           PSSClient / ResilientClient
 
-:class:`~repro.core.service.PredictionService` is the single-shard,
-API-compatible facade over :class:`ShardedService`.  Recovery paths:
+:data:`~repro.core.service.PredictionService` is the paper-shaped
+alias of :class:`ShardedService`.  Recovery paths:
 :class:`ShardedCheckpointManager` (per-shard snapshots + manifest) and
 :class:`ReplicaPromoter` (zero-downtime promotion of a crashed shard
 from its freshest followers).

@@ -19,6 +19,7 @@ from repro.core.errors import ShardDownError
 from repro.core.models import PredictorModel
 from repro.core.policy import ClientIdentity, DomainPolicy, open_policy
 from repro.core.stats import DomainReport, PredictionStats
+from repro.obs.spanned import named, spanned
 from repro.obs.trace import NULL_TRACER, SpanHandleLike, TracerLike
 
 if TYPE_CHECKING:
@@ -74,6 +75,19 @@ class Domain:
         self.stats.record_prediction(score, self.config.threshold)
         return score
 
+    def _tracer(self) -> TracerLike:
+        shard = self.shard
+        return shard.tracer if shard is not None else NULL_TRACER
+
+    def _plan_span(self, feature_rows: Sequence[Sequence[int]]
+                   ) -> SpanHandleLike:
+        """One span per batched pass over the weights: this is where
+        the specialized plan (when the model holds one) executes."""
+        return self._tracer().span("plan.execute", self.name, "kernel",
+                                   self.shard_label, None,
+                                   {"rows": len(feature_rows)})
+
+    @spanned(_plan_span, tracer="_tracer()")
     def predict_batch(
         self, feature_rows: Sequence[Sequence[int]]
     ) -> list[int]:
@@ -83,20 +97,6 @@ class Domain:
         one pass over their weights; others fall back to a scalar loop.
         Stats are recorded per row either way.
         """
-        shard = self.shard
-        tracer = shard.tracer if shard is not None else NULL_TRACER
-        if tracer.enabled:
-            # One span per batched pass over the weights: this is where
-            # the specialized plan (when the model holds one) executes.
-            with tracer.span("plan.execute", self.name, "kernel",
-                             self.shard_label, None,
-                             {"rows": len(feature_rows)}):
-                return self._predict_batch_impl(feature_rows)
-        return self._predict_batch_impl(feature_rows)
-
-    def _predict_batch_impl(
-        self, feature_rows: Sequence[Sequence[int]]
-    ) -> list[int]:
         batch = getattr(self.model, "predict_batch", None)
         if batch is not None:
             scores = batch(feature_rows)
@@ -187,40 +187,32 @@ class DomainHandle:
         shard = self._domain.shard
         return shard.tracer if shard is not None else NULL_TRACER
 
-    def _kernel_span(self, name: str, tracer: TracerLike,
+    def _kernel_span(self, name: str,
                      detail: dict[str, Any] | None = None
                      ) -> SpanHandleLike:
         """Span for one kernel-side dispatch into this handle's domain
-        (callers pre-check ``enabled``; nested spans inherit the
-        enclosing transport span's simulated clock)."""
+        (nested spans inherit the enclosing transport span's simulated
+        clock)."""
         domain = self._domain
-        return tracer.span(name, domain.name, "kernel",
-                           domain.shard_label, None, detail)
+        return self._tracer().span(name, domain.name, "kernel",
+                                   domain.shard_label, None, detail)
 
-    def _charge_predict(self, tracer: TracerLike, count: int = 1) -> None:
+    def _charge_predict(self, count: int = 1) -> None:
         """Admission charge, wrapped in its own span when traced so the
         tree shows admission as a distinct stage of the request."""
         admission = self._admission
         if admission is None:
             return
-        if tracer.enabled:
-            with self._kernel_span("kernel.admission", tracer,
-                                   detail={"count": count}):
+        if self._tracer().enabled:
+            with self._kernel_span("kernel.admission", {"count": count}):
                 admission.charge_predict(self._identity, count=count)
             return
         admission.charge_predict(self._identity, count=count)
 
+    @spanned(named(_kernel_span, "kernel.predict"), tracer="_tracer()")
     def predict(self, features: Sequence[int]) -> int:
-        tracer = self._tracer()
-        if tracer.enabled:
-            with self._kernel_span("kernel.predict", tracer):
-                return self._predict_impl(features, tracer)
-        return self._predict_impl(features, tracer)
-
-    def _predict_impl(self, features: Sequence[int],
-                      tracer: TracerLike) -> int:
         self._domain.policy.check_predict(self._identity, self._domain.name)
-        self._charge_predict(tracer)
+        self._charge_predict()
         shard = self._domain.shard
         if shard is not None and shard.down:
             # Crashed primary: serve the bounded-stale follower answer
@@ -229,6 +221,15 @@ class DomainHandle:
             return shard.failover_predict(self._domain, features)
         return self._domain.predict(features)
 
+    def _batch_span(self, feature_rows: Sequence[Sequence[int]]
+                    ) -> SpanHandleLike | None:
+        """An empty batch dispatches nothing and gets no span."""
+        if not feature_rows:
+            return None
+        return self._kernel_span("kernel.predict_batch",
+                                 {"rows": len(feature_rows)})
+
+    @spanned(_batch_span, tracer="_tracer()")
     def predict_batch(
         self, feature_rows: Sequence[Sequence[int]]
     ) -> list[int]:
@@ -239,23 +240,13 @@ class DomainHandle:
         against the tenant budget in one all-or-nothing step (see
         :meth:`AdmissionController.charge_predict`).  On a crashed
         primary every row takes the same follower-failover path a
-        scalar predict would.
+        scalar predict would.  An empty batch is no dispatch at all:
+        nothing is checked, charged or spanned.
         """
         if not feature_rows:
             return []
-        tracer = self._tracer()
-        if tracer.enabled:
-            with self._kernel_span("kernel.predict_batch", tracer,
-                                   detail={"rows": len(feature_rows)}):
-                return self._predict_batch_impl(feature_rows, tracer)
-        return self._predict_batch_impl(feature_rows, tracer)
-
-    def _predict_batch_impl(
-        self, feature_rows: Sequence[Sequence[int]],
-        tracer: TracerLike,
-    ) -> list[int]:
         self._domain.policy.check_predict(self._identity, self._domain.name)
-        self._charge_predict(tracer, count=len(feature_rows))
+        self._charge_predict(count=len(feature_rows))
         shard = self._domain.shard
         if shard is not None and shard.down:
             domain = self._domain
@@ -271,16 +262,8 @@ class DomainHandle:
             self._admission.charge_predict(self._identity)
         self._domain.record_cached_prediction(score)
 
+    @spanned(named(_kernel_span, "kernel.update"), tracer="_tracer()")
     def update(self, features: Sequence[int], direction: bool) -> None:
-        tracer = self._tracer()
-        if tracer.enabled:
-            with self._kernel_span("kernel.update", tracer):
-                self._update_impl(features, direction)
-            return
-        self._update_impl(features, direction)
-
-    def _update_impl(self, features: Sequence[int],
-                     direction: bool) -> None:
         self._domain.policy.check_update(self._identity, self._domain.name)
         shard = self._domain.shard
         if shard is not None and shard.down:

@@ -42,6 +42,8 @@ from typing import TYPE_CHECKING
 
 from repro.core.errors import DomainError
 from repro.core.kernel.sharding import SlotMove
+from repro.obs.spanned import spanned
+from repro.obs.trace import SpanHandleLike
 
 if TYPE_CHECKING:
     from repro.core.faults import FaultInjector
@@ -104,6 +106,19 @@ class SlotMigrator:
             )
         return False
 
+    def _step_span(self) -> SpanHandleLike | None:
+        """Span for the handoff :meth:`step` is about to attempt (a
+        finished migration attempts none)."""
+        if self.done:
+            return None
+        move = self._moves[0]
+        return self.tracer.span("migrate.step", transport="migrator",
+                                shard=str(move.source),
+                                detail={"slot": move.slot,
+                                        "source": move.source,
+                                        "dest": move.dest})
+
+    @spanned(_step_span, tracer="tracer")
     def step(self) -> bool:
         """Attempt the next slot handoff.
 
@@ -117,16 +132,6 @@ class SlotMigrator:
         if self.done:
             return True
         move = self._moves[0]
-        if self.tracer.enabled:
-            with self.tracer.span("migrate.step", transport="migrator",
-                                  shard=str(move.source),
-                                  detail={"slot": move.slot,
-                                          "source": move.source,
-                                          "dest": move.dest}):
-                return self._step_impl(move)
-        return self._step_impl(move)
-
-    def _step_impl(self, move: SlotMove) -> bool:
         if self.injector is not None and self.injector.migration_stall():
             return self._stall(move, "injected")
         source = self.service.shard(move.source)

@@ -1,9 +1,10 @@
 """The sharded, multi-tenant service kernel.
 
-:class:`ShardedService` is the kernel the :class:`~repro.core.service
-.PredictionService` facade wraps: it places every domain on one of
-``num_shards`` shards via stable hashing (:class:`~repro.core.kernel
-.sharding.ShardRouter`), keeps per-shard stats and latency accounting
+:class:`ShardedService` is the kernel (:data:`~repro.core.service
+.PredictionService` is its paper-shaped alias): it places every domain
+on one of ``num_shards`` shards via stable hashing
+(:class:`~repro.core.kernel.sharding.ShardRouter`), keeps per-shard
+stats and latency accounting
 (:class:`~repro.core.kernel.shard.Shard`), and runs every client-facing
 entry point through an optional :class:`~repro.core.kernel.admission
 .AdmissionController` enforcing per-tenant quotas.
@@ -45,7 +46,8 @@ from repro.obs.metrics import (
     REPLICA_LAG_GENERATIONS,
     SHARD_CRASHES_TOTAL,
 )
-from repro.obs.trace import NULL_TRACER, TracerLike
+from repro.obs.spanned import spanned
+from repro.obs.trace import NULL_TRACER, SpanHandleLike, TracerLike
 
 if TYPE_CHECKING:
     from repro.core.client import Fallback, PSSClient
@@ -458,6 +460,17 @@ class ShardedService:
             return shard.failover_predict(domain, features)
         return domain.predict(features)
 
+    def _batch_span(self, requests: Sequence[tuple[str, Sequence[int]]],
+                    identity: ClientIdentity | None
+                    ) -> SpanHandleLike | None:
+        """Root of a kernel batch's stage tree; an empty batch enters
+        no stage and gets no span."""
+        if not requests:
+            return None
+        return self.tracer.span("kernel.predict_batch", "", "kernel",
+                                "", None, {"rows": len(requests)})
+
+    @spanned(_batch_span, tracer="tracer")
     def predict_batch(
         self, requests: Sequence[tuple[str, Sequence[int]]],
         identity: ClientIdentity | None = None,
@@ -479,16 +492,6 @@ class ShardedService:
         """
         if not requests:
             return []
-        if self.tracer.enabled:
-            with self.tracer.span("kernel.predict_batch", "", "kernel",
-                                  "", None, {"rows": len(requests)}):
-                return self._predict_batch_impl(requests, identity)
-        return self._predict_batch_impl(requests, identity)
-
-    def _predict_batch_impl(
-        self, requests: Sequence[tuple[str, Sequence[int]]],
-        identity: ClientIdentity | None,
-    ) -> list[int]:
         tracer = self.tracer
         traced = tracer.enabled
         # One pass resolves each *distinct* domain once and groups its

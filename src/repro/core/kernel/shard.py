@@ -27,7 +27,8 @@ from repro.obs.metrics import (
     FAILOVER_PREDICTIONS_TOTAL,
     MetricsRegistry,
 )
-from repro.obs.trace import NULL_TRACER, TracerLike
+from repro.obs.spanned import spanned
+from repro.obs.trace import NULL_TRACER, SpanHandleLike, TracerLike
 
 
 class Shard:
@@ -133,6 +134,13 @@ class Shard:
             (replica.lag(self) for replica in self.replicas), default=0
         )
 
+    def _failover_span(self, domain: Domain,
+                       features: tuple[int, ...] | list[int]
+                       ) -> SpanHandleLike:
+        return self.tracer.span("kernel.failover", domain=domain.name,
+                                transport="replica", shard=self.label)
+
+    @spanned(_failover_span, tracer="tracer")
     def failover_predict(self, domain: Domain,
                          features: tuple[int, ...] | list[int]) -> int:
         """Serve one prediction from a follower while the primary is
@@ -143,15 +151,6 @@ class Shard:
         :class:`~repro.core.errors.ShardDownError` when no follower
         holds the domain (e.g. it was created after the last sync).
         """
-        if self.tracer.enabled:
-            with self.tracer.span("kernel.failover", domain=domain.name,
-                                  transport="replica",
-                                  shard=self.label):
-                return self._failover_predict_impl(domain, features)
-        return self._failover_predict_impl(domain, features)
-
-    def _failover_predict_impl(self, domain: Domain,
-                               features: tuple[int, ...] | list[int]) -> int:
         candidates = [
             replica for replica in self.replicas
             if domain.name in replica.followers

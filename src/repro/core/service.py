@@ -1,15 +1,15 @@
-"""The Prediction System Service: the API-compatible kernel facade.
+"""The Prediction System Service: the paper-shaped name for the kernel.
 
 Historically this module *was* the service - one monolithic class
-owning a flat dict of domains.  The implementation now lives in the
-layered :mod:`repro.core.kernel` package (shards, stable-hash routing,
-admission control, per-shard checkpoints); what remains here is the
-thin facade every existing caller programs against:
+owning a flat dict of domains.  The implementation lives in the layered
+:mod:`repro.core.kernel` package (shards, stable-hash routing,
+admission control, per-shard checkpoints); what remains here are the
+names every caller programs against:
 
-* :class:`PredictionService` - a :class:`~repro.core.kernel.service
-  .ShardedService` that defaults to one shard and no admission
-  controller, which is *bit-identical* to the pre-kernel monolith
-  (property-tested against ``tests/core/reference_impl.py``).  Pass
+* :data:`PredictionService` - :class:`~repro.core.kernel.service
+  .ShardedService` itself.  With its defaults (one shard, no admission
+  controller) it is *bit-identical* to the pre-kernel monolith
+  (property-tested against ``tests/core/reference_impl.py``); pass
   ``num_shards``/``admission`` to opt into the kernel's multi-tenant
   features without changing any call site.
 * :class:`Domain` / :class:`DomainHandle` - re-exported from the
@@ -29,39 +29,9 @@ implicit domain per registration).
 
 from __future__ import annotations
 
-from repro.core.config import ServiceConfig
-from repro.core.kernel.admission import AdmissionController
 from repro.core.kernel.domain import Domain, DomainHandle
 from repro.core.kernel.service import ShardedService
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import TracerLike
 
 __all__ = ["Domain", "DomainHandle", "PredictionService"]
 
-
-class PredictionService(ShardedService):
-    """Container and dispatcher for prediction domains.
-
-    The paper-shaped entry point: single shard, open admission, the
-    same constructor signature the monolith had.  ``num_shards`` and
-    ``admission`` are keyword-only opt-ins to the sharded multi-tenant
-    kernel; with the defaults, behaviour (scores, stats, generations,
-    snapshots, traces, metrics) is bit-identical to the pre-kernel
-    service.
-
-    Passing a :class:`repro.obs.Tracer` and/or
-    :class:`repro.obs.MetricsRegistry` turns on white-box observability:
-    every client opened through :meth:`connect` is wired to them, and
-    :meth:`reports` aggregates latency histogram percentiles and
-    resilient-client stats per domain.
-    """
-
-    def __init__(self, config: ServiceConfig | None = None,
-                 tracer: TracerLike | None = None,
-                 metrics: MetricsRegistry | None = None, *,
-                 num_shards: int = 1,
-                 admission: AdmissionController | None = None,
-                 num_replicas: int = 0) -> None:
-        super().__init__(config=config, tracer=tracer, metrics=metrics,
-                         num_shards=num_shards, admission=admission,
-                         num_replicas=num_replicas)
+PredictionService = ShardedService

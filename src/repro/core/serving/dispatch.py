@@ -31,7 +31,8 @@ from typing import TYPE_CHECKING
 from repro.core.serving.batcher import MicroBatcher
 from repro.core.serving.queue import Request, RequestQueue
 from repro.obs.metrics import BATCH_SIZE, MetricsRegistry
-from repro.obs.trace import NULL_TRACER, TracerLike
+from repro.obs.spanned import spanned
+from repro.obs.trace import NULL_TRACER, SpanHandleLike, TracerLike
 from repro.sim.engine import Engine
 from repro.sim.process import Process, ProcessBody, spawn
 
@@ -78,8 +79,7 @@ class Dispatcher:
         drained simulation terminates), and kernel execution happens
         only after the batch's crossing cost has been charged with a
         ``yield``.  An unobserved shard (no histogram, no tracer)
-        pays nothing for observability here: it skips
-        :meth:`_trace_drain` and executes without the span wrapper.
+        skips :meth:`_trace_drain`.
         """
         queue = self.queue
         items = queue.items
@@ -96,14 +96,10 @@ class Dispatcher:
             batch, trigger = batcher.drain(queue)
             if not batch:  # pragma: no cover - drained by a restart
                 continue
-            traced = self.tracer.enabled
-            if traced or self._batch_hist is not None:
+            if self.tracer.enabled or self._batch_hist is not None:
                 self._trace_drain(batch, trigger)
             yield batcher.service_ns(len(batch))
-            if traced:
-                self._execute_traced(batch)
-            else:
-                self._execute(batch)
+            self._execute(batch)
 
     def _trace_drain(self, batch: list[Request], trigger: str) -> None:
         """``batch.dispatch`` (every drain) and ``batch.flush_timeout``
@@ -124,13 +120,12 @@ class Dispatcher:
             "batch.dispatch", "", "serving", now, 0.0, 0,
             {"rows": len(batch), "trigger": trigger}, self._label)
 
-    def _execute_traced(self, batch: list[Request]) -> None:
-        """:meth:`_execute` under a ``serve.dispatch`` span."""
-        with self.tracer.span("serve.dispatch", "", "serving",
-                              self._label, None, {"rows": len(batch)},
-                              self._clock):
-            self._execute(batch)
+    def _dispatch_span(self, batch: list[Request]) -> SpanHandleLike:
+        return self.tracer.span("serve.dispatch", "", "serving",
+                                self._label, None, {"rows": len(batch)},
+                                self._clock)
 
+    @spanned(_dispatch_span, tracer="tracer")
     def _execute(self, batch: list[Request]) -> None:
         """Run one drained batch against the kernel, in FIFO order.
 

@@ -34,10 +34,12 @@ from repro.core.errors import (
 from repro.core.faults import FaultInjector
 from repro.core.features import canonical_features
 from repro.core.stats import LatencyAccount
-from repro.obs.trace import NULL_TRACER
+from repro.obs.spanned import named, spanned
+from repro.obs.trace import NULL_TRACER, SpanHandleLike
 
 #: the operations a transport opens a span around
 SPAN_OPS = ("predict", "predict_batch", "update", "reset", "flush")
+
 
 #: score-cache probe sentinel distinct from the ``None`` placeholders
 #: that :meth:`VdsoTransport.predict_batch` parks for in-flight misses
@@ -132,12 +134,6 @@ class Transport:
                 f"{self.name} transport used after close()"
             )
 
-    def _syscall_fault(self):
-        """Injected fault for one syscall crossing, or None."""
-        if self._injector is None:
-            return None
-        return self._injector.syscall_fault()
-
     def predict(self, features: Sequence[int]) -> int:
         raise NotImplementedError
 
@@ -192,35 +188,44 @@ class Transport:
 
     def _op_span(self, op: str, detail: dict | None = None):
         """Span covering one boundary crossing on this transport's
-        timeline (callers pre-check ``enabled`` and hold the handle in
-        a ``with`` block; the account clock makes durations simulated
-        ns, so the span is exactly what the crossing charged)."""
+        timeline (the account clock makes durations simulated ns, so
+        the span is exactly what the crossing charged)."""
         return self._tracer.span(
             self._span_names[op], self._obs_domain, self.name,
             self._obs_shard, None, detail, self._clock)
 
-    def reset(self, features: Sequence[int], reset_all: bool) -> None:
-        """Resets always cross via syscall: they write kernel state."""
+    def _charge_crossing(self, kind: str, cost: float,
+                         detail: dict | None = None,
+                         op: str | None = None) -> None:
+        """First half of a syscall crossing: charge ``cost`` and trace
+        the crossing as a ``kind`` event (accounted under ``op`` when
+        that differs from the event kind)."""
+        self.account.charge_syscall(cost)
+        self.account.charge_op(op or kind, cost)
         if self._tracer.enabled:
-            with self._op_span("reset"):
-                self._reset_impl(features, reset_all)
-            return
-        self._reset_impl(features, reset_all)
+            self._trace(kind, dur_ns=cost, detail=detail)
 
-    def _reset_impl(self, features: Sequence[int], reset_all: bool) -> None:
-        self._ensure_open()
-        self.account.charge_syscall(self._latency.syscall_ns)
-        self.account.charge_op("reset", self._latency.syscall_ns)
-        if self._tracer.enabled:
-            self._trace("reset", dur_ns=self._latency.syscall_ns,
-                        detail={"reset_all": reset_all})
-        self.flush()
-        fault = self._syscall_fault()
+    def _roll_crossing(self, injector: FaultInjector, kind: str) -> None:
+        """Second half, for callers with an injector attached: roll its
+        dice for the crossing just charged, tracing and raising the
+        fault when one comes up (the failed crossing still cost its
+        syscall)."""
+        fault = injector.syscall_fault()
         if fault is not None:
             if self._tracer.enabled:
-                self._trace("fault", detail={"op": "reset",
+                self._trace("fault", detail={"op": kind,
                                              "errno": fault.errno_name})
             raise fault
+
+    @spanned(named(_op_span, "reset"))
+    def reset(self, features: Sequence[int], reset_all: bool) -> None:
+        """Resets always cross via syscall: they write kernel state."""
+        self._ensure_open()
+        self._charge_crossing("reset", self._latency.syscall_ns,
+                              {"reset_all": reset_all})
+        self.flush()
+        if self._injector is not None:
+            self._roll_crossing(self._injector, "reset")
         self._target.reset(features, reset_all)
 
     def flush(self) -> None:
@@ -247,26 +252,15 @@ class SyscallTransport(Transport):
 
     name = "syscall"
 
+    @spanned(named(Transport._op_span, "predict"))
     def predict(self, features: Sequence[int]) -> int:
-        if self._tracer.enabled:
-            with self._op_span("predict"):
-                return self._predict_impl(features)
-        return self._predict_impl(features)
-
-    def _predict_impl(self, features: Sequence[int]) -> int:
         self._ensure_open()
-        self.account.charge_syscall(self._latency.syscall_ns)
-        self.account.charge_op("predict", self._latency.syscall_ns)
-        if self._tracer.enabled:
-            self._trace("predict", dur_ns=self._latency.syscall_ns)
-        fault = self._syscall_fault()
-        if fault is not None:
-            if self._tracer.enabled:
-                self._trace("fault", detail={"op": "predict",
-                                             "errno": fault.errno_name})
-            raise fault  # the failed crossing still cost a syscall
+        self._charge_crossing("predict", self._latency.syscall_ns)
+        if self._injector is not None:
+            self._roll_crossing(self._injector, "predict")
         return self._target.predict(features)
 
+    @spanned(named(Transport._op_span, "predict_batch", rows=True))
     def predict_batch(
         self, feature_rows: Sequence[Sequence[int]]
     ) -> list[int]:
@@ -285,56 +279,31 @@ class SyscallTransport(Transport):
         scores), and a fault sequence observed under scalar predicts
         will not line up with one observed under batching.
         """
-        if self._tracer.enabled:
-            with self._op_span("predict_batch",
-                               detail={"rows": len(feature_rows)}):
-                return self._predict_batch_impl(feature_rows)
-        return self._predict_batch_impl(feature_rows)
-
-    def _predict_batch_impl(
-        self, feature_rows: Sequence[Sequence[int]]
-    ) -> list[int]:
         self._ensure_open()
         rows = [canonical_features(features) for features in feature_rows]
         if not rows:
             return []
         cost = (self._latency.syscall_ns
                 + self._latency.batch_record_ns * len(rows))
-        self.account.charge_syscall(cost)
-        self.account.charge_op("predict", cost)
-        if self._tracer.enabled:
-            self._trace("predict_batch", dur_ns=cost,
-                        detail={"rows": len(rows)})
-        fault = self._syscall_fault()
-        if fault is not None:
-            if self._tracer.enabled:
-                self._trace("fault", detail={"op": "predict_batch",
-                                             "errno": fault.errno_name})
-            raise fault  # the failed crossing still cost a syscall
+        self._charge_crossing("predict_batch", cost,
+                              {"rows": len(rows)}, op="predict")
+        if self._injector is not None:
+            self._roll_crossing(self._injector, "predict_batch")
         return self._target_predict_rows(rows)
 
+    @spanned(named(Transport._op_span, "update"))
     def update(self, features: Sequence[int], direction: bool) -> None:
-        if self._tracer.enabled:
-            with self._op_span("update"):
-                self._update_impl(features, direction)
-            return
-        self._update_impl(features, direction)
-
-    def _update_impl(self, features: Sequence[int], direction: bool) -> None:
         self._ensure_open()
-        fault = self._syscall_fault()
-        if fault is not None:
-            # Crossing attempted and paid for, but no record delivered.
-            self.account.charge_syscall(self._latency.syscall_ns)
-            self.account.charge_op("update", self._latency.syscall_ns)
-            if self._tracer.enabled:
-                self._trace("fault", detail={"op": "update",
-                                             "errno": fault.errno_name})
-            raise fault
-        self.account.charge_syscall(self._latency.syscall_ns, records=1)
-        self.account.charge_op("update", self._latency.syscall_ns)
+        syscall_ns = self._latency.syscall_ns
+        self.account.charge_syscall(syscall_ns)
+        self.account.charge_op("update", syscall_ns)
+        if self._injector is not None:
+            self._roll_crossing(self._injector, "update")
+        # Only a crossing that got through delivered its record, and
+        # only then is there an update to trace.
+        self.account.update_records += 1
         if self._tracer.enabled:
-            self._trace("update", dur_ns=self._latency.syscall_ns,
+            self._trace("update", dur_ns=syscall_ns,
                         detail={"direction": direction})
         self._target.update(features, direction)
 
@@ -454,13 +423,8 @@ class VdsoTransport(Transport):
         """Entries currently held by the generation-keyed score cache."""
         return len(self._score_cache)
 
+    @spanned(named(Transport._op_span, "predict"))
     def predict(self, features: Sequence[int]) -> int:
-        if self._tracer.enabled:
-            with self._op_span("predict"):
-                return self._predict_impl(features)
-        return self._predict_impl(features)
-
-    def _predict_impl(self, features: Sequence[int]) -> int:
         self._ensure_open()
         self.account.charge_vdso(self._latency.vdso_predict_ns)
         self.account.charge_op("predict", self._latency.vdso_predict_ns)
@@ -501,6 +465,7 @@ class VdsoTransport(Transport):
         cache[key] = score
         return score
 
+    @spanned(named(Transport._op_span, "predict_batch", rows=True))
     def predict_batch(
         self, feature_rows: Sequence[Sequence[int]]
     ) -> list[int]:
@@ -523,15 +488,6 @@ class VdsoTransport(Transport):
         of a pending row counts as the cache hit it would have been
         (its score is filled in once the batched call returns).
         """
-        if self._tracer.enabled:
-            with self._op_span("predict_batch",
-                               detail={"rows": len(feature_rows)}):
-                return self._predict_batch_impl(feature_rows)
-        return self._predict_batch_impl(feature_rows)
-
-    def _predict_batch_impl(
-        self, feature_rows: Sequence[Sequence[int]]
-    ) -> list[int]:
         self._ensure_open()
         rows = [canonical_features(features) for features in feature_rows]
         account = self.account
@@ -649,14 +605,8 @@ class VdsoTransport(Transport):
             self._stale_cache.clear()
             self._score_cache_generation = -1
 
+    @spanned(named(Transport._op_span, "update"))
     def update(self, features: Sequence[int], direction: bool) -> None:
-        if self._tracer.enabled:
-            with self._op_span("update"):
-                self._update_impl(features, direction)
-            return
-        self._update_impl(features, direction)
-
-    def _update_impl(self, features: Sequence[int], direction: bool) -> None:
         self._ensure_open()
         self._buffer.add(features, direction)
         if self._tracer.enabled:
@@ -665,15 +615,16 @@ class VdsoTransport(Transport):
         if self._buffer.full:
             self.flush()
 
-    def flush(self) -> None:
-        if self._tracer.enabled and len(self._buffer):
-            with self._op_span("flush",
-                               detail={"records": len(self._buffer)}):
-                self._flush_impl()
-            return
-        self._flush_impl()
+    def _flush_span(self) -> SpanHandleLike | None:
+        """A flush is a crossing, and gets a span, only when records
+        are buffered."""
+        records = len(self._buffer)
+        if not records:
+            return None
+        return self._op_span("flush", {"records": records})
 
-    def _flush_impl(self) -> None:
+    @spanned(_flush_span)
+    def flush(self) -> None:
         self._ensure_open()
         records = self._buffer.drain()
         if not records:
@@ -682,20 +633,26 @@ class VdsoTransport(Transport):
                 + self._latency.batch_record_ns * len(records))
         self.account.charge_op("flush", cost)
         delivered = len(records)
-        fault = self._syscall_fault()
-        if fault is None and self._injector is not None:
-            delivered = self._injector.flush_outcome(len(records))
-            if delivered < len(records):
-                fault = TransportFault(
-                    "EAGAIN", lost_records=len(records) - delivered,
-                    message=(
-                        f"batch flush delivered {delivered} of "
-                        f"{len(records)} records"
-                    ),
-                )
-        elif fault is not None:
-            delivered = 0
-            fault.lost_records = len(records)
+        fault = None
+        injector = self._injector
+        if injector is not None:
+            # Rolled here rather than through _roll_crossing: what the
+            # flush traces (and charges as delivered) depends on the
+            # outcome, and delivery of a partial batch still happens.
+            fault = injector.syscall_fault()
+            if fault is not None:
+                delivered = 0
+                fault.lost_records = len(records)
+            else:
+                delivered = injector.flush_outcome(len(records))
+                if delivered < len(records):
+                    fault = TransportFault(
+                        "EAGAIN", lost_records=len(records) - delivered,
+                        message=(
+                            f"batch flush delivered {delivered} of "
+                            f"{len(records)} records"
+                        ),
+                    )
         self.account.charge_syscall(cost, records=delivered)
         if self._tracer.enabled:
             self._trace("flush", dur_ns=cost,
@@ -706,43 +663,32 @@ class VdsoTransport(Transport):
                     "op": "flush", "errno": fault.errno_name,
                     "lost_records": fault.lost_records,
                 })
-        quota_error: AdmissionError | None = None
-        down_error: ShardDownError | None = None
+        refused: AdmissionError | ShardDownError | None = None
         for index, (features, direction) in enumerate(records[:delivered]):
             try:
                 self._target.update(features, direction)
-            except AdmissionError as exc:
-                # Budgets are monotonic: once one record is refused, the
+            except (AdmissionError, ShardDownError) as exc:
+                # Budgets are monotonic, and a crashed primary refuses
+                # writes until promotion: once one record is refused the
                 # rest of the batch would be too.  The suffix is dropped
-                # and reported on the error like a lost batch.
-                quota_error = exc
-                quota_error.lost_records = delivered - index
-                break
-            except ShardDownError as exc:
-                # The owning shard crashed: the primary refuses writes
-                # until promotion, so the batch suffix is lost exactly
-                # like an undelivered crossing.
-                down_error = exc
-                down_error.lost_records = delivered - index
+                # and reported on the error like an undelivered crossing.
+                refused = exc
+                refused.lost_records = delivered - index
                 break
         if fault is not None:
             # The undelivered suffix is gone: updates are hints, and the
             # batch buffer was already drained when the crossing failed.
             raise fault
-        if quota_error is not None:
+        if refused is not None:
             if self._tracer.enabled:
                 self._trace("fault", detail={
-                    "op": "flush", "errno": "EDQUOT",
-                    "lost_records": quota_error.lost_records,
+                    "op": "flush",
+                    "errno": (refused.errno_name
+                              if isinstance(refused, ShardDownError)
+                              else "EDQUOT"),
+                    "lost_records": refused.lost_records,
                 })
-            raise quota_error
-        if down_error is not None:
-            if self._tracer.enabled:
-                self._trace("fault", detail={
-                    "op": "flush", "errno": down_error.errno_name,
-                    "lost_records": down_error.lost_records,
-                })
-            raise down_error
+            raise refused
 
 
 def make_transport(kind: str, target: ServiceTarget,

@@ -29,9 +29,9 @@ class TestRegistry:
 
     def test_expected_rules_present(self):
         assert set(rules_by_id()) == {
-            "API001", "CTR001", "DET001", "DET002", "EXC001",
-            "OBS001", "PLN001", "QUE001", "RAC001", "RAC002",
-            "RAC003", "REP001", "TRC001", "TRC002",
+            "CTR001", "DET001", "DET002", "EXC001", "OBS001",
+            "PLN001", "QUE001", "RAC001", "RAC002", "RAC003",
+            "REP001", "TRC001", "TRC002",
         }
 
     def test_every_rule_ships_a_fixit_hint(self):
@@ -100,19 +100,6 @@ class TestTrc002:
         assert "never_emitted" in findings[0].message
         # Anchored at the kind's own definition line in the registry.
         assert findings[0].source_line == '"never_emitted",'
-
-
-class TestApi001:
-    def test_drifted_default_flagged_sugar_tolerated(self,
-                                                     check_fixture):
-        findings, _ = check_fixture("api001", ["API001"])
-        assert len(findings) == 1
-        (finding,) = findings
-        assert finding.path.endswith("facade.py")
-        assert "connect" in finding.message
-        assert "'syscall'" in finding.message
-        # __init__ (kw-only tightening) and connect_default (facade
-        # sugar) produced nothing.
 
 
 class TestCtr001:

@@ -9,7 +9,7 @@ Two frozen generations live here:
   :mod:`repro.core.perceptron` must stay *bit-identical* to these - same
   scores, same trained weights, same snapshots - which
   ``tests/core/test_fastpath_identity.py`` checks property-style, and
-  ``benchmarks/test_microbench_core.py`` uses as the perf baseline.
+  ``perf/checks.py`` replays the benchmark's scores against.
 * :class:`ReferenceService` (with :class:`ReferenceDomain` /
   :class:`ReferenceHandle`) preserves the pre-kernel *monolithic*
   ``PredictionService``: one flat dict of domains, no shards, no

@@ -293,3 +293,24 @@ class TestClientSubmit:
         assert client.stats.fallback_predictions == 2
         assert client.stats.dropped_updates == 1
         assert all(f.error is None for f in predicts)
+
+    def test_resilient_submit_clears_fallback_flag_on_success(self):
+        service = PredictionService()
+        client = service.connect(
+            "d", config=PSSConfig(num_features=2),
+            resilience=ResilienceConfig(), fallback=-7,
+        )
+        pipeline = ServingPipeline(
+            service, ServingConfig(queue_limit=1))
+        client.attach_pipeline(pipeline)
+        futures = [client.submit(FEATURES) for _ in range(3)]
+        # Two were shed on the spot (queue of 1): served degraded.
+        assert client.last_prediction_was_fallback
+        pipeline.run()
+        assert [f.result() for f in futures] == [0, -7, -7]
+        served = client.submit(FEATURES)
+        pipeline.run()
+        assert served.result() == 0
+        # The flag describes the most recent predict, like the sync
+        # path: one shed must not mark every later answer degraded.
+        assert not client.last_prediction_was_fallback
