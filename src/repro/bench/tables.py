@@ -30,6 +30,37 @@ def pct(value: float) -> str:
     return f"{value:+.1%}"
 
 
+def column_table(columns, items) -> str:
+    """Render ``items`` through ``(header, cell, shown)`` columns.
+
+    Each optional column is spelled once - its header, how an item
+    fills it, and whether this table shows it - instead of once while
+    building rows and again while building headers.
+    """
+    shown = [(header, cell) for header, cell, show in columns if show]
+    return format_table(
+        [header for header, _cell in shown],
+        [[cell(item) for _header, cell in shown] for item in items],
+    )
+
+
+def percentile_columns(percentiles, shown: bool) -> list[tuple]:
+    """vDSO/syscall p50/p99 columns; ``percentiles(item)`` maps a
+    latency path to its histogram snapshot (absent paths render ``-``)."""
+
+    def column(path: str, key: str):
+        def cell(item) -> str:
+            snap = percentiles(item).get(path)
+            return f"{snap[key]:.2f}" if snap else "-"
+        return cell
+
+    return [
+        (f"{short}-{key}", column(path, key), shown)
+        for short, path in (("vdso", "vdso_read_ns"), ("sys", "syscall_ns"))
+        for key in ("p50", "p99")
+    ]
+
+
 def fastpath_table(labeled_reports) -> str:
     """Fast-path effectiveness table from labeled domain reports.
 
@@ -43,48 +74,25 @@ def fastpath_table(labeled_reports) -> str:
     metrics registry attached) get extra vDSO/syscall p50/p99 columns.
     """
     labeled = list(labeled_reports)
-    with_percentiles = any(
-        report.latency_percentiles for _label, report in labeled
-    )
-    # Shard column only when some domain actually lives off shard 0,
-    # keeping single-shard report output byte-identical to pre-sharding.
-    with_shards = any(report.shard for _label, report in labeled)
-
-    def percentile_cells(report) -> list[str]:
-        cells = []
-        for path in ("vdso_read_ns", "syscall_ns"):
-            snap = report.latency_percentiles.get(path)
-            for key in ("p50", "p99"):
-                cells.append(f"{snap[key]:.2f}" if snap else "-")
-        return cells
-
-    rows = []
-    for label, report in labeled:
-        stats = report.stats
-        row = [
-            label,
-            report.name,
-        ]
-        if with_shards:
-            row.append(report.shard)
-        row.extend([
-            stats.predictions,
-            stats.cached_predictions,
-            pct_plain(report.cached_prediction_rate),
-            pct_plain(report.index_cache_hit_rate),
-            report.generation,
-        ])
-        if with_percentiles:
-            row.extend(percentile_cells(report))
-        rows.append(row)
-    headers = ["scenario", "domain"]
-    if with_shards:
-        headers.append("shard")
-    headers.extend(["predicts", "cached",
-                    "cached%", "idx-hit%", "weight-gen"])
-    if with_percentiles:
-        headers.extend(["vdso-p50", "vdso-p99", "sys-p50", "sys-p99"])
-    return format_table(headers, rows)
+    return column_table([
+        ("scenario", lambda entry: entry[0], True),
+        ("domain", lambda entry: entry[1].name, True),
+        # Shard column only when some domain actually lives off shard
+        # 0, keeping single-shard report output byte-identical to
+        # pre-sharding.
+        ("shard", lambda entry: entry[1].shard,
+         any(report.shard for _label, report in labeled)),
+        ("predicts", lambda entry: entry[1].stats.predictions, True),
+        ("cached", lambda entry: entry[1].stats.cached_predictions, True),
+        ("cached%",
+         lambda entry: pct_plain(entry[1].cached_prediction_rate), True),
+        ("idx-hit%",
+         lambda entry: pct_plain(entry[1].index_cache_hit_rate), True),
+        ("weight-gen", lambda entry: entry[1].generation, True),
+        *percentile_columns(
+            lambda entry: entry[1].latency_percentiles,
+            any(report.latency_percentiles for _label, report in labeled)),
+    ], labeled)
 
 
 def resilience_table(labeled_reports) -> str:
@@ -177,18 +185,6 @@ def shard_table(summaries) -> str:
     count to show how stable hashing spreads the tenant mix.
     """
     summaries = list(summaries)
-    with_percentiles = any(
-        s.get("latency_percentiles") for s in summaries
-    )
-
-    def percentile_cells(summary) -> list[str]:
-        cells = []
-        for path in ("vdso_read_ns", "syscall_ns"):
-            snap = summary.get("latency_percentiles", {}).get(path)
-            for key in ("p50", "p99"):
-                cells.append(f"{snap[key]:.2f}" if snap else "-")
-        return cells
-
     with_replicas = any("replica_lag" in s for s in summaries)
     with_plans = any("plans" in s for s in summaries)
     # Serving columns only when a pipeline annotated the summaries
@@ -196,52 +192,30 @@ def shard_table(summaries) -> str:
     # reports byte-identical to earlier releases.
     with_serving = any("serving" in s for s in summaries)
 
-    rows = []
-    for summary in summaries:
-        latency = summary["latency"]
-        shard_cell = str(summary["shard"])
-        if summary.get("down"):
-            shard_cell += "!"
-        row = [
-            shard_cell,
-            summary.get("slots", "-"),
-            summary["domains"],
-            summary["predictions"],
-            summary["updates"],
-            f"{latency.total_ns / 1e3:.1f}",
-        ]
-        if with_replicas:
-            row.append(summary.get("replica_lag", "-"))
-            row.append(summary.get("failover_predictions", 0))
-        if with_plans:
-            row.append(summary.get("plans", "-"))
-        if with_serving:
-            serving = summary.get("serving")
-            if serving:
-                row.extend([
-                    serving["enqueued"],
-                    serving["shed"],
-                    serving["max_depth"],
-                    serving["batches"],
-                    serving["flush_timeouts"],
-                ])
-            else:
-                row.extend(["-"] * 5)
-        if with_percentiles:
-            row.extend(percentile_cells(summary))
-        rows.append(row)
-    headers = ["shard", "slots", "domains", "predicts", "updates",
-               "total-us"]
-    if with_replicas:
-        headers.extend(["lag", "failovers"])
-    if with_plans:
-        headers.append("plans")
-    if with_serving:
-        headers.extend(["queued", "shed", "max-q", "batches",
-                        "t-flush"])
-    if with_percentiles:
-        headers.extend(["vdso-p50", "vdso-p99", "sys-p50", "sys-p99"])
-    table = format_table(headers, rows)
+    def serving_cell(key: str):
+        return lambda s: s["serving"][key] if s.get("serving") else "-"
+
+    table = column_table([
+        ("shard", lambda s: f"{s['shard']}!" if s.get("down")
+         else str(s["shard"]), True),
+        ("slots", lambda s: s.get("slots", "-"), True),
+        ("domains", lambda s: s["domains"], True),
+        ("predicts", lambda s: s["predictions"], True),
+        ("updates", lambda s: s["updates"], True),
+        ("total-us", lambda s: f"{s['latency'].total_ns / 1e3:.1f}", True),
+        ("lag", lambda s: s.get("replica_lag", "-"), with_replicas),
+        ("failovers", lambda s: s.get("failover_predictions", 0),
+         with_replicas),
+        ("plans", lambda s: s.get("plans", "-"), with_plans),
+        ("queued", serving_cell("enqueued"), with_serving),
+        ("shed", serving_cell("shed"), with_serving),
+        ("max-q", serving_cell("max_depth"), with_serving),
+        ("batches", serving_cell("batches"), with_serving),
+        ("t-flush", serving_cell("flush_timeouts"), with_serving),
+        *percentile_columns(
+            lambda s: s.get("latency_percentiles", {}),
+            any(s.get("latency_percentiles") for s in summaries)),
+    ], summaries)
     if with_plans:
         # The plan cache is kernel-global; summarize sharing once below
         # the per-shard rows instead of repeating it per row.

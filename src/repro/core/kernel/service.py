@@ -306,12 +306,9 @@ class ShardedService:
             model=create_model(model, domain_config),
             model_name=model,
             policy=policy or open_policy(),
-            shard_id=shard.shard_id,
-            shard_label=shard.label if self.num_shards > 1 else "",
             created_by=identity,
         )
-        shard.domains[name] = domain
-        domain.shard = shard
+        shard.adopt(domain, shard.label if self.num_shards > 1 else "")
         self._bind_plan(domain)
         return domain
 
@@ -337,11 +334,9 @@ class ShardedService:
 
     def remove_domain(self, name: str) -> None:
         shard = self._shards[self._router.shard_of(name)]
-        domain = shard.domains.pop(name, None)
-        if domain is None:
+        if name not in shard:
             raise DomainError(f"unknown domain {name!r}")
-        domain.shard = None
-        shard._accounts.pop(name, None)
+        domain, _accounts = shard.evict(name)
         if self.admission is not None and domain.created_by is not None:
             self.admission.release_domain(domain.created_by)
 

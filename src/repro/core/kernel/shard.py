@@ -107,12 +107,12 @@ class Shard:
             for name, domain in sorted(self.domains.items())
         )
 
-    # -- migration handoff -------------------------------------------------
+    # -- domain handoff (create, remove, migrate) --------------------------
 
     def adopt(self, domain: Domain, label: str,
               accounts: list[LatencyAccount] | None = None) -> None:
-        """Take ownership of a migrating domain (and its client
-        accounts), restamping its shard identity."""
+        """Take ownership of a new or migrating domain (and its client
+        accounts), stamping its shard identity."""
         self.domains[domain.name] = domain
         domain.shard_id = self.shard_id
         domain.shard_label = label
@@ -121,8 +121,10 @@ class Shard:
             self._accounts.setdefault(domain.name, []).extend(accounts)
 
     def evict(self, name: str) -> tuple[Domain, list[LatencyAccount]]:
-        """Release a migrating domain together with its accounts."""
+        """Release a removed or migrating domain together with its
+        accounts."""
         domain = self.domains.pop(name)
+        domain.shard = None
         return domain, self._accounts.pop(name, [])
 
     # -- failover ----------------------------------------------------------

@@ -36,6 +36,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.core.config import LatencyModel
 from repro.core.errors import ConfigError, RequestShedError
+from repro.core.kernel.admission import AdmissionController
 from repro.core.serving.batcher import MicroBatcher
 from repro.core.serving.dispatch import Dispatcher
 from repro.core.serving.future import CompletionFuture
@@ -158,10 +159,14 @@ class ServingPipeline:
                            if slos is not None else None)
         self._paging_scopes: frozenset[str] = frozenset()
         self._load_complete = False
-        if service.admission is not None:
-            service.admission.set_health_probe(self)
-            if self.config.shed_on_page:
-                service.admission.enforce_shedding = True
+        #: the one shed rule (queue depth, paging SLO); a service that
+        #: runs without a controller gets a private, unlimited one
+        self._admission = (service.admission
+                           if service.admission is not None
+                           else AdmissionController())
+        self._admission.set_health_probe(self)
+        if self.config.shed_on_page:
+            self._admission.enforce_shedding = True
         if self.slo_engine is not None:
             spawn(self.engine, self._monitor(), name="slo-monitor")
         # -- counters --
@@ -201,13 +206,8 @@ class ServingPipeline:
         request = Request(op, domain, features, future, direction,
                           client_id, 0.0, shard_id, seq)
         self.submitted += 1
-        admission = self.service.admission
-        if admission is not None:
-            reason = admission.admit_request(
-                domain, queue.label, len(queue.items),
-                self.config.queue_limit)
-        else:
-            reason = self._unmanaged_reason(domain, queue)
+        reason = self._admission.admit_request(
+            domain, queue.label, len(queue.items), self.config.queue_limit)
         if reason is not None:
             self.shed_count += 1
             queue.record_shed(request, reason)
@@ -217,18 +217,6 @@ class ServingPipeline:
         queue.push(request)
         self.in_flight += 1
         return future
-
-    def _unmanaged_reason(self, domain: str,
-                          queue: RequestQueue) -> str | None:
-        """The admission controller's depth and paging rules, for a
-        service that runs without one."""
-        limit = self.config.queue_limit
-        if limit > 0 and queue.depth >= limit:
-            return "queue_full"
-        if self.config.shed_on_page \
-                and self.should_shed(domain=domain, shard=queue.label):
-            return "slo_page"
-        return None
 
     # -- health probe (AdmissionController protocol) ------------------------
 
@@ -321,7 +309,6 @@ class ServingPipeline:
 
     def snapshot(self) -> dict[str, Any]:
         """Stable-keyed counters + percentiles for reports/BENCH json."""
-        admission = self.service.admission
         batches = self.batch_stats()
         return {
             "submitted": self.submitted,
@@ -341,10 +328,8 @@ class ServingPipeline:
                 "page_excursions": self.page_excursions,
             },
             "admission": {
-                "advisories": (admission.shed_advisories
-                               if admission is not None else 0),
-                "sheds_enforced": (admission.sheds_enforced
-                                   if admission is not None else 0),
+                "advisories": self._admission.shed_advisories,
+                "sheds_enforced": self._admission.sheds_enforced,
             },
         }
 

@@ -41,11 +41,6 @@ from repro.obs.trace import NULL_TRACER, SpanHandleLike
 SPAN_OPS = ("predict", "predict_batch", "update", "reset", "flush")
 
 
-#: score-cache probe sentinel distinct from the ``None`` placeholders
-#: that :meth:`VdsoTransport.predict_batch` parks for in-flight misses
-_ABSENT: object = object()
-
-
 class ServiceTarget(Protocol):
     """What a transport needs from the service side."""
 
@@ -397,12 +392,8 @@ class VdsoTransport(Transport):
         #: last fresh score per feature vector, kept only under injection
         self._stale_cache: OrderedDict[tuple[int, ...], int] = OrderedDict()
         #: fresh score per feature vector, valid for one weight
-        #: generation.  Values are scores, except transiently inside
-        #: :meth:`predict_batch`, where a miss parks a ``None``
-        #: placeholder until the batched service call fills it.
-        self._score_cache: OrderedDict[
-            tuple[int, ...], int | None
-        ] = OrderedDict()
+        #: generation; written only with a score the service returned
+        self._score_cache: OrderedDict[tuple[int, ...], int] = OrderedDict()
         self._score_cache_generation = -1
         # Capability probe, once: caching needs a generation counter to
         # key validity on; stats parity additionally needs the recorder.
@@ -482,11 +473,19 @@ class VdsoTransport(Transport):
         :meth:`Transport._target_predict_rows` call, which a
         batch-aware target scores in a single pass over its weights.
 
-        A miss eagerly reserves its cache slot with a ``None``
-        placeholder so eviction decisions match a scalar replay even
-        when the batch itself overflows the cache; a second occurrence
-        of a pending row counts as the cache hit it would have been
-        (its score is filled in once the batched call returns).
+        *Resolve, then replay*: at the first miss, every distinct
+        vector among the rows still to come that the cache does not
+        hold is scored by that one call, *before anything is written*;
+        the walk then carries on with those answers in hand and writes
+        each where the scalar miss would have, so the cache only ever
+        holds real scores and a refused or faulted call (quota, shard
+        down, a bad row) has nothing to undo.  It raises at the first
+        miss: reads past it are neither charged nor traced.  A repeat
+        of a resolved row is the cache hit it would have been; a miss
+        the call did not cover - a row the batch itself evicted, on a
+        batch larger than the cache - takes the scalar service call.
+        (Resolution waits for the first miss because CPython does not
+        cache tuple hashes: an all-hit batch pays nothing for it.)
         """
         self._ensure_open()
         rows = [canonical_features(features) for features in feature_rows]
@@ -524,57 +523,39 @@ class VdsoTransport(Transport):
             self._score_cache_generation = generation
         recorder = self._cached_recorder
         limit = self.SCORE_CACHE_ENTRIES
-        scores: list[int | None] = []
-        #: (key, output position) per cache miss, in probe order
-        pending: list[tuple[tuple[int, ...], int]] = []
-        #: hits on a ``None`` placeholder parked by this very batch:
-        #: score and cached-prediction stat are filled at resolve time
-        aliases: list[tuple[tuple[int, ...], int]] = []
+        scores: list[int] = []
+        #: the misses' scores, each handed out once
+        fresh: dict[tuple[int, ...], int] | None = None
         for key in rows:
             account.charge_vdso(vdso_ns)
             account.charge_op("predict", vdso_ns)
             if traced:
                 self._trace("predict", vdso_ns, generation=generation)
-            cached = cache.get(key, _ABSENT)
-            if cached is _ABSENT:
-                account.record_cache_miss()
+            score = cache.get(key)
+            if score is not None:
+                account.record_cache_hit()
                 if traced:
-                    self._trace("cache_miss", generation=generation)
-                if len(cache) >= limit:
-                    cache.popitem(last=False)
-                cache[key] = None
-                pending.append((key, len(scores)))
-                scores.append(None)
-                continue
-            account.record_cache_hit()
-            if traced:
-                self._trace("cache_hit", generation=generation)
-            if cached is None:
-                aliases.append((key, len(scores)))
-                scores.append(None)
-                continue
-            if recorder is not None:
-                recorder(cached)
-            scores.append(cached)
-        if pending:
-            resolved = self._target_predict_rows(
-                [key for key, _position in pending]
-            )
-            fresh: dict[tuple[int, ...], int] = {}
-            for (key, position), score in zip(pending, resolved):
-                # Fill the reserved slot in place; a placeholder the
-                # batch itself evicted stays evicted, exactly as in a
-                # scalar replay.
-                if cache.get(key, _ABSENT) is None:
-                    cache[key] = score
-                scores[position] = score
-                fresh[key] = score
-            for key, position in aliases:
-                score = fresh[key]
+                    self._trace("cache_hit", generation=generation)
                 if recorder is not None:
                     recorder(score)
-                scores[position] = score
-        return scores  # type: ignore[return-value]
+                scores.append(score)
+                continue
+            account.record_cache_miss()
+            if traced:
+                self._trace("cache_miss", generation=generation)
+            if fresh is None:
+                missing = [row for row in dict.fromkeys(rows[len(scores):])
+                           if row not in cache]
+                fresh = dict(zip(missing,
+                                 self._target_predict_rows(missing)))
+            score = fresh.pop(key, None)
+            if score is None:
+                score = self._target.predict(key)
+            if len(cache) >= limit:
+                cache.popitem(last=False)
+            cache[key] = score
+            scores.append(score)
+        return scores
 
     def _predict_injected(self, key: tuple[int, ...]) -> int:
         # A read-only mapping can lag the kernel's weight writes: a

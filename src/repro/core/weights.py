@@ -7,7 +7,8 @@ perceptron tables (Jimenez & Lin).
 
 Hot-path layout (see docs/PERFORMANCE.md): the matrix is stored as one flat
 ``array`` in row-major order rather than a list of lists, the per-slot hash
-salts are precomputed once at construction, and a bounded LRU cache maps
+salts are precomputed once per shape (in the bound
+:class:`~repro.core.plans.SpecializedPlan`), and a bounded LRU cache maps
 feature vectors to their selected flat indices so a vector that repeats is
 hashed exactly once.  All of it is bit-identical to the plain list-of-lists
 implementation (kept as the reference model in
@@ -22,14 +23,9 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.core.config import PSSConfig
 from repro.core.errors import FeatureError
-from repro.core.hashing import salt_table
 
 if TYPE_CHECKING:
     from repro.core.plans import SpecializedPlan
-
-#: cache-probe sentinel distinct from the ``None`` placeholders that
-#: :meth:`WeightMatrix.dot_batch` parks for in-flight misses
-_ABSENT: object = object()
 
 
 def saturate(value: int, lo: int, hi: int) -> int:
@@ -70,17 +66,16 @@ class WeightMatrix:
             [0] * (config.num_features * self._entries),
         )
         self._bias = 0
-        self._salts = salt_table(config.num_features, config.seed)
         #: feature tuple -> tuple of selected flat indices (LRU-bounded).
         #: An OrderedDict, not a plain dict: evicting the oldest entry of
         #: a churning plain dict (``pop(next(iter(cache)))``) rescans an
         #: ever-growing prefix of tombstones, which dominated the
         #: uncached hot path; ``popitem(last=False)`` is O(1) with the
-        #: exact same eviction order.  Values are index tuples, except
-        #: transiently inside :meth:`dot_batch`, where a miss parks a
-        #: ``None`` placeholder until the batch's block hash fills it.
+        #: exact same eviction order.  Written only with a vector's real
+        #: index tuple, by the scalar miss and by :meth:`dot_batch`'s
+        #: replay of it - never a placeholder.
         self._index_cache: OrderedDict[
-            tuple[int, ...], tuple[int, ...] | None
+            tuple[int, ...], tuple[int, ...]
         ] = OrderedDict()
         self.index_cache_hits = 0
         self.index_cache_misses = 0
@@ -218,27 +213,34 @@ class WeightMatrix:
     def dot_batch(self, rows: Sequence[Sequence[int]]) -> list[int]:
         """Batch of :meth:`dot` scores in one pass, bit-identical.
 
-        The probe loop applies *exactly* the scalar path's index-cache
-        semantics - same hit/miss counters, same LRU reorder on hit,
-        same eviction sequence - so interleaving ``dot_batch`` with
-        scalar calls cannot perturb any downstream bit-identity claim.
-        Each miss eagerly reserves its cache slot with a ``None``
-        placeholder (keeping eviction decisions identical to a scalar
-        replay, including batches that repeat a row), and the deferred
-        misses are then hashed as one block through the bound
-        :class:`~repro.core.plans.SpecializedPlan` - vectorized when
-        the block is large enough, the compiled per-row selector
-        otherwise.
+        *Resolve, then replay.*  The loop walks the rows with the
+        scalar probe itself - same hit/miss counters, same LRU reorder
+        on hit, same eviction victims - so interleaving ``dot_batch``
+        with scalar calls cannot perturb any downstream bit-identity
+        claim.  At the first miss, :meth:`_resolve_block` hashes every
+        distinct not-yet-cached vector among the rows still to come as
+        one block through the bound
+        :class:`~repro.core.plans.SpecializedPlan` *without writing
+        anything*; the replay then carries on with those answers in
+        hand and writes each one where the scalar path would have.  The
+        cache therefore only ever holds real index tuples, and a batch
+        that raises has nothing to undo.
 
-        A row that fails validation aborts the whole batch with
-        :class:`~repro.core.errors.FeatureError` before any score is
-        returned; the aborted batch's reserved slots are released, so
-        its earlier misses are re-hashed by later calls (scores are
-        never affected - the cache only memoizes index selection).
+        Resolution waits for the first miss because CPython does not
+        cache tuple hashes: resolving up front would hash every row
+        once more, which an all-hit batch (the served, hot case) would
+        pay for nothing (+19 % per row on 25 hot rows).
 
-        A one-row batch *is* the scalar path: same counters, LRU
-        order, eviction and :class:`FeatureError`, without setting up
-        the block machinery for a block of one.
+        The block validates its vectors, so a row that fails raises
+        :class:`~repro.core.errors.FeatureError` at the batch's first
+        miss: no score is returned, nothing was written, and cache and
+        counters stand where a scalar replay that failed at that miss
+        would have left them.  The one miss the block does not cover -
+        a vector cached when the block was resolved and evicted by this
+        very batch since - goes through :meth:`dot`.
+
+        A one-row batch *is* the scalar path, without setting up the
+        block machinery for a block of one.
         """
         if len(rows) == 1:
             return [self.dot(rows[0])]
@@ -247,78 +249,70 @@ class WeightMatrix:
         move_to_end = cache.move_to_end
         popitem = cache.popitem
         limit = self.INDEX_CACHE_ENTRIES
-        flat = self._flat
-        getitem = flat.__getitem__
+        getitem = self._flat.__getitem__
         bias = self._bias
-        plan = self.plan
-        scores: list[int | None] = []
+        scores: list[int] = []
         append = scores.append
         hits = 0
         misses = 0
-        #: (key, output position) per miss, in probe order
-        pending: list[tuple[tuple[int, ...], int]] = []
-        #: output positions whose key was a placeholder when probed (its
-        #: score is being computed by this very batch)
-        aliases: list[tuple[tuple[int, ...], int]] = []
-        absent = _ABSENT
-        for row in rows:
-            key = row if type(row) is tuple else tuple(row)
-            cached = cache_get(key, absent)
-            if cached is absent:
+        #: from the first miss on: each resolved vector's position in
+        #: ``block``, the resolved ``(scores, selected indices)`` lists
+        slots: dict[tuple[int, ...], int] | None = None
+        try:
+            for row in rows:
+                key = row if type(row) is tuple else tuple(row)
+                selected = cache_get(key)
+                if selected is not None:
+                    hits += 1
+                    move_to_end(key)
+                    append(bias + sum(map(getitem, selected)))
+                    continue
                 misses += 1
-                try:
-                    self._check_features(key)
-                except FeatureError:
-                    # Un-park this batch's placeholders: nobody is
-                    # left to fill them, and a later probe must not
-                    # find one.
-                    for parked, _position in pending:
-                        if cache_get(parked, absent) is None:
-                            del cache[parked]
-                    raise
+                if slots is None:
+                    slots, block = self._resolve_block(rows[len(scores):])
+                slot = slots.get(key)
+                if slot is None:
+                    misses -= 1  # the scalar call counts it
+                    append(self.dot(key))
+                    continue
                 if len(cache) >= limit:
                     popitem(last=False)
-                cache[key] = None
-                pending.append((key, len(scores)))
-                append(None)
-                continue
-            hits += 1
-            move_to_end(key)
-            if cached is None:
-                aliases.append((key, len(scores)))
-                append(None)
-                continue
-            append(bias + sum(map(getitem, cached)))
-        if pending:
-            keys = [key for key, _position in pending]
-            block = (plan.score_select_rows(flat, bias, keys)
-                     if len(keys) >= self.VECTOR_MIN_ROWS else None)
-            if block is None:
-                select = plan.select
-                block_selected = [select(key) for key in keys]
-                block_scores = [
-                    bias + sum(map(getitem, selected))
-                    for selected in block_selected
-                ]
-            else:
-                block_scores, block_selected = block
-            resolved: dict[tuple[int, ...], int] = {}
-            for (key, position), score, selected in zip(
-                pending, block_scores, block_selected
-            ):
-                # Fill the reserved slot in place (assignment to a live
-                # key keeps its LRU position); a placeholder that was
-                # evicted mid-batch stays evicted, as it would have
-                # been in a scalar replay.
-                if cache_get(key, absent) is None:
-                    cache[key] = selected
-                scores[position] = score
-                resolved[key] = score
-            for key, position in aliases:
-                scores[position] = resolved[key]
-        self.index_cache_hits += hits
-        self.index_cache_misses += misses
-        return scores  # type: ignore[return-value]
+                cache[key] = block[1][slot]
+                append(block[0][slot])
+        finally:
+            self.index_cache_hits += hits
+            self.index_cache_misses += misses
+        return scores
+
+    def _resolve_block(
+        self, rows: Sequence[Sequence[int]]
+    ) -> tuple[dict[tuple[int, ...], int],
+               tuple[list[int], list[tuple[int, ...]]]]:
+        """Every distinct vector in ``rows`` the cache does not hold,
+        validated and then hashed as one block - vectorized when the
+        block is large enough, the compiled per-row selector otherwise.
+        Returns each vector's position in the block and the block's
+        ``(scores, selected indices)``.  Reads the cache, never writes
+        it."""
+        cache = self._index_cache
+        slots: dict[tuple[int, ...], int] = {}
+        for key in map(tuple, rows):
+            if key not in cache:
+                slots.setdefault(key, len(slots))
+        keys = list(slots)
+        for key in keys:
+            self._check_features(key)
+        flat = self._flat
+        bias = self._bias
+        plan = self.plan
+        block = (plan.score_select_rows(flat, bias, keys)
+                 if len(keys) >= self.VECTOR_MIN_ROWS else None)
+        if block is None:
+            selected = [plan.select(key) for key in keys]
+            getitem = flat.__getitem__
+            block = [bias + sum(map(getitem, one))
+                     for one in selected], selected
+        return slots, block
 
     def adjust(self, features: Iterable[int], delta: int) -> None:
         """Add ``delta`` to every selected weight and the bias, saturating."""

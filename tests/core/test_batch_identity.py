@@ -13,17 +13,28 @@ order, weight generations).  These properties pin that claim across:
   enabled;
 * fault injection (stale vDSO reads consume one die per read either
   way);
+* batches that raise (a wrong-length row, an exhausted quota, a dead
+  shard with no follower): nothing but real values in either cache
+  afterwards, and the next batch is still the scalar replay;
 * shard crash failover and live resharding;
 * checkpoint save/restore (plan bindings drop and re-bind);
 * plan sharing: same-shape tenants reuse one compiled plan instance and
   diverge after a shape change.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import PredictionService, PSSConfig
-from repro.core.kernel import ShardedCheckpointManager
+from repro.core.errors import (
+    FeatureError,
+    QuotaExceededError,
+    ShardDownError,
+)
+from repro.core.kernel import ReplicaPromoter, ShardedCheckpointManager
+from repro.core.kernel.admission import AdmissionController, TenantQuota
+from repro.core.policy import ClientIdentity
 from repro.core.plans import plan_signature
 from repro.core.weights import WeightMatrix
 
@@ -57,7 +68,7 @@ def matrix_workloads():
             st.lists(
                 st.tuples(
                     st.sampled_from(
-                        ["dot", "batch", "adjust", "reset"]
+                        ["dot", "batch", "adjust", "reset", "bad_batch"]
                     ),
                     st.lists(st.integers(0, 7), max_size=12),
                 ),
@@ -79,8 +90,33 @@ def drive_matrix(matrix, pool, stream, scores, scalar_only):
                 scores.extend(matrix.dot_batch(rows))
         elif op == "adjust":
             matrix.adjust(rows[0], 1)
-        else:
+        elif op == "reset":
             matrix.reset_entry(rows[0])
+        elif hasattr(matrix, "_index_cache"):  # not the reference
+            fail_a_matrix_batch(matrix, rows, len(picks), scalar_only)
+
+
+def fail_a_matrix_batch(matrix, rows, where, scalar_only):
+    """A batch with a wrong-length row at ``where`` raises at its
+    first miss (the block validates before anything is written).  The
+    scalar replay of that: the hits up to there, then the failure."""
+    cache = matrix._index_cache
+    bad = rows[0] + (0,)
+    rows = list(rows)
+    rows.insert(where % (len(rows) + 1), bad)
+    before = dict(cache)
+    first_is_a_miss = rows[0] not in cache
+    order = list(cache)
+    with pytest.raises(FeatureError):
+        if scalar_only:
+            for row in rows:
+                matrix.dot(row if row in cache else bad)
+        else:
+            matrix.dot_batch(rows)
+    assert dict(cache) == before        # contents untouched ...
+    if first_is_a_miss:
+        assert list(cache) == order     # ... and, with no hit, order
+    assert None not in cache.values()
 
 
 def matrix_state(matrix):
@@ -135,8 +171,16 @@ class TestWeightMatrixBatchIdentity:
         assert matrix_state(batched) == matrix_state(scalar)
 
 
-def service_workloads():
-    """Config, pool, and a client op stream for one domain."""
+#: ways a batch is refused as a whole
+FAILURES = ["wrong_length", "quota", "shard_down"]
+
+
+def service_workloads(failures=False):
+    """Config, pool, and a client op stream for one domain (with
+    batches that raise among the ops when ``failures`` is set)."""
+    ops = ["predict", "batch", "update"]
+    if failures:
+        ops.append("bad_batch")
     return configs().flatmap(
         lambda config: st.tuples(
             st.just(config),
@@ -150,9 +194,10 @@ def service_workloads():
             ),
             st.lists(
                 st.tuples(
-                    st.sampled_from(["predict", "batch", "update"]),
+                    st.sampled_from(ops),
                     st.lists(st.integers(0, 5), max_size=10),
                     st.booleans(),
+                    st.sampled_from(FAILURES),
                 ),
                 max_size=40,
             ),
@@ -163,15 +208,18 @@ def service_workloads():
 def build_service(config, num_shards, tracer=None):
     from repro.obs import Tracer
 
+    # A default controller is unlimited: bit-identical to none, and
+    # there for the quota failure to tighten.
     service = PredictionService(
-        tracer=tracer or Tracer(), num_shards=num_shards
+        tracer=tracer or Tracer(), num_shards=num_shards,
+        admission=AdmissionController(),
     )
     service.create_domain("dom", config=config)
     return service
 
 
-def drive_client(client, pool, stream, scores, scalar_only):
-    for op, picks, flag in stream:
+def drive_client(service, client, pool, stream, scores, scalar_only):
+    for op, picks, flag, failure in stream:
         rows = [pool[i % len(pool)] for i in picks] or [pool[0]]
         if op == "predict":
             scores.extend(client.predict(row) for row in rows)
@@ -180,9 +228,48 @@ def drive_client(client, pool, stream, scores, scalar_only):
                 scores.extend(client.predict(row) for row in rows)
             else:
                 scores.extend(client.predict_batch(rows))
-        else:
+        elif op == "update":
             client.update(rows[0], flag)
+        else:
+            fail_a_client_batch(service, client, rows, failure)
     client.flush()
+
+
+def fail_a_client_batch(service, client, rows, failure):
+    """One ``predict_batch`` that raises - the same call on the batched
+    and on the scalar twin, so what the stream does *next* is still
+    comparable - then the cause is lifted."""
+    if failure == "wrong_length":
+        with pytest.raises(FeatureError):
+            client.predict_batch(rows + [rows[0] + (0,)])
+    elif failure == "quota":
+        # Every row charges one predict, as a cached read or in the
+        # misses' block: one short of the batch must refuse it.
+        who = ClientIdentity()
+        spent = service.admission.usage_for(who).predictions
+        service.admission.set_quota(
+            who, TenantQuota(predict_budget=spent + len(rows) - 1))
+        with pytest.raises(QuotaExceededError):
+            client.predict_batch(rows)
+        service.admission.set_quota(who, TenantQuota())
+    else:
+        # No follower to fail over to; promotion revives the shard cold.
+        shard_id = service.shard_of("dom")
+        service.crash_shard(shard_id)
+        with pytest.raises(ShardDownError):
+            client.predict_batch(rows)
+        ReplicaPromoter(service).promote(shard_id)
+    assert None not in score_cache(client).values()
+    assert None not in index_cache(service).values()
+
+
+def score_cache(client):
+    """The vDSO transport's score cache (a syscall client has none)."""
+    return getattr(client._transport, "_score_cache", {})
+
+
+def index_cache(service):
+    return service.domain("dom").model.weights._index_cache
 
 
 def service_state(service, client):
@@ -193,6 +280,10 @@ def service_state(service, client):
         "account": (client.latency.cache_hits,
                     client.latency.cache_misses,
                     client.latency.vdso_calls),
+        "caches": (
+            list(score_cache(client).items()),
+            list(index_cache(service).items()),
+        ),
     }
 
 
@@ -203,19 +294,22 @@ class TestClientBatchIdentity:
            transport=st.sampled_from(["vdso", "syscall"]))
     def test_scores_stats_generations_identical(self, data, num_shards,
                                                 transport):
-        config, pool, stream = data.draw(service_workloads())
+        config, pool, stream = data.draw(service_workloads(failures=True))
         svc_b = build_service(config, num_shards)
         svc_s = build_service(config, num_shards)
         client_b = svc_b.connect("dom", transport=transport)
         client_s = svc_s.connect("dom", transport=transport)
         b_scores, s_scores = [], []
-        drive_client(client_b, pool, stream, b_scores, scalar_only=False)
-        drive_client(client_s, pool, stream, s_scores, scalar_only=True)
+        drive_client(svc_b, client_b, pool, stream, b_scores,
+                     scalar_only=False)
+        drive_client(svc_s, client_s, pool, stream, s_scores,
+                     scalar_only=True)
         assert b_scores == s_scores
         state_b = service_state(svc_b, client_b)
         state_s = service_state(svc_s, client_s)
         assert state_b["stats"] == state_s["stats"]
         assert state_b["generation"] == state_s["generation"]
+        assert state_b["caches"] == state_s["caches"]
         if transport == "vdso":
             # Score-cache accounting is part of the identity too.
             assert state_b["account"] == state_s["account"]
@@ -231,8 +325,10 @@ class TestClientBatchIdentity:
         client_b = svc_b.connect("dom", fault_plan=dict(plan))
         client_s = svc_s.connect("dom", fault_plan=dict(plan))
         b_scores, s_scores = [], []
-        drive_client(client_b, pool, stream, b_scores, scalar_only=False)
-        drive_client(client_s, pool, stream, s_scores, scalar_only=True)
+        drive_client(svc_b, client_b, pool, stream, b_scores,
+                     scalar_only=False)
+        drive_client(svc_s, client_s, pool, stream, s_scores,
+                     scalar_only=True)
         assert b_scores == s_scores
         assert service_state(svc_b, client_b)["stats"] == \
             service_state(svc_s, client_s)["stats"]

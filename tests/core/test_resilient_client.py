@@ -165,6 +165,21 @@ class TestFallback:
             client.predict([1, 2])
         assert client.stats.degraded_fraction > 0.8
 
+    def test_batch_on_a_dead_shard_is_served_like_the_scalar_calls(self):
+        """Crashed shard, follower never synced: the first attempt's
+        ``ShardDownError`` used to leave ``None`` placeholders in the
+        vDSO score cache, which the retry then returned as a
+        *successful* ``[None, None]``."""
+        service = PredictionService(num_replicas=1)
+        client = service.connect(
+            "dom", config=PSSConfig(num_features=2), fallback=1)
+        service.crash_shard(0)
+        rows = [(1, 2), (3, 4)]
+        assert client.predict_batch(rows) == [1, 1]
+        assert client.last_prediction_was_fallback
+        assert [client.predict(row) for row in rows] == [1, 1]
+        assert client.last_prediction_was_fallback
+
 
 class TestNoExceptionGuarantee:
     @pytest.mark.parametrize("transport", ["vdso", "syscall"])

@@ -228,6 +228,56 @@ class TestScoreCache:
         assert t.account.op_calls["flush"] == 1
         assert t.account.mean_op_ns("flush") == pytest.approx(68.0 + 2.0)
 
+    @pytest.mark.parametrize("extra", [[], [(1, 2)]])
+    def test_refused_batch_leaves_nothing_in_the_cache(self, extra):
+        """A quota-refused ``predict_batch`` used to leave its misses'
+        ``None`` placeholders in the score cache: once the quota was
+        lifted, the same batch came back ``[None] * 4`` (``KeyError``
+        when it also repeated a row)."""
+        from repro.core import PredictionService, PSSConfig
+        from repro.core.errors import QuotaExceededError
+        from repro.core.kernel.admission import (
+            AdmissionController,
+            TenantQuota,
+        )
+        from repro.core.policy import ClientIdentity
+
+        who = ClientIdentity()
+        admission = AdmissionController()
+        admission.set_quota(who, TenantQuota(predict_budget=3))
+        service = PredictionService(admission=admission)
+        client = service.connect(
+            "dom", config=PSSConfig(num_features=2), identity=who)
+        service.update("dom", (1, 2), True)   # scores worth comparing
+        rows = [(1, 2), (3, 4), (5, 6), (7, 8), *extra]
+        with pytest.raises(QuotaExceededError):
+            client.predict_batch(rows)
+        assert client._transport.score_cache_size == 0
+        admission.set_quota(who, TenantQuota())
+        scores = client.predict_batch(rows)
+        assert None not in scores
+        assert scores == [client.predict(row) for row in rows]
+
+    def test_faulted_batch_call_writes_nothing(self):
+        """The misses are scored before any is written, so a service
+        call that raises leaves the cache as the hits found it."""
+        class FlakyTarget(VersionedTarget):
+            def predict_batch(self, rows):
+                if self.score < 0:
+                    raise TransportError("service side failed")
+                return [self.predict(row) for row in rows]
+
+        target = FlakyTarget()
+        t = VdsoTransport(target, LAT)
+        assert t.predict_batch([(1, 2), (3, 4)]) == [7, 7]
+        target.score = -1   # same generation: the cache stays valid
+        with pytest.raises(TransportError):
+            t.predict_batch([(1, 2), (5, 6), (3, 4), (5, 6)])
+        assert dict(t._score_cache) == {(1, 2): 7, (3, 4): 7}
+        target.score = 9
+        assert t.predict_batch([(5, 6), (1, 2), (5, 6)]) == [9, 7, 9]
+        assert list(t._score_cache) == [(1, 2), (3, 4), (5, 6)]
+
 
 class TestMakeTransport:
     def test_known_kinds(self):
