@@ -443,24 +443,47 @@ class ShardedService:
 
     # -- paper-signature convenience (kernel-internal callers) --------------
 
-    def predict(self, name: str, features: Sequence[int]) -> int:
-        """Direct in-kernel predict; no transport latency is charged.
+    def _predict_span(self, domain: Domain, features: Sequence[int],
+                      identity: ClientIdentity | None) -> SpanHandleLike:
+        return self.tracer.span("kernel.predict", domain.name, "kernel",
+                                domain.shard_label, None, None)
 
-        Follows the same failover rule as client handles: a crashed
-        shard's predictions are served by its freshest follower.
-        """
-        domain = self.domain(name)
+    @spanned(_predict_span, tracer="tracer")
+    def _predict_one(self, domain: Domain, features: Sequence[int],
+                     identity: ClientIdentity | None) -> int:
+        """One row against its resolved domain: the scalar predict, and
+        what a kernel batch of one row is.  Same failover rule (a
+        crashed shard's freshest follower answers) and, traced, same
+        span tree as :meth:`DomainHandle.predict`."""
+        if identity is not None:
+            self._charge_predict(identity, 1)
         shard = domain.shard
         if shard is not None and shard.down:
             return shard.failover_predict(domain, features)
         return domain.predict(features)
 
+    def predict(self, name: str, features: Sequence[int]) -> int:
+        """Direct in-kernel predict; no transport latency is charged."""
+        return self._predict_one(self.domain(name), features, None)
+
+    def _charge_predict(self, identity: ClientIdentity,
+                        count: int) -> None:
+        """Admission charge; traced, a stage of its own in the tree."""
+        if self.admission is None:
+            return
+        if self.tracer.enabled:
+            with self.tracer.span("kernel.admission", "", "kernel", "",
+                                  None, {"count": count}):
+                self.admission.charge_predict(identity, count=count)
+        else:
+            self.admission.charge_predict(identity, count=count)
+
     def _batch_span(self, requests: Sequence[tuple[str, Sequence[int]]],
                     identity: ClientIdentity | None
                     ) -> SpanHandleLike | None:
-        """Root of a kernel batch's stage tree; an empty batch enters
-        no stage and gets no span."""
-        if not requests:
+        """Root of a real batch's stage tree: an empty batch enters no
+        stage, one row is the scalar predict under its own span."""
+        if len(requests) < 2:
             return None
         return self.tracer.span("kernel.predict_batch", "", "kernel",
                                 "", None, {"rows": len(requests)})
@@ -477,7 +500,8 @@ class ShardedService:
         domain scoring its rows in one specialized pass
         (:meth:`Domain.predict_batch`), and scores return in request
         order.  Scores and per-domain stats are bit-identical to the
-        scalar loop ``[self.predict(name, f) for name, f in requests]``.
+        scalar loop ``[self.predict(name, f) for name, f in requests]``,
+        and a batch of one row *is* that call, watched or not.
 
         Like the scalar convenience this is a kernel-internal entry and
         charges no transport latency; passing an ``identity`` opts the
@@ -485,7 +509,12 @@ class ShardedService:
         tenant's budget, all-or-nothing (see
         :meth:`AdmissionController.charge_predict`).
         """
-        if not requests:
+        count = len(requests)
+        if count == 1:
+            (name, features), = requests
+            return [self._predict_one(self.domain(name), features,
+                                      identity)]
+        if count == 0:
             return []
         tracer = self.tracer
         traced = tracer.enabled
@@ -495,7 +524,6 @@ class ShardedService:
         # anything is charged or scored.
         by_name: dict[str, _DomainRows] = {}
         by_shard: dict[int, list[_DomainRows]] = {}
-        count = len(requests)
         for position, (name, features) in enumerate(requests):
             group = by_name.get(name)
             if group is None:
@@ -508,13 +536,8 @@ class ShardedService:
                     members.append(group)
             group[1].append(features)
             group[2].append(position)
-        if identity is not None and self.admission is not None:
-            if traced:
-                with tracer.span("kernel.admission", "", "kernel", "",
-                                 None, {"count": count}):
-                    self.admission.charge_predict(identity, count=count)
-            else:
-                self.admission.charge_predict(identity, count=count)
+        if identity is not None:
+            self._charge_predict(identity, count)
         if traced:
             # Routing is the pass above (it has to finish before the
             # admission charge); the span keeps the stage in the tree.
@@ -522,13 +545,10 @@ class ShardedService:
                              {"rows": count, "shards": len(by_shard)}):
                 pass
         scores: list[int | None] = [None] * count
-        one_shard = len(by_shard) == 1
-        for shard_id in (by_shard if one_shard else sorted(by_shard)):
+        for shard_id in sorted(by_shard):
             members = by_shard[shard_id]
             if traced:
-                rows_here = count if one_shard else sum(
-                    len(positions)
-                    for _domain, _rows, positions in members)
+                rows_here = sum(len(group[2]) for group in members)
                 with tracer.span("kernel.dispatch", "", "kernel",
                                  self._shards[shard_id].label, None,
                                  {"rows": rows_here}):

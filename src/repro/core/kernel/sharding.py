@@ -193,9 +193,13 @@ class ShardRouter:
 
     def shard_of(self, name: str) -> int:
         """The shard id owning ``name`` (0 for single-shard services)."""
-        if self.ring.num_shards == 1:
+        ring = self.ring
+        if ring.num_shards == 1:
             return 0
-        return self.ring.shard_of(name)
+        # SlotRing.shard_of -> slot_of, written out: a served request
+        # routes twice (submit, then the kernel), three frames each.
+        return ring._owners[
+            zlib.crc32(name.encode("utf-8")) % ring.num_slots]
 
     def partition(self, names: Iterable[str]) -> dict[int, list[str]]:
         """Group ``names`` by owning shard (shards with no names absent)."""

@@ -140,17 +140,19 @@ class Dispatcher:
         counted in ``pipeline.failed`` and re-raised, traceback and
         all, by each covered future's ``result()``.
         """
-        service = self.service
         index = 0
         while index < len(batch):
+            bound = index + 1
             if batch[index].op == "predict":
-                bound = index
                 while bound < len(batch) \
                         and batch[bound].op == "predict":
                     bound += 1
+            if bound - index == 1:
+                self._serve_one(batch[index])
+            else:
                 run = batch[index:bound]
                 try:
-                    scores = service.predict_batch(
+                    scores = self.service.predict_batch(
                         [(request.domain, request.features)
                          for request in run]
                     )
@@ -160,14 +162,23 @@ class Dispatcher:
                 else:
                     for request, score in zip(run, scores):
                         self.pipeline.request_done(request, score)
-                index = bound
+            index = bound
+
+    def _serve_one(self, request: Request) -> None:
+        """A run of one - an update, or a prediction with no
+        prediction next to it (every batch at window 0) - is one
+        kernel call and one settlement.  It still enters through
+        ``self.service.predict_batch`` / ``self.service.update``: that
+        is the kernel boundary (QUE001, and what ``perf/`` times)."""
+        try:
+            if request.op == "predict":
+                value, = self.service.predict_batch(
+                    [(request.domain, request.features)])
             else:
-                request = batch[index]
-                try:
-                    service.update(request.domain, request.features,
-                                   request.direction)
-                except Exception as error:
-                    self.pipeline.request_failed(request, error)
-                else:
-                    self.pipeline.request_done(request, None)
-                index += 1
+                value = None
+                self.service.update(
+                    request.domain, request.features, request.direction)
+        except Exception as error:
+            self.pipeline.request_failed(request, error)
+        else:
+            self.pipeline.request_done(request, value)

@@ -36,6 +36,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.core.config import LatencyModel
 from repro.core.errors import ConfigError, RequestShedError
+from repro.core.features import canonical_features
 from repro.core.kernel.admission import AdmissionController
 from repro.core.serving.batcher import MicroBatcher
 from repro.core.serving.dispatch import Dispatcher
@@ -203,8 +204,8 @@ class ServingPipeline:
         self.seq = seq = self.seq + 1
         now = engine.now
         future = CompletionFuture(engine, now)
-        request = Request(op, domain, features, future, direction,
-                          client_id, 0.0, shard_id, seq)
+        request = Request(op, domain, canonical_features(features),
+                          future, direction, client_id, shard_id, seq)
         self.submitted += 1
         reason = self._admission.admit_request(
             domain, queue.label, len(queue.items), self.config.queue_limit)

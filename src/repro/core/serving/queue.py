@@ -49,7 +49,6 @@ class Request:
     future: CompletionFuture
     direction: bool = False
     client_id: str = ""
-    enqueue_ns: float = 0.0
     #: serving shard the pipeline routed this request to at submit;
     #: completion files its sojourn under the shard that served it
     shard_id: int = 0
@@ -76,39 +75,38 @@ class RequestQueue:
             if metrics is not None else None)
         #: fired on every enqueue; the dispatcher parks here when idle
         self.nonempty = SimEvent(engine)
-        self._items: deque[Request] = deque()
+        #: the live FIFO itself, a plain attribute so ``submit`` and
+        #: the shard's dispatcher test and measure it without a call.
+        #: Read-only by contract: requests enter through :meth:`push`
+        #: and leave through :meth:`drain`.
+        self.items: deque[Request] = deque()
         # -- counters (stable keys for snapshots/tables) --
         self.enqueued = 0
         self.shed = 0
         self.max_depth = 0
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self.items)
 
     @property
     def depth(self) -> int:
-        return len(self._items)
-
-    @property
-    def items(self) -> deque[Request]:
-        """The live FIFO itself, for the shard's dispatcher to test
-        and measure without a call per wake-up.  Read-only by
-        contract: requests enter through :meth:`push` and leave
-        through :meth:`drain`."""
-        return self._items
+        return len(self.items)
 
     def push(self, request: Request) -> None:
-        """Append an admitted request and wake the dispatcher."""
-        request.enqueue_ns = self.engine.now
-        self._items.append(request)
+        """Append an admitted request and wake the dispatcher.
+
+        A request enqueues in the instant it was submitted, so the
+        ``queue.enqueue`` record carries the time ``submit`` already
+        read into ``future.submitted_ns``."""
+        self.items.append(request)
         self.enqueued += 1
-        depth = len(self._items)
+        depth = len(self.items)
         if depth > self.max_depth:
             self.max_depth = depth
         if self.tracer.enabled:
             self.tracer.record(
                 "queue.enqueue", request.domain, "serving",
-                request.enqueue_ns, 0.0, 0,
+                request.future.submitted_ns, 0.0, 0,
                 {"op": request.op, "depth": depth}, self.label)
         if self._depth_hist is not None:
             self._depth_hist.observe(float(depth))
@@ -125,7 +123,7 @@ class RequestQueue:
                 transport="serving", ts_ns=self.engine.now,
                 shard=self.label,
                 detail={"op": request.op, "reason": reason,
-                        "depth": len(self._items)},
+                        "depth": len(self.items)},
             )
         if self.metrics is not None:
             self.metrics.counter(
@@ -134,9 +132,12 @@ class RequestQueue:
 
     def drain(self, limit: int) -> list[Request]:
         """Pop up to ``limit`` requests in FIFO order."""
-        items = self._items
-        take = min(limit, len(items))
-        return [items.popleft() for _ in range(take)]
+        items = self.items
+        if limit >= len(items):  # the usual drain: everything queued
+            batch = list(items)
+            items.clear()
+            return batch
+        return [items.popleft() for _ in range(limit)]
 
     def snapshot(self) -> dict[str, int]:
         """Stable-keyed counters for reports and BENCH json."""
@@ -145,5 +146,5 @@ class RequestQueue:
             "enqueued": self.enqueued,
             "shed": self.shed,
             "max_depth": self.max_depth,
-            "depth": len(self._items),
+            "depth": len(self.items),
         }

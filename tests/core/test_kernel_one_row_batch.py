@@ -1,0 +1,223 @@
+"""A one-row kernel batch is the scalar kernel predict, observably.
+
+``tests/core/test_one_row_batch.py`` one layer up.
+``ShardedService.predict_batch([(name, row)], identity)`` answers
+through the body ``ShardedService.predict`` runs.  Three services take
+the same hypothesis-drawn stream of scalar predicts, one-row batches,
+multi-row batches, updates, bad rows, unknown names, quota-refused
+identities and crashes (with and without a synced follower): one sends
+every one-row batch through ``predict_batch``, one sends it through
+``predict`` (charging the identity first, as the batch documents), and
+a third is the first again with a tracer attached.  After every step
+they must agree on the score or the exception type, and the first two
+on everything a caller can read afterwards: ``PredictionStats``,
+generations, the index cache's counters and key order, admission usage
+and ``failover_predictions``.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.config import PSSConfig
+from repro.core.errors import (
+    DomainError,
+    FeatureError,
+    QuotaExceededError,
+    ShardDownError,
+)
+from repro.core.kernel import ReplicaPromoter
+from repro.core.kernel.admission import AdmissionController, TenantQuota
+from repro.core.kernel.service import ShardedService
+from repro.core.policy import ClientIdentity
+from repro.obs import Tracer, span_children, validate_spans
+
+CONFIG = PSSConfig(num_features=2, entries_per_feature=16)
+DOMAINS = [f"d{i}" for i in range(5)]
+ROWS = [(i, 3 * i + 1) for i in range(6)]
+BAD_ROWS = [(1,), (1, 2, 3), (1, "2")]
+NUM_SHARDS = 2
+#: never refused / refused after its twelfth prediction
+ROOMY = ClientIdentity(uid=1, program="roomy")
+TIGHT = ClientIdentity(uid=2, program="tight")
+TIGHT_BUDGET = 12
+
+
+def build(tracer=None):
+    admission = AdmissionController()
+    admission.set_quota(TIGHT, TenantQuota(predict_budget=TIGHT_BUDGET))
+    service = ShardedService(num_shards=NUM_SHARDS, num_replicas=1,
+                             tracer=tracer, admission=admission)
+    for index, name in enumerate(DOMAINS):
+        service.create_domain(name, config=CONFIG)
+        for _ in range(index):   # distinct learned state per domain
+            service.update(name, ROWS[index % len(ROWS)], True)
+    return service
+
+
+names = st.one_of(st.sampled_from(DOMAINS), st.just("ghost"))
+# good rows and one-row steps are listed twice: drawn twice as often
+rows = st.one_of(st.sampled_from(ROWS), st.sampled_from(ROWS),
+                 st.sampled_from(BAD_ROWS))
+pairs = st.tuples(names, rows)
+identities = st.sampled_from([None, ROOMY, TIGHT])
+steps = st.one_of(
+    st.tuples(st.just("scalar"), pairs),
+    st.tuples(st.just("one"), st.tuples(pairs, identities)),
+    st.tuples(st.just("one"), st.tuples(pairs, identities)),
+    st.tuples(st.just("batch"),
+              st.tuples(st.lists(pairs, min_size=2, max_size=6),
+                        identities)),
+    st.tuples(st.just("update"),
+              st.tuples(names, rows, st.booleans())),
+    st.tuples(st.just("sync"), st.none()),
+    st.tuples(st.just("crash"), st.integers(0, NUM_SHARDS - 1)),
+    st.tuples(st.just("promote"), st.integers(0, NUM_SHARDS - 1)),
+)
+
+
+def scalar_with_identity(service, name, row, identity):
+    """What a one-row batch is documented to be, spelled with the
+    scalar entry: resolve, charge one prediction, predict."""
+    service.domain(name)
+    if identity is not None:
+        service.admission.charge_predict(identity, count=1)
+    return [service.predict(name, row)]
+
+
+def apply(service, step, one_row_through_batch):
+    """Run one step; returns its scores, or the error's type name."""
+    op, arg = step
+    try:
+        if op == "scalar":
+            return [service.predict(*arg)]
+        if op == "one":
+            (name, row), identity = arg
+            if one_row_through_batch:
+                return service.predict_batch([(name, row)], identity)
+            return scalar_with_identity(service, name, row, identity)
+        if op == "batch":
+            requests, identity = arg
+            return service.predict_batch(requests, identity)
+        if op == "update":
+            service.update(*arg)
+        elif op == "sync":
+            service.sync_replicas()
+        elif op == "crash":
+            if not service.shard(arg).down:
+                service.crash_shard(arg)
+        elif service.shard(arg).down:
+            ReplicaPromoter(service).promote(arg)
+        return []
+    except (DomainError, FeatureError, QuotaExceededError,
+            ShardDownError) as error:
+        return type(error).__name__
+
+
+def observable(service):
+    domains = {}
+    for name in DOMAINS:
+        domain = service.domain(name)
+        report = domain.report()
+        domains[name] = (
+            report.stats, report.generation, report.index_cache_hits,
+            report.index_cache_misses,
+            list(domain.model.weights._index_cache))
+    usage = {who.program: (service.admission.usage_for(who).predictions,
+                           service.admission.usage_for(who).rejections)
+             for who in (ROOMY, TIGHT)}
+    failovers = [shard.failover_predictions for shard in service.shards]
+    return domains, usage, failovers
+
+
+class TestOneRowKernelBatchIsTheScalarPredict:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(steps, max_size=40))
+    def test_interleaved_streams_agree_step_by_step(self, stream):
+        tracer = Tracer()
+        batched, scalar, traced = build(), build(), build(tracer)
+        for step in stream:
+            got = apply(batched, step, one_row_through_batch=True)
+            want = apply(scalar, step, one_row_through_batch=False)
+            seen = apply(traced, step, one_row_through_batch=True)
+            assert got == want == seen, step
+            assert observable(batched) == observable(scalar), step
+        assert observable(traced) == observable(batched)
+        validate_spans(tracer.spans())
+        assert not tracer.open_spans()
+
+    @pytest.mark.parametrize("identity", [None, ROOMY])
+    def test_failover_and_no_follower(self, identity):
+        """Crashed with a synced follower a one-row batch is served by
+        it; crashed before any sync it is refused like the scalar."""
+        batched, scalar = build(), build()
+        shard_id = batched.shard_of("d1")
+        for service in (batched, scalar):
+            service.crash_shard(shard_id)
+        step = ("one", (("d1", ROWS[1]), identity))
+        assert apply(batched, step, True) == "ShardDownError" \
+            == apply(scalar, step, False)
+        assert observable(batched) == observable(scalar)
+        for service in (batched, scalar):
+            ReplicaPromoter(service).promote(shard_id)
+            service.update("d1", ROWS[1], True)
+            service.sync_replicas()
+            service.crash_shard(shard_id)
+        got = apply(batched, step, True)
+        assert isinstance(got, list) and got == apply(scalar, step, False)
+        assert batched.shard(shard_id).failover_predictions == 1
+        assert observable(batched) == observable(scalar)
+
+    def test_refused_identity_is_charged_nothing_and_scores_nothing(self):
+        service = build()
+        for _ in range(TIGHT_BUDGET):
+            service.predict_batch([("d0", ROWS[0])], TIGHT)
+        before = service.domain("d0").report().stats.predictions
+        with pytest.raises(QuotaExceededError):
+            service.predict_batch([("d0", ROWS[0])], TIGHT)
+        usage = service.admission.usage_for(TIGHT)
+        assert (usage.predictions, usage.rejections) == (TIGHT_BUDGET, 1)
+        assert service.domain("d0").report().stats.predictions == before
+
+
+class TestOneRowSpanTree:
+    def test_one_row_leaves_the_sync_handles_tree(self):
+        """``kernel.predict`` (domain, shard label) with a
+        ``kernel.admission`` child exactly when an identity is charged
+        - what ``DomainHandle.predict`` leaves - and nothing else."""
+        tracer = Tracer()
+        service = build(tracer)
+        for identity, want_children in ((None, []),
+                                        (ROOMY, ["kernel.admission"])):
+            tracer.clear()
+            service.predict_batch([("d3", ROWS[2])], identity)
+            spans = tracer.spans()
+            root, = validate_spans(spans)
+            assert (root.name, root.domain, root.shard, root.status) == (
+                "kernel.predict", "d3", str(service.shard_of("d3")), "ok")
+            children = span_children(spans).get(root.span_id, [])
+            assert [child.name for child in children] == want_children
+            assert all(child.detail == {"count": 1} for child in children)
+            assert len(tracer.events()) == 0
+
+    def test_scalar_predict_opens_the_same_span(self):
+        tracer = Tracer()
+        service = build(tracer)
+        tracer.clear()
+        service.predict("d3", ROWS[2])
+        root, = tracer.spans()
+        assert (root.name, root.domain) == ("kernel.predict", "d3")
+
+    def test_refused_one_row_closes_its_span_with_the_error(self):
+        tracer = Tracer()
+        service = build(tracer)
+        tracer.clear()
+        with pytest.raises(FeatureError):
+            service.predict_batch([("d0", (1, 2, 3))])
+        root, = tracer.spans()
+        assert (root.name, root.status) == ("kernel.predict",
+                                            "error:FeatureError")
+        tracer.clear()
+        with pytest.raises(DomainError):
+            service.predict_batch([("ghost", ROWS[0])])
+        assert tracer.spans() == []   # nothing resolved, nothing entered

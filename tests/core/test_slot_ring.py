@@ -49,6 +49,19 @@ class TestRingBasics:
         router = ShardRouter(1)
         assert all(router.shard_of(f"d{i}") == 0 for i in range(20))
 
+    def test_router_routes_as_its_ring_does(self):
+        """The router writes the ring's hash out (one frame per
+        routing); it must stay the ring's, also after slots move."""
+        router = ShardRouter(3, num_slots=16)
+        names = [f"domain-{i}" for i in range(50)] + ["", "dömäin"]
+        ring = router.ring
+        for move in ring.plan_reshard(5):
+            ring.apply(move)
+        ring.set_num_shards(5)
+        assert [router.shard_of(name) for name in names] \
+            == [ring.shard_of(name) for name in names]
+        assert len({router.shard_of(name) for name in names}) > 1
+
     def test_invalid_configs_rejected(self):
         with pytest.raises(ConfigError):
             SlotRing(0)

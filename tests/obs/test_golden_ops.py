@@ -93,18 +93,35 @@ class TestPipeline:
         tracer.clear()
         return tracer, pipeline
 
-    def test_window_0_predict_is_seven_records(self):
+    def test_window_0_predict_is_at_most_four_records(self):
+        """The record budget of a served predict.  A drained batch of
+        one is the scalar kernel call, so it leaves the scalar call's
+        one span, not a batch's four-span stage tree."""
         tracer, pipeline = self.build()
         future = pipeline.submit("d", ROW)
         pipeline.run()
         assert future.done and future.error is None
         assert kinds(tracer) == ["queue.enqueue", "batch.dispatch"]
         assert forest(tracer) == [
+            ("serve.dispatch", [("kernel.predict", [])])]
+        assert len(tracer) + len(tracer.spans()) <= 4
+
+    def test_windowed_batch_keeps_the_stage_tree(self):
+        """Two predictions drained together are a real batch: one
+        kernel call, the four-span stage tree."""
+        tracer, service = traced_service()
+        service.create_domain("d", config=CONFIG)
+        pipeline = ServingPipeline(service,
+                                   ServingConfig(batch_window_ns=200.0))
+        tracer.clear()
+        futures = [pipeline.submit("d", ROW), pipeline.submit("d", ROW)]
+        pipeline.run()
+        assert all(f.done and f.error is None for f in futures)
+        assert forest(tracer) == [
             ("serve.dispatch", [
                 ("kernel.predict_batch", [
                     ("kernel.route", []),
                     ("kernel.dispatch", [("plan.execute", [])])])])]
-        assert len(tracer) + len(tracer.spans()) == 7
 
     def test_window_0_update_is_three_records(self):
         tracer, pipeline = self.build()

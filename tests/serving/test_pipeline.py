@@ -5,6 +5,8 @@ micro-batch triggers, the client ``submit`` family (sync degrade and
 resilient fallback), and the queue/batch/shed visibility surfaces.
 """
 
+import random
+
 import pytest
 
 from repro.core import (
@@ -21,6 +23,8 @@ from repro.core.serving import (
     ServingPipeline,
 )
 from repro.obs import MetricsRegistry, Tracer
+from repro.sim.engine import Engine
+from repro.sim.process import spawn
 
 FEATURES = [3, 5]
 
@@ -96,6 +100,30 @@ class TestPipelineFlow:
         assert future.latency_ns == pytest.approx(72.19)
         assert pipeline.engine.now > 0
 
+    def test_submit_snapshots_the_callers_buffer(self):
+        """A list handed to ``submit`` may be reused before the engine
+        runs: the request scores, and trains on, the row as it was."""
+        reference = ShardedService()
+        reference.create_domain("d")
+        for _ in range(3):
+            reference.update("d", [7, 9], True)
+        first, other = [3, 5], [7, 9]
+        want_first = reference.predict("d", first)
+        want_other = reference.predict("d", other)
+        assert want_first != want_other
+
+        service, pipeline = build()
+        buffer = list(other)
+        for _ in range(3):
+            pipeline.submit("d", buffer, op="update", direction=True)
+        buffer[:] = first
+        future = pipeline.submit("d", buffer)
+        buffer[:] = other
+        pipeline.run()
+        assert future.result() == want_first
+        # the updates trained the row they were submitted with
+        assert service.predict("d", other) == want_other
+
     def test_unknown_op_rejected(self):
         _, pipeline = build()
         with pytest.raises(ConfigError):
@@ -106,6 +134,85 @@ class TestPipelineFlow:
             ServingConfig(queue_limit=-1)
         with pytest.raises(ConfigError):
             ServingConfig(slo_eval_interval_ns=0.0)
+
+
+class Counted:
+    """Shadow ``obj.attr`` on the instance, as ``perf/spans.py`` does,
+    with a wrapper that counts calls and keeps their arguments."""
+
+    def __init__(self, obj, attr):
+        self.calls = []
+        self.results = []
+        inner = getattr(obj, attr)
+
+        def wrapper(*args, **kwargs):
+            self.calls.append(args)
+            result = inner(*args, **kwargs)
+            self.results.append(result)
+            return result
+
+        setattr(obj, attr, wrapper)
+
+
+class TestLedgerBoundaries:
+    """``perf/`` times a served request by shadowing
+    ``service.predict_batch`` / ``service.update`` / ``engine.step`` on
+    the instances.  Those stay the program's boundaries only while the
+    program looks them up there: every kernel entry and every fired
+    event must pass through the shadow."""
+
+    @pytest.mark.parametrize("window", [0.0, 200.0])
+    def test_every_kernel_entry_and_event_crosses_a_shadow(self, window):
+        tracer = Tracer()
+        service = ShardedService(num_shards=2, tracer=tracer)
+        for name in ("a", "b", "c"):
+            service.create_domain(name)
+        engine = Engine()
+        scheduled = Counted(engine, "schedule")
+        steps = Counted(engine, "step")
+        pipeline = ServingPipeline(
+            service, ServingConfig(batch_window_ns=window, max_batch=4),
+            engine=engine)
+        predicts = Counted(service, "predict_batch")
+        updates = Counted(service, "update")
+
+        rng = random.Random(16)
+        ops = [(rng.choice("abc"), [rng.randrange(8), rng.randrange(8)],
+                rng.random() < 0.3) for _ in range(120)]
+
+        def arrivals():
+            for name, row, is_update in ops:
+                yield float(rng.randrange(0, 90))
+                pipeline.submit(name, row,
+                                op="update" if is_update else "predict",
+                                direction=True)
+
+        spawn(engine, arrivals(), name="arrivals")
+        pipeline.run()
+        assert pipeline.snapshot()["completed"] == len(ops)
+
+        # calls == kernel entries: what the shadows saw is what the
+        # kernel's own books and the trace say happened
+        stats = [service.domain(name).stats for name in "abc"]
+        sent_updates = sum(is_update for _, _, is_update in ops)
+        assert len(updates.calls) == sent_updates \
+            == sum(s.updates for s in stats)
+        rows = sum(len(requests) for requests, in predicts.calls)
+        assert rows == len(ops) - sent_updates \
+            == sum(s.predictions for s in stats)
+        entries = [span for span in tracer.spans()
+                   if span.name in ("kernel.predict",
+                                    "kernel.predict_batch")]
+        assert len(predicts.calls) == len(entries)
+        if window == 0.0:
+            assert len(predicts.calls) == rows   # all runs of one
+        else:
+            assert len(predicts.calls) < rows    # real batches formed
+            assert any(len(requests) == 1
+                       for requests, in predicts.calls)
+        # calls == events: every scheduled event fired through step()
+        assert sum(steps.results) == len(scheduled.calls)
+        assert engine.pending() == 0
 
 
 class TestBatchingTriggers:
