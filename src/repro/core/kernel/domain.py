@@ -95,7 +95,7 @@ class Domain:
 
         Batch-aware models (the hashed perceptron) score all rows in
         one pass over their weights; others fall back to a scalar loop.
-        Stats are recorded per row either way.
+        Stats count every row either way.
         """
         batch = getattr(self.model, "predict_batch", None)
         if batch is not None:
@@ -103,10 +103,7 @@ class Domain:
         else:
             predict = self.model.predict
             scores = [predict(features) for features in feature_rows]
-        record = self.stats.record_prediction
-        threshold = self.config.threshold
-        for score in scores:
-            record(score, threshold)
+        self.stats.record_predictions(scores, self.config.threshold)
         return scores
 
     def record_cached_prediction(self, score: int) -> None:

@@ -7,15 +7,21 @@ specialized plan - then sharing that plan across every pipeline with
 the same shape - removes most of the per-request overhead.  The PSS
 analogue: a domain's scoring loop is fully determined by its
 ``(num_features, entries_per_feature, seed)`` configuration, so the
-per-feature hash/index arithmetic can be compiled once into a
-:class:`SpecializedPlan` (straight-line code, splitmix64 inlined, table
-bases folded into constants, power-of-two table widths reduced to bit
-masks) and reused by every domain that shares the shape.  When numpy
-is importable the plan additionally carries a vectorized block scorer
-that hashes a whole batch of rows in a handful of uint64 array
-operations; uint64 wraparound arithmetic is bit-identical to the
-masked Python arithmetic, and the pure-Python compiled path remains
-as the always-available fallback (no new hard dependency).
+hash/index arithmetic can be compiled once into a
+:class:`SpecializedPlan` and reused by every domain that shares the
+shape.  The compiled ``select`` hashes a *row*, not a feature: the
+values are packed one per 128-bit lane of a single Python int and one
+splitmix64 pass mixes every lane at once, with the per-slot salts, the
+table masks (power-of-two widths) and the row-major table bases folded
+into lane-wide constants - about fifteen big-int operations per row
+whatever the feature count, where a per-feature body pays fourteen per
+feature (docs/PERFORMANCE.md, "The plan", has the layout and the
+numbers).  When numpy is importable the plan additionally carries a
+vectorized block scorer that hashes a whole batch of rows in a handful
+of uint64 array operations, which wins from about a dozen rows up;
+uint64 wraparound arithmetic is bit-identical to the masked Python
+arithmetic, and the pure-Python compiled path remains as the
+always-available fallback (no new hard dependency).
 
 Plan lifecycle (see docs/PERFORMANCE.md, "Batched and specialized
 prediction"):
@@ -35,14 +41,15 @@ prediction"):
   the transport score cache.  Re-binding is a compiler cache hit, not a
   recompile.
 
-Bit-identity is non-negotiable: the generated code is the same
-arithmetic as :func:`repro.core.hashing.salted_hash` with the loop
-unrolled, property-tested against the frozen reference implementation
-in ``tests/core/reference_impl.py``.
+Bit-identity is non-negotiable: every lane computes exactly
+:func:`repro.core.hashing.salted_hash`, property-tested against that
+function in ``tests/core/test_plans.py`` and against the frozen
+reference implementation in ``tests/core/reference_impl.py``.
 """
 
 from __future__ import annotations
 
+import struct
 from typing import Any, Callable, Sequence
 
 from repro.core.config import PSSConfig
@@ -70,63 +77,66 @@ def plan_signature(config: PSSConfig) -> PlanSignature:
     return (config.num_features, config.entries_per_feature, config.seed)
 
 
-def _index_expr(i: int, entries: int) -> str:
-    """Source for feature ``i``'s flat index from the mixed value ``z``.
-
-    ``z`` is already fully masked (every mix step ends ``& _MASK64``,
-    and xor/shift cannot widen it), so the final splitmix64 mask is
-    dropped; power-of-two table widths turn the modulo into a bit mask.
-    The base offset is parenthesized *outside* the mask - ``+`` binds
-    tighter than ``&`` in Python, a classic silent-corruption trap.
-    """
-    base = i * entries
-    offset = f"{base} + " if base else ""
-    if entries & (entries - 1) == 0:
-        return f"i{i} = {offset}((z ^ (z >> 31)) & {entries - 1})"
-    return f"i{i} = {offset}((z ^ (z >> 31)) % {entries})"
+def _lanes(values: Sequence[int]) -> int:
+    """``values`` packed one per 128-bit lane, slot 0 in the lowest."""
+    return sum(value << 128 * i for i, value in enumerate(values))
 
 
 def _generate_source(signature: PlanSignature,
                      salts: tuple[int, ...]) -> str:
-    """Straight-line source for one shape's ``select``/``score_rows``.
+    """Source for one shape's ``select``/``score_rows``: one hash per row.
 
-    Per feature: one splitmix64 round with the per-slot salt pre-XORed
-    (exactly :func:`~repro.core.hashing.salted_hash`), the reduction
-    into the feature's table, and the row-major base offset folded into
-    a constant.  No per-call tuple/zip/sum machinery survives.
+    The row's values are packed one per 128-bit lane of a single int
+    and splitmix64 (exactly :func:`~repro.core.hashing.salted_hash`)
+    runs on every lane at once, the per-slot salts, table masks and
+    row-major bases folded into lane constants.  A 64x64-bit product
+    fits its lane; a right shift drags the next lane's low bits into
+    this lane's top, so the mask follows each *shift* - before the
+    multiply, which would otherwise carry them into the neighbour.
+    ``pack`` refuses a value outside 0..2**64-1; the row is then packed
+    again as ``v & _MASK64`` (two's complement, low 64 bits) and runs
+    through the same lines.  Only a table width that is not a power of
+    two reduces per lane, after unpacking.
     """
     num_features, entries, _seed = signature
-    names = ", ".join(f"v{i}" for i in range(num_features))
-    unpack = f"{names}," if num_features == 1 else names
-
-    def mix_lines(i: int, indent: str) -> list[str]:
-        return [
-            f"{indent}z = (v{i} & {_MASK64}) ^ {salts[i]}",
-            f"{indent}z = (z ^ (z >> 30)) * {_MIX_A} & {_MASK64}",
-            f"{indent}z = (z ^ (z >> 27)) * {_MIX_B} & {_MASK64}",
-            f"{indent}{_index_expr(i, entries)}",
+    mask = _lanes([_MASK64] * num_features)
+    bases = [i * entries for i in range(num_features)]
+    as_bytes = f".to_bytes({16 * num_features}, 'little')"
+    if entries & (entries - 1) == 0:
+        folded = (f"((z ^ z >> 31) & {_lanes([entries - 1] * num_features)})"
+                  f" + {_lanes(bases)}")
+        reduce = [f"selected = unpack(({folded}){as_bytes})"]
+    else:
+        reduce = [
+            f"z = unpack(((z ^ z >> 31) & {mask}){as_bytes})",
+            "selected = ({})".format("".join(
+                f"{base} + z[{i}] % {entries}, "
+                for i, base in enumerate(bases))),
         ]
-
-    lines = ["def select(row):", f"    {unpack} = row"]
-    for i in range(num_features):
-        lines.extend(mix_lines(i, "    "))
-    indices = ", ".join(f"i{i}" for i in range(num_features))
-    tail = "," if num_features == 1 else ""
-    lines.append(f"    return ({indices}{tail})")
-
-    lines += [
+    body = [
+        "try:",
+        "    z = from_bytes(pack(*row), 'little')",
+        "except struct_error:",
+        f"    z = from_bytes(pack(*[v & {_MASK64} for v in row]), 'little')",
+        f"z ^= {_lanes(salts)}",
+        f"z = (z ^ (z >> 30 & {mask})) * {_MIX_A} & {mask}",
+        f"z = (z ^ (z >> 27 & {mask})) * {_MIX_B} & {mask}",
+        *reduce,
+    ]
+    return "\n".join([
+        "def select(row):",
+        *(f"    {line}" for line in body),
+        "    return selected",
         "",
         "def score_rows(flat, bias, rows):",
+        "    getitem = flat.__getitem__",
         "    out = []",
         "    append = out.append",
         "    for row in rows:",
-        f"        {unpack} = row",
-    ]
-    for i in range(num_features):
-        lines.extend(mix_lines(i, "        "))
-    total = " + ".join(f"flat[i{i}]" for i in range(num_features))
-    lines += [f"        append(bias + {total})", "    return out"]
-    return "\n".join(lines)
+        *(f"        {line}" for line in body),
+        "        append(bias + sum(map(getitem, selected)))",
+        "    return out",
+    ])
 
 
 def _rows_as_u64(keys: Sequence[tuple[int, ...]]) -> Any:
@@ -230,7 +240,12 @@ def compile_plan(config: PSSConfig) -> SpecializedPlan:
     signature = plan_signature(config)
     salts = salt_table(config.num_features, config.seed)
     source = _generate_source(signature, salts)
-    namespace: dict[str, object] = {}
+    lanes = struct.Struct("<" + "Q8x" * config.num_features)
+    namespace: dict[str, object] = {
+        "__name__": __name__,  # warnings raised in a plan name this module
+        "pack": lanes.pack, "unpack": lanes.unpack,
+        "from_bytes": int.from_bytes, "struct_error": struct.error,
+    }
     exec(compile(source, f"<plan {signature}>", "exec"), namespace)
     return SpecializedPlan(
         signature, salts,

@@ -13,6 +13,7 @@ Two concerns live here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 
 @dataclass
@@ -36,6 +37,13 @@ class PredictionStats:
         self.predictions += 1
         if score >= threshold:
             self.positive_predictions += 1
+
+    def record_predictions(self, scores: Sequence[int],
+                           threshold: int) -> None:
+        """A whole batch's :meth:`record_prediction`, in one call."""
+        self.predictions += len(scores)
+        self.positive_predictions += sum(
+            [score >= threshold for score in scores])
 
     def record_cached_prediction(self, score: int, threshold: int) -> None:
         """A prediction served from a generation-keyed score cache.

@@ -109,7 +109,10 @@ class WeightMatrix:
                 f"got {len(feats)}"
             )
         for value in feats:
-            if not isinstance(value, int) or isinstance(value, bool):
+            # exact ints (every row the drivers build) pass on one
+            # pointer compare; only subclasses pay the isinstance pair
+            if type(value) is not int and (
+                    not isinstance(value, int) or isinstance(value, bool)):
                 raise FeatureError(
                     f"features must be ints, got {value!r}"
                 )
@@ -207,8 +210,9 @@ class WeightMatrix:
 
     #: miss blocks at least this large go through the plan's vectorized
     #: block hasher; smaller blocks stay on the compiled per-row path
-    #: (same results either way - this is purely a crossover point)
-    VECTOR_MIN_ROWS = 8
+    #: (same results either way - this is purely a crossover point,
+    #: measured in docs/PERFORMANCE.md: 10 rows at 8 features, 13 at 4)
+    VECTOR_MIN_ROWS = 12
 
     def dot_batch(self, rows: Sequence[Sequence[int]]) -> list[int]:
         """Batch of :meth:`dot` scores in one pass, bit-identical.

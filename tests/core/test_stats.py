@@ -20,6 +20,16 @@ class TestPredictionStats:
         assert stats.positive_predictions == 2
         assert stats.negative_predictions == 1
 
+    def test_a_batch_counts_like_its_rows(self):
+        batch, rows = PredictionStats(), PredictionStats()
+        scores = [5, -3, 0, 2, -1]
+        batch.record_predictions(scores, threshold=2)
+        batch.record_predictions([], threshold=2)
+        for score in scores:
+            rows.record_prediction(score, threshold=2)
+        assert batch == rows
+        assert (batch.predictions, batch.positive_predictions) == (5, 2)
+
     def test_update_counting(self):
         stats = PredictionStats()
         for direction in (True, True, False):

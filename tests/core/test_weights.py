@@ -1,5 +1,8 @@
 """Tests for the saturating weight matrix."""
 
+import enum
+
+import numpy
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -64,6 +67,53 @@ class TestWeightMatrixBasics:
             m.dot([1.5, 2])
         with pytest.raises(FeatureError):
             m.dot([True, 2])
+
+
+class Slot(enum.IntEnum):
+    ONE = 1
+
+
+class Word(int):
+    """An int subclass a caller might tag its feature values with."""
+
+
+#: every way a matrix takes a vector in
+DOORS = {
+    "dot": lambda m, row: m.dot(row),
+    "dot_and_indices": lambda m, row: m.dot_and_indices(row)[0],
+    "dot_batch": lambda m, row: m.dot_batch(
+        [(i, i) for i in range(2, 2 + m.VECTOR_MIN_ROWS)] + [row])[-1],
+}
+
+
+@pytest.mark.parametrize("door", DOORS)
+class TestFeatureTypes:
+    """What counts as an int feature: ``int`` and its subclasses, never
+    ``bool``, never anything merely int-like.  (A refused spelling that
+    compares equal to an already-admitted vector - ``(1.0, 2)`` after
+    ``(1, 2)`` - is a cache hit and is served: the known relaxation
+    documented on ``_flat_indices``.)"""
+
+    @pytest.mark.parametrize("value", [1, Slot.ONE, Word(1)], ids=repr)
+    def test_admitted(self, door, value):
+        m, plain = make_matrix(), make_matrix()
+        m.adjust((1, 5), +1)
+        plain.adjust((1, 5), +1)
+        m._index_cache.clear()  # so the spelling under test is the miss
+        assert DOORS[door](m, (value, 5)) == plain.dot((1, 5)) == 3
+        assert m._index_cache[(1, 5)] == plain._index_cache[(1, 5)]
+
+    @pytest.mark.parametrize(
+        "value", [True, 1.0, "1", None, numpy.int64(1)], ids=repr)
+    def test_refused_and_nothing_written(self, door, value):
+        m = make_matrix()
+        m.dot((9, 9))
+        with pytest.raises(FeatureError, match="features must be ints"):
+            DOORS[door](m, (value, 5))
+        # the miss that met the bad vector is counted, nothing is cached
+        # (a batch resolves its whole miss block before writing any)
+        assert list(m._index_cache) == [(9, 9)]
+        assert (m.index_cache_hits, m.index_cache_misses) == (0, 2)
 
 
 class TestSaturation:
