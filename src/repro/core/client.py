@@ -44,7 +44,14 @@ _DEGRADABLE = (QuotaExceededError, TransportFault)
 
 
 class PSSClient:
-    """Application-facing connection to one prediction domain."""
+    """Application-facing connection to one prediction domain.
+
+    A plain client adds nothing to its transport's crossing, so it
+    opens no span of its own: the transport's span (``vdso.predict``,
+    ``syscall.update`` ...) is the root of a traced call.
+    :class:`ResilientClient`, which may cross several times for one
+    call, roots them under ``client.*``.
+    """
 
     def __init__(self, handle: DomainHandle,
                  transport_kind: str = "vdso",
@@ -54,12 +61,6 @@ class PSSClient:
         self._transport: Transport = make_transport(
             transport_kind, handle, latency, batch_size=batch_size
         )
-        self._tracer = NULL_TRACER
-        # Span labels and the simulated clock, bound once (a span per
-        # public call would otherwise re-derive each of them).
-        self._obs_domain = handle.domain_name
-        self._obs_shard = getattr(handle, "shard_label", "")
-        self._clock = self._transport.account.clock
         self._pipeline: "ServingPipeline | None" = None
 
     # -- identity / introspection -------------------------------------------
@@ -84,24 +85,12 @@ class PSSClient:
 
     # -- the paper's three calls ---------------------------------------------
 
-    def _client_span(self, name: str,
-                     detail: dict | None = None) -> SpanHandleLike:
-        """Root span for one application-facing call: opened once per
-        public operation (so one ``predict`` yields one span tree
-        however deep the kernel path below runs), on the transport
-        account's simulated clock."""
-        return self._tracer.span(
-            name, self._obs_domain, "client", self._obs_shard, None,
-            detail, self._clock)
-
-    @spanned(named(_client_span, "client.predict"))
     def predict(self, features: Sequence[int]) -> int:
         """Signed prediction score: ``int predict(int*, int)``."""
         # Canonicalize once at the API boundary; caches and batch
         # buffers below reuse this tuple instead of re-tupling.
         return self._transport.predict(canonical_features(features))
 
-    @spanned(named(_client_span, "client.predict_batch", rows=True))
     def predict_batch(
         self, feature_rows: Sequence[Sequence[int]]
     ) -> list[int]:
@@ -117,12 +106,10 @@ class PSSClient:
             [canonical_features(features) for features in feature_rows]
         )
 
-    @spanned(named(_client_span, "client.update"))
     def update(self, features: Sequence[int], direction: bool) -> None:
         """Feedback: ``void update(int*, int, bool dir)``."""
         self._transport.update(canonical_features(features), direction)
 
-    @spanned(named(_client_span, "client.reset"))
     def reset(self, features: Sequence[int],
               reset_all: bool = False) -> None:
         """State wipe: ``void reset(int*, int, bool all)``."""
@@ -142,7 +129,6 @@ class PSSClient:
         """``update(features, False)`` - the paper's -1 reward."""
         self.update(features, False)
 
-    @spanned(named(_client_span, "client.flush"))
     def flush(self) -> None:
         """Deliver any batched updates now."""
         self._transport.flush()
@@ -208,8 +194,6 @@ class PSSClient:
         :class:`repro.obs.MetricsRegistry` through this client's
         transport (and, on resilient clients, the degraded-mode
         machinery)."""
-        if tracer is not None:
-            self._tracer = tracer
         self._transport.attach_observability(tracer=tracer,
                                              metrics=metrics)
 
@@ -335,13 +319,30 @@ class ResilientClient(PSSClient):
         )
         self._fallback = fallback
         self._last_was_fallback = False
+        self._tracer = NULL_TRACER
+        # Span labels and the simulated clock, bound once (a span per
+        # public call would otherwise re-derive each of them).
+        self._obs_domain = handle.domain_name
+        self._obs_shard = getattr(handle, "shard_label", "")
+        self._clock = self._transport.account.clock
 
     def attach_observability(self, tracer=None, metrics=None) -> None:
         super().attach_observability(tracer=tracer, metrics=metrics)
         if tracer is not None:
+            self._tracer = tracer
             self._breaker.tracer = tracer
             self._breaker.trace_domain = self._obs_domain
             self._breaker.trace_clock = self._clock
+
+    def _client_span(self, name: str,
+                     detail: dict | None = None) -> SpanHandleLike:
+        """Root span for one application-facing call: opened once per
+        public operation (so one ``predict`` yields one span tree
+        however many attempts the retry ladder below makes), on the
+        transport account's simulated clock."""
+        return self._tracer.span(
+            name, self._obs_domain, "client", self._obs_shard, None,
+            detail, self._clock)
 
     def _trace_client(self, kind: str, detail: dict | None = None) -> None:
         self._tracer.record(
@@ -482,7 +483,7 @@ class ResilientClient(PSSClient):
 
     # -- the guarded calls ----------------------------------------------------
 
-    @spanned(named(PSSClient._client_span, "client.predict"))
+    @spanned(named(_client_span, "client.predict"))
     def predict(self, features: Sequence[int]) -> int:
         """``predict`` that answers from the static fallback instead of
         raising when the breaker is open, the tenant is over quota, or
@@ -500,7 +501,7 @@ class ResilientClient(PSSClient):
         self._breaker.record_success()
         return score
 
-    @spanned(named(PSSClient._client_span, "client.predict_batch", rows=True))
+    @spanned(named(_client_span, "client.predict_batch", rows=True))
     def predict_batch(
         self, feature_rows: Sequence[Sequence[int]]
     ) -> list[int]:
@@ -530,7 +531,7 @@ class ResilientClient(PSSClient):
         self._breaker.record_success()
         return scores
 
-    @spanned(named(PSSClient._client_span, "client.update"))
+    @spanned(named(_client_span, "client.update"))
     def update(self, features: Sequence[int], direction: bool) -> None:
         """``update`` that drops the hint (counted) instead of raising."""
         features = canonical_features(features)
@@ -549,7 +550,7 @@ class ResilientClient(PSSClient):
         else:
             self._breaker.record_success()
 
-    @spanned(named(PSSClient._client_span, "client.reset"))
+    @spanned(named(_client_span, "client.reset"))
     def reset(self, features: Sequence[int],
               reset_all: bool = False) -> None:
         """``reset`` that drops the wipe (counted) instead of raising."""
@@ -565,7 +566,7 @@ class ResilientClient(PSSClient):
         else:
             self._breaker.record_success()
 
-    @spanned(named(PSSClient._client_span, "client.flush"))
+    @spanned(named(_client_span, "client.flush"))
     def flush(self) -> None:
         """``flush`` that counts an undelivered batch instead of
         raising."""

@@ -79,6 +79,54 @@ class TenantUsage:
     rejections: int = 0
 
 
+class TenantMeter:
+    """One tenant's record: what it has used next to what it may use.
+
+    ``quota`` is the tenant's *effective* quota - its explicit entry or
+    the controller's default - kept current by
+    :meth:`AdmissionController.set_quota` and by assigning
+    :attr:`AdmissionController.default_quota`, so whoever holds the
+    meter (a :class:`~repro.core.kernel.domain.DomainHandle` binds its
+    identity's at its first charge) charges with a budget compare and
+    an increment, without looking the tenant up again.
+    """
+
+    __slots__ = ("identity", "usage", "quota")
+
+    def __init__(self, identity: ClientIdentity,
+                 quota: TenantQuota) -> None:
+        self.identity = identity
+        self.usage = TenantUsage()
+        self.quota = quota
+
+    def charge_predict(self, count: int = 1) -> None:
+        """Charge ``count`` predictions against the tenant's budget.
+
+        A batch predict is admitted all-or-nothing: either the whole
+        batch fits the remaining budget and is charged as ``count``
+        scalar predicts, or nothing is charged and the batch is
+        rejected.  (A scalar replay would instead serve the prefix that
+        still fit - the all-or-nothing contract is the documented batch
+        semantics, mirroring the whole-batch fault behaviour of the
+        syscall transport.)  ``count=1`` is exactly the historical
+        single-predict charge.
+        """
+        usage = self.usage
+        budget = self.quota.predict_budget
+        if budget is not None and usage.predictions + count > budget:
+            usage.rejections += 1
+            raise QuotaExceededError(self.identity, "predictions", budget)
+        usage.predictions += count
+
+    def charge_update(self) -> None:
+        usage = self.usage
+        budget = self.quota.update_budget
+        if budget is not None and usage.updates >= budget:
+            usage.rejections += 1
+            raise QuotaExceededError(self.identity, "updates", budget)
+        usage.updates += 1
+
+
 class AdmissionController:
     """Quota bookkeeping and enforcement for every tenant of a service.
 
@@ -92,9 +140,9 @@ class AdmissionController:
     def __init__(self, default_quota: TenantQuota = UNLIMITED,
                  quotas: dict[ClientIdentity, TenantQuota] | None = None,
                  ) -> None:
-        self.default_quota = default_quota
+        self._default_quota = default_quota
         self._quotas: dict[ClientIdentity, TenantQuota] = dict(quotas or {})
-        self._usage: dict[ClientIdentity, TenantUsage] = {}
+        self._meters: dict[ClientIdentity, TenantMeter] = {}
         self._health_probe: HealthProbe | None = None
         #: times the health probe advised shedding when consulted
         self.shed_advisories = 0
@@ -107,9 +155,24 @@ class AdmissionController:
 
     # -- configuration -----------------------------------------------------
 
+    @property
+    def default_quota(self) -> TenantQuota:
+        """Quota of every identity without an explicit entry."""
+        return self._default_quota
+
+    @default_quota.setter
+    def default_quota(self, quota: TenantQuota) -> None:
+        self._default_quota = quota
+        for identity, meter in self._meters.items():
+            if identity not in self._quotas:
+                meter.quota = quota
+
     def set_quota(self, identity: ClientIdentity,
                   quota: TenantQuota) -> None:
         self._quotas[identity] = quota
+        meter = self._meters.get(identity)
+        if meter is not None:
+            meter.quota = quota
 
     def set_health_probe(self, probe: HealthProbe | None) -> None:
         """Attach (or clear) a :class:`HealthProbe`.
@@ -169,26 +232,32 @@ class AdmissionController:
         return None
 
     def quota_for(self, identity: ClientIdentity) -> TenantQuota:
-        return self._quotas.get(identity, self.default_quota)
+        return self._quotas.get(identity, self._default_quota)
+
+    def meter(self, identity: ClientIdentity) -> TenantMeter:
+        """The tenant's :class:`TenantMeter`, created on first use
+        (from then on :meth:`tenants` lists the identity)."""
+        meter = self._meters.get(identity)
+        if meter is None:
+            meter = self._meters[identity] = TenantMeter(
+                identity, self.quota_for(identity))
+        return meter
 
     def usage_for(self, identity: ClientIdentity) -> TenantUsage:
-        usage = self._usage.get(identity)
-        if usage is None:
-            usage = self._usage[identity] = TenantUsage()
-        return usage
+        return self.meter(identity).usage
 
     def tenants(self) -> list[ClientIdentity]:
         """Every identity that has any usage or an explicit quota,
         sorted for stable reporting."""
-        known = set(self._usage) | set(self._quotas)
+        known = set(self._meters) | set(self._quotas)
         return sorted(known, key=lambda who: (who.uid, who.program))
 
     # -- enforcement -------------------------------------------------------
 
     def admit_domain(self, identity: ClientIdentity, name: str) -> None:
         """Charge one domain registration; raises when over quota."""
-        quota = self.quota_for(identity)
-        usage = self.usage_for(identity)
+        meter = self.meter(identity)
+        quota, usage = meter.quota, meter.usage
         if quota.max_domains is not None \
                 and usage.domains >= quota.max_domains:
             usage.rejections += 1
@@ -209,37 +278,12 @@ class AdmissionController:
 
     def charge_predict(self, identity: ClientIdentity,
                        count: int = 1) -> None:
-        """Charge ``count`` predictions against the tenant's budget.
-
-        A batch predict is admitted all-or-nothing: either the whole
-        batch fits the remaining budget and is charged as ``count``
-        scalar predicts, or nothing is charged and the batch is
-        rejected.  (A scalar replay would instead serve the prefix that
-        still fit - the all-or-nothing contract is the documented batch
-        semantics, mirroring the whole-batch fault behaviour of the
-        syscall transport.)  ``count=1`` is exactly the historical
-        single-predict charge.
-        """
-        quota = self.quota_for(identity)
-        usage = self.usage_for(identity)
-        if quota.predict_budget is not None \
-                and usage.predictions + count > quota.predict_budget:
-            usage.rejections += 1
-            raise QuotaExceededError(
-                identity, "predictions", quota.predict_budget
-            )
-        usage.predictions += count
+        """:meth:`TenantMeter.charge_predict`, by identity."""
+        self.meter(identity).charge_predict(count)
 
     def charge_update(self, identity: ClientIdentity) -> None:
-        quota = self.quota_for(identity)
-        usage = self.usage_for(identity)
-        if quota.update_budget is not None \
-                and usage.updates >= quota.update_budget:
-            usage.rejections += 1
-            raise QuotaExceededError(
-                identity, "updates", quota.update_budget
-            )
-        usage.updates += 1
+        """:meth:`TenantMeter.charge_update`, by identity."""
+        self.meter(identity).charge_update()
 
     # -- reporting ---------------------------------------------------------
 

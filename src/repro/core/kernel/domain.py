@@ -23,7 +23,10 @@ from repro.obs.spanned import named, spanned
 from repro.obs.trace import NULL_TRACER, SpanHandleLike, TracerLike
 
 if TYPE_CHECKING:
-    from repro.core.kernel.admission import AdmissionController
+    from repro.core.kernel.admission import (
+        AdmissionController,
+        TenantMeter,
+    )
     from repro.core.kernel.shard import Shard
 
 
@@ -141,6 +144,15 @@ class DomainHandle:
     the owning service's :class:`AdmissionController` (or None): every
     client-facing prediction and delivered update record is charged to
     the handle's identity, after the policy check.
+
+    Both decisions are a function of things that change only when
+    somebody changes them, so the handle carries them instead of
+    re-deriving them per call: the policy's three verdicts for its
+    identity, read again only when ``domain.policy`` is another object
+    (a :class:`DomainPolicy` is immutable), and the identity's
+    :class:`TenantMeter`, bound at the first charge.  Every call is
+    still checked and charged; it no longer hashes and compares to find
+    out who is asking.
     """
 
     def __init__(self, domain: Domain, identity: ClientIdentity,
@@ -148,6 +160,10 @@ class DomainHandle:
         self._domain = domain
         self._identity = identity
         self._admission = admission
+        #: bound by the first charge, so that a handle which never
+        #: operates never makes its identity a known tenant
+        self._meter: "TenantMeter | None" = None
+        self._judge()
 
     @property
     def domain_name(self) -> str:
@@ -194,29 +210,51 @@ class DomainHandle:
         return self._tracer().span(name, domain.name, "kernel",
                                    domain.shard_label, None, detail)
 
+    def _judge(self) -> None:
+        """Read the domain's current policy: its verdicts for this
+        identity stand until ``domain.policy`` is another object.  A
+        False verdict still goes through ``policy.check_*``, which
+        raises the :class:`~repro.core.errors.PolicyError`."""
+        #: the policy object the verdicts below were read from
+        policy = self._policy = self._domain.policy
+        who = self._identity
+        self._may_predict = policy.may_predict(who)
+        self._may_update = policy.may_update(who)
+        self._may_reset = policy.may_reset(who)
+
+    def _bind_meter(self, admission: "AdmissionController"
+                    ) -> "TenantMeter":
+        meter = self._meter = admission.meter(self._identity)
+        return meter
+
     def _charge_predict(self, count: int = 1) -> None:
         """Admission charge, wrapped in its own span when traced so the
         tree shows admission as a distinct stage of the request."""
         admission = self._admission
         if admission is None:
             return
+        meter = self._meter or self._bind_meter(admission)
         if self._tracer().enabled:
             with self._kernel_span("kernel.admission", {"count": count}):
-                admission.charge_predict(self._identity, count=count)
+                meter.charge_predict(count)
             return
-        admission.charge_predict(self._identity, count=count)
+        meter.charge_predict(count)
 
     @spanned(named(_kernel_span, "kernel.predict"), tracer="_tracer()")
     def predict(self, features: Sequence[int]) -> int:
-        self._domain.policy.check_predict(self._identity, self._domain.name)
+        domain = self._domain
+        if domain.policy is not self._policy:
+            self._judge()
+        if not self._may_predict:
+            self._policy.check_predict(self._identity, domain.name)
         self._charge_predict()
-        shard = self._domain.shard
+        shard = domain.shard
         if shard is not None and shard.down:
             # Crashed primary: serve the bounded-stale follower answer
             # instead (raises ShardDownError when no follower holds
             # the domain) - reads survive the outage.
-            return shard.failover_predict(self._domain, features)
-        return self._domain.predict(features)
+            return shard.failover_predict(domain, features)
+        return domain.predict(features)
 
     def _batch_span(self, feature_rows: Sequence[Sequence[int]]
                     ) -> SpanHandleLike | None:
@@ -242,38 +280,55 @@ class DomainHandle:
         """
         if not feature_rows:
             return []
-        self._domain.policy.check_predict(self._identity, self._domain.name)
+        domain = self._domain
+        if domain.policy is not self._policy:
+            self._judge()
+        if not self._may_predict:
+            self._policy.check_predict(self._identity, domain.name)
         self._charge_predict(count=len(feature_rows))
-        shard = self._domain.shard
+        shard = domain.shard
         if shard is not None and shard.down:
-            domain = self._domain
             return [shard.failover_predict(domain, features)
                     for features in feature_rows]
-        return self._domain.predict_batch(feature_rows)
+        return domain.predict_batch(feature_rows)
 
     def record_cached_prediction(self, score: int) -> None:
         """Account a cache-served prediction, with the same policy and
         admission checks a real predict would have passed."""
-        self._domain.policy.check_predict(self._identity, self._domain.name)
-        if self._admission is not None:
-            self._admission.charge_predict(self._identity)
-        self._domain.record_cached_prediction(score)
+        domain = self._domain
+        if domain.policy is not self._policy:
+            self._judge()
+        if not self._may_predict:
+            self._policy.check_predict(self._identity, domain.name)
+        admission = self._admission
+        if admission is not None:
+            (self._meter or self._bind_meter(admission)).charge_predict()
+        domain.record_cached_prediction(score)
 
     @spanned(named(_kernel_span, "kernel.update"), tracer="_tracer()")
     def update(self, features: Sequence[int], direction: bool) -> None:
-        self._domain.policy.check_update(self._identity, self._domain.name)
-        shard = self._domain.shard
+        domain = self._domain
+        if domain.policy is not self._policy:
+            self._judge()
+        if not self._may_update:
+            self._policy.check_update(self._identity, domain.name)
+        shard = domain.shard
         if shard is not None and shard.down:
             # Replicas are read-only: the record cannot be applied
             # anywhere, so refuse before charging the tenant's budget.
-            raise ShardDownError(shard.shard_id, self._domain.name)
-        if self._admission is not None:
-            self._admission.charge_update(self._identity)
-        self._domain.update(features, direction)
+            raise ShardDownError(shard.shard_id, domain.name)
+        admission = self._admission
+        if admission is not None:
+            (self._meter or self._bind_meter(admission)).charge_update()
+        domain.update(features, direction)
 
     def reset(self, features: Sequence[int], reset_all: bool) -> None:
-        self._domain.policy.check_reset(self._identity, self._domain.name)
-        shard = self._domain.shard
+        domain = self._domain
+        if domain.policy is not self._policy:
+            self._judge()
+        if not self._may_reset:
+            self._policy.check_reset(self._identity, domain.name)
+        shard = domain.shard
         if shard is not None and shard.down:
-            raise ShardDownError(shard.shard_id, self._domain.name)
-        self._domain.reset(features, reset_all)
+            raise ShardDownError(shard.shard_id, domain.name)
+        domain.reset(features, reset_all)

@@ -8,8 +8,9 @@ those programs."
 The model here mirrors classic UNIX thinking: callers carry a
 :class:`ClientIdentity` (uid + program name); each domain has a
 :class:`DomainPolicy` declaring its owner, its sharing mode, and optional
-allow-lists.  The service consults the policy on every call that names a
-domain.
+allow-lists.  Every call that names a domain is checked against the
+policy; a handle reads the verdicts for its identity once per policy
+object rather than re-deriving them per call.
 """
 
 from __future__ import annotations
@@ -44,9 +45,15 @@ class SharingMode(enum.Enum):
     READ_ONLY = "read-only"
 
 
-@dataclass
+@dataclass(frozen=True)
 class DomainPolicy:
-    """Policy attached to one prediction domain."""
+    """Policy attached to one prediction domain.
+
+    Immutable: a domain's policy changes by assigning it another
+    :class:`DomainPolicy`, which is what lets a
+    :class:`~repro.core.kernel.domain.DomainHandle` keep the verdicts
+    it read for as long as ``domain.policy`` is the same object.
+    """
 
     owner: ClientIdentity = field(default_factory=ClientIdentity.kernel)
     mode: SharingMode = SharingMode.SHARED

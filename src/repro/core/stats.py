@@ -183,12 +183,26 @@ class LatencyAccount:
         self.op_ns[op] = self.op_ns.get(op, 0.0) + ns
         self.op_calls[op] = self.op_calls.get(op, 0) + 1
         if self._metrics is not None:
-            hist = self._op_hists.get(op)
-            if hist is None:
-                hist = self._op_hists[op] = self._metrics.histogram(
-                    "pss_op_ns", op=op, **self._metric_labels
-                )
-            hist.observe(ns)
+            self._op_hist(op).observe(ns)
+
+    def _op_hist(self, op: str):
+        hist = self._op_hists.get(op)
+        if hist is None:
+            hist = self._op_hists[op] = self._metrics.histogram(
+                "pss_op_ns", op=op, **self._metric_labels
+            )
+        return hist
+
+    def charge_vdso_predict(self, ns: float) -> None:
+        """One vDSO read: :meth:`charge_vdso` and
+        ``charge_op("predict")`` of the same ``ns``, in one call."""
+        self.vdso_ns += ns
+        self.vdso_calls += 1
+        self.op_ns["predict"] = self.op_ns.get("predict", 0.0) + ns
+        self.op_calls["predict"] = self.op_calls.get("predict", 0) + 1
+        if self._metrics is not None:
+            self._hist_vdso.observe(ns)
+            self._op_hist("predict").observe(ns)
 
     def record_cache_hit(self) -> None:
         self.cache_hits += 1
@@ -330,7 +344,7 @@ class ResilienceStats:
             self.predictions or self.retries or self.transport_failures
             or self.dropped_updates or self.dropped_resets
             or self.breaker_opens or self.breaker_closes
-            or self.quota_rejections
+            or self.quota_rejections or self.shed_requests
         )
 
     def merge(self, other: "ResilienceStats") -> None:
@@ -345,6 +359,7 @@ class ResilienceStats:
         self.breaker_closes += other.breaker_closes
         self.backoff_ns += other.backoff_ns
         self.quota_rejections += other.quota_rejections
+        self.shed_requests += other.shed_requests
 
 
 @dataclass

@@ -40,6 +40,11 @@ from repro.obs.trace import NULL_TRACER, SpanHandleLike
 #: the operations a transport opens a span around
 SPAN_OPS = ("predict", "predict_batch", "update", "reset", "flush")
 
+#: ``detail`` of the one event a vDSO read emits once its score-cache
+#: probe has decided; shared, so a traced read allocates no dict
+_CACHE_HIT = {"cache": "hit"}
+_CACHE_MISS = {"cache": "miss"}
+
 
 class ServiceTarget(Protocol):
     """What a transport needs from the service side."""
@@ -417,21 +422,22 @@ class VdsoTransport(Transport):
     @spanned(named(Transport._op_span, "predict"))
     def predict(self, features: Sequence[int]) -> int:
         self._ensure_open()
-        self.account.charge_vdso(self._latency.vdso_predict_ns)
-        self.account.charge_op("predict", self._latency.vdso_predict_ns)
+        vdso_ns = self._latency.vdso_predict_ns
+        self.account.charge_vdso_predict(vdso_ns)
         traced = self._tracer.enabled
         # Read once per operation: it keys the score cache below and
-        # is stamped on every event this read emits.
+        # is stamped on the event this read emits.
         source = self._generation_source
         generation = source.generation if source is not None else 0
-        if traced:
-            self._trace("predict", self._latency.vdso_predict_ns,
-                        generation=generation)
         key = canonical_features(features)
         injector = self._injector
         if injector is not None and injector.plan.stale_read_rate > 0.0:
+            if traced:
+                self._trace("predict", vdso_ns, generation=generation)
             return self._predict_injected(key)
         if source is None:
+            if traced:
+                self._trace("predict", vdso_ns, generation=generation)
             return self._target.predict(key)
         cache = self._score_cache
         if generation != self._score_cache_generation:
@@ -443,13 +449,13 @@ class VdsoTransport(Transport):
             if score is not None:
                 self.account.record_cache_hit()
                 if traced:
-                    self._trace("cache_hit", generation=generation)
+                    self._trace("predict", vdso_ns, _CACHE_HIT, generation)
                 if self._cached_recorder is not None:
                     self._cached_recorder(score)
                 return score
         self.account.record_cache_miss()
         if traced:
-            self._trace("cache_miss", generation=generation)
+            self._trace("predict", vdso_ns, _CACHE_MISS, generation)
         score = self._target.predict(key)
         if len(cache) >= self.SCORE_CACHE_ENTRIES:
             cache.popitem(last=False)
@@ -463,8 +469,9 @@ class VdsoTransport(Transport):
         """Batch of vDSO reads with one service call for the misses.
 
         Every row keeps the scalar path's exact per-read semantics -
-        one vDSO charge, one ``predict`` trace event, one score-cache
-        probe with the same hit/miss counters and FIFO eviction
+        one vDSO charge, one score-cache probe with the same hit/miss
+        counters, the one ``predict`` trace event saying which it was,
+        the same FIFO eviction
         sequence, one stale-read die while staleness injection is armed
         - so scores, stats, and the injector's randomness stream are
         bit-identical to ``[predict(r) for r in feature_rows]``.  What
@@ -498,8 +505,7 @@ class VdsoTransport(Transport):
             # roll its dice once per read, in row order: no batching.
             out = []
             for key in rows:
-                account.charge_vdso(vdso_ns)
-                account.charge_op("predict", vdso_ns)
+                account.charge_vdso_predict(vdso_ns)
                 if traced:
                     self._trace("predict", dur_ns=vdso_ns)
                 out.append(self._predict_injected(key))
@@ -507,14 +513,13 @@ class VdsoTransport(Transport):
         source = self._generation_source
         if source is None:
             for key in rows:
-                account.charge_vdso(vdso_ns)
-                account.charge_op("predict", vdso_ns)
+                account.charge_vdso_predict(vdso_ns)
                 if traced:
                     self._trace("predict", dur_ns=vdso_ns)
             return self._target_predict_rows(rows)
         cache = self._score_cache
         # Predictions never move weights, so one generation read covers
-        # the whole batch: the cache check and every event of every row
+        # the whole batch: the cache check and the event of every row
         # (the scalar path re-reads an unchanged value per call).
         generation = source.generation
         if generation != self._score_cache_generation:
@@ -527,22 +532,19 @@ class VdsoTransport(Transport):
         #: the misses' scores, each handed out once
         fresh: dict[tuple[int, ...], int] | None = None
         for key in rows:
-            account.charge_vdso(vdso_ns)
-            account.charge_op("predict", vdso_ns)
-            if traced:
-                self._trace("predict", vdso_ns, generation=generation)
+            account.charge_vdso_predict(vdso_ns)
             score = cache.get(key)
             if score is not None:
                 account.record_cache_hit()
                 if traced:
-                    self._trace("cache_hit", generation=generation)
+                    self._trace("predict", vdso_ns, _CACHE_HIT, generation)
                 if recorder is not None:
                     recorder(score)
                 scores.append(score)
                 continue
             account.record_cache_miss()
             if traced:
-                self._trace("cache_miss", generation=generation)
+                self._trace("predict", vdso_ns, _CACHE_MISS, generation)
             if fresh is None:
                 missing = [row for row in dict.fromkeys(rows[len(scores):])
                            if row not in cache]

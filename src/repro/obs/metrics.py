@@ -77,7 +77,8 @@ class Histogram:
     most 2x) of the true value.
     """
 
-    __slots__ = ("count", "sum", "min", "max", "zero_count", "buckets")
+    __slots__ = ("count", "sum", "min", "max", "zero_count", "buckets",
+                 "_last", "_last_exponent")
 
     def __init__(self) -> None:
         self.count = 0
@@ -86,10 +87,25 @@ class Histogram:
         self.max = -math.inf
         self.zero_count = 0
         self.buckets: dict[int, int] = {}
+        #: the value filed last and the bucket it went to (None: the
+        #: zero bucket) - a repeat of it, such as the constant 4.19 ns
+        #: every vDSO read observes, is filed without redoing min / max
+        #: / ``frexp``
+        self._last: float | None = None
+        self._last_exponent: int | None = None
 
     def observe(self, value: float) -> None:
         self.count += 1
         self.sum += value
+        if value == self._last:
+            exponent = self._last_exponent
+            if exponent is None:
+                self.zero_count += 1
+            else:
+                self.buckets[exponent] += 1
+            return
+        self._last = value
+        self._last_exponent = None
         if value < self.min:
             self.min = value
         if value > self.max:
@@ -103,6 +119,7 @@ class Histogram:
         # case so the bucket interval is half-open at the bottom.
         if mantissa == 0.5:
             exponent -= 1
+        self._last_exponent = exponent
         self.buckets[exponent] = self.buckets.get(exponent, 0) + 1
 
     @property

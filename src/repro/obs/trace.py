@@ -27,12 +27,11 @@ from repro.obs.spans import ROOT_PARENT, Span
 #: fault injector, checkpoint manager).  Exporters and tests treat this
 #: as the schema; new kinds must be added here.
 EVENT_KINDS = frozenset({
-    "predict",            # a prediction crossed (or was served) here
+    "predict",            # a prediction crossed (or was served) here;
+                          # a vDSO read's detail.cache says "hit"/"miss"
     "update",             # an update record was accepted (maybe buffered)
     "reset",              # a reset crossed via syscall
     "flush",              # a batch of buffered updates crossed
-    "cache_hit",          # score cache answered without the service
-    "cache_miss",         # score cache missed; model evaluated
     "stale_read",         # injected vDSO staleness served an old score
     "fault",              # a TransportFault was raised to the caller
     "fault_injected",     # the injector decided to inject (decision time)

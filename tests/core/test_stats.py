@@ -1,5 +1,7 @@
 """Tests for prediction and latency accounting."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.core.stats import (
@@ -63,6 +65,23 @@ class TestLatencyAccount:
         assert account.syscalls == 1
         assert account.update_records == 5
         assert account.total_ns == pytest.approx(8.38 + 68.0)
+
+    @pytest.mark.parametrize("watched", [False, True])
+    def test_vdso_predict_charge_is_the_pair_it_replaces(self, watched):
+        from repro.obs import MetricsRegistry
+
+        fused, paired = LatencyAccount(), LatencyAccount()
+        registries = [MetricsRegistry(), MetricsRegistry()]
+        if watched:
+            for account, registry in zip((fused, paired), registries):
+                account.attach_metrics(registry, domain="d",
+                                       transport="vdso")
+        for ns in (4.19, 4.19, 0.1, 7.0):
+            fused.charge_vdso_predict(ns)
+            paired.charge_vdso(ns)
+            paired.charge_op("predict", ns)
+        assert fused.snapshot() == paired.snapshot()
+        assert registries[0].snapshot() == registries[1].snapshot()
 
     def test_means(self):
         account = LatencyAccount()
@@ -167,6 +186,29 @@ class TestResilienceStats:
         assert a.dropped_updates == 4
         assert a.backoff_ns == pytest.approx(150.0)
         assert a.degraded_fraction == pytest.approx(3 / 8)
+
+    def test_merge_keeps_every_counter(self):
+        """A merged per-domain block is the field-wise sum, sheds
+        included (``merge`` used to drop ``shed_requests``)."""
+        a = ResilienceStats(predictions=5, shed_requests=2,
+                            quota_rejections=1)
+        b = ResilienceStats(predictions=3, shed_requests=4)
+        a.merge(b)
+        assert a.shed_requests == 6
+        merged = ResilienceStats()
+        for index, field in enumerate(fields(ResilienceStats), start=1):
+            merged.merge(ResilienceStats(**{field.name: index}))
+            merged.merge(ResilienceStats(**{field.name: index}))
+        assert merged == ResilienceStats(**{
+            field.name: 2 * index for index, field
+            in enumerate(fields(ResilienceStats), start=1)})
+
+    def test_a_shed_alone_is_activity(self):
+        shed_only = ResilienceStats(shed_requests=1)
+        assert shed_only.any_activity
+        total = ResilienceStats()
+        total.merge(shed_only)
+        assert total.any_activity and total.shed_requests == 1
 
 
 class TestDomainReport:

@@ -6,6 +6,9 @@ order - so a change that adds a crossing, drops a stage or re-enters the
 kernel on a cache hit fails here even when every score is still right.
 """
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core.config import PSSConfig
 from repro.core.kernel.admission import AdmissionController
 from repro.core.kernel.service import ShardedService
@@ -43,17 +46,24 @@ def kinds(tracer):
     return [event.kind for event in tracer.events()]
 
 
+def details(tracer):
+    return [event.detail for event in tracer.events()]
+
+
 class TestSyncClient:
     def test_vdso_score_cache_hit_never_enters_the_kernel(self):
+        """The record budget of a sync hit: the crossing's span and the
+        one event that says what the probe decided.  A plain client
+        opens no span of its own, and a hit never enters the kernel."""
         tracer, service = traced_service()
         client = service.connect("d", transport="vdso", config=CONFIG)
         client.predict(ROW)   # fill the score cache
         tracer.clear()
         client.predict(ROW)
-        assert forest(tracer) == [
-            ("client.predict", [("vdso.predict", [])])]
-        assert kinds(tracer) == ["predict", "cache_hit"]
-        assert len(tracer) + len(tracer.spans()) == 4
+        assert forest(tracer) == [("vdso.predict", [])]
+        assert kinds(tracer) == ["predict"]
+        assert details(tracer) == [{"cache": "hit"}]
+        assert len(tracer) + len(tracer.spans()) == 2
 
     def test_vdso_score_cache_miss_is_one_kernel_predict(self):
         tracer, service = traced_service()
@@ -61,10 +71,51 @@ class TestSyncClient:
         tracer.clear()
         client.predict(ROW)
         assert forest(tracer) == [
-            ("client.predict", [
-                ("vdso.predict", [
-                    ("kernel.predict", [("kernel.admission", [])])])])]
-        assert kinds(tracer) == ["predict", "cache_miss"]
+            ("vdso.predict", [
+                ("kernel.predict", [("kernel.admission", [])])])]
+        assert kinds(tracer) == ["predict"]
+        assert details(tracer) == [{"cache": "miss"}]
+
+    @settings(max_examples=50, deadline=None)
+    @given(stream=st.lists(st.one_of(
+        st.lists(st.integers(0, 5), min_size=1, max_size=8),
+        st.booleans()), max_size=12))
+    def test_vdso_batch_rows_leave_the_scalar_events(self, stream):
+        """Row for row a vDSO batch emits what the scalar reads would:
+        the same ``predict`` events, stamped and detailed alike."""
+        pool = [(i, i + 1, i + 2, i + 3) for i in range(6)]
+        events = []
+        for batched in (True, False):
+            tracer, service = traced_service()
+            client = service.connect("d", transport="vdso", config=CONFIG,
+                                     batch_size=1)
+            for step in stream:
+                if isinstance(step, bool):   # move the weights
+                    client.update(pool[0], step)
+                    continue
+                rows = [pool[i] for i in step]
+                if batched:
+                    client.predict_batch(rows)
+                else:
+                    for row in rows:
+                        client.predict(row)
+            events.append([event._replace(span_id=0)
+                           for event in tracer.events()
+                           if event.kind == "predict"])
+        assert events[0] == events[1]
+        assert all(event.detail["cache"] in ("hit", "miss")
+                   for event in events[0])
+
+    def test_resilient_client_roots_the_call_under_client(self):
+        tracer, service = traced_service()
+        client = service.connect("d", transport="vdso", config=CONFIG,
+                                 fallback=0)
+        client.predict(ROW)
+        tracer.clear()
+        client.predict(ROW)
+        assert forest(tracer) == [
+            ("client.predict", [("vdso.predict", [])])]
+        assert details(tracer) == [{"cache": "hit"}]
 
     def test_syscall_batch_of_256_is_one_crossing(self):
         tracer, service = traced_service()
@@ -73,11 +124,10 @@ class TestSyncClient:
         tracer.clear()
         client.predict_batch(rows)
         assert forest(tracer) == [
-            ("client.predict_batch", [
-                ("syscall.predict_batch", [
-                    ("kernel.predict_batch", [
-                        ("kernel.admission", []),
-                        ("plan.execute", [])])])])]
+            ("syscall.predict_batch", [
+                ("kernel.predict_batch", [
+                    ("kernel.admission", []),
+                    ("plan.execute", [])])])]
         event, = tracer.events()
         assert event.kind == "predict_batch"
         assert event.detail == {"rows": 256}

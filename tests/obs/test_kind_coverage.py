@@ -43,6 +43,10 @@ def _vdso_scenario(seen):
                               config=PSSConfig(**CONFIG_KW))
     batched.predict_batch([FEATURES, [1, 2]])
     seen.update(e.kind for e in tracer.events())
+    # the probe's outcome is not a kind of its own: it is the vDSO
+    # predict's detail, and the scenario drives both values
+    assert {e.detail["cache"] for e in tracer.events()
+            if e.kind == "predict"} == {"hit", "miss"}
 
 
 def _stale_read_scenario(seen):

@@ -1,8 +1,11 @@
 """Histogram percentile math and registry get-or-create semantics."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.exporters import prometheus_text
@@ -144,6 +147,58 @@ class TestHistogramPercentiles:
         estimates = [a.percentile(q) for q in quantiles]
         assert estimates == sorted(estimates)
         assert a.count == 250
+
+
+def observe_every_time(h, value):
+    """``Histogram.observe`` as it was before it remembered the value
+    it filed last: min, max and ``frexp`` on every observation."""
+    h.count += 1
+    h.sum += value
+    if value < h.min:
+        h.min = value
+    if value > h.max:
+        h.max = value
+    if value <= 0.0:
+        h.zero_count += 1
+        return
+    mantissa, exponent = math.frexp(value)
+    if mantissa == 0.5:
+        exponent -= 1
+    h.buckets[exponent] = h.buckets.get(exponent, 0) + 1
+
+
+class TestHistogramRepeats:
+    #: few distinct values, so runs of one value - the case the
+    #: shortcut takes - are the common case, across the zero bucket,
+    #: a bucket boundary and both infinities
+    values = st.sampled_from(
+        [4.19, 4.19, 68.0, 0.0, -0.0, -3.0, 0.5, 1.0, 2, 2.0,
+         1e-300, 1e300, math.inf, 5e-324])
+
+    @settings(max_examples=200, deadline=None)
+    @given(first=st.lists(values, max_size=30),
+           merged=st.lists(values, max_size=6),
+           second=st.lists(values, max_size=30))
+    def test_any_sequence_files_as_the_plain_observe_did(
+            self, first, merged, second):
+        fast, plain, other = Histogram(), Histogram(), Histogram()
+        for value in merged:
+            other.observe(value)
+        for value in first:
+            fast.observe(value)
+            observe_every_time(plain, value)
+        # a merge in between must not stale what the shortcut remembers
+        fast.merge(other)
+        plain.merge(other)
+        for value in second:
+            fast.observe(value)
+            observe_every_time(plain, value)
+        for field in ("count", "sum", "min", "max", "buckets",
+                      "zero_count"):
+            assert getattr(fast, field) == getattr(plain, field), field
+            assert repr(getattr(fast, field)) \
+                == repr(getattr(plain, field)), field
+        assert fast.snapshot() == plain.snapshot()
 
 
 class TestRegistry:

@@ -118,7 +118,7 @@ class ModelTracer:
 #: a program is a tree: ("record", kind, ts or None) leaves and
 #: ("span", name, clocked, detail, raises, children) nodes
 _leaf = st.tuples(st.just("record"),
-                  st.sampled_from(["predict", "update", "cache_hit"]),
+                  st.sampled_from(["predict", "update", "flush"]),
                   st.one_of(st.none(), st.floats(0.0, 1e6)))
 
 
@@ -244,18 +244,23 @@ class TestAgainstReferenceModel:
 
 # -- (b) pinned export digests of one fixed scenario ------------------------
 
-#: CRC-32 of the three export files of :func:`pinned_scenario`.  The
-#: events are as taken from the commit before the record path was
-#: rewritten (PR 11).  The two span files were re-pinned once, by PR 16:
-#: five of the serve run's drained batches hold a single prediction,
-#: and a kernel batch of one row is now the scalar predict, so each of
-#: those four-span ``kernel.predict_batch`` trees became one
-#: ``kernel.predict`` span (same start, end, parent; every other span
-#: byte-identical - compared span by span against the parent commit)
+#: CRC-32 of the three export files of :func:`pinned_scenario`.
+#: Re-pinned twice, each time against a structural diff with the
+#: parent commit's exports.  PR 16: five of the serve run's drained
+#: batches hold a single prediction, and a kernel batch of one row is
+#: the scalar predict, so each of those four-span
+#: ``kernel.predict_batch`` trees became one ``kernel.predict`` span.
+#: PR 18, all three files: the 217 vDSO reads' ``cache_hit`` /
+#: ``cache_miss`` events folded into their ``predict`` event's
+#: ``detail.cache`` (754 events -> 537), and the plain clients' 304
+#: ``client.*`` spans went, their children becoming roots (1 114 spans
+#: -> 810).  With ids renumbered every other span and event is
+#: field-for-field the parent's, except the ``ts_ns`` of the four
+#: clockless ``plan.*`` events, which is the tracer's record count.
 PINNED = {
-    "events.jsonl": 1507865502,
-    "spans.jsonl": 1209809078,
-    "chrome.json": 3126072777,
+    "events.jsonl": 3284018275,
+    "spans.jsonl": 231156259,
+    "chrome.json": 3148554768,
 }
 
 CONFIG = PSSConfig(num_features=4)
@@ -333,11 +338,15 @@ class TestPinnedExports:
         tracer = Tracer()
         pipeline = pinned_scenario(tracer)
         kinds = {event.kind for event in tracer.events()}
-        assert {"predict", "cache_hit", "cache_miss", "flush",
+        assert {"predict", "flush",
                 "predict_batch", "reset", "queue.enqueue",
                 "batch.dispatch", "batch.flush_timeout"} <= kinds
+        assert {"hit", "miss"} == {
+            event.detail["cache"] for event in tracer.events()
+            if event.kind == "predict" and event.transport == "vdso"}
         names = {span.name for span in tracer.spans()}
-        assert {"client.predict", "vdso.predict", "kernel.update",
+        assert not any(name.startswith("client.") for name in names)
+        assert {"vdso.predict", "vdso.update", "kernel.update",
                 "syscall.predict_batch", "plan.execute",
                 "serve.dispatch", "kernel.route"} <= names
         assert pipeline.snapshot()["completed"] > 150

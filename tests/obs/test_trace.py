@@ -89,8 +89,10 @@ class TestNullTracer:
 
 def test_known_event_kinds_cover_instrumentation():
     # The schema the exporters rely on; duration events must be present.
-    for kind in ("predict", "update", "reset", "flush", "cache_hit",
-                 "cache_miss", "fault", "fault_injected", "retry",
+    for kind in ("predict", "update", "reset", "flush",
+                 "fault", "fault_injected", "retry",
                  "fallback", "breaker_open", "breaker_close",
                  "checkpoint_save", "checkpoint_restore"):
         assert kind in EVENT_KINDS
+    # a score-cache probe's outcome is its predict event's detail.cache
+    assert not {"cache_hit", "cache_miss"} & EVENT_KINDS
