@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence, Union
 
 from repro.core.config import LatencyModel, ResilienceConfig
 from repro.core.errors import (
+    FeatureError,
     QuotaExceededError,
     RequestShedError,
     TransportFault,
@@ -108,7 +109,11 @@ class PSSClient:
 
     def update(self, features: Sequence[int], direction: bool) -> None:
         """Feedback: ``void update(int*, int, bool dir)``."""
-        self._transport.update(canonical_features(features), direction)
+        # canonical_features, written out: on the vDSO transport an
+        # update is a list append, and a call here would double it
+        self._transport.update(
+            features if type(features) is tuple else tuple(features),
+            direction)
 
     def reset(self, features: Sequence[int],
               reset_all: bool = False) -> None:
@@ -542,8 +547,12 @@ class ResilientClient(PSSClient):
             self._attempt(self._transport.update, features, direction)
         except _DEGRADABLE as error:
             self._degrade(error)
-            if isinstance(error, QuotaExceededError) \
-                    or error.lost_records == 0:
+            if isinstance(error, QuotaExceededError):
+                # Not a crossing's fault, so _attempt counted nothing:
+                # the refused record, or the suffix of the flush this
+                # update triggered.
+                self.stats.dropped_updates += error.lost_records
+            elif error.lost_records == 0:
                 # The record never reached a buffer, so _attempt could
                 # not have counted it among a crossing's lost records.
                 self.stats.dropped_updates += 1
@@ -583,7 +592,10 @@ class ResilientClient(PSSClient):
             self._transport.flush()
         except _DEGRADABLE as error:
             self._degrade(error)
-            self.stats.dropped_updates += getattr(error, "lost_records", 0)
+            self.stats.dropped_updates += error.lost_records
+        except FeatureError as error:
+            self.stats.dropped_updates += error.lost_records
+            raise
         else:
             self._breaker.record_success()
 
@@ -592,7 +604,10 @@ class ResilientClient(PSSClient):
             self._transport.close()
         except _DEGRADABLE as error:
             self._degrade(error, trip_breaker=False)
-            self.stats.dropped_updates += getattr(error, "lost_records", 0)
+            self.stats.dropped_updates += error.lost_records
+        except FeatureError as error:
+            self.stats.dropped_updates += error.lost_records
+            raise
 
     # -- retry machinery ------------------------------------------------------
 
@@ -601,12 +616,17 @@ class ResilientClient(PSSClient):
         backoff.
 
         Batch records lost with any failed crossing are counted here
-        (they are gone whether or not a later attempt succeeds).
+        (they are gone whether or not a later attempt succeeds), and so
+        are the malformed records of a flush the operation triggered -
+        a :class:`FeatureError` is the caller's bug and still raised.
         """
         config = self.resilience
         for attempt in range(config.max_attempts):
             try:
                 return operation(*args)
+            except FeatureError as error:
+                self.stats.dropped_updates += error.lost_records
+                raise
             except TransportFault as fault:
                 self.stats.dropped_updates += fault.lost_records
                 if attempt + 1 >= config.max_attempts:

@@ -19,7 +19,24 @@ class ConfigError(PSSError):
 
 
 class FeatureError(PSSError):
-    """A feature vector is malformed (wrong length, non-integer entries)."""
+    """A feature vector is malformed (wrong length, non-integer entries).
+
+    A batch of update records (``update_batch`` at any layer, which is
+    how a vDSO flush delivers) refuses only the records that are
+    malformed: every other record is applied, in order, and the first
+    record's error is raised once after the batch with ``refused``
+    holding the positions of the records that were not applied.
+    ``lost_records`` is their number, named as on a
+    :class:`TransportFault`; it is 0 on an error raised by a scalar
+    call, whose one record never reached a buffer.
+    """
+
+    #: positions, in the batch handed in, of the records refused
+    refused: tuple[int, ...] = ()
+
+    @property
+    def lost_records(self) -> int:
+        return len(self.refused)
 
 
 class DomainError(PSSError):
@@ -31,7 +48,13 @@ class PolicyError(PSSError):
 
 
 class AdmissionError(PSSError):
-    """The admission layer refused a request before it reached a domain."""
+    """The admission layer refused a request before it reached a domain.
+
+    ``lost_records`` counts the update records refused with it: the
+    suffix of a delivered batch that no longer fit a budget.
+    """
+
+    lost_records = 0
 
 
 class QuotaExceededError(AdmissionError):

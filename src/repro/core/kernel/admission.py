@@ -118,13 +118,31 @@ class TenantMeter:
             raise QuotaExceededError(self.identity, "predictions", budget)
         usage.predictions += count
 
-    def charge_update(self) -> None:
+    def charge_updates(self, count: int = 1) -> None:
+        """Charge ``count`` update records against the tenant's budget.
+
+        Unlike a batch of predictions, a batch of updates is admitted
+        as far as it fits, which is what delivering its records one by
+        one would do: the prefix the remaining budget covers is
+        charged, and the rest is refused with one
+        :class:`QuotaExceededError` - counted as one rejection, its
+        ``lost_records`` the length of the refused suffix - for the
+        caller to drop.  Budgets are monotonic, so a record past the
+        first refused one would have been refused too.
+        """
         usage = self.usage
         budget = self.quota.update_budget
-        if budget is not None and usage.updates >= budget:
+        if budget is not None and usage.updates + count > budget:
+            fits = max(budget - usage.updates, 0)
+            usage.updates += fits
             usage.rejections += 1
-            raise QuotaExceededError(self.identity, "updates", budget)
-        usage.updates += 1
+            refusal = QuotaExceededError(self.identity, "updates", budget)
+            refusal.lost_records = count - fits
+            raise refusal
+        usage.updates += count
+
+    #: the one-record entry: the same body, charging one
+    charge_update = charge_updates
 
 
 class AdmissionController:

@@ -15,7 +15,11 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.core.config import PSSConfig
-from repro.core.errors import ShardDownError
+from repro.core.errors import (
+    FeatureError,
+    QuotaExceededError,
+    ShardDownError,
+)
 from repro.core.models import PredictorModel
 from repro.core.policy import ClientIdentity, DomainPolicy, open_policy
 from repro.core.stats import DomainReport, PredictionStats
@@ -118,6 +122,45 @@ class Domain:
         if getattr(self.model, "generation", None) is None:
             self.generation_offset += 1
         self.stats.record_update(direction)
+
+    def update_batch(
+        self, records: Sequence[tuple[Sequence[int], bool]]
+    ) -> None:
+        """:meth:`update` for every ``(features, direction)`` record, in
+        order: the state a scalar replay leaves, stats filed once.
+
+        A batch-aware model (the hashed perceptron) trains on all
+        records in one pass; others take the scalar loop, generation
+        bump per record included.  Either way a record that fails
+        validation costs only itself: the others are applied and
+        counted, then the first :class:`FeatureError` is raised with
+        the ``refused`` positions.
+        """
+        batch = getattr(self.model, "update_batch", None)
+        if batch is not None:
+            try:
+                batch(records)
+            except FeatureError as error:
+                self.stats.record_updates(
+                    [direction
+                     for position, (_, direction) in enumerate(records)
+                     if position not in error.refused])
+                raise
+            self.stats.record_updates(
+                [direction for _, direction in records])
+            return
+        refused: list[int] = []
+        first_error: FeatureError | None = None
+        for position, (features, direction) in enumerate(records):
+            try:
+                self.update(features, direction)
+            except FeatureError as error:
+                if first_error is None:
+                    first_error = error
+                refused.append(position)
+        if first_error is not None:
+            first_error.refused = tuple(refused)
+            raise first_error
 
     def reset(self, features: Sequence[int], reset_all: bool) -> None:
         self.model.reset(features, reset_all)
@@ -321,6 +364,57 @@ class DomainHandle:
         if admission is not None:
             (self._meter or self._bind_meter(admission)).charge_update()
         domain.update(features, direction)
+
+    def _update_batch_span(
+        self, records: Sequence[tuple[Sequence[int], bool]]
+    ) -> SpanHandleLike | None:
+        """An empty batch dispatches nothing and gets no span."""
+        if not records:
+            return None
+        return self._kernel_span("kernel.update_batch",
+                                 {"records": len(records)})
+
+    @spanned(_update_batch_span, tracer="_tracer()")
+    def update_batch(
+        self, records: Sequence[tuple[Sequence[int], bool]]
+    ) -> None:
+        """Policy- and admission-checked delivery of a batch of update
+        records - what a flushed buffer is - in one dispatch.
+
+        One policy check and one shard-down test cover the batch (a
+        crashed primary refuses before anything is charged, every
+        record lost), and admission charges the records in one step
+        (:meth:`TenantMeter.charge_updates`): the prefix the budget
+        covers is applied and the refusal raised with the suffix as its
+        ``lost_records`` - what delivering the records one by one and
+        stopping at the first refusal does.  Records the domain itself
+        refused (:meth:`Domain.update_batch`) are lost with it.
+        """
+        if not records:
+            return
+        domain = self._domain
+        if domain.policy is not self._policy:
+            self._judge()
+        if not self._may_update:
+            self._policy.check_update(self._identity, domain.name)
+        shard = domain.shard
+        if shard is not None and shard.down:
+            raise ShardDownError(shard.shard_id, domain.name,
+                                 lost_records=len(records))
+        admission = self._admission
+        if admission is not None:
+            meter = self._meter or self._bind_meter(admission)
+            try:
+                meter.charge_updates(len(records))
+            except QuotaExceededError as refusal:
+                fits = len(records) - refusal.lost_records
+                if fits:
+                    try:
+                        domain.update_batch(records[:fits])
+                    except FeatureError as error:
+                        refusal.lost_records += error.lost_records
+                raise
+        domain.update_batch(records)
 
     def reset(self, features: Sequence[int], reset_all: bool) -> None:
         domain = self._domain

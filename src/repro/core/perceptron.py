@@ -96,6 +96,15 @@ class HashedPerceptron:
             return
         self._weights.adjust_at(selected, 1 if direction else -1)
 
+    def update_batch(
+        self, records: Sequence[tuple[Sequence[int], bool]]
+    ) -> None:
+        """:meth:`update` for every ``(features, direction)`` record, in
+        order, as one pass (:meth:`WeightMatrix.train_batch`): weights
+        and cache end where the scalar calls leave them."""
+        self._weights.train_batch(records, self.config.threshold,
+                                  self.config.effective_margin)
+
     def reset(self, features: Sequence[int], reset_all: bool) -> None:
         """Selective or total reset (the paper's ``reset`` call)."""
         if reset_all:

@@ -71,6 +71,13 @@ class PredictionStats:
         else:
             self.penalties += 1
 
+    def record_updates(self, directions: Sequence[bool]) -> None:
+        """A whole batch's :meth:`record_update`, in one call."""
+        rewards = sum([1 for direction in directions if direction])
+        self.updates += len(directions)
+        self.rewards += rewards
+        self.penalties += len(directions) - rewards
+
     def record_reset(self) -> None:
         self.resets += 1
 

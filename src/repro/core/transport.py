@@ -26,6 +26,7 @@ from typing import Protocol, Sequence
 from repro.core.config import LatencyModel
 from repro.core.errors import (
     AdmissionError,
+    FeatureError,
     ShardDownError,
     TransportClosedError,
     TransportError,
@@ -408,6 +409,8 @@ class VdsoTransport(Transport):
         self._cached_recorder = getattr(
             target, "record_cached_prediction", None
         )
+        #: the target's batch entry for a flush's records, if it has one
+        self._update_batch = getattr(target, "update_batch", None)
 
     @property
     def pending_updates(self) -> int:
@@ -588,14 +591,28 @@ class VdsoTransport(Transport):
             self._stale_cache.clear()
             self._score_cache_generation = -1
 
-    @spanned(named(Transport._op_span, "update"))
     def update(self, features: Sequence[int], direction: bool) -> None:
-        self._ensure_open()
-        self._buffer.add(features, direction)
+        """Buffer one update record; the record that fills the buffer
+        flushes it.
+
+        Buffering crosses nothing, so it opens no span: watched, the
+        ``update{buffered: true}`` event is its one record, and the
+        flush it may trigger is rooted at ``vdso.flush``.  It is also
+        the whole cost of most updates, so :meth:`BatchUpdateBuffer.add`
+        is written out here: the closed check, the tuple test, one
+        append, ``full`` tested once.
+        """
+        if self._closed:
+            self._ensure_open()
+        buffer = self._buffer
+        records = buffer._records
+        records.append((
+            features if type(features) is tuple else tuple(features),
+            direction))
         if self._tracer.enabled:
             self._trace("update", detail={"direction": direction,
                                           "buffered": True})
-        if self._buffer.full:
+        if len(records) >= buffer.capacity:
             self.flush()
 
     def _flush_span(self) -> SpanHandleLike | None:
@@ -646,24 +663,21 @@ class VdsoTransport(Transport):
                     "op": "flush", "errno": fault.errno_name,
                     "lost_records": fault.lost_records,
                 })
-        refused: AdmissionError | ShardDownError | None = None
-        for index, (features, direction) in enumerate(records[:delivered]):
+        refused: AdmissionError | ShardDownError | FeatureError | None = None
+        if delivered:
             try:
-                self._target.update(features, direction)
-            except (AdmissionError, ShardDownError) as exc:
-                # Budgets are monotonic, and a crashed primary refuses
-                # writes until promotion: once one record is refused the
-                # rest of the batch would be too.  The suffix is dropped
-                # and reported on the error like an undelivered crossing.
+                self._deliver(records[:delivered])
+            except (AdmissionError, ShardDownError, FeatureError) as exc:
                 refused = exc
-                refused.lost_records = delivered - index
-                break
         if fault is not None:
             # The undelivered suffix is gone: updates are hints, and the
             # batch buffer was already drained when the crossing failed.
+            if refused is not None:
+                fault.lost_records += refused.lost_records
             raise fault
         if refused is not None:
-            if self._tracer.enabled:
+            if self._tracer.enabled \
+                    and not isinstance(refused, FeatureError):
                 self._trace("fault", detail={
                     "op": "flush",
                     "errno": (refused.errno_name
@@ -672,6 +686,30 @@ class VdsoTransport(Transport):
                     "lost_records": refused.lost_records,
                 })
             raise refused
+
+    def _deliver(self, records: list[tuple[tuple[int, ...], bool]]
+                 ) -> None:
+        """Hand the records that crossed to the service side: one call
+        when the target takes a batch (a
+        :class:`~repro.core.kernel.domain.DomainHandle` does), else one
+        call per record.
+
+        Either way a refusal drops the rest and says how many on the
+        error, like an undelivered crossing: budgets are monotonic, and
+        a crashed primary refuses writes until promotion, so once one
+        record is refused the records after it would be too.
+        """
+        batch = self._update_batch
+        if batch is not None:
+            batch(records)
+            return
+        update = self._target.update
+        for index, (features, direction) in enumerate(records):
+            try:
+                update(features, direction)
+            except (AdmissionError, ShardDownError) as exc:
+                exc.lost_records = len(records) - index
+                raise
 
 
 def make_transport(kind: str, target: ServiceTarget,

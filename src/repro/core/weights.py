@@ -318,6 +318,53 @@ class WeightMatrix:
                      for one in selected], selected
         return slots, block
 
+    def train_batch(
+        self, records: Sequence[tuple[Sequence[int], bool]],
+        threshold: int, margin: int,
+    ) -> None:
+        """Margin-rule training on every ``(features, direction)``
+        record, in order: what :meth:`dot_and_indices`, the perceptron's
+        margin test and :meth:`adjust_at` do per record, as one loop.
+
+        The loop is the scalar index-cache probe itself - same hit and
+        miss counters, same LRU reorder on a hit, a miss goes through
+        :meth:`_flat_indices` - and each record is scored against the
+        weights the records before it left, so weights, bias, every
+        generation bump and the cache's order are what the scalar calls
+        leave.  A record that fails validation costs only itself: the
+        others are applied, then the first
+        :class:`~repro.core.errors.FeatureError` is raised with the
+        ``refused`` positions.
+        """
+        cache = self._index_cache
+        cache_get = cache.get
+        move_to_end = cache.move_to_end
+        getitem = self._flat.__getitem__
+        adjust_at = self.adjust_at
+        refused: list[int] = []
+        first_error: FeatureError | None = None
+        for position, (features, direction) in enumerate(records):
+            key = features if type(features) is tuple else tuple(features)
+            selected = cache_get(key)
+            if selected is not None:
+                move_to_end(key)
+                self.index_cache_hits += 1
+            else:
+                try:
+                    selected = self._flat_indices(key)
+                except FeatureError as error:
+                    if first_error is None:
+                        first_error = error
+                    refused.append(position)
+                    continue
+            score = self._bias + sum(map(getitem, selected))
+            if (score >= threshold) == direction and abs(score) > margin:
+                continue
+            adjust_at(selected, 1 if direction else -1)
+        if first_error is not None:
+            first_error.refused = tuple(refused)
+            raise first_error
+
     def adjust(self, features: Iterable[int], delta: int) -> None:
         """Add ``delta`` to every selected weight and the bias, saturating."""
         self.adjust_at(self._flat_indices(features), delta)

@@ -24,6 +24,7 @@ from repro.core import (
     private_policy,
 )
 from repro.core.errors import PolicyError
+from repro.core.kernel.admission import TenantMeter
 
 OWNER = ClientIdentity(uid=1000, program="owner")
 STRANGER = ClientIdentity(uid=2000, program="stranger")
@@ -137,6 +138,63 @@ class TestQuotaEnforcement:
             TenantQuota(max_domains=-1)
 
 
+class TestChargeUpdates:
+    """``TenantMeter.charge_updates(n)``: the prefix that fits is
+    charged, the rest refused once."""
+
+    def meter(self, budget, spent=0):
+        meter = TenantMeter(OWNER, TenantQuota(update_budget=budget))
+        meter.usage.updates = spent
+        return meter
+
+    def usage(self, meter):
+        return meter.usage.updates, meter.usage.rejections
+
+    def test_fits(self):
+        meter = self.meter(budget=10, spent=3)
+        meter.charge_updates(4)
+        assert self.usage(meter) == (7, 0)
+
+    def test_exactly_fits(self):
+        meter = self.meter(budget=10, spent=3)
+        meter.charge_updates(7)
+        assert self.usage(meter) == (10, 0)
+
+    def test_fits_k_of_n_charges_k_and_raises_once(self):
+        meter = self.meter(budget=10, spent=3)
+        with pytest.raises(QuotaExceededError) as exc_info:
+            meter.charge_updates(32)
+        assert self.usage(meter) == (10, 1)
+        refusal = exc_info.value
+        assert refusal.lost_records == 25
+        assert (refusal.resource, refusal.limit, refusal.identity) == (
+            "updates", 10, OWNER)
+
+    @pytest.mark.parametrize("spent", [10, 12])   # 12: budget lowered
+    def test_budget_already_spent_charges_nothing(self, spent):
+        meter = self.meter(budget=10, spent=spent)
+        with pytest.raises(QuotaExceededError) as exc_info:
+            meter.charge_updates(5)
+        assert self.usage(meter) == (spent, 1)
+        assert exc_info.value.lost_records == 5
+
+    def test_unlimited(self):
+        meter = self.meter(budget=None, spent=3)
+        meter.charge_updates(1 << 20)
+        assert self.usage(meter) == (3 + (1 << 20), 0)
+
+    def test_charge_update_is_the_one_record_entry(self):
+        meter = self.meter(budget=2)
+        meter.charge_update()
+        meter.charge_update()
+        assert self.usage(meter) == (2, 0)
+        with pytest.raises(QuotaExceededError) as exc_info:
+            meter.charge_update()
+        assert self.usage(meter) == (2, 1)
+        assert exc_info.value.lost_records == 1
+        assert TenantMeter.charge_update is TenantMeter.charge_updates
+
+
 class TestResilientClientQuotaPath:
     """Quota rejections fall back immediately: no retries, no breaker."""
 
@@ -200,6 +258,17 @@ class TestResilientClientQuotaPath:
         assert client.stats.quota_rejections == 1
         assert client.breaker_state == "closed"
         assert admission.usage_for(OWNER).updates == 2
+
+    def test_suffix_of_a_flush_an_update_triggered_is_counted(self):
+        service, admission, client = self.make_client(
+            TenantQuota(update_budget=2), transport="vdso", batch_size=5
+        )
+        for i in range(5):
+            client.update([i], True)   # the fifth fills and flushes
+        assert service.domain("d").stats.updates == 2
+        assert client.stats.dropped_updates == 3
+        assert client.stats.quota_rejections == 1
+        assert admission.usage_for(OWNER).rejections == 1
 
     def test_usage_rows_report_consumption(self):
         service, admission, client = self.make_client(

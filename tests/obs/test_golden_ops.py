@@ -6,6 +6,7 @@ order - so a change that adds a crossing, drops a stage or re-enters the
 kernel on a cache hit fails here even when every score is still right.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -132,6 +133,58 @@ class TestSyncClient:
         assert event.kind == "predict_batch"
         assert event.detail == {"rows": 256}
         assert client.latency.syscalls == 1
+
+
+class TestSyncWritePath:
+    def test_buffered_vdso_update_is_one_record(self):
+        """The record budget of a buffered update: nothing is crossed,
+        so no span opens - the event is the record."""
+        tracer, service = traced_service()
+        client = service.connect("d", transport="vdso", config=CONFIG)
+        tracer.clear()
+        client.update(ROW, True)
+        assert forest(tracer) == []
+        assert kinds(tracer) == ["update"]
+        assert details(tracer) == [{"direction": True, "buffered": True}]
+        assert len(tracer) + len(tracer.spans()) == 1
+
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_flush_of_32_records_is_three_records(self, explicit):
+        """The record budget of a flush, whatever it carries: the
+        crossing's span, its ``flush`` event and one kernel dispatch
+        for the batch.  The update that fills the buffer triggers the
+        same tree, rooted at ``vdso.flush``."""
+        tracer, service = traced_service()
+        client = service.connect("d", transport="vdso", config=CONFIG,
+                                 batch_size=64 if explicit else 32)
+        rows = [(i, i + 1, i + 2, i + 3) for i in range(32)]
+        for row in rows[:-1]:
+            client.update(row, True)
+        tracer.clear()
+        client.update(rows[-1], False)
+        if explicit:
+            client.flush()
+        assert forest(tracer) == [
+            ("vdso.flush", [("kernel.update_batch", [])])]
+        assert kinds(tracer) == ["update", "flush"]
+        assert details(tracer)[1] == {"records": 32, "delivered": 32}
+        assert [span.detail for span in tracer.spans()] == [
+            {"records": 32}] * 2
+        # the last update's own event, then the flush's three
+        assert len(tracer) + len(tracer.spans()) == 1 + 3
+        assert service.domain("d").stats.updates == 32
+
+    def test_syscall_update_is_a_scalar_kernel_update(self):
+        """A real crossing keeps its span, and the scalar kernel update
+        keeps its own name."""
+        tracer, service = traced_service()
+        client = service.connect("d", transport="syscall", config=CONFIG)
+        tracer.clear()
+        client.update(ROW, True)
+        assert forest(tracer) == [
+            ("syscall.update", [("kernel.update", [])])]
+        assert kinds(tracer) == ["update"]
+        assert len(tracer) + len(tracer.spans()) == 3
 
 
 class TestPipeline:

@@ -245,7 +245,7 @@ class TestAgainstReferenceModel:
 # -- (b) pinned export digests of one fixed scenario ------------------------
 
 #: CRC-32 of the three export files of :func:`pinned_scenario`.
-#: Re-pinned twice, each time against a structural diff with the
+#: Re-pinned three times, each time against a structural diff with the
 #: parent commit's exports.  PR 16: five of the serve run's drained
 #: batches hold a single prediction, and a kernel batch of one row is
 #: the scalar predict, so each of those four-span
@@ -257,10 +257,17 @@ class TestAgainstReferenceModel:
 #: -> 810).  With ids renumbered every other span and event is
 #: field-for-field the parent's, except the ``ts_ns`` of the four
 #: clockless ``plan.*`` events, which is the tracer's record count.
+#: PR 19, all three files: the 83 buffered updates' ``vdso.update``
+#: spans went (their ``update`` events and the 10 ``vdso.flush`` spans
+#: they triggered are roots now), and each of the 11 flushes' run of
+#: ``kernel.update`` spans - 83 in all, every one stamped with its
+#: flush's clock - is one ``kernel.update_batch{records: n}`` span
+#: (810 spans -> 655, the 537 events unchanged but for ``span_id``
+#: and, again, the four clockless ``ts_ns``).
 PINNED = {
-    "events.jsonl": 3284018275,
-    "spans.jsonl": 231156259,
-    "chrome.json": 3148554768,
+    "events.jsonl": 2757296079,
+    "spans.jsonl": 4086349461,
+    "chrome.json": 96744107,
 }
 
 CONFIG = PSSConfig(num_features=4)
@@ -346,7 +353,9 @@ class TestPinnedExports:
             if event.kind == "predict" and event.transport == "vdso"}
         names = {span.name for span in tracer.spans()}
         assert not any(name.startswith("client.") for name in names)
-        assert {"vdso.predict", "vdso.update", "kernel.update",
+        assert "vdso.update" not in names   # buffering opens no span
+        assert {"vdso.predict", "vdso.flush", "kernel.update_batch",
+                "syscall.update", "kernel.update",
                 "syscall.predict_batch", "plan.execute",
                 "serve.dispatch", "kernel.route"} <= names
         assert pipeline.snapshot()["completed"] > 150

@@ -185,8 +185,9 @@ class TestInstrumentedStack:
         transport.update(ROW, True)
         tracer.clear()
         transport.flush()
-        assert span_names(tracer) == ["kernel.update", "vdso.flush"]
-        assert tracer.spans()[-1].detail == {"records": 1}
+        assert span_names(tracer) == ["kernel.update_batch", "vdso.flush"]
+        assert [span.detail for span in tracer.spans()] == [
+            {"records": 1}] * 2
 
 
 def test_no_hand_written_traced_twin_under_core():
