@@ -1,0 +1,241 @@
+"""Generate the event / span / metric tables of docs/OBSERVABILITY.md.
+
+The names come from the program's registries - ``EVENT_KINDS``,
+``SPAN_NAMES`` and the ``pss_*`` name constants of
+``repro.obs.metrics`` - and the prose from the rows below; a name
+without a row, or a row naming something no registry holds, is an
+error, so the tables cannot list what the stack does not emit or omit
+what it does.  ``tests/obs/test_doc_tables.py`` (tier 1) fails when the
+committed tables differ from what this prints.
+
+    PYTHONPATH=src python docs/generate_tables.py           # print
+    PYTHONPATH=src python docs/generate_tables.py --write   # update the doc
+    PYTHONPATH=src python docs/generate_tables.py --check   # exit 1 on drift
+"""
+
+from __future__ import annotations
+
+import re
+import sys
+from pathlib import Path
+
+from repro.obs import metrics as metric_names
+from repro.obs.spans import SPAN_NAMES
+from repro.obs.trace import EVENT_KINDS
+
+DOC = Path(__file__).with_name("OBSERVABILITY.md")
+
+#: (kinds, emitted by, when) - one row per group of kinds
+EVENT_ROWS = [
+    (("predict", "update", "reset", "flush"), "transports",
+     "an operation crossed (or was served at) the boundary.  A vDSO "
+     "read's `predict` is emitted once its score-cache probe has decided "
+     "and says which way in `detail.cache`: `\"hit\"` (the "
+     "generation-keyed cache answered; the event, `dur_ns` 4.19, is the "
+     "read's only record) or `\"miss\"` (the model was evaluated, under "
+     "`vdso.predict`); there is no `detail` on a read that bypasses the "
+     "cache (staleness injection armed, or a target that publishes no "
+     "generation).  One event per read, scalar or per row of a batch"),
+    (("predict_batch",), "syscall transport",
+     "a batched crossing served N rows in one trap"),
+    (("stale_read",), "vDSO transport",
+     "injected staleness served an old score"),
+    (("fault",), "transports",
+     "a `TransportFault` was raised to the caller (detail carries the "
+     "errno)"),
+    (("fault_injected",), "`FaultInjector`",
+     "the injector decided to inject (decision time; tracing never "
+     "touches the injector's RNG, so fault sequences are identical with "
+     "tracing on or off)"),
+    (("retry", "fallback"), "`ResilientClient`",
+     "a failed operation was retried / the static fallback answered"),
+    (("breaker_open", "breaker_close"), "`CircuitBreaker`",
+     "state transitions"),
+    (("checkpoint_save", "checkpoint_restore"), "`CheckpointManager`",
+     "snapshot written / recovery attempted (detail carries bytes, "
+     "corruption, ok)"),
+    (("checkpoint.corrupt",), "checkpoint layer",
+     "a CRC mismatch was detected on restore"),
+    (("shard_crash",), "sharded kernel",
+     "a shard was crashed (chaos schedule or fault)"),
+    (("failover",), "sharded kernel",
+     "a read was served by a follower replica (detail carries the "
+     "staleness `lag`)"),
+    (("replica_sync", "replica_promote"), "replication layer",
+     "follower refreshed from its primary / promoted to primary"),
+    (("migration_start", "migration_commit", "migration_stall"),
+     "live resharding", "per-domain migration lifecycle"),
+    (("plan.compile", "plan.hit"), "plan cache",
+     "a specialized shape plan was compiled / reused"),
+    (("request",), "serving pipeline",
+     "a served request settled - its one wide record: `ts_ns` the "
+     "submit, `dur_ns` the sojourn, detail `{op, outcome, rows, trigger, "
+     "collect_ns, drained_ns, settled_ns}` (the stamps split the sojourn "
+     "into queue wait / batch window / crossing; see "
+     "[SERVING.md](SERVING.md))"),
+    (("queue.shed",), "serving request queues",
+     "a submit was refused (detail carries the shed reason)"),
+    (("batch.flush_timeout",), "serving dispatcher",
+     "a partial batch was flushed by window expiry"),
+    (("slo.page",), "`SLOEngine`",
+     "an SLO entered a fast-burn excursion (see below)"),
+]
+
+#: (names, opened by, covers)
+SPAN_ROWS = [
+    (("client.predict", "client.predict_batch", "client.update",
+      "client.reset", "client.flush"), "`ResilientClient`",
+     "one application-facing call: the root over its retry ladder and "
+     "the parent of its `retry` / `fallback` events (a plain "
+     "`PSSClient` opens no span)"),
+    (("vdso.predict",), "`VdsoTransport`",
+     "a read that leaves the process: a score-cache *miss*, or one that "
+     "bypasses the cache; from the read's start, around its `predict` "
+     "event and the service call.  A hit opens none"),
+    (("vdso.predict_batch",), "`VdsoTransport`",
+     "a batch of reads `{rows}`; enters the kernel at most once, at the "
+     "first miss"),
+    (("vdso.flush",), "`VdsoTransport`",
+     "a flush that carries records `{records}`: 68 + n x 1 ns (a "
+     "buffered update opens no span)"),
+    (("vdso.reset", "syscall.predict", "syscall.predict_batch",
+      "syscall.update", "syscall.reset"), "transports",
+     "one syscall crossing"),
+    (("kernel.predict", "kernel.update"), "`DomainHandle`, "
+     "`ShardedService`", "one scalar kernel call - a batch of exactly "
+     "one row included, whichever entry it came through"),
+    (("kernel.predict_batch", "kernel.update_batch"), "`DomainHandle`, "
+     "`ShardedService`", "one kernel call for a real batch `{rows}` / a "
+     "flush's records `{records}`"),
+    (("kernel.admission",), "`DomainHandle`, `ShardedService`",
+     "the per-tenant quota charge `{count}`, when an identity is "
+     "charged"),
+    (("kernel.route", "kernel.dispatch"), "`ShardedService`",
+     "slot-ring fan-out `{rows, shards}` / the rows routed to one shard"),
+    (("kernel.failover",), "`Shard`",
+     "a follower replica served the read `{lag}`"),
+    (("plan.execute",), "`Domain`",
+     "one specialized-plan pass over a block of rows"),
+    (("migrate.step",), "`SlotMigrator`", "one slot handoff"),
+    (("serve.dispatch",), "serving `Dispatcher`",
+     "one drained batch of two or more requests `{rows, trigger}`; a "
+     "batch of one opens none (its `request` record says `rows: 1`)"),
+]
+
+#: (names, instrument, labels, meaning)
+METRIC_ROWS = [
+    (("pss_vdso_read_ns", "pss_syscall_ns"), "histogram",
+     "`domain`, `transport`", "boundary-crossing latency per path (the "
+     "distribution behind the paper's 4.19 ns vs 68 ns headline)"),
+    (("pss_op_ns",), "histogram", "`domain`, `transport`, `op`",
+     "the same time, broken down per operation"),
+    (("pss_score_cache_hits_total", "pss_score_cache_misses_total"),
+     "counter", "`domain`, `transport`",
+     "the vDSO score cache's probes.  With `pss_vdso_read_ns` and "
+     "`pss_op_ns{op=\"predict\"}` of a vDSO transport these are filed "
+     "when the registry is *read*, not per read"),
+    (("pss_shard_crashes_total", "pss_failover_predictions_total"),
+     "counter", "`shard`", "injected primary crashes / reads served by "
+     "a follower replica"),
+    (("pss_replica_lag_generations",), "gauge", "`shard`",
+     "generations the furthest-behind follower trails its primary, at "
+     "the last sync"),
+    (("pss_migrated_slots_total",), "counter", "-",
+     "slots handed off by completed live reshards"),
+    (("pss_queue_depth",), "histogram", "`shard`",
+     "serving queue depth, observed at every enqueue"),
+    (("pss_batch_size",), "histogram", "`shard`",
+     "rows per drained micro-batch"),
+    (("pss_serve_latency_ns",), "histogram", "`shard`",
+     "submit-to-completion sojourn of served requests"),
+    (("pss_shed_total",), "counter", "`shard`, `reason`",
+     "requests refused by back-pressure"),
+]
+
+
+def metric_constants() -> frozenset[str]:
+    return frozenset(
+        value for name, value in vars(metric_names).items()
+        if name.isupper() and isinstance(value, str)
+        and value.startswith("pss_"))
+
+
+def _table(header: tuple[str, ...], rows, registry: frozenset[str],
+           what: str) -> str:
+    named = [name for names, *_ in rows for name in names]
+    problems = (
+        [f"{what} {name!r} has no row" for name in sorted(
+            registry - set(named))]
+        + [f"row names unknown {what} {name!r}" for name in sorted(
+            set(named) - registry)]
+        + [f"{what} {name!r} is in two rows" for name in sorted(
+            {name for name in named if named.count(name) > 1})])
+    if problems:
+        raise SystemExit("docs/generate_tables.py: " + "; ".join(problems))
+    lines = ["| " + " | ".join(header) + " |",
+             "|" + "---|" * len(header)]
+    for names, *cells in rows:
+        first = " / ".join(f"`{name}`" for name in names)
+        lines.append("| " + " | ".join([first, *cells]) + " |")
+    return "\n".join(lines)
+
+
+def tables() -> dict[str, str]:
+    """Section name -> generated markdown table."""
+    return {
+        "events": _table(("kind", "emitted by", "when"), EVENT_ROWS,
+                         EVENT_KINDS, "event kind"),
+        "spans": _table(("span", "opened by", "covers"), SPAN_ROWS,
+                        SPAN_NAMES, "span name"),
+        "metrics": _table(("metric", "instrument", "labels", "meaning"),
+                          METRIC_ROWS, metric_constants(), "metric"),
+    }
+
+
+def _block(section: str) -> re.Pattern[str]:
+    """The marked block of the doc that holds ``section``'s table."""
+    return re.compile(
+        rf"(<!-- generated:{section} -->\n)(.*?)(\n<!-- /generated -->)",
+        re.DOTALL)
+
+
+def committed(text: str) -> dict[str, str | None]:
+    """Section name -> the table currently between its markers."""
+    found = {}
+    for section in tables():
+        match = _block(section).search(text)
+        found[section] = match.group(2) if match else None
+    return found
+
+
+def main(argv: list[str]) -> int:
+    generated = tables()
+    if not argv:
+        for section, table in generated.items():
+            print(f"<!-- generated:{section} -->\n{table}\n"
+                  f"<!-- /generated -->\n")
+        return 0
+    text = DOC.read_text(encoding="utf-8")
+    if argv == ["--check"]:
+        stale = [section for section, table in committed(text).items()
+                 if table != generated[section]]
+        if stale:
+            print(f"{DOC.name}: stale generated tables: {stale}; run "
+                  f"docs/generate_tables.py --write", file=sys.stderr)
+        return 1 if stale else 0
+    if argv == ["--write"]:
+        for section, table in generated.items():
+            text, count = _block(section).subn(
+                lambda match: match.group(1) + table + match.group(3),
+                text)
+            if count != 1:
+                raise SystemExit(
+                    f"{DOC.name}: no '<!-- generated:{section} -->' block")
+        DOC.write_text(text, encoding="utf-8")
+        return 0
+    print(__doc__, file=sys.stderr)
+    return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -48,8 +48,9 @@ class PSSClient:
     """Application-facing connection to one prediction domain.
 
     A plain client adds nothing to its transport's crossing, so it
-    opens no span of its own: the transport's span (``vdso.predict``,
-    ``syscall.update`` ...) is the root of a traced call.
+    opens no span of its own: where a call crosses, the transport's
+    span (``vdso.predict`` on a score-cache miss, ``syscall.update``
+    ...) is the root of its trace.
     :class:`ResilientClient`, which may cross several times for one
     call, roots them under ``client.*``.
     """

@@ -45,6 +45,8 @@ from repro.obs.metrics import (
     MIGRATED_SLOTS_TOTAL,
     REPLICA_LAG_GENERATIONS,
     SHARD_CRASHES_TOTAL,
+    SYSCALL_NS,
+    VDSO_READ_NS,
 )
 from repro.obs.spanned import spanned
 from repro.obs.trace import NULL_TRACER, SpanHandleLike, TracerLike
@@ -608,9 +610,8 @@ class ShardedService:
             if resilience is not None and resilience.any_activity:
                 report.resilience = resilience
             if self.metrics is not None:
-                for path, metric in (("vdso_read_ns",
-                                      "pss_vdso_read_ns"),
-                                     ("syscall_ns", "pss_syscall_ns")):
+                for path, metric in (("vdso_read_ns", VDSO_READ_NS),
+                                     ("syscall_ns", SYSCALL_NS)):
                     merged = self.metrics.merged_histogram(
                         metric, domain=name
                     )
@@ -660,9 +661,8 @@ class ShardedService:
                 })
                 summary["plan_cache"] = self.plans.stats()
             if self.metrics is not None and shard.domains:
-                for path, metric in (("vdso_read_ns",
-                                      "pss_vdso_read_ns"),
-                                     ("syscall_ns", "pss_syscall_ns")):
+                for path, metric in (("vdso_read_ns", VDSO_READ_NS),
+                                     ("syscall_ns", SYSCALL_NS)):
                     merged: Histogram | None = None
                     for name in shard.domain_names():
                         part = self.metrics.merged_histogram(

@@ -21,7 +21,10 @@ vectorized block scorer that hashes a whole batch of rows in a handful
 of uint64 array operations, which wins from about a dozen rows up;
 uint64 wraparound arithmetic is bit-identical to the masked Python
 arithmetic, and the pure-Python compiled path remains as the
-always-available fallback (no new hard dependency).
+always-available fallback (no new hard dependency).  numpy is imported
+by the first block that asks for it, not with this module: a process
+that never scores a block - a scalar client, most CLI commands - does
+not pay its ~0.15 s and ~12 MB.
 
 Plan lifecycle (see docs/PERFORMANCE.md, "Batched and specialized
 prediction"):
@@ -50,16 +53,12 @@ reference implementation in ``tests/core/reference_impl.py``.
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
 from typing import Any, Callable, Sequence
 
 from repro.core.config import PSSConfig
 from repro.core.hashing import _MASK64, salt_table
 from repro.obs.trace import NULL_TRACER, TracerLike
-
-try:  # optional acceleration; the compiled Python path is the fallback
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is in the dev image
-    _np = None  # type: ignore[assignment]
 
 #: what freezes a domain's scoring loop: feature count, table width,
 #: and the hash seed (weights and thresholds are deliberately absent -
@@ -139,7 +138,26 @@ def _generate_source(signature: PlanSignature,
     ])
 
 
-def _rows_as_u64(keys: Sequence[tuple[int, ...]]) -> Any:
+@lru_cache(maxsize=64)
+def _vector_engine(salts: tuple[int, ...], entries: int) -> Any:
+    """numpy and one shape's uint64 lane constants - ``(np, salts,
+    bases, entries)`` - or None where numpy is not installed (optional
+    acceleration; the compiled Python path is the fallback).
+
+    The first call is what imports numpy.  Kept here, by shape, because
+    a plan is immutable after ``__init__`` (PLN001) and building three
+    arrays per block would cost a short block more than hashing it.
+    """
+    try:
+        import numpy as np
+    except ImportError:  # pragma: no cover - numpy is in the dev image
+        return None
+    return (np, np.array(salts, dtype=np.uint64),
+            np.arange(len(salts), dtype=np.uint64) * np.uint64(entries),
+            np.uint64(entries))
+
+
+def _rows_as_u64(_np: Any, keys: Sequence[tuple[int, ...]]) -> Any:
     """Feature rows as a uint64 matrix, or None when they cannot be.
 
     Mirrors ``value & _MASK64`` (two's complement for negatives, low 64
@@ -178,8 +196,7 @@ class SpecializedPlan:
     """
 
     __slots__ = ("signature", "num_features", "entries_per_feature",
-                 "salts", "select", "score_rows",
-                 "_u64_salts", "_u64_bases", "_u64_entries")
+                 "salts", "select", "score_rows")
 
     def __init__(self, signature: PlanSignature,
                  salts: tuple[int, ...],
@@ -191,17 +208,6 @@ class SpecializedPlan:
         self.salts = salts
         self.select = select
         self.score_rows = score_rows
-        if _np is not None:
-            self._u64_salts = _np.array(salts, dtype=_np.uint64)
-            self._u64_bases = (
-                _np.arange(self.num_features, dtype=_np.uint64)
-                * _np.uint64(self.entries_per_feature)
-            )
-            self._u64_entries = _np.uint64(self.entries_per_feature)
-        else:  # pragma: no cover - numpy is in the dev image
-            self._u64_salts = None
-            self._u64_bases = None
-            self._u64_entries = None
 
     def __repr__(self) -> str:
         return (f"SpecializedPlan(features={self.num_features}, "
@@ -219,17 +225,19 @@ class SpecializedPlan:
         exactly the ``& _MASK64`` arithmetic, so both paths produce
         bit-identical indices and scores.
         """
-        if _np is None:  # pragma: no cover - numpy is in the dev image
+        engine = _vector_engine(self.salts, self.entries_per_feature)
+        if engine is None:  # pragma: no cover - numpy is in the dev image
             return None
-        rows = _rows_as_u64(keys)
+        _np, salts, bases, entries = engine
+        rows = _rows_as_u64(_np, keys)
         if rows is None or rows.ndim != 2:
             return None
         with _np.errstate(over="ignore"):
-            z = rows ^ self._u64_salts
+            z = rows ^ salts
             z = (z ^ (z >> _np.uint64(30))) * _np.uint64(_MIX_A)
             z = (z ^ (z >> _np.uint64(27))) * _np.uint64(_MIX_B)
             z = z ^ (z >> _np.uint64(31))
-            flat_indices = z % self._u64_entries + self._u64_bases
+            flat_indices = z % entries + bases
         table = _np.frombuffer(weights, dtype=weights.typecode)
         scores = (table[flat_indices].sum(axis=1) + bias).tolist()
         return scores, [tuple(row) for row in flat_indices.tolist()]

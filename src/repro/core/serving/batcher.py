@@ -26,7 +26,8 @@ from repro.core.config import LatencyModel
 from repro.core.errors import ConfigError
 from repro.core.serving.queue import Request, RequestQueue
 
-#: drain-trigger labels stamped on ``batch.dispatch`` trace events
+#: drain-trigger labels stamped on ``request`` events and
+#: ``serve.dispatch`` spans
 TRIGGER_SCALAR = "scalar"
 TRIGGER_SIZE = "size"
 TRIGGER_TIMEOUT = "timeout"

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.serving.batcher import MicroBatcher
+from repro.core.serving.batcher import TRIGGER_TIMEOUT, MicroBatcher
 from repro.core.serving.queue import Request, RequestQueue
 from repro.obs.metrics import BATCH_SIZE, MetricsRegistry
 from repro.obs.spanned import spanned
@@ -64,6 +64,14 @@ class Dispatcher:
             metrics.histogram(BATCH_SIZE, shard=self._label)
             if metrics is not None else None)
         self._clock = engine.clock
+        #: the batch in hand, stamped once per drain (watched or not)
+        #: and read by the pipeline into each of its requests'
+        #: ``request`` record: when this dispatcher began collecting
+        #: it, when it was drained, its rows and what triggered it
+        self.collect_ns = 0.0
+        self.drained_ns = 0.0
+        self.rows = 0
+        self.trigger = ""
         self.process: Process | None = None
 
     def start(self) -> Process:
@@ -79,55 +87,63 @@ class Dispatcher:
         drained simulation terminates), and kernel execution happens
         only after the batch's crossing cost has been charged with a
         ``yield``.  An unobserved shard (no histogram, no tracer)
-        skips :meth:`_trace_drain`.
+        skips :meth:`_trace_drain`.  A drained batch of one is served
+        directly; only a real batch is a ``serve.dispatch``.
         """
         queue = self.queue
         items = queue.items
         batcher = self.batcher
+        engine = self.engine
         parked = queue.nonempty.wait()  # one command, re-yielded
         while True:
             if not items:
                 yield parked
                 if not items:  # pragma: no cover - spurious wake
                     continue
+            collect_ns = engine.now
             collect = batcher.collect_ns(len(items))
             if collect > 0:
                 yield collect
             batch, trigger = batcher.drain(queue)
             if not batch:  # pragma: no cover - drained by a restart
                 continue
+            self.collect_ns = collect_ns
+            self.drained_ns = engine.now
+            self.rows = len(batch)
+            self.trigger = trigger
             if self.tracer.enabled or self._batch_hist is not None:
                 self._trace_drain(batch, trigger)
             yield batcher.service_ns(len(batch))
-            self._execute(batch)
+            if len(batch) == 1:
+                self._serve_one(batch[0])
+            else:
+                self._execute(batch)
 
     def _trace_drain(self, batch: list[Request], trigger: str) -> None:
-        """``batch.dispatch`` (every drain) and ``batch.flush_timeout``
-        (window-expiry drains) on this shard's track."""
+        """The drain's size into ``pss_batch_size`` and, for a
+        window-expiry drain, ``batch.flush_timeout`` on this shard's
+        track.  (The drain itself is not an event: each request it
+        took says ``rows`` and ``trigger`` in its ``request`` record.)
+        """
         if self._batch_hist is not None:
             self._batch_hist.observe(float(len(batch)))
-        tracer = self.tracer
-        if not tracer.enabled:
-            return
-        now = self.engine.now
-        if trigger == "timeout":
-            tracer.record(
-                "batch.flush_timeout", "", "serving", now, 0.0, 0,
+        if trigger == TRIGGER_TIMEOUT and self.tracer.enabled:
+            self.tracer.record(
+                "batch.flush_timeout", "", "serving", self.engine.now,
+                0.0, 0,
                 {"rows": len(batch),
                  "window_ns": self.batcher.batch_window_ns},
                 self._label)
-        tracer.record(
-            "batch.dispatch", "", "serving", now, 0.0, 0,
-            {"rows": len(batch), "trigger": trigger}, self._label)
 
     def _dispatch_span(self, batch: list[Request]) -> SpanHandleLike:
-        return self.tracer.span("serve.dispatch", "", "serving",
-                                self._label, None, {"rows": len(batch)},
-                                self._clock)
+        return self.tracer.span(
+            "serve.dispatch", "", "serving", self._label, None,
+            {"rows": len(batch), "trigger": self.trigger}, self._clock)
 
     @spanned(_dispatch_span, tracer="tracer")
     def _execute(self, batch: list[Request]) -> None:
-        """Run one drained batch against the kernel, in FIFO order.
+        """Run one drained batch of several requests against the
+        kernel, in FIFO order.
 
         Adjacent predictions collapse into one ``predict_batch`` call;
         updates run individually at their queue position.  A kernel
@@ -165,11 +181,12 @@ class Dispatcher:
             index = bound
 
     def _serve_one(self, request: Request) -> None:
-        """A run of one - an update, or a prediction with no
-        prediction next to it (every batch at window 0) - is one
-        kernel call and one settlement.  It still enters through
-        ``self.service.predict_batch`` / ``self.service.update``: that
-        is the kernel boundary (QUE001, and what ``perf/`` times)."""
+        """A run of one - a drained batch of one (every batch at
+        window 0), an update, or a prediction with no prediction next
+        to it - is one kernel call and one settlement.  It still
+        enters through ``self.service.predict_batch`` /
+        ``self.service.update``: that is the kernel boundary (QUE001,
+        and what ``perf/`` times)."""
         try:
             if request.op == "predict":
                 value, = self.service.predict_batch(

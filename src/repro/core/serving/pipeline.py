@@ -277,14 +277,54 @@ class ServingPipeline:
             self.slo_engine.observe(
                 SERVE_SLO, now,
                 good=sojourn <= self.config.slo_threshold_ns)
+        if self.tracer.enabled:
+            self._trace_request(request, now, "ok")
         request.future.complete(value, ts_ns=now)
 
     def request_failed(self, request: Request,
                        error: BaseException) -> None:
-        """Fail one request with the kernel's error (dispatcher only)."""
+        """Fail one request with the kernel's error (dispatcher only).
+
+        A failed request misses any latency limit, so the health
+        engine gets it as a bad ``SERVE_SLO`` sample at its failure
+        time: a shard that fails everything it is sent burns its
+        budget and pages.  A *shed* is deliberately not fed back (it
+        never reaches here - ``submit`` fails its future): sheds are
+        what a page causes, and counting them as bad samples would
+        latch the page that caused them.
+        """
+        now = self.engine.now
         self.failed += 1
         self.in_flight -= 1
-        request.future.fail(error, ts_ns=self.engine.now)
+        if self.slo_engine is not None:
+            self.slo_engine.observe(SERVE_SLO, now, good=False)
+        if self.tracer.enabled:
+            self._trace_request(request, now,
+                                f"error:{type(error).__name__}")
+        request.future.fail(error, ts_ns=now)
+
+    def _trace_request(self, request: Request, now: float,
+                       outcome: str) -> None:
+        """The one record of a settled request: a ``request`` event
+        spanning its sojourn (``ts_ns`` the submit, ``dur_ns`` what
+        ``future.latency_ns`` will read) whose detail carries its own
+        stage breakdown as monotone stamps - ``collect_ns`` (its
+        dispatcher began collecting the batch that took it; earlier
+        than the submit for a request that arrived inside the window),
+        ``drained_ns``, ``settled_ns`` - read off the dispatcher, which
+        still has that batch in hand.  :func:`repro.obs.postmortem
+        .request_stages` turns them into queue wait / batch window /
+        crossing."""
+        dispatcher = self.dispatchers[request.shard_id]
+        submitted = request.future.submitted_ns
+        self.tracer.record(
+            "request", request.domain, "serving", submitted,
+            now - submitted, 0,
+            {"op": request.op, "outcome": outcome,
+             "rows": dispatcher.rows, "trigger": dispatcher.trigger,
+             "collect_ns": dispatcher.collect_ns,
+             "drained_ns": dispatcher.drained_ns, "settled_ns": now},
+            dispatcher.queue.label)
 
     # -- driving -------------------------------------------------------------
 

@@ -8,11 +8,12 @@ and a ``nonempty`` :class:`~repro.sim.process.SimEvent` the dispatcher
 parks on - with every admission decision kept upstream in the pipeline
 and the :class:`~repro.core.kernel.admission.AdmissionController`.
 
-Observability: each accepted request records a ``queue.enqueue`` event
-and observes the post-enqueue depth into the ``pss_queue_depth``
-histogram; each refusal records ``queue.shed`` with its reason and
-counts into ``pss_shed_total``.  Both are this module's single emit
-sites for those kinds (TRC002).
+Observability: each accepted request observes the post-enqueue depth
+into the ``pss_queue_depth`` histogram (its trace record is the
+``request`` event the pipeline emits when it settles, which carries
+the time it was submitted); each refusal records ``queue.shed`` with
+its reason and counts into ``pss_shed_total`` - this module is that
+kind's single emit site (TRC002).
 """
 
 from __future__ import annotations
@@ -93,21 +94,12 @@ class RequestQueue:
         return len(self.items)
 
     def push(self, request: Request) -> None:
-        """Append an admitted request and wake the dispatcher.
-
-        A request enqueues in the instant it was submitted, so the
-        ``queue.enqueue`` record carries the time ``submit`` already
-        read into ``future.submitted_ns``."""
+        """Append an admitted request and wake the dispatcher."""
         self.items.append(request)
         self.enqueued += 1
         depth = len(self.items)
         if depth > self.max_depth:
             self.max_depth = depth
-        if self.tracer.enabled:
-            self.tracer.record(
-                "queue.enqueue", request.domain, "serving",
-                request.future.submitted_ns, 0.0, 0,
-                {"op": request.op, "depth": depth}, self.label)
         if self._depth_hist is not None:
             self._depth_hist.observe(float(depth))
         self.nonempty.fire()

@@ -15,6 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from repro.obs.metrics import (
+    OP_NS,
+    SCORE_CACHE_HITS_TOTAL,
+    SCORE_CACHE_MISSES_TOTAL,
+    SYSCALL_NS,
+    VDSO_READ_NS,
+)
+
 
 @dataclass
 class PredictionStats:
@@ -110,10 +118,28 @@ class LatencyAccount:
 
     Means and counts are always maintained; attaching a
     :class:`repro.obs.metrics.MetricsRegistry` via :meth:`attach_metrics`
-    additionally feeds every charge into log-bucketed latency histograms
+    additionally files every charge into log-bucketed latency histograms
     (p50/p90/p99/max) - the distribution view the mean-only seed
     accounting could not express.  Unattached accounts pay one ``None``
     check per charge.
+
+    A varying charge (a syscall, a flush, a batch crossing) is pushed
+    into its histograms as it happens.  A vDSO *read* is not: every
+    read of one transport is charged the same constant, and the score
+    cache's hit / miss series *are* :attr:`cache_hits` /
+    :attr:`cache_misses`, so a read only lengthens the account's
+    pending run (one compare, one increment) and the registry files the
+    run when it is next read (:meth:`_file_reads`, enlisted through
+    :meth:`MetricsRegistry.file_before_read
+    <repro.obs.metrics.MetricsRegistry.file_before_read>`).  Only what
+    is order-free waits: integer counters, and a run of one repeated
+    value, which :meth:`Histogram.observe_run
+    <repro.obs.metrics.Histogram.observe_run>` adds one by one so
+    ``sum`` is the float the per-read pushes made.  A charge that could
+    land between the reads of a run in the same histogram files the run
+    first; two accounts that share one label set *and* charge different
+    read costs are the one case whose ``sum`` can differ from the
+    pushed one, in its last bits.
     """
 
     vdso_ns: float = 0.0
@@ -137,6 +163,15 @@ class LatencyAccount:
     _hist_syscall = None
     _metrics = None
     _metric_labels = None
+    #: the pending run of vDSO reads: the ns each was charged (None:
+    #: no run, the next read starts one) and how many there were
+    _read_ns = None
+    _reads = 0
+    #: whether the registry already holds this account's ``_collect``
+    _enlisted = False
+    #: how much of ``cache_hits`` / ``cache_misses`` the registry holds
+    _hits_filed = 0
+    _misses_filed = 0
 
     def attach_metrics(self, registry, domain: str = "",
                        transport: str = "", shard: str = "") -> None:
@@ -149,28 +184,36 @@ class LatencyAccount:
         services emit byte-identical metric series to the pre-kernel
         monolith.
         """
+        if self._metrics is not None:
+            self._file_reads()   # what the old registry is owed
+            self._enlisted = False
         self._metrics = registry
         self._metric_labels = {"domain": domain, "transport": transport}
         if shard:
             self._metric_labels["shard"] = shard
         self._hist_vdso = registry.histogram(
-            "pss_vdso_read_ns", **self._metric_labels
+            VDSO_READ_NS, **self._metric_labels
         )
         self._hist_syscall = registry.histogram(
-            "pss_syscall_ns", **self._metric_labels
+            SYSCALL_NS, **self._metric_labels
         )
         self._op_hists = {}
         self._cache_hit_counter = registry.counter(
-            "pss_score_cache_hits_total", **self._metric_labels
+            SCORE_CACHE_HITS_TOTAL, **self._metric_labels
         )
         self._cache_miss_counter = registry.counter(
-            "pss_score_cache_misses_total", **self._metric_labels
+            SCORE_CACHE_MISSES_TOTAL, **self._metric_labels
         )
+        # Only what happens from here on is this registry's.
+        self._hits_filed = self.cache_hits
+        self._misses_filed = self.cache_misses
 
     def charge_vdso(self, ns: float) -> None:
         self.vdso_ns += ns
         self.vdso_calls += 1
         if self._hist_vdso is not None:
+            if self._reads:
+                self._file_reads()
             self._hist_vdso.observe(ns)
 
     def charge_syscall(self, ns: float, records: int = 0) -> None:
@@ -190,13 +233,15 @@ class LatencyAccount:
         self.op_ns[op] = self.op_ns.get(op, 0.0) + ns
         self.op_calls[op] = self.op_calls.get(op, 0) + 1
         if self._metrics is not None:
+            if self._reads and op == "predict":
+                self._file_reads()
             self._op_hist(op).observe(ns)
 
     def _op_hist(self, op: str):
         hist = self._op_hists.get(op)
         if hist is None:
             hist = self._op_hists[op] = self._metrics.histogram(
-                "pss_op_ns", op=op, **self._metric_labels
+                OP_NS, op=op, **self._metric_labels
             )
         return hist
 
@@ -208,18 +253,53 @@ class LatencyAccount:
         self.op_ns["predict"] = self.op_ns.get("predict", 0.0) + ns
         self.op_calls["predict"] = self.op_calls.get("predict", 0) + 1
         if self._metrics is not None:
-            self._hist_vdso.observe(ns)
-            self._op_hist("predict").observe(ns)
+            if ns == self._read_ns:
+                self._reads += 1
+            else:
+                self._start_read_run(ns)
+
+    def _start_read_run(self, ns: float) -> None:
+        """The first read since the registry was last read, or the
+        first at a new cost: file the run before it, start the next,
+        and make sure the registry will ask for it."""
+        self._file_reads()
+        self._read_ns = ns
+        self._reads = 1
+        if not self._enlisted:
+            self._enlisted = True
+            self._metrics.file_before_read(self._collect)
+
+    def _collect(self) -> None:
+        """What the registry calls before it is read."""
+        self._enlisted = False
+        self._file_reads()
+
+    def _file_reads(self) -> None:
+        """Hand the registry what the reads since the last filing owe
+        it: the pending run into ``pss_vdso_read_ns`` and
+        ``pss_op_ns{op="predict"}``, the hit / miss counts since."""
+        reads, ns = self._reads, self._read_ns
+        # Cleared first: resolving the op histogram reads the registry,
+        # which files whatever is pending.
+        self._reads, self._read_ns = 0, None
+        if reads:
+            self._hist_vdso.observe_run(ns, reads)
+            self._op_hist("predict").observe_run(ns, reads)
+        hits, misses = self.cache_hits, self.cache_misses
+        if hits != self._hits_filed:
+            self._cache_hit_counter.inc(hits - self._hits_filed)
+            self._hits_filed = hits
+        if misses != self._misses_filed:
+            self._cache_miss_counter.inc(misses - self._misses_filed)
+            self._misses_filed = misses
 
     def record_cache_hit(self) -> None:
+        """Count one score-cache hit; ``pss_score_cache_hits_total``
+        catches up when the read it belongs to is filed."""
         self.cache_hits += 1
-        if self._metrics is not None:
-            self._cache_hit_counter.inc()
 
     def record_cache_miss(self) -> None:
         self.cache_misses += 1
-        if self._metrics is not None:
-            self._cache_miss_counter.inc()
 
     def merge(self, other: "LatencyAccount") -> None:
         """Accumulate another account into this one (multi-client runs).
@@ -234,6 +314,10 @@ class LatencyAccount:
         self.update_records += other.update_records
         self.cache_hits += other.cache_hits
         self.cache_misses += other.cache_misses
+        if self._metrics is not None:
+            # Merged-in probes were never this registry's to count.
+            self._hits_filed += other.cache_hits
+            self._misses_filed += other.cache_misses
         for op, ns in other.op_ns.items():
             self.op_ns[op] = self.op_ns.get(op, 0.0) + ns
         for op, calls in other.op_calls.items():

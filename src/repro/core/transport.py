@@ -422,12 +422,24 @@ class VdsoTransport(Transport):
         """Entries currently held by the generation-keyed score cache."""
         return len(self._score_cache)
 
-    @spanned(named(Transport._op_span, "predict"))
     def predict(self, features: Sequence[int]) -> int:
+        """One vDSO read.
+
+        A score-cache hit never leaves the process, so it opens no
+        span: watched, its ``predict{cache: hit}`` event - ``dur_ns``
+        the 4.19 the read was charged - is its one record.  A read that
+        calls the service (a miss, or one that bypasses the cache) is
+        rooted at ``vdso.predict``, opened from the read's start around
+        its event and that call (:meth:`_traced_read`).  Which it is
+        depends on the probe, never on ``tracer.enabled``.
+        """
         self._ensure_open()
-        vdso_ns = self._latency.vdso_predict_ns
-        self.account.charge_vdso_predict(vdso_ns)
+        account = self.account
         traced = self._tracer.enabled
+        if traced:
+            start_ns = account.vdso_ns + account.syscall_ns
+        vdso_ns = self._latency.vdso_predict_ns
+        account.charge_vdso_predict(vdso_ns)
         # Read once per operation: it keys the score cache below and
         # is stamped on the event this read emits.
         source = self._generation_source
@@ -436,11 +448,13 @@ class VdsoTransport(Transport):
         injector = self._injector
         if injector is not None and injector.plan.stale_read_rate > 0.0:
             if traced:
-                self._trace("predict", vdso_ns, generation=generation)
+                return self._traced_read(self._predict_injected, key,
+                                         start_ns, vdso_ns, None, generation)
             return self._predict_injected(key)
         if source is None:
             if traced:
-                self._trace("predict", vdso_ns, generation=generation)
+                return self._traced_read(self._target.predict, key,
+                                         start_ns, vdso_ns, None, generation)
             return self._target.predict(key)
         cache = self._score_cache
         if generation != self._score_cache_generation:
@@ -450,20 +464,40 @@ class VdsoTransport(Transport):
         else:
             score = cache.get(key)
             if score is not None:
-                self.account.record_cache_hit()
+                account.record_cache_hit()
                 if traced:
-                    self._trace("predict", vdso_ns, _CACHE_HIT, generation)
+                    # _trace, written out: this event is all that
+                    # watching a hit costs.
+                    self._tracer.record(
+                        "predict", self._obs_domain, self.name,
+                        account.vdso_ns + account.syscall_ns, vdso_ns,
+                        generation, _CACHE_HIT, self._obs_shard)
                 if self._cached_recorder is not None:
                     self._cached_recorder(score)
                 return score
-        self.account.record_cache_miss()
+        account.record_cache_miss()
         if traced:
-            self._trace("predict", vdso_ns, _CACHE_MISS, generation)
-        score = self._target.predict(key)
+            score = self._traced_read(self._target.predict, key, start_ns,
+                                      vdso_ns, _CACHE_MISS, generation)
+        else:
+            score = self._target.predict(key)
         if len(cache) >= self.SCORE_CACHE_ENTRIES:
             cache.popitem(last=False)
         cache[key] = score
         return score
+
+    def _traced_read(self, read, key: tuple[int, ...], start_ns: float,
+                     vdso_ns: float, detail: dict | None,
+                     generation: int) -> int:
+        """The watched form of a read that leaves the process:
+        ``vdso.predict``, from ``start_ns`` (the account's clock before
+        the read was charged), around the read's ``predict`` event and
+        ``read(key)``."""
+        with self._tracer.span(
+                self._span_names["predict"], self._obs_domain, self.name,
+                self._obs_shard, start_ns, None, self._clock):
+            self._trace("predict", vdso_ns, detail, generation)
+            return read(key)
 
     @spanned(named(Transport._op_span, "predict_batch", rows=True))
     def predict_batch(

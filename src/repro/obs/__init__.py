@@ -46,6 +46,7 @@ from repro.obs.slo import (
     default_slos,
 )
 from repro.obs.spans import (
+    SPAN_NAMES,
     Span,
     span_children,
     validate_spans,
@@ -64,6 +65,7 @@ __all__ = [
     "EVENT_KINDS",
     "NULL_TRACER",
     "NullTracer",
+    "SPAN_NAMES",
     "Span",
     "SpanHandleLike",
     "TraceEvent",

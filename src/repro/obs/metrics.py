@@ -16,7 +16,17 @@ hot paths can resolve an instrument once and call ``observe`` directly.
 from __future__ import annotations
 
 import math
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
+
+#: what a client's :class:`~repro.core.stats.LatencyAccount` files,
+#: labeled ``{domain, transport}`` (``{shard}`` on multi-shard
+#: services): boundary-crossing latency per path, the same time per
+#: operation kind (``{op}``), and the vDSO score cache's probes
+VDSO_READ_NS = "pss_vdso_read_ns"
+SYSCALL_NS = "pss_syscall_ns"
+OP_NS = "pss_op_ns"
+SCORE_CACHE_HITS_TOTAL = "pss_score_cache_hits_total"
+SCORE_CACHE_MISSES_TOTAL = "pss_score_cache_misses_total"
 
 #: metric names the sharded kernel's resilience machinery emits, kept
 #: here (the instrument schema's home) so emitters and dashboards
@@ -122,6 +132,26 @@ class Histogram:
         self._last_exponent = exponent
         self.buckets[exponent] = self.buckets.get(exponent, 0) + 1
 
+    def observe_run(self, value: float, count: int) -> None:
+        """``count`` observations of one ``value``, field for field
+        what that many :meth:`observe` calls leave: filed once, but
+        ``sum`` still grows one addition at a time, because ``count *
+        value`` is a different float."""
+        if count < 1:
+            return
+        self.observe(value)
+        repeats = count - 1
+        total = self.sum
+        for _ in range(repeats):
+            total += value
+        self.sum = total
+        self.count += repeats
+        exponent = self._last_exponent
+        if exponent is None:
+            self.zero_count += repeats
+        else:
+            self.buckets[exponent] += repeats
+
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
@@ -210,14 +240,36 @@ def _key(name: str, labels: dict[str, Any]) -> MetricKey:
 
 
 class MetricsRegistry:
-    """Named, labeled instruments with get-or-create semantics."""
+    """Named, labeled instruments with get-or-create semantics.
+
+    An emitter whose series is order-free - an integer it already
+    counts, a run of one repeated observation - need not push it per
+    operation: it enlists once with :meth:`file_before_read`, and every
+    accessor of counters or histograms files what is owed before it
+    answers, so a reader (an exporter, a report, an ``ObsSession``)
+    never sees the difference.  An instrument object held from an
+    earlier lookup is only as fresh as the registry's last read.
+    """
 
     def __init__(self) -> None:
         self._counters: dict[MetricKey, Counter] = {}
         self._gauges: dict[MetricKey, Gauge] = {}
         self._histograms: dict[MetricKey, Histogram] = {}
+        self._owed: list[Callable[[], None]] = []
+
+    def file_before_read(self, file: Callable[[], None]) -> None:
+        """Run ``file()`` once, before the next read of this registry's
+        counters or histograms answers."""
+        self._owed.append(file)
+
+    def _collect(self) -> None:
+        owed, self._owed = self._owed, []
+        for file in owed:
+            file()
 
     def counter(self, name: str, **labels: Any) -> Counter:
+        if self._owed:
+            self._collect()
         key = _key(name, labels)
         instrument = self._counters.get(key)
         if instrument is None:
@@ -232,6 +284,8 @@ class MetricsRegistry:
         return instrument
 
     def histogram(self, name: str, **labels: Any) -> Histogram:
+        if self._owed:
+            self._collect()
         key = _key(name, labels)
         instrument = self._histograms.get(key)
         if instrument is None:
@@ -241,18 +295,24 @@ class MetricsRegistry:
     # -- introspection -------------------------------------------------------
 
     def counters(self) -> list[tuple[MetricKey, Counter]]:
+        if self._owed:
+            self._collect()
         return sorted(self._counters.items())
 
     def gauges(self) -> list[tuple[MetricKey, Gauge]]:
         return sorted(self._gauges.items())
 
     def histograms(self) -> list[tuple[MetricKey, Histogram]]:
+        if self._owed:
+            self._collect()
         return sorted(self._histograms.items())
 
     def merged_histogram(self, name: str,
                          **label_filter: Any) -> Histogram:
         """Union of every histogram named ``name`` whose labels include
         ``label_filter`` (e.g. all transports of one domain)."""
+        if self._owed:
+            self._collect()
         wanted = {(k, str(v)) for k, v in label_filter.items()}
         merged = Histogram()
         for (metric_name, labels), histogram in self._histograms.items():

@@ -6,19 +6,34 @@ and prints (1) the trigger and counters, (2) the causal tree of the most
 recent requests with per-span simulated-ns durations and statuses, and
 (3) the slowest root-to-leaf critical paths - the "why was p99 slow"
 answer the flat event ring cannot give.
+
+``python -m repro postmortem TRACE.jsonl [--request N] [--slowest K]``
+reads a JSONL event trace instead and answers "where did this
+request's time go" from the served requests' ``request`` records: one
+stage table - queue wait / batch window / crossing / total, with rows,
+trigger and shard - for request ``N`` (1-based, in settle order), or
+for the ``K`` slowest.
 """
 
 from __future__ import annotations
 
+import json
 import sys
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro.obs.flightrec import load_bundle
 from repro.obs.spans import Span, SpanLike, _as_span, span_children
+from repro.obs.trace import TraceEvent
 
 #: cap the rendered tree; a bundle can hold tens of thousands of spans
 MAX_TREE_SPANS = 200
 MAX_PATHS = 5
+#: how many of a trace's slowest requests get a stage table by default
+MAX_REQUESTS = 3
+
+USAGE = ("usage: python -m repro postmortem BUNDLE.json\n"
+         "       python -m repro postmortem TRACE.jsonl "
+         "[--request N] [--slowest K]")
 
 
 def _forest(spans: Iterable[SpanLike]) -> tuple[list[Span],
@@ -136,17 +151,95 @@ def render_bundle(payload: dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
+def request_stages(record: TraceEvent | Mapping[str, Any]
+                   ) -> dict[str, float]:
+    """One ``request`` record's sojourn, split at its stamps.
+
+    *queue wait*: submitted, but its dispatcher was still busy with an
+    earlier batch; *batch window*: the dispatcher was collecting the
+    batch that took it; *crossing*: drained, charged the boundary and
+    served.  Differences of the record's monotone stamps, so the three
+    telescope to ``dur_ns`` (a request that arrived inside the window
+    waited in no queue: its window starts at its own submit).
+    """
+    if isinstance(record, TraceEvent):
+        record = record.as_dict()
+    detail = record["detail"]
+    submitted = record["ts_ns"]
+    collecting = max(submitted, detail["collect_ns"])
+    return {
+        "queue wait": collecting - submitted,
+        "batch window": detail["drained_ns"] - collecting,
+        "crossing": detail["settled_ns"] - detail["drained_ns"],
+    }
+
+
+def render_request(index: int, record: Mapping[str, Any]) -> str:
+    """The stage table of request ``index`` (1-based, settle order)."""
+    detail = record["detail"]
+    shard = f" (shard {record['shard']})" if record.get("shard") else ""
+    total = record["dur_ns"]
+    lines = [
+        f"request {index}  {detail['op']} {record['domain']}{shard}  "
+        f"{detail['outcome']}  batch of {detail['rows']}, "
+        f"trigger {detail['trigger']}",
+        f"  {'submitted at':<13}{record['ts_ns']:>12.2f} ns",
+    ]
+    for stage, ns in request_stages(record).items():
+        share = f"{100.0 * ns / total:>7.1f} %" if total else ""
+        lines.append(f"  {stage:<13}{ns:>12.2f} ns{share}")
+    lines.append(f"  {'total':<13}{total:>12.2f} ns")
+    return "\n".join(lines)
+
+
+def render_requests(events: Iterable[Mapping[str, Any]],
+                    request: int | None = None,
+                    slowest: int = MAX_REQUESTS) -> str:
+    """Stage tables from a trace's ``request`` records: request number
+    ``request``, or else the ``slowest`` longest sojourns."""
+    numbered = list(enumerate(
+        (event for event in events if event.get("kind") == "request"),
+        start=1))
+    if request is not None:
+        if not 1 <= request <= len(numbered):
+            raise ValueError(
+                f"no request {request}: the trace holds "
+                f"{len(numbered)} request records")
+        return render_request(*numbered[request - 1])
+    if not numbered:
+        return "(no request records: not a serve trace)"
+    ranked = sorted(numbered, key=lambda pair: pair[1]["dur_ns"],
+                    reverse=True)[:slowest]
+    return "\n\n".join(
+        [f"{len(numbered)} served requests; the {len(ranked)} slowest:"]
+        + [render_request(index, record) for index, record in ranked])
+
+
 def main(argv: Sequence[str]) -> int:
-    """``python -m repro postmortem BUNDLE`` entry point."""
-    args = [arg for arg in argv if arg not in ("-h", "--help")]
-    if len(args) != len(argv) or len(args) != 1:
-        print("usage: python -m repro postmortem BUNDLE.json",
-              file=sys.stderr)
+    """``python -m repro postmortem`` entry point: a bundle's causal
+    tree, or (a ``.jsonl`` path) a trace's request stage tables."""
+    args = list(argv)
+    options: dict[str, int] = {}
+    while len(args) >= 3 and args[-2] in ("--request", "--slowest") \
+            and args[-1].isdigit():
+        options[args[-2][2:]] = int(args[-1])
+        del args[-2:]
+    explain = len(args) == 1 and args[0].endswith(".jsonl")
+    if len(args) != 1 or args[0].startswith("-") \
+            or (options and not explain):
+        print(USAGE, file=sys.stderr)
         return 2
     try:
-        payload = load_bundle(args[0])
+        if explain:
+            with open(args[0], encoding="utf-8") as handle:
+                events = [json.loads(line) for line in handle
+                          if line.strip()]
+            text = render_requests(events, options.get("request"),
+                                   options.get("slowest", MAX_REQUESTS))
+        else:
+            text = render_bundle(load_bundle(args[0]))
     except (OSError, ValueError) as exc:
         print(f"postmortem: {exc}", file=sys.stderr)
         return 2
-    print(render_bundle(payload))
+    print(text)
     return 0

@@ -28,6 +28,28 @@ if TYPE_CHECKING:
 #: ``parent_id`` of a root span (and the id of the shared null span)
 ROOT_PARENT = 0
 
+#: every span name the instrumented stack opens - the vocabulary the
+#: span table of docs/OBSERVABILITY.md is generated from and
+#: ``tests/obs/test_kind_coverage.py`` holds the emitted names to (what
+#: ``EVENT_KINDS`` is for events).  A site that opens a new span
+#: registers its name here.
+SPAN_NAMES = frozenset({
+    # ResilientClient: the root over one call's retry ladder
+    "client.predict", "client.predict_batch", "client.update",
+    "client.reset", "client.flush",
+    # transports: one boundary crossing.  A vDSO read that hits the
+    # score cache and a buffered vDSO update cross nothing and open none
+    "vdso.predict", "vdso.predict_batch", "vdso.reset", "vdso.flush",
+    "syscall.predict", "syscall.predict_batch", "syscall.update",
+    "syscall.reset",
+    # the sharded kernel
+    "kernel.predict", "kernel.predict_batch", "kernel.update",
+    "kernel.update_batch", "kernel.admission", "kernel.route",
+    "kernel.dispatch", "kernel.failover", "plan.execute",
+    # live resharding, and the serving Dispatcher's real batches
+    "migrate.step", "serve.dispatch",
+})
+
 
 @dataclass(slots=True)
 class Span:

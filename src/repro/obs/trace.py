@@ -53,9 +53,9 @@ EVENT_KINDS = frozenset({
     "plan.compile",       # the plan compiler specialized a new shape
     "plan.hit",           # an existing specialized plan was shared
     "slo.page",           # an SLO's error budget is burning page-fast
-    "queue.enqueue",      # a request entered a serving shard queue
+    "request",            # a served request settled: its sojourn, with
+                          # its stage stamps (collect / drained / settled)
     "queue.shed",         # admission refused a request (back-pressure)
-    "batch.dispatch",     # a dispatcher drained a micro-batch
     "batch.flush_timeout",  # a partial batch flushed on window expiry
 })
 

@@ -1,0 +1,45 @@
+"""docs/OBSERVABILITY.md's event, span and metric tables are the ones
+``docs/generate_tables.py`` prints from the registries.
+
+The generator refuses a registry name without a row and a row naming
+something no registry holds, so a kind, span or metric cannot be added,
+renamed or retired without the table changing; this test then fails
+until ``docs/generate_tables.py --write`` has been run.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+DOCS = Path(__file__).resolve().parents[2] / "docs"
+
+
+@pytest.fixture(scope="module")
+def generator():
+    spec = importlib.util.spec_from_file_location(
+        "generate_tables", DOCS / "generate_tables.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_committed_tables_are_the_generated_ones(generator):
+    committed = generator.committed(
+        (DOCS / "OBSERVABILITY.md").read_text(encoding="utf-8"))
+    assert committed == generator.tables(), (
+        "run: PYTHONPATH=src python docs/generate_tables.py --write")
+
+
+def test_a_name_without_a_row_is_refused(generator, monkeypatch):
+    monkeypatch.setattr(generator, "SPAN_NAMES",
+                        generator.SPAN_NAMES | {"vdso.teleport"})
+    with pytest.raises(SystemExit, match="'vdso.teleport' has no row"):
+        generator.tables()
+
+
+def test_a_row_for_a_retired_name_is_refused(generator, monkeypatch):
+    monkeypatch.setattr(generator, "EVENT_KINDS",
+                        generator.EVENT_KINDS - {"request"})
+    with pytest.raises(SystemExit, match="unknown event kind 'request'"):
+        generator.tables()

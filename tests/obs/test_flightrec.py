@@ -141,6 +141,77 @@ class TestPostmortemCLI:
         err = capsys.readouterr().err
         assert "usage:" in err
 
+    #: three settled requests as a serve run's JSONL trace holds them:
+    #: one that waited out a busy dispatcher, one that arrived inside
+    #: the window, one served alone at window 0
+    TRACE = [
+        {"ts_ns": 10.0, "kind": "request", "domain": "a",
+         "transport": "serving", "dur_ns": 400.0, "generation": 0,
+         "shard": "1", "detail": {
+             "op": "predict", "outcome": "ok", "rows": 24,
+             "trigger": "timeout", "collect_ns": 110.0,
+             "drained_ns": 310.0, "settled_ns": 410.0}},
+        {"ts_ns": 150.0, "kind": "request", "domain": "b",
+         "transport": "serving", "dur_ns": 260.0, "generation": 0,
+         "shard": "1", "detail": {
+             "op": "update", "outcome": "error:FeatureError", "rows": 24,
+             "trigger": "timeout", "collect_ns": 110.0,
+             "drained_ns": 310.0, "settled_ns": 410.0}},
+        {"ts_ns": 500.0, "kind": "predict", "domain": "a",
+         "transport": "vdso", "dur_ns": 4.19, "generation": 0},
+        {"ts_ns": 600.0, "kind": "request", "domain": "a",
+         "transport": "serving", "dur_ns": 72.19, "generation": 0,
+         "detail": {
+             "op": "predict", "outcome": "ok", "rows": 1,
+             "trigger": "scalar", "collect_ns": 600.0,
+             "drained_ns": 600.0, "settled_ns": 672.19}},
+    ]
+
+    def write_trace(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_text("".join(json.dumps(event) + "\n"
+                                for event in self.TRACE))
+        return str(path)
+
+    def test_explains_one_request_from_a_jsonl_trace(self, tmp_path,
+                                                     capsys):
+        assert postmortem_main(
+            [self.write_trace(tmp_path), "--request", "1"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "request 1  predict a (shard 1)  ok  batch of 24, "
+            "trigger timeout",
+            "  submitted at        10.00 ns",
+            "  queue wait         100.00 ns   25.0 %",
+            "  batch window       200.00 ns   50.0 %",
+            "  crossing           100.00 ns   25.0 %",
+            "  total              400.00 ns",
+        ]
+
+    def test_explains_the_slowest_requests(self, tmp_path, capsys):
+        path = self.write_trace(tmp_path)
+        assert postmortem_main([path, "--slowest", "2"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("3 served requests; the 2 slowest:")
+        assert out.index("request 1  predict a") \
+            < out.index("request 2  update b (shard 1)  "
+                        "error:FeatureError")
+        assert "request 3" not in out
+        # arrived inside the window: no queue wait, 160 of window
+        assert "  queue wait           0.00 ns    0.0 %" in out
+        assert "  batch window       160.00 ns   61.5 %" in out
+        assert postmortem_main([path]) == 0   # default: all three here
+        assert "request 3  predict a  ok  batch of 1, trigger scalar" \
+            in capsys.readouterr().out
+
+    def test_explain_usage_errors_exit_2(self, tmp_path, capsys):
+        path = self.write_trace(tmp_path)
+        assert postmortem_main([path, "--request", "9"]) == 2
+        assert "no request 9" in capsys.readouterr().err
+        assert postmortem_main([path, "--request"]) == 2
+        bundle = tmp_path / "bundle.json"
+        assert postmortem_main([str(bundle), "--slowest", "1"]) == 2
+        assert capsys.readouterr().err.count("usage:") == 2
+
     def test_render_bundle_reports_orphans_as_roots(self):
         # a ring-evicted parent must not hide its surviving children
         payload = {

@@ -15,6 +15,8 @@ from repro.core.kernel.admission import AdmissionController
 from repro.core.kernel.service import ShardedService
 from repro.core.serving import ServingConfig, ServingPipeline
 from repro.obs import Tracer, span_children, validate_spans
+from repro.obs.postmortem import request_stages
+from repro.sim.process import spawn
 
 ROW = (3, 5, 7, 11)
 CONFIG = PSSConfig(num_features=4)
@@ -53,29 +55,44 @@ def details(tracer):
 
 class TestSyncClient:
     def test_vdso_score_cache_hit_never_enters_the_kernel(self):
-        """The record budget of a sync hit: the crossing's span and the
-        one event that says what the probe decided.  A plain client
-        opens no span of its own, and a hit never enters the kernel."""
+        """The record budget of a sync hit: the one event that says
+        what the probe decided, spanning the read's 4.19 ns.  A hit
+        never leaves the process, so nothing opens a span for it - not
+        the plain client, not the transport - and it never enters the
+        kernel."""
         tracer, service = traced_service()
         client = service.connect("d", transport="vdso", config=CONFIG)
         client.predict(ROW)   # fill the score cache
         tracer.clear()
         client.predict(ROW)
-        assert forest(tracer) == [("vdso.predict", [])]
+        assert forest(tracer) == []
         assert kinds(tracer) == ["predict"]
         assert details(tracer) == [{"cache": "hit"}]
-        assert len(tracer) + len(tracer.spans()) == 2
+        event, = tracer.events()
+        assert event.dur_ns == 4.19
+        assert event.ts_ns == client.latency.total_ns
+        assert len(tracer) + len(tracer.spans()) == 1
 
     def test_vdso_score_cache_miss_is_one_kernel_predict(self):
+        """A miss leaves the process, so it is a crossing with its
+        span: ``vdso.predict`` still roots it, from the read's start to
+        its end, around the event and the kernel's spans."""
         tracer, service = traced_service()
         client = service.connect("d", transport="vdso", config=CONFIG)
         tracer.clear()
+        before = client.latency.total_ns
         client.predict(ROW)
         assert forest(tracer) == [
             ("vdso.predict", [
                 ("kernel.predict", [("kernel.admission", [])])])]
         assert kinds(tracer) == ["predict"]
         assert details(tracer) == [{"cache": "miss"}]
+        root = tracer.spans()[-1]
+        event, = tracer.events()
+        assert (root.name, event.span_id) == ("vdso.predict", root.span_id)
+        assert (root.start_ns, root.end_ns) == (
+            before, client.latency.total_ns)
+        assert len(tracer) + len(tracer.spans()) == 4
 
     @settings(max_examples=50, deadline=None)
     @given(stream=st.lists(st.one_of(
@@ -114,9 +131,10 @@ class TestSyncClient:
         client.predict(ROW)
         tracer.clear()
         client.predict(ROW)
-        assert forest(tracer) == [
-            ("client.predict", [("vdso.predict", [])])]
+        assert forest(tracer) == [("client.predict", [])]
         assert details(tracer) == [{"cache": "hit"}]
+        event, = tracer.events()
+        assert event.span_id == tracer.spans()[0].span_id
 
     def test_syscall_batch_of_256_is_one_crossing(self):
         tracer, service = traced_service()
@@ -196,28 +214,37 @@ class TestPipeline:
         tracer.clear()
         return tracer, pipeline
 
-    def test_window_0_predict_is_at_most_four_records(self):
-        """The record budget of a served predict.  A drained batch of
-        one is the scalar kernel call, so it leaves the scalar call's
-        one span, not a batch's four-span stage tree."""
+    def test_window_0_predict_is_at_most_two_records(self):
+        """The record budget of a served predict: its one wide
+        ``request`` record and the scalar kernel call's span.  A
+        drained batch of one is no ``serve.dispatch`` - the record
+        says ``rows: 1`` - so the kernel span is a root."""
         tracer, pipeline = self.build()
         future = pipeline.submit("d", ROW)
         pipeline.run()
         assert future.done and future.error is None
-        assert kinds(tracer) == ["queue.enqueue", "batch.dispatch"]
-        assert forest(tracer) == [
-            ("serve.dispatch", [("kernel.predict", [])])]
-        assert len(tracer) + len(tracer.spans()) <= 4
+        assert kinds(tracer) == ["request"]
+        assert forest(tracer) == [("kernel.predict", [])]
+        assert len(tracer) + len(tracer.spans()) <= 2
+        event, = tracer.events()
+        assert (event.ts_ns, event.dur_ns) == (
+            future.submitted_ns, future.latency_ns)
+        assert event.detail == {
+            "op": "predict", "outcome": "ok", "rows": 1,
+            "trigger": "scalar", "collect_ns": 0.0, "drained_ns": 0.0,
+            "settled_ns": future.completed_ns}
 
     def test_windowed_batch_keeps_the_stage_tree(self):
-        """Two predictions drained together are a real batch: one
-        kernel call, the four-span stage tree."""
+        """Predictions drained together are a real batch: one
+        ``serve.dispatch{rows, trigger}``, one kernel call with the
+        four-span stage tree, one ``request`` record each."""
         tracer, service = traced_service()
         service.create_domain("d", config=CONFIG)
         pipeline = ServingPipeline(service,
                                    ServingConfig(batch_window_ns=200.0))
         tracer.clear()
-        futures = [pipeline.submit("d", ROW), pipeline.submit("d", ROW)]
+        rows = [(i, i + 1, i + 2, i + 3) for i in range(4)]
+        futures = [pipeline.submit("d", row) for row in rows]
         pipeline.run()
         assert all(f.done and f.error is None for f in futures)
         assert forest(tracer) == [
@@ -225,12 +252,93 @@ class TestPipeline:
                 ("kernel.predict_batch", [
                     ("kernel.route", []),
                     ("kernel.dispatch", [("plan.execute", [])])])])]
+        dispatch = tracer.spans()[-1]
+        assert dispatch.detail == {"rows": 4, "trigger": "timeout"}
+        assert kinds(tracer) == ["batch.flush_timeout"] + ["request"] * 4
+        for event in tracer.events()[1:]:
+            assert event.span_id == dispatch.span_id
+            assert event.detail["rows"] == 4
+            assert event.detail["trigger"] == "timeout"
+            assert (event.detail["collect_ns"],
+                    event.detail["drained_ns"]) == (0.0, 200.0)
 
-    def test_window_0_update_is_three_records(self):
+    def test_window_0_update_is_at_most_two_records(self):
         tracer, pipeline = self.build()
         future = pipeline.submit("d", ROW, op="update", direction=True)
         pipeline.run()
         assert future.done and future.error is None
-        assert kinds(tracer) == ["queue.enqueue", "batch.dispatch"]
-        assert forest(tracer) == [("serve.dispatch", [])]
-        assert len(tracer) + len(tracer.spans()) == 3
+        assert kinds(tracer) == ["request"]
+        assert details(tracer)[0]["op"] == "update"
+        assert forest(tracer) == []
+        assert len(tracer) + len(tracer.spans()) <= 2
+
+    def test_failed_request_says_so_in_its_record(self):
+        tracer, pipeline = self.build()
+        future = pipeline.submit("d", ROW + (1,))   # one feature too many
+        pipeline.run()
+        assert future.done and future.error is not None
+        event, = tracer.events()
+        assert event.kind == "request"
+        assert event.detail["outcome"] == \
+            f"error:{type(future.error).__name__}"
+        assert event.dur_ns == future.latency_ns
+
+    @settings(max_examples=60, deadline=None)
+    @given(window=st.sampled_from([0.0, 200.0]),
+           shards=st.integers(1, 3),
+           schedule=st.lists(
+               st.tuples(st.sampled_from([0.0, 1.0, 30.0, 250.0]),
+                         st.integers(0, 3), st.booleans(),
+                         st.booleans()),
+               min_size=1, max_size=40))
+    def test_every_settled_request_leaves_one_request_record(
+            self, window, shards, schedule):
+        """Whatever the window, shard count and arrival schedule: one
+        ``request`` record per admitted request, in settle order, whose
+        stamps are monotone and whose extent is the future's sojourn -
+        a kernel failure (the five-feature row) included."""
+        tracer = Tracer()
+        service = ShardedService(num_shards=shards, tracer=tracer)
+        names = [f"d{i}" for i in range(4)]
+        for name in names:
+            service.create_domain(name, config=CONFIG)
+        pipeline = ServingPipeline(
+            service, ServingConfig(batch_window_ns=window, max_batch=4))
+        futures, settled = [], []
+
+        def arrivals():
+            for delay, domain, is_update, bad in schedule:
+                if delay:
+                    yield delay
+                row = ROW + (1,) if bad else ROW
+                future = pipeline.submit(
+                    names[domain], row,
+                    op="update" if is_update else "predict")
+                future.add_done_callback(settled.append)
+                futures.append(future)
+
+        spawn(pipeline.engine, arrivals(), name="arrivals")
+        pipeline.run()
+        assert len(settled) == len(futures) == len(schedule)
+        records = [event for event in tracer.events()
+                   if event.kind == "request"]
+        assert len(records) == len(futures)
+        assert not {"queue.enqueue", "batch.dispatch"} & set(kinds(tracer))
+        for future, record in zip(settled, records):
+            detail = record.detail
+            assert record.ts_ns == future.submitted_ns
+            assert record.dur_ns == future.latency_ns
+            assert detail["settled_ns"] == future.completed_ns
+            assert future.submitted_ns <= detail["drained_ns"] \
+                <= detail["settled_ns"]
+            assert detail["collect_ns"] <= detail["drained_ns"]
+            assert detail["outcome"] == (
+                "ok" if future.error is None
+                else f"error:{type(future.error).__name__}")
+            assert 1 <= detail["rows"] <= 4
+            assert detail["trigger"] == (
+                "scalar" if window == 0.0 else
+                "size" if detail["rows"] == 4 else "timeout")
+            stages = request_stages(record)
+            assert min(stages.values()) >= 0.0
+            assert sum(stages.values()) == pytest.approx(record.dur_ns)

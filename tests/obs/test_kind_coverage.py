@@ -5,7 +5,17 @@ site; this test proves *dynamically* that a documented scenario drives
 each one - a kind nobody can trigger is dead weight in the taxonomy and
 a gap in the docs.  The test fails with the exact list of never-emitted
 kinds so a new kind must arrive with its scenario.
+
+The same scenarios hold the two catalogues no static rule guards to
+what the stack does: every span they open is in ``SPAN_NAMES`` and
+every metric they file is one of ``repro.obs.metrics``'s name
+constants, and neither registry lists a name they never produce - so
+the tables docs/OBSERVABILITY.md generates from those registries
+(``tests/obs/test_doc_tables.py``) describe the real vocabulary.
 """
+
+import pytest
+
 
 from repro.bench.experiments.tenants import (
     parse_reshard_schedule,
@@ -21,20 +31,49 @@ from repro.core.kernel.admission import AdmissionController
 from repro.core.kernel.service import ShardedService
 from repro.core.persistence import CheckpointManager
 from repro.core.serving import ServingConfig, ServingPipeline
-from repro.obs import EVENT_KINDS, SLO, SLOEngine, Tracer
+from repro.obs import (
+    EVENT_KINDS,
+    SLO,
+    SPAN_NAMES,
+    MetricsRegistry,
+    SLOEngine,
+    Tracer,
+)
+from repro.obs import metrics as metric_names
 
 FEATURES = [3, 5]
 CONFIG_KW = dict(num_features=2)
 
 
+class Seen:
+    """What the scenarios produced: event kinds, span names, metric
+    names."""
+
+    def __init__(self):
+        self.kinds: set[str] = set()
+        self.spans: set[str] = set()
+        self.metrics: set[str] = set()
+
+    def take(self, tracer, registry=None):
+        self.kinds.update(event.kind for event in tracer.events())
+        self.spans.update(span.name for span in tracer.spans())
+        if registry is not None:
+            for instruments in (registry.counters(), registry.gauges(),
+                                registry.histograms()):
+                self.metrics.update(name for (name, _), _ in instruments)
+
+
 def _vdso_scenario(seen):
-    """predict / cache activity / update / reset / flush / batch."""
-    tracer = Tracer()
-    service = PredictionService(tracer=tracer)
+    """predict / cache activity / update / reset / flush / batch, over
+    both transports, through a plain and a resilient client."""
+    tracer, registry = Tracer(), MetricsRegistry()
+    service = ShardedService(tracer=tracer, metrics=registry,
+                             admission=AdmissionController())
     client = service.connect("d", config=PSSConfig(**CONFIG_KW),
                              batch_size=4)
     client.predict(FEATURES)
     client.predict(FEATURES)
+    client.predict_batch([FEATURES, [1, 2]])
     client.update(FEATURES, True)
     client.flush()
     client.reset(FEATURES, reset_all=True)
@@ -42,11 +81,21 @@ def _vdso_scenario(seen):
     batched = service.connect("d", transport="syscall",
                               config=PSSConfig(**CONFIG_KW))
     batched.predict_batch([FEATURES, [1, 2]])
-    seen.update(e.kind for e in tracer.events())
+    batched.predict(FEATURES)
+    batched.update(FEATURES, True)
+    batched.reset(FEATURES, reset_all=False)
+    resilient = service.connect("d", config=PSSConfig(**CONFIG_KW),
+                                batch_size=4, fallback=0)
+    resilient.predict_batch([FEATURES])
+    resilient.update(FEATURES, False)
+    resilient.flush()
+    resilient.reset(FEATURES, reset_all=False)
+    seen.take(tracer, registry)
     # the probe's outcome is not a kind of its own: it is the vDSO
     # predict's detail, and the scenario drives both values
     assert {e.detail["cache"] for e in tracer.events()
-            if e.kind == "predict"} == {"hit", "miss"}
+            if e.kind == "predict" and e.transport == "vdso"} \
+        == {"hit", "miss"}
 
 
 def _stale_read_scenario(seen):
@@ -58,7 +107,7 @@ def _stale_read_scenario(seen):
     )
     for _ in range(4):
         client.predict(FEATURES)
-    seen.update(e.kind for e in tracer.events())
+    seen.take(tracer)
 
 
 def _resilience_scenario(seen):
@@ -74,7 +123,7 @@ def _resilience_scenario(seen):
     )
     for _ in range(60):
         client.predict(FEATURES)
-    seen.update(e.kind for e in tracer.events())
+    seen.take(tracer)
 
 
 def _checkpoint_scenario(seen, tmp_path):
@@ -87,7 +136,7 @@ def _checkpoint_scenario(seen, tmp_path):
     assert manager.recover()
     path.write_text("{ not json")
     assert not manager.recover()
-    seen.update(e.kind for e in tracer.events())
+    seen.take(tracer)
 
 
 def _chaos_scenario(seen):
@@ -96,13 +145,29 @@ def _chaos_scenario(seen):
     run_chaos(seed=0, replicas=2,
               reshard_schedule=parse_reshard_schedule("6:4,14:3"),
               tracer=tracer)
-    seen.update(e.kind for e in tracer.events())
+    seen.take(tracer)
+
+
+def _kernel_metrics_scenario(seen):
+    """The resilience machinery's four series: replica lag, a crash,
+    a failover read, a reshard's moved slots."""
+    tracer, registry = Tracer(), MetricsRegistry()
+    service = ShardedService(num_shards=2, num_replicas=1,
+                             tracer=tracer, metrics=registry)
+    client = service.connect("d", config=PSSConfig(**CONFIG_KW),
+                             batch_size=1)
+    client.update(FEATURES, True)
+    service.reshard(3)
+    service.sync_replicas()
+    service.crash_shard(service.shard_of("d"))
+    client.predict(FEATURES)
+    seen.take(tracer, registry)
 
 
 def _serving_scenario(seen):
-    """enqueue / shed / dispatch / flush-timeout on one tiny pipeline."""
-    tracer = Tracer()
-    service = ShardedService(tracer=tracer,
+    """request / shed / flush-timeout on one tiny pipeline."""
+    tracer, registry = Tracer(), MetricsRegistry()
+    service = ShardedService(tracer=tracer, metrics=registry,
                              admission=AdmissionController())
     service.create_domain("d")
     # window > 0 with a partial batch forces the timeout flush; the
@@ -115,7 +180,7 @@ def _serving_scenario(seen):
         pipeline.submit("d", FEATURES)
     pipeline.mark_load_complete()
     pipeline.run()
-    seen.update(e.kind for e in tracer.events())
+    seen.take(tracer, registry)
 
 
 def _slo_scenario(seen):
@@ -126,18 +191,25 @@ def _slo_scenario(seen):
     for i in range(10):
         engine.observe("stale", float(i), good=False)
     engine.evaluate()
-    seen.update(e.kind for e in tracer.events())
+    seen.take(tracer)
 
 
-def test_every_registered_kind_is_emitted(tmp_path):
-    seen: set[str] = set()
+@pytest.fixture(scope="module")
+def seen(tmp_path_factory):
+    seen = Seen()
     _vdso_scenario(seen)
     _stale_read_scenario(seen)
     _resilience_scenario(seen)
-    _checkpoint_scenario(seen, tmp_path)
+    _checkpoint_scenario(seen, tmp_path_factory.mktemp("checkpoint"))
     _chaos_scenario(seen)
+    _kernel_metrics_scenario(seen)
     _serving_scenario(seen)
     _slo_scenario(seen)
+    return seen
+
+
+def test_every_registered_kind_is_emitted(seen):
+    seen = seen.kinds
     missing = sorted(EVENT_KINDS - seen)
     assert not missing, (
         f"registered trace kinds never emitted by any scenario: "
@@ -145,3 +217,23 @@ def test_every_registered_kind_is_emitted(tmp_path):
         f"docs/OBSERVABILITY.md) or retire the kind")
     # the scenarios only emit registered kinds (TRC001's dynamic twin)
     assert seen <= EVENT_KINDS
+
+
+def test_every_registered_span_name_is_opened(seen):
+    assert sorted(SPAN_NAMES - seen.spans) == [], (
+        "registered span names no scenario opens: drive them here or "
+        "drop them from repro.obs.spans.SPAN_NAMES")
+    assert sorted(seen.spans - SPAN_NAMES) == [], (
+        "spans opened under unregistered names: add them to "
+        "repro.obs.spans.SPAN_NAMES (and docs/generate_tables.py)")
+
+
+def test_every_metric_name_constant_is_filed(seen):
+    constants = {value for name, value in vars(metric_names).items()
+                 if name.isupper() and isinstance(value, str)
+                 and value.startswith("pss_")}
+    assert sorted(constants - seen.metrics) == [], (
+        "metric-name constants no scenario files")
+    assert sorted(seen.metrics - constants) == [], (
+        "metrics filed under a name that is no constant of "
+        "repro.obs.metrics")

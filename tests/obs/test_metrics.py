@@ -7,6 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import LatencyModel, PSSConfig
+from repro.core.kernel.service import ShardedService
+from repro.core.stats import LatencyAccount
+from repro.core.transport import VdsoTransport
 from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.exporters import prometheus_text
 
@@ -149,6 +153,10 @@ class TestHistogramPercentiles:
         assert a.count == 250
 
 
+#: everything a histogram holds
+FIELDS = ("count", "sum", "min", "max", "zero_count", "buckets")
+
+
 def observe_every_time(h, value):
     """``Histogram.observe`` as it was before it remembered the value
     it filed last: min, max and ``frexp`` on every observation."""
@@ -193,12 +201,191 @@ class TestHistogramRepeats:
         for value in second:
             fast.observe(value)
             observe_every_time(plain, value)
-        for field in ("count", "sum", "min", "max", "buckets",
-                      "zero_count"):
+        for field in FIELDS:
             assert getattr(fast, field) == getattr(plain, field), field
             assert repr(getattr(fast, field)) \
                 == repr(getattr(plain, field)), field
         assert fast.snapshot() == plain.snapshot()
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(runs=st.lists(st.tuples(values, st.integers(0, 40)),
+                         max_size=12))
+    def test_a_run_files_as_that_many_observes(self, runs):
+        """``observe_run`` is ``count`` observes, ``sum`` included: it
+        adds one by one, because ``count * value`` is another float."""
+        fast, plain = Histogram(), Histogram()
+        for value, count in runs:
+            fast.observe_run(value, count)
+            for _ in range(count):
+                observe_every_time(plain, value)
+        for field in FIELDS:
+            assert repr(getattr(fast, field)) \
+                == repr(getattr(plain, field)), field
+
+
+class PushedAccount(LatencyAccount):
+    """The account as it was before a read was filed late: every read
+    pushes its two observations and its probe's count as it happens.
+    The reference the late filing is held to."""
+
+    def charge_vdso_predict(self, ns):
+        self.charge_vdso(ns)
+        self.charge_op("predict", ns)
+
+    def record_cache_hit(self):
+        self.cache_hits += 1
+        if self._metrics is not None:
+            self._cache_hit_counter.inc()
+
+    def record_cache_miss(self):
+        self.cache_misses += 1
+        if self._metrics is not None:
+            self._cache_miss_counter.inc()
+
+    def _file_reads(self):
+        pass
+
+
+def registry_fields(registry):
+    """Everything a reader can see, floats by ``repr``."""
+    return (
+        [(key, counter.value) for key, counter in registry.counters()],
+        [(key, [repr(getattr(histogram, field)) for field in FIELDS])
+         for key, histogram in registry.histograms()],
+    )
+
+
+class TestReadsAreFiledWhenTheRegistryIsRead:
+    CONFIG = PSSConfig(num_features=2)
+    ROWS = [(i, i + 1) for i in range(5)]
+
+    def stack(self, account_type):
+        """Two vDSO connections to one domain (one label set, shared
+        instruments) and a third, dearer one to another domain, all on
+        one registry."""
+        registry = MetricsRegistry()
+        service = ShardedService()   # one shard: no shard label
+        transports = []
+        for domain, vdso_ns in (("a", 4.19), ("a", 4.19), ("b", 0.1)):
+            transport = VdsoTransport(
+                service.handle(domain, config=self.CONFIG),
+                LatencyModel(vdso_predict_ns=vdso_ns),
+                account_type(), batch_size=3)
+            transport.attach_observability(metrics=registry)
+            transports.append(transport)
+        return registry, transports
+
+    ops = st.lists(st.one_of(
+        st.tuples(st.just("predict"), st.integers(0, 2),
+                  st.integers(0, 4)),
+        st.tuples(st.just("batch"), st.integers(0, 2),
+                  st.lists(st.integers(0, 4), max_size=6)),
+        st.tuples(st.just("update"), st.integers(0, 2),
+                  st.integers(0, 4), st.booleans()),
+        st.tuples(st.just("flush"), st.integers(0, 2)),
+        st.tuples(st.just("read"), st.integers(0, 2)),
+    ), max_size=60)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ops=ops)
+    def test_a_read_registry_is_the_pushed_one(self, ops):
+        """Hits, misses, batches, updates, flushes, mid-run reads: read
+        at any point, the registry equals field for field the one the
+        per-op pushes filled, and reading again files nothing twice."""
+        late, late_transports = self.stack(LatencyAccount)
+        pushed, pushed_transports = self.stack(PushedAccount)
+        for op, who, *rest in ops:
+            for registry, transports in ((late, late_transports),
+                                         (pushed, pushed_transports)):
+                transport = transports[who]
+                if op == "predict":
+                    transport.predict(self.ROWS[rest[0]])
+                elif op == "batch":
+                    transport.predict_batch(
+                        [self.ROWS[i] for i in rest[0]])
+                elif op == "update":
+                    transport.update(self.ROWS[rest[0]], rest[1])
+                elif op == "flush":
+                    transport.flush()
+            if op == "read":
+                assert registry_fields(late) == registry_fields(pushed)
+        assert registry_fields(late) == registry_fields(pushed)
+        assert registry_fields(late) == registry_fields(pushed)
+        assert late.snapshot() == pushed.snapshot()
+        assert prometheus_text(late) == prometheus_text(pushed)
+        for one, other in zip(late_transports, pushed_transports):
+            assert one.account.snapshot() == other.account.snapshot()
+
+    def test_every_accessor_files_first(self):
+        for read in (
+            lambda r: r.counter("pss_score_cache_hits_total",
+                                domain="a", transport="vdso").value,
+            lambda r: r.histogram("pss_vdso_read_ns", domain="a",
+                                  transport="vdso").count,
+            lambda r: r.counters()[0][1].value,
+            lambda r: dict(r.histograms())[
+                "pss_vdso_read_ns",
+                (("domain", "a"), ("transport", "vdso"))].count,
+            lambda r: r.merged_histogram("pss_op_ns", op="predict",
+                                         domain="a").count,
+            lambda r: r.snapshot()["counters"][0]["value"],
+        ):
+            registry, (transport, _same, _other) = self.stack(
+                LatencyAccount)
+            transport.predict(self.ROWS[0])   # a miss
+            for _ in range(3):                # three hits
+                transport.predict(self.ROWS[0])
+            assert read(registry) in (3, 4)
+            assert read(registry) in (3, 4)   # and only once
+
+    def test_reattaching_moves_the_account_to_the_new_registry(self):
+        account = LatencyAccount()
+        old, new = MetricsRegistry(), MetricsRegistry()
+        account.attach_metrics(old, domain="d", transport="vdso")
+        account.charge_vdso_predict(4.19)
+        account.record_cache_hit()
+        account.attach_metrics(new, domain="d", transport="vdso")
+        for _ in range(2):
+            account.charge_vdso_predict(4.19)
+            account.record_cache_miss()
+        key = dict(domain="d", transport="vdso")
+        assert new.histogram("pss_vdso_read_ns", **key).count == 2
+        assert new.counter("pss_score_cache_misses_total", **key).value == 2
+        assert new.counter("pss_score_cache_hits_total", **key).value == 0
+        assert old.histogram("pss_vdso_read_ns", **key).count == 1
+        assert old.counter("pss_score_cache_hits_total", **key).value == 1
+
+    def test_alternating_costs_do_not_pile_up_in_the_registry(self):
+        account, registry = LatencyAccount(), MetricsRegistry()
+        account.attach_metrics(registry, domain="d", transport="vdso")
+        for index in range(100):
+            account.charge_vdso_predict(4.19 if index % 2 else 0.1)
+        assert len(registry._owed) == 1
+        assert registry.histogram(
+            "pss_vdso_read_ns", domain="d", transport="vdso").count == 100
+
+    @pytest.mark.parametrize("varying", [
+        lambda account: account.charge_vdso(2.0 ** 53),
+        lambda account: account.charge_op("predict", 2.0 ** 53),
+    ])
+    def test_a_varying_charge_lands_after_the_reads_before_it(
+            self, varying):
+        """A charge pushed into a histogram a pending run belongs to
+        files the run first: ``sum`` is order-sensitive (1.0 added to
+        2**53 is lost, added before it is not)."""
+        late, pushed = LatencyAccount(), PushedAccount()
+        registries = MetricsRegistry(), MetricsRegistry()
+        for account, registry in zip((late, pushed), registries):
+            account.attach_metrics(registry, domain="d", transport="vdso")
+            account.charge_vdso_predict(1.0)
+            registry.snapshot()   # every instrument now exists
+            for _ in range(3):
+                account.charge_vdso_predict(1.0)
+            varying(account)
+            account.charge_vdso_predict(1.0)
+        assert registry_fields(registries[0]) \
+            == registry_fields(registries[1])
 
 
 class TestRegistry:

@@ -264,10 +264,20 @@ class TestAgainstReferenceModel:
 #: flush's clock - is one ``kernel.update_batch{records: n}`` span
 #: (810 spans -> 655, the 537 events unchanged but for ``span_id``
 #: and, again, the four clockless ``ts_ns``).
+#: PR 20, all three files: the 94 score-cache hits' ``vdso.predict``
+#: spans went (a hit never leaves the process; its ``predict{cache:
+#: hit}`` event is a root), and the serve run's 194 ``queue.enqueue``
+#: and 9 ``batch.dispatch`` events became one ``request`` event per
+#: settled request, each matching its enqueue's time / domain / shard /
+#: op and its drain's rows / trigger (655 spans -> 561, 537 events ->
+#: 528); the nine ``serve.dispatch`` spans gained ``trigger`` in their
+#: detail, and the scenario drains no batch of one, so none went.
+#: Every other field of every other record is equal, ids renumbered,
+#: bar the same four clockless ``ts_ns``.
 PINNED = {
-    "events.jsonl": 2757296079,
-    "spans.jsonl": 4086349461,
-    "chrome.json": 96744107,
+    "events.jsonl": 2185020706,
+    "spans.jsonl": 367544267,
+    "chrome.json": 96901384,
 }
 
 CONFIG = PSSConfig(num_features=4)
@@ -346,8 +356,9 @@ class TestPinnedExports:
         pipeline = pinned_scenario(tracer)
         kinds = {event.kind for event in tracer.events()}
         assert {"predict", "flush",
-                "predict_batch", "reset", "queue.enqueue",
-                "batch.dispatch", "batch.flush_timeout"} <= kinds
+                "predict_batch", "reset", "request",
+                "batch.flush_timeout"} <= kinds
+        assert not {"queue.enqueue", "batch.dispatch"} & kinds
         assert {"hit", "miss"} == {
             event.detail["cache"] for event in tracer.events()
             if event.kind == "predict" and event.transport == "vdso"}

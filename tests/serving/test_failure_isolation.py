@@ -11,7 +11,12 @@ keeps draining.
 import pytest
 
 from repro.core.kernel.service import ShardedService
-from repro.core.serving import ServingConfig, ServingPipeline
+from repro.core.serving import (
+    ServingConfig,
+    ServingPipeline,
+    serving_slos,
+)
+from repro.sim.process import spawn
 
 FEATURES = (3, 5)
 
@@ -110,3 +115,35 @@ def test_a_failed_run_in_a_micro_batch_does_not_stop_the_rest():
     assert futures[0].error is None and futures[2].error is None
     assert isinstance(futures[1].error, RuntimeError)
     assert pipeline.batch_stats()["batches"] == 1
+
+
+@pytest.mark.parametrize("domain, pages", [("bad", True), ("good", False)])
+def test_a_shard_that_fails_its_requests_burns_budget_and_pages(
+        domain, pages):
+    """A failed request misses any latency limit: the health engine
+    gets it as a bad sample, so a domain whose every kernel call raises
+    pages within a few evaluation intervals - it used to burn nothing
+    and never page.  The same traffic on a healthy domain does not."""
+    service = ShardedService(num_shards=1)
+    service.create_domain("good")
+    service.create_domain("bad").model = BrokenModel()
+    pipeline = ServingPipeline(service, ServingConfig(),
+                               slos=serving_slos())
+    futures = []
+
+    def arrivals():
+        for _ in range(100):
+            yield 100.0
+            futures.append(pipeline.submit(domain, FEATURES))
+        pipeline.mark_load_complete()
+
+    spawn(pipeline.engine, arrivals(), name="arrivals")
+    pipeline.run()
+    assert all(future.done for future in futures)
+    assert pipeline.failed == (100 if pages else 0)
+    assert (pipeline.page_evals > 0) is pages
+    verdict, = pipeline.slo_engine.evaluate()
+    assert (verdict.bad, verdict.good) == (
+        (100, 0) if pages else (0, 100))
+    # nothing was shed: the pipeline only advises unless told to enforce
+    assert pipeline.shed_count == 0

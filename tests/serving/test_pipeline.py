@@ -331,11 +331,11 @@ class TestVisibility:
         tracer.clear()
         pipeline.submit("d", FEATURES, op="update", direction=True)
         pipeline.run()
-        assert [event.kind for event in tracer.events()] == \
-            ["queue.enqueue", "batch.dispatch"]
-        served, = tracer.spans()
-        assert served.name == "serve.dispatch"
-        assert served.start_ns == pipeline.engine.now  # engine clock
+        served, = tracer.events()
+        assert served.kind == "request"
+        assert tracer.spans() == []   # a batch of one: no serve.dispatch
+        # the engine's clock, end to end
+        assert served.ts_ns + served.dur_ns == pipeline.engine.now
 
     def test_completion_files_sojourn_under_the_submit_shard(self):
         metrics = MetricsRegistry()
