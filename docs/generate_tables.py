@@ -68,13 +68,16 @@ EVENT_ROWS = [
     (("plan.compile", "plan.hit"), "plan cache",
      "a specialized shape plan was compiled / reused"),
     (("request",), "serving pipeline",
-     "a served request settled - its one wide record: `ts_ns` the "
+     "a submitted request settled - its one wide record: `ts_ns` the "
      "submit, `dur_ns` the sojourn, detail `{op, outcome, rows, trigger, "
      "collect_ns, drained_ns, settled_ns}` (the stamps split the sojourn "
      "into queue wait / batch window / crossing; see "
-     "[SERVING.md](SERVING.md))"),
+     "[SERVING.md](SERVING.md)).  A request its handle refused at "
+     "submit has no sojourn and no batch: `dur_ns` 0, no shard, detail "
+     "`{op, outcome: \"refused:domain|policy|quota|feature\"}`"),
     (("queue.shed",), "serving request queues",
-     "a submit was refused (detail carries the shed reason)"),
+     "an admitted submit was shed (detail carries the shed reason); its "
+     "only record"),
     (("batch.flush_timeout",), "serving dispatcher",
      "a partial batch was flushed by window expiry"),
     (("slo.page",), "`SLOEngine`",
@@ -107,9 +110,10 @@ SPAN_ROWS = [
     (("kernel.predict_batch", "kernel.update_batch"), "`DomainHandle`, "
      "`ShardedService`", "one kernel call for a real batch `{rows}` / a "
      "flush's records `{records}`"),
-    (("kernel.admission",), "`DomainHandle`, `ShardedService`",
-     "the per-tenant quota charge `{count}`, when an identity is "
-     "charged"),
+    (("kernel.admission",), "`DomainHandle`",
+     "the per-tenant quota charge `{count}`, a stage of a synchronous "
+     "read on a service with an `AdmissionController` (a submit is "
+     "charged without a span: its `request` record says how it ended)"),
     (("kernel.route", "kernel.dispatch"), "`ShardedService`",
      "slot-ring fan-out `{rows, shards}` / the rows routed to one shard"),
     (("kernel.failover",), "`Shard`",

@@ -88,7 +88,7 @@ def cmd_all(args: list[str]) -> int:
 def main(argv: list[str] | None = None) -> int:
     arguments = list(sys.argv[1:] if argv is None else argv)
     if arguments and arguments[0] == "check":
-        # The checker owns its own flags (--format/--baseline/...), so
+        # The checker owns its own flags (--format/--rules/...), so
         # dispatch before the experiment parser can reject them.
         from repro.analysis.cli import main as check_main
 

@@ -16,18 +16,11 @@ Layout:
   the rule driver;
 * :mod:`repro.analysis.rules`    - the rule registry (DET/TRC/API/CTR/
   EXC families);
-* :mod:`repro.analysis.baseline` - CRC-checked grandfathering;
 * :mod:`repro.analysis.cli`      - the ``check`` command.
 
 See ``docs/INVARIANTS.md`` for the rule catalogue and escape hatches.
 """
 
-from repro.analysis.baseline import (
-    BASELINE_NAME,
-    BaselineError,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.engine import (
     FileContext,
     Project,
@@ -44,18 +37,14 @@ from repro.analysis.rules import (
 )
 
 __all__ = [
-    "BASELINE_NAME",
-    "BaselineError",
     "FileContext",
     "Finding",
     "Project",
     "RULE_CLASSES",
     "Rule",
     "all_rules",
-    "load_baseline",
     "parse_pragmas",
     "rules_by_id",
     "run_rules",
     "select_rules",
-    "write_baseline",
 ]

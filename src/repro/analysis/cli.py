@@ -2,38 +2,27 @@
 
 Exit codes follow the lint convention the rest of the toolchain uses:
 
-* ``0`` - no findings (after pragma suppression and, with
-  ``--baseline``, baseline filtering);
+* ``0`` - no findings (after pragma suppression);
 * ``1`` - at least one finding (each printed as ``path:line: RULE
   severity: message``);
-* ``2`` - the checker itself could not run (bad flags, unknown rule,
-  unreadable/corrupt baseline).
+* ``2`` - the checker itself could not run (bad flags, unknown rule).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
 from pathlib import Path
 from typing import Any
 
-from repro.analysis.baseline import (
-    BASELINE_NAME,
-    BaselineError,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.engine import Project, run_rules
 from repro.analysis.findings import Finding
 from repro.analysis.rules import select_rules
-from repro.analysis.sarif import sarif_report
 
 #: schema version of the JSON report (and the CI artifact);
-#: 2: per-finding ``hint`` field, optional ``changed_files`` count
-REPORT_VERSION = 2
+#: 3: no ``baselined`` / ``changed_files`` counts
+REPORT_VERSION = 3
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,31 +36,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="project root to analyze (default: cwd); "
                              "the package is DIR/src/repro when "
                              "present, else DIR itself")
-    parser.add_argument("--format", choices=("text", "json", "sarif"),
+    parser.add_argument("--format", choices=("text", "json"),
                         default="text",
-                        help="report format on stdout (default: text; "
-                             "sarif emits SARIF 2.1.0 for PR "
-                             "annotation)")
+                        help="report format on stdout (default: text)")
     parser.add_argument("--output", metavar="PATH",
                         help="additionally write the JSON report to "
                              "PATH (for CI artifacts), whatever "
                              "--format says")
-    parser.add_argument("--sarif-out", metavar="PATH",
-                        help="additionally write the SARIF 2.1.0 "
-                             "report to PATH, whatever --format says")
-    parser.add_argument("--changed", action="store_true",
-                        help="scope the per-file rules to files named "
-                             "in `git diff --name-only HEAD` under "
-                             "--root (the cross-file finish pass "
-                             "still sees the whole tree); exit 2 when "
-                             "git cannot answer")
-    parser.add_argument("--baseline", action="store_true",
-                        help="filter findings recorded in "
-                             f"{BASELINE_NAME} under --root; corrupt "
-                             "baselines are rejected")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="grandfather the current findings into "
-                             f"{BASELINE_NAME} and exit 0")
     parser.add_argument("--rules", metavar="IDS",
                         help="comma-separated rule ids to run "
                              "(default: all)")
@@ -81,33 +52,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _report(root: Path, project: Project, findings: list[Finding],
-            suppressed: int, baselined: int,
-            scope: set[str] | None = None) -> dict[str, Any]:
-    report = {
+            suppressed: int) -> dict[str, Any]:
+    return {
         "version": REPORT_VERSION,
         "root": str(root),
         "checked_files": len(project.contexts),
         "suppressed": suppressed,
-        "baselined": baselined,
         "findings": [finding.as_dict() for finding in findings],
     }
-    if scope is not None:
-        report["changed_files"] = len(scope)
-    return report
-
-
-def _changed_files(root: Path) -> set[str] | None:
-    """Root-relative paths ``git diff --name-only HEAD`` reports, or
-    None when git cannot answer (not a repo, git missing)."""
-    try:
-        completed = subprocess.run(
-            ["git", "-C", str(root), "diff", "--name-only", "HEAD"],
-            capture_output=True, text=True, check=True,
-        )
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    return {line.strip() for line in completed.stdout.splitlines()
-            if line.strip()}
 
 
 def _print_text(report: dict[str, Any],
@@ -117,13 +69,8 @@ def _print_text(report: dict[str, Any],
     tail = (f"{len(findings)} finding"
             f"{'' if len(findings) == 1 else 's'} in "
             f"{report['checked_files']} files")
-    extras = []
     if report["suppressed"]:
-        extras.append(f"{report['suppressed']} pragma-suppressed")
-    if report["baselined"]:
-        extras.append(f"{report['baselined']} baselined")
-    if extras:
-        tail += " (" + ", ".join(extras) + ")"
+        tail += f" ({report['suppressed']} pragma-suppressed)"
     print(tail)
 
 
@@ -156,49 +103,15 @@ def main(argv: list[str] | None = None) -> int:
               f"(see --list-rules)", file=sys.stderr)
         return 2
 
-    scope: set[str] | None = None
-    if args.changed:
-        scope = _changed_files(root)
-        if scope is None:
-            print(f"repro check: --changed needs a git checkout at "
-                  f"{root} (git diff failed)", file=sys.stderr)
-            return 2
-
     project = Project(root)
-    findings, suppressed = run_rules(project, rules, scope=scope)
-
-    baseline_path = root / BASELINE_NAME
-    if args.write_baseline:
-        count = write_baseline(findings, baseline_path)
-        print(f"wrote {count} grandfathered finding"
-              f"{'' if count == 1 else 's'} to {baseline_path}")
-        return 0
-
-    baselined = 0
-    if args.baseline:
-        try:
-            grandfathered = load_baseline(baseline_path)
-        except BaselineError as exc:
-            print(f"repro check: {exc}", file=sys.stderr)
-            return 2
-        findings, baselined = apply_baseline(findings, grandfathered)
-
-    report = _report(root, project, findings, suppressed, baselined,
-                     scope)
+    findings, suppressed = run_rules(project, rules)
+    report = _report(root, project, findings, suppressed)
     if args.output:
         Path(args.output).write_text(
             json.dumps(report, indent=1) + "\n", encoding="utf-8"
         )
-    if args.sarif_out or args.format == "sarif":
-        sarif = sarif_report(findings, rules, str(root))
-        if args.sarif_out:
-            Path(args.sarif_out).write_text(
-                json.dumps(sarif, indent=1) + "\n", encoding="utf-8"
-            )
     if args.format == "json":
         print(json.dumps(report, indent=1))
-    elif args.format == "sarif":
-        print(json.dumps(sarif, indent=1))
     else:
         _print_text(report, findings)
     return 1 if findings else 0

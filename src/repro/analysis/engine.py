@@ -137,8 +137,7 @@ class Project:
         return self._by_module_path.get(module_path)
 
 
-def run_rules(project: Project, rules: Iterable["Rule"],
-              scope: set[str] | None = None,
+def run_rules(project: Project, rules: Iterable["Rule"]
               ) -> tuple[list[Finding], int]:
     """Drive every rule over the project.
 
@@ -146,24 +145,15 @@ def run_rules(project: Project, rules: Iterable["Rule"],
     location and ``suppressed`` counts pragma-silenced violations.
     Parse failures surface as ``ENG000`` findings: an unparseable file
     must fail the gate, not silently escape every rule.
-
-    ``scope`` (root-relative posix paths, ``--changed``) restricts the
-    per-file *findings* to the named files; ``check_file`` still visits
-    every context — rules like TRC002 accumulate cross-file state
-    there — and every rule's cross-file ``finish`` pass still runs
-    over the whole tree, so interprocedural findings can land in
-    unchanged files.
     """
     raw: list[tuple[Finding, "Rule | None"]] = [
         (finding, None) for finding in project.parse_errors
     ]
     rule_list = list(rules)
     for context in project.contexts:
-        in_scope = scope is None or context.relpath in scope
         for rule in rule_list:
             raw.extend((finding, rule)
-                       for finding in rule.check_file(context)
-                       if in_scope)
+                       for finding in rule.check_file(context))
     for rule in rule_list:
         raw.extend((finding, rule) for finding in rule.finish(project))
 

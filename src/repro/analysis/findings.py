@@ -3,8 +3,8 @@
 A finding pins one rule violation to a file and line.  Its
 :meth:`Finding.fingerprint` is deliberately line-*content* based (rule
 id, path, CRC-32 of the stripped source line) rather than line-number
-based, so a baseline written before an unrelated edit above the finding
-still matches after the lines shift.
+based, so the fingerprints CI pins for the seeded fixture trees still
+match after an unrelated edit shifts the lines.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ class Finding:
     #: reviewer context in JSON reports)
     source_line: str = field(default="", compare=False)
     #: fix-it hint naming the owning component; presentation only -
-    #: excluded from identity and fingerprint so baselines stay stable
-    #: when hint wording improves
+    #: excluded from identity and fingerprint so pinned fingerprints
+    #: stay stable when hint wording improves
     hint: str = field(default="", compare=False)
     #: extra 1-based lines (same file) where a pragma also suppresses
     #: this finding - e.g. the flagged function's ``def`` line and its
@@ -47,7 +47,7 @@ class Finding:
             )
 
     def fingerprint(self) -> int:
-        """Line-drift-stable identity used by the baseline file."""
+        """Line-drift-stable identity (what the fixture smoke pins)."""
         payload = f"{self.rule_id}|{self.path}|{self.source_line}"
         return zlib.crc32(payload.encode("utf-8"))
 

@@ -114,16 +114,14 @@ class LoadGenerator:
 
     def _submit_one(self, pipeline: ServingPipeline,
                     domain_roll: float, op_roll: float,
-                    features: list[int], direction_roll: float,
-                    client_id: str) -> CompletionFuture:
+                    features: list[int], direction_roll: float
+                    ) -> CompletionFuture:
         domain = self._pick_domain(domain_roll)
         if op_roll < self.spec.update_fraction:
             future = pipeline.submit(domain, features, op="update",
-                                     direction=direction_roll < 0.7,
-                                     client_id=client_id)
+                                     direction=direction_roll < 0.7)
         else:
-            future = pipeline.submit(domain, features,
-                                     client_id=client_id)
+            future = pipeline.submit(domain, features)
         # Deliberate sharing (docs/INVARIANTS.md, RAC001): every load
         # process funnels through this one increment, which has no
         # yield between read and write, so the count - an order-free
@@ -147,16 +145,12 @@ class LoadGenerator:
         pick = self.streams.stream("loadgen.domains")
         ops = self.streams.stream("loadgen.ops")
         feats = self.streams.stream("loadgen.features")
-        attribution = self.streams.stream("loadgen.clients")
         for _ in range(spec.requests):
             yield arrival.expovariate(rate)
             features = [feats.randrange(spec.feature_space),
                         feats.randrange(spec.feature_space)]
-            self._submit_one(
-                pipeline, pick.random(), ops.random(), features,
-                ops.random(),
-                f"c{attribution.randrange(spec.clients)}",
-            )
+            self._submit_one(pipeline, pick.random(), ops.random(),
+                             features, ops.random())
         pipeline.mark_load_complete()
 
     # -- closed loop --------------------------------------------------------
@@ -191,7 +185,7 @@ class LoadGenerator:
                         rng.randrange(spec.feature_space)]
             future = self._submit_one(pipeline, rng.random(),
                                       rng.random(), features,
-                                      rng.random(), f"c{index}")
+                                      rng.random())
             yield future.wait()
             yield rng.expovariate(1.0 / think_mean)
         # Deliberate sharing (docs/INVARIANTS.md, RAC001): the

@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence, Union
 from repro.core.config import LatencyModel, ResilienceConfig
 from repro.core.errors import (
     FeatureError,
+    PSSError,
     QuotaExceededError,
     RequestShedError,
     TransportFault,
@@ -42,6 +43,17 @@ Fallback = Union[int, Callable[[Sequence[int]], int]]
 
 #: what a resilient client absorbs instead of raising
 _DEGRADABLE = (QuotaExceededError, TransportFault)
+
+
+def _settled(call: Callable[..., Any], *args: Any) -> CompletionFuture:
+    """``call(*args)`` now, its outcome - the value, or the
+    :class:`PSSError` it refused with - as an already-settled future."""
+    future = CompletionFuture()
+    try:
+        future.complete(call(*args))
+    except PSSError as error:
+        future.fail(error)
+    return future
 
 
 class PSSClient:
@@ -154,37 +166,32 @@ class PSSClient:
         """
         self._pipeline = pipeline
 
-    def submit(self, features: Sequence[int],
-               client_id: str = "") -> CompletionFuture:
+    def submit(self, features: Sequence[int]) -> CompletionFuture:
         """Issue a predict without blocking; returns its future.
 
-        With a pipeline attached the request queues on its domain's
-        serving shard and completes when the dispatcher's micro-batch
-        crosses the kernel.  Without one the call degrades to the
-        synchronous path and returns an already-completed future, so
-        callers can target one API in both deployments.
+        With a pipeline attached the request is submitted under this
+        client's handle - admitted there exactly as :meth:`predict`
+        would be - queues on its domain's serving shard and completes
+        when the dispatcher's micro-batch crosses the kernel.  Without
+        one the call is the synchronous path and the future comes back
+        already settled, with the score or with the refusal
+        :meth:`predict` raises, so callers can target one API in both
+        deployments.
         """
         features = canonical_features(features)
         if self._pipeline is None:
-            future = CompletionFuture()
-            future.complete(self.predict(features))
-            return future
-        return self._pipeline.submit(self.domain_name, features,
-                                     client_id=client_id)
+            return _settled(self.predict, features)
+        return self._pipeline.submit(self._handle, features)
 
-    def submit_update(self, features: Sequence[int], direction: bool,
-                      client_id: str = "") -> CompletionFuture:
+    def submit_update(self, features: Sequence[int],
+                      direction: bool) -> CompletionFuture:
         """Issue an update without blocking; the future resolves to
         ``None`` once the write has been applied in queue order."""
         features = canonical_features(features)
         if self._pipeline is None:
-            future = CompletionFuture()
-            self.update(features, direction)
-            future.complete(None)
-            return future
-        return self._pipeline.submit(self.domain_name, features,
-                                     op="update", direction=direction,
-                                     client_id=client_id)
+            return _settled(self.update, features, direction)
+        return self._pipeline.submit(self._handle, features,
+                                     op="update", direction=direction)
 
     def close(self) -> None:
         """Flush buffered updates and release the connection."""
@@ -419,17 +426,20 @@ class ResilientClient(PSSClient):
     # -- async serving: degraded completion ----------------------------------
 
     def _submit_guarded(self, pipeline: "ServingPipeline",
-                        features: tuple[int, ...], client_id: str,
+                        features: tuple[int, ...],
                         op: str = "predict",
                         direction: bool = False) -> CompletionFuture:
-        """Queue one request; the returned future settles when it does,
-        but never with an error the degrade ladder absorbs.  No retry:
-        shedding is the service asking for less load, so replaying the
-        request would defeat it."""
+        """Submit one request under this client's handle; the returned
+        future settles when it does, but never with an error the
+        degrade ladder absorbs - refused at submit (a spent quota, a
+        shed) or failed at dispatch alike; a :class:`PolicyError` is
+        not one, here as in :meth:`predict`.  No retry: shedding is
+        the service asking for less load, so replaying the request
+        would defeat it."""
         outer = CompletionFuture(pipeline.engine,
                                  submitted_ns=pipeline.engine.now)
-        inner = pipeline.submit(self.domain_name, features, op=op,
-                                direction=direction, client_id=client_id)
+        inner = pipeline.submit(self._handle, features, op=op,
+                                direction=direction)
         is_predict = op == "predict"
 
         def settle(done: CompletionFuture) -> None:
@@ -453,8 +463,7 @@ class ResilientClient(PSSClient):
         inner.add_done_callback(settle)
         return outer
 
-    def submit(self, features: Sequence[int],
-               client_id: str = "") -> CompletionFuture:
+    def submit(self, features: Sequence[int]) -> CompletionFuture:
         """Issue a predict through the pipeline with the resilient
         contract intact: the returned future *never* fails with a
         transport-class error.
@@ -466,13 +475,13 @@ class ResilientClient(PSSClient):
         """
         pipeline = self._pipeline
         if pipeline is None:
-            return super().submit(features, client_id)
+            return super().submit(features)
         features = canonical_features(features)
         self.stats.predictions += 1
-        return self._submit_guarded(pipeline, features, client_id)
+        return self._submit_guarded(pipeline, features)
 
-    def submit_update(self, features: Sequence[int], direction: bool,
-                      client_id: str = "") -> CompletionFuture:
+    def submit_update(self, features: Sequence[int],
+                      direction: bool) -> CompletionFuture:
         """Issue an update; failures drop the hint, never the caller.
 
         The future always completes with ``None`` - a shed or faulted
@@ -482,9 +491,9 @@ class ResilientClient(PSSClient):
         """
         pipeline = self._pipeline
         if pipeline is None:
-            return super().submit_update(features, direction, client_id)
+            return super().submit_update(features, direction)
         return self._submit_guarded(
-            pipeline, canonical_features(features), client_id,
+            pipeline, canonical_features(features),
             op="update", direction=direction)
 
     # -- the guarded calls ----------------------------------------------------

@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.core.config import PSSConfig
 from repro.core.errors import (
+    DomainError,
     FeatureError,
     QuotaExceededError,
     ShardDownError,
@@ -270,27 +271,74 @@ class DomainHandle:
         meter = self._meter = admission.meter(self._identity)
         return meter
 
-    def _charge_predict(self, count: int = 1) -> None:
-        """Admission charge, wrapped in its own span when traced so the
-        tree shows admission as a distinct stage of the request."""
-        admission = self._admission
-        if admission is None:
-            return
-        meter = self._meter or self._bind_meter(admission)
-        if self._tracer().enabled:
-            with self._kernel_span("kernel.admission", {"count": count}):
-                meter.charge_predict(count)
-            return
-        meter.charge_predict(count)
-
-    @spanned(named(_kernel_span, "kernel.predict"), tracer="_tracer()")
-    def predict(self, features: Sequence[int]) -> int:
+    def _admit_predict(self, count: int = 1, stage: bool = True) -> None:
+        """Who may, then what it costs: the policy verdict and the
+        admission charge every read passes, called or submitted.
+        ``stage``: traced, the charge is a span of its own in the
+        calling operation's tree (a submit has no tree to be a stage
+        of - its ``request`` record says how it ended)."""
         domain = self._domain
         if domain.policy is not self._policy:
             self._judge()
         if not self._may_predict:
             self._policy.check_predict(self._identity, domain.name)
-        self._charge_predict()
+        admission = self._admission
+        if admission is None:
+            return
+        meter = self._meter or self._bind_meter(admission)
+        if stage and self._tracer().enabled:
+            with self._kernel_span("kernel.admission", {"count": count}):
+                meter.charge_predict(count)
+            return
+        meter.charge_predict(count)
+
+    def _admit_update(self) -> None:
+        """The write's contract: the policy verdict, then the shard (a
+        crashed primary cannot apply the record anywhere - replicas
+        are read-only - so it refuses before the tenant's budget is
+        charged), then the charge."""
+        domain = self._domain
+        if domain.policy is not self._policy:
+            self._judge()
+        if not self._may_update:
+            self._policy.check_update(self._identity, domain.name)
+        shard = domain.shard
+        if shard is not None and shard.down:
+            raise ShardDownError(shard.shard_id, domain.name)
+        admission = self._admission
+        if admission is not None:
+            (self._meter or self._bind_meter(admission)).charge_update()
+
+    def admit(self, op: str, features: Sequence[int]) -> Domain:
+        """Decide, without running it, everything about one request
+        that does not depend on when it runs - what a serving pipeline
+        asks at submit - and return the domain it is to run against.
+
+        Raises what the synchronous ``predict`` / ``update`` would, in
+        the order it would, with the same charge: the domain is still
+        hosted (:class:`DomainError`: a handle outlives a removed
+        domain), the policy verdict, a down shard's write, the tenant's
+        budget, the feature count (:class:`FeatureError`).  A request
+        this returns for can still fail, but only for its shard's
+        reasons.
+        """
+        domain = self._domain
+        if domain.shard is None:
+            raise DomainError(f"unknown domain {domain.name!r}")
+        if op == "predict":
+            self._admit_predict(1, False)   # no stage: no tree
+        else:
+            self._admit_update()
+        if len(features) != domain.config.num_features:
+            raise FeatureError(
+                f"expected {domain.config.num_features} features, "
+                f"got {len(features)}")
+        return domain
+
+    @spanned(named(_kernel_span, "kernel.predict"), tracer="_tracer()")
+    def predict(self, features: Sequence[int]) -> int:
+        self._admit_predict()
+        domain = self._domain
         shard = domain.shard
         if shard is not None and shard.down:
             # Crashed primary: serve the bounded-stale follower answer
@@ -323,12 +371,8 @@ class DomainHandle:
         """
         if not feature_rows:
             return []
+        self._admit_predict(len(feature_rows))
         domain = self._domain
-        if domain.policy is not self._policy:
-            self._judge()
-        if not self._may_predict:
-            self._policy.check_predict(self._identity, domain.name)
-        self._charge_predict(count=len(feature_rows))
         shard = domain.shard
         if shard is not None and shard.down:
             return [shard.failover_predict(domain, features)
@@ -350,20 +394,8 @@ class DomainHandle:
 
     @spanned(named(_kernel_span, "kernel.update"), tracer="_tracer()")
     def update(self, features: Sequence[int], direction: bool) -> None:
-        domain = self._domain
-        if domain.policy is not self._policy:
-            self._judge()
-        if not self._may_update:
-            self._policy.check_update(self._identity, domain.name)
-        shard = domain.shard
-        if shard is not None and shard.down:
-            # Replicas are read-only: the record cannot be applied
-            # anywhere, so refuse before charging the tenant's budget.
-            raise ShardDownError(shard.shard_id, domain.name)
-        admission = self._admission
-        if admission is not None:
-            (self._meter or self._bind_meter(admission)).charge_update()
-        domain.update(features, direction)
+        self._admit_update()
+        self._domain.update(features, direction)
 
     def _update_batch_span(
         self, records: Sequence[tuple[Sequence[int], bool]]

@@ -22,14 +22,21 @@ observability.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Sequence
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.core.config import (
     PSSConfig,
     ResilienceConfig,
     ServiceConfig,
 )
-from repro.core.errors import ConfigError, DomainError, ShardDownError
+from repro.core.errors import (
+    ConfigError,
+    DomainError,
+    FeatureError,
+    PSSError,
+    ShardDownError,
+)
 from repro.core.kernel.admission import AdmissionController
 from repro.core.kernel.domain import Domain, DomainHandle
 from repro.core.kernel.migrate import MigrationReport, SlotMigrator
@@ -57,8 +64,20 @@ if TYPE_CHECKING:
 
 
 #: one domain's share of a kernel batch: the domain, its rows, and the
-#: request position each row's score goes back to
+#: request position each row's outcome goes back to
 _DomainRows = tuple[Domain, list[Sequence[int]], list[int]]
+
+
+def _each(predict: Callable[[Sequence[int]], int],
+          rows: list[Sequence[int]]) -> list[int | PSSError]:
+    """``predict(row)`` per row, an error standing where it was raised."""
+    outcomes: list[int | PSSError] = []
+    for row in rows:
+        try:
+            outcomes.append(predict(row))
+        except PSSError as error:
+            outcomes.append(error)
+    return outcomes
 
 
 class ShardedService:
@@ -347,28 +366,21 @@ class ShardedService:
             name for shard in self._shards for name in shard.domains
         ))
 
-    def _resolve(self, name: str, config: PSSConfig | None,
-                 model: str,
-                 identity: ClientIdentity | None = None) -> Domain:
-        """Find a domain, creating it implicitly when configured to."""
-        shard = self._shards[self._router.shard_of(name)]
-        domain = shard.domains.get(name)
-        if domain is not None:
-            return domain
-        if not self.config.implicit_domains:
-            raise DomainError(f"unknown domain {name!r}")
-        return self.create_domain(name, config=config, model=model,
-                                  identity=identity)
-
     # -- client access -----------------------------------------------------
 
     def handle(self, name: str,
                identity: ClientIdentity | None = None,
                config: PSSConfig | None = None,
                model: str = "perceptron") -> DomainHandle:
-        """Policy-checked handle on a (possibly implicitly created) domain."""
+        """Policy-checked handle on a domain - created implicitly, as
+        the identity's, when the service is configured to."""
         who = identity or ClientIdentity()
-        domain = self._resolve(name, config, model, identity=who)
+        domain = self._shards[self._router.shard_of(name)].domains.get(name)
+        if domain is None:
+            if not self.config.implicit_domains:
+                raise DomainError(f"unknown domain {name!r}")
+            domain = self.create_domain(name, config=config, model=model,
+                                        identity=who)
         return DomainHandle(domain, who, admission=self.admission)
 
     def connect(self, name: str,
@@ -402,11 +414,9 @@ class ShardedService:
         from repro.core.client import PSSClient, ResilientClient
         from repro.core.faults import FaultInjector, FaultPlan
 
-        who = identity or ClientIdentity()
-        domain = self._resolve(name, config, model, identity=who)
-        handle = DomainHandle(domain, who, admission=self.admission)
+        handle = self.handle(name, identity, config, model)
         effective_batch = (batch_size if batch_size is not None
-                           else domain.config.update_batch_size)
+                           else self.domain(name).config.update_batch_size)
         if resilience is not None or fallback is not None:
             shared_stats = self._resilience_stats.setdefault(
                 name, ResilienceStats()
@@ -427,9 +437,8 @@ class ShardedService:
                 latency=self.config.latency,
                 batch_size=effective_batch,
             )
-        self._shards[domain.shard_id].register_account(
-            client.latency, domain.name
-        )
+        self._shards[handle.shard_id].register_account(
+            client.latency, name)
         if self.tracer.enabled or self.metrics is not None:
             client.attach_observability(
                 tracer=self.tracer if self.tracer.enabled else None,
@@ -443,22 +452,19 @@ class ShardedService:
             client.attach_fault_injector(injector)
         return client
 
-    # -- paper-signature convenience (kernel-internal callers) --------------
+    # -- by-name execution (the dispatcher, kernel-internal callers) ---------
 
-    def _predict_span(self, domain: Domain, features: Sequence[int],
-                      identity: ClientIdentity | None) -> SpanHandleLike:
+    def _predict_span(self, domain: Domain,
+                      features: Sequence[int]) -> SpanHandleLike:
         return self.tracer.span("kernel.predict", domain.name, "kernel",
                                 domain.shard_label, None, None)
 
     @spanned(_predict_span, tracer="tracer")
-    def _predict_one(self, domain: Domain, features: Sequence[int],
-                     identity: ClientIdentity | None) -> int:
+    def _predict_one(self, domain: Domain,
+                     features: Sequence[int]) -> int:
         """One row against its resolved domain: the scalar predict, and
-        what a kernel batch of one row is.  Same failover rule (a
-        crashed shard's freshest follower answers) and, traced, same
-        span tree as :meth:`DomainHandle.predict`."""
-        if identity is not None:
-            self._charge_predict(identity, 1)
+        what a kernel batch of one row is.  The failover rule and,
+        traced, the span of :meth:`DomainHandle.predict`."""
         shard = domain.shard
         if shard is not None and shard.down:
             return shard.failover_predict(domain, features)
@@ -466,22 +472,9 @@ class ShardedService:
 
     def predict(self, name: str, features: Sequence[int]) -> int:
         """Direct in-kernel predict; no transport latency is charged."""
-        return self._predict_one(self.domain(name), features, None)
+        return self._predict_one(self.domain(name), features)
 
-    def _charge_predict(self, identity: ClientIdentity,
-                        count: int) -> None:
-        """Admission charge; traced, a stage of its own in the tree."""
-        if self.admission is None:
-            return
-        if self.tracer.enabled:
-            with self.tracer.span("kernel.admission", "", "kernel", "",
-                                  None, {"count": count}):
-                self.admission.charge_predict(identity, count=count)
-        else:
-            self.admission.charge_predict(identity, count=count)
-
-    def _batch_span(self, requests: Sequence[tuple[str, Sequence[int]]],
-                    identity: ClientIdentity | None
+    def _batch_span(self, requests: Sequence[tuple[str, Sequence[int]]]
                     ) -> SpanHandleLike | None:
         """Root of a real batch's stage tree: an empty batch enters no
         stage, one row is the scalar predict under its own span."""
@@ -492,44 +485,46 @@ class ShardedService:
 
     @spanned(_batch_span, tracer="tracer")
     def predict_batch(
-        self, requests: Sequence[tuple[str, Sequence[int]]],
-        identity: ClientIdentity | None = None,
-    ) -> list[int]:
-        """Batch predict across domains, fanned out shard by shard.
+        self, requests: Sequence[tuple[str, Sequence[int]]]
+    ) -> list[int | PSSError]:
+        """Batch predict across domains by name, one outcome per row.
 
-        ``requests`` are ``(domain_name, features)`` pairs; rows are
-        grouped by owning shard and visited in shard-id order, each
-        domain scoring its rows in one specialized pass
-        (:meth:`Domain.predict_batch`), and scores return in request
-        order.  Scores and per-domain stats are bit-identical to the
-        scalar loop ``[self.predict(name, f) for name, f in requests]``,
-        and a batch of one row *is* that call, watched or not.
-
-        Like the scalar convenience this is a kernel-internal entry and
-        charges no transport latency; passing an ``identity`` opts the
-        whole batch into admission control as N predicts against that
-        tenant's budget, all-or-nothing (see
-        :meth:`AdmissionController.charge_predict`).
+        ``requests`` are ``(domain_name, features)`` pairs, grouped by
+        owning shard (visited in shard-id order), each domain scoring
+        its rows in one specialized pass (:meth:`Domain.predict_batch`).
+        Position by position the result is the row's score, or the
+        :class:`PSSError` the scalar ``self.predict(name, f)`` raises
+        for it - a name unknown or since removed, a down shard without
+        a follower, a malformed row: the batch never raises for a row
+        and no outcome depends on the rows around it.  Scores and stats
+        are bit-identical to the scalar loop; a batch of one row *is*
+        that call, watched or not.  Kernel-internal like it: no
+        transport latency, no policy, no admission charge.
         """
         count = len(requests)
         if count == 1:
             (name, features), = requests
-            return [self._predict_one(self.domain(name), features,
-                                      identity)]
+            try:
+                return [self._predict_one(self.domain(name), features)]
+            except PSSError as error:
+                return [error]
         if count == 0:
             return []
         tracer = self.tracer
         traced = tracer.enabled
+        outcomes: list[int | PSSError | None] = [None] * count
         # One pass resolves each *distinct* domain once and groups its
-        # rows.  First-occurrence order, so the first unknown name
-        # raises the DomainError the scalar loop would - before
-        # anything is charged or scored.
+        # rows, in first-occurrence order.
         by_name: dict[str, _DomainRows] = {}
         by_shard: dict[int, list[_DomainRows]] = {}
         for position, (name, features) in enumerate(requests):
             group = by_name.get(name)
             if group is None:
-                domain = self.domain(name)
+                try:
+                    domain = self.domain(name)
+                except DomainError as error:
+                    outcomes[position] = error
+                    continue
                 group = by_name[name] = (domain, [], [])
                 members = by_shard.get(domain.shard_id)
                 if members is None:
@@ -538,15 +533,11 @@ class ShardedService:
                     members.append(group)
             group[1].append(features)
             group[2].append(position)
-        if identity is not None:
-            self._charge_predict(identity, count)
         if traced:
-            # Routing is the pass above (it has to finish before the
-            # admission charge); the span keeps the stage in the tree.
+            # routing is the pass above: the span keeps its stage
             with tracer.span("kernel.route", "", "kernel", "", None,
                              {"rows": count, "shards": len(by_shard)}):
                 pass
-        scores: list[int | None] = [None] * count
         for shard_id in sorted(by_shard):
             members = by_shard[shard_id]
             if traced:
@@ -554,25 +545,29 @@ class ShardedService:
                 with tracer.span("kernel.dispatch", "", "kernel",
                                  self._shards[shard_id].label, None,
                                  {"rows": rows_here}):
-                    self._dispatch_shard_batch(members, scores)
+                    self._dispatch_shard_batch(members, outcomes)
             else:
-                self._dispatch_shard_batch(members, scores)
-        return scores  # type: ignore[return-value]
+                self._dispatch_shard_batch(members, outcomes)
+        return outcomes  # type: ignore[return-value]
 
     def _dispatch_shard_batch(
         self, members: list[_DomainRows],
-        scores: list[int | None],
+        outcomes: list[int | PSSError | None],
     ) -> None:
-        """Score one shard's slice of a batch into ``scores`` in place."""
+        """Run one shard's slice of a batch into ``outcomes`` in place."""
         for domain, rows, positions in members:
             shard = domain.shard
             if shard is not None and shard.down:
-                row_scores = [shard.failover_predict(domain, row)
-                              for row in rows]
+                group = _each(partial(shard.failover_predict, domain), rows)
             else:
-                row_scores = domain.predict_batch(rows)
-            for position, score in zip(positions, row_scores):
-                scores[position] = score
+                try:
+                    group = domain.predict_batch(rows)
+                except FeatureError:
+                    # the refused block scored and counted nothing:
+                    # row by row, a malformed row costs only itself
+                    group = _each(domain.predict, rows)
+            for position, outcome in zip(positions, group):
+                outcomes[position] = outcome
 
     def update(self, name: str, features: Sequence[int],
                direction: bool) -> None:

@@ -196,8 +196,9 @@ class ShardRouter:
         ring = self.ring
         if ring.num_shards == 1:
             return 0
-        # SlotRing.shard_of -> slot_of, written out: a served request
-        # routes twice (submit, then the kernel), three frames each.
+        # SlotRing.shard_of -> slot_of, written out (one frame where
+        # the chain is three): every by-name kernel entry of a served
+        # request routes here.
         return ring._owners[
             zlib.crc32(name.encode("utf-8")) % ring.num_slots]
 

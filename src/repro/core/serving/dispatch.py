@@ -6,9 +6,13 @@ shard.  It parks on its queue's ``nonempty`` event, lets the
 collecting, charges the batch's boundary-crossing cost as simulated
 time, and only then executes the drained requests against the kernel -
 ``ShardedService.predict_batch`` for runs of predictions,
-``ShardedService.update`` for updates - completing each request's
-:class:`~repro.core.serving.future.CompletionFuture` with the score or
-the kernel's error.
+``ShardedService.update`` for updates - settling each request's
+:class:`~repro.core.serving.future.CompletionFuture` with its own
+outcome: the score, or the error the kernel returned for that row.
+Every request here was admitted by its handle at submit, so the kernel
+calls are plain execution by name; what can still fail is what could
+only be known late (its domain removed since, its shard down with no
+follower).
 
 This module is the single sanctioned site for kernel entry from inside
 the event loop: QUE001 (docs/INVARIANTS.md) statically flags kernel
@@ -145,11 +149,12 @@ class Dispatcher:
         """Run one drained batch of several requests against the
         kernel, in FIFO order.
 
-        Adjacent predictions collapse into one ``predict_batch`` call;
-        updates run individually at their queue position.  A kernel
-        error fails exactly the requests it covered - later requests
-        in the batch still execute (their shard may be healthy).  That
-        holds for *any* exception, not only :class:`PSSError`: this is
+        Adjacent predictions collapse into one ``predict_batch`` call,
+        which answers row by row; updates run individually at their
+        queue position.  A request fails for its own outcome only.
+        An exception *escaping* a kernel call (anything that is not a
+        :class:`PSSError`: a model's bug) fails exactly the requests
+        that call covered and later requests still execute: this is
         the boundary that must keep running, since an error escaping
         here would end the shard's process and strand every future
         still queued behind it.  The error is not swallowed - it is
@@ -168,16 +173,17 @@ class Dispatcher:
             else:
                 run = batch[index:bound]
                 try:
-                    scores = self.service.predict_batch(
+                    outcomes = self.service.predict_batch(
                         [(request.domain, request.features)
                          for request in run]
                     )
                 except Exception as error:
-                    for request in run:
-                        self.pipeline.request_failed(request, error)
-                else:
-                    for request, score in zip(run, scores):
-                        self.pipeline.request_done(request, score)
+                    outcomes = [error] * len(run)
+                for request, outcome in zip(run, outcomes):
+                    if isinstance(outcome, Exception):
+                        self.pipeline.request_failed(request, outcome)
+                    else:
+                        self.pipeline.request_done(request, outcome)
             index = bound
 
     def _serve_one(self, request: Request) -> None:
@@ -189,13 +195,15 @@ class Dispatcher:
         and what ``perf/`` times)."""
         try:
             if request.op == "predict":
-                value, = self.service.predict_batch(
+                outcome, = self.service.predict_batch(
                     [(request.domain, request.features)])
             else:
-                value = None
+                outcome = None
                 self.service.update(
                     request.domain, request.features, request.direction)
         except Exception as error:
-            self.pipeline.request_failed(request, error)
+            outcome = error
+        if isinstance(outcome, Exception):
+            self.pipeline.request_failed(request, outcome)
         else:
-            self.pipeline.request_done(request, value)
+            self.pipeline.request_done(request, outcome)

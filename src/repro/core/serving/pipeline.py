@@ -3,8 +3,11 @@
 :class:`ServingPipeline` is the refactored request path.  Where the
 blocking stack ran ``client -> transport -> kernel`` inside one call
 frame, the pipeline splits every request into an *issue* half
-(:meth:`submit`, which admission-checks, enqueues on the owning
-shard's :class:`~repro.core.serving.queue.RequestQueue`, and returns a
+(:meth:`submit`, which has the caller's
+:class:`~repro.core.kernel.domain.DomainHandle` admit the request -
+the contract the synchronous call passes: domain, policy, quota,
+feature count - checks the queue, enqueues on the owning shard's
+:class:`~repro.core.serving.queue.RequestQueue`, and returns a
 :class:`~repro.core.serving.future.CompletionFuture`) and a
 *completion* half (the shard's
 :class:`~repro.core.serving.dispatch.Dispatcher` sim process drains
@@ -14,7 +17,8 @@ pipeline is a frontend over the same kernel, and a 1-client,
 batch-window-0 serve run is bit-identical to the scalar path
 (hypothesis-pinned in ``tests/serving/test_identity.py``).
 
-Back-pressure is real here, not advisory: every submit routes through
+Back-pressure is real here, not advisory: every request its handle
+admitted goes through
 :meth:`~repro.core.kernel.admission.AdmissionController.admit_request`
 with the target queue's depth, so a full queue refuses with
 ``queue_full``; and when :attr:`ServingConfig.shed_on_page` is set the
@@ -35,9 +39,19 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.core.config import LatencyModel
-from repro.core.errors import ConfigError, RequestShedError
+from repro.core.errors import (
+    ConfigError,
+    DomainError,
+    FeatureError,
+    PolicyError,
+    PSSError,
+    QuotaExceededError,
+    RequestShedError,
+)
 from repro.core.features import canonical_features
 from repro.core.kernel.admission import AdmissionController
+from repro.core.kernel.domain import DomainHandle
+from repro.core.policy import ClientIdentity
 from repro.core.serving.batcher import MicroBatcher
 from repro.core.serving.dispatch import Dispatcher
 from repro.core.serving.future import CompletionFuture
@@ -57,6 +71,16 @@ if TYPE_CHECKING:
 
 #: the SLO name the pipeline feeds completion sojourns into
 SERVE_SLO = "serve-latency"
+
+#: who a request submitted under a bare domain name is
+_ANONYMOUS = ClientIdentity()
+
+#: what a request refused at submit says in its record's ``outcome``
+#: (``refused:<reason>``); any other error there is ``error:<Type>``
+_REFUSALS: dict[type, str] = {
+    DomainError: "domain", PolicyError: "policy",
+    QuotaExceededError: "quota", FeatureError: "feature",
+}
 
 
 def serving_slos(threshold_ns: float = 4_000.0,
@@ -170,6 +194,8 @@ class ServingPipeline:
             self._admission.enforce_shedding = True
         if self.slo_engine is not None:
             spawn(self.engine, self._monitor(), name="slo-monitor")
+        #: the anonymous handle of each domain submitted by bare name
+        self._anonymous: dict[str, DomainHandle] = {}
         # -- counters --
         self.seq = 0
         self.submitted = 0
@@ -186,38 +212,89 @@ class ServingPipeline:
 
     # -- issue half ---------------------------------------------------------
 
-    def submit(self, domain: str, features: Sequence[int],
-               op: str = "predict", direction: bool = False,
-               client_id: str = "") -> CompletionFuture:
+    def submit(self, domain: "DomainHandle | str",
+               features: Sequence[int], op: str = "predict",
+               direction: bool = False) -> CompletionFuture:
         """Issue one request; returns its future immediately.
 
-        Shed requests (queue full, paging SLO under enforcement) come
-        back already failed with :class:`RequestShedError` - the
-        caller never blocks, and a sim process that ``yield``s the
+        ``domain`` is the caller's :class:`DomainHandle` - who is
+        asking, of which domain - or a bare name, which is the
+        anonymous :class:`ClientIdentity` asking (and, unlike
+        ``connect``, never creates the domain).  The handle admits the
+        request here (:meth:`DomainHandle.admit`): whatever the
+        synchronous call would refuse - an unknown domain, the policy,
+        the tenant's budget, the feature count, a down shard's write -
+        fails this request's own future now, with the same exception
+        type and the same charge, and nothing is queued.  An admitted
+        request can still be shed (queue full, paging SLO under
+        enforcement), with :class:`RequestShedError`.  The caller never
+        blocks either way, and a sim process that ``yield``s the
         future's ``wait()`` resumes on the next engine step.
         """
         if op not in ("predict", "update"):
             raise ConfigError(f"unknown serving op {op!r}")
         engine = self.engine
-        shard_id = self.service.shard_of(domain)
-        queue = self.queues[shard_id]
-        self.seq = seq = self.seq + 1
         now = engine.now
         future = CompletionFuture(engine, now)
-        request = Request(op, domain, canonical_features(features),
-                          future, direction, client_id, shard_id, seq)
+        features = canonical_features(features)
         self.submitted += 1
+        try:
+            if not isinstance(domain, str):
+                target = domain.admit(op, features)
+            else:
+                handle = (self._anonymous.get(domain)
+                          or self._resolve(domain))
+                try:
+                    target = handle.admit(op, features)
+                except DomainError:
+                    # removed since it was resolved: the name may be
+                    # another domain's by now
+                    target = self._resolve(domain).admit(op, features)
+        except PSSError as error:
+            self._refused(op, error, domain if isinstance(domain, str)
+                          else domain.domain_name)
+            future.fail(error, ts_ns=now)
+            return future
+        name = target.name
+        shard_id = target.shard_id
+        queue = self.queues[shard_id]
+        self.seq = seq = self.seq + 1
+        request = Request(op, name, features, future, direction,
+                          shard_id, seq)
         reason = self._admission.admit_request(
-            domain, queue.label, len(queue.items), self.config.queue_limit)
+            name, queue.label, len(queue.items), self.config.queue_limit)
         if reason is not None:
             self.shed_count += 1
             queue.record_shed(request, reason)
-            future.fail(RequestShedError(reason, domain, shard_id),
+            future.fail(RequestShedError(reason, name, shard_id),
                         ts_ns=now)
             return future
         queue.push(request)
         self.in_flight += 1
         return future
+
+    def _resolve(self, name: str) -> DomainHandle:
+        """The anonymous identity's handle on an existing domain, kept
+        per name (:class:`DomainError` for a name that is none)."""
+        handle = self._anonymous[name] = DomainHandle(
+            self.service.domain(name), _ANONYMOUS, self.service.admission)
+        return handle
+
+    def _refused(self, op: str, error: PSSError, name: str) -> None:
+        """Account a request its handle did not admit: counted in
+        ``failed``, one ``request`` record of no duration saying why,
+        never queued (so on no shard's track).  Not a latency sample:
+        a caller over its budget or off the allow-list says nothing
+        about the service's health, and feeding it to the SLO would
+        let one tenant's refusals shed another's requests."""
+        self.failed += 1
+        if self.tracer.enabled:
+            reason = _REFUSALS.get(type(error))
+            self.tracer.record(
+                "request", name, "serving", self.engine.now, 0.0, 0,
+                {"op": op,
+                 "outcome": (f"refused:{reason}" if reason is not None
+                             else f"error:{type(error).__name__}")})
 
     # -- health probe (AdmissionController protocol) ------------------------
 

@@ -38,10 +38,11 @@ class Request:
     """One queued operation awaiting dispatch.
 
     ``op`` is ``"predict"`` or ``"update"``; ``direction`` is only
-    meaningful for updates.  ``client_id`` is attribution-only (load
-    generators label which simulated client issued the request), never
-    consulted by routing or dispatch.  One is built per submit, so the
-    pipeline constructs it positionally: keep the field order.
+    meaningful for updates.  Its handle admitted it at submit
+    (:meth:`~repro.core.kernel.domain.DomainHandle.admit`), so what is
+    queued is already decided: the dispatcher only executes it, by
+    ``domain`` name.  One is built per submit, so the pipeline
+    constructs it positionally: keep the field order.
     """
 
     op: str
@@ -49,7 +50,6 @@ class Request:
     features: Sequence[int]
     future: CompletionFuture
     direction: bool = False
-    client_id: str = ""
     #: serving shard the pipeline routed this request to at submit;
     #: completion files its sojourn under the shard that served it
     shard_id: int = 0

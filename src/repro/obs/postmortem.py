@@ -9,10 +9,11 @@ answer the flat event ring cannot give.
 
 ``python -m repro postmortem TRACE.jsonl [--request N] [--slowest K]``
 reads a JSONL event trace instead and answers "where did this
-request's time go" from the served requests' ``request`` records: one
-stage table - queue wait / batch window / crossing / total, with rows,
-trigger and shard - for request ``N`` (1-based, in settle order), or
-for the ``K`` slowest.
+request's time go" from the ``request`` records: one stage table -
+queue wait / batch window / crossing / total, with rows, trigger and
+shard - for request ``N`` (1-based, in settle order), or for the ``K``
+slowest.  A request refused at submit has no stages; ``--request N``
+prints why it was refused instead.
 """
 
 from __future__ import annotations
@@ -175,15 +176,22 @@ def request_stages(record: TraceEvent | Mapping[str, Any]
 
 
 def render_request(index: int, record: Mapping[str, Any]) -> str:
-    """The stage table of request ``index`` (1-based, settle order)."""
+    """The stage table of request ``index`` (1-based, settle order),
+    or - refused at submit, so never in a batch - why it was refused."""
     detail = record["detail"]
     shard = f" (shard {record['shard']})" if record.get("shard") else ""
     total = record["dur_ns"]
+    head = (f"request {index}  {detail['op']} {record['domain']}{shard}  "
+            f"{detail['outcome']}")
+    submitted = f"  {'submitted at':<13}{record['ts_ns']:>12.2f} ns"
+    if "settled_ns" not in detail:
+        reason = detail["outcome"].partition(":")[2]
+        return "\n".join([
+            head, submitted,
+            f"  refused at submit ({reason}): never queued, no stages"])
     lines = [
-        f"request {index}  {detail['op']} {record['domain']}{shard}  "
-        f"{detail['outcome']}  batch of {detail['rows']}, "
-        f"trigger {detail['trigger']}",
-        f"  {'submitted at':<13}{record['ts_ns']:>12.2f} ns",
+        f"{head}  batch of {detail['rows']}, trigger {detail['trigger']}",
+        submitted,
     ]
     for stage, ns in request_stages(record).items():
         share = f"{100.0 * ns / total:>7.1f} %" if total else ""
@@ -208,10 +216,15 @@ def render_requests(events: Iterable[Mapping[str, Any]],
         return render_request(*numbered[request - 1])
     if not numbered:
         return "(no request records: not a serve trace)"
-    ranked = sorted(numbered, key=lambda pair: pair[1]["dur_ns"],
+    served = [pair for pair in numbered
+              if "settled_ns" in pair[1]["detail"]]
+    refused = len(numbered) - len(served)
+    ranked = sorted(served, key=lambda pair: pair[1]["dur_ns"],
                     reverse=True)[:slowest]
     return "\n\n".join(
-        [f"{len(numbered)} served requests; the {len(ranked)} slowest:"]
+        [f"{len(served)} served requests"
+         + (f" ({refused} more refused at submit)" if refused else "")
+         + f"; the {len(ranked)} slowest:"]
         + [render_request(index, record) for index, record in ranked])
 
 

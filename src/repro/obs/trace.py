@@ -53,9 +53,10 @@ EVENT_KINDS = frozenset({
     "plan.compile",       # the plan compiler specialized a new shape
     "plan.hit",           # an existing specialized plan was shared
     "slo.page",           # an SLO's error budget is burning page-fast
-    "request",            # a served request settled: its sojourn, with
-                          # its stage stamps (collect / drained / settled)
-    "queue.shed",         # admission refused a request (back-pressure)
+    "request",            # a submitted request settled: its sojourn, with
+                          # its stage stamps (collect / drained / settled),
+                          # or - refused at submit - the reason
+    "queue.shed",         # an admitted request was shed (back-pressure)
     "batch.flush_timeout",  # a partial batch flushed on window expiry
 })
 

@@ -1,12 +1,17 @@
 """``ShardedService.predict_batch`` over any mix of domains is the
-scalar loop - however names repeat, interleave or spread over shards.
+scalar loop - however names repeat, interleave or spread over shards -
+and answers row by row: an unknown name is that row's outcome, not the
+batch's.
 
 The kernel resolves each distinct domain once and groups rows in the
 same pass.  ``expected_tree`` below is the grouping it replaced (resolve
 every row, then shard -> domain -> positions, shards in id order,
 domains in first-occurrence order) used as the oracle for the span
 tree; the scalar loop on a twin service is the oracle for scores, stats
-and cache counters.
+and cache counters.  The kernel batch takes no identity: who may ask,
+and what it costs them, is ``DomainHandle.predict_batch``'s contract
+(``tests/core/test_admission.py``; admission as a stage of its tree,
+``tests/obs/test_golden_ops.py::TestSyncClient``).
 """
 
 import pytest
@@ -17,13 +22,11 @@ from repro.core.config import PSSConfig
 from repro.core.errors import DomainError
 from repro.core.kernel.admission import AdmissionController
 from repro.core.kernel.service import ShardedService
-from repro.core.policy import ClientIdentity
 from repro.obs import Tracer, span_children, validate_spans
 
 CONFIG = PSSConfig(num_features=2, entries_per_feature=16)
 DOMAINS = [f"d{i}" for i in range(6)]
 ROWS = [(i, 3 * i + 1) for i in range(5)]
-IDENTITY = ClientIdentity(uid=3, program="grouping")
 
 
 def build(num_shards, tracer=None):
@@ -84,27 +87,23 @@ class TestGroupedBatchIsTheScalarLoop:
         tracer = Tracer()
         service = build(num_shards, tracer=tracer)
         tracer.clear()
-        scores = service.predict_batch(requests, identity=IDENTITY)
+        scores = service.predict_batch(requests)
         assert scores == build(num_shards).predict_batch(requests)
 
         spans = tracer.spans()
         root, = validate_spans(spans)
         children = span_children(spans)
         if len(requests) == 1:
-            # a batch of one row is the scalar predict: its one span
-            # and the charge, no stage tree (the rest of that contract
-            # is tests/core/test_kernel_one_row_batch.py)
+            # a batch of one row is the scalar predict: its one span,
+            # no stage tree (the rest of that contract is
+            # tests/core/test_kernel_one_row_batch.py)
             (name, _features), = requests
             assert (root.name, root.domain) == ("kernel.predict", name)
-            admission, = children[root.span_id]
-            assert (admission.name, admission.detail) == (
-                "kernel.admission", {"count": 1})
+            assert root.span_id not in children
             return
         assert (root.name, root.detail) == ("kernel.predict_batch",
                                             {"rows": len(requests)})
-        admission, route, *dispatches = children[root.span_id]
-        assert (admission.name, admission.detail) == (
-            "kernel.admission", {"count": len(requests)})
+        route, *dispatches = children[root.span_id]
         want = expected_tree(service, requests)
         assert (route.name, route.detail) == (
             "kernel.route", {"rows": len(requests), "shards": len(want)})
@@ -131,34 +130,45 @@ class TestUnknownDomainAtPositionK:
            second=st.one_of(st.none(), st.integers(0, 23)))
     def test_same_error_nothing_scored_nothing_charged(
             self, num_shards, requests, position, second):
-        service = build(num_shards)
+        """An unknown name costs its own row the scalar's error and
+        nothing else: every other row scores, and counts, as in the
+        scalar loop that skips the unknown ones."""
+        service, scalar = build(num_shards), build(num_shards)
         poisoned = list(requests)
         poisoned.insert(position % (len(requests) + 1),
                         ("ghost-a", ROWS[0]))
         if second is not None:
             poisoned.insert(second % (len(poisoned) + 1),
                             ("ghost-b", ROWS[1]))
-        first_unknown = next(name for name, _ in poisoned
-                             if name.startswith("ghost"))
-        before = domain_state(service)
-        with pytest.raises(DomainError) as from_scalar:
-            for name, _features in poisoned:
-                service.domain(name)
-        with pytest.raises(DomainError) as from_batch:
-            service.predict_batch(poisoned, identity=IDENTITY)
-        assert str(from_batch.value) == str(from_scalar.value) \
-            == f"unknown domain {first_unknown!r}"
-        assert domain_state(service) == before
-        usage = service.admission.usage_for(IDENTITY)
-        assert (usage.predictions, usage.rejections) == (0, 0)
+        outcomes = service.predict_batch(poisoned)
+        assert len(outcomes) == len(poisoned)
+        for (name, features), outcome in zip(poisoned, outcomes):
+            if name.startswith("ghost"):
+                with pytest.raises(DomainError) as from_scalar:
+                    scalar.predict(name, features)
+                assert isinstance(outcome, DomainError)
+                assert str(outcome) == str(from_scalar.value) \
+                    == f"unknown domain {name!r}"
+            else:
+                assert outcome == scalar.predict(name, features)
+        assert domain_state(service) == domain_state(scalar)
+        assert service.admission.tenants() == []
+        assert not any(service.has_domain(name)
+                       for name in ("ghost-a", "ghost-b"))
 
     def test_traced_failure_opens_no_child_span(self):
+        """The unknown row enters no stage: the tree is the known
+        row's, and the batch's span closes ``ok`` - it answered."""
         tracer = Tracer()
         service = build(2, tracer=tracer)
         tracer.clear()
-        with pytest.raises(DomainError):
-            service.predict_batch([("d0", ROWS[0]), ("ghost", ROWS[0])],
-                                  identity=IDENTITY)
-        root, = tracer.spans()
-        assert (root.name, root.status) == ("kernel.predict_batch",
-                                            "error:DomainError")
+        score, ghost = service.predict_batch(
+            [("d0", ROWS[0]), ("ghost", ROWS[0])])
+        assert score == build(2).predict("d0", ROWS[0])
+        assert isinstance(ghost, DomainError)
+        spans = tracer.spans()
+        root, = validate_spans(spans)
+        assert (root.name, root.status) == ("kernel.predict_batch", "ok")
+        route, dispatch = span_children(spans)[root.span_id]
+        assert route.detail == {"rows": 2, "shards": 1}
+        assert dispatch.detail == {"rows": 1}

@@ -1,18 +1,20 @@
 """A one-row kernel batch is the scalar kernel predict, observably.
 
 ``tests/core/test_one_row_batch.py`` one layer up.
-``ShardedService.predict_batch([(name, row)], identity)`` answers
-through the body ``ShardedService.predict`` runs.  Three services take
-the same hypothesis-drawn stream of scalar predicts, one-row batches,
-multi-row batches, updates, bad rows, unknown names, quota-refused
-identities and crashes (with and without a synced follower): one sends
-every one-row batch through ``predict_batch``, one sends it through
-``predict`` (charging the identity first, as the batch documents), and
-a third is the first again with a tracer attached.  After every step
-they must agree on the score or the exception type, and the first two
-on everything a caller can read afterwards: ``PredictionStats``,
-generations, the index cache's counters and key order, admission usage
-and ``failover_predictions``.
+``ShardedService.predict_batch([(name, row)])`` answers through the
+body ``ShardedService.predict`` runs, with what that raises as the
+row's outcome; with an identity the pair is
+``DomainHandle.predict_batch([row])`` and ``DomainHandle.predict(row)``
+(the kernel batch takes none).  Three services take the same
+hypothesis-drawn stream of scalar predicts, one-row batches, multi-row
+batches, updates, bad rows, unknown names, quota-refused identities
+and crashes (with and without a synced follower): one sends every
+one-row batch through ``predict_batch``, one sends it through
+``predict``, and a third is the first again with a tracer attached.
+After every step they must agree on the score or the exception type,
+and the first two on everything a caller can read afterwards:
+``PredictionStats``, generations, the index cache's counters and key
+order, admission usage and ``failover_predictions``.
 """
 
 import pytest
@@ -65,9 +67,7 @@ steps = st.one_of(
     st.tuples(st.just("scalar"), pairs),
     st.tuples(st.just("one"), st.tuples(pairs, identities)),
     st.tuples(st.just("one"), st.tuples(pairs, identities)),
-    st.tuples(st.just("batch"),
-              st.tuples(st.lists(pairs, min_size=2, max_size=6),
-                        identities)),
+    st.tuples(st.just("batch"), st.lists(pairs, min_size=2, max_size=6)),
     st.tuples(st.just("update"),
               st.tuples(names, rows, st.booleans())),
     st.tuples(st.just("sync"), st.none()),
@@ -76,13 +76,26 @@ steps = st.one_of(
 )
 
 
-def scalar_with_identity(service, name, row, identity):
-    """What a one-row batch is documented to be, spelled with the
-    scalar entry: resolve, charge one prediction, predict."""
-    service.domain(name)
-    if identity is not None:
-        service.admission.charge_predict(identity, count=1)
-    return [service.predict(name, row)]
+def outcome_names(outcomes):
+    """A kernel batch's outcomes with each error as its type's name."""
+    return [type(outcome).__name__ if isinstance(outcome, Exception)
+            else outcome for outcome in outcomes]
+
+
+def one_row(service, name, row, identity, through_batch):
+    """One row as a batch of one, or as the scalar call it must be."""
+    if identity is None:
+        if not through_batch:
+            return [service.predict(name, row)]
+        outcome, = service.predict_batch([(name, row)])
+        if isinstance(outcome, Exception):
+            raise outcome
+        return [outcome]
+    service.domain(name)   # a handle would create the unknown name
+    handle = service.handle(name, identity)
+    if through_batch:
+        return handle.predict_batch([row])
+    return [handle.predict(row)]
 
 
 def apply(service, step, one_row_through_batch):
@@ -93,12 +106,10 @@ def apply(service, step, one_row_through_batch):
             return [service.predict(*arg)]
         if op == "one":
             (name, row), identity = arg
-            if one_row_through_batch:
-                return service.predict_batch([(name, row)], identity)
-            return scalar_with_identity(service, name, row, identity)
+            return one_row(service, name, row, identity,
+                           one_row_through_batch)
         if op == "batch":
-            requests, identity = arg
-            return service.predict_batch(requests, identity)
+            return outcome_names(service.predict_batch(arg))
         if op == "update":
             service.update(*arg)
         elif op == "sync":
@@ -170,11 +181,12 @@ class TestOneRowKernelBatchIsTheScalarPredict:
 
     def test_refused_identity_is_charged_nothing_and_scores_nothing(self):
         service = build()
+        handle = service.handle("d0", TIGHT)
         for _ in range(TIGHT_BUDGET):
-            service.predict_batch([("d0", ROWS[0])], TIGHT)
+            handle.predict_batch([ROWS[0]])
         before = service.domain("d0").report().stats.predictions
         with pytest.raises(QuotaExceededError):
-            service.predict_batch([("d0", ROWS[0])], TIGHT)
+            handle.predict_batch([ROWS[0]])
         usage = service.admission.usage_for(TIGHT)
         assert (usage.predictions, usage.rejections) == (TIGHT_BUDGET, 1)
         assert service.domain("d0").report().stats.predictions == before
@@ -182,15 +194,17 @@ class TestOneRowKernelBatchIsTheScalarPredict:
 
 class TestOneRowSpanTree:
     def test_one_row_leaves_the_sync_handles_tree(self):
-        """``kernel.predict`` (domain, shard label) with a
-        ``kernel.admission`` child exactly when an identity is charged
-        - what ``DomainHandle.predict`` leaves - and nothing else."""
+        """``kernel.predict`` (domain, shard label) and nothing else -
+        what ``DomainHandle.predict`` leaves, less the
+        ``kernel.admission`` child that charging its identity adds."""
         tracer = Tracer()
         service = build(tracer)
-        for identity, want_children in ((None, []),
-                                        (ROOMY, ["kernel.admission"])):
+        handle = service.handle("d3", ROOMY)
+        for call, want_children in (
+                (lambda: service.predict_batch([("d3", ROWS[2])]), []),
+                (lambda: handle.predict(ROWS[2]), ["kernel.admission"])):
             tracer.clear()
-            service.predict_batch([("d3", ROWS[2])], identity)
+            call()
             spans = tracer.spans()
             root, = validate_spans(spans)
             assert (root.name, root.domain, root.shard, root.status) == (
@@ -212,12 +226,12 @@ class TestOneRowSpanTree:
         tracer = Tracer()
         service = build(tracer)
         tracer.clear()
-        with pytest.raises(FeatureError):
-            service.predict_batch([("d0", (1, 2, 3))])
+        outcome, = service.predict_batch([("d0", (1, 2, 3))])
+        assert isinstance(outcome, FeatureError)
         root, = tracer.spans()
         assert (root.name, root.status) == ("kernel.predict",
                                             "error:FeatureError")
         tracer.clear()
-        with pytest.raises(DomainError):
-            service.predict_batch([("ghost", ROWS[0])])
+        outcome, = service.predict_batch([("ghost", ROWS[0])])
+        assert isinstance(outcome, DomainError)
         assert tracer.spans() == []   # nothing resolved, nothing entered

@@ -203,6 +203,26 @@ class TestPostmortemCLI:
         assert "request 3  predict a  ok  batch of 1, trigger scalar" \
             in capsys.readouterr().out
 
+    def test_a_refused_request_says_why_in_place_of_a_stage_table(
+            self, tmp_path, capsys):
+        path = tmp_path / "trace.jsonl"
+        refused = {"ts_ns": 40.0, "kind": "request", "domain": "mine",
+                   "transport": "serving", "dur_ns": 0.0, "generation": 0,
+                   "detail": {"op": "update", "outcome": "refused:policy"}}
+        path.write_text("".join(json.dumps(event) + "\n"
+                                for event in [refused] + self.TRACE))
+        assert postmortem_main([str(path), "--request", "1"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "request 1  update mine  refused:policy",
+            "  submitted at        40.00 ns",
+            "  refused at submit (policy): never queued, no stages",
+        ]
+        assert postmortem_main([str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("3 served requests (1 more refused at "
+                              "submit); the 3 slowest:")
+        assert "request 1 " not in out and "request 4  predict a" in out
+
     def test_explain_usage_errors_exit_2(self, tmp_path, capsys):
         path = self.write_trace(tmp_path)
         assert postmortem_main([path, "--request", "9"]) == 2

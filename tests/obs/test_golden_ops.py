@@ -11,8 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import PSSConfig
-from repro.core.kernel.admission import AdmissionController
+from repro.core.errors import (
+    DomainError,
+    FeatureError,
+    PolicyError,
+    QuotaExceededError,
+)
+from repro.core.kernel.admission import AdmissionController, TenantQuota
 from repro.core.kernel.service import ShardedService
+from repro.core.policy import ClientIdentity, private_policy
 from repro.core.serving import ServingConfig, ServingPipeline
 from repro.obs import Tracer, span_children, validate_spans
 from repro.obs.postmortem import request_stages
@@ -273,15 +280,59 @@ class TestPipeline:
         assert len(tracer) + len(tracer.spans()) <= 2
 
     def test_failed_request_says_so_in_its_record(self):
+        """A failure only the kernel can find (the count is right, an
+        entry is not an int) is an ``error:`` outcome with the stage
+        stamps of the batch that carried it."""
         tracer, pipeline = self.build()
-        future = pipeline.submit("d", ROW + (1,))   # one feature too many
+        future = pipeline.submit("d", ROW[:-1] + ("x",))
         pipeline.run()
-        assert future.done and future.error is not None
+        assert isinstance(future.error, FeatureError)
         event, = tracer.events()
         assert event.kind == "request"
-        assert event.detail["outcome"] == \
-            f"error:{type(future.error).__name__}"
-        assert event.dur_ns == future.latency_ns
+        assert event.detail["outcome"] == "error:FeatureError"
+        assert event.dur_ns == future.latency_ns > 0
+        assert event.detail["settled_ns"] == future.completed_ns
+
+    @pytest.mark.parametrize("reason", ["domain", "policy", "quota",
+                                        "feature"])
+    def test_refused_request_leaves_one_record_saying_why(self, reason):
+        """Refused at submit: exactly one ``request`` record of no
+        duration, ``refused:<reason>``, no stage stamps and no shard -
+        it never had a batch or a queue - and no ``queue.shed`` (it was
+        not load-shed)."""
+        owner, other = ClientIdentity(1, "owner"), ClientIdentity(2, "x")
+        admission = AdmissionController()
+        admission.set_quota(other, TenantQuota(predict_budget=0))
+        tracer = Tracer()
+        service = ShardedService(num_shards=2, tracer=tracer,
+                                 admission=admission)
+        service.create_domain("d", config=CONFIG)
+        service.create_domain("mine", config=CONFIG,
+                              policy=private_policy(owner))
+        pipeline = ServingPipeline(service, ServingConfig())
+        target, row, error = {
+            "domain": ("ghost", ROW, DomainError),
+            "policy": (service.handle("mine", other), ROW, PolicyError),
+            "quota": (service.handle("d", other), ROW,
+                      QuotaExceededError),
+            "feature": ("d", ROW + (1,), FeatureError),
+        }[reason]
+        tracer.clear()
+        future = pipeline.submit(target, row)
+        assert future.done and isinstance(future.error, error)
+        pipeline.run()
+        event, = tracer.events()
+        assert tracer.spans() == []
+        assert (event.kind, event.ts_ns, event.dur_ns) == (
+            "request", future.submitted_ns, 0.0)
+        assert event.detail == {"op": "predict",
+                                "outcome": f"refused:{reason}"}
+        assert (event.domain, event.shard) == (
+            target if isinstance(target, str) else target.domain_name, "")
+        snapshot = pipeline.snapshot()
+        assert (snapshot["failed"], snapshot["shed"],
+                snapshot["in_flight"]) == (1, 0, 0)
+        assert not service.has_domain("ghost")
 
     @settings(max_examples=60, deadline=None)
     @given(window=st.sampled_from([0.0, 200.0]),
@@ -289,14 +340,16 @@ class TestPipeline:
            schedule=st.lists(
                st.tuples(st.sampled_from([0.0, 1.0, 30.0, 250.0]),
                          st.integers(0, 3), st.booleans(),
-                         st.booleans()),
+                         st.sampled_from(["", "", "refused", "late"])),
                min_size=1, max_size=40))
     def test_every_settled_request_leaves_one_request_record(
             self, window, shards, schedule):
         """Whatever the window, shard count and arrival schedule: one
-        ``request`` record per admitted request, in settle order, whose
-        stamps are monotone and whose extent is the future's sojourn -
-        a kernel failure (the five-feature row) included."""
+        ``request`` record per submitted request, in settle order.  A
+        request refused at submit (the five-feature row) says why and
+        has no extent; an admitted one has monotone stamps and the
+        future's sojourn for extent - a kernel failure (the row with a
+        non-int entry) included."""
         tracer = Tracer()
         service = ShardedService(num_shards=shards, tracer=tracer)
         names = [f"d{i}" for i in range(4)]
@@ -305,14 +358,15 @@ class TestPipeline:
         pipeline = ServingPipeline(
             service, ServingConfig(batch_window_ns=window, max_batch=4))
         futures, settled = [], []
+        rows = {"": ROW, "refused": ROW + (1,),
+                "late": ROW[:-1] + ("x",)}
 
         def arrivals():
             for delay, domain, is_update, bad in schedule:
                 if delay:
                     yield delay
-                row = ROW + (1,) if bad else ROW
                 future = pipeline.submit(
-                    names[domain], row,
+                    names[domain], rows[bad],
                     op="update" if is_update else "predict")
                 future.add_done_callback(settled.append)
                 futures.append(future)
@@ -328,6 +382,11 @@ class TestPipeline:
             detail = record.detail
             assert record.ts_ns == future.submitted_ns
             assert record.dur_ns == future.latency_ns
+            if detail["outcome"] == "refused:feature":
+                assert set(detail) == {"op", "outcome"}
+                assert record.dur_ns == 0.0
+                assert isinstance(future.error, FeatureError)
+                continue
             assert detail["settled_ns"] == future.completed_ns
             assert future.submitted_ns <= detail["drained_ns"] \
                 <= detail["settled_ns"]
@@ -342,3 +401,6 @@ class TestPipeline:
             stages = request_stages(record)
             assert min(stages.values()) >= 0.0
             assert sum(stages.values()) == pytest.approx(record.dur_ns)
+        # who failed, and how, is each request's own affair
+        for future, (_, _, _, bad) in zip(futures, schedule):
+            assert (future.error is None) == (bad == "")

@@ -178,9 +178,14 @@ def _serving_scenario(seen):
     )
     for _ in range(5):
         pipeline.submit("d", FEATURES)
+    pipeline.submit("d", FEATURES + [1])
     pipeline.mark_load_complete()
     pipeline.run()
     seen.take(tracer, registry)
+    # a refusal at submit is not a kind of its own: it is the request
+    # record's outcome, and the scenario drives both
+    assert {e.detail["outcome"] for e in tracer.events()
+            if e.kind == "request"} == {"ok", "refused:feature"}
 
 
 def _slo_scenario(seen):

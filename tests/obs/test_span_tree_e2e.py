@@ -1,15 +1,16 @@
 """Acceptance: one batch through a crashed-shard service yields one
-well-formed span tree - admission, routing, per-shard dispatch,
-failover, and plan execution all causally under a single root."""
+well-formed span tree - routing, per-shard dispatch, failover, and
+plan execution all causally under a single root.  (Admission is not a
+stage here: the kernel batch executes by name, and charging is the
+handle's - ``tests/obs/test_golden_ops.py`` pins it as a stage of
+``DomainHandle.predict_batch``'s tree.)"""
 
 from repro.core.config import PSSConfig
 from repro.core.kernel.admission import AdmissionController
 from repro.core.kernel.service import ShardedService
-from repro.core.policy import ClientIdentity
 from repro.obs import Tracer, span_children, validate_spans
 from repro.obs.postmortem import render_tree
 
-IDENTITY = ClientIdentity(uid=7, program="batcher")
 ROWS_PER_DOMAIN = 2
 NUM_DOMAINS = 8
 
@@ -36,7 +37,7 @@ def crashed_shard_batch(num_shards=4):
         shard = service.shard_of(name)
         rows_by_shard[shard] = rows_by_shard.get(shard, 0) + 1
     tracer.clear()  # only the batch under test in the ring
-    scores = service.predict_batch(requests, identity=IDENTITY)
+    scores = service.predict_batch(requests)
     return tracer, scores, requests, victim, rows_by_shard
 
 
@@ -53,10 +54,8 @@ class TestBatchSpanTree:
         assert root.detail == {"rows": len(requests)}
         children = span_children(spans)
         stages = children[root.span_id]
-        assert stages[0].name == "kernel.admission"
-        assert stages[0].detail == {"count": len(requests)}
-        assert stages[1].name == "kernel.route"
-        dispatches = stages[2:]
+        assert stages[0].name == "kernel.route"
+        dispatches = stages[1:]
         assert all(s.name == "kernel.dispatch" for s in dispatches)
         # one dispatch per shard that owns rows, in shard-id order,
         # each annotated with the rows routed to it
@@ -94,7 +93,7 @@ class TestBatchSpanTree:
         text = render_tree(tracer.spans())
         lines = text.splitlines()
         assert lines[0].startswith("kernel.predict_batch")
-        assert any(line.startswith("  kernel.admission")
+        assert any(line.startswith("  kernel.route")
                    for line in lines)
         assert any(line.startswith("    kernel.failover")
                    for line in lines)
@@ -115,5 +114,4 @@ class TestBatchSpanTree:
         for _ in range(ROWS_PER_DOMAIN):
             for i in range(NUM_DOMAINS):
                 requests.append((f"d{i}", (1, 2)))
-        assert service.predict_batch(requests,
-                                     identity=IDENTITY) == traced_scores
+        assert service.predict_batch(requests) == traced_scores
