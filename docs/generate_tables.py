@@ -129,12 +129,13 @@ SPAN_ROWS = [
 #: (names, instrument, labels, meaning)
 METRIC_ROWS = [
     (("pss_vdso_read_ns", "pss_syscall_ns"), "histogram",
-     "`domain`, `transport`", "boundary-crossing latency per path (the "
-     "distribution behind the paper's 4.19 ns vs 68 ns headline)"),
-    (("pss_op_ns",), "histogram", "`domain`, `transport`, `op`",
+     "`domain`, `transport`, `shard`", "boundary-crossing latency per "
+     "path (the distribution behind the paper's 4.19 ns vs 68 ns "
+     "headline)"),
+    (("pss_op_ns",), "histogram", "`domain`, `transport`, `shard`, `op`",
      "the same time, broken down per operation"),
     (("pss_score_cache_hits_total", "pss_score_cache_misses_total"),
-     "counter", "`domain`, `transport`",
+     "counter", "`domain`, `transport`, `shard`",
      "the vDSO score cache's probes.  With `pss_vdso_read_ns` and "
      "`pss_op_ns{op=\"predict\"}` of a vDSO transport these are filed "
      "when the registry is *read*, not per read"),

@@ -585,12 +585,16 @@ class ProgramIndex:
 
     def reachable(self, entry: FunctionSummary,
                   stop_classes: frozenset[str] = frozenset(),
+                  skip_calls: frozenset[int] | set[int] = frozenset(),
                   ) -> dict[str, Reached]:
         """Bounded BFS over resolved call edges from ``entry``.
 
         ``stop_classes``: methods of these classes are neither entered
         nor traversed - call paths that go *through* a sanctioned owner
-        are, by definition, mediated.
+        are, by definition, mediated.  ``skip_calls``: ``id`` of call
+        nodes that are no edge at all (a generator built to be handed
+        to ``spawn`` runs in the process it becomes, not in whoever
+        built it).
         """
         result: dict[str, Reached] = {
             entry.qname: Reached(entry, 0, None, None)
@@ -602,6 +606,8 @@ class ProgramIndex:
             next_frontier: list[FunctionSummary] = []
             for caller in frontier:
                 for site in caller.calls:
+                    if id(site.node) in skip_calls:
+                        continue
                     callee = self.resolve_call(site, caller)
                     if callee is None or callee.qname in result:
                         continue

@@ -89,6 +89,10 @@ class ProcessModel:
         self.entries: dict[str, ProcessEntry] = {}
         self._full_reach: dict[str, dict] = {}
         self._owner_scoped_reach: dict[str, dict] = {}
+        #: ``id`` of every ``body(...)`` call node found as a spawn
+        #: argument: a process boundary, not a call edge - whoever
+        #: spawns a process does not run its body
+        self._spawned: set[int] = set()
         self._discover()
 
     @classmethod
@@ -116,6 +120,7 @@ class ProcessModel:
                         body = self._resolve_body(value, fn)
                         if body is None or not body.is_generator:
                             continue
+                        self._spawned.add(id(value))
                         self.entries.setdefault(
                             body.qname,
                             ProcessEntry(body, module_path,
@@ -149,7 +154,8 @@ class ProcessModel:
         """Everything an entry can reach, owners included."""
         cached = self._full_reach.get(entry.label)
         if cached is None:
-            cached = self.index.reachable(entry.fn)
+            cached = self.index.reachable(
+                entry.fn, skip_calls=self._spawned)
             self._full_reach[entry.label] = cached
         return cached
 
@@ -158,7 +164,8 @@ class ProcessModel:
         cached = self._owner_scoped_reach.get(entry.label)
         if cached is None:
             cached = self.index.reachable(
-                entry.fn, stop_classes=SANCTIONED_OWNERS)
+                entry.fn, stop_classes=SANCTIONED_OWNERS,
+                skip_calls=self._spawned)
             self._owner_scoped_reach[entry.label] = cached
         return cached
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from repro.core.errors import ConfigError, RequestShedError
+from repro.core.errors import ConfigError
 from repro.core.serving.future import CompletionFuture
 from repro.core.serving.pipeline import ServingPipeline
 from repro.sim.process import ProcessBody, spawn
@@ -77,7 +77,11 @@ class LoadSpec:
 
 
 class LoadGenerator:
-    """Drives one :class:`ServingPipeline` with a :class:`LoadSpec`."""
+    """Drives one :class:`ServingPipeline` with a :class:`LoadSpec`.
+
+    It keeps no outcome counters: what was submitted, served, shed or
+    failed is the pipeline's to say (``pipeline.snapshot()``).
+    """
 
     def __init__(self, spec: LoadSpec, seed: int = 0) -> None:
         self.spec = spec
@@ -89,13 +93,6 @@ class LoadGenerator:
             total += 1.0 / (rank + 1) ** spec.zipf_s
             self._cumulative.append(total)
         self._names = spec.domain_names()
-        # -- outcome counters (filled by completion callbacks) --
-        self.issued = 0
-        self.completed_ok = 0
-        self.shed = 0
-        self.failed = 0
-        #: closed-loop bookkeeping: clients still running
-        self._closed_remaining = 0
 
     # -- request synthesis --------------------------------------------------
 
@@ -104,31 +101,15 @@ class LoadGenerator:
         point = roll * self._cumulative[-1]
         return self._names[bisect_left(self._cumulative, point)]
 
-    def _on_done(self, future: CompletionFuture) -> None:
-        if future.error is None:
-            self.completed_ok += 1
-        elif isinstance(future.error, RequestShedError):
-            self.shed += 1
-        else:
-            self.failed += 1
-
     def _submit_one(self, pipeline: ServingPipeline,
                     domain_roll: float, op_roll: float,
                     features: list[int], direction_roll: float
                     ) -> CompletionFuture:
         domain = self._pick_domain(domain_roll)
         if op_roll < self.spec.update_fraction:
-            future = pipeline.submit(domain, features, op="update",
-                                     direction=direction_roll < 0.7)
-        else:
-            future = pipeline.submit(domain, features)
-        # Deliberate sharing (docs/INVARIANTS.md, RAC001): every load
-        # process funnels through this one increment, which has no
-        # yield between read and write, so the count - an order-free
-        # sum - is schedule-independent by construction.
-        self.issued += 1  # repro: allow RAC001
-        future.add_done_callback(self._on_done)
-        return future
+            return pipeline.submit(domain, features, op="update",
+                                   direction=direction_roll < 0.7)
+        return pipeline.submit(domain, features)
 
     # -- open loop ----------------------------------------------------------
 
@@ -159,24 +140,24 @@ class LoadGenerator:
                           requests_per_client: int | None = None) -> None:
         """Spawn one sim process per client (keep ``spec.clients``
         small in this mode), splitting ``spec.requests`` evenly with
-        the remainder on the lowest-numbered clients."""
-        per_client = requests_per_client
-        self._closed_remaining = 0
-        for index in range(self.spec.clients):
-            if per_client is None:
-                share = self.spec.requests // self.spec.clients
-                if index < self.spec.requests % self.spec.clients:
-                    share += 1
-            else:
-                share = per_client
-            if share == 0:
-                continue
-            self._closed_remaining += 1
-            spawn(pipeline.engine, self._client(pipeline, index, share),
-                  name=f"loadgen-client-{index}")
+        the remainder on the lowest-numbered clients.  The load is
+        complete when the pipeline has counted the last of them
+        submitted, whichever client that was."""
+        clients = self.spec.clients
+        if requests_per_client is None:
+            base, extra = divmod(self.spec.requests, clients)
+            shares = [base + (index < extra) for index in range(clients)]
+        else:
+            shares = [requests_per_client] * clients
+        last = pipeline.submitted + sum(shares)
+        for index, share in enumerate(shares):
+            if share:
+                spawn(pipeline.engine,
+                      self._client(pipeline, index, share, last),
+                      name=f"loadgen-client-{index}")
 
     def _client(self, pipeline: ServingPipeline, index: int,
-                count: int) -> ProcessBody:
+                count: int, last: int) -> ProcessBody:
         spec = self.spec
         rng = self.streams.stream(f"loadgen.client.{index}")
         think_mean = 1.0 / spec.per_client_rate
@@ -186,22 +167,7 @@ class LoadGenerator:
             future = self._submit_one(pipeline, rng.random(),
                                       rng.random(), features,
                                       rng.random())
+            if pipeline.submitted == last:
+                pipeline.mark_load_complete()
             yield future.wait()
             yield rng.expovariate(1.0 / think_mean)
-        # Deliberate sharing (docs/INVARIANTS.md, RAC001): the
-        # synchronous writer (start_closed_loop) finishes before the
-        # engine runs a single step, so the phases never overlap; the
-        # per-client decrements are yield-free order-free sums.
-        self._closed_remaining -= 1  # repro: allow RAC001
-        if self._closed_remaining == 0:
-            pipeline.mark_load_complete()
-
-    # -- reporting ----------------------------------------------------------
-
-    def snapshot(self) -> dict[str, int]:
-        return {
-            "issued": self.issued,
-            "completed_ok": self.completed_ok,
-            "shed": self.shed,
-            "failed": self.failed,
-        }

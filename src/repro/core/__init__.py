@@ -55,7 +55,6 @@ from repro.core.kernel import (
     Shard,
     ShardedCheckpointManager,
     ShardedService,
-    ShardRouter,
     ShardView,
     TenantQuota,
     TenantUsage,
@@ -131,7 +130,6 @@ __all__ = [
     "Shard",
     "ShardedCheckpointManager",
     "ShardedService",
-    "ShardRouter",
     "ShardView",
     "TenantQuota",
     "TenantUsage",

@@ -333,10 +333,10 @@ class ResilientClient(PSSClient):
         self._fallback = fallback
         self._last_was_fallback = False
         self._tracer = NULL_TRACER
-        # Span labels and the simulated clock, bound once (a span per
-        # public call would otherwise re-derive each of them).
+        # The span's domain label and the simulated clock, bound once
+        # (a span per public call would otherwise re-derive them); the
+        # shard label is the account's, which a reshard keeps current.
         self._obs_domain = handle.domain_name
-        self._obs_shard = getattr(handle, "shard_label", "")
         self._clock = self._transport.account.clock
 
     def attach_observability(self, tracer=None, metrics=None) -> None:
@@ -354,8 +354,9 @@ class ResilientClient(PSSClient):
         however many attempts the retry ladder below makes), on the
         transport account's simulated clock."""
         return self._tracer.span(
-            name, self._obs_domain, "client", self._obs_shard, None,
-            detail, self._clock)
+            name, self._obs_domain, "client",
+            self._transport.account.shard_label, None, detail,
+            self._clock)
 
     def _trace_client(self, kind: str, detail: dict | None = None) -> None:
         self._tracer.record(

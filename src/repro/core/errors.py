@@ -142,13 +142,13 @@ class RequestShedError(TransportFault):
     Raised (through a :class:`~repro.core.serving.CompletionFuture`)
     when the serving pipeline sheds a submitted request - either the
     target shard's queue is at its depth limit (``reason``
-    ``"queue_full"``) or a paging SLO has the admission controller
-    enforcing :meth:`~repro.obs.slo.SLOEngine.should_shed` (``reason``
-    ``"slo_page"``).  Modeled as a :class:`TransportFault` (simulated
-    ``EAGAIN``) so the :class:`~repro.core.client.ResilientClient`
-    degraded ladder treats a shed exactly like any other transient
-    boundary refusal: the caller gets its static fallback and may
-    resubmit once the queue drains.
+    ``"queue_full"``) or the pipeline sheds on SLO pages and a paging
+    scope covers the request (``reason`` ``"slo_page"``).  Modeled as a
+    :class:`TransportFault` (simulated ``EAGAIN``) so the
+    :class:`~repro.core.client.ResilientClient` degraded ladder treats
+    a shed exactly like any other transient boundary refusal: the
+    caller gets its static fallback and may resubmit once the queue
+    drains.
     """
 
     def __init__(self, reason: str = "queue_full", domain: str = "",

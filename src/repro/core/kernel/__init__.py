@@ -3,8 +3,8 @@
 Layer diagram (see ``docs/ARCHITECTURE.md``)::
 
     ShardedService            the kernel: routing + admission + obs
-      ├─ ShardRouter          slot-ring name -> shard placement
-      │    └─ SlotRing        N virtual slots, migratable one at a time
+      ├─ SlotRing             name -> slot -> shard placement, N
+      │                       virtual slots migratable one at a time
       ├─ AdmissionController  per-tenant quotas (domains/updates/predicts)
       ├─ SlotMigrator         live reshard: slot-granular handoff
       └─ Shard[0..N)          domains + per-shard stats/latency
@@ -49,7 +49,6 @@ from repro.core.kernel.service import ShardedService
 from repro.core.kernel.shard import Shard
 from repro.core.kernel.sharding import (
     DEFAULT_SLOTS,
-    ShardRouter,
     SlotMove,
     SlotRing,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "ShardedService",
     "Shard",
     "DEFAULT_SLOTS",
-    "ShardRouter",
     "SlotMove",
     "SlotRing",
 ]

@@ -27,24 +27,10 @@ explicit quotas behaves bit-identically to one with no controller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Protocol
+from dataclasses import dataclass
 
 from repro.core.errors import QuotaExceededError
 from repro.core.policy import ClientIdentity
-
-
-class HealthProbe(Protocol):
-    """Advisory service-health signal the controller may consult.
-
-    Structurally matched by :class:`~repro.obs.slo.SLOEngine` (kept a
-    protocol so the kernel does not import the obs layer): ``True``
-    means an SLO covering the domain/shard is currently paging and new
-    load should, advisorily, be shed.
-    """
-
-    def should_shed(self, domain: str = "", shard: str = "") -> bool:
-        ...
 
 
 @dataclass(frozen=True)
@@ -161,14 +147,7 @@ class AdmissionController:
         self._default_quota = default_quota
         self._quotas: dict[ClientIdentity, TenantQuota] = dict(quotas or {})
         self._meters: dict[ClientIdentity, TenantMeter] = {}
-        self._health_probe: HealthProbe | None = None
-        #: times the health probe advised shedding when consulted
-        self.shed_advisories = 0
-        #: serve mode: turn affirmative shed advice into refusals
-        #: (set by the serving pipeline; the synchronous path never
-        #: flips it, so direct calls keep their advisory-only history)
-        self.enforce_shedding = False
-        #: requests actually refused by :meth:`admit_request`
+        #: requests refused by :meth:`admit_request`
         self.sheds_enforced = 0
 
     # -- configuration -----------------------------------------------------
@@ -192,59 +171,23 @@ class AdmissionController:
         if meter is not None:
             meter.quota = quota
 
-    def set_health_probe(self, probe: HealthProbe | None) -> None:
-        """Attach (or clear) a :class:`HealthProbe`.
+    def admit_request(self, queue_depth: int, queue_limit: int,
+                      paging: bool) -> str | None:
+        """Serve-mode admission - the one shed rule: a shed reason, or
+        ``None`` to admit.
 
-        Typically an :class:`~repro.obs.slo.SLOEngine` (or the serving
-        pipeline's cached view of one) fed by the same tracer the
-        service records into.  On the synchronous path the probe stays
-        advisory - :meth:`health_advice` only counts affirmative advice
-        in :attr:`shed_advisories`.  In serve mode the pipeline flips
-        :attr:`enforce_shedding` and routes every submit through
-        :meth:`admit_request`, which turns that same advice into actual
-        refusals (counted in :attr:`sheds_enforced`).
-        """
-        self._health_probe = probe
-
-    def health_advice(self, domain: str = "", shard: str = "") -> bool:
-        """Consult the health probe (False when none is attached).
-
-        Returns whether the probe advises shedding new load for this
-        domain/shard, and counts affirmative advice in
-        :attr:`shed_advisories`.  Advisory at this layer: callers
-        remain free to admit the request - enforcement lives in
-        :meth:`admit_request`, which the serving pipeline routes every
-        submit through.
-        """
-        if self._health_probe is None:
-            return False
-        advice = self._health_probe.should_shed(domain=domain,
-                                                shard=shard)
-        if advice:
-            self.shed_advisories += 1
-        return advice
-
-    def admit_request(self, domain: str = "", shard: str = "",
-                      queue_depth: int = 0,
-                      queue_limit: int = 0) -> str | None:
-        """Serve-mode admission: a shed reason, or ``None`` to admit.
-
-        This is where queue back-pressure meets the controller: the
-        serving pipeline reports the target shard's queue depth with
-        every submit, and a queue at its configured limit is refused
-        with reason ``"queue_full"`` (a set limit is itself the opt-in,
-        so depth refusals do not wait on :attr:`enforce_shedding`).
-        Health-probe advice (a paging SLO) becomes reason
-        ``"slo_page"`` only when :attr:`enforce_shedding` is set -
-        without it the advice is counted but the request admitted,
-        exactly the advisory behaviour the synchronous path has always
-        had.  Every refusal increments :attr:`sheds_enforced`.
+        The serving pipeline asks for every request its handle
+        admitted, with the target shard's queue depth and its own
+        health verdict: a queue at its configured limit refuses with
+        ``"queue_full"`` (0 is unbounded), and ``paging`` - the
+        pipeline shedding on an SLO page that covers the target -
+        refuses with ``"slo_page"``.  Every refusal increments
+        :attr:`sheds_enforced`.
         """
         if queue_limit > 0 and queue_depth >= queue_limit:
             self.sheds_enforced += 1
             return "queue_full"
-        if self.health_advice(domain=domain, shard=shard) \
-                and self.enforce_shedding:
+        if paging:
             self.sheds_enforced += 1
             return "slo_page"
         return None

@@ -24,7 +24,7 @@ files.  Recovery is best-effort per shard, like
 shard's learned state.
 
 Because placement is a pure function of the domain name
-(:class:`~repro.core.kernel.sharding.ShardRouter`), restoring routes
+(:class:`~repro.core.kernel.sharding.SlotRing`), restoring routes
 every domain through the live service and therefore lands it on the
 correct shard even when the manifest was written with a *different*
 shard count - per-shard checkpoints double as a resharding path.

@@ -4,9 +4,9 @@ A :class:`Domain` is one named predictor (model + config + policy +
 stats); a :class:`DomainHandle` is the policy- and admission-checked
 view of a domain that transports dispatch into.  Both moved here
 verbatim from the pre-kernel ``core/service.py`` monolith; the only
-additions are the shard identity a :class:`~repro.core.kernel.service
-.ShardedService` stamps on each domain and the optional admission
-charge on the handle's client-facing operations.
+additions are the back-reference to the :class:`~repro.core.kernel
+.shard.Shard` hosting each domain and the optional admission charge on
+the handle's client-facing operations.
 """
 
 from __future__ import annotations
@@ -25,7 +25,12 @@ from repro.core.models import PredictorModel
 from repro.core.policy import ClientIdentity, DomainPolicy, open_policy
 from repro.core.stats import DomainReport, PredictionStats
 from repro.obs.spanned import named, spanned
-from repro.obs.trace import NULL_TRACER, SpanHandleLike, TracerLike
+from repro.obs.trace import (
+    NULL_SPAN_HANDLE,
+    NULL_TRACER,
+    SpanHandleLike,
+    TracerLike,
+)
 
 if TYPE_CHECKING:
     from repro.core.kernel.admission import (
@@ -49,17 +54,27 @@ class Domain:
     #: not track their own generation, and once per restore that swaps
     #: learned state in (see :attr:`generation`)
     generation_offset: int = 0
-    #: shard owning this domain (0 on single-shard services)
-    shard_id: int = 0
-    #: obs label for the owning shard; empty on single-shard services so
-    #: traces and metrics stay byte-identical to the pre-kernel monolith
-    shard_label: str = ""
     #: identity charged for this domain by admission control, if any
     created_by: ClientIdentity | None = None
-    #: back-reference to the owning :class:`~repro.core.kernel.shard
-    #: .Shard` (None for domains never hosted by a sharded service);
-    #: restamped by migration, consulted by handles for crash failover
+    #: where the domain lives: the :class:`~repro.core.kernel.shard
+    #: .Shard` hosting it (None while no service hosts it).  The one
+    #: stored copy of its placement - :meth:`Shard.adopt` and
+    #: :meth:`Shard.evict` move it, the id and the obs label below are
+    #: read off it, handles consult it for crash failover
     shard: "Shard | None" = field(default=None, repr=False)
+
+    @property
+    def shard_id(self) -> int:
+        """Id of the hosting shard (0 while hosted nowhere)."""
+        shard = self.shard
+        return shard.shard_id if shard is not None else 0
+
+    @property
+    def shard_label(self) -> str:
+        """Obs label of the hosting shard - ``str(shard_id)`` on a
+        service of any size - and "" while hosted nowhere."""
+        shard = self.shard
+        return shard.label if shard is not None else ""
 
     @property
     def generation(self) -> int:
@@ -87,13 +102,24 @@ class Domain:
         shard = self.shard
         return shard.tracer if shard is not None else NULL_TRACER
 
+    def kernel_span(self, name: str,
+                    detail: dict[str, Any] | None = None
+                    ) -> SpanHandleLike:
+        """Span for one kernel-side operation on this domain, tracer
+        and shard label both read off the shard hosting it now (nested
+        spans inherit the enclosing transport span's simulated clock)."""
+        shard = self.shard
+        if shard is None:   # hosted nowhere: no tracer, no label
+            return NULL_SPAN_HANDLE
+        return shard.tracer.span(name, self.name, "kernel", shard.label,
+                                 None, detail)
+
     def _plan_span(self, feature_rows: Sequence[Sequence[int]]
                    ) -> SpanHandleLike:
         """One span per batched pass over the weights: this is where
         the specialized plan (when the model holds one) executes."""
-        return self._tracer().span("plan.execute", self.name, "kernel",
-                                   self.shard_label, None,
-                                   {"rows": len(feature_rows)})
+        return self.kernel_span("plan.execute",
+                                {"rows": len(feature_rows)})
 
     @spanned(_plan_span, tracer="_tracer()")
     def predict_batch(
@@ -227,11 +253,6 @@ class DomainHandle:
         return self._domain.shard_id
 
     @property
-    def shard_label(self) -> str:
-        """Obs label for the owning shard ("" on single-shard services)."""
-        return self._domain.shard_label
-
-    @property
     def generation(self) -> int:
         """The domain's weight-generation counter (read-only, no policy).
 
@@ -247,12 +268,9 @@ class DomainHandle:
     def _kernel_span(self, name: str,
                      detail: dict[str, Any] | None = None
                      ) -> SpanHandleLike:
-        """Span for one kernel-side dispatch into this handle's domain
-        (nested spans inherit the enclosing transport span's simulated
-        clock)."""
-        domain = self._domain
-        return self._tracer().span(name, domain.name, "kernel",
-                                   domain.shard_label, None, detail)
+        """Span for one kernel-side dispatch into this handle's
+        domain."""
+        return self._domain.kernel_span(name, detail)
 
     def _judge(self) -> None:
         """Read the domain's current policy: its verdicts for this

@@ -17,7 +17,9 @@ The handoff protocol per slot is generation-consistent:
 2. **transfer** - each domain object (with its client latency
    accounts) moves from the source to the destination shard.  The
    *same* objects move, so open handles and clients stay valid and
-   scores are trivially bit-identical across the handoff.
+   scores are trivially bit-identical across the handoff;
+   :meth:`Shard.adopt` is where the domain and its accounts learn
+   their new shard, so what they emit next is filed under it.
 3. **verify** - the recorded generations are compared against the
    transferred domains; a mismatch would mean a write raced the
    transfer and aborts the slot (impossible in this synchronous
@@ -153,10 +155,9 @@ class SlotMigrator:
         generations = {
             name: source.domains[name].generation for name in names
         }
-        label = str(move.dest) if self.new_shard_count > 1 else ""
         for name in names:
             domain, accounts = source.evict(name)
-            dest.adopt(domain, label, accounts)
+            dest.adopt(domain, accounts)
         for name in names:
             if dest.domains[name].generation != generations[name]:
                 raise DomainError(

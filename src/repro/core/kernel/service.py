@@ -3,7 +3,7 @@
 :class:`ShardedService` is the kernel (:data:`~repro.core.service
 .PredictionService` is its paper-shaped alias): it places every domain
 on one of ``num_shards`` shards via stable hashing
-(:class:`~repro.core.kernel.sharding.ShardRouter`), keeps per-shard
+(:class:`~repro.core.kernel.sharding.SlotRing`), keeps per-shard
 stats and latency accounting
 (:class:`~repro.core.kernel.shard.Shard`), and runs every client-facing
 entry point through an optional :class:`~repro.core.kernel.admission
@@ -41,7 +41,7 @@ from repro.core.kernel.admission import AdmissionController
 from repro.core.kernel.domain import Domain, DomainHandle
 from repro.core.kernel.migrate import MigrationReport, SlotMigrator
 from repro.core.kernel.shard import Shard
-from repro.core.kernel.sharding import ShardRouter, SlotRing
+from repro.core.kernel.sharding import SlotRing
 from repro.core.models import create_model, ensure_builtin_models
 from repro.core.plans import PlanCompiler, plan_signature
 from repro.core.policy import ClientIdentity, DomainPolicy, open_policy
@@ -87,9 +87,9 @@ class ShardedService:
     :class:`repro.obs.MetricsRegistry` turns on white-box observability:
     every client opened through :meth:`connect` is wired to them, and
     :meth:`reports` aggregates latency histogram percentiles and
-    resilient-client stats per domain.  On multi-shard services every
-    trace event and metric series additionally carries a ``shard``
-    label.
+    resilient-client stats per domain.  Every trace record and metric
+    series about a domain carries a ``shard`` label naming the shard
+    that hosts it at that moment, on a service of any size.
     """
 
     def __init__(self, config: ServiceConfig | None = None,
@@ -111,7 +111,8 @@ class ShardedService:
         #: follower replicas attached to every shard (current and
         #: future - shards grown by a reshard get the same K)
         self.num_replicas = num_replicas
-        self._router = ShardRouter(num_shards)
+        #: the slot ring: which shard owns (or would own) each name
+        self.ring = SlotRing(num_shards)
         self._shards = [
             Shard(i, tracer=self.tracer, num_replicas=num_replicas,
                   metrics=metrics)
@@ -133,12 +134,7 @@ class ShardedService:
 
     @property
     def num_shards(self) -> int:
-        return self._router.num_shards
-
-    @property
-    def ring(self) -> SlotRing:
-        """The slot ring placement table (shared with the router)."""
-        return self._router.ring
+        return self.ring.num_shards
 
     @property
     def shards(self) -> tuple[Shard, ...]:
@@ -155,7 +151,7 @@ class ShardedService:
 
     def shard_of(self, name: str) -> int:
         """The shard id that owns (or would own) domain ``name``."""
-        return self._router.shard_of(name)
+        return self.ring.shard_of(name)
 
     def _domain_count(self) -> int:
         return sum(len(shard) for shard in self._shards)
@@ -215,8 +211,7 @@ class ShardedService:
     def finish_reshard(self, new_shard_count: int) -> None:
         """Finalize a completed migration (migrator hook): truncate
         doomed shards (they are empty - their last slot was handed
-        off) and restamp every domain's obs label for the new
-        topology."""
+        off)."""
         if new_shard_count < len(self._shards):
             for shard in self._shards[new_shard_count:]:
                 if shard.domains:  # pragma: no cover - protocol guard
@@ -225,10 +220,6 @@ class ShardedService:
                         f"{len(shard)} domains at reshard finalization"
                     )
             del self._shards[new_shard_count:]
-        for shard in self._shards:
-            label = shard.label if new_shard_count > 1 else ""
-            for domain in shard.domains.values():
-                domain.shard_label = label
         if self.metrics is not None \
                 and self._active_migration is not None:
             self.metrics.counter(MIGRATED_SLOTS_TOTAL).inc(
@@ -311,7 +302,7 @@ class ShardedService:
             DomainError: if the name is taken or the service is full.
             QuotaExceededError: if the identity's domain quota is spent.
         """
-        shard = self._shards[self._router.shard_of(name)]
+        shard = self._shards[self.ring.shard_of(name)]
         if name in shard:
             raise DomainError(f"domain {name!r} already exists")
         if self._domain_count() >= self.config.max_domains:
@@ -329,7 +320,7 @@ class ShardedService:
             policy=policy or open_policy(),
             created_by=identity,
         )
-        shard.adopt(domain, shard.label if self.num_shards > 1 else "")
+        shard.adopt(domain)
         self._bind_plan(domain)
         return domain
 
@@ -346,15 +337,15 @@ class ShardedService:
 
     def domain(self, name: str) -> Domain:
         try:
-            return self._shards[self._router.shard_of(name)].domains[name]
+            return self._shards[self.ring.shard_of(name)].domains[name]
         except KeyError:
             raise DomainError(f"unknown domain {name!r}") from None
 
     def has_domain(self, name: str) -> bool:
-        return name in self._shards[self._router.shard_of(name)]
+        return name in self._shards[self.ring.shard_of(name)]
 
     def remove_domain(self, name: str) -> None:
-        shard = self._shards[self._router.shard_of(name)]
+        shard = self._shards[self.ring.shard_of(name)]
         if name not in shard:
             raise DomainError(f"unknown domain {name!r}")
         domain, _accounts = shard.evict(name)
@@ -375,7 +366,7 @@ class ShardedService:
         """Policy-checked handle on a domain - created implicitly, as
         the identity's, when the service is configured to."""
         who = identity or ClientIdentity()
-        domain = self._shards[self._router.shard_of(name)].domains.get(name)
+        domain = self._shards[self.ring.shard_of(name)].domains.get(name)
         if domain is None:
             if not self.config.implicit_domains:
                 raise DomainError(f"unknown domain {name!r}")
@@ -456,8 +447,7 @@ class ShardedService:
 
     def _predict_span(self, domain: Domain,
                       features: Sequence[int]) -> SpanHandleLike:
-        return self.tracer.span("kernel.predict", domain.name, "kernel",
-                                domain.shard_label, None, None)
+        return domain.kernel_span("kernel.predict")
 
     @spanned(_predict_span, tracer="tracer")
     def _predict_one(self, domain: Domain,

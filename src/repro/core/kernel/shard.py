@@ -74,8 +74,10 @@ class Shard:
     def register_account(self, account: LatencyAccount,
                          domain_name: str = "") -> None:
         """Track one client transport's latency account for shard
-        reporting (the account object stays owned by the transport)."""
+        reporting (the account object stays owned by the transport)
+        and tell it which shard it now files under."""
         self._accounts.setdefault(domain_name, []).append(account)
+        account.file_under(self.label)
 
     def merged_stats(self) -> PredictionStats:
         """Aggregate prediction stats across this shard's domains."""
@@ -109,16 +111,17 @@ class Shard:
 
     # -- domain handoff (create, remove, migrate) --------------------------
 
-    def adopt(self, domain: Domain, label: str,
+    def adopt(self, domain: Domain,
               accounts: list[LatencyAccount] | None = None) -> None:
-        """Take ownership of a new or migrating domain (and its client
-        accounts), stamping its shard identity."""
+        """Take ownership of a new or migrating domain and its client
+        accounts.  The one place placement changes: the domain's
+        ``shard`` is everything the kernel reads, and each account -
+        what an open client stamps its records and files its series
+        with - is told here, so nothing outlives a handoff stale."""
         self.domains[domain.name] = domain
-        domain.shard_id = self.shard_id
-        domain.shard_label = label
         domain.shard = self
-        if accounts:
-            self._accounts.setdefault(domain.name, []).extend(accounts)
+        for account in accounts or ():
+            self.register_account(account, domain.name)
 
     def evict(self, name: str) -> tuple[Domain, list[LatencyAccount]]:
         """Release a removed or migrating domain together with its

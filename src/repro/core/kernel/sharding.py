@@ -34,7 +34,7 @@ handoff - is :class:`repro.core.kernel.migrate.SlotMigrator`'s job.
 from __future__ import annotations
 
 import zlib
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from repro.core.errors import ConfigError
 
@@ -82,8 +82,14 @@ class SlotRing:
         return self._owners[slot]
 
     def shard_of(self, name: str) -> int:
-        """The shard id owning ``name`` via its slot."""
-        return self._owners[self.slot_of(name)]
+        """The shard id owning ``name`` via its slot (one shard owns
+        every slot, so nothing is hashed).  :meth:`slot_of` is written
+        out - one frame where the chain is two: every by-name kernel
+        entry of a served request routes here."""
+        if self.num_shards == 1:
+            return 0
+        return self._owners[
+            zlib.crc32(name.encode("utf-8")) % self.num_slots]
 
     def slots_of(self, shard_id: int) -> tuple[int, ...]:
         """Every slot currently owned by ``shard_id``, ascending."""
@@ -174,37 +180,3 @@ class SlotRing:
                 f"still references shard {highest}"
             )
         self.num_shards = new_shard_count
-
-
-class ShardRouter:
-    """Maps domain names onto shards through a :class:`SlotRing`.
-
-    The pre-ring API (``shard_of``/``partition``/``num_shards``) is
-    unchanged; the ring is exposed for the migration machinery.
-    """
-
-    def __init__(self, num_shards: int,
-                 num_slots: int = DEFAULT_SLOTS) -> None:
-        self.ring = SlotRing(num_shards, num_slots=num_slots)
-
-    @property
-    def num_shards(self) -> int:
-        return self.ring.num_shards
-
-    def shard_of(self, name: str) -> int:
-        """The shard id owning ``name`` (0 for single-shard services)."""
-        ring = self.ring
-        if ring.num_shards == 1:
-            return 0
-        # SlotRing.shard_of -> slot_of, written out (one frame where
-        # the chain is three): every by-name kernel entry of a served
-        # request routes here.
-        return ring._owners[
-            zlib.crc32(name.encode("utf-8")) % ring.num_slots]
-
-    def partition(self, names: Iterable[str]) -> dict[int, list[str]]:
-        """Group ``names`` by owning shard (shards with no names absent)."""
-        placed: dict[int, list[str]] = {}
-        for name in names:
-            placed.setdefault(self.shard_of(name), []).append(name)
-        return placed

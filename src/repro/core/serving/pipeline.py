@@ -17,18 +17,24 @@ pipeline is a frontend over the same kernel, and a 1-client,
 batch-window-0 serve run is bit-identical to the scalar path
 (hypothesis-pinned in ``tests/serving/test_identity.py``).
 
-Back-pressure is real here, not advisory: every request its handle
-admitted goes through
+Back-pressure is one rule: every request its handle admitted goes
+through
 :meth:`~repro.core.kernel.admission.AdmissionController.admit_request`
 with the target queue's depth, so a full queue refuses with
-``queue_full``; and when :attr:`ServingConfig.shed_on_page` is set the
-pipeline attaches *itself* as the controller's health probe (a cached
-view of the :class:`~repro.obs.slo.SLOEngine` verdicts, refreshed by a
-monitor process every ``slo_eval_interval_ns``) and flips
-``enforce_shedding``, promoting ``SLOEngine.should_shed`` from advice
-to actual ``slo_page`` refusals.  Shed requests fail fast with
+``queue_full``, and with the pipeline's own health verdict - when
+:attr:`ServingConfig.shed_on_page` is set, whether a paging SLO covers
+the target (:meth:`ServingPipeline.should_shed`, a cached view of the
+:class:`~repro.obs.slo.SLOEngine` verdicts, refreshed by a monitor
+process every ``slo_eval_interval_ns``) - which refuses with
+``slo_page``.  Shed requests fail fast with
 :class:`~repro.core.errors.RequestShedError` - the resilient client
 maps that to its static fallback like any transient fault.
+
+The pipeline follows the service's topology: one *lane* (queue,
+batcher, dispatcher, sojourn histogram) per shard at construction, and
+one more the first time a request is routed to a shard a reshard grew
+since (:meth:`ServingPipeline._grow_lanes`); a shrunk-away shard's lane
+drains what it holds and then idles.
 
 See docs/SERVING.md for the pipeline diagram and tuning guidance.
 """
@@ -106,8 +112,8 @@ class ServingConfig:
 
     ``batch_window_ns == 0`` is the scalar-equivalent mode (no
     batching, bit-identical results); ``queue_limit == 0`` means
-    unbounded queues (no depth back-pressure); ``shed_on_page`` is the
-    serve-mode promotion of SLO shed advice into refusals.
+    unbounded queues (no depth back-pressure); ``shed_on_page`` sheds
+    the requests a paging SLO covers.
     """
 
     max_batch: int = 32
@@ -147,38 +153,19 @@ class ServingPipeline:
                                    else service.tracer)
         self.metrics = (metrics if metrics is not None
                         else service.metrics)
-        #: completion-sojourn histogram per serving shard, resolved
-        #: once (None without a registry)
-        self._latency_hists = (
-            [self.metrics.histogram(SERVE_LATENCY_NS, shard=str(shard_id))
-             for shard_id in range(service.num_shards)]
-            if self.metrics is not None else None)
         if self.tracer.enabled:
             # Serve mode owns the session clock: every event recorded
             # during the run (kernel spans included) is stamped with
             # the engine's simulated now.
             self.tracer.clock = self.engine.clock
-        # -- per-shard machinery --
-        self.queues = [
-            RequestQueue(shard_id, self.engine, tracer=self.tracer,
-                         metrics=self.metrics)
-            for shard_id in range(service.num_shards)
-        ]
-        self.batchers = [
-            MicroBatcher(self.config.max_batch,
-                         self.config.batch_window_ns,
-                         latency=self.config.latency)
-            for _ in range(service.num_shards)
-        ]
-        self.dispatchers = [
-            Dispatcher(self, shard_id, queue, batcher, service,
-                       self.engine, tracer=self.tracer,
-                       metrics=self.metrics)
-            for shard_id, (queue, batcher)
-            in enumerate(zip(self.queues, self.batchers))
-        ]
-        for dispatcher in self.dispatchers:
-            dispatcher.start()
+        # -- per-shard lanes, each list indexed by shard id --
+        self.queues: list[RequestQueue] = []
+        self.batchers: list[MicroBatcher] = []
+        self.dispatchers: list[Dispatcher] = []
+        #: completion-sojourn histogram per serving shard, resolved
+        #: once (empty without a registry)
+        self._latency_hists: list[Histogram] = []
+        self._grow_lanes(service.num_shards - 1)
         # -- health / back-pressure --
         self.slo_engine = (SLOEngine(slos, tracer=self.tracer)
                            if slos is not None else None)
@@ -189,9 +176,6 @@ class ServingPipeline:
         self._admission = (service.admission
                            if service.admission is not None
                            else AdmissionController())
-        self._admission.set_health_probe(self)
-        if self.config.shed_on_page:
-            self._admission.enforce_shedding = True
         if self.slo_engine is not None:
             spawn(self.engine, self._monitor(), name="slo-monitor")
         #: the anonymous handle of each domain submitted by bare name
@@ -210,6 +194,31 @@ class ServingPipeline:
         #: need percentiles even without a metrics registry)
         self.latency = Histogram()
 
+    def _grow_lanes(self, shard_id: int) -> RequestQueue:
+        """The queue of ``shard_id``'s lane, building - and starting,
+        in shard-id order - every lane up to it that does not exist
+        yet: all of them at construction, later the ones a reshard
+        grew (a request is routed by the shard hosting its domain, and
+        the pipeline may be older than that shard)."""
+        for new_id in range(len(self.queues), shard_id + 1):
+            queue = RequestQueue(new_id, self.engine, tracer=self.tracer,
+                                 metrics=self.metrics)
+            batcher = MicroBatcher(self.config.max_batch,
+                                   self.config.batch_window_ns,
+                                   latency=self.config.latency)
+            dispatcher = Dispatcher(self, new_id, queue, batcher,
+                                    self.service, self.engine,
+                                    tracer=self.tracer,
+                                    metrics=self.metrics)
+            self.queues.append(queue)
+            self.batchers.append(batcher)
+            self.dispatchers.append(dispatcher)
+            if self.metrics is not None:
+                self._latency_hists.append(self.metrics.histogram(
+                    SERVE_LATENCY_NS, shard=queue.label))
+            dispatcher.start()
+        return self.queues[shard_id]
+
     # -- issue half ---------------------------------------------------------
 
     def submit(self, domain: "DomainHandle | str",
@@ -226,9 +235,9 @@ class ServingPipeline:
         the tenant's budget, the feature count, a down shard's write -
         fails this request's own future now, with the same exception
         type and the same charge, and nothing is queued.  An admitted
-        request can still be shed (queue full, paging SLO under
-        enforcement), with :class:`RequestShedError`.  The caller never
-        blocks either way, and a sim process that ``yield``s the
+        request can still be shed (queue full, a paging SLO the
+        pipeline sheds on), with :class:`RequestShedError`.  The caller
+        never blocks either way, and a sim process that ``yield``s the
         future's ``wait()`` resumes on the next engine step.
         """
         if op not in ("predict", "update"):
@@ -257,12 +266,17 @@ class ServingPipeline:
             return future
         name = target.name
         shard_id = target.shard_id
-        queue = self.queues[shard_id]
+        try:
+            queue = self.queues[shard_id]
+        except IndexError:   # a shard grown since the last lane was built
+            queue = self._grow_lanes(shard_id)
         self.seq = seq = self.seq + 1
         request = Request(op, name, features, future, direction,
                           shard_id, seq)
+        config = self.config
         reason = self._admission.admit_request(
-            name, queue.label, len(queue.items), self.config.queue_limit)
+            len(queue.items), config.queue_limit,
+            config.shed_on_page and self.should_shed(name, queue.label))
         if reason is not None:
             self.shed_count += 1
             queue.record_shed(request, reason)
@@ -296,14 +310,14 @@ class ServingPipeline:
                  "outcome": (f"refused:{reason}" if reason is not None
                              else f"error:{type(error).__name__}")})
 
-    # -- health probe (AdmissionController protocol) ------------------------
+    # -- health ---------------------------------------------------------------
 
     def should_shed(self, domain: str = "", shard: str = "") -> bool:
         """Cached SLO verdict: is a paging scope covering this target?
 
-        The admission controller consults this on every submit, so it
-        must be O(1): the monitor process refreshes the paging-scope
-        set every evaluation interval instead of re-running
+        A shedding pipeline asks on every submit, so it must be O(1):
+        the monitor process refreshes the paging-scope set every
+        evaluation interval instead of re-running
         ``SLOEngine.evaluate`` per request.
         """
         scopes = self._paging_scopes
@@ -348,7 +362,7 @@ class ServingPipeline:
         self.in_flight -= 1
         sojourn = now - request.future.submitted_ns
         self.latency.observe(sojourn)
-        if self._latency_hists is not None:
+        if self._latency_hists:
             self._latency_hists[request.shard_id].observe(sojourn)
         if self.slo_engine is not None:
             self.slo_engine.observe(
@@ -446,7 +460,6 @@ class ServingPipeline:
                 "page_excursions": self.page_excursions,
             },
             "admission": {
-                "advisories": self._admission.shed_advisories,
                 "sheds_enforced": self._admission.sheds_enforced,
             },
         }

@@ -157,6 +157,14 @@ class LatencyAccount:
     #: call counts, broken down by operation kind
     op_calls: dict[str, int] = field(default_factory=dict)
 
+    #: obs label of the shard hosting the account's domain, "" while no
+    #: shard tracks the account: what its transport stamps on records
+    #: and :meth:`attach_metrics` files under.  The shard sets it, at
+    #: registration and on every handoff (:meth:`file_under`).  A class
+    #: attribute like those below, not a dataclass field: placement is
+    #: not what two accounts compare equal on.
+    shard_label = ""
+
     # Metrics attachment state (class attributes, not dataclass fields:
     # an unattached account stays a plain counter block).
     _hist_vdso = None
@@ -174,23 +182,22 @@ class LatencyAccount:
     _misses_filed = 0
 
     def attach_metrics(self, registry, domain: str = "",
-                       transport: str = "", shard: str = "") -> None:
+                       transport: str = "") -> None:
         """Mirror every future charge into ``registry`` histograms.
 
         Creates ``pss_vdso_read_ns`` and ``pss_syscall_ns`` histograms
-        labeled ``{domain, transport}`` plus per-operation
-        ``pss_op_ns{op=...}`` histograms (resolved lazily per op kind).
-        A ``shard`` label is added only when non-empty, so single-shard
-        services emit byte-identical metric series to the pre-kernel
-        monolith.
+        labeled ``{domain, transport, shard}`` - ``shard`` the account's
+        :attr:`shard_label`; an account no shard tracks has none to
+        name - plus per-operation ``pss_op_ns{op=...}`` histograms
+        (resolved lazily per op kind).
         """
         if self._metrics is not None:
-            self._file_reads()   # what the old registry is owed
+            self._file_reads()   # what the old series are owed
             self._enlisted = False
         self._metrics = registry
         self._metric_labels = {"domain": domain, "transport": transport}
-        if shard:
-            self._metric_labels["shard"] = shard
+        if self.shard_label:
+            self._metric_labels["shard"] = self.shard_label
         self._hist_vdso = registry.histogram(
             VDSO_READ_NS, **self._metric_labels
         )
@@ -207,6 +214,16 @@ class LatencyAccount:
         # Only what happens from here on is this registry's.
         self._hits_filed = self.cache_hits
         self._misses_filed = self.cache_misses
+
+    def file_under(self, shard_label: str) -> None:
+        """The account's domain is hosted by that shard from here on:
+        records and, attached, series name it.  What was charged so far
+        stays filed under the shard that served it."""
+        self.shard_label = shard_label
+        labels = self._metric_labels
+        if labels is not None:   # attached: on to the new shard's series
+            self.attach_metrics(self._metrics, labels["domain"],
+                                labels["transport"])
 
     def charge_vdso(self, ns: float) -> None:
         self.vdso_ns += ns

@@ -75,11 +75,10 @@ class Transport:
         #: single ``enabled`` attribute check when tracing is off
         self._tracer = NULL_TRACER
         self._obs_domain = getattr(target, "domain_name", "")
-        # Empty on single-shard services, so their traces and metric
-        # series stay byte-identical to the pre-kernel monolith.
-        self._obs_shard = getattr(target, "shard_label", "")
         # What every traced crossing would otherwise rebuild: the span
-        # names and the account's simulated clock, bound once.
+        # names and the account's simulated clock, bound once.  (The
+        # shard label is not: a reshard moves the domain, so records
+        # read ``account.shard_label``, which the hosting shard keeps.)
         self._span_names = {op: f"{self.name}.{op}" for op in SPAN_OPS}
         self._clock = self.account.clock
 
@@ -115,9 +114,7 @@ class Transport:
                 self._injector.tracer = tracer
         if metrics is not None:
             self.account.attach_metrics(
-                metrics, domain=self._obs_domain, transport=self.name,
-                shard=self._obs_shard,
-            )
+                metrics, domain=self._obs_domain, transport=self.name)
 
     def attach_injector(self, injector: FaultInjector | None) -> None:
         """Attach (or, with None, detach) a fault injector.
@@ -183,9 +180,10 @@ class Transport:
         """
         if generation is None:
             generation = getattr(self._target, "generation", 0)
+        account = self.account
         self._tracer.record(
-            kind, self._obs_domain, self.name, self.account.total_ns,
-            dur_ns, generation, detail, self._obs_shard)
+            kind, self._obs_domain, self.name, account.total_ns,
+            dur_ns, generation, detail, account.shard_label)
 
     def _op_span(self, op: str, detail: dict | None = None):
         """Span covering one boundary crossing on this transport's
@@ -193,7 +191,7 @@ class Transport:
         the span is exactly what the crossing charged)."""
         return self._tracer.span(
             self._span_names[op], self._obs_domain, self.name,
-            self._obs_shard, None, detail, self._clock)
+            self.account.shard_label, None, detail, self._clock)
 
     def _charge_crossing(self, kind: str, cost: float,
                          detail: dict | None = None,
@@ -471,7 +469,7 @@ class VdsoTransport(Transport):
                     self._tracer.record(
                         "predict", self._obs_domain, self.name,
                         account.vdso_ns + account.syscall_ns, vdso_ns,
-                        generation, _CACHE_HIT, self._obs_shard)
+                        generation, _CACHE_HIT, account.shard_label)
                 if self._cached_recorder is not None:
                     self._cached_recorder(score)
                 return score
@@ -495,7 +493,7 @@ class VdsoTransport(Transport):
         ``read(key)``."""
         with self._tracer.span(
                 self._span_names["predict"], self._obs_domain, self.name,
-                self._obs_shard, start_ns, None, self._clock):
+                self.account.shard_label, start_ns, None, self._clock):
             self._trace("predict", vdso_ns, detail, generation)
             return read(key)
 

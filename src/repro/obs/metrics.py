@@ -19,8 +19,8 @@ import math
 from typing import Any, Callable, Iterator
 
 #: what a client's :class:`~repro.core.stats.LatencyAccount` files,
-#: labeled ``{domain, transport}`` (``{shard}`` on multi-shard
-#: services): boundary-crossing latency per path, the same time per
+#: labeled ``{domain, transport, shard}`` (the shard hosting the domain
+#: when charged): boundary-crossing latency per path, the same time per
 #: operation kind (``{op}``), and the vDSO score cache's probes
 VDSO_READ_NS = "pss_vdso_read_ns"
 SYSCALL_NS = "pss_syscall_ns"

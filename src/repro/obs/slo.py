@@ -14,14 +14,14 @@ fast burns quickly).
 
 A ``page`` verdict is itself a trace event (``slo.page``), so a flight
 recorder (:mod:`repro.obs.flightrec`) holding the same tracer dumps a
-post-mortem bundle the moment an SLO starts paging.  The
-:class:`~repro.core.kernel.admission.AdmissionController` can hold the
-engine as an advisory health probe (:meth:`AdmissionController
-.set_health_probe`); actual shedding is wired in the async-frontend PR.
+post-mortem bundle the moment an SLO starts paging.  The engine only
+judges: what a page *does* is the serving pipeline's
+(:class:`~repro.core.serving.pipeline.ServingPipeline` sheds requests
+a paging scope covers, when configured to).
 
 Timestamps are whatever simulated clock the emitting component stamped
 (per-transport latency accounts, the tracer's sequence fallback), so
-windows are per-emitter timelines merged - fine for an advisory signal,
+windows are per-emitter timelines merged - fine for a health signal,
 and deterministic by construction.
 """
 
@@ -266,21 +266,3 @@ class SLOEngine:
                 budget_remaining=max(0.0, 1.0 - long_burn),
             ))
         return verdicts
-
-    # -- advisory hooks ------------------------------------------------------
-
-    def should_shed(self, domain: str = "", shard: str = "") -> bool:
-        """Advisory back-pressure probe: is any SLO covering this
-        domain/shard currently paging?  (Consulted by the admission
-        controller; nothing is enforced yet.)"""
-        for verdict in self.evaluate():
-            if verdict.verdict != "page":
-                continue
-            if verdict.scope == "*":
-                return True
-            if verdict.scope.startswith("shard:"):
-                if shard and verdict.scope[len("shard:"):] == shard:
-                    return True
-            elif domain and verdict.scope == domain:
-                return True
-        return False

@@ -10,6 +10,7 @@ from repro.bench.experiments.tenants import (
     run_tenants,
 )
 from repro.obs.trace import Tracer
+from tests.obs.shard_labels import mixed_label_spans
 
 
 class TestDeterminism:
@@ -124,6 +125,19 @@ class TestChaosInvariant:
         # Losses happen - but only inside the documented replication
         # window (post-sync deliveries destroyed by a crash).
         assert result.window_lost > 0
+
+    def test_reference_schedule_span_trees_carry_one_shard_label(self):
+        """CI's traced chaos run: clients opened before the 2 -> 4 -> 3
+        reshards keep crossing into domains that moved, and a
+        ``vdso.predict`` must not enclose a ``kernel.predict`` filed
+        under another shard (255 such pairs before placement became
+        one fact)."""
+        tracer = Tracer()
+        run_chaos(seed=42, replicas=2, reshard_schedule=dict(SCHEDULE),
+                  tracer=tracer)
+        spans = tracer.spans()
+        assert any(span.parent_id for span in spans)
+        assert mixed_label_spans(spans) == []
 
     def test_no_faults_means_no_losses(self):
         result, _ = run_chaos(seed=9, replicas=1, crash_rate=0.0)

@@ -121,12 +121,17 @@ class TestSingleShardMatchesMonolith:
         assert state_of(kernel) == state_of(reference)
 
     def test_single_shard_reports_carry_no_shard(self):
+        """One shard is shard 0, labelled like any other: there is no
+        unlabelled mode.  Only a domain no shard hosts has no label."""
         service = PredictionService()
         service.create_domain("only", config=PSSConfig(num_features=1))
         service.predict("only", [1])
         (report,) = service.reports()
         assert report.shard == 0
-        assert service.domain("only").shard_label == ""
+        domain = service.domain("only")
+        assert domain.shard_label == "0"
+        service.remove_domain("only")
+        assert (domain.shard_id, domain.shard_label) == (0, "")
 
 
 class TestShardingIsPurePlacement:

@@ -7,12 +7,17 @@ the *same* domain objects move, so there is nothing to drift.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import PredictionService, PSSConfig
 from repro.core.errors import DomainError
 from repro.core.faults import FaultInjector, FaultPlan
 from repro.core.kernel import ReplicaPromoter, ShardedCheckpointManager
 from repro.core.persistence import snapshot_service
+from repro.core.serving import ServingConfig, ServingPipeline
+from repro.obs import MetricsRegistry, Tracer
+from tests.obs.shard_labels import mixed_label_spans
 
 CONFIG = PSSConfig(num_features=1)
 
@@ -206,3 +211,151 @@ class TestCheckpointAcrossReshard:
         for name in NAMES:
             assert restored.domain(name).shard_id \
                 == restored.shard_of(name)
+
+
+# -- placement is one fact: whatever was opened before a reshard files
+# -- under the shard that hosts its domain now -------------------------
+
+#: how the i-th domain's client, opened before any reshard, connects
+CLIENT_KINDS = (
+    {"transport": "vdso", "batch_size": 2},
+    {"transport": "syscall"},
+    {"transport": "vdso", "batch_size": 2, "fallback": 0},   # resilient
+)
+#: emitters that act for one shard: a record of theirs about a hosted
+#: domain always names it (client-side kinds - retry, fallback, the
+#: breaker - happen in the application and name none)
+SHARD_SIDE = {"vdso", "syscall", "kernel", "serving", "replica"}
+
+
+class OpenStack:
+    """A watched service with a client per domain and a pipeline, all
+    opened up front, and one round of traffic through all of them."""
+
+    def __init__(self, num_shards, names=NAMES[:6]):
+        self.names = names
+        self.tracer, self.metrics = Tracer(), MetricsRegistry()
+        self.service = PredictionService(
+            num_shards=num_shards, tracer=self.tracer,
+            metrics=self.metrics)
+        self.clients = [
+            self.service.connect(name, config=CONFIG,
+                                 **CLIENT_KINDS[i % len(CLIENT_KINDS)])
+            for i, name in enumerate(names)
+        ]
+        self.pipeline = ServingPipeline(self.service, ServingConfig())
+
+    def round(self, index):
+        """Reads, writes (flushed), a batch and a served request per
+        domain; returns every score."""
+        scores = []
+        for offset, (name, client) in enumerate(
+                zip(self.names, self.clients)):
+            row = [(index + offset) % 5]
+            scores.append(client.predict(row))
+            client.update(row, offset % 2 == 0)
+            client.update([index % 3], True)    # fills the buffer of 2
+            scores.extend(client.predict_batch([row, [index % 3]]))
+            served = self.pipeline.submit(name, row)
+            self.pipeline.submit(name, row, op="update", direction=True)
+            self.pipeline.run()
+            scores.append(served.result())
+        return scores
+
+    def series(self):
+        """Every counter / histogram series and how much it holds."""
+        held = {key: counter.value
+                for key, counter in self.metrics.counters()}
+        held.update((key, histogram.count)
+                    for key, histogram in self.metrics.histograms())
+        return held
+
+    def state(self):
+        return [(snapshot_service(self.service)["domains"][name],
+                 self.service.domain(name).generation)
+                for name in self.names]
+
+
+def assert_filed_under_current_owners(stack, before):
+    """Everything ``stack`` emitted since ``before`` (its ``series()``
+    then; the tracer was cleared then) names the shard hosting its
+    domain now."""
+    service = stack.service
+    owner = {name: str(service.shard_of(name)) for name in stack.names}
+    for record in (*stack.tracer.events(), *stack.tracer.spans()):
+        if record.domain not in owner:
+            continue
+        if record.shard or record.transport in SHARD_SIDE:
+            assert record.shard == owner[record.domain], record
+    assert mixed_label_spans(stack.tracer.spans()) == []
+    for key, held in stack.series().items():
+        labels = dict(key[1])
+        if before.get(key) == held or "shard" not in labels:
+            continue
+        if "domain" in labels:
+            assert labels["shard"] == owner[labels["domain"]], key
+        else:   # a lane's own series: some hosted domain's shard
+            assert labels["shard"] in owner.values(), key
+
+
+class TestPlacementIsOneFact:
+    @settings(max_examples=30, deadline=None)
+    @given(start=st.integers(1, 4),
+           schedule=st.lists(
+               st.tuples(st.integers(1, 5),
+                         st.sampled_from([0.0, 0.0, 0.5])),
+               min_size=1, max_size=3),
+           seed=st.integers(0, 9))
+    def test_open_clients_and_pipeline_follow_every_reshard(
+            self, start, schedule, seed):
+        """Over grow / shrink / 1 -> N / N -> 1 schedules with stalled
+        steps, traffic interleaved with the handoffs: every event, span
+        and metric series emitted names the current owner, no span tree
+        mixes labels, and scores, stats and generations equal the
+        never-resharded twin's."""
+        live, twin = OpenStack(start), OpenStack(start)
+        round_index = 0
+
+        def traffic():
+            nonlocal round_index
+            live.tracer.clear()
+            before = live.series()
+            assert live.round(round_index) == twin.round(round_index)
+            assert_filed_under_current_owners(live, before)
+            round_index += 1
+
+        traffic()
+        for count, stall_rate in schedule:
+            migrator = live.service.begin_reshard(
+                count, injector=FaultInjector(FaultPlan(
+                    seed=seed, migration_stall_rate=stall_rate)))
+            steps = 0
+            while not migrator.done:
+                migrator.step()
+                steps += 1
+                if steps % 8 == 1:      # mid-migration, ring half moved
+                    traffic()
+            traffic()
+            assert live.service.num_shards == count
+        assert live.state() == twin.state()
+
+    def test_a_migrated_domains_open_clients_emit_under_its_new_shard(
+            self):
+        """The 2 -> 3 reshard of the issue, spelled out: the domains
+        that moved file events, transport spans and metric series under
+        the shard they moved to."""
+        stack = OpenStack(2, NAMES)
+        stack.round(0)
+        was = {name: stack.service.shard_of(name) for name in NAMES}
+        stack.service.reshard(3)
+        moved = [name for name in NAMES
+                 if stack.service.shard_of(name) != was[name]]
+        assert moved
+        stack.tracer.clear()
+        before = stack.series()
+        stack.round(1)
+        assert_filed_under_current_owners(stack, before)
+        for name in moved:
+            labels = {e.shard for e in stack.tracer.events()
+                      if e.domain == name and e.transport in SHARD_SIDE}
+            assert labels == {str(stack.service.shard_of(name))}

@@ -13,7 +13,7 @@ from repro.core import (
     TenantQuota,
 )
 from repro.core.errors import DomainError
-from repro.core.kernel import ShardedCheckpointManager, ShardRouter
+from repro.core.kernel import ShardedCheckpointManager, SlotRing
 from repro.core.kernel.checkpoint import shard_file_name
 from repro.core.persistence import snapshot_service
 from repro.obs import Tracer
@@ -31,30 +31,29 @@ def populate(service, names=NAMES, updates=0):
 
 
 class TestShardRouter:
+    """Routing a name to its shard: ``SlotRing.shard_of``, which is
+    all ``ShardedService.shard_of`` is."""
+
     def test_rejects_nonpositive_shard_counts(self):
         for bad in (0, -1):
             with pytest.raises(ConfigError):
-                ShardRouter(bad)
+                SlotRing(bad)
+            with pytest.raises(ConfigError):
+                PredictionService(num_shards=bad)
 
     def test_single_shard_routes_everything_to_zero(self):
-        router = ShardRouter(1)
-        assert {router.shard_of(name) for name in NAMES} == {0}
+        ring = SlotRing(1)
+        assert {ring.shard_of(name) for name in NAMES} == {0}
+        service = PredictionService()
+        assert {service.shard_of(name) for name in NAMES} == {0}
 
     def test_placement_is_stable_and_in_range(self):
-        router = ShardRouter(4)
-        first = [router.shard_of(name) for name in NAMES]
-        assert first == [ShardRouter(4).shard_of(name) for name in NAMES]
+        service = PredictionService(num_shards=4)
+        first = [service.shard_of(name) for name in NAMES]
+        assert first == [SlotRing(4).shard_of(name) for name in NAMES]
         assert all(0 <= shard < 4 for shard in first)
         # 16 names over 4 shards should not all collapse onto one.
         assert len(set(first)) > 1
-
-    def test_partition_groups_by_owner(self):
-        router = ShardRouter(4)
-        placed = router.partition(NAMES)
-        assert sorted(n for names in placed.values() for n in names) \
-            == sorted(NAMES)
-        for shard_id, names in placed.items():
-            assert all(router.shard_of(n) == shard_id for n in names)
 
 
 class TestShardedServiceTopology:

@@ -15,11 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import ConfigError
-from repro.core.kernel.sharding import (
-    DEFAULT_SLOTS,
-    ShardRouter,
-    SlotRing,
-)
+from repro.core.kernel.sharding import DEFAULT_SLOTS, SlotRing
 
 
 class TestRingBasics:
@@ -46,21 +42,27 @@ class TestRingBasics:
             )
 
     def test_router_single_shard_shortcut(self):
-        router = ShardRouter(1)
-        assert all(router.shard_of(f"d{i}") == 0 for i in range(20))
+        ring = SlotRing(1)
+        assert all(ring.shard_of(f"d{i}") == 0 for i in range(20))
 
     def test_router_routes_as_its_ring_does(self):
-        """The router writes the ring's hash out (one frame per
-        routing); it must stay the ring's, also after slots move."""
-        router = ShardRouter(3, num_slots=16)
+        """``shard_of`` writes the slot hash out (one frame per
+        routing); it must stay ``owner_of(slot_of(name))``, also after
+        slots move - and through 1 shard, where nothing is hashed."""
+        ring = SlotRing(1, num_slots=16)
         names = [f"domain-{i}" for i in range(50)] + ["", "dömäin"]
-        ring = router.ring
-        for move in ring.plan_reshard(5):
-            ring.apply(move)
-        ring.set_num_shards(5)
-        assert [router.shard_of(name) for name in names] \
-            == [ring.shard_of(name) for name in names]
-        assert len({router.shard_of(name) for name in names}) > 1
+        for count in (3, 5, 1, 2):
+            moves = ring.plan_reshard(count)
+            if count > ring.num_shards:
+                ring.set_num_shards(count)
+            for move in moves:
+                ring.apply(move)
+                assert [ring.shard_of(name) for name in names] \
+                    == [ring.owner_of(ring.slot_of(name))
+                        for name in names]
+            ring.set_num_shards(count)
+            spread = {ring.shard_of(name) for name in names}
+            assert spread == {0} if count == 1 else len(spread) > 1
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ConfigError):

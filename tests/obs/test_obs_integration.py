@@ -97,7 +97,7 @@ class TestMetricsPlumbing:
         client.predict(FEATURES)
         client.predict(FEATURES)
         hits = metrics.counter("pss_score_cache_hits_total",
-                               domain="d", transport="vdso")
+                               domain="d", transport="vdso", shard="0")
         assert hits.value == client.latency.cache_hits == 1
 
     def test_metrics_only_service_works_without_tracer(self):

@@ -1,8 +1,7 @@
-"""SLO engine: windows, burn rates, verdicts, paging, advisory hooks."""
+"""SLO engine: windows, burn rates, verdicts, paging."""
 
 import pytest
 
-from repro.core.kernel.admission import AdmissionController
 from repro.obs import SLO, SLOEngine, SLOVerdict, Tracer, default_slos
 from repro.obs.trace import TraceEvent
 
@@ -147,32 +146,3 @@ class TestBurnAndVerdicts:
                              short_burn=0.0, long_burn=0.0,
                              budget_remaining=1.0)
         assert verdict.as_dict()["verdict"] == "ok"
-
-
-class TestAdvisoryHooks:
-    def test_should_shed_scopes(self):
-        engine = SLOEngine([
-            SLO("shard1", "error", scope="shard:1", objective=0.9,
-                short_window_ns=10.0, long_window_ns=10.0),
-        ])
-        for i in range(10):
-            engine.observe("shard1", float(i), good=False)
-        assert engine.should_shed(shard="1")
-        assert not engine.should_shed(shard="0")
-        assert not engine.should_shed(domain="d")
-
-    def test_admission_controller_consults_probe_advisorily(self):
-        engine = SLOEngine([SLO("all", "error", objective=0.9,
-                                short_window_ns=10.0,
-                                long_window_ns=10.0)])
-        admission = AdmissionController()
-        assert not admission.health_advice(domain="d")  # no probe yet
-        admission.set_health_probe(engine)
-        assert not admission.health_advice(domain="d")  # healthy
-        for i in range(10):
-            engine.observe("all", float(i), good=False)
-        assert admission.health_advice(domain="d")
-        assert admission.shed_advisories == 1
-        # advisory only: admission decisions themselves are unchanged
-        from repro.core.policy import ClientIdentity
-        admission.charge_predict(ClientIdentity(uid=1, program="p"))

@@ -8,8 +8,10 @@ handle's - ``tests/obs/test_golden_ops.py`` pins it as a stage of
 from repro.core.config import PSSConfig
 from repro.core.kernel.admission import AdmissionController
 from repro.core.kernel.service import ShardedService
+from repro.core.serving import ServingConfig, ServingPipeline
 from repro.obs import Tracer, span_children, validate_spans
 from repro.obs.postmortem import render_tree
+from tests.obs.shard_labels import mixed_label_spans
 
 ROWS_PER_DOMAIN = 2
 NUM_DOMAINS = 8
@@ -115,3 +117,41 @@ class TestBatchSpanTree:
             for i in range(NUM_DOMAINS):
                 requests.append((f"d{i}", (1, 2)))
         assert service.predict_batch(requests) == traced_scores
+
+
+class TestOneShardIsShardZero:
+    """A service of one shard labels like a service of any size: its
+    shard is "0" at every emitter, so one tree never reads
+    ``kernel.predict ''`` over ``kernel.failover '0'`` and a served
+    ``request '0'`` never sits beside a ``kernel.predict ''``."""
+
+    def one_shard(self):
+        tracer = Tracer()
+        service = ShardedService(tracer=tracer, num_replicas=1)
+        service.create_domain("d", config=PSSConfig(num_features=2))
+        service.sync_replicas()
+        return tracer, service
+
+    def test_failover_tree_carries_one_label(self):
+        tracer, service = self.one_shard()
+        client = service.connect("d", transport="syscall")
+        service.crash_shard(0)
+        tracer.clear()
+        client.predict((1, 2))
+        spans = tracer.spans()
+        assert [(s.name, s.shard) for s in spans] == [
+            ("kernel.failover", "0"), ("kernel.predict", "0"),
+            ("syscall.predict", "0")]
+        assert mixed_label_spans(spans) == []
+        assert {e.shard for e in tracer.events()} == {"0"}
+
+    def test_request_record_and_its_kernel_span_agree(self):
+        tracer, service = self.one_shard()
+        pipeline = ServingPipeline(service, ServingConfig())
+        tracer.clear()
+        pipeline.submit("d", (1, 2))
+        pipeline.run()
+        record, = [e for e in tracer.events() if e.kind == "request"]
+        span, = tracer.spans()
+        assert (span.name, span.shard, record.shard) \
+            == ("kernel.predict", "0", "0")

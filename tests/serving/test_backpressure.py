@@ -13,6 +13,11 @@ from repro.bench.experiments.serve import (
     run_backpressure_comparison,
     run_point,
 )
+from repro.core.errors import RequestShedError
+from repro.core.kernel.service import ShardedService
+from repro.core.serving import ServingConfig, ServingPipeline
+from repro.core.serving.pipeline import SERVE_SLO
+from repro.obs import SLO
 
 
 class TestShedding:
@@ -49,3 +54,42 @@ class TestShedding:
         admission = pipeline.service.admission
         assert admission.sheds_enforced > 0
         assert pipeline.shed_count == admission.sheds_enforced
+
+    def test_should_shed_scopes(self):
+        """The one scope match (``*``, ``shard:<id>``, a domain name),
+        and the one switch over it: a page covering the target sheds
+        exactly when the pipeline is configured to shed on pages."""
+        for shed_on_page in (True, False):
+            self.page_shard_one(shed_on_page)
+
+    def page_shard_one(self, shed_on_page):
+        service = ShardedService(num_shards=2)
+        on0, on1 = (next(name for name in map("d{}".format, range(64))
+                         if service.shard_of(name) == shard_id)
+                    for shard_id in (0, 1))
+        service.create_domain(on0)
+        service.create_domain(on1)
+        pipeline = ServingPipeline(
+            service,
+            ServingConfig(shed_on_page=shed_on_page, slo_threshold_ns=0.0,
+                          slo_eval_interval_ns=100.0),
+            slos=[SLO(SERVE_SLO, "latency", scope="shard:1",
+                      short_window_ns=1e6, long_window_ns=1e6)])
+        for _ in range(10):     # every sojourn misses a 0 ns limit
+            pipeline.submit(on0, [1, 2])
+        pipeline.run(until=1_000.0)
+        assert pipeline.page_evals > 0
+        assert pipeline.should_shed(shard="1")
+        assert pipeline.should_shed(domain=on1, shard="1")
+        assert not pipeline.should_shed(shard="0")
+        assert not pipeline.should_shed(domain=on1)
+        covered = pipeline.submit(on1, [1, 2])
+        beside = pipeline.submit(on0, [1, 2])
+        pipeline.run(until=2_000.0)
+        assert beside.result() is not None
+        if shed_on_page:
+            assert isinstance(covered.error, RequestShedError)
+            assert covered.error.reason == "slo_page"
+        else:
+            assert covered.result() is not None
+        assert pipeline.shed_count == int(shed_on_page)

@@ -31,7 +31,11 @@ from repro.core.policy import (
     SharingMode,
     private_policy,
 )
-from repro.core.serving import ServingConfig, ServingPipeline
+from repro.core.serving import (
+    ServingConfig,
+    ServingPipeline,
+    serving_slos,
+)
 
 DOMAINS = ("alpha", "beta", "gamma")
 
@@ -148,11 +152,10 @@ class TestClosedLoopHarnessIdentity:
         generator.start_closed_loop(pipeline)
         pipeline.run()
         assert len(recorded) == spec.requests
-        assert generator.snapshot() == {
-            "issued": spec.requests,
-            "completed_ok": spec.requests,
-            "shed": 0, "failed": 0,
-        }
+        counters = pipeline.snapshot()
+        assert [counters[key] for key in (
+            "submitted", "completed", "shed", "failed", "in_flight",
+        )] == [spec.requests, spec.requests, 0, 0, 0]
 
         twin = build_harness_service(spec, num_shards)
         for domain, features, op, direction, future in recorded:
@@ -167,6 +170,21 @@ class TestClosedLoopHarnessIdentity:
                 twin.domain(name).stats
             assert service.domain(name).generation == \
                 twin.domain(name).generation
+
+
+    def test_several_clients_complete_the_load(self):
+        """Whichever client submits the last request marks the load
+        complete (the pipeline's ``submitted`` says which), so the SLO
+        monitor winds down and the engine drains on its own."""
+        spec = LoadSpec(clients=3, requests=20, domains=4,
+                        per_client_rate=1e-3)
+        pipeline = ServingPipeline(build_harness_service(spec, 2),
+                                   ServingConfig(), slos=serving_slos())
+        LoadGenerator(spec, seed=1).start_closed_loop(pipeline)
+        pipeline.run(until=1e9)     # a monitor never told would tick on
+        counters = pipeline.snapshot()
+        assert (counters["submitted"], counters["completed"]) == (20, 20)
+        assert pipeline.engine.pending() == 0
 
 
 def build_harness_service(spec, num_shards):
