@@ -32,8 +32,9 @@ EVENT_ROWS = [
      "read's `predict` is emitted once its score-cache probe has decided "
      "and says which way in `detail.cache`: `\"hit\"` (the "
      "generation-keyed cache answered; the event, `dur_ns` 4.19, is the "
-     "read's only record) or `\"miss\"` (the model was evaluated, under "
-     "`vdso.predict`); there is no `detail` on a read that bypasses the "
+     "read's only record) or `\"miss\"` (the model was evaluated; the "
+     "event is the leaf of the read's `vdso.predict`, its other "
+     "record); there is no `detail` on a read that bypasses the "
      "cache (staleness injection armed, or a target that publishes no "
      "generation).  One event per read, scalar or per row of a batch"),
     (("predict_batch",), "syscall transport",
@@ -92,9 +93,11 @@ SPAN_ROWS = [
      "the parent of its `retry` / `fallback` events (a plain "
      "`PSSClient` opens no span)"),
     (("vdso.predict",), "`VdsoTransport`",
-     "a read that leaves the process: a score-cache *miss*, or one that "
+     "a read that calls the service: a score-cache *miss*, or one that "
      "bypasses the cache; from the read's start, around its `predict` "
-     "event and the service call.  A hit opens none"),
+     "event and the call, which opens no `kernel.predict` (a vDSO read "
+     "never enters the kernel); closes `error:<Type>` on a refusal.  A "
+     "hit opens none"),
     (("vdso.predict_batch",), "`VdsoTransport`",
      "a batch of reads `{rows}`; enters the kernel at most once, at the "
      "first miss"),
@@ -105,15 +108,17 @@ SPAN_ROWS = [
       "syscall.update", "syscall.reset"), "transports",
      "one syscall crossing"),
     (("kernel.predict", "kernel.update"), "`DomainHandle`, "
-     "`ShardedService`", "one scalar kernel call - a batch of exactly "
-     "one row included, whichever entry it came through"),
+     "`ShardedService`", "one scalar kernel call that crossed (a "
+     "syscall, a served row) - a batch of exactly one row included, "
+     "whichever entry it came through"),
     (("kernel.predict_batch", "kernel.update_batch"), "`DomainHandle`, "
      "`ShardedService`", "one kernel call for a real batch `{rows}` / a "
      "flush's records `{records}`"),
     (("kernel.admission",), "`DomainHandle`",
-     "the per-tenant quota charge `{count}`, a stage of a synchronous "
-     "read on a service with an `AdmissionController` (a submit is "
-     "charged without a span: its `request` record says how it ended)"),
+     "the per-tenant quota charge of a real batch, `{count}` > 1, on a "
+     "service with an `AdmissionController` (a charge of one opens "
+     "none: its parent, or a submit's `request` record, says how it "
+     "ended)"),
     (("kernel.route", "kernel.dispatch"), "`ShardedService`",
      "slot-ring fan-out `{rows, shards}` / the rows routed to one shard"),
     (("kernel.failover",), "`Shard`",

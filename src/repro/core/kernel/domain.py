@@ -11,6 +11,7 @@ the handle's client-facing operations.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -289,12 +290,13 @@ class DomainHandle:
         meter = self._meter = admission.meter(self._identity)
         return meter
 
-    def _admit_predict(self, count: int = 1, stage: bool = True) -> None:
+    def _admit_predict(self, count: int = 1) -> None:
         """Who may, then what it costs: the policy verdict and the
         admission charge every read passes, called or submitted.
-        ``stage``: traced, the charge is a span of its own in the
-        calling operation's tree (a submit has no tree to be a stage
-        of - its ``request`` record says how it ended)."""
+        Traced, a real batch's charge is a span of its own in the
+        calling operation's tree; a charge of one tells nothing its
+        parent (or a submit's ``request`` record) does not, and opens
+        none."""
         domain = self._domain
         if domain.policy is not self._policy:
             self._judge()
@@ -304,7 +306,7 @@ class DomainHandle:
         if admission is None:
             return
         meter = self._meter or self._bind_meter(admission)
-        if stage and self._tracer().enabled:
+        if count > 1 and self._tracer().enabled:
             with self._kernel_span("kernel.admission", {"count": count}):
                 meter.charge_predict(count)
             return
@@ -344,7 +346,7 @@ class DomainHandle:
         if domain.shard is None:
             raise DomainError(f"unknown domain {domain.name!r}")
         if op == "predict":
-            self._admit_predict(1, False)   # no stage: no tree
+            self._admit_predict()
         else:
             self._admit_update()
         if len(features) != domain.config.num_features:
@@ -364,6 +366,12 @@ class DomainHandle:
             # the domain) - reads survive the outage.
             return shard.failover_predict(domain, features)
         return domain.predict(features)
+
+    #: :meth:`predict` as a vDSO read reaches it - the same checks,
+    #: charge and failover without the ``kernel.predict`` span: a read
+    #: of the mapped page never enters the kernel (it is charged 4.19
+    #: ns hit or miss), so watched it is its ``vdso.predict`` alone
+    predict_mapped = inspect.unwrap(predict)
 
     def _batch_span(self, feature_rows: Sequence[Sequence[int]]
                     ) -> SpanHandleLike | None:

@@ -46,6 +46,11 @@ SPAN_OPS = ("predict", "predict_batch", "update", "reset", "flush")
 _CACHE_HIT = {"cache": "hit"}
 _CACHE_MISS = {"cache": "miss"}
 
+#: ``detail`` of the one event a buffered vDSO update emits, by
+#: direction; shared the same way (records point at these: read-only)
+_BUFFERED_UP = {"direction": True, "buffered": True}
+_BUFFERED_DOWN = {"direction": False, "buffered": True}
+
 
 class ServiceTarget(Protocol):
     """What a transport needs from the service side."""
@@ -409,6 +414,10 @@ class VdsoTransport(Transport):
         )
         #: the target's batch entry for a flush's records, if it has one
         self._update_batch = getattr(target, "update_batch", None)
+        #: what a read that is not a hit calls.  A vDSO read never
+        #: enters the kernel: where the target offers its predict
+        #: without the ``kernel.predict`` span, that is the one it takes
+        self._read = getattr(target, "predict_mapped", target.predict)
 
     @property
     def pending_updates(self) -> int:
@@ -427,9 +436,9 @@ class VdsoTransport(Transport):
         span: watched, its ``predict{cache: hit}`` event - ``dur_ns``
         the 4.19 the read was charged - is its one record.  A read that
         calls the service (a miss, or one that bypasses the cache) is
-        rooted at ``vdso.predict``, opened from the read's start around
-        its event and that call (:meth:`_traced_read`).  Which it is
-        depends on the probe, never on ``tracer.enabled``.
+        two: ``vdso.predict``, opened from the read's start around that
+        call, and the read's event as its leaf (:meth:`_traced_read`).
+        Which it is depends on the probe, never on ``tracer.enabled``.
         """
         self._ensure_open()
         account = self.account
@@ -451,9 +460,9 @@ class VdsoTransport(Transport):
             return self._predict_injected(key)
         if source is None:
             if traced:
-                return self._traced_read(self._target.predict, key,
+                return self._traced_read(self._read, key,
                                          start_ns, vdso_ns, None, generation)
-            return self._target.predict(key)
+            return self._read(key)
         cache = self._score_cache
         if generation != self._score_cache_generation:
             if cache:
@@ -475,10 +484,10 @@ class VdsoTransport(Transport):
                 return score
         account.record_cache_miss()
         if traced:
-            score = self._traced_read(self._target.predict, key, start_ns,
+            score = self._traced_read(self._read, key, start_ns,
                                       vdso_ns, _CACHE_MISS, generation)
         else:
-            score = self._target.predict(key)
+            score = self._read(key)
         if len(cache) >= self.SCORE_CACHE_ENTRIES:
             cache.popitem(last=False)
         cache[key] = score
@@ -489,12 +498,17 @@ class VdsoTransport(Transport):
                      generation: int) -> int:
         """The watched form of a read that leaves the process:
         ``vdso.predict``, from ``start_ns`` (the account's clock before
-        the read was charged), around the read's ``predict`` event and
-        ``read(key)``."""
-        with self._tracer.span(
+        the read was charged), around the read's ``predict`` event -
+        :meth:`_trace`, written out - and ``read(key)``."""
+        tracer = self._tracer
+        account = self.account
+        with tracer.span(
                 self._span_names["predict"], self._obs_domain, self.name,
-                self.account.shard_label, start_ns, None, self._clock):
-            self._trace("predict", vdso_ns, detail, generation)
+                account.shard_label, start_ns, None, self._clock):
+            tracer.record(
+                "predict", self._obs_domain, self.name,
+                account.vdso_ns + account.syscall_ns, vdso_ns,
+                generation, detail, account.shard_label)
             return read(key)
 
     @spanned(named(Transport._op_span, "predict_batch", rows=True))
@@ -587,7 +601,7 @@ class VdsoTransport(Transport):
                                  self._target_predict_rows(missing)))
             score = fresh.pop(key, None)
             if score is None:
-                score = self._target.predict(key)
+                score = self._read(key)
             if len(cache) >= limit:
                 cache.popitem(last=False)
             cache[key] = score
@@ -605,7 +619,7 @@ class VdsoTransport(Transport):
                 if self._tracer.enabled:
                     self._trace("stale_read")
                 return stale
-        score = self._target.predict(key)
+        score = self._read(key)
         if key not in self._stale_cache \
                 and len(self._stale_cache) >= self.STALE_CACHE_ENTRIES:
             self._stale_cache.popitem(last=False)
@@ -642,8 +656,16 @@ class VdsoTransport(Transport):
             features if type(features) is tuple else tuple(features),
             direction))
         if self._tracer.enabled:
-            self._trace("update", detail={"direction": direction,
-                                          "buffered": True})
+            # _trace, written out: this event is all that watching a
+            # buffered update costs.
+            account = self.account
+            source = self._generation_source
+            self._tracer.record(
+                "update", self._obs_domain, self.name,
+                account.vdso_ns + account.syscall_ns, 0.0,
+                source.generation if source is not None else 0,
+                _BUFFERED_UP if direction else _BUFFERED_DOWN,
+                account.shard_label)
         if len(records) >= buffer.capacity:
             self.flush()
 

@@ -12,8 +12,10 @@ reads a JSONL event trace instead and answers "where did this
 request's time go" from the ``request`` records: one stage table -
 queue wait / batch window / crossing / total, with rows, trigger and
 shard - for request ``N`` (1-based, in settle order), or for the ``K``
-slowest.  A request refused at submit has no stages; ``--request N``
-prints why it was refused instead.
+slowest, then where those ``K`` spent their summed sojourn.  A request
+refused or load-shed at submit has no stages (a shed's record is its
+``queue.shed`` event); ``--request N`` prints why it was turned away
+instead.
 """
 
 from __future__ import annotations
@@ -31,6 +33,10 @@ MAX_TREE_SPANS = 200
 MAX_PATHS = 5
 #: how many of a trace's slowest requests get a stage table by default
 MAX_REQUESTS = 3
+
+#: how a submitted request ended: its ``request`` record or - load-shed
+#: at submit, which leaves none - its ``queue.shed``
+SETTLED_KINDS = ("request", "queue.shed")
 
 USAGE = ("usage: python -m repro postmortem BUNDLE.json\n"
          "       python -m repro postmortem TRACE.jsonl "
@@ -177,18 +183,23 @@ def request_stages(record: TraceEvent | Mapping[str, Any]
 
 def render_request(index: int, record: Mapping[str, Any]) -> str:
     """The stage table of request ``index`` (1-based, settle order),
-    or - refused at submit, so never in a batch - why it was refused."""
+    or - refused or shed at submit, so never in a batch - why it was
+    turned away."""
     detail = record["detail"]
     shard = f" (shard {record['shard']})" if record.get("shard") else ""
     total = record["dur_ns"]
+    if record["kind"] == "queue.shed":
+        outcome = f"shed:{detail['reason']}"
+        why = f"shed at submit ({detail['reason']}, depth {detail['depth']})"
+    else:
+        outcome = detail["outcome"]
+        why = f"refused at submit ({outcome.partition(':')[2]})"
     head = (f"request {index}  {detail['op']} {record['domain']}{shard}  "
-            f"{detail['outcome']}")
+            + outcome)
     submitted = f"  {'submitted at':<13}{record['ts_ns']:>12.2f} ns"
     if "settled_ns" not in detail:
-        reason = detail["outcome"].partition(":")[2]
         return "\n".join([
-            head, submitted,
-            f"  refused at submit ({reason}): never queued, no stages"])
+            head, submitted, f"  {why}: never queued, no stages"])
     lines = [
         f"{head}  batch of {detail['rows']}, trigger {detail['trigger']}",
         submitted,
@@ -204,9 +215,12 @@ def render_requests(events: Iterable[Mapping[str, Any]],
                     request: int | None = None,
                     slowest: int = MAX_REQUESTS) -> str:
     """Stage tables from a trace's ``request`` records: request number
-    ``request``, or else the ``slowest`` longest sojourns."""
+    ``request``, or else the ``slowest`` longest sojourns and the share
+    of their summed sojourn each stage took.  A ``queue.shed`` record
+    is a request too - one turned away at submit - and is numbered and
+    counted as one."""
     numbered = list(enumerate(
-        (event for event in events if event.get("kind") == "request"),
+        (event for event in events if event.get("kind") in SETTLED_KINDS),
         start=1))
     if request is not None:
         if not 1 <= request <= len(numbered):
@@ -218,14 +232,24 @@ def render_requests(events: Iterable[Mapping[str, Any]],
         return "(no request records: not a serve trace)"
     served = [pair for pair in numbered
               if "settled_ns" in pair[1]["detail"]]
-    refused = len(numbered) - len(served)
+    shed = sum(record["kind"] == "queue.shed" for _, record in numbered)
+    refused = len(numbered) - len(served) - shed
+    turned_away = ", ".join(
+        f"{count} more {how} at submit"
+        for count, how in ((refused, "refused"), (shed, "shed")) if count)
     ranked = sorted(served, key=lambda pair: pair[1]["dur_ns"],
                     reverse=True)[:slowest]
-    return "\n\n".join(
-        [f"{len(served)} served requests"
-         + (f" ({refused} more refused at submit)" if refused else "")
-         + f"; the {len(ranked)} slowest:"]
-        + [render_request(index, record) for index, record in ranked])
+    blocks = [f"{len(served)} served requests"
+              + (f" ({turned_away})" if turned_away else "")
+              + f"; the {len(ranked)} slowest:"]
+    blocks += [render_request(index, record) for index, record in ranked]
+    stages = [request_stages(record) for _, record in ranked]
+    total = sum(sum(split.values()) for split in stages)
+    if total:
+        blocks.append("their summed sojourn: " + " / ".join(
+            f"{stage} {100.0 * sum(s[stage] for s in stages) / total:.0f} %"
+            for stage in stages[0]))
+    return "\n\n".join(blocks)
 
 
 def main(argv: Sequence[str]) -> int:

@@ -42,7 +42,9 @@ SPAN_NAMES = frozenset({
     "vdso.predict", "vdso.predict_batch", "vdso.reset", "vdso.flush",
     "syscall.predict", "syscall.predict_batch", "syscall.update",
     "syscall.reset",
-    # the sharded kernel
+    # the sharded kernel.  A vDSO read never enters it (no
+    # kernel.predict under vdso.predict), and a charge of one is no
+    # kernel.admission
     "kernel.predict", "kernel.predict_batch", "kernel.update",
     "kernel.update_batch", "kernel.admission", "kernel.route",
     "kernel.dispatch", "kernel.failover", "plan.execute",

@@ -32,7 +32,7 @@ from repro.core.kernel import ReplicaPromoter
 from repro.core.kernel.admission import AdmissionController, TenantQuota
 from repro.core.kernel.service import ShardedService
 from repro.core.policy import ClientIdentity
-from repro.obs import Tracer, span_children, validate_spans
+from repro.obs import Tracer, validate_spans
 
 CONFIG = PSSConfig(num_features=2, entries_per_feature=16)
 DOMAINS = [f"d{i}" for i in range(5)]
@@ -195,23 +195,19 @@ class TestOneRowKernelBatchIsTheScalarPredict:
 class TestOneRowSpanTree:
     def test_one_row_leaves_the_sync_handles_tree(self):
         """``kernel.predict`` (domain, shard label) and nothing else -
-        what ``DomainHandle.predict`` leaves, less the
-        ``kernel.admission`` child that charging its identity adds."""
+        what ``DomainHandle.predict`` leaves: a charge of one is no
+        ``kernel.admission`` stage on either entry."""
         tracer = Tracer()
         service = build(tracer)
         handle = service.handle("d3", ROOMY)
-        for call, want_children in (
-                (lambda: service.predict_batch([("d3", ROWS[2])]), []),
-                (lambda: handle.predict(ROWS[2]), ["kernel.admission"])):
+        for call in (lambda: service.predict_batch([("d3", ROWS[2])]),
+                     lambda: handle.predict(ROWS[2])):
             tracer.clear()
             call()
-            spans = tracer.spans()
-            root, = validate_spans(spans)
+            root, = validate_spans(tracer.spans())
+            assert len(tracer.spans()) == 1
             assert (root.name, root.domain, root.shard, root.status) == (
                 "kernel.predict", "d3", str(service.shard_of("d3")), "ok")
-            children = span_children(spans).get(root.span_id, [])
-            assert [child.name for child in children] == want_children
-            assert all(child.detail == {"count": 1} for child in children)
             assert len(tracer.events()) == 0
 
     def test_scalar_predict_opens_the_same_span(self):

@@ -4,14 +4,19 @@ import json
 
 import pytest
 
+from repro.core.config import PSSConfig
+from repro.core.kernel.service import ShardedService
+from repro.core.serving import ServingConfig, ServingPipeline
 from repro.obs import (
     BUNDLE_SCHEMA,
     TRIGGER_KINDS,
     FlightRecorder,
     MetricsRegistry,
+    Tracer,
     load_bundle,
     render_bundle,
 )
+from repro.obs.exporters import write_jsonl
 from repro.obs.postmortem import main as postmortem_main
 
 
@@ -222,6 +227,60 @@ class TestPostmortemCLI:
         assert out.startswith("3 served requests (1 more refused at "
                               "submit); the 3 slowest:")
         assert "request 1 " not in out and "request 4  predict a" in out
+
+    def test_a_serve_run_that_sheds_counts_and_explains_its_sheds(
+            self, tmp_path, capsys):
+        """A request load-shed at submit leaves ``queue.shed`` and no
+        ``request`` record; it is a submitted request all the same, so
+        it takes its number, the header counts it and ``--request``
+        says why it never had stages."""
+        tracer = Tracer()
+        service = ShardedService(tracer=tracer)
+        service.create_domain("d", config=PSSConfig(num_features=2))
+        pipeline = ServingPipeline(
+            service, ServingConfig(batch_window_ns=200.0, queue_limit=2),
+            tracer=tracer)
+        futures = [pipeline.submit("d", (1, 2)) for _ in range(3)]
+        futures.append(pipeline.submit("d", (1, 2, 3)))
+        pipeline.run()
+        assert [type(f.error).__name__ for f in futures] == [
+            "NoneType", "NoneType", "RequestShedError", "FeatureError"]
+        path = tmp_path / "trace.jsonl"
+        write_jsonl(tracer, path)
+        # in record order: the shed, the refusal, then the two served
+        assert postmortem_main([str(path), "--request", "1"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "request 1  predict d (shard 0)  shed:queue_full",
+            "  submitted at         0.00 ns",
+            "  shed at submit (queue_full, depth 2): never queued, "
+            "no stages",
+        ]
+        assert postmortem_main([str(path), "--request", "4"]) == 0
+        assert "batch of 2, trigger timeout" in capsys.readouterr().out
+        assert postmortem_main([str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(
+            "2 served requests (1 more refused at submit, 1 more shed "
+            "at submit); the 2 slowest:")
+        assert "request 3  predict d" in out and "request 1 " not in out
+
+    def test_slowest_ends_with_the_share_of_each_stage(self, tmp_path,
+                                                       capsys):
+        """Over the requests it lists: 400 + 260 ns of sojourn, 100 of
+        it queue wait, 200 + 160 batch window, 100 + 100 crossing."""
+        path = self.write_trace(tmp_path)
+        assert postmortem_main([path, "--slowest", "2"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "their summed sojourn: queue wait 15 % / batch window 55 % "
+            "/ crossing 30 %")
+        refused = {"ts_ns": 40.0, "kind": "request", "domain": "mine",
+                   "transport": "serving", "dur_ns": 0.0, "generation": 0,
+                   "detail": {"op": "update", "outcome": "refused:policy"}}
+        alone = tmp_path / "refused.jsonl"
+        alone.write_text(json.dumps(refused) + "\n")
+        assert postmortem_main([str(alone)]) == 0   # nothing to share out
+        assert capsys.readouterr().out.splitlines() == [
+            "0 served requests (1 more refused at submit); the 0 slowest:"]
 
     def test_explain_usage_errors_exit_2(self, tmp_path, capsys):
         path = self.write_trace(tmp_path)

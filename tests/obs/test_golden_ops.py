@@ -6,22 +6,27 @@ order - so a change that adds a crossing, drops a stage or re-enters the
 kernel on a cache hit fails here even when every score is still right.
 """
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import transport
 from repro.core.config import PSSConfig
 from repro.core.errors import (
     DomainError,
     FeatureError,
     PolicyError,
     QuotaExceededError,
+    ShardDownError,
 )
 from repro.core.kernel.admission import AdmissionController, TenantQuota
 from repro.core.kernel.service import ShardedService
 from repro.core.policy import ClientIdentity, private_policy
 from repro.core.serving import ServingConfig, ServingPipeline
-from repro.obs import Tracer, span_children, validate_spans
+from repro.obs import SLO, SLOEngine, Tracer, span_children, validate_spans
+from repro.obs.exporters import chrome_trace
 from repro.obs.postmortem import request_stages
 from repro.sim.process import spawn
 
@@ -81,25 +86,92 @@ class TestSyncClient:
         assert len(tracer) + len(tracer.spans()) == 1
 
     def test_vdso_score_cache_miss_is_one_kernel_predict(self):
-        """A miss leaves the process, so it is a crossing with its
-        span: ``vdso.predict`` still roots it, from the read's start to
-        its end, around the event and the kernel's spans."""
+        """The record budget of a sync miss: two.  It calls the
+        service, so ``vdso.predict`` roots it, from the read's start to
+        its end, and the event that says ``miss`` is that span's leaf,
+        with the span's extent.  The one kernel predict it makes opens
+        nothing: a vDSO read never enters the kernel (no
+        ``kernel.predict``), and a charge of one is no stage (no
+        ``kernel.admission``)."""
         tracer, service = traced_service()
         client = service.connect("d", transport="vdso", config=CONFIG)
         tracer.clear()
         before = client.latency.total_ns
         client.predict(ROW)
-        assert forest(tracer) == [
-            ("vdso.predict", [
-                ("kernel.predict", [("kernel.admission", [])])])]
+        assert forest(tracer) == [("vdso.predict", [])]
         assert kinds(tracer) == ["predict"]
         assert details(tracer) == [{"cache": "miss"}]
-        root = tracer.spans()[-1]
+        root, = tracer.spans()
         event, = tracer.events()
-        assert (root.name, event.span_id) == ("vdso.predict", root.span_id)
+        assert event.span_id == root.span_id
         assert (root.start_ns, root.end_ns) == (
             before, client.latency.total_ns)
-        assert len(tracer) + len(tracer.spans()) == 4
+        assert (event.ts_ns - event.dur_ns, event.ts_ns) == pytest.approx(
+            (root.start_ns, root.end_ns), abs=1e-9)
+        assert root.status == "ok"
+        assert len(tracer) + len(tracer.spans()) == 2
+        assert service.domain("d").stats.predictions == 1
+
+    def test_syscall_read_is_three_records(self):
+        """A real crossing does enter the kernel and keeps its
+        ``kernel.predict``; the charge of one under it is gone."""
+        tracer, service = traced_service()
+        client = service.connect("d", transport="syscall", config=CONFIG)
+        tracer.clear()
+        client.predict(ROW)
+        assert forest(tracer) == [
+            ("syscall.predict", [("kernel.predict", [])])]
+        assert kinds(tracer) == ["predict"]
+        assert len(tracer) + len(tracer.spans()) == 3
+
+    def test_resilient_vdso_miss_is_rooted_under_client(self):
+        tracer, service = traced_service()
+        client = service.connect("d", transport="vdso", config=CONFIG,
+                                 fallback=0)
+        tracer.clear()
+        client.predict(ROW)
+        assert forest(tracer) == [
+            ("client.predict", [("vdso.predict", [])])]
+        assert details(tracer) == [{"cache": "miss"}]
+
+    @pytest.mark.parametrize("why", ["quota", "shard_down"])
+    def test_refused_vdso_miss_closes_its_span_with_the_error(self, why):
+        """What refuses the read - the tenant's budget, or a crashed
+        shard no follower covers - is the status ``vdso.predict``
+        closes with; no ``kernel.predict`` opens to say it again."""
+        tracer = Tracer()
+        who, admission = ClientIdentity(7, "t"), AdmissionController()
+        service = ShardedService(tracer=tracer, admission=admission)
+        client = service.connect("d", transport="vdso", config=CONFIG,
+                                 identity=who)
+        if why == "quota":
+            admission.set_quota(who, TenantQuota(predict_budget=0))
+            error = QuotaExceededError
+        else:
+            service.crash_shard(0)
+            error = ShardDownError
+        tracer.clear()
+        with pytest.raises(error):
+            client.predict(ROW)
+        root, = validate_spans(tracer.spans())
+        assert (root.name, root.status) == (
+            "vdso.predict", f"error:{error.__name__}")
+        assert not {"kernel.predict", "kernel.admission"} & {
+            span.name for span in tracer.spans()}
+        assert details(tracer) == [{"cache": "miss"}]
+
+    def test_follower_served_miss_hangs_failover_off_the_read(self):
+        tracer = Tracer()
+        service = ShardedService(tracer=tracer, num_replicas=1,
+                                 admission=AdmissionController())
+        client = service.connect("d", transport="vdso", config=CONFIG)
+        service.sync_replicas()
+        service.crash_shard(0)
+        tracer.clear()
+        client.predict(ROW)
+        assert forest(tracer) == [
+            ("vdso.predict", [("kernel.failover", [])])]
+        assert kinds(tracer) == ["predict", "failover"]
 
     @settings(max_examples=50, deadline=None)
     @given(stream=st.lists(st.one_of(
@@ -131,6 +203,71 @@ class TestSyncClient:
         assert all(event.detail["cache"] in ("hit", "miss")
                    for event in events[0])
 
+    @settings(max_examples=50, deadline=None)
+    @given(stream=st.lists(st.one_of(
+        st.lists(st.integers(0, 5), min_size=1, max_size=8),
+        st.tuples(st.integers(0, 5), st.booleans()),
+        st.none()), max_size=16))
+    def test_vdso_reads_and_writes_leave_one_event_each(self, stream):
+        """Interleaved predict / predict_batch / update / flush on a
+        vDSO client, scalar and batch twins: one ``predict`` event per
+        read, saying what the account counted; the SLO engine reads
+        both twins alike; the records share their detail constants and
+        leave them alone; and watching changes nothing the untraced
+        run computes."""
+        pool = [(i, i + 1, i + 2, i + 3) for i in range(6)]
+        wide = {"short_window_ns": 1e12, "long_window_ns": 1e12}
+        runs = []
+        for batched, traced in ((True, True), (False, True),
+                                (False, False)):
+            tracer = Tracer() if traced else None
+            service = ShardedService(num_shards=2, tracer=tracer,
+                                     admission=AdmissionController())
+            client = service.connect("d", transport="vdso", config=CONFIG,
+                                     batch_size=3)
+            scores, reads = [], 0
+            for step in stream:
+                if step is None:
+                    client.flush()
+                elif isinstance(step, tuple):
+                    client.update(pool[step[0]], step[1])
+                else:
+                    rows = [pool[i] for i in step]
+                    reads += len(rows)
+                    scores += (client.predict_batch(rows) if batched
+                               else [client.predict(row) for row in rows])
+            domain = service.domain("d")
+            runs.append((scores, domain.stats, domain.generation,
+                         client.latency.cache_hits,
+                         client.latency.cache_misses))
+            if tracer is None:
+                continue
+            caches = [event.detail["cache"] for event in tracer.events()
+                      if event.kind == "predict"]
+            assert len(caches) == reads
+            assert (caches.count("hit"), caches.count("miss")) == (
+                client.latency.cache_hits, client.latency.cache_misses)
+            engine = SLOEngine([
+                SLO("latency", "latency", threshold_ns=100.0, **wide),
+                SLO("errors", "error", **wide)])
+            engine.consume(tracer.events())
+            runs[-1] += ([(v.slo, v.good, v.bad)
+                          for v in engine.evaluate()],)
+            exports = []
+            for _ in range(2):
+                lines = [json.dumps(e.as_dict()) for e in tracer.events()]
+                lines.append(json.dumps(chrome_trace(
+                    tracer.events(), tracer.spans()), sort_keys=True))
+                exports.append(lines)
+            assert exports[0] == exports[1]
+        assert runs[0] == runs[1]
+        assert runs[1][:5] == runs[2]
+        assert (transport._CACHE_HIT, transport._CACHE_MISS) == (
+            {"cache": "hit"}, {"cache": "miss"})
+        assert (transport._BUFFERED_UP, transport._BUFFERED_DOWN) == (
+            {"direction": True, "buffered": True},
+            {"direction": False, "buffered": True})
+
     def test_resilient_client_roots_the_call_under_client(self):
         tracer, service = traced_service()
         client = service.connect("d", transport="vdso", config=CONFIG,
@@ -154,6 +291,10 @@ class TestSyncClient:
                 ("kernel.predict_batch", [
                     ("kernel.admission", []),
                     ("plan.execute", [])])])]
+        # a real batch's charge is still a stage of its tree
+        admission, = [span for span in tracer.spans()
+                      if span.name == "kernel.admission"]
+        assert admission.detail == {"count": 256}
         event, = tracer.events()
         assert event.kind == "predict_batch"
         assert event.detail == {"rows": 256}

@@ -172,8 +172,8 @@ class TestInstrumentedStack:
         assert isinstance(client, ResilientClient)
         client.predict(ROW)
         assert span_names(tracer).count("client.predict") == 1
-        assert span_names(tracer) == [
-            "kernel.predict", "vdso.predict", "client.predict"]
+        # the miss never enters the kernel: no kernel.predict under it
+        assert span_names(tracer) == ["vdso.predict", "client.predict"]
 
     def test_vdso_flush_spans_only_a_buffered_batch(self):
         tracer = Tracer()
