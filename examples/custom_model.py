@@ -11,13 +11,24 @@ Run: python examples/custom_model.py
 
 import random
 
-from repro.core import PredictionService, PSSConfig, register_model
+from repro.core import (
+    PredictionService,
+    PredictorModel,
+    PSSConfig,
+    register_model,
+)
 from repro.core.hashing import table_index
 
 
-class TwoBitCounterModel:
+class TwoBitCounterModel(PredictorModel):
     """A table of classic 2-bit saturating counters, indexed by the
-    hash of the first feature."""
+    hash of the first feature.
+
+    A model writes ``predict``, ``to_state`` and the three mutations
+    ``_update`` / ``_reset`` / ``_load_state``; the base class counts
+    each applied mutation (the generation score caches key on) and
+    supplies the batch calls.
+    """
 
     def __init__(self, config: PSSConfig) -> None:
         self.config = config
@@ -32,14 +43,14 @@ class TwoBitCounterModel:
         counter = self._counters[self._index(features)]
         return counter - 2 if counter != 2 else 1  # 0..1 -> neg, 2..3 -> pos
 
-    def update(self, features, direction) -> None:
+    def _update(self, features, direction) -> None:
         i = self._index(features)
         if direction:
             self._counters[i] = min(3, self._counters[i] + 1)
         else:
             self._counters[i] = max(0, self._counters[i] - 1)
 
-    def reset(self, features, reset_all) -> None:
+    def _reset(self, features, reset_all) -> None:
         if reset_all:
             self._counters = [2] * self.config.entries_per_feature
         else:
@@ -48,7 +59,7 @@ class TwoBitCounterModel:
     def to_state(self) -> dict:
         return {"kind": "two-bit", "counters": list(self._counters)}
 
-    def load_state(self, state) -> None:
+    def _load_state(self, state) -> None:
         self._counters = list(state["counters"])
 
 

@@ -4,18 +4,17 @@ The paper's prototype predicts along a single dimension; this example
 shows the two patterns that lift that limitation using only the public
 API: a one-vs-rest chooser picking among three algorithms, and the
 binary-search ladder tuning a numeric knob - both from
-``repro.core.multiclass``.
+``repro.models_extra.multiclass``.
 
 Run: python examples/multi_choice.py
 """
 
 import random
 
-from repro.core import (
+from repro.core import PredictionService, PSSConfig
+from repro.models_extra.multiclass import (
     BinarySearchTuner,
     MultiChoiceClient,
-    PredictionService,
-    PSSConfig,
 )
 
 

@@ -66,7 +66,6 @@ from repro.core.models import (
     register_model,
     registered_models,
 )
-from repro.core.multiclass import BinarySearchTuner, MultiChoiceClient
 from repro.core.perceptron import HashedPerceptron
 from repro.core.plans import (
     PlanCompiler,
@@ -148,8 +147,6 @@ __all__ = [
     "ensure_builtin_models",
     "register_model",
     "registered_models",
-    "BinarySearchTuner",
-    "MultiChoiceClient",
     "HashedPerceptron",
     "PlanCompiler",
     "SpecializedPlan",

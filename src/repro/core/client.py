@@ -97,7 +97,7 @@ class PSSClient:
     @property
     def pending_updates(self) -> int:
         """Buffered update records not yet delivered (vDSO transport)."""
-        return getattr(self._transport, "pending_updates", 0)
+        return self._transport.pending_updates
 
     # -- the paper's three calls ---------------------------------------------
 

@@ -3,10 +3,10 @@
 Whole-service snapshots (:mod:`repro.core.persistence`) scale linearly
 with total domain count: one hot domain forces rewriting every cold
 one.  The sharded kernel instead checkpoints each shard into its own
-CRC-checked file - reusing the existing atomic
-:class:`~repro.core.persistence.CheckpointManager` per shard via a
-:class:`ShardView` adapter - plus a ``manifest.json`` recording the
-shard topology and a CRC-32 per shard file.
+CRC-checked file - the whole-service snapshot format and atomic write
+(:func:`~repro.core.persistence.write_checkpoint`), read through a
+:class:`ShardView` of the shard's slice - plus a ``manifest.json``
+recording the shard topology and a CRC-32 per shard file.
 
 Layout under ``directory``::
 
@@ -37,10 +37,8 @@ import zlib
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from repro.core.config import PSSConfig, ServiceConfig
 from repro.core.errors import PersistenceError
 from repro.core.kernel.domain import Domain
-from repro.core.policy import DomainPolicy
 from repro.obs.trace import TracerLike
 
 if TYPE_CHECKING:
@@ -83,44 +81,21 @@ class RecoveryResult(int):
 
 
 class ShardView:
-    """The slice of the service-persistence protocol for one shard.
-
-    Exposes exactly what :func:`~repro.core.persistence.snapshot_service`
-    and :func:`~repro.core.persistence.restore_service` need -
-    ``domain_names`` restricted to the shard, everything else delegated
-    to the owning service so creation re-routes through the router.
+    """One shard's slice of the service, as a snapshot source: exactly
+    what :func:`~repro.core.persistence.snapshot_service` reads,
+    restricted to the shard's domains.  Restores go through the service
+    itself, which places every name on the shard that owns it now.
     """
 
     def __init__(self, service: ShardedService, shard_id: int) -> None:
         self._service = service
         self.shard_id = shard_id
 
-    @property
-    def config(self) -> ServiceConfig:
-        return self._service.config
-
-    @property
-    def tracer(self) -> TracerLike:
-        return self._service.tracer
-
     def domain_names(self) -> tuple[str, ...]:
         return self._service.shard(self.shard_id).domain_names()
 
     def domain(self, name: str) -> Domain:
         return self._service.domain(name)
-
-    def has_domain(self, name: str) -> bool:
-        return self._service.has_domain(name)
-
-    def remove_domain(self, name: str) -> None:
-        self._service.remove_domain(name)
-
-    def create_domain(self, name: str, config: PSSConfig | None = None,
-                      model: str = "perceptron",
-                      policy: DomainPolicy | None = None) -> Domain:
-        return self._service.create_domain(
-            name, config=config, model=model, policy=policy
-        )
 
 
 class ShardedCheckpointManager:
@@ -144,10 +119,6 @@ class ShardedCheckpointManager:
                  include_stats: bool = True,
                  injector: FaultInjector | None = None,
                  tracer: TracerLike | None = None) -> None:
-        # Deferred import: persistence imports the service facade, which
-        # imports the kernel package this module belongs to.
-        from repro.core.persistence import CheckpointManager
-
         if interval < 1:
             raise PersistenceError(
                 f"checkpoint interval must be positive, got {interval}"
@@ -160,12 +131,6 @@ class ShardedCheckpointManager:
         self.injector = injector
         self.tracer: TracerLike = (tracer if tracer is not None
                                    else service.tracer)
-        # Inner managers are created lazily per shard id so the manager
-        # stays correct across live reshards: shards grown after
-        # construction get a manager on first checkpoint, shards
-        # truncated away simply stop being visited.
-        self._manager_factory = CheckpointManager
-        self._managers: dict[int, Any] = {}
         #: last-checkpointed dirty signature per shard id (absent = never)
         self._written_signatures: dict[int, tuple[Any, ...]] = {}
         self.ticks = 0
@@ -173,19 +138,17 @@ class ShardedCheckpointManager:
         self.corrupt_detected = 0
         self.last_error: str | None = None
 
-    def _manager(self, shard_id: int) -> Any:
-        manager = self._managers.get(shard_id)
-        if manager is None:
-            manager = self._manager_factory(
-                ShardView(self.service, shard_id),
-                self.directory / shard_file_name(shard_id),
-                interval=self.interval,
-                include_stats=self.include_stats,
-                injector=self.injector,
-                tracer=self.tracer,
-            )
-            self._managers[shard_id] = manager
-        return manager
+    def _write_shard(self, shard_id: int) -> None:
+        """One shard's slice to its own file - looked up by id at every
+        write, so shards grown by a live reshard are covered and shards
+        truncated away simply stop being visited."""
+        # Deferred import: persistence imports the service facade, which
+        # imports the kernel package this module belongs to.
+        from repro.core.persistence import write_checkpoint
+
+        write_checkpoint(ShardView(self.service, shard_id),
+                         self.directory / shard_file_name(shard_id),
+                         self.include_stats, self.injector, self.tracer)
 
     @property
     def manifest_path(self) -> Path:
@@ -208,7 +171,7 @@ class ShardedCheckpointManager:
 
     def checkpoint_shard(self, shard_id: int) -> None:
         """Unconditionally checkpoint one shard and refresh the manifest."""
-        self._manager(shard_id).checkpoint()
+        self._write_shard(shard_id)
         self._written_signatures[shard_id] = \
             self.service.shard(shard_id).dirty_signature()
         self.checkpoints_written += 1
@@ -233,7 +196,7 @@ class ShardedCheckpointManager:
             signature = shard.dirty_signature()
             if signature == self._written_signatures.get(shard.shard_id):
                 continue
-            self._manager(shard.shard_id).checkpoint()
+            self._write_shard(shard.shard_id)
             self._written_signatures[shard.shard_id] = signature
             written += 1
         for gone in set(self._written_signatures) - live_ids:
@@ -344,11 +307,11 @@ class ShardedCheckpointManager:
                 skipped.append(entry["file"])
                 errors.append(reason)
                 continue
-            # Restore through shard 0's view: creation re-routes every
-            # domain by name, so the view's shard does not constrain
-            # where restored domains land.
+            # Restore into the service, not a shard's view of it: state
+            # is installed into (or a domain created on) whichever shard
+            # owns the name now, and room is counted over all of them.
             manager = CheckpointManager(
-                ShardView(self.service, 0), path,
+                self.service, path,
                 interval=self.interval,
                 include_stats=self.include_stats,
                 tracer=self.tracer,

@@ -17,12 +17,12 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.core.config import PSSConfig
 from repro.core.errors import (
-    DomainError,
     FeatureError,
     QuotaExceededError,
     ShardDownError,
 )
-from repro.core.models import PredictorModel
+from repro.core.models import PredictorModel, create_model
+from repro.core.plans import DEFAULT_COMPILER, PlanCompiler
 from repro.core.policy import ClientIdentity, DomainPolicy, open_policy
 from repro.core.stats import DomainReport, PredictionStats
 from repro.obs.spanned import named, spanned
@@ -51,9 +51,8 @@ class Domain:
     model_name: str
     policy: DomainPolicy = field(default_factory=open_policy)
     stats: PredictionStats = field(default_factory=PredictionStats)
-    #: weight-generation offset: bumped per mutation for models that do
-    #: not track their own generation, and once per restore that swaps
-    #: learned state in (see :attr:`generation`)
+    #: what :meth:`install` adds so that :attr:`generation` never runs
+    #: backwards over a state swap
     generation_offset: int = 0
     #: identity charged for this domain by admission control, if any
     created_by: ClientIdentity | None = None
@@ -63,6 +62,10 @@ class Domain:
     #: :meth:`Shard.evict` move it, the id and the obs label below are
     #: read off it, handles consult it for crash failover
     shard: "Shard | None" = field(default=None, repr=False)
+    #: the plan compiler every model this domain ever holds binds
+    #: through (:meth:`bind`): the hosting kernel's, shared by shape
+    compiler: PlanCompiler = field(default=DEFAULT_COMPILER, init=False,
+                                   repr=False)
 
     @property
     def shard_id(self) -> int:
@@ -84,15 +87,40 @@ class Domain:
         Read-only fast paths (the vDSO transport's score cache) treat a
         cached score as current exactly while this value is unchanged -
         the paper's vDSO semantics, where the mapping exposes the
-        kernel's latest published weight version.  Models that track
-        their own mutation counter (the hashed perceptron) contribute it
-        directly, so feedback the margin rule discarded does not
-        invalidate anything; other models are bumped per update/reset.
+        kernel's latest published weight version.  One rule: the model
+        counts its own mutations (the hashed perceptron only those that
+        moved a weight, so feedback the margin rule discarded does not
+        invalidate anything) and :meth:`install` keeps the sum rising
+        across a swap of the whole state.
         """
-        model_generation = getattr(self.model, "generation", None)
-        if model_generation is None:
-            return self.generation_offset
-        return self.generation_offset + model_generation
+        return self.generation_offset + self.model.generation
+
+    def bind(self, compiler: PlanCompiler) -> None:
+        """Adopt the hosting kernel's plan compiler and bind the model
+        through it."""
+        self.compiler = compiler
+        self.model.bind_plan(compiler)
+
+    def install(self, state: dict[str, Any] | None) -> None:
+        """Replace the learned state - the one way it is replaced:
+        ``None`` restarts the model cold (a crash), anything else is a
+        :meth:`~repro.core.models.PredictorModel.to_state` snapshot
+        loaded into the live model (a promotion, a restore).
+
+        The domain object stays - and with it every open handle, the
+        policy, ``created_by``, the shard and its accounts; the
+        generation ends one above every value it has had, so score
+        caches keyed on it self-invalidate; a cold model binds its plan
+        through the domain's compiler and a loaded one keeps the
+        binding it has (the shape survived even if the state did not).
+        """
+        survivor = self.generation
+        if state is None:
+            self.model = create_model(self.model_name, self.config)
+            self.model.bind_plan(self.compiler)
+        else:
+            self.model.load_state(state)
+        self.generation_offset = survivor + 1 - self.model.generation
 
     def predict(self, features: Sequence[int]) -> int:
         score = self.model.predict(features)
@@ -129,15 +157,10 @@ class Domain:
         """Scores for a whole batch, bit-identical to a scalar replay.
 
         Batch-aware models (the hashed perceptron) score all rows in
-        one pass over their weights; others fall back to a scalar loop.
+        one pass over their weights; others inherit the scalar loop.
         Stats count every row either way.
         """
-        batch = getattr(self.model, "predict_batch", None)
-        if batch is not None:
-            scores = batch(feature_rows)
-        else:
-            predict = self.model.predict
-            scores = [predict(features) for features in feature_rows]
+        scores = self.model.predict_batch(feature_rows)
         self.stats.record_predictions(scores, self.config.threshold)
         return scores
 
@@ -147,8 +170,6 @@ class Domain:
 
     def update(self, features: Sequence[int], direction: bool) -> None:
         self.model.update(features, direction)
-        if getattr(self.model, "generation", None) is None:
-            self.generation_offset += 1
         self.stats.record_update(direction)
 
     def update_batch(
@@ -158,52 +179,33 @@ class Domain:
         order: the state a scalar replay leaves, stats filed once.
 
         A batch-aware model (the hashed perceptron) trains on all
-        records in one pass; others take the scalar loop, generation
-        bump per record included.  Either way a record that fails
-        validation costs only itself: the others are applied and
-        counted, then the first :class:`FeatureError` is raised with
-        the ``refused`` positions.
+        records in one pass; others inherit the scalar loop.  Either
+        way a record that fails validation costs only itself: the
+        others are applied and counted, then the first
+        :class:`FeatureError` is raised with the ``refused`` positions.
         """
-        batch = getattr(self.model, "update_batch", None)
-        if batch is not None:
-            try:
-                batch(records)
-            except FeatureError as error:
-                self.stats.record_updates(
-                    [direction
-                     for position, (_, direction) in enumerate(records)
-                     if position not in error.refused])
-                raise
+        try:
+            self.model.update_batch(records)
+        except FeatureError as error:
             self.stats.record_updates(
-                [direction for _, direction in records])
-            return
-        refused: list[int] = []
-        first_error: FeatureError | None = None
-        for position, (features, direction) in enumerate(records):
-            try:
-                self.update(features, direction)
-            except FeatureError as error:
-                if first_error is None:
-                    first_error = error
-                refused.append(position)
-        if first_error is not None:
-            first_error.refused = tuple(refused)
-            raise first_error
+                [direction
+                 for position, (_, direction) in enumerate(records)
+                 if position not in error.refused])
+            raise
+        self.stats.record_updates([direction for _, direction in records])
 
     def reset(self, features: Sequence[int], reset_all: bool) -> None:
         self.model.reset(features, reset_all)
-        if getattr(self.model, "generation", None) is None:
-            self.generation_offset += 1
         self.stats.record_reset()
 
     def report(self) -> DomainReport:
-        weights = getattr(self.model, "weights", None)
+        hits, misses = self.model.index_cache_stats()
         return DomainReport(
             name=self.name, model=self.model_name, stats=self.stats,
             generation=self.generation,
             shard=self.shard_id,
-            index_cache_hits=getattr(weights, "index_cache_hits", 0),
-            index_cache_misses=getattr(weights, "index_cache_misses", 0),
+            index_cache_hits=hits,
+            index_cache_misses=misses,
         )
 
 
@@ -241,10 +243,6 @@ class DomainHandle:
         return self._domain.name
 
     @property
-    def identity(self) -> ClientIdentity:
-        return self._identity
-
-    @property
     def threshold(self) -> int:
         return self._domain.config.threshold
 
@@ -277,7 +275,8 @@ class DomainHandle:
         """Read the domain's current policy: its verdicts for this
         identity stand until ``domain.policy`` is another object.  A
         False verdict still goes through ``policy.check_*``, which
-        raises the :class:`~repro.core.errors.PolicyError`."""
+        raises the :class:`~repro.core.errors.PolicyError` (or, once
+        the domain was removed, the ``DomainError``)."""
         #: the policy object the verdicts below were read from
         policy = self._policy = self._domain.policy
         who = self._identity
@@ -335,16 +334,14 @@ class DomainHandle:
         asks at submit - and return the domain it is to run against.
 
         Raises what the synchronous ``predict`` / ``update`` would, in
-        the order it would, with the same charge: the domain is still
-        hosted (:class:`DomainError`: a handle outlives a removed
-        domain), the policy verdict, a down shard's write, the tenant's
-        budget, the feature count (:class:`FeatureError`).  A request
-        this returns for can still fail, but only for its shard's
-        reasons.
+        the order it would, with the same charge: the policy verdict
+        (:class:`DomainError` from the policy a removed domain is left
+        with: a handle outlives its domain), a down shard's write, the
+        tenant's budget, the feature count (:class:`FeatureError`).  A
+        request this returns for can still fail, but only for its
+        shard's reasons.
         """
         domain = self._domain
-        if domain.shard is None:
-            raise DomainError(f"unknown domain {domain.name!r}")
         if op == "predict":
             self._admit_predict()
         else:

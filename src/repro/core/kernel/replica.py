@@ -72,7 +72,6 @@ class ShardReplica:
         self.shard_id = shard_id
         self.replica_id = replica_id
         self.followers: dict[str, FollowerDomain] = {}
-        self.syncs = 0
         self.lagged_refreshes = 0
 
     def _snapshot(self, domain: Domain) -> FollowerDomain:
@@ -110,7 +109,6 @@ class ShardReplica:
         ]
         for name in dropped:
             del self.followers[name]
-        self.syncs += 1
         if tracer.enabled and (refreshed or dropped):
             tracer.record(
                 "replica_sync", transport="replica",
@@ -152,11 +150,10 @@ class PromotionReport:
 class ReplicaPromoter:
     """Promotes follower state into a crashed shard, under live traffic.
 
-    Promotion mutates the existing :class:`Domain` objects in place -
-    models are restored via ``load_state`` rather than replaced - so
-    every open handle, client, and transport keeps working across the
-    outage; the generation bump that ``load_state`` implies invalidates
-    any score cache keyed on the pre-crash generation.
+    Promotion installs follower state into the existing
+    :class:`Domain` objects (:meth:`Domain.install`), so every open
+    handle, client, and transport keeps working across the outage and
+    any score cache keyed on a pre-crash generation is invalid.
     """
 
     def __init__(self, service: "ShardedService",
@@ -166,7 +163,6 @@ class ReplicaPromoter:
         self.checkpoints = checkpoints
         self.tracer: TracerLike = (tracer if tracer is not None
                                    else service.tracer)
-        self.promotions = 0
 
     def _freshest(self, shard: "Shard",
                   name: str) -> FollowerDomain | None:
@@ -200,12 +196,9 @@ class ReplicaPromoter:
             if follower is None:
                 cold += 1
                 continue
-            domain.model.load_state(follower.model.to_state())
-            if getattr(domain.model, "generation", None) is None:
-                domain.generation_offset += 1
+            domain.install(follower.model.to_state())
             restored += 1
         shard.down = False
-        self.promotions += 1
         if self.tracer.enabled:
             self.tracer.record(
                 "replica_promote", transport="replica",

@@ -44,7 +44,12 @@ from repro.core.kernel.shard import Shard
 from repro.core.kernel.sharding import SlotRing
 from repro.core.models import create_model, ensure_builtin_models
 from repro.core.plans import PlanCompiler, plan_signature
-from repro.core.policy import ClientIdentity, DomainPolicy, open_policy
+from repro.core.policy import (
+    REMOVED,
+    ClientIdentity,
+    DomainPolicy,
+    open_policy,
+)
 from repro.core.stats import DomainReport, ResilienceStats
 from repro.obs.metrics import (
     Histogram,
@@ -244,13 +249,7 @@ class ShardedService:
         if shard.down:
             raise DomainError(f"shard {shard_id} is already down")
         for name in sorted(shard.domains):
-            domain = shard.domains[name]
-            survivor_generation = domain.generation
-            domain.model = create_model(domain.model_name, domain.config)
-            domain.generation_offset = survivor_generation + 1
-            # The cold model re-binds the shared plan: shape survived
-            # the crash even though the learned state did not.
-            self._bind_plan(domain)
+            shard.domains[name].install(None)
         shard.down = True
         if self.tracer.enabled:
             self.tracer.record(
@@ -321,19 +320,8 @@ class ShardedService:
             created_by=identity,
         )
         shard.adopt(domain)
-        self._bind_plan(domain)
+        domain.bind(self.plans)
         return domain
-
-    def _bind_plan(self, domain: Domain) -> None:
-        """Bind the model's weights to the kernel's shared plan cache.
-
-        Models without a plan-capable weight matrix (nothing to
-        specialize) are left alone; they score through their own
-        ``predict`` as before.
-        """
-        weights = getattr(domain.model, "weights", None)
-        if weights is not None and hasattr(weights, "attach_plan"):
-            weights.attach_plan(self.plans.plan_for(domain.config))
 
     def domain(self, name: str) -> Domain:
         try:
@@ -349,6 +337,8 @@ class ShardedService:
         if name not in shard:
             raise DomainError(f"unknown domain {name!r}")
         domain, _accounts = shard.evict(name)
+        # whoever still holds a handle is refused from here on
+        domain.policy = REMOVED
         if self.admission is not None and domain.created_by is not None:
             self.admission.release_domain(domain.created_by)
 

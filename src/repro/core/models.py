@@ -1,9 +1,9 @@
-"""Predictor model protocol and registry (paper Section 3.2.1).
+"""The predictor model contract and registry (paper Section 3.2.1).
 
 "Since the system interface is not tied to the implementation, the underlying
 predictor model can be replaced easily."  Every model the service hosts
-implements :class:`PredictorModel`; the default is the hashed perceptron, and
-:mod:`repro.core.alt_models` ships lighter and heavier alternatives.
+inherits :class:`PredictorModel`; the default is the hashed perceptron, and
+:mod:`repro.models_extra` ships lighter and heavier alternatives.
 
 Models map directly onto the three service calls:
 
@@ -15,32 +15,110 @@ Models map directly onto the three service calls:
 
 from __future__ import annotations
 
-from typing import Callable, Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.core.config import PSSConfig
-from repro.core.errors import ModelError
+from repro.core.errors import FeatureError, ModelError
+
+if TYPE_CHECKING:
+    from repro.core.plans import PlanCompiler
 
 
-@runtime_checkable
-class PredictorModel(Protocol):
-    """Contract for pluggable prediction backends."""
+class PredictorModel:
+    """What the kernel knows about every model it hosts, white-box: a
+    model inherits this and writes ``predict``, ``to_state`` and the
+    three mutations ``_update`` / ``_reset`` / ``_load_state``.
+
+    The public ``update`` / ``reset`` / ``load_state`` apply one and
+    count it in :attr:`generation`, the counter a domain publishes so
+    readers know when a cached score went stale; a mutation that raises
+    was not applied and is not counted.  The batch calls are the scalar
+    loop and :meth:`bind_plan` does nothing: a model that can do better
+    (the hashed perceptron) overrides them, and one that tracks what
+    *actually* changed overrides the public mutations and
+    :attr:`generation` together.
+    """
 
     config: PSSConfig
+    _applied = 0
+
+    @property
+    def generation(self) -> int:
+        """Mutations applied so far; never decreases."""
+        return self._applied
 
     def predict(self, features: Sequence[int]) -> int:
         """Signed score for ``features``; magnitude conveys confidence."""
+        raise NotImplementedError
+
+    def predict_batch(
+        self, feature_rows: Sequence[Sequence[int]]
+    ) -> list[int]:
+        """``predict`` for every row, in order."""
+        return [self.predict(features) for features in feature_rows]
 
     def update(self, features: Sequence[int], direction: bool) -> None:
         """Apply feedback: ``True`` = reward, ``False`` = penalize."""
+        self._update(features, direction)
+        self._applied += 1
+
+    def update_batch(
+        self, records: Sequence[tuple[Sequence[int], bool]]
+    ) -> None:
+        """``update`` for every ``(features, direction)`` record, in
+        order.  A record that fails validation costs only itself: the
+        others are applied, then the first :class:`FeatureError` is
+        raised with the ``refused`` positions."""
+        refused: list[int] = []
+        first_error: FeatureError | None = None
+        for position, (features, direction) in enumerate(records):
+            try:
+                self.update(features, direction)
+            except FeatureError as error:
+                if first_error is None:
+                    first_error = error
+                refused.append(position)
+        if first_error is not None:
+            first_error.refused = tuple(refused)
+            raise first_error
 
     def reset(self, features: Sequence[int], reset_all: bool) -> None:
         """Clear either the entry for ``features`` or all state."""
+        self._reset(features, reset_all)
+        self._applied += 1
 
-    def to_state(self) -> dict:
+    def to_state(self) -> dict[str, Any]:
         """Serializable snapshot for persistence."""
+        raise NotImplementedError
 
-    def load_state(self, state: dict) -> None:
+    def load_state(self, state: dict[str, Any]) -> None:
         """Restore a snapshot produced by :meth:`to_state`."""
+        self._load_state(state)
+        self._applied += 1
+
+    def _update(self, features: Sequence[int], direction: bool) -> None:
+        raise NotImplementedError
+
+    def _reset(self, features: Sequence[int], reset_all: bool) -> None:
+        raise NotImplementedError
+
+    def _load_state(self, state: dict[str, Any]) -> None:
+        raise NotImplementedError
+
+    def _check_len(self, features: Sequence[int]) -> None:
+        """Refuse a vector that is not ``config.num_features`` long."""
+        if len(features) != self.config.num_features:
+            raise FeatureError(
+                f"expected {self.config.num_features} features, "
+                f"got {len(features)}")
+
+    def bind_plan(self, compiler: PlanCompiler) -> None:
+        """Bind whatever the model compiles per shape through the
+        kernel's shared ``compiler``; most models compile nothing."""
+
+    def index_cache_stats(self) -> tuple[int, int]:
+        """``(hits, misses)`` of the model's feature-index cache."""
+        return 0, 0
 
 
 ModelFactory = Callable[[PSSConfig], PredictorModel]
@@ -78,10 +156,12 @@ def registered_models() -> tuple[str, ...]:
     return tuple(sorted(_MODEL_REGISTRY))
 
 
-def _register_builtins() -> None:
-    """Register the built-in models lazily to avoid import cycles."""
-    # Imported here so models.py stays dependency-light for the protocol.
-    from repro.core import alt_models, heavy_models, perceptron
+def ensure_builtin_models() -> None:
+    """Idempotently register the built-in model set."""
+    # Imported here so the contract stays dependency-light, and the
+    # ablation models stay out of ``import repro.core``.
+    from repro.core import perceptron
+    from repro.models_extra import alt_models, heavy_models
 
     builtin: dict[str, ModelFactory] = {
         "perceptron": perceptron.HashedPerceptron,
@@ -98,8 +178,3 @@ def _register_builtins() -> None:
     for name, factory in builtin.items():
         if name not in _MODEL_REGISTRY:
             _MODEL_REGISTRY[name] = factory
-
-
-def ensure_builtin_models() -> None:
-    """Idempotently register the built-in model set."""
-    _register_builtins()

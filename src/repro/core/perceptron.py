@@ -16,14 +16,24 @@ predictions" - without it, saturated weights would never recover.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.config import PSSConfig
+from repro.core.models import PredictorModel
 from repro.core.weights import WeightMatrix
 
+if TYPE_CHECKING:
+    from repro.core.plans import PlanCompiler
 
-class HashedPerceptron:
-    """Default PSS predictor: hashed perceptron with saturating weights."""
+
+class HashedPerceptron(PredictorModel):
+    """Default PSS predictor: hashed perceptron with saturating weights.
+
+    Overrides the public mutations together with :attr:`generation`:
+    the counter is the weight matrix's own, which moves only when a
+    weight did, so feedback the margin rule discards invalidates no
+    cached score.
+    """
 
     def __init__(self, config: PSSConfig) -> None:
         self.config = config
@@ -42,17 +52,6 @@ class HashedPerceptron:
     def score(self, features: Sequence[int]) -> int:
         """Raw weighted sum; sign is the decision, magnitude confidence."""
         return self._weights.dot(features)
-
-    def predict_and_select(
-        self, features: Sequence[int]
-    ) -> tuple[int, tuple[int, ...]]:
-        """Score plus the selected weight indices, hashing at most once.
-
-        The returned indices feed :meth:`WeightMatrix.adjust_at`, which is
-        how :meth:`update` trains without re-hashing the vector it just
-        scored.
-        """
-        return self._weights.dot_and_indices(features)
 
     def predict(self, features: Sequence[int]) -> int:
         """Signed prediction score for ``features``.
@@ -116,4 +115,20 @@ class HashedPerceptron:
         return {"kind": "perceptron", "weights": self._weights.to_state()}
 
     def load_state(self, state: dict) -> None:
-        self._weights.load_state(state["weights"])
+        # The matrix drops its plan with the swap, but a load never
+        # changes the shape: a model bound to a plan (the hosting
+        # kernel's) stays on it, instead of falling to the default's.
+        weights = self._weights
+        plan = weights._plan
+        weights.load_state(state["weights"])
+        if plan is not None:
+            weights.attach_plan(plan)
+
+    def bind_plan(self, compiler: PlanCompiler) -> None:
+        """The weights hash cache misses through the kernel's shared
+        plan for this shape (a compiler cache hit after the first)."""
+        self._weights.attach_plan(compiler.plan_for(self.config))
+
+    def index_cache_stats(self) -> tuple[int, int]:
+        weights = self._weights
+        return weights.index_cache_hits, weights.index_cache_misses

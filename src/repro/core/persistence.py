@@ -8,17 +8,20 @@ are successive benchmark runs that inherit the previous run's weights.
 Snapshots are plain JSON so they are durable, diffable, and independent of
 Python pickling.  A snapshot captures, per domain: the configuration, the
 model name and model state, and (optionally) accumulated statistics.
-Policies are intentionally *not* persisted - they belong to the running
-system's security configuration, not to learned state.
+Policies and owners are intentionally *not* persisted - they belong to the
+running system's security configuration, not to learned state - so a
+restore into a live service leaves them as they are and a cold restart
+brings domains back open and unowned.
 
 Robustness guarantees (the service must survive its own restarts):
 
 * every snapshot embeds a CRC-32 ``checksum`` over its domain payload, so
   a torn or bit-flipped file is *detected* (:class:`PersistenceError`)
   instead of silently restoring garbage weights;
-* :func:`restore_service` is atomic - it stages every domain off to the
-  side and only swaps them into the service once the whole snapshot has
-  validated, so a malformed snapshot leaves prior state untouched;
+* :func:`restore_service` is atomic - it stages every domain's state off
+  to the side and only installs it into the service once the whole
+  snapshot has validated, so a malformed snapshot leaves prior state
+  untouched;
 * :class:`CheckpointManager` turns the two into a crash-recovery loop:
   periodic checkpoints while the service runs, best-effort
   :meth:`~CheckpointManager.recover` when it comes back up.
@@ -44,22 +47,27 @@ from repro.obs.trace import NULL_TRACER, TracerLike
 SNAPSHOT_VERSION = 1
 
 
-class SnapshotTarget(Protocol):
-    """What snapshot/restore need from a service.
+class SnapshotSource(Protocol):
+    """What a snapshot reads from a service.
 
     Structural, not nominal, on purpose: a full
     :class:`~repro.core.service.PredictionService` satisfies it, and so
     does the per-shard :class:`~repro.core.kernel.checkpoint.ShardView`
-    adapter - which is how one :class:`CheckpointManager` can persist
-    either a whole service or a single shard's slice of one.
+    - which is how one snapshot format persists either a whole service
+    or a single shard's slice of one.
     """
-
-    @property
-    def config(self) -> ServiceConfig: ...
 
     def domain_names(self) -> tuple[str, ...]: ...
 
     def domain(self, name: str) -> Domain: ...
+
+
+class SnapshotTarget(SnapshotSource, Protocol):
+    """What a restore also needs: a whole service, never a slice of
+    one - a snapshot's domains land wherever the service places them."""
+
+    @property
+    def config(self) -> ServiceConfig: ...
 
     def has_domain(self, name: str) -> bool: ...
 
@@ -76,7 +84,7 @@ def _domains_checksum(domains: dict[str, Any]) -> int:
     return zlib.crc32(canonical.encode("utf-8"))
 
 
-def snapshot_service(service: SnapshotTarget,
+def snapshot_service(service: SnapshotSource,
                      include_stats: bool = True) -> dict[str, Any]:
     """Capture every domain's learned state as a JSON-serializable dict."""
     domains: dict[str, Any] = {}
@@ -99,13 +107,18 @@ def snapshot_service(service: SnapshotTarget,
 
 def restore_service(service: SnapshotTarget,
                     snapshot: dict[str, Any]) -> None:
-    """Recreate the snapshot's domains inside ``service``.
+    """Install the snapshot's learned state into ``service``.
 
-    Existing domains with matching names are replaced.  Raises
-    :class:`PersistenceError` on version, checksum, or shape mismatches;
-    on any failure the service keeps its prior domains untouched (the
-    replacement domains are staged first and committed only once the
-    whole snapshot has validated).
+    A domain the service hosts under the snapshot's config and model
+    name stays the object it is - open handles, policy, owner, shard -
+    and takes the state through :meth:`Domain.install`; one hosted
+    under another shape is removed and re-created, and a name not
+    hosted is created (both open and unowned: a snapshot carries
+    neither policy nor owner).  Raises :class:`PersistenceError` on
+    version, checksum, or shape mismatches; on any failure the service
+    keeps its prior state untouched (every entry is staged - its state
+    loaded into a scratch model - and committed only once the whole
+    snapshot has validated).
     """
     version = snapshot.get("version")
     if version != SNAPSHOT_VERSION:
@@ -123,19 +136,15 @@ def restore_service(service: SnapshotTarget,
                     f"snapshot checksum mismatch (stored {expected!r}, "
                     f"computed {actual}): refusing to restore corrupt state"
                 )
-        staged: dict[str, Domain] = {}
+        #: name -> (config, model name, model state, stats or None)
+        staged: dict[str, tuple[PSSConfig, str, Any, Any]] = {}
         for name, entry in domains.items():
             config = PSSConfig(**entry["config"])
-            domain = Domain(
-                name=name,
-                config=config,
-                model=create_model(entry["model_name"], config),
-                model_name=entry["model_name"],
-            )
-            domain.model.load_state(entry["model_state"])
-            if "stats" in entry:
-                domain.stats = PredictionStats(**entry["stats"])
-            staged[name] = domain
+            state = entry["model_state"]
+            create_model(entry["model_name"], config).load_state(state)
+            stats = (PredictionStats(**entry["stats"])
+                     if "stats" in entry else None)
+            staged[name] = config, entry["model_name"], state, stats
         new_names = set(staged) - set(service.domain_names())
         room = service.config.max_domains - len(service.domain_names())
         if len(new_names) > room:
@@ -148,23 +157,23 @@ def restore_service(service: SnapshotTarget,
     except (PSSError, AttributeError, KeyError, TypeError,
             ValueError) as exc:
         raise PersistenceError(f"malformed snapshot: {exc}") from exc
-    # Commit point: everything validated, swap the domains in.
-    for name, domain in staged.items():
-        if service.has_domain(name):
+    # Commit point: everything validated, install the state.
+    for name, (config, model_name, state, stats) in staged.items():
+        domain = service.domain(name) if service.has_domain(name) else None
+        if domain is not None and (
+                domain.config, domain.model_name) != (config, model_name):
             service.remove_domain(name)
-        service.create_domain(
-            name, config=domain.config, model=domain.model_name
-        )
-        committed = service.domain(name)
-        committed.model = domain.model
-        committed.stats = domain.stats
-        # A restore swaps learned weights in behind any existing caches:
-        # bump the generation offset so score caches keyed on the old
-        # counter cannot serve pre-restore values.
-        committed.generation_offset += 1
+            domain = None
+        if domain is None:
+            domain = service.create_domain(
+                name, config=config, model=model_name
+            )
+        domain.install(state)
+        if stats is not None:
+            domain.stats = stats
 
 
-def save_service(service: SnapshotTarget, path: str | Path,
+def save_service(service: SnapshotSource, path: str | Path,
                  include_stats: bool = True) -> None:
     """Write a snapshot of ``service`` to ``path`` as JSON."""
     snapshot = snapshot_service(service, include_stats=include_stats)
@@ -189,6 +198,31 @@ def load_service(service: SnapshotTarget, path: str | Path) -> None:
             f"snapshot root must be an object, got {type(snapshot).__name__}"
         )
     restore_service(service, snapshot)
+
+
+def write_checkpoint(source: SnapshotSource, path: Path,
+                     include_stats: bool,
+                     injector: FaultInjector | None,
+                     tracer: TracerLike) -> None:
+    """Snapshot ``source`` to ``path`` atomically (temp file, then
+    rename over), through the injector's corruption dice if any."""
+    snapshot = snapshot_service(source, include_stats=include_stats)
+    text = json.dumps(snapshot, indent=1)
+    corrupted = False
+    if injector is not None and injector.corrupt_snapshot():
+        text, corrupted = injector.corrupt_text(text), True
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    try:
+        tmp.write_text(text)
+        tmp.replace(path)
+    except OSError as exc:
+        raise PersistenceError(f"cannot write checkpoint: {exc}") from exc
+    if tracer.enabled:
+        tracer.record(
+            "checkpoint_save", transport="checkpoint",
+            detail={"bytes": len(text), "corrupted": corrupted,
+                    "domains": len(snapshot["domains"])},
+        )
 
 
 class CheckpointManager:
@@ -248,27 +282,9 @@ class CheckpointManager:
 
     def checkpoint(self) -> None:
         """Write a snapshot atomically (temp file, then rename over)."""
-        snapshot = snapshot_service(
-            self.service, include_stats=self.include_stats
-        )
-        text = json.dumps(snapshot, indent=1)
-        corrupted = (self.injector is not None
-                     and self.injector.corrupt_snapshot())
-        if corrupted:
-            text = self.injector.corrupt_text(text)
-        tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        try:
-            tmp.write_text(text)
-            tmp.replace(self.path)
-        except OSError as exc:
-            raise PersistenceError(f"cannot write checkpoint: {exc}") from exc
+        write_checkpoint(self.service, self.path, self.include_stats,
+                         self.injector, self.tracer)
         self.checkpoints_written += 1
-        if self.tracer.enabled:
-            self.tracer.record(
-                "checkpoint_save", transport="checkpoint",
-                detail={"bytes": len(text), "corrupted": corrupted,
-                        "domains": len(snapshot["domains"])},
-            )
 
     def recover(self) -> bool:
         """Restore the last checkpoint if one exists and validates.

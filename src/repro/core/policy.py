@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro.core.errors import PolicyError
+from repro.core.errors import DomainError, PolicyError
 
 
 @dataclass(frozen=True)
@@ -113,6 +113,27 @@ class DomainPolicy:
                 f"{who.program} (uid {who.uid}) may not reset "
                 f"domain {domain!r}"
             )
+
+
+class _RemovedPolicy(DomainPolicy):
+    """What :meth:`ShardedService.remove_domain` leaves in a domain's
+    policy slot: nobody may do anything, and the check says why.  Every
+    handle re-reads ``domain.policy`` on every call, so every operation
+    under a handle that outlived its domain raises :class:`DomainError`
+    with no test of its own."""
+
+    def may_predict(self, who: ClientIdentity) -> bool:
+        return False
+
+    may_update = may_reset = may_predict
+
+    def check_predict(self, who: ClientIdentity, domain: str) -> None:
+        raise DomainError(f"unknown domain {domain!r}")
+
+    check_update = check_reset = check_predict
+
+
+REMOVED = _RemovedPolicy()
 
 
 def open_policy() -> DomainPolicy:

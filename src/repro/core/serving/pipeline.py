@@ -121,7 +121,6 @@ class ServingConfig:
     queue_limit: int = 0
     shed_on_page: bool = False
     slo_threshold_ns: float = 4_000.0
-    slo_objective: float = 0.9
     slo_eval_interval_ns: float = 2_000.0
     latency: LatencyModel | None = None
 

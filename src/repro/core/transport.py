@@ -67,6 +67,9 @@ class Transport:
 
     #: human-readable name used in reports ("vdso" / "syscall")
     name = "base"
+    #: update records buffered and not yet delivered: only a transport
+    #: that buffers (vDSO) ever has any
+    pending_updates = 0
 
     def __init__(self, target: ServiceTarget,
                  latency: LatencyModel | None = None,

@@ -19,16 +19,10 @@ from typing import Sequence
 from repro.core.config import PSSConfig
 from repro.core.errors import FeatureError
 from repro.core.hashing import table_index
+from repro.core.models import PredictorModel
 
 
-def _check_len(features: Sequence[int], expected: int) -> None:
-    if len(features) != expected:
-        raise FeatureError(
-            f"expected {expected} features, got {len(features)}"
-        )
-
-
-class ConstantModel:
+class ConstantModel(PredictorModel):
     """Static predictor; the no-learning baseline for ablations."""
 
     def __init__(self, config: PSSConfig, value: int) -> None:
@@ -46,23 +40,23 @@ class ConstantModel:
         return cls(config, -1)
 
     def predict(self, features: Sequence[int]) -> int:
-        _check_len(features, self.config.num_features)
+        self._check_len(features)
         return self._value
 
-    def update(self, features: Sequence[int], direction: bool) -> None:
-        _check_len(features, self.config.num_features)
+    def _update(self, features: Sequence[int], direction: bool) -> None:
+        self._check_len(features)
 
-    def reset(self, features: Sequence[int], reset_all: bool) -> None:
-        _check_len(features, self.config.num_features)
+    def _reset(self, features: Sequence[int], reset_all: bool) -> None:
+        self._check_len(features)
 
     def to_state(self) -> dict:
         return {"kind": "constant", "value": self._value}
 
-    def load_state(self, state: dict) -> None:
+    def _load_state(self, state: dict) -> None:
         self._value = int(state["value"])
 
 
-class MajorityModel:
+class MajorityModel(PredictorModel):
     """Predict whatever direction has been rewarded more often overall.
 
     Ignores the feature values entirely - a single up/down counter.  Useful
@@ -75,28 +69,28 @@ class MajorityModel:
         self._counter = 0
 
     def predict(self, features: Sequence[int]) -> int:
-        _check_len(features, self.config.num_features)
+        self._check_len(features)
         return self._counter if self._counter else 1
 
-    def update(self, features: Sequence[int], direction: bool) -> None:
-        _check_len(features, self.config.num_features)
+    def _update(self, features: Sequence[int], direction: bool) -> None:
+        self._check_len(features)
         lo = self.config.weight_min
         hi = self.config.weight_max
         self._counter = min(hi, max(lo, self._counter
                                     + (1 if direction else -1)))
 
-    def reset(self, features: Sequence[int], reset_all: bool) -> None:
-        _check_len(features, self.config.num_features)
+    def _reset(self, features: Sequence[int], reset_all: bool) -> None:
+        self._check_len(features)
         self._counter = 0
 
     def to_state(self) -> dict:
         return {"kind": "majority", "counter": self._counter}
 
-    def load_state(self, state: dict) -> None:
+    def _load_state(self, state: dict) -> None:
         self._counter = int(state["counter"])
 
 
-class OnlineLinearModel:
+class OnlineLinearModel(PredictorModel):
     """Online linear regression on raw feature values (SGD, fixed rate).
 
     Unlike the hashed perceptron, this model generalizes across *numeric*
@@ -117,7 +111,7 @@ class OnlineLinearModel:
         self._b = 0.0
 
     def _normalize(self, features: Sequence[int]) -> list[float]:
-        _check_len(features, self.config.num_features)
+        self._check_len(features)
         return [math.tanh(v / self.SCALE) for v in features]
 
     def _raw_score(self, x: list[float]) -> float:
@@ -131,7 +125,7 @@ class OnlineLinearModel:
             scaled = 1 if score >= 0 else -1
         return scaled
 
-    def update(self, features: Sequence[int], direction: bool) -> None:
+    def _update(self, features: Sequence[int], direction: bool) -> None:
         x = self._normalize(features)
         target = 1.0 if direction else -1.0
         error = target - math.tanh(self._raw_score(x))
@@ -139,8 +133,8 @@ class OnlineLinearModel:
         self._w = [w + step * xi for w, xi in zip(self._w, x)]
         self._b += step
 
-    def reset(self, features: Sequence[int], reset_all: bool) -> None:
-        _check_len(features, self.config.num_features)
+    def _reset(self, features: Sequence[int], reset_all: bool) -> None:
+        self._check_len(features)
         if reset_all:
             self._w = [0.0] * self.config.num_features
             self._b = 0.0
@@ -148,7 +142,7 @@ class OnlineLinearModel:
     def to_state(self) -> dict:
         return {"kind": "linear", "w": list(self._w), "b": self._b}
 
-    def load_state(self, state: dict) -> None:
+    def _load_state(self, state: dict) -> None:
         w = [float(v) for v in state["w"]]
         if len(w) != self.config.num_features:
             raise FeatureError("snapshot shape does not match configuration")
@@ -156,7 +150,7 @@ class OnlineLinearModel:
         self._b = float(state["b"])
 
 
-class NaiveBayesModel:
+class NaiveBayesModel(PredictorModel):
     """Online naive Bayes over hashed feature values.
 
     Maintains per-feature, per-bucket counts of positive and negative
@@ -173,7 +167,7 @@ class NaiveBayesModel:
         self._total_neg = 0
 
     def _buckets(self, features: Sequence[int]) -> list[int]:
-        _check_len(features, self.config.num_features)
+        self._check_len(features)
         entries = self.config.entries_per_feature
         seed = self.config.seed
         return [
@@ -195,7 +189,7 @@ class NaiveBayesModel:
             scaled = 1 if log_odds >= 0 else -1
         return scaled
 
-    def update(self, features: Sequence[int], direction: bool) -> None:
+    def _update(self, features: Sequence[int], direction: bool) -> None:
         buckets = self._buckets(features)
         table = self._pos if direction else self._neg
         for i, b in enumerate(buckets):
@@ -205,16 +199,17 @@ class NaiveBayesModel:
         else:
             self._total_neg += 1
 
-    def reset(self, features: Sequence[int], reset_all: bool) -> None:
+    def _reset(self, features: Sequence[int], reset_all: bool) -> None:
         if reset_all:
+            # Validate shape even on total reset for interface symmetry
+            # - first: a refused reset must have wiped nothing.
+            self._check_len(features)
             for table in (self._pos, self._neg):
                 for row in table:
                     for i in range(len(row)):
                         row[i] = 0
             self._total_pos = 0
             self._total_neg = 0
-            # Validate shape even on total reset for interface symmetry.
-            _check_len(features, self.config.num_features)
             return
         for i, b in enumerate(self._buckets(features)):
             self._pos[i][b] = 0
@@ -229,14 +224,14 @@ class NaiveBayesModel:
             "total_neg": self._total_neg,
         }
 
-    def load_state(self, state: dict) -> None:
+    def _load_state(self, state: dict) -> None:
         self._pos = [list(map(int, r)) for r in state["pos"]]
         self._neg = [list(map(int, r)) for r in state["neg"]]
         self._total_pos = int(state["total_pos"])
         self._total_neg = int(state["total_neg"])
 
 
-class DecisionStumpEnsemble:
+class DecisionStumpEnsemble(PredictorModel):
     """Per-feature threshold stumps combined by weighted vote.
 
     Each feature gets one stump: "is the value above a running threshold?"
@@ -256,7 +251,7 @@ class DecisionStumpEnsemble:
         self._leaves = [[0, 0] for _ in range(n)]
 
     def _leaf_ids(self, features: Sequence[int]) -> list[int]:
-        _check_len(features, self.config.num_features)
+        self._check_len(features)
         return [
             1 if v > self._thresholds[i] else 0
             for i, v in enumerate(features)
@@ -269,7 +264,7 @@ class DecisionStumpEnsemble:
         )
         return score if score else 1
 
-    def update(self, features: Sequence[int], direction: bool) -> None:
+    def _update(self, features: Sequence[int], direction: bool) -> None:
         leaf_ids = self._leaf_ids(features)
         delta = 1 if direction else -1
         lo, hi = self.config.weight_min, self.config.weight_max
@@ -283,8 +278,8 @@ class DecisionStumpEnsemble:
         for i, v in enumerate(features):
             self._thresholds[i] += rate * (v - self._thresholds[i])
 
-    def reset(self, features: Sequence[int], reset_all: bool) -> None:
-        _check_len(features, self.config.num_features)
+    def _reset(self, features: Sequence[int], reset_all: bool) -> None:
+        self._check_len(features)
         if reset_all:
             n = self.config.num_features
             self._thresholds = [0.0] * n
@@ -302,7 +297,7 @@ class DecisionStumpEnsemble:
             "seen": self._seen,
         }
 
-    def load_state(self, state: dict) -> None:
+    def _load_state(self, state: dict) -> None:
         self._thresholds = [float(t) for t in state["thresholds"]]
         self._leaves = [list(map(int, leaf)) for leaf in state["leaves"]]
         self._seen = int(state["seen"])

@@ -23,18 +23,11 @@ from __future__ import annotations
 import math
 
 from repro.core.config import PSSConfig
-from repro.core.errors import FeatureError
 from repro.core.hashing import mix64
+from repro.core.models import PredictorModel
 
 
-def _check_len(features, expected: int) -> None:
-    if len(features) != expected:
-        raise FeatureError(
-            f"expected {expected} features, got {len(features)}"
-        )
-
-
-class KnnModel:
+class KnnModel(PredictorModel):
     """k-NN over a sliding reservoir of (features, direction) examples.
 
     Prediction is a distance-weighted vote of the ``k`` nearest stored
@@ -70,19 +63,19 @@ class KnnModel:
         return vote
 
     def predict(self, features) -> int:
-        _check_len(features, self.config.num_features)
+        self._check_len(features)
         vote = self._vote(self._embed(features))
         scaled = int(round(vote * 100))
         return scaled if scaled != 0 else (1 if vote >= 0 else -1)
 
-    def update(self, features, direction: bool) -> None:
-        _check_len(features, self.config.num_features)
+    def _update(self, features, direction: bool) -> None:
+        self._check_len(features)
         self._examples.append((self._embed(features), direction))
         if len(self._examples) > self.CAPACITY:
             self._examples.pop(0)
 
-    def reset(self, features, reset_all: bool) -> None:
-        _check_len(features, self.config.num_features)
+    def _reset(self, features, reset_all: bool) -> None:
+        self._check_len(features)
         if reset_all:
             self._examples.clear()
         else:
@@ -100,14 +93,14 @@ class KnnModel:
             ],
         }
 
-    def load_state(self, state: dict) -> None:
+    def _load_state(self, state: dict) -> None:
         self._examples = [
             (tuple(float(v) for v in stored), bool(label))
             for stored, label in state["examples"]
         ]
 
 
-class BoostedStumpsModel:
+class BoostedStumpsModel(PredictorModel):
     """An online additive ensemble of hash-bucket stumps.
 
     Each round owns one stump per feature; rounds are trained in
@@ -129,7 +122,7 @@ class BoostedStumpsModel:
         ]
 
     def _buckets(self, features) -> list[int]:
-        _check_len(features, self.config.num_features)
+        self._check_len(features)
         return [
             mix64((i + 1) * 0x9E3779B97F4A7C15 ^ (v & ((1 << 64) - 1)))
             % self.BUCKETS
@@ -147,7 +140,7 @@ class BoostedStumpsModel:
         )
         return total if total != 0 else 1
 
-    def update(self, features, direction: bool) -> None:
+    def _update(self, features, direction: bool) -> None:
         buckets = self._buckets(features)
         target = 1 if direction else -1
         partial = 0
@@ -161,7 +154,7 @@ class BoostedStumpsModel:
                     table[i][b] = max(-32, min(31, value))
             partial += self._round_score(r, buckets)
 
-    def reset(self, features, reset_all: bool) -> None:
+    def _reset(self, features, reset_all: bool) -> None:
         buckets = self._buckets(features)
         if reset_all:
             for round_tables in self._tables:
@@ -182,14 +175,14 @@ class BoostedStumpsModel:
             ],
         }
 
-    def load_state(self, state: dict) -> None:
+    def _load_state(self, state: dict) -> None:
         self._tables = [
             [list(map(int, row)) for row in round_tables]
             for round_tables in state["tables"]
         ]
 
 
-class TinyMlpModel:
+class TinyMlpModel(PredictorModel):
     """One-hidden-layer neural network trained online with SGD.
 
     The "neural networks" point of Section 3.2.1: highest per-call cost,
@@ -216,7 +209,7 @@ class TinyMlpModel:
         self._b2 = 0.0
 
     def _normalize(self, features) -> list[float]:
-        _check_len(features, self.config.num_features)
+        self._check_len(features)
         return [math.tanh(v / self.SCALE) for v in features]
 
     def _forward(self, x):
@@ -234,7 +227,7 @@ class TinyMlpModel:
         scaled = int(round(output * 100))
         return scaled if scaled != 0 else (1 if output >= 0 else -1)
 
-    def update(self, features, direction: bool) -> None:
+    def _update(self, features, direction: bool) -> None:
         x = self._normalize(features)
         hidden, output = self._forward(x)
         target = 1.0 if direction else -1.0
@@ -252,8 +245,8 @@ class TinyMlpModel:
             self._b1[h] += rate * grad_hidden
         self._b2 += rate * grad_out
 
-    def reset(self, features, reset_all: bool) -> None:
-        _check_len(features, self.config.num_features)
+    def _reset(self, features, reset_all: bool) -> None:
+        self._check_len(features)
         if reset_all:
             self.__init__(self.config)
 
@@ -266,7 +259,7 @@ class TinyMlpModel:
             "b2": self._b2,
         }
 
-    def load_state(self, state: dict) -> None:
+    def _load_state(self, state: dict) -> None:
         self._w1 = [list(map(float, row)) for row in state["w1"]]
         self._b1 = [float(v) for v in state["b1"]]
         self._w2 = [float(v) for v in state["w2"]]

@@ -1,17 +1,15 @@
 """Tests for the accuracy-tier models (KNN, boosted stumps, tiny MLP)."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.config import PSSConfig
 from repro.core.errors import FeatureError
-from repro.core.heavy_models import (
+from repro.core.models import create_model
+from repro.models_extra.heavy_models import (
     BoostedStumpsModel,
     KnnModel,
     TinyMlpModel,
 )
-from repro.core.models import create_model
 
 CFG = PSSConfig(num_features=2, entries_per_feature=128)
 HEAVY = [KnnModel, BoostedStumpsModel, TinyMlpModel]
@@ -110,14 +108,3 @@ class TestMlpSpecifics:
         a = TinyMlpModel(CFG)
         b = TinyMlpModel(CFG)
         assert a.to_state() == b.to_state()
-
-
-@settings(max_examples=15, deadline=None)
-@given(st.sampled_from(["knn", "boosted-stumps", "tiny-mlp"]),
-       st.lists(st.tuples(st.integers(-500, 500), st.booleans()),
-                max_size=40))
-def test_heavy_models_accept_arbitrary_streams(name, stream):
-    model = create_model(name, PSSConfig(num_features=1))
-    for value, direction in stream:
-        model.update([value], direction)
-        assert isinstance(model.predict([value]), int)

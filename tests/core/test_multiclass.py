@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import PredictionService, PSSConfig
 from repro.core.errors import ConfigError
-from repro.core.multiclass import BinarySearchTuner, MultiChoiceClient
+from repro.models_extra.multiclass import BinarySearchTuner, MultiChoiceClient
 
 CFG = PSSConfig(num_features=1)
 

@@ -17,7 +17,11 @@ from repro.core.kernel import (
     ReplicaPromoter,
     ShardedCheckpointManager,
 )
-from repro.core.persistence import snapshot_service
+from repro.core.persistence import (
+    load_service,
+    save_service,
+    snapshot_service,
+)
 
 CONFIG = PSSConfig(num_features=1)
 
@@ -180,19 +184,27 @@ class TestPromotion:
         with pytest.raises(DomainError):
             ReplicaPromoter(service).promote(0)
 
-    def test_generations_stay_strictly_monotonic(self):
+    def test_generations_stay_strictly_monotonic(self, tmp_path):
         service = PredictionService(num_shards=1, num_replicas=1)
         populate(service)
         service.sync_replicas()
+        checkpoints = ShardedCheckpointManager(service, tmp_path / "ck")
+        checkpoints.checkpoint()
+        save_service(service, tmp_path / "snapshot.json")
         history = {n: [service.domain(n).generation] for n in NAMES}
-        service.crash_shard(0)
+
+        def step(action):
+            action()
+            for name in NAMES:
+                history[name].append(service.domain(name).generation)
+
+        step(lambda: service.crash_shard(0))
+        step(lambda: ReplicaPromoter(service).promote(0))
+        step(checkpoints.recover)
+        step(lambda: load_service(service, tmp_path / "snapshot.json"))
         for name in NAMES:
-            history[name].append(service.domain(name).generation)
-        ReplicaPromoter(service).promote(0)
-        for name in NAMES:
-            history[name].append(service.domain(name).generation)
-            first, crashed, promoted = history[name]
-            assert first < crashed < promoted
+            first, crashed, promoted, recovered, loaded = history[name]
+            assert first < crashed < promoted < recovered < loaded
 
     def test_domains_unseen_by_any_follower_restart_cold(self):
         service = PredictionService(num_shards=1, num_replicas=1)

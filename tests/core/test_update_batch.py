@@ -25,6 +25,7 @@ from repro.core.errors import (
 from repro.core.faults import FaultInjector, FaultPlan
 from repro.core.kernel import ReplicaPromoter
 from repro.core.kernel.admission import AdmissionController, TenantQuota
+from repro.core.models import PredictorModel
 from repro.core.perceptron import HashedPerceptron
 from repro.core.policy import ClientIdentity
 from repro.obs import Tracer
@@ -185,11 +186,12 @@ class TestHandleBatchIsTheScalarLoop:
     @settings(max_examples=25, deadline=None)
     @given(batches=st.lists(records_with(BAD_ROWS[:2]), max_size=3))
     def test_a_model_without_update_batch(self, model, batches):
-        """No batch body in the model: the domain keeps the scalar
-        loop, and its per-record ``generation_offset`` bump.  (These
-        models validate a row's length only.)"""
+        """No batch body of the model's own: it inherits the scalar
+        loop, and its per-record generation count.  (These models
+        validate a row's length only.)"""
         batched, scalar = build(model=model), build(model=model)
-        assert not hasattr(batched.domain("dom").model, "update_batch")
+        assert type(batched.domain("dom").model).update_batch \
+            is PredictorModel.update_batch
         handle_b, handle_s = batched.handle("dom"), scalar.handle("dom")
         for records in batches:
             assert batch_call(handle_b.update_batch, records) \

@@ -11,6 +11,7 @@ keeps draining.
 import pytest
 
 from repro.core.kernel.service import ShardedService
+from repro.core.models import PredictorModel
 from repro.core.serving import (
     ServingConfig,
     ServingPipeline,
@@ -21,7 +22,7 @@ from repro.sim.process import spawn
 FEATURES = (3, 5)
 
 
-class BrokenModel:
+class BrokenModel(PredictorModel):
     """Stands in for a model with a bug: every entry point raises."""
 
     def predict(self, features):

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.bench.loadgen import LoadGenerator, LoadSpec
 from repro.core.config import PSSConfig, ServiceConfig
-from repro.core.errors import PSSError
+from repro.core.errors import DomainError, PSSError
 from repro.core.kernel.admission import AdmissionController, TenantQuota
 from repro.core.kernel.service import ShardedService
 from repro.core.policy import (
@@ -327,3 +327,32 @@ class TestOneContract:
         for (_who, name, _op, row, _d), result in zip(stream, together):
             bad = name == "ghost" or len(row) != 2 or row == (1, "2")
             assert not (bad and not isinstance(result, type))
+
+    def test_a_removed_domain_refuses_called_and_submitted_alike(self):
+        """A handle outlives its domain.  Every operation under it -
+        the cached vDSO read included - says ``DomainError``, as a
+        submit under it does; a domain that only *moved* (evicted by one
+        shard, adopted by another) refuses nothing."""
+        service, handles = build_contract_service(2, TenantQuota())
+        handle, row = handles[OWNER, "private"], (1, 2)
+        client = service.connect("private", identity=OWNER)
+        service.reshard(3)
+        warm = client.predict(row)
+        assert handle.predict(row) == client.predict(row) == warm
+        service.remove_domain("private")
+        for call in (
+                lambda: handle.predict(row),
+                lambda: handle.predict_mapped(row),
+                lambda: handle.predict_batch([row]),
+                lambda: handle.record_cached_prediction(warm),
+                lambda: handle.update(row, True),
+                lambda: handle.update_batch([(row, True)]),
+                lambda: handle.reset(row, False),
+                lambda: handle.admit("predict", row),
+                lambda: handle.admit("update", row),
+                lambda: client.predict(row)):
+            assert outcome(call) is DomainError
+        assert contract_served(service, handles, [
+            (OWNER, "private", "predict", row, True),
+            (OWNER, "private", "update", row, True),
+        ]) == [DomainError, DomainError]
