@@ -10,10 +10,9 @@ from repro.sim.process import (
     Process,
     SimEvent,
     Wait,
-    run_all,
     spawn,
 )
-from repro.sim.resources import Gauge, SimMutex, SimSemaphore
+from repro.sim.resources import SimMutex, SimSemaphore
 from repro.sim.rng import RngStreams
 
 __all__ = [
@@ -22,9 +21,7 @@ __all__ = [
     "Process",
     "SimEvent",
     "Wait",
-    "run_all",
     "spawn",
-    "Gauge",
     "SimMutex",
     "SimSemaphore",
     "RngStreams",

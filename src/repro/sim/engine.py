@@ -13,7 +13,7 @@ the whole simulation deterministic for a fixed seed.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Callable
 
 Callback = Callable[[], None]
@@ -27,30 +27,30 @@ class Engine:
     """Event queue plus simulated clock (nanoseconds)."""
 
     def __init__(self) -> None:
-        self._now = 0.0
+        #: current simulated time in ns: a plain attribute, so a read is
+        #: no call.  Only :meth:`step` and :meth:`run` write it; everyone
+        #: else reads it and never assigns it.
+        self.now = 0.0
         self._seq = 0
         self._queue: list[tuple[float, int, Callback]] = []
         self._cancelled: set[int] = set()
 
     def clock(self) -> float:
-        """Current simulated time in nanoseconds, as a plain method:
-        the callable to hand a tracer or a span as its clock (one bound
-        method, no closure).  :attr:`now` is the same read."""
-        return self._now
-
-    now = property(clock)
+        """:attr:`now` as a plain method: the callable to hand a tracer
+        or a span as its clock (one bound method, no closure)."""
+        return self.now
 
     def schedule(self, delay: float, callback: Callback) -> int:
         """Run ``callback`` after ``delay`` ns; returns a cancellable id."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
         self._seq += 1
-        heapq.heappush(self._queue, (self._now + delay, self._seq, callback))
+        heappush(self._queue, (self.now + delay, self._seq, callback))
         return self._seq
 
     def schedule_at(self, time: float, callback: Callback) -> int:
         """Run ``callback`` at absolute simulated ``time``."""
-        return self.schedule(time - self._now, callback)
+        return self.schedule(time - self.now, callback)
 
     def cancel(self, event_id: int) -> None:
         """Prevent a scheduled callback from firing (lazy removal)."""
@@ -67,13 +67,13 @@ class Engine:
         queue = self._queue
         cancelled = self._cancelled
         while queue:
-            time, seq, callback = heapq.heappop(queue)
+            time, seq, callback = heappop(queue)
             if cancelled and seq in cancelled:
                 cancelled.discard(seq)
                 continue
-            if time < self._now:
+            if time < self.now:
                 raise SimulationError("event queue went backwards in time")
-            self._now = time
+            self.now = time
             callback()
             return True
         return False
@@ -84,19 +84,24 @@ class Engine:
 
         ``max_events`` is a runaway guard: a simulation that schedules this
         many events almost certainly has a livelocked process.
+
+        Every event fires through one ``step()`` call, looked up once per
+        run on the instance: a ``step`` shadowed there before the run
+        sees every event.
         """
+        queue = self._queue
+        step = self.step
         fired = 0
-        while self._queue:
-            next_time = self._queue[0][0]
-            if until is not None and next_time > until:
-                self._now = until
+        while queue:
+            if until is not None and queue[0][0] > until:
+                self.now = until
                 return
-            if not self.step():
+            if not step():
                 break
             fired += 1
             if fired > max_events:
                 raise SimulationError(
                     f"exceeded {max_events} events; likely livelock"
                 )
-        if until is not None and until > self._now:
-            self._now = until
+        if until is not None and until > self.now:
+            self.now = until

@@ -4,23 +4,29 @@ A process body is a Python generator that yields *commands*:
 
 * a number - sleep that many simulated nanoseconds;
 * a :class:`Wait` - block until the named :class:`SimEvent` fires;
-* an :class:`AcquireCmd` - block until a simulated mutex is granted
-  (constructed via :meth:`repro.sim.resources.SimMutex.acquire`).
+* an :class:`AcquireCmd` - block until a simulated resource is granted
+  (built by :meth:`repro.sim.resources.SimMutex.acquire` and friends).
 
-Processes may also spawn children and join them.  The scheduler resumes a
-process by calling ``send`` with the command's result, so bodies read like
-straight-line blocking code::
+The scheduler resumes a process by calling ``send`` with the command's
+result, so bodies read like straight-line blocking code::
 
     def body(proc):
         yield 100            # compute for 100 ns
         yield lock.acquire() # blocking acquire
         ...
         lock.release()
+
+The grant contract: ``AcquireCmd.grant(process)`` returns True when the
+resource is the process's at once, and the process then carries on in
+the same :meth:`Process.resume` call - no event, no second resume.  It
+returns False when the process is queued; the resource then owns the
+process until it hands ownership over, and calls ``process.resume()``
+itself (from ``release``).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Iterable
+from typing import Callable, Generator
 
 from repro.sim.engine import Engine, SimulationError
 
@@ -39,9 +45,9 @@ class Wait:
 class AcquireCmd:
     """Command: block until the resource grants ownership."""
 
-    def __init__(self, grant: Callable[["Process"], None]) -> None:
-        # ``grant`` registers the process with the resource; the resource
-        # resumes it (with resume()) once ownership is transferred.
+    def __init__(self, grant: Callable[["Process"], bool]) -> None:
+        # ``grant`` takes ownership for the process and returns True, or
+        # queues it and returns False (the module's grant contract).
         self.grant = grant
 
 
@@ -56,9 +62,6 @@ class SimEvent:
         """Command form for process bodies: ``yield event.wait()``."""
         return Wait(self)
 
-    def _add_waiter(self, process: "Process") -> None:
-        self._waiters.append(process)
-
     def fire(self, payload: object = None) -> int:
         """Wake all waiters now; returns how many were woken."""
         waiters = self._waiters
@@ -68,13 +71,6 @@ class SimEvent:
         for process in waiters:
             process.resume(payload)
         return len(waiters)
-
-    def fire_one(self, payload: object = None) -> bool:
-        """Wake the longest-waiting process, if any."""
-        if not self._waiters:
-            return False
-        self._waiters.pop(0).resume(payload)
-        return True
 
     @property
     def waiter_count(self) -> int:
@@ -88,67 +84,68 @@ class Process:
                  name: str = "proc") -> None:
         self.engine = engine
         self.name = name
-        self._body = body
+        self._send = body.send
         self.finished = False
-        self._done_event = SimEvent(engine)
         #: the one callback the start-up step and every sleep schedule
-        self._wake = self._advance
+        self._wake = self.resume
         # Start on the next engine step so construction order does not
         # leak into execution order beyond the engine's FIFO tie-break.
         engine.schedule(0, self._wake)
 
-    def join(self) -> Wait:
-        """Command for a parent process: wait until this one finishes."""
-        return Wait(self._done_event)
-
     def resume(self, payload: object = None) -> None:
-        """Called by resources/events to continue the process now."""
-        self._advance(payload)
-
-    def _advance(self, payload: object = None) -> None:
+        """Continue the body with ``payload`` and carry out what it
+        yields, until it sleeps, parks or finishes: the one body the
+        engine, :meth:`SimEvent.fire` and the resources call."""
         if self.finished:
             return
-        try:
-            command = self._body.send(payload)
-        except StopIteration:
-            self.finished = True
-            self._done_event.fire()
-            return
-        self._dispatch(command)
+        send = self._send
+        while True:
+            try:
+                command = send(payload)
+            except StopIteration:
+                self.finished = True
+                return
+            # Exact types first: nearly every command is a plain float,
+            # a Wait or an AcquireCmd, and ``isinstance`` costs more.
+            kind = type(command)
+            if kind is float:
+                if command < 0:
+                    raise self._negative_delay(command)
+                self.engine.schedule(command, self._wake)
+                return
+            if kind is Wait:
+                command.event._waiters.append(self)
+                return
+            if kind is AcquireCmd:
+                if not command.grant(self):
+                    return
+            elif not self._carry_out(command):
+                return
+            payload = None
 
-    def _dispatch(self, command: Command) -> None:
-        # Exact types first: nearly every command is a plain float or a
-        # Wait, and ``isinstance`` against a tuple costs more than both.
-        kind = type(command)
-        if kind is float or kind is int \
-                or isinstance(command, (int, float)):
+    def _carry_out(self, command: Command) -> bool:
+        """A command of no exact hot type (an int, a bool, a subclass):
+        True when it was a grant made at once."""
+        if isinstance(command, (int, float)):
             if command < 0:
-                raise SimulationError(
-                    f"process {self.name} yielded negative delay {command}"
-                )
+                raise self._negative_delay(command)
             self.engine.schedule(float(command), self._wake)
-        elif kind is Wait or isinstance(command, Wait):
-            command.event._add_waiter(self)
-        elif isinstance(command, AcquireCmd):
-            command.grant(self)
-        else:
-            raise SimulationError(
-                f"process {self.name} yielded unsupported "
-                f"command {command!r}"
-            )
+            return False
+        if isinstance(command, Wait):
+            command.event._waiters.append(self)
+            return False
+        if isinstance(command, AcquireCmd):
+            return command.grant(self)
+        raise SimulationError(
+            f"process {self.name} yielded unsupported command {command!r}"
+        )
+
+    def _negative_delay(self, command: Command) -> SimulationError:
+        return SimulationError(
+            f"process {self.name} yielded negative delay {command}"
+        )
 
 
 def spawn(engine: Engine, body: ProcessBody, name: str = "proc") -> Process:
     """Create and schedule a process from a generator."""
     return Process(engine, body, name)
-
-
-def run_all(engine: Engine, bodies: Iterable[ProcessBody],
-            until: float | None = None) -> list[Process]:
-    """Spawn every body, run the engine, and return the processes."""
-    processes = [
-        spawn(engine, body, name=f"proc-{i}")
-        for i, body in enumerate(bodies)
-    ]
-    engine.run(until=until)
-    return processes

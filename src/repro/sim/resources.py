@@ -1,15 +1,17 @@
-"""Simulated synchronization resources: mutex, semaphore, and gauges.
+"""Simulated synchronization resources: mutex and semaphore.
 
 These model the *timing* of contention (queueing, handoff) without any real
 threads.  :class:`SimMutex` is the lock the HTM scenario elides; it exposes
 ``is_locked`` so lock-elision code can express the paper's "spin while the
-lock is held, then start a transaction" protocol.
+lock is held, then start a transaction" protocol.  Both keep the grant
+contract of :mod:`repro.sim.process`: a grant made at once returns True
+and resumes nothing; a queued process is resumed by ``release``.
 """
 
 from __future__ import annotations
 
 from repro.sim.engine import Engine, SimulationError
-from repro.sim.process import AcquireCmd, Process, SimEvent
+from repro.sim.process import AcquireCmd, Process
 
 
 class SimMutex:
@@ -29,6 +31,7 @@ class SimMutex:
         self.contended_acquisitions = 0
         self.total_wait_ns = 0.0
         self.peak_queue_depth = 0
+        self._acquire = AcquireCmd(self._grant)
 
     @property
     def is_locked(self) -> bool:
@@ -40,19 +43,19 @@ class SimMutex:
 
     def acquire(self) -> AcquireCmd:
         """Command form: ``yield mutex.acquire()`` blocks until owned."""
-        return AcquireCmd(self._grant)
+        return self._acquire
 
-    def _grant(self, process: Process) -> None:
+    def _grant(self, process: Process) -> bool:
         if self._owner is None:
             self._owner = process
             self.acquisitions += 1
-            process.resume()
-            return
+            return True
         self.contended_acquisitions += 1
         self._wait_queue.append((process, self._engine.now))
         self.peak_queue_depth = max(
             self.peak_queue_depth, len(self._wait_queue)
         )
+        return False
 
     def release(self) -> None:
         """Hand the lock to the next waiter (synchronous call, no yield)."""
@@ -82,13 +85,15 @@ class SimSemaphore:
         self.name = name
         self._permits = permits
         self._wait_queue: list[Process] = []
+        self._acquire = AcquireCmd(self._grant)
+        self._acquire_front = AcquireCmd(self._grant_front)
 
     @property
     def available(self) -> int:
         return self._permits
 
     def acquire(self) -> AcquireCmd:
-        return AcquireCmd(self._grant)
+        return self._acquire
 
     def acquire_front(self) -> AcquireCmd:
         """Acquire with priority: jump ahead of ordinary waiters.
@@ -97,82 +102,24 @@ class SimSemaphore:
         on (e.g. a mutex owner re-acquiring a CPU core), which would
         otherwise deadlock behind spinners.
         """
-        return AcquireCmd(self._grant_front)
+        return self._acquire_front
 
-    def _grant(self, process: Process) -> None:
+    def _grant(self, process: Process) -> bool:
         if self._permits > 0:
             self._permits -= 1
-            process.resume()
-        else:
-            self._wait_queue.append(process)
+            return True
+        self._wait_queue.append(process)
+        return False
 
-    def _grant_front(self, process: Process) -> None:
+    def _grant_front(self, process: Process) -> bool:
         if self._permits > 0:
             self._permits -= 1
-            process.resume()
-        else:
-            self._wait_queue.insert(0, process)
+            return True
+        self._wait_queue.insert(0, process)
+        return False
 
     def release(self) -> None:
         if self._wait_queue:
             self._wait_queue.pop(0).resume()
         else:
             self._permits += 1
-
-
-class Gauge:
-    """A numeric level with events fired when thresholds are crossed.
-
-    Used by the memory-management scenario for "sleep until enough pages
-    are cleaned" style waits: a waiter registers a predicate, and the gauge
-    wakes it when an update satisfies it.
-    """
-
-    def __init__(self, engine: Engine, value: float = 0.0,
-                 name: str = "gauge") -> None:
-        self._engine = engine
-        self.name = name
-        self._value = value
-        self._watchers: list[tuple[float, bool, SimEvent]] = []
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def set(self, value: float) -> None:
-        self._value = value
-        self._notify()
-
-    def add(self, delta: float) -> None:
-        self.set(self._value + delta)
-
-    def wait_below(self, threshold: float) -> SimEvent:
-        """Event that fires once the gauge drops below ``threshold``."""
-        event = SimEvent(self._engine)
-        if self._value < threshold:
-            # Already satisfied: fire on the next engine step so the caller
-            # can still ``yield event.wait()`` uniformly.
-            self._engine.schedule(0, event.fire)
-        else:
-            self._watchers.append((threshold, True, event))
-        return event
-
-    def wait_above(self, threshold: float) -> SimEvent:
-        """Event that fires once the gauge rises above ``threshold``."""
-        event = SimEvent(self._engine)
-        if self._value > threshold:
-            self._engine.schedule(0, event.fire)
-        else:
-            self._watchers.append((threshold, False, event))
-        return event
-
-    def _notify(self) -> None:
-        remaining = []
-        for threshold, below, event in self._watchers:
-            satisfied = (self._value < threshold if below
-                         else self._value > threshold)
-            if satisfied:
-                event.fire()
-            else:
-                remaining.append((threshold, below, event))
-        self._watchers = remaining

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.engine import Engine, SimulationError
-from repro.sim.process import SimEvent, run_all, spawn
+from repro.sim.process import SimEvent, spawn
 
 
 class TestProcessBasics:
@@ -53,18 +53,6 @@ class TestProcessBasics:
         with pytest.raises(SimulationError):
             eng.run()
 
-    def test_run_all_spawns_and_drains(self):
-        eng = Engine()
-        done = []
-
-        def body(i):
-            yield i * 10
-            done.append(i)
-
-        processes = run_all(eng, (body(i) for i in range(3)))
-        assert done == [0, 1, 2]
-        assert all(p.finished for p in processes)
-
 
 class TestSimEvent:
     def test_wait_blocks_until_fire(self):
@@ -105,28 +93,6 @@ class TestSimEvent:
         eng.run()
         assert sorted(woke) == [0, 1, 2]
 
-    def test_fire_one_wakes_fifo(self):
-        eng = Engine()
-        evt = SimEvent(eng)
-        woke = []
-
-        def waiter(i):
-            yield evt.wait()
-            woke.append(i)
-
-        for i in range(2):
-            spawn(eng, waiter(i))
-
-        def firer():
-            yield 5
-            evt.fire_one()
-            yield 5
-            evt.fire_one()
-
-        spawn(eng, firer())
-        eng.run()
-        assert woke == [0, 1]
-
     def test_payload_passed_to_waiter(self):
         eng = Engine()
         evt = SimEvent(eng)
@@ -140,22 +106,3 @@ class TestSimEvent:
         eng.schedule(1, lambda: evt.fire("hello"))
         eng.run()
         assert got == ["hello"]
-
-
-class TestJoin:
-    def test_parent_waits_for_child(self):
-        eng = Engine()
-        trace = []
-
-        def child():
-            yield 50
-            trace.append(("child-done", eng.now))
-
-        def parent():
-            c = spawn(eng, child())
-            yield c.join()
-            trace.append(("parent-done", eng.now))
-
-        spawn(eng, parent())
-        eng.run()
-        assert trace == [("child-done", 50.0), ("parent-done", 50.0)]

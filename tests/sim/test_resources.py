@@ -1,11 +1,11 @@
-"""Tests for simulated mutex, semaphore, and gauges."""
+"""Tests for simulated mutex, semaphore, and RNG streams."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import Engine, SimulationError
-from repro.sim.resources import Gauge, SimMutex, SimSemaphore
+from repro.sim.resources import SimMutex, SimSemaphore
 from repro.sim.process import spawn
 from repro.sim.rng import RngStreams
 
@@ -117,59 +117,6 @@ class TestSimSemaphore:
     def test_negative_permits_rejected(self):
         with pytest.raises(SimulationError):
             SimSemaphore(Engine(), permits=-1)
-
-
-class TestGauge:
-    def test_wait_below_fires_on_drop(self):
-        eng = Engine()
-        g = Gauge(eng, value=10)
-        trace = []
-
-        def waiter():
-            yield g.wait_below(5).wait()
-            trace.append(eng.now)
-
-        def mover():
-            yield 40
-            g.set(3)
-
-        spawn(eng, waiter())
-        spawn(eng, mover())
-        eng.run()
-        assert trace == [40.0]
-
-    def test_wait_below_already_satisfied(self):
-        eng = Engine()
-        g = Gauge(eng, value=1)
-        trace = []
-
-        def waiter():
-            yield g.wait_below(5).wait()
-            trace.append(eng.now)
-
-        spawn(eng, waiter())
-        eng.run()
-        assert trace == [0.0]
-
-    def test_wait_above(self):
-        eng = Engine()
-        g = Gauge(eng, value=0)
-        trace = []
-
-        def waiter():
-            yield g.wait_above(7).wait()
-            trace.append(g.value)
-
-        def mover():
-            yield 10
-            g.add(5)
-            yield 10
-            g.add(5)
-
-        spawn(eng, waiter())
-        spawn(eng, mover())
-        eng.run()
-        assert trace == [10.0]
 
 
 class TestRngStreams:
