@@ -21,7 +21,7 @@ from repro.core.errors import (
     QuotaExceededError,
     ShardDownError,
 )
-from repro.core.models import PredictorModel, create_model
+from repro.core.models import PredictorModel, VersionWord, create_model
 from repro.core.plans import DEFAULT_COMPILER, PlanCompiler
 from repro.core.policy import ClientIdentity, DomainPolicy, open_policy
 from repro.core.stats import DomainReport, PredictionStats
@@ -51,9 +51,6 @@ class Domain:
     model_name: str
     policy: DomainPolicy = field(default_factory=open_policy)
     stats: PredictionStats = field(default_factory=PredictionStats)
-    #: what :meth:`install` adds so that :attr:`generation` never runs
-    #: backwards over a state swap
-    generation_offset: int = 0
     #: identity charged for this domain by admission control, if any
     created_by: ClientIdentity | None = None
     #: where the domain lives: the :class:`~repro.core.kernel.shard
@@ -66,6 +63,14 @@ class Domain:
     #: through (:meth:`bind`): the hosting kernel's, shared by shape
     compiler: PlanCompiler = field(default=DEFAULT_COMPILER, init=False,
                                    repr=False)
+    #: the published weight generation: the word of the model the
+    #: domain was created with, which every model :meth:`install` puts
+    #: in its place adopts - so the object a handle or transport bound
+    #: once is the one every later mutation bumps
+    version: VersionWord = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.version = self.model.version
 
     @property
     def shard_id(self) -> int:
@@ -82,18 +87,18 @@ class Domain:
 
     @property
     def generation(self) -> int:
-        """Monotonic counter that changes whenever the weights may have.
+        """:attr:`version`'s value: changes whenever the weights may have.
 
         Read-only fast paths (the vDSO transport's score cache) treat a
-        cached score as current exactly while this value is unchanged -
+        cached score as current exactly while the word is unchanged -
         the paper's vDSO semantics, where the mapping exposes the
         kernel's latest published weight version.  One rule: the model
-        counts its own mutations (the hashed perceptron only those that
-        moved a weight, so feedback the margin rule discarded does not
-        invalidate anything) and :meth:`install` keeps the sum rising
-        across a swap of the whole state.
+        bumps the word per mutation (the hashed perceptron only for
+        those that moved a weight, so feedback the margin rule discarded
+        does not invalidate anything) and :meth:`install` sets it above
+        every value it has had across a swap of the whole state.
         """
-        return self.generation_offset + self.model.generation
+        return self.version.value
 
     def bind(self, compiler: PlanCompiler) -> None:
         """Adopt the hosting kernel's plan compiler and bind the model
@@ -108,19 +113,22 @@ class Domain:
         loaded into the live model (a promotion, a restore).
 
         The domain object stays - and with it every open handle, the
-        policy, ``created_by``, the shard and its accounts; the
-        generation ends one above every value it has had, so score
-        caches keyed on it self-invalidate; a cold model binds its plan
-        through the domain's compiler and a loaded one keeps the
-        binding it has (the shape survived even if the state did not).
+        policy, ``created_by``, the shard, its accounts and its
+        :attr:`version` word, which a cold model adopts; the word ends
+        one above every value it has had, so score caches keyed on it
+        self-invalidate; a cold model binds its plan through the
+        domain's compiler and a loaded one keeps the binding it has
+        (the shape survived even if the state did not).
         """
-        survivor = self.generation
+        word = self.version
+        survivor = word.value
         if state is None:
             self.model = create_model(self.model_name, self.config)
+            self.model.adopt(word)
             self.model.bind_plan(self.compiler)
         else:
             self.model.load_state(state)
-        self.generation_offset = survivor + 1 - self.model.generation
+        word.value = survivor + 1
 
     def predict(self, features: Sequence[int]) -> int:
         score = self.model.predict(features)
@@ -233,6 +241,12 @@ class DomainHandle:
         self._domain = domain
         self._identity = identity
         self._admission = admission
+        #: the domain's published version word, read-only and with no
+        #: policy: the vDSO page's version word, which transports load
+        #: to decide whether their cached scores are still current.
+        #: Bound once - the domain outlives every crash, promotion and
+        #: restore (:meth:`Domain.install`), and its word with it
+        self.version = domain.version
         #: bound by the first charge, so that a handle which never
         #: operates never makes its identity a known tenant
         self._meter: "TenantMeter | None" = None
@@ -253,12 +267,8 @@ class DomainHandle:
 
     @property
     def generation(self) -> int:
-        """The domain's weight-generation counter (read-only, no policy).
-
-        Mirrors reading a version word out of the vDSO page: transports
-        poll it to decide whether their cached scores are still current.
-        """
-        return self._domain.generation
+        """The domain's weight generation: :attr:`version`'s value."""
+        return self.version.value
 
     def _tracer(self) -> TracerLike:
         shard = self._domain.shard

@@ -15,6 +15,7 @@ Models map directly onto the three service calls:
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.core.config import PSSConfig
@@ -24,28 +25,57 @@ if TYPE_CHECKING:
     from repro.core.plans import PlanCompiler
 
 
+class VersionWord:
+    """A domain's weight generation, published as one word.
+
+    The paper's vDSO reader checks a version word the kernel publishes
+    in the mapped page; it never asks the kernel.  This is that word:
+    every mutation of the model holding it bumps ``value`` in place,
+    and a reader that bound the object once (a handle, a transport's
+    score cache) loads ``value`` - one attribute, no call - to learn
+    whether what it cached is still current.  It never decreases.
+    """
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int = 0) -> None:
+        self.value = value
+
+    def __repr__(self) -> str:
+        return f"VersionWord({self.value})"
+
+
 class PredictorModel:
     """What the kernel knows about every model it hosts, white-box: a
     model inherits this and writes ``predict``, ``to_state`` and the
     three mutations ``_update`` / ``_reset`` / ``_load_state``.
 
     The public ``update`` / ``reset`` / ``load_state`` apply one and
-    count it in :attr:`generation`, the counter a domain publishes so
-    readers know when a cached score went stale; a mutation that raises
-    was not applied and is not counted.  The batch calls are the scalar
-    loop and :meth:`bind_plan` does nothing: a model that can do better
-    (the hashed perceptron) overrides them, and one that tracks what
-    *actually* changed overrides the public mutations and
-    :attr:`generation` together.
+    bump :attr:`version`, the word a domain publishes so readers know
+    when a cached score went stale; a mutation that raises was not
+    applied and bumps nothing.  The batch calls are the scalar loop and
+    :meth:`bind_plan` does nothing: a model that can do better (the
+    hashed perceptron) overrides them, and one that tracks what
+    *actually* changed overrides the public mutations and bumps the
+    word itself.
     """
 
     config: PSSConfig
-    _applied = 0
+
+    @cached_property
+    def version(self) -> VersionWord:
+        """The word this model's mutations bump: its own, until a
+        domain hands it the one its readers hold (:meth:`adopt`)."""
+        return VersionWord()
 
     @property
     def generation(self) -> int:
-        """Mutations applied so far; never decreases."""
-        return self._applied
+        """:attr:`version`'s value: mutations applied so far."""
+        return self.version.value
+
+    def adopt(self, word: VersionWord) -> None:
+        """Bump ``word`` from now on instead of the model's own."""
+        self.version = word
 
     def predict(self, features: Sequence[int]) -> int:
         """Signed score for ``features``; magnitude conveys confidence."""
@@ -60,7 +90,7 @@ class PredictorModel:
     def update(self, features: Sequence[int], direction: bool) -> None:
         """Apply feedback: ``True`` = reward, ``False`` = penalize."""
         self._update(features, direction)
-        self._applied += 1
+        self.version.value += 1
 
     def update_batch(
         self, records: Sequence[tuple[Sequence[int], bool]]
@@ -85,7 +115,7 @@ class PredictorModel:
     def reset(self, features: Sequence[int], reset_all: bool) -> None:
         """Clear either the entry for ``features`` or all state."""
         self._reset(features, reset_all)
-        self._applied += 1
+        self.version.value += 1
 
     def to_state(self) -> dict[str, Any]:
         """Serializable snapshot for persistence."""
@@ -94,7 +124,7 @@ class PredictorModel:
     def load_state(self, state: dict[str, Any]) -> None:
         """Restore a snapshot produced by :meth:`to_state`."""
         self._load_state(state)
-        self._applied += 1
+        self.version.value += 1
 
     def _update(self, features: Sequence[int], direction: bool) -> None:
         raise NotImplementedError

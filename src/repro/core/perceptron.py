@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.config import PSSConfig
-from repro.core.models import PredictorModel
+from repro.core.models import PredictorModel, VersionWord
 from repro.core.weights import WeightMatrix
 
 if TYPE_CHECKING:
@@ -29,25 +29,28 @@ if TYPE_CHECKING:
 class HashedPerceptron(PredictorModel):
     """Default PSS predictor: hashed perceptron with saturating weights.
 
-    Overrides the public mutations together with :attr:`generation`:
-    the counter is the weight matrix's own, which moves only when a
-    weight did, so feedback the margin rule discards invalidates no
-    cached score.
+    Overrides the public mutations, and publishes the weight matrix's
+    :attr:`~WeightMatrix.version` word as its own: the matrix bumps it
+    only when a weight moved, so feedback the margin rule discards
+    invalidates no cached score.
     """
 
     def __init__(self, config: PSSConfig) -> None:
         self.config = config
         self._weights = WeightMatrix(config)
+        self.version = self._weights.version
+        #: the training margin, read once: the config is frozen
+        self._margin = config.effective_margin
 
     @property
     def weights(self) -> WeightMatrix:
         """Underlying weight matrix (exposed for tests and ablations)."""
         return self._weights
 
-    @property
-    def generation(self) -> int:
-        """Weight-mutation counter (see :attr:`WeightMatrix.generation`)."""
-        return self._weights.generation
+    def adopt(self, word: VersionWord) -> None:
+        """The matrix bumps ``word`` from now on, and the model
+        publishes it."""
+        self.version = self._weights.version = word
 
     def score(self, features: Sequence[int]) -> int:
         """Raw weighted sum; sign is the decision, magnitude confidence."""
@@ -91,7 +94,7 @@ class HashedPerceptron(PredictorModel):
         """
         score, selected = self._weights.dot_and_indices(features)
         agreed = (score >= self.config.threshold) == direction
-        if agreed and abs(score) > self.config.effective_margin:
+        if agreed and abs(score) > self._margin:
             return
         self._weights.adjust_at(selected, 1 if direction else -1)
 
@@ -102,7 +105,7 @@ class HashedPerceptron(PredictorModel):
         order, as one pass (:meth:`WeightMatrix.train_batch`): weights
         and cache end where the scalar calls leave them."""
         self._weights.train_batch(records, self.config.threshold,
-                                  self.config.effective_margin)
+                                  self._margin)
 
     def reset(self, features: Sequence[int], reset_all: bool) -> None:
         """Selective or total reset (the paper's ``reset`` call)."""

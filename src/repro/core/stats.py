@@ -57,9 +57,13 @@ class PredictionStats:
         """A prediction served from a generation-keyed score cache.
 
         Counted as a normal prediction too, so accuracy proxies and
-        activity totals stay identical whether or not the fast path hit.
+        activity totals stay identical whether or not the fast path hit
+        (:meth:`record_prediction`, written out: this is a score-cache
+        hit's last frame).
         """
-        self.record_prediction(score, threshold)
+        self.predictions += 1
+        if score >= threshold:
+            self.positive_predictions += 1
         self.cached_predictions += 1
 
     def record_failover_prediction(self, score: int,

@@ -53,7 +53,16 @@ _BUFFERED_DOWN = {"direction": False, "buffered": True}
 
 
 class ServiceTarget(Protocol):
-    """What a transport needs from the service side."""
+    """What a transport needs from the service side.
+
+    A target may also publish a ``version`` attribute: a
+    :class:`~repro.core.models.VersionWord` whose ``value`` rises
+    whenever its scores may have changed (a
+    :class:`~repro.core.kernel.domain.DomainHandle` publishes its
+    domain's).  A transport binds it once and loads ``value`` to stamp
+    its records, and a vDSO transport keys its score cache on it; a
+    target without one gets no score cache.
+    """
 
     def predict(self, features: Sequence[int]) -> int: ...
 
@@ -83,6 +92,10 @@ class Transport:
         #: single ``enabled`` attribute check when tracing is off
         self._tracer = NULL_TRACER
         self._obs_domain = getattr(target, "domain_name", "")
+        #: the target's published version word (None: it has none),
+        #: bound once and loaded - no call - wherever a generation is
+        #: needed
+        self._version = getattr(target, "version", None)
         # What every traced crossing would otherwise rebuild: the span
         # names and the account's simulated clock, bound once.  (The
         # shard label is not: a reshard moves the domain, so records
@@ -180,14 +193,12 @@ class Transport:
                detail: dict | None = None,
                generation: int | None = None) -> None:
         """Record one event on this transport's track (pre-checked for
-        ``enabled`` by callers on the hot path; safe either way).
-
-        Reading the target's ``generation`` walks handle -> domain ->
-        model -> weights, so an operation that emits several events (or
-        already read it to key the score cache) hands it in.
+        ``enabled`` by callers on the hot path; safe either way),
+        stamped with ``generation`` or else the version word's value.
         """
         if generation is None:
-            generation = getattr(self._target, "generation", 0)
+            version = self._version
+            generation = version.value if version is not None else 0
         account = self.account
         self._tracer.record(
             kind, self._obs_domain, self.name, account.total_ns,
@@ -357,16 +368,16 @@ class VdsoTransport(Transport):
     direct memory read at vDSO cost, while ``update`` records are pooled
     and flushed once the batch fills (or on an explicit :meth:`flush`).
 
-    When the target publishes a weight-``generation`` counter (a
+    When the target publishes a ``version`` word (a
     :class:`repro.core.service.DomainHandle` does), predictions are
-    additionally memoized in a generation-keyed score cache: a feature
+    additionally memoized in a score cache keyed on its value: a feature
     vector predicted again while the weights have not changed is answered
     from the cache without re-evaluating the model - exactly the paper's
     read-only mapping, where repeated reads of unchanged kernel state
     cost only the read.  Cached answers are bit-identical (the weights
     did not move), still charge the vDSO read cost, and still count in
-    the domain's prediction stats.  Any weight mutation bumps the
-    generation and invalidates the whole cache.
+    the domain's prediction stats.  Any weight mutation bumps the word
+    and invalidates the whole cache.
 
     While a fault injector that can inject stale reads is attached, the
     score cache is bypassed: the injector's stale-read dice must roll on
@@ -407,11 +418,8 @@ class VdsoTransport(Transport):
         #: generation; written only with a score the service returned
         self._score_cache: OrderedDict[tuple[int, ...], int] = OrderedDict()
         self._score_cache_generation = -1
-        # Capability probe, once: caching needs a generation counter to
-        # key validity on; stats parity additionally needs the recorder.
-        self._generation_source = (
-            target if hasattr(target, "generation") else None
-        )
+        # Capability probe, once: caching needs the version word bound
+        # in Transport.__init__; stats parity also needs the recorder.
         self._cached_recorder = getattr(
             target, "record_cached_prediction", None
         )
@@ -442,26 +450,30 @@ class VdsoTransport(Transport):
         two: ``vdso.predict``, opened from the read's start around that
         call, and the read's event as its leaf (:meth:`_traced_read`).
         Which it is depends on the probe, never on ``tracer.enabled``.
+
+        What the caller already holds is not re-derived: the closed
+        test and the key's tuple test are written out, and the version
+        word is loaded once - it keys the score cache and is stamped on
+        the event this read emits.
         """
-        self._ensure_open()
+        if self._closed:
+            self._ensure_open()
         account = self.account
         traced = self._tracer.enabled
         if traced:
             start_ns = account.vdso_ns + account.syscall_ns
         vdso_ns = self._latency.vdso_predict_ns
         account.charge_vdso_predict(vdso_ns)
-        # Read once per operation: it keys the score cache below and
-        # is stamped on the event this read emits.
-        source = self._generation_source
-        generation = source.generation if source is not None else 0
-        key = canonical_features(features)
+        version = self._version
+        generation = version.value if version is not None else 0
+        key = features if type(features) is tuple else tuple(features)
         injector = self._injector
         if injector is not None and injector.plan.stale_read_rate > 0.0:
             if traced:
                 return self._traced_read(self._predict_injected, key,
                                          start_ns, vdso_ns, None, generation)
             return self._predict_injected(key)
-        if source is None:
+        if version is None:
             if traced:
                 return self._traced_read(self._read, key,
                                          start_ns, vdso_ns, None, generation)
@@ -562,18 +574,18 @@ class VdsoTransport(Transport):
                     self._trace("predict", dur_ns=vdso_ns)
                 out.append(self._predict_injected(key))
             return out
-        source = self._generation_source
-        if source is None:
+        version = self._version
+        if version is None:
             for key in rows:
                 account.charge_vdso_predict(vdso_ns)
                 if traced:
                     self._trace("predict", dur_ns=vdso_ns)
             return self._target_predict_rows(rows)
         cache = self._score_cache
-        # Predictions never move weights, so one generation read covers
+        # Predictions never move weights, so one load of the word covers
         # the whole batch: the cache check and the event of every row
-        # (the scalar path re-reads an unchanged value per call).
-        generation = source.generation
+        # (the scalar path re-loads an unchanged value per call).
+        generation = version.value
         if generation != self._score_cache_generation:
             if cache:
                 cache.clear()
@@ -662,11 +674,11 @@ class VdsoTransport(Transport):
             # _trace, written out: this event is all that watching a
             # buffered update costs.
             account = self.account
-            source = self._generation_source
+            version = self._version
             self._tracer.record(
                 "update", self._obs_domain, self.name,
                 account.vdso_ns + account.syscall_ns, 0.0,
-                source.generation if source is not None else 0,
+                version.value if version is not None else 0,
                 _BUFFERED_UP if direction else _BUFFERED_DOWN,
                 account.shard_label)
         if len(records) >= buffer.capacity:

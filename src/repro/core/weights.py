@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.core.config import PSSConfig
 from repro.core.errors import FeatureError
+from repro.core.models import VersionWord
 
 if TYPE_CHECKING:
     from repro.core.plans import SpecializedPlan
@@ -61,6 +62,9 @@ class WeightMatrix:
     def __init__(self, config: PSSConfig) -> None:
         self._config = config
         self._entries = config.entries_per_feature
+        #: the saturation bounds, read once: the config is frozen
+        self._weight_min = config.weight_min
+        self._weight_max = config.weight_max
         self._flat = array(
             _weight_typecode(config.weight_bits),
             [0] * (config.num_features * self._entries),
@@ -79,7 +83,9 @@ class WeightMatrix:
         ] = OrderedDict()
         self.index_cache_hits = 0
         self.index_cache_misses = 0
-        self._generation = 0
+        #: the published version word every weight mutation bumps (the
+        #: model holding the matrix publishes the same object)
+        self.version = VersionWord()
         #: bound SpecializedPlan (lazily compiled/shared; dropped on
         #: wholesale state swaps, like the generation-keyed score cache)
         self._plan: "SpecializedPlan | None" = None
@@ -94,13 +100,13 @@ class WeightMatrix:
 
     @property
     def generation(self) -> int:
-        """Monotonic counter bumped by every weight mutation.
+        """:attr:`version`'s value, bumped by every weight mutation.
 
         Read-only caches (the vDSO transport's score cache) key their
-        validity on this: a cached score is current iff the generation
-        it was observed at is still the matrix's generation.
+        validity on the word: a cached score is current iff the value
+        it was observed at is still the word's.
         """
-        return self._generation
+        return self.version.value
 
     def _check_features(self, feats: Sequence[int]) -> None:
         if len(feats) != self._config.num_features:
@@ -371,7 +377,7 @@ class WeightMatrix:
 
     def adjust_at(self, flat_indices: Sequence[int], delta: int) -> None:
         """Apply ``delta`` at already-selected indices (saturation inlined)."""
-        lo, hi = self._config.weight_min, self._config.weight_max
+        lo, hi = self._weight_min, self._weight_max
         flat = self._flat
         for i in flat_indices:
             value = flat[i] + delta
@@ -386,7 +392,7 @@ class WeightMatrix:
         elif value < lo:
             value = lo
         self._bias = value
-        self._generation += 1
+        self.version.value += 1
 
     def reset_entry(self, features: Iterable[int]) -> None:
         """Zero only the cells selected by ``features`` (selective reset).
@@ -397,14 +403,14 @@ class WeightMatrix:
         flat = self._flat
         for i in self._flat_indices(features):
             flat[i] = 0
-        self._generation += 1
+        self.version.value += 1
 
     def reset_all(self) -> None:
         """Zero every weight and the bias (``reset(..., all=True)``)."""
         for i in range(len(self._flat)):
             self._flat[i] = 0
         self._bias = 0
-        self._generation += 1
+        self.version.value += 1
 
     def nonzero_count(self) -> int:
         """Number of non-zero weights (bias included); used by tests."""
@@ -436,15 +442,15 @@ class WeightMatrix:
             len(row) != self._entries for row in rows
         ):
             raise FeatureError("snapshot shape does not match configuration")
-        lo, hi = self._config.weight_min, self._config.weight_max
+        lo, hi = self._weight_min, self._weight_max
         restored = array(self._flat.typecode)
         for row in rows:
             restored.extend(saturate(int(w), lo, hi) for w in row)
         self._flat = restored
         self._bias = saturate(int(state["bias"]), lo, hi)
-        self._generation += 1
+        self.version.value += 1
         # A wholesale state swap invalidates the plan binding exactly as
-        # the generation bump clears transport score caches; re-binding
+        # the version bump clears transport score caches; re-binding
         # is a compiler cache hit (the shape did not change), never a
         # recompile.
         self._plan = None

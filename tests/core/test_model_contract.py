@@ -2,7 +2,7 @@
 
 One property over ``registered_models()``: the kernel asks a model
 nothing about what it can do, so each of them must be a
-:class:`PredictorModel` whose ``generation`` counts exactly the
+:class:`PredictorModel` whose ``version`` word counts exactly the
 mutations it applied, whose batch calls are the scalar calls, and whose
 snapshot reloads to the same scores.
 """
@@ -15,6 +15,7 @@ from repro.core.config import PSSConfig
 from repro.core.errors import FeatureError
 from repro.core.models import (
     PredictorModel,
+    VersionWord,
     create_model,
     registered_models,
 )
@@ -43,7 +44,9 @@ def apply(model, op, row, flag):
 def test_every_registered_model_keeps_the_contract(name, ops, probes):
     model, twin = create_model(name, CONFIG), create_model(name, CONFIG)
     assert isinstance(model, PredictorModel)
-    counts_itself = type(model).generation is PredictorModel.generation
+    # a model that keeps the inherited public mutations bumps its word
+    # once per mutation; one that overrides them bumps it itself
+    counts_itself = type(model).update is PredictorModel.update
     applied = 0
     for op, row, flag in ops:
         before = model.generation, model.predict_batch(probes)
@@ -79,8 +82,14 @@ def test_every_registered_model_keeps_the_contract(name, ops, probes):
         assert error.refused == refused
     else:
         assert not refused
+    # an adopted word is the one the twin's mutations bump from then on
+    word = VersionWord(100)
+    twin.adopt(word)
     for row, flag in records:
         if len(row) == 2:
             twin.update(row, flag)
+    assert twin.version is word and twin.generation == word.value
+    if counts_itself:
+        assert word.value == 100 + len(records) - len(refused)
     assert model.to_state() == twin.to_state()
     assert model.predict_batch(probes) == twin.predict_batch(probes)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.config import LatencyModel
 from repro.core.errors import TransportClosedError, TransportError
+from repro.core.models import VersionWord
 from repro.core.transport import (
     BatchUpdateBuffer,
     SyscallTransport,
@@ -144,11 +145,11 @@ class TestBatchUpdateBuffer:
 
 
 class VersionedTarget(RecordingTarget):
-    """Recording target that also publishes a weight generation."""
+    """Recording target that also publishes a version word."""
 
     def __init__(self):
         super().__init__()
-        self.generation = 0
+        self.version = VersionWord()
         self.cached_recorded = []
         self.score = 7
 
@@ -161,7 +162,7 @@ class VersionedTarget(RecordingTarget):
 
     def mutate(self, score):
         self.score = score
-        self.generation += 1
+        self.version.value += 1
 
 
 class TestScoreCache:
