@@ -12,7 +12,8 @@ behaviour.  The assertions pin three properties:
 * **smooth degradation** - runtime grows by bounded factors as the fault
   rate rises, with no exception reaching scenario code even at 50 %;
 * **determinism** - the same plan injects the same fault sequence, so a
-  degraded run is exactly reproducible.
+  degraded run is exactly reproducible (asserted in tier-1 by
+  ``tests/core/test_faults.py::TestInjectorDeterminism``).
 """
 
 from repro.core import FaultPlan, PredictionService
@@ -35,22 +36,17 @@ def hle_runtime(fault_plan=None, transport="syscall"):
     return result.runtime_ns
 
 
-def test_ablation_hle_fault_sweep(benchmark):
+def test_ablation_hle_fault_sweep():
     """HLE under rising fault rates: bounded cost, still beats no-PSS."""
-    def sweep():
-        plain = hle_runtime()
-        by_rate = {
-            rate: hle_runtime(FaultPlan.uniform(rate, seed=1))
-            for rate in FAULT_RATES
-        }
-        fixed = run_workload(
-            get_profile("labyrinth"), threads=16,
-            policy_builder=vanilla_builder(), seed=0,
-        ).runtime_ns
-        return plain, by_rate, fixed
-
-    plain, by_rate, fixed = benchmark.pedantic(sweep, rounds=1,
-                                               iterations=1)
+    plain = hle_runtime()
+    by_rate = {
+        rate: hle_runtime(FaultPlan.uniform(rate, seed=1))
+        for rate in FAULT_RATES
+    }
+    fixed = run_workload(
+        get_profile("labyrinth"), threads=16,
+        policy_builder=vanilla_builder(), seed=0,
+    ).runtime_ns
     # Transparency: a fault plan whose rates are all zero changes nothing.
     assert by_rate[0.0] == plain
     # Smooth degradation: even at 50 % the cost stays in the noise -
@@ -63,21 +59,16 @@ def test_ablation_hle_fault_sweep(benchmark):
     assert max(by_rate.values()) < fixed
 
 
-def test_ablation_jit_fault_sweep(benchmark):
+def test_ablation_jit_fault_sweep():
     """PolyBench tuning under faults: the tuner holds its ladder."""
     builder = next(iter(KERNELS.values()))
-
-    def sweep():
-        plain = run_polybench_kernel(builder, 20).pss_ns
-        by_rate = {
-            rate: run_polybench_kernel(
-                builder, 20, fault_plan=FaultPlan.uniform(rate, seed=1)
-            ).pss_ns
-            for rate in FAULT_RATES
-        }
-        return plain, by_rate
-
-    plain, by_rate = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    plain = run_polybench_kernel(builder, 20).pss_ns
+    by_rate = {
+        rate: run_polybench_kernel(
+            builder, 20, fault_plan=FaultPlan.uniform(rate, seed=1)
+        ).pss_ns
+        for rate in FAULT_RATES
+    }
     assert by_rate[0.0] == plain
     for rate in FAULT_RATES:
         # The no-move fallback keeps known-good parameters, so a faulty
@@ -85,7 +76,7 @@ def test_ablation_jit_fault_sweep(benchmark):
         assert by_rate[rate] <= plain * 1.25
 
 
-def test_ablation_mm_fault_sweep(benchmark):
+def test_ablation_mm_fault_sweep():
     """Reclaim throttling under faults: falls back to Gorman's rule."""
     def mm_latency(fault_plan=None):
         service = PredictionService()
@@ -93,50 +84,14 @@ def test_ablation_mm_fault_sweep(benchmark):
         throttle = make_pss_throttle(service, **kwargs)
         return run_stutterp(12, throttle, seed=0).average_latency_ns
 
-    def sweep():
-        plain = mm_latency()
-        by_rate = {
-            rate: mm_latency(FaultPlan.uniform(rate, seed=1))
-            for rate in FAULT_RATES
-        }
-        return plain, by_rate
-
-    plain, by_rate = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    plain = mm_latency()
+    by_rate = {
+        rate: mm_latency(FaultPlan.uniform(rate, seed=1))
+        for rate in FAULT_RATES
+    }
     assert by_rate[0.0] == plain
     for rate in FAULT_RATES:
         # Degraded decisions apply the kernel's fixed 12.5 % efficiency
         # rule; latency may wander but must stay the same order.
         assert by_rate[rate] <= plain * 1.60
 
-
-def test_ablation_faults_deterministic(benchmark):
-    """The same plan replays the same fault sequence, bit for bit."""
-    plan = FaultPlan.uniform(0.5, seed=42)
-
-    def run_twice():
-        first = hle_runtime(FaultPlan.uniform(0.5, seed=42))
-        second = hle_runtime(plan)
-        return first, second
-
-    first, second = benchmark.pedantic(run_twice, rounds=1, iterations=1)
-    assert first == second
-
-
-def test_ablation_seed_changes_fault_sequence(benchmark):
-    """Different seeds inject different sequences (the knob is real)."""
-    def run_pair():
-        return [
-            run_workload(
-                get_profile("labyrinth"), threads=16,
-                policy_builder=pss_builder(
-                    transport="syscall",
-                    fault_plan=FaultPlan.uniform(0.5, seed=seed)),
-                seed=0,
-            ).tx_stats.aborts
-            for seed in (1, 2)
-        ]
-
-    aborts = benchmark.pedantic(run_pair, rounds=1, iterations=1)
-    # Not asserting inequality of runtimes (decisions can coincide);
-    # the abort counts give a finer-grained view of the divergence.
-    assert all(a > 0 for a in aborts)

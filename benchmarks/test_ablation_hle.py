@@ -6,8 +6,6 @@ interval that keeps the predictor out of all-lock traps, and charging
 the prediction latency on the TxLock path.
 """
 
-import pytest
-
 from repro.core import PredictionService, PSSConfig
 from repro.htm import PSSElision, lock_only_builder, run_workload
 from repro.htm.elision import MAX_RETRIES
@@ -47,19 +45,16 @@ def pss_runtime(profile_name, threads=16, seed=0, history_bits=16,
     return result.runtime_ns
 
 
-def test_ablation_history_bits(benchmark):
+def test_ablation_history_bits():
     """A one-bit history loses information a 16-bit register keeps."""
-    runtimes = benchmark.pedantic(
-        lambda: {bits: pss_runtime("yada", history_bits=bits)
-                 for bits in (1, 16)},
-        rounds=1, iterations=1,
-    )
+    runtimes = {bits: pss_runtime("yada", history_bits=bits)
+                for bits in (1, 16)}
     # With bursty capacity blowups, the wide register must not lose to
     # the single-bit one by more than noise (and typically wins).
     assert runtimes[16] < runtimes[1] * 1.10
 
 
-def test_ablation_probe_interval(benchmark):
+def test_ablation_probe_interval():
     """No probing means no recovery once the predictor learned to skip.
 
     Synthetic phase change: a section whose transactions are capacity-
@@ -101,31 +96,22 @@ def test_ablation_probe_interval(benchmark):
         engine.run()
         return policy.stats.htm_commits
 
-    commits = benchmark.pedantic(
-        lambda: {interval: run(interval) for interval in (4, 10**9)},
-        rounds=1, iterations=1,
-    )
+    commits = {interval: run(interval) for interval in (4, 10**9)}
     assert commits[4] > 50       # probing rediscovered HTM
     assert commits[10**9] < 10   # without probes the skip is forever
 
 
-def test_ablation_latency_charging(benchmark):
+def test_ablation_latency_charging():
     """Charging prediction latency must cost something, bounded."""
-    charged, free = benchmark.pedantic(
-        lambda: (pss_runtime("ssca2", charge_latency=True),
-                 pss_runtime("ssca2", charge_latency=False)),
-        rounds=1, iterations=1,
-    )
+    charged = pss_runtime("ssca2", charge_latency=True)
+    free = pss_runtime("ssca2", charge_latency=False)
     assert free <= charged
     assert charged < free * 1.10  # the vDSO keeps the tax small
 
 
-def test_ablation_baseline_sanity(benchmark):
+def test_ablation_baseline_sanity():
     """Lock-only must remain the slowest configuration at 16 threads on
     an elision-friendly workload (anchor for the other ablations)."""
-    lock_ns = benchmark.pedantic(
-        lambda: run_workload(get_profile("vacation-low"), 16,
-                             lock_only_builder(), seed=0).runtime_ns,
-        rounds=1, iterations=1,
-    )
+    lock_ns = run_workload(get_profile("vacation-low"), 16,
+                           lock_only_builder(), seed=0).runtime_ns
     assert pss_runtime("vacation-low") < lock_ns

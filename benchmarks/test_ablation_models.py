@@ -2,8 +2,8 @@
 
 Runs the registered models on two synthetic feedback streams - a
 feature-dependent rule (what HLE needs) and a drifting rule (what the
-JIT tuner needs) - and on wall-clock prediction cost, quantifying the
-latency/accuracy trade-off the paper sketches.
+JIT tuner needs) - quantifying the accuracy side of the trade-off the
+paper sketches.
 """
 
 import pytest
@@ -55,33 +55,20 @@ def accuracies():
     }
 
 
-def test_ablation_feature_aware_models_beat_majority(benchmark,
-                                                     accuracies):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_ablation_feature_aware_models_beat_majority(accuracies):
     majority_acc = accuracies["majority"][0]
     for name in ("perceptron", "naive-bayes", "stumps"):
         assert accuracies[name][0] > majority_acc + 0.2, name
 
 
-def test_ablation_perceptron_handles_drift(benchmark, accuracies):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_ablation_perceptron_handles_drift(accuracies):
     # The default model must stay clearly above chance under drift -
     # the property the scenarios depend on.
     assert accuracies["perceptron"][1] > 0.6
 
 
-def test_ablation_default_choice_is_balanced(benchmark, accuracies):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_ablation_default_choice_is_balanced(accuracies):
     feature_acc, drift_acc = accuracies["perceptron"]
     assert feature_acc > 0.9
     assert drift_acc > 0.6
 
-
-@pytest.mark.parametrize("model_name", MODELS)
-def test_ablation_prediction_cost(benchmark, model_name):
-    """Wall-clock predict cost per model (the latency axis)."""
-    model = create_model(model_name, PSSConfig(
-        num_features=2, entries_per_feature=256,
-    ))
-    model.update([5, 9], True)
-    benchmark(model.predict, [5, 9])

@@ -6,8 +6,6 @@ this bench quantifies both on a synthetic phase-shift task resembling
 the HLE scenario (a feature pattern whose correct direction flips).
 """
 
-import pytest
-
 from repro.core import PSSConfig
 from repro.core.perceptron import HashedPerceptron
 
@@ -32,43 +30,35 @@ def phase_shift_accuracy(margin, weight_bits, entries=256,
     return correct / total
 
 
-def test_ablation_margin_small_adapts_faster(benchmark):
-    nimble, sluggish = benchmark.pedantic(
-        lambda: (phase_shift_accuracy(margin=4, weight_bits=6),
-                 phase_shift_accuracy(margin=60, weight_bits=8)),
-        rounds=1, iterations=1,
-    )
+def test_ablation_margin_small_adapts_faster():
+    nimble = phase_shift_accuracy(margin=4, weight_bits=6)
+    sluggish = phase_shift_accuracy(margin=60, weight_bits=8)
     # A small margin re-converges after each flip; a huge margin keeps
     # training into deep saturation and pays for it at every flip.
     assert nimble > sluggish
 
 
-def test_ablation_weight_width_bounds_recovery(benchmark):
-    def run():
-        results = {}
-        for bits in (4, 8):
-            p = HashedPerceptron(PSSConfig(
-                num_features=2, entries_per_feature=64,
-                weight_bits=bits, training_margin=100,
-            ))
-            for _ in range(400):
-                p.update([5, 7], False)
-            recovery = 0
-            for i in range(400):
-                p.update([5, 7], True)
-                if p.decide([5, 7]):
-                    recovery = i + 1
-                    break
-            results[bits] = recovery
-        return results
-
-    recovery = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_ablation_weight_width_bounds_recovery():
+    recovery = {}
+    for bits in (4, 8):
+        p = HashedPerceptron(PSSConfig(
+            num_features=2, entries_per_feature=64,
+            weight_bits=bits, training_margin=100,
+        ))
+        for _ in range(400):
+            p.update([5, 7], False)
+        recovery[bits] = 0
+        for i in range(400):
+            p.update([5, 7], True)
+            if p.decide([5, 7]):
+                recovery[bits] = i + 1
+                break
     # Narrow weights saturate earlier, so they recover faster after a
     # regime change - the reason the scenario domains use 6-bit weights.
     assert 0 < recovery[4] < recovery[8]
 
 
-def test_ablation_table_size_controls_aliasing(benchmark):
+def test_ablation_table_size_controls_aliasing():
     def accuracy(entries):
         p = HashedPerceptron(PSSConfig(
             num_features=1, entries_per_feature=entries,
@@ -84,18 +74,9 @@ def test_ablation_table_size_controls_aliasing(benchmark):
                 p.update([ctx], truth)
         return correct / (20 * 64)
 
-    tiny, roomy = benchmark.pedantic(
-        lambda: (accuracy(8), accuracy(1024)),
-        rounds=1, iterations=1,
-    )
+    tiny, roomy = accuracy(8), accuracy(1024)
     # With 8 entries, 64 contexts alias heavily and accuracy collapses
     # toward chance; 1024 entries keep the contexts separated.
     assert roomy > 0.95
     assert roomy > tiny + 0.2
 
-
-def test_ablation_prediction_throughput(benchmark):
-    p = HashedPerceptron(PSSConfig(num_features=2))
-    for _ in range(20):
-        p.update([3, 4], True)
-    benchmark(p.predict, [3, 4])

@@ -32,28 +32,20 @@ def results():
     return out
 
 
-def test_ablation_policy_sweep(benchmark, results):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    assert set(results) == {"never", "vanilla", "gorman", "pss1", "pss2"}
-
-
-def test_ablation_vanilla_sleeps_most(benchmark, results):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_ablation_vanilla_sleeps_most(results):
     vanilla_ns = results["vanilla"].vmstats.throttle_sleep_ns
     for name in ("never", "pss1", "pss2"):
         assert results[name].vmstats.throttle_sleep_ns <= vanilla_ns
 
 
-def test_ablation_never_never_sleeps(benchmark, results):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_ablation_never_never_sleeps(results):
     assert results["never"].vmstats.throttle_sleeps == 0
     # ... and scans at least as much as anyone who sleeps.
     assert results["never"].vmstats.pgscan >= \
         results["vanilla"].vmstats.pgscan
 
 
-def test_ablation_pss_in_contention_with_vanilla(benchmark, results):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_ablation_pss_in_contention_with_vanilla(results):
     # At this short duration the run-to-run noise is ~20 %; the claim
     # checked here is only that learned throttling stays in contention
     # with the hand-tuned policies (the full Figure 6 sweep, with seed

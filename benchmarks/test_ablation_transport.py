@@ -1,41 +1,16 @@
 """Ablation: transport batch size (paper Section 3.3).
 
 The batch update buffer trades boundary-crossing cost against feedback
-freshness.  This bench sweeps the batch size on the HLE scenario and on
-raw boundary-cost accounting.
+freshness.  This bench sweeps the batch size on the HLE scenario; the
+boundary-cost side (one crossing per batch plus a per-record charge) is
+asserted in tier-1 by ``tests/core/test_transport.py``.
 """
 
-import pytest
-
-from repro.core import LatencyModel, PredictionService, PSSConfig
 from repro.htm import pss_builder, run_workload
 from repro.htm.stamp import get_profile
 
 
-def boundary_cost_per_update(batch_size, updates=960):
-    service = PredictionService()
-    client = service.connect(
-        f"ablate-{batch_size}", config=PSSConfig(num_features=2),
-        transport="vdso", batch_size=batch_size,
-    )
-    for _ in range(updates):
-        client.update([1, 2], True)
-    client.flush()
-    return client.latency.syscall_ns / updates
-
-
-def test_ablation_batch_size_amortization(benchmark):
-    costs = benchmark.pedantic(
-        lambda: {b: boundary_cost_per_update(b) for b in (1, 8, 64)},
-        rounds=1, iterations=1,
-    )
-    # Bigger batches strictly reduce amortized boundary cost, floored by
-    # the per-record serialization cost.
-    assert costs[1] > costs[8] > costs[64]
-    assert costs[64] < LatencyModel().batch_record_ns * 3
-
-
-def test_ablation_batch_size_on_hle(benchmark):
+def test_ablation_batch_size_on_hle():
     """Freshness matters: enormous batches delay learning visibly."""
     def run(batch):
         result = run_workload(get_profile("genome"), threads=16,
@@ -44,17 +19,14 @@ def test_ablation_batch_size_on_hle(benchmark):
                               seed=0)
         return result.runtime_ns
 
-    fresh, stale = benchmark.pedantic(
-        lambda: (run(4), run(512)),
-        rounds=1, iterations=1,
-    )
+    fresh, stale = run(4), run(512)
     # The stale configuration must not be meaningfully faster: its only
     # edge is boundary-cost amortization, which simulated time barely
     # rewards, while its learning lags a whole batch behind.
     assert stale > fresh * 0.97
 
 
-def test_ablation_syscall_vs_vdso_on_workload(benchmark):
+def test_ablation_syscall_vs_vdso_on_workload():
     """End-to-end transport choice on one HLE run."""
     def run(transport):
         return run_workload(
@@ -62,9 +34,6 @@ def test_ablation_syscall_vs_vdso_on_workload(benchmark):
             policy_builder=pss_builder(transport=transport), seed=0,
         ).runtime_ns
 
-    vdso_ns, syscall_ns = benchmark.pedantic(
-        lambda: (run("vdso"), run("syscall")),
-        rounds=1, iterations=1,
-    )
+    vdso_ns, syscall_ns = run("vdso"), run("syscall")
     # Syscall predictions sit on the TxLock path; vDSO must not lose.
     assert vdso_ns <= syscall_ns * 1.02

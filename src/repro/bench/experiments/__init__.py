@@ -1,20 +1,25 @@
-"""Experiment drivers: one module per paper table/figure.
+"""The experiments: one declaration per paper table/figure.
 
-Each module exposes a ``run_*`` function returning structured results and
-a ``main()`` that prints the figure's rows; all are runnable as
-``python -m repro.bench.experiments.<name>``.
+Each module declares an :class:`~repro.bench.runner.Experiment` - its
+grid of cells, the cell function and the table renderer - and
+``repro.bench.runner.run`` runs it; ``python -m repro <name>`` is the
+command line for each entry of :data:`EXPERIMENTS`.
 """
 
-from repro.bench.experiments import (
-    fig2,
-    fig3,
-    fig4,
-    fig5,
-    fig6,
-    latency,
-    serve,
-    tenants,
-)
+from repro.bench.experiments.chaos import CHAOS
+from repro.bench.experiments.fig2 import FIG2
+from repro.bench.experiments.fig5 import FIG5
+from repro.bench.experiments.fig6 import FIG6
+from repro.bench.experiments.latency import LATENCY
+from repro.bench.experiments.polybench import FIG3, FIG4
+from repro.bench.experiments.serve import SERVE
+from repro.bench.experiments.tenants import TENANTS
 
-__all__ = ["fig2", "fig3", "fig4", "fig5", "fig6", "latency", "serve",
-           "tenants"]
+#: every experiment, by command name, in the order ``all`` runs them
+EXPERIMENTS = {
+    experiment.name: experiment
+    for experiment in (FIG2, FIG3, FIG4, FIG5, FIG6, LATENCY, SERVE,
+                       TENANTS, CHAOS)
+}
+
+__all__ = ["EXPERIMENTS"]

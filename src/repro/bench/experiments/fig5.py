@@ -2,82 +2,52 @@
 
 For each of the four macrobenchmarks, regenerates the three series the
 paper plots - baseline, PSS (vDSO) and PSS-syscall - as cumulative
-seconds per iteration, plus the end-to-end improvements.
-
-Run with ``python -m repro.bench.experiments.fig5``; ``--quick`` runs a
-fraction of the paper's iteration counts.
+seconds per iteration, plus the end-to-end improvements.  A cell is one
+macrobenchmark; ``--quick`` runs a fifth of the paper's iterations.
 """
 
 from __future__ import annotations
 
-import sys
-from dataclasses import dataclass, field
-
+from repro.bench.runner import Experiment
 from repro.bench.tables import format_table, pct, series_summary
 from repro.jit.macro import MACROBENCHMARKS
-from repro.jit.runner import MacroComparison, run_macro_benchmark
-from repro.obs import obs_from_args
+from repro.jit.runner import run_macro_benchmark
 
 
-@dataclass
-class Figure5Result:
-    comparisons: list[MacroComparison] = field(default_factory=list)
-
-    @property
-    def average_pss_improvement(self) -> float:
-        if not self.comparisons:
-            return 0.0
-        return sum(c.pss_improvement for c in self.comparisons) \
-            / len(self.comparisons)
+def grid(args) -> list[tuple]:
+    scale = 0.2 if args.quick else 1.0
+    return [(name, max(50, int(iterations * scale)))
+            for name, (_factory, iterations) in MACROBENCHMARKS.items()]
 
 
-def run_figure5(scale: float = 1.0, runs: int = 1,
-                tracer=None, metrics=None) -> Figure5Result:
-    """All four subplots; ``scale`` shrinks iteration counts."""
-    result = Figure5Result()
-    for name, (factory, iterations) in MACROBENCHMARKS.items():
-        count = max(50, int(iterations * scale))
-        result.comparisons.append(
-            run_macro_benchmark(factory, count, runs=runs,
-                                tracer=tracer, metrics=metrics)
-        )
-    return result
+def cell(spec, tracer, metrics):
+    """One benchmark's MacroComparison."""
+    name, iterations = spec
+    return run_macro_benchmark(MACROBENCHMARKS[name][0], iterations,
+                               tracer=tracer, metrics=metrics)
 
 
-def main(argv=None) -> int:
-    args = argv if argv is not None else sys.argv[1:]
-    session = obs_from_args(args)
-    scale = 0.2 if "--quick" in args else 1.0
-    result = run_figure5(
-        scale=scale,
-        tracer=session.tracer if session.tracer.enabled else None,
-        metrics=session.metrics,
-    )
-    print("Figure 5: macrobenchmarks (cumulative seconds; improvements "
-          "vs baseline)")
-    print(format_table(
-        ["benchmark", "iters", "PSS", "PSS-syscall"],
-        [
-            [c.benchmark, len(c.baseline.iterations),
-             pct(c.pss_improvement), pct(c.syscall_improvement)]
-            for c in result.comparisons
-        ],
-    ))
-    print(f"\naverage PSS improvement: "
-          f"{pct(result.average_pss_improvement)} (paper: +12% avg)")
-    for c in result.comparisons:
-        print(f"\n{c.benchmark} cumulative-seconds series:")
-        print(f"  baseline    {series_summary(c.baseline.series_seconds())}")
-        print(f"  PSS         {series_summary(c.pss.series_seconds())}")
-        print(f"  PSS-syscall "
-              f"{series_summary(c.pss_syscall.series_seconds())}")
-    if session.active:
-        summary = session.finish()
-        if summary:
-            print()
-            print(summary)
-    return 0
+def render(comparisons, args) -> str:
+    average = sum(c.pss_improvement for c in comparisons) / len(comparisons)
+    lines = [
+        "Figure 5: macrobenchmarks (cumulative seconds; improvements "
+        "vs baseline)",
+        format_table(
+            ["benchmark", "iters", "PSS", "PSS-syscall"],
+            [[c.benchmark, len(c.baseline.iterations),
+              pct(c.pss_improvement), pct(c.syscall_improvement)]
+             for c in comparisons],
+        ),
+        f"\naverage PSS improvement: {pct(average)} (paper: +12% avg)",
+    ]
+    for c in comparisons:
+        lines += [
+            f"\n{c.benchmark} cumulative-seconds series:",
+            f"  baseline    {series_summary(c.baseline.series_seconds())}",
+            f"  PSS         {series_summary(c.pss.series_seconds())}",
+            f"  PSS-syscall {series_summary(c.pss_syscall.series_seconds())}",
+        ]
+    return "\n".join(lines)
 
 
-if __name__ == "__main__":
-    raise SystemExit(main())
+FIG5 = Experiment("fig5", "Figure 5: macrobenchmarks", grid, cell, render)

@@ -9,7 +9,7 @@ Two measurements:
   Absolute numbers are Python-speed, but the *relative* ordering
   (vdso-style direct call cheaper than a syscall-priced call path) holds.
 
-Run with ``python -m repro.bench.experiments.latency``.
+The whole measurement is one cell.
 
 This module is the one sanctioned wall-clock reader in the package:
 the invariant checker's DET001 rule (see ``docs/INVARIANTS.md``)
@@ -19,13 +19,12 @@ overhead is exactly its job.  Everything else must use simulated time.
 
 from __future__ import annotations
 
-import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
+from repro.bench.runner import Experiment
 from repro.bench.tables import boundary_table
 from repro.core import PredictionService, PSSConfig
-from repro.obs import obs_from_args
 
 CALLS = 20_000
 
@@ -34,10 +33,12 @@ CALLS = 20_000
 class LatencyResult:
     simulated_vdso_ns: float
     simulated_syscall_ns: float
-    wall_vdso_ns: float
-    wall_syscall_ns: float
     #: (label, LatencyAccount) per client, for the boundary table
-    accounts: list = None
+    accounts: list
+    #: wall-clock readings vary run to run, so two results that differ
+    #: only here compare equal
+    wall_vdso_ns: float = field(compare=False)
+    wall_syscall_ns: float = field(compare=False)
 
     @property
     def simulated_speedup(self) -> float:
@@ -73,32 +74,22 @@ def run_latency(calls: int = CALLS,
     )
 
 
-def main(argv=None) -> int:
-    args = argv if argv is not None else sys.argv[1:]
-    session = obs_from_args(args)
-    result = run_latency(
-        tracer=session.tracer if session.tracer.enabled else None,
-        metrics=session.metrics,
-    )
-    print("Prediction latency (paper Section 3.3)")
-    print(f"  simulated vDSO predict : "
-          f"{result.simulated_vdso_ns:7.2f} ns  (paper: 4.19 ns)")
-    print(f"  simulated syscall      : "
-          f"{result.simulated_syscall_ns:7.2f} ns  (paper: 68 ns)")
-    print(f"  simulated speedup      : "
-          f"{result.simulated_speedup:7.2f} x   (paper: >16x)")
-    print(f"  wall-clock vDSO path   : {result.wall_vdso_ns:7.0f} ns")
-    print(f"  wall-clock syscall path: "
-          f"{result.wall_syscall_ns:7.0f} ns")
-    print("\nboundary-crossing accounts:")
-    print(boundary_table(result.accounts))
-    if session.active:
-        summary = session.finish()
-        if summary:
-            print()
-            print(summary)
-    return 0
+def render(results, args) -> str:
+    (result,) = results
+    return "\n".join([
+        "Prediction latency (paper Section 3.3)",
+        f"  simulated vDSO predict : "
+        f"{result.simulated_vdso_ns:7.2f} ns  (paper: 4.19 ns)",
+        f"  simulated syscall      : "
+        f"{result.simulated_syscall_ns:7.2f} ns  (paper: 68 ns)",
+        f"  simulated speedup      : "
+        f"{result.simulated_speedup:7.2f} x   (paper: >16x)",
+        f"  wall-clock vDSO path   : {result.wall_vdso_ns:7.0f} ns",
+        f"  wall-clock syscall path: {result.wall_syscall_ns:7.0f} ns",
+        "\nboundary-crossing accounts:",
+        boundary_table(result.accounts),
+    ])
 
 
-if __name__ == "__main__":
-    raise SystemExit(main())
+LATENCY = Experiment("latency", "Prediction latency (vDSO vs syscall)",
+                     lambda args: [CALLS], run_latency, render)

@@ -17,7 +17,9 @@ headline claim: the throttled run sheds (shed > 0) *and* pages less
 than the unthrottled one, i.e. refusing load early keeps the served
 requests healthy.
 
-Results are written as ``BENCH_serving.json`` (schema below,
+A cell is one sweep point; the back-pressure pair is one more cell,
+because its per-shard table is read after both of its runs.  Results
+are written as ``BENCH_serving.json`` (schema below,
 ``validate_bench_serving`` checks it) and printed as tables.
 Everything is deterministic in ``--seed``: same seed, byte-identical
 JSON and report.
@@ -28,12 +30,11 @@ CI runs; ``--out PATH`` to choose where the JSON lands).
 
 from __future__ import annotations
 
-import argparse
 import json
-import sys
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.bench.loadgen import LoadGenerator, LoadSpec
+from repro.bench.runner import SEED, Experiment, flag
 from repro.bench.tables import serving_table, shard_table
 from repro.core.kernel.admission import AdmissionController
 from repro.core.kernel.service import ShardedService
@@ -42,7 +43,6 @@ from repro.core.serving import (
     ServingPipeline,
     serving_slos,
 )
-from repro.obs import obs_from_args
 
 #: BENCH_serving.json schema version
 SCHEMA = 1
@@ -147,42 +147,58 @@ def run_point(clients: int, shards: int, window_ns: float, *,
     return row, pipeline
 
 
-def run_sweep(seed: int = 0, quick: bool = False,
-              tracer=None, metrics=None) -> list[dict[str, Any]]:
-    """The full (clients x shards x window) grid, in stable order."""
-    shard_sweep = QUICK_SHARD_SWEEP if quick else SHARD_SWEEP
-    requests = QUICK_REQUESTS if quick else REQUESTS
-    rows = []
-    for clients in CLIENT_SWEEP:
-        for shards in shard_sweep:
-            for window_ns in WINDOW_SWEEP:
-                row, _pipeline = run_point(
-                    clients, shards, window_ns, seed=seed,
-                    requests=requests, tracer=tracer, metrics=metrics,
-                )
-                rows.append(row)
-    return rows
+class Point(NamedTuple):
+    """One cell: a sweep point, or the back-pressure pair at one."""
+
+    clients: int
+    shards: int
+    window_ns: float
+    seed: int
+    requests: int
+    backpressure: bool = False
+
+
+def grid(args) -> list[Point]:
+    """The (clients x shards x window) sweep in stable order, then the
+    back-pressure pair at the heaviest point."""
+    shard_sweep = QUICK_SHARD_SWEEP if args.quick else SHARD_SWEEP
+    requests = QUICK_REQUESTS if args.quick else REQUESTS
+    return [
+        Point(clients, shards, window_ns, args.seed, requests)
+        for clients in CLIENT_SWEEP
+        for shards in shard_sweep
+        for window_ns in WINDOW_SWEEP
+    ] + [Point(CLIENT_SWEEP[-1], shard_sweep[0], 0.0, args.seed, requests,
+               backpressure=True)]
+
+
+def cell(point: Point, tracer, metrics):
+    """A sweep point's row, or the back-pressure pair's comparison."""
+    if point.backpressure:
+        return run_backpressure_comparison(point, tracer, metrics)
+    row, _pipeline = run_point(
+        point.clients, point.shards, point.window_ns, seed=point.seed,
+        requests=point.requests, tracer=tracer, metrics=metrics,
+    )
+    return row
 
 
 def run_backpressure_comparison(
-    seed: int = 0, quick: bool = False, tracer=None, metrics=None,
+    point: Point, tracer=None, metrics=None,
 ) -> tuple[dict[str, Any], list[dict[str, Any]]]:
-    """The heaviest point, throttled vs unthrottled.
+    """``point`` throttled vs unthrottled, at window 0.
 
     Returns the comparison block for the JSON payload plus the
     throttled run's serving-annotated shard summaries (the shard_table
     view of queue/shed visibility).
     """
-    clients = CLIENT_SWEEP[-1]
-    shards = (QUICK_SHARD_SWEEP if quick else SHARD_SWEEP)[0]
-    requests = QUICK_REQUESTS if quick else REQUESTS
 
     def branch(queue_limit: int, shed_on_page: bool
                ) -> tuple[dict[str, Any], ServingPipeline]:
         row, pipeline = run_point(
-            clients, shards, 0.0, seed=seed, requests=requests,
-            queue_limit=queue_limit, shed_on_page=shed_on_page,
-            tracer=tracer, metrics=metrics,
+            point.clients, point.shards, 0.0, seed=point.seed,
+            requests=point.requests, queue_limit=queue_limit,
+            shed_on_page=shed_on_page, tracer=tracer, metrics=metrics,
         )
         evals = row["evals"]
         summary = {
@@ -199,8 +215,8 @@ def run_backpressure_comparison(
     throttled, throttled_pipeline = branch(QUEUE_LIMIT, True)
     unthrottled, _ = branch(0, False)
     comparison = {
-        "clients": clients,
-        "shards": shards,
+        "clients": point.clients,
+        "shards": point.shards,
         "batch_window_ns": 0.0,
         "throttled": throttled,
         "unthrottled": unthrottled,
@@ -216,33 +232,27 @@ def run_backpressure_comparison(
     return comparison, summaries
 
 
-def build_payload(seed: int = 0, quick: bool = False,
-                  tracer=None, metrics=None) -> tuple[dict[str, Any],
-                                                      list[dict]]:
-    """The full BENCH_serving payload plus shard summaries to print."""
-    rows = run_sweep(seed=seed, quick=quick, tracer=tracer,
-                     metrics=metrics)
-    comparison, summaries = run_backpressure_comparison(
-        seed=seed, quick=quick, tracer=tracer, metrics=metrics)
-    payload = {
+def build_payload(results: list, args) -> dict[str, Any]:
+    """The BENCH_serving payload from the grid's rows."""
+    *rows, (comparison, _summaries) = results
+    return validate_bench_serving({
         "schema": SCHEMA,
-        "seed": seed,
-        "quick": quick,
+        "seed": args.seed,
+        "quick": args.quick,
         "spec": {
             "per_client_rate": PER_CLIENT_RATE,
-            "requests": QUICK_REQUESTS if quick else REQUESTS,
+            "requests": QUICK_REQUESTS if args.quick else REQUESTS,
             "max_batch": MAX_BATCH,
             "queue_limit": QUEUE_LIMIT,
             "slo_threshold_ns": SLO_THRESHOLD_NS,
             "client_sweep": list(CLIENT_SWEEP),
-            "shard_sweep": list(QUICK_SHARD_SWEEP if quick
+            "shard_sweep": list(QUICK_SHARD_SWEEP if args.quick
                                 else SHARD_SWEEP),
             "window_sweep": [_round(w) for w in WINDOW_SWEEP],
         },
         "rows": rows,
         "backpressure": comparison,
-    }
-    return payload, summaries
+    })
 
 
 def validate_bench_serving(payload: dict[str, Any]) -> dict[str, Any]:
@@ -283,10 +293,12 @@ def validate_bench_serving(payload: dict[str, Any]) -> dict[str, Any]:
     return payload
 
 
-def render(payload: dict[str, Any], summaries: list[dict]) -> str:
+def render(results: list, args) -> str:
+    payload = build_payload(results, args)
     comparison = payload["backpressure"]
     throttled = comparison["throttled"]
     unthrottled = comparison["unthrottled"]
+    _comparison, summaries = results[-1]
     lines = [
         "Event-driven serving sweep (open-loop Zipf load, "
         "queue-aware micro-batching)",
@@ -322,48 +334,16 @@ def write_payload(payload: dict[str, Any], path: str) -> None:
         handle.write("\n")
 
 
-def main(argv=None) -> int:
-    args = list(argv if argv is not None else sys.argv[1:])
-    session = obs_from_args(args)
-    parser = argparse.ArgumentParser(
-        prog="repro serve",
-        description="Event-driven serving sweep "
-                    "(offered load vs throughput/latency)",
-    )
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="reduced sweep (fewer shard counts, fewer requests per "
-             "point) for CI and a fast look",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, metavar="N",
-        help="RNG seed for the deterministic load schedule; same "
-             "seed, byte-identical BENCH_serving.json (default: 0)",
-    )
-    parser.add_argument(
-        "--out", default="BENCH_serving.json", metavar="PATH",
-        help="where to write the JSON results "
-             "(default: BENCH_serving.json)",
-    )
-    parsed, _unknown = parser.parse_known_args(args)
-
-    tracer = session.tracer if session.tracer.enabled else None
-    metrics = session.metrics
-    payload, summaries = build_payload(
-        seed=parsed.seed, quick=parsed.quick,
-        tracer=tracer, metrics=metrics,
-    )
-    validate_bench_serving(payload)
-    print(render(payload, summaries))
-    write_payload(payload, parsed.out)
-    print(f"\nwrote {parsed.out}")
-    if session.active:
-        summary = session.finish()
-        if summary:
-            print()
-            print(summary)
-    return 0
+def write(results: list, args) -> str:
+    write_payload(build_payload(results, args), args.out)
+    return f"\nwrote {args.out}"
 
 
-if __name__ == "__main__":
-    raise SystemExit(main())
+SERVE = Experiment(
+    "serve", "Event-driven serving sweep (10k-1M clients)",
+    grid, cell, render, write=write,
+    flags=(SEED, flag("--out", default="BENCH_serving.json",
+                      metavar="PATH",
+                      help="where to write the JSON results "
+                           "(default: BENCH_serving.json)")),
+)

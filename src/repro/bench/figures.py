@@ -39,18 +39,3 @@ def bar_chart(labels: Sequence[str], values: Sequence[float],
     ]
     return "\n".join(rows)
 
-
-def grouped_bar_chart(groups: Sequence[str],
-                      series: dict[str, Sequence[float]],
-                      fmt=lambda v: f"{v:+.1%}") -> str:
-    """Several series per group, one row per (group, series) pair."""
-    labels = []
-    values = []
-    for i, group in enumerate(groups):
-        for name, data in series.items():
-            labels.append(f"{group} {name}")
-            values.append(data[i])
-        labels.append("")
-        values.append(0.0)
-    # Drop the trailing spacer.
-    return bar_chart(labels[:-1], values[:-1], fmt)

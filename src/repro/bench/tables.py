@@ -95,38 +95,6 @@ def fastpath_table(labeled_reports) -> str:
     ], labeled)
 
 
-def resilience_table(labeled_reports) -> str:
-    """Degraded-mode summary from labeled domain reports.
-
-    Rows only for domains that had a resilient client attached (reports
-    whose ``resilience`` block is populated); returns a placeholder line
-    when none did, so ``--report`` output stays stable either way.
-    """
-    rows = []
-    for label, report in labeled_reports:
-        stats = report.resilience
-        if stats is None:
-            continue
-        rows.append([
-            label,
-            report.name,
-            stats.predictions,
-            stats.fallback_predictions,
-            pct_plain(stats.degraded_fraction),
-            stats.retries,
-            stats.dropped_updates,
-            stats.breaker_opens,
-            stats.breaker_closes,
-        ])
-    if not rows:
-        return "<no resilient clients attached>"
-    return format_table(
-        ["scenario", "domain", "predicts", "fallbacks", "degraded%",
-         "retries", "drop-upd", "brk-open", "brk-close"],
-        rows,
-    )
-
-
 def pct_plain(value: float) -> str:
     """Format a ratio as an unsigned percentage."""
     return f"{value:.1%}"
@@ -260,17 +228,6 @@ def serving_table(rows) -> str:
          "p50-ns", "p99-ns", "batch", "shed", "pages"],
         table_rows,
     )
-
-
-def chaos_table(rows) -> str:
-    """Chaos-schedule outcome table for the ``tenants --chaos`` driver.
-
-    One row per injected event class: crashes, promotions, reshards,
-    migration stalls, and the update-loss accounting the headline
-    invariant is stated over (lost *inside* the documented flush/down
-    window vs. lost silently, which must be zero).
-    """
-    return format_table(["event", "count"], rows)
 
 
 def tenant_table(usage_rows) -> str:

@@ -9,7 +9,6 @@ PolyBench and the cumulative iteration series for the macrobenchmarks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.core import PredictionService
@@ -57,58 +56,6 @@ def run_polybench_kernel(program_builder, iterations: int,
         baseline_ns=baseline_report.total_ns,
         pss_ns=pss_report.total_ns,
     )
-
-
-@dataclass
-class SuiteResult:
-    """All kernels of one Figure 3/4 sweep."""
-
-    iterations: int
-    comparisons: list[KernelComparison]
-
-    @property
-    def average_improvement(self) -> float:
-        values = [c.improvement for c in self.comparisons]
-        return sum(values) / len(values)
-
-    @property
-    def geomean_improvement(self) -> float:
-        logs = [math.log1p(c.improvement) for c in self.comparisons]
-        return math.expm1(sum(logs) / len(logs))
-
-    def sorted_by_improvement(self) -> list[KernelComparison]:
-        return sorted(self.comparisons, key=lambda c: -c.improvement)
-
-
-def _obs_service(tracer, metrics) -> PredictionService | None:
-    """A fresh instrumented service, or None when observability is off.
-
-    Every caller wants a *fresh* service per kernel/tuner (cold weights,
-    matching the paper's new-process methodology), so returning None for
-    the uninstrumented case preserves the tuner's own service creation.
-    """
-    if tracer is None and metrics is None:
-        return None
-    return PredictionService(tracer=tracer, metrics=metrics)
-
-
-def run_polybench_suite(iterations: int,
-                        kernels: dict | None = None,
-                        tracer=None,
-                        metrics=None) -> SuiteResult:
-    """Run every kernel at ``iterations`` (Figure 3: 20, Figure 4: 50).
-
-    ``tracer``/``metrics`` instrument each kernel's (fresh) service.
-    """
-    from repro.jit.polybench import KERNELS
-
-    table = kernels or KERNELS
-    comparisons = [
-        run_polybench_kernel(builder, iterations,
-                             service=_obs_service(tracer, metrics))
-        for builder in table.values()
-    ]
-    return SuiteResult(iterations=iterations, comparisons=comparisons)
 
 
 @dataclass
@@ -167,11 +114,11 @@ def run_macro_benchmark(program_builder, iterations: int,
             BaselineRunner(VM(JitParams())).run(workload, iterations)
         )
         pss_runs.append(PSSTuner(
-            service=_obs_service(tracer, metrics),
+            service=PredictionService(tracer=tracer, metrics=metrics),
             transport="vdso", consult_per_decision=True,
         ).run(program_builder(), iterations))
         sys_runs.append(PSSTuner(
-            service=_obs_service(tracer, metrics),
+            service=PredictionService(tracer=tracer, metrics=metrics),
             transport="syscall", consult_per_decision=True,
         ).run(program_builder(), iterations))
 

@@ -38,7 +38,7 @@ from repro.obs.postmortem import (
     render_bundle,
     render_tree,
 )
-from repro.obs.session import ObsSession, histogram_summary, obs_from_args
+from repro.obs.session import ObsSession, histogram_summary
 from repro.obs.slo import (
     SLO,
     SLOEngine,
@@ -90,7 +90,6 @@ __all__ = [
     "render_tree",
     "ObsSession",
     "histogram_summary",
-    "obs_from_args",
     "chrome_trace",
     "prometheus_text",
     "validate_chrome_trace",

@@ -1,12 +1,10 @@
-"""CLI glue: turn ``--trace``/``--metrics``/``--slo``/``--flight-recorder``
-flags into live instruments.
+"""One experiment run's instruments: the ``--trace`` / ``--metrics`` /
+``--slo`` / ``--flight-recorder`` flags made live.
 
-Experiment drivers receive their arguments as a raw ``list[str]`` (the
-``python -m repro`` dispatcher forwards flags verbatim), so this module
-provides the one parser they share: :func:`obs_from_args` pops the
-observability flags out of an argument list and returns an
+:meth:`ObsSession.open` turns the four flag values into an
 :class:`ObsSession` holding the tracer and metrics registry to thread
-into :class:`~repro.core.service.PredictionService`.  After the run,
+into :class:`~repro.core.service.PredictionService` (the experiment
+runner, ``repro.bench.runner``, is what parses them).  After the run,
 :meth:`ObsSession.finish` writes the trace artifacts (events JSONL,
 Chrome trace with nested spans, spans JSONL), evaluates the stock SLO
 set into a health table when ``--slo`` was given, and lists any
@@ -42,7 +40,33 @@ class ObsSession:
     metrics: MetricsRegistry | None
     trace_path: str | None
     slo: bool = False
-    flight_dir: str | None = None
+
+    @classmethod
+    def open(cls, trace_path: str | None = None, metrics: bool = False,
+             slo: bool = False,
+             flight_dir: str | None = None) -> ObsSession:
+        """Instruments for the flags given.
+
+        ``slo`` and ``flight_dir`` (a
+        :class:`~repro.obs.flightrec.FlightRecorder` dumping post-mortem
+        bundles into it on trigger events) imply an enabled tracer even
+        without ``trace_path``.  With none of them the session is
+        inactive - null tracer, no registry - so callers can thread
+        ``tracer``/``metrics`` into a service unconditionally.
+        """
+        tracer: TracerLike
+        if flight_dir:
+            tracer = FlightRecorder(flight_dir,
+                                    capacity=CLI_TRACE_CAPACITY)
+        elif trace_path or slo:
+            tracer = Tracer(capacity=CLI_TRACE_CAPACITY)
+        else:
+            tracer = NULL_TRACER
+        registry = MetricsRegistry() if metrics else None
+        if registry is not None and isinstance(tracer, FlightRecorder):
+            tracer.attach_metrics(registry)
+        return cls(tracer=tracer, metrics=registry,
+                   trace_path=trace_path, slo=slo)
 
     @property
     def active(self) -> bool:
@@ -141,55 +165,3 @@ def histogram_summary(metrics: MetricsRegistry) -> str:
          "max"],
         rows,
     )
-
-
-def obs_from_args(args: list[str]) -> ObsSession:
-    """Extract the observability flags from a raw argv list.
-
-    Recognised flags: ``--trace PATH`` (Chrome trace + JSONL exports),
-    ``--metrics`` (registry + Prometheus snapshot), ``--slo`` (evaluate
-    the stock SLO set over the trace and print a health table), and
-    ``--flight-recorder DIR`` (make the session tracer a
-    :class:`~repro.obs.flightrec.FlightRecorder` dumping post-mortem
-    bundles into ``DIR`` on trigger events).  ``--slo`` and
-    ``--flight-recorder`` imply an enabled tracer even without
-    ``--trace``.
-
-    Unknown flags are left untouched; the returned session is inactive
-    (null tracer, no registry) when no flag is present, so callers can
-    unconditionally thread ``session.tracer``/``session.metrics`` into
-    a service.
-    """
-    trace_path: str | None = None
-    flight_dir: str | None = None
-    metrics_requested = False
-    slo_requested = False
-    if "--trace" in args:
-        index = args.index("--trace")
-        if index + 1 >= len(args):
-            raise SystemExit("--trace requires a file path argument")
-        trace_path = args[index + 1]
-    if "--flight-recorder" in args:
-        index = args.index("--flight-recorder")
-        if index + 1 >= len(args):
-            raise SystemExit(
-                "--flight-recorder requires a directory argument")
-        flight_dir = args[index + 1]
-    if "--metrics" in args:
-        metrics_requested = True
-    if "--slo" in args:
-        slo_requested = True
-    tracer: TracerLike
-    if flight_dir:
-        tracer = FlightRecorder(flight_dir,
-                                capacity=CLI_TRACE_CAPACITY)
-    elif trace_path or slo_requested:
-        tracer = Tracer(capacity=CLI_TRACE_CAPACITY)
-    else:
-        tracer = NULL_TRACER
-    registry = MetricsRegistry() if metrics_requested else None
-    if registry is not None and isinstance(tracer, FlightRecorder):
-        tracer.attach_metrics(registry)
-    return ObsSession(tracer=tracer, metrics=registry,
-                      trace_path=trace_path, slo=slo_requested,
-                      flight_dir=flight_dir)

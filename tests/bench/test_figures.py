@@ -1,8 +1,12 @@
 """Tests for the ASCII figure rendering and the CLI."""
 
+from pathlib import Path
+
 import pytest
 
-from repro.bench.figures import BAR_WIDTH, bar_chart, grouped_bar_chart
+from repro.bench.figures import BAR_WIDTH, bar_chart
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestBarChart:
@@ -31,13 +35,6 @@ class TestBarChart:
     def test_custom_format(self):
         text = bar_chart(["a"], [3.0], fmt=lambda v: f"{v:.0f}ms")
         assert "3ms" in text
-
-
-class TestGroupedBarChart:
-    def test_rows_per_group_and_series(self):
-        text = grouped_bar_chart(["g1", "g2"],
-                                 {"a": [0.1, 0.2], "b": [0.3, 0.4]})
-        assert "g1 a" in text and "g2 b" in text
 
 
 class TestCli:
@@ -81,5 +78,23 @@ class TestCli:
 
         assert set(EXPERIMENTS) == {
             "fig2", "fig3", "fig4", "fig5", "fig6", "latency",
-            "tenants", "serve",
+            "tenants", "serve", "chaos",
         }
+
+    def test_a_flag_is_honoured_or_refused(self, capsys):
+        """A flag no experiment reads is an argparse error, not a no-op."""
+        from repro.__main__ import main
+
+        for argv in (["latency", "--seed", "3"], ["fig2", "--chaos"]):
+            with pytest.raises(SystemExit) as exited:
+                main(argv)
+            assert exited.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_tenants_quick_prints_its_golden(self, capsys):
+        """argv -> runner -> print, byte for byte."""
+        from repro.__main__ import main
+
+        assert main(["tenants", "--quick"]) == 0
+        assert capsys.readouterr().out == \
+            (GOLDEN / "tenants_quick.txt").read_text()

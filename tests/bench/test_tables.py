@@ -38,42 +38,44 @@ class TestSeriesSummary:
 
 
 class TestExperimentDrivers:
-    """Smoke tests: each driver runs end to end at tiny scale."""
+    """Smoke tests: each experiment's cell runs end to end at tiny scale."""
 
     def test_fig2_driver(self):
-        from repro.bench.experiments.fig2 import run_figure2
+        from argparse import Namespace
 
-        result = run_figure2(workloads=("ssca2",), thread_counts=(2,),
-                             seeds=(0,))
-        assert len(result.rows) == 1
-        assert result.average_pss_improvement == \
-            result.rows[0].pss_improvement
+        from repro.bench.experiments.fig2 import cell, render
+
+        rows, reports = cell(("ssca2", (2,), (0,)), None, None)
+        assert [(r.workload, r.threads) for r in rows] == [("ssca2", 2)]
+        assert {label for label, _report in reports} == {"ssca2"}
+        text = render([(rows, reports)], Namespace(report=False))
+        assert f"average PSS improvement:      " \
+               f"{pct(rows[0].pss_improvement)}" in text
 
     def test_fig3_driver_structure(self):
-        from repro.jit.polybench import KERNELS
-        from repro.jit.runner import run_polybench_suite
+        from repro.bench.experiments.polybench import cell
 
-        subset = {"gemm": KERNELS["gemm"], "mvt": KERNELS["mvt"]}
-        suite = run_polybench_suite(5, kernels=subset)
-        assert len(suite.comparisons) == 2
-        assert suite.iterations == 5
+        comparisons = [cell((name, 5), None, None)
+                       for name in ("gemm", "mvt")]
+        assert [c.kernel for c in comparisons] == ["gemm", "mvt"]
+        assert {c.iterations for c in comparisons} == {5}
 
     def test_fig5_driver(self):
-        from repro.bench.experiments.fig5 import run_figure5
+        from repro.bench.experiments.fig5 import cell
+        from repro.jit.macro import MACROBENCHMARKS
 
-        result = run_figure5(scale=0.02)
-        assert len(result.comparisons) == 4
-        names = {c.benchmark for c in result.comparisons}
-        assert names == {"aiohttp", "djangocms", "flaskblogging",
-                         "gunicorn"}
+        comparisons = [cell((name, 50), None, None)
+                       for name in MACROBENCHMARKS]
+        assert [c.benchmark for c in comparisons] == [
+            "aiohttp", "djangocms", "flaskblogging", "gunicorn"]
 
     def test_fig6_driver(self):
-        from repro.bench.experiments.fig6 import run_figure6
+        from repro.bench.experiments.fig6 import cell
 
-        result = run_figure6(workers=(12,), pss_runs=1,
-                             duration_ns=30_000_000.0)
-        assert len(result.columns) == 1
-        assert len(result.columns[0].pss_run_improvements) == 1
+        column, reports = cell((12, 30_000_000.0), None, None)
+        assert column.workers == 12
+        assert len(column.pss_run_improvements) == 4
+        assert [label for label, _report in reports] == ["mmap-12"]
 
     def test_latency_driver(self):
         from repro.bench.experiments.latency import run_latency
@@ -82,10 +84,11 @@ class TestExperimentDrivers:
         assert result.simulated_speedup > 16
         assert result.wall_vdso_ns > 0
 
-    def test_drivers_have_mains(self):
-        from repro.bench import experiments
+    def test_every_experiment_is_declared_once(self):
+        from repro.bench.experiments import EXPERIMENTS
 
-        for module in (experiments.fig2, experiments.fig3,
-                       experiments.fig4, experiments.fig5,
-                       experiments.fig6, experiments.latency):
-            assert callable(module.main)
+        for name, experiment in EXPERIMENTS.items():
+            assert experiment.name == name
+            assert callable(experiment.grid)
+            assert callable(experiment.cell)
+            assert callable(experiment.render)

@@ -1,32 +1,29 @@
-"""The tenants experiment: determinism and shard-scaling report shape."""
+"""The tenants and chaos experiments: determinism and report shape."""
 
 import pytest
 
 from repro.bench.experiments import tenants
-from repro.bench.experiments.tenants import (
-    parse_reshard_schedule,
-    run_chaos,
-    run_shard_count,
-    run_tenants,
-)
+from repro.bench.experiments.chaos import parse_reshard_schedule, run_chaos
+from repro.bench.experiments.tenants import TENANTS, run_shard_count
+from repro.bench.runner import parse, rows
 from repro.obs.trace import Tracer
 from tests.obs.shard_labels import mixed_label_spans
 
 
+def report(seed, tracer=None):
+    args = parse(TENANTS, ["--quick", "--seed", str(seed)])
+    return TENANTS.render(rows(TENANTS, args, tracer), args)
+
+
 class TestDeterminism:
     def test_same_seed_renders_byte_identical_reports(self):
-        first = run_tenants(seed=7, quick=True).render()
-        second = run_tenants(seed=7, quick=True).render()
-        assert first == second
+        assert report(7) == report(7)
 
     def test_tracing_does_not_perturb_the_report(self):
-        plain = run_tenants(seed=7, quick=True).render()
-        traced = run_tenants(seed=7, quick=True, tracer=Tracer()).render()
-        assert traced == plain
+        assert report(7, tracer=Tracer()) == report(7)
 
     def test_different_seeds_differ(self):
-        assert run_tenants(seed=0, quick=True).render() \
-            != run_tenants(seed=1, quick=True).render()
+        assert report(0) != report(1)
 
 
 class TestShardScalingReport:
@@ -59,8 +56,7 @@ class TestShardScalingReport:
         assert stats.retries == 0
 
     def test_report_contains_all_tables(self):
-        result = run_tenants(seed=0, quick=True)
-        text = result.render()
+        text = report(0)
         for heading in ("== 1 shard ==", "== 4 shards ==", "scavenger",
                         "tenant", "shard"):
             assert heading in text

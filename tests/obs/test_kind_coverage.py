@@ -17,7 +17,7 @@ the tables docs/OBSERVABILITY.md generates from those registries
 import pytest
 
 
-from repro.bench.experiments.tenants import (
+from repro.bench.experiments.chaos import (
     parse_reshard_schedule,
     run_chaos,
 )

@@ -10,7 +10,7 @@ from repro.core import (
 )
 from repro.core.persistence import CheckpointManager
 from repro.obs import MetricsRegistry, Tracer
-from repro.obs.session import obs_from_args
+from repro.obs.session import ObsSession
 
 FEATURES = [3, 5]
 CONFIG_KW = dict(num_features=2)
@@ -226,28 +226,38 @@ class TestReports:
         assert report.resilience is None
 
 
+def session_for(argv):
+    """The session the experiment runner opens for ``argv``."""
+    from repro.bench.experiments.latency import LATENCY
+    from repro.bench.runner import parse
+
+    args = parse(LATENCY, argv)
+    return ObsSession.open(args.trace, args.metrics, args.slo,
+                           args.flight_recorder)
+
+
 class TestCliGlue:
-    def test_obs_from_args_parses_flags(self):
-        session = obs_from_args(["--quick", "--trace", "out.json",
-                                 "--metrics"])
+    def test_trace_and_metrics_flags_open_instruments(self):
+        session = session_for(["--quick", "--trace", "out.json",
+                               "--metrics"])
         assert session.active
         assert session.tracer.enabled
         assert session.metrics is not None
         assert session.trace_path == "out.json"
 
     def test_inactive_without_flags(self):
-        session = obs_from_args(["--quick"])
+        session = session_for(["--quick"])
         assert not session.active
         assert not session.tracer.enabled
         assert session.metrics is None
 
     def test_trace_requires_path(self):
         with pytest.raises(SystemExit):
-            obs_from_args(["--trace"])
+            session_for(["--trace"])
 
     def test_finish_writes_artifacts(self, tmp_path):
         path = tmp_path / "trace.json"
-        session = obs_from_args(["--trace", str(path), "--metrics"])
+        session = session_for(["--trace", str(path), "--metrics"])
         service = PredictionService(tracer=session.tracer,
                                     metrics=session.metrics)
         client = service.connect("d", config=PSSConfig(**CONFIG_KW))
@@ -268,7 +278,7 @@ class TestCliGlue:
         from repro.obs import Span
 
         path = tmp_path / "trace.json"
-        session = obs_from_args(["--trace", str(path)])
+        session = session_for(["--trace", str(path)])
         service = PredictionService(tracer=session.tracer)
         client = service.connect("d", config=PSSConfig(**CONFIG_KW))
         client.predict(FEATURES)
@@ -281,7 +291,7 @@ class TestCliGlue:
         assert any(span.name == "vdso.predict" for span in parsed)
 
     def test_slo_flag_enables_tracing_and_health_table(self):
-        session = obs_from_args(["--slo"])
+        session = session_for(["--slo"])
         assert session.slo
         assert session.tracer.enabled  # implied, even without --trace
         service = PredictionService(tracer=session.tracer)
@@ -295,8 +305,8 @@ class TestCliGlue:
     def test_flight_recorder_flag_builds_recorder(self, tmp_path):
         from repro.obs import FlightRecorder, load_bundle
 
-        session = obs_from_args(["--flight-recorder",
-                                 str(tmp_path / "fr"), "--metrics"])
+        session = session_for(["--flight-recorder",
+                               str(tmp_path / "fr"), "--metrics"])
         assert isinstance(session.tracer, FlightRecorder)
         session.tracer.record("shard_crash", shard="1")
         summary = session.finish()
@@ -308,4 +318,4 @@ class TestCliGlue:
 
     def test_flight_recorder_requires_directory(self):
         with pytest.raises(SystemExit):
-            obs_from_args(["--flight-recorder"])
+            session_for(["--flight-recorder"])

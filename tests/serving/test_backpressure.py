@@ -9,10 +9,12 @@ latency SLO the unbounded queue blows through.
 
 from repro.bench.experiments.serve import (
     QUEUE_LIMIT,
+    SERVE,
     SLO_THRESHOLD_NS,
     run_backpressure_comparison,
     run_point,
 )
+from repro.bench.runner import parse
 from repro.core.errors import RequestShedError
 from repro.core.kernel.service import ShardedService
 from repro.core.serving import ServingConfig, ServingPipeline
@@ -23,7 +25,7 @@ from repro.obs import SLO
 class TestShedding:
     def test_overload_sheds_and_pages_less_than_unthrottled(self):
         comparison, summaries = run_backpressure_comparison(
-            seed=0, quick=True)
+            SERVE.grid(parse(SERVE, ["--quick"]))[-1])
         throttled = comparison["throttled"]
         unthrottled = comparison["unthrottled"]
         assert throttled["shed"] > 0

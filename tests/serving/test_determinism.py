@@ -9,11 +9,13 @@ counters must be stable across reruns at every shard count.
 import json
 
 from repro.bench.experiments.serve import (
+    SERVE,
     build_payload,
     run_point,
     validate_bench_serving,
     write_payload,
 )
+from repro.bench.runner import parse, rows
 
 
 def dumps(payload):
@@ -38,8 +40,9 @@ class TestSeededDeterminism:
         assert base != other
 
     def test_quick_payload_byte_identical(self, tmp_path):
-        payload_a, _ = build_payload(seed=0, quick=True)
-        payload_b, _ = build_payload(seed=0, quick=True)
+        args = parse(SERVE, ["--quick"])
+        payload_a = build_payload(rows(SERVE, args), args)
+        payload_b = build_payload(rows(SERVE, args), args)
         assert dumps(payload_a) == dumps(payload_b)
         validate_bench_serving(payload_a)
         path_a = tmp_path / "a.json"

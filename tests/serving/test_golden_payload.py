@@ -14,13 +14,15 @@ simulated results, and say so in CHANGES.md::
 
 from pathlib import Path
 
-from repro.bench.experiments.serve import build_payload, write_payload
+from repro.bench.experiments.serve import SERVE, build_payload, write_payload
+from repro.bench.runner import parse, rows
 
 GOLDEN = Path(__file__).parent / "golden" / "serve_quick_seed42.json"
 
 
 def test_quick_seed42_payload_matches_committed_golden(tmp_path):
-    payload, _ = build_payload(seed=42, quick=True)
+    args = parse(SERVE, ["--quick", "--seed", "42"])
+    payload = build_payload(rows(SERVE, args), args)
     written = tmp_path / "serve_quick_seed42.json"
     write_payload(payload, written)
     assert written.read_bytes() == GOLDEN.read_bytes()

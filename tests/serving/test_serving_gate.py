@@ -21,16 +21,10 @@ WINDOW_NS = 200.0
 GATE = 2.0
 
 
-def test_batch_window_doubles_overload_throughput(benchmark):
-    def sweep():
-        scalar, _ = run_point(CLIENTS, 1, 0.0, seed=0,
-                              requests=REQUESTS)
-        windowed, _ = run_point(CLIENTS, 1, WINDOW_NS, seed=0,
-                                requests=REQUESTS)
-        return scalar, windowed
-
-    scalar, windowed = benchmark.pedantic(sweep, rounds=1,
-                                          iterations=1)
+def test_batch_window_doubles_overload_throughput():
+    scalar, _ = run_point(CLIENTS, 1, 0.0, seed=0, requests=REQUESTS)
+    windowed, _ = run_point(CLIENTS, 1, WINDOW_NS, seed=0,
+                            requests=REQUESTS)
     assert scalar["throughput_per_us"] > 0
     speedup = windowed["throughput_per_us"] / scalar["throughput_per_us"]
     assert speedup >= GATE, (
@@ -43,17 +37,14 @@ def test_batch_window_doubles_overload_throughput(benchmark):
     assert windowed["batches"] < scalar["batches"]
 
 
-def test_sharding_scales_served_throughput(benchmark):
+def test_sharding_scales_served_throughput():
     """More shards, more dispatchers: served throughput grows with
     the shard count at the overloaded point (Zipf skew keeps it
     sublinear - the hot domain's shard saturates first)."""
-    def sweep():
-        return {
-            shards: run_point(CLIENTS, shards, 0.0, seed=0,
-                              requests=REQUESTS)[0]
-            for shards in (1, 2, 4)
-        }
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    rows = {
+        shards: run_point(CLIENTS, shards, 0.0, seed=0,
+                          requests=REQUESTS)[0]
+        for shards in (1, 2, 4)
+    }
     assert rows[2]["throughput_per_us"] > rows[1]["throughput_per_us"]
     assert rows[4]["throughput_per_us"] > rows[2]["throughput_per_us"]
