@@ -20,9 +20,9 @@ from repro.analysis.engine import Project, run_rules
 from repro.analysis.findings import Finding
 from repro.analysis.rules import select_rules
 
-#: schema version of the JSON report (and the CI artifact);
-#: 3: no ``baselined`` / ``changed_files`` counts
-REPORT_VERSION = 3
+#: schema version of the JSON report (and the CI artifact); 4: a
+#: finding no longer carries a hash of its source line
+REPORT_VERSION = 4
 
 
 def build_parser() -> argparse.ArgumentParser:

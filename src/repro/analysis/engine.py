@@ -83,13 +83,11 @@ class FileContext:
         return False
 
     def finding(self, rule_id: str, line: int, message: str,
-                severity: str = "error", hint: str = "",
-                pragma_lines: tuple = ()) -> Finding:
+                severity: str = "error", hint: str = "") -> Finding:
         return Finding(
             rule_id=rule_id, path=self.relpath, line=line,
             message=message, severity=severity,
-            source_line=self.source_line(line),
-            hint=hint, pragma_lines=pragma_lines,
+            source_line=self.source_line(line), hint=hint,
         )
 
 
@@ -117,11 +115,6 @@ class Project:
                 ))
                 continue
             self.contexts.append(context)
-        # Built once: rules doing cross-file lookups resolve one call
-        # edge per context_for() call, so the old linear scan was
-        # O(files * edges).
-        self._by_module_path = {context.module_path: context
-                                for context in self.contexts}
 
     def _select_files(self,
                       files: Iterable[Path] | None) -> list[Path]:
@@ -131,10 +124,6 @@ class Project:
             path for path in self.package_root.rglob("*.py")
             if "__pycache__" not in path.parts
         )
-
-    def context_for(self, module_path: str) -> FileContext | None:
-        """The context whose package-relative path is ``module_path``."""
-        return self._by_module_path.get(module_path)
 
 
 def run_rules(project: Project, rules: Iterable["Rule"]
@@ -162,12 +151,10 @@ def run_rules(project: Project, rules: Iterable["Rule"]
     by_path = {context.relpath: context for context in project.contexts}
     for finding, rule in raw:
         context = by_path.get(finding.path)
-        if context is not None:
-            lines = (finding.line, *finding.pragma_lines)
-            if any(context.allowed(finding.rule_id, line)
-                   for line in lines):
-                suppressed += 1
-                continue
+        if context is not None and context.allowed(finding.rule_id,
+                                                   finding.line):
+            suppressed += 1
+            continue
         if rule is not None and rule.hint and not finding.hint:
             finding = replace(finding, hint=rule.hint)
         findings.append(finding)

@@ -10,11 +10,6 @@ from __future__ import annotations
 
 from typing import Iterable, Type
 
-from repro.analysis.concurrency import (
-    CheckThenActRule,
-    DoubleSettleRule,
-    SharedWriteRule,
-)
 from repro.analysis.rules.base import Rule
 from repro.analysis.rules.contracts import (
     NoSwallowedExceptionsRule,
@@ -42,9 +37,6 @@ RULE_CLASSES: tuple[Type[Rule], ...] = (
     SpanDisciplineRule,         # OBS001
     ImmutablePlanRule,          # PLN001
     BlockingKernelCallRule,     # QUE001
-    SharedWriteRule,            # RAC001
-    CheckThenActRule,           # RAC002
-    DoubleSettleRule,           # RAC003
     ReplicaReadOnlyRule,        # REP001
     RegisteredTraceKindsRule,   # TRC001
     NoDeadTraceKindsRule,       # TRC002

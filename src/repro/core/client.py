@@ -447,9 +447,9 @@ class ResilientClient(PSSClient):
 
         def settle(done: CompletionFuture) -> None:
             error = done.error
+            if is_predict:
+                self._last_was_fallback = False
             if error is None:
-                if is_predict:
-                    self._last_was_fallback = False
                 result = done.result()
             elif not isinstance(error, _DEGRADABLE):
                 outer.fail(error, ts_ns=done.completed_ns)

@@ -341,6 +341,14 @@ class ShardedService:
         domain.policy = REMOVED
         if self.admission is not None and domain.created_by is not None:
             self.admission.release_domain(domain.created_by)
+        # What was kept about it by name goes with it: a domain created
+        # under the name later is another domain, and must neither add
+        # to this one's resilience aggregate nor fail over to (or be
+        # promoted from) this one's follower snapshots.
+        self._resilience_stats.pop(name, None)
+        for host in self._shards:
+            for replica in host.replicas:
+                replica.followers.pop(name, None)
 
     def domain_names(self) -> tuple[str, ...]:
         return tuple(sorted(

@@ -10,15 +10,18 @@ time, and only then executes the drained requests against the kernel -
 :class:`~repro.core.serving.future.CompletionFuture` with its own
 outcome: the score, or the error the kernel returned for that row.
 Every request here was admitted by its handle at submit, so the kernel
-calls are plain execution by name; what can still fail is what could
-only be known late (its domain removed since, its shard down with no
-follower).
+calls are plain execution by the name of the domain it was admitted
+against; what can still fail is what could only be known late (that
+domain removed since - the name may be a successor's by now - or its
+shard down with no follower).
 
 This module is the single sanctioned site for kernel entry from inside
-the event loop: QUE001 (docs/INVARIANTS.md) statically flags kernel
-``predict_batch``/``update`` calls in any *other* sim-process body,
-because a blocking kernel call in an event-loop process stalls every
-queued request behind it without charging the simulated clock.
+the event loop, because a blocking kernel call in an event-loop process
+stalls every queued request behind it without charging the simulated
+clock.  QUE001 (docs/INVARIANTS.md) flags a kernel
+``predict_batch``/``update`` call written in any *other* sim-process
+body; that each request settles once, with its own outcome, is checked
+by running the system (``tests/test_machine.py``).
 
 Ordering is the bit-identity linchpin: a drained batch executes in
 FIFO order, with *adjacent* predictions grouped into one
@@ -30,8 +33,10 @@ path would have produced.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
+from repro.core.errors import DomainError
+from repro.core.policy import REMOVED
 from repro.core.serving.batcher import TRIGGER_TIMEOUT, MicroBatcher
 from repro.core.serving.queue import Request, RequestQueue
 from repro.obs.metrics import BATCH_SIZE, MetricsRegistry
@@ -41,8 +46,15 @@ from repro.sim.engine import Engine
 from repro.sim.process import Process, ProcessBody, spawn
 
 if TYPE_CHECKING:
+    from repro.core.kernel.domain import Domain
     from repro.core.kernel.service import ShardedService
     from repro.core.serving.pipeline import ServingPipeline
+
+
+def _removed(domain: "Domain") -> DomainError:
+    """The outcome of a request whose domain was removed after its
+    handle admitted it: the name is no longer that domain's."""
+    return DomainError(f"unknown domain {domain.name!r}")
 
 
 class Dispatcher:
@@ -140,8 +152,15 @@ class Dispatcher:
                 self._label)
 
     def _dispatch_span(self, batch: list[Request]) -> SpanHandleLike:
+        """The batch's span names this lane's shard - unless a reshard
+        moved a domain of the batch away since it was queued: the
+        kernel spans under it then name another shard, and a batch over
+        several shards names none."""
+        label = self._label
+        if any(request.domain.shard_label != label for request in batch):
+            label = ""
         return self.tracer.span(
-            "serve.dispatch", "", "serving", self._label, None,
+            "serve.dispatch", "", "serving", label, None,
             {"rows": len(batch), "trigger": self.trigger}, self._clock)
 
     @spanned(_dispatch_span, tracer="tracer")
@@ -150,7 +169,8 @@ class Dispatcher:
         kernel, in FIFO order.
 
         Adjacent predictions collapse into one ``predict_batch`` call,
-        which answers row by row; updates run individually at their
+        which answers row by row (a request whose domain was removed
+        since takes no row of it); updates run individually at their
         queue position.  A request fails for its own outcome only.
         An exception *escaping* a kernel call (anything that is not a
         :class:`PSSError`: a model's bug) fails exactly the requests
@@ -172,13 +192,20 @@ class Dispatcher:
                 self._serve_one(batch[index])
             else:
                 run = batch[index:bound]
+                rows = [(request.domain.name, request.features)
+                        for request in run
+                        if request.domain.policy is not REMOVED]
+                outcomes: Sequence[object]
                 try:
-                    outcomes = self.service.predict_batch(
-                        [(request.domain, request.features)
-                         for request in run]
-                    )
+                    outcomes = self.service.predict_batch(rows)
                 except Exception as error:
-                    outcomes = [error] * len(run)
+                    outcomes = [error] * len(rows)
+                if len(rows) < len(run):
+                    served = iter(outcomes)
+                    outcomes = [next(served)
+                                if request.domain.policy is not REMOVED
+                                else _removed(request.domain)
+                                for request in run]
                 for request, outcome in zip(run, outcomes):
                     if isinstance(outcome, Exception):
                         self.pipeline.request_failed(request, outcome)
@@ -191,16 +218,19 @@ class Dispatcher:
         window 0), an update, or a prediction with no prediction next
         to it - is one kernel call and one settlement.  It still
         enters through ``self.service.predict_batch`` /
-        ``self.service.update``: that is the kernel boundary (QUE001,
-        and what ``perf/`` times)."""
+        ``self.service.update``: that is the kernel boundary (what
+        ``perf/`` times)."""
+        domain = request.domain
         try:
-            if request.op == "predict":
+            if domain.policy is REMOVED:
+                outcome = _removed(domain)
+            elif request.op == "predict":
                 outcome, = self.service.predict_batch(
-                    [(request.domain, request.features)])
+                    [(domain.name, request.features)])
             else:
                 outcome = None
                 self.service.update(
-                    request.domain, request.features, request.direction)
+                    domain.name, request.features, request.direction)
         except Exception as error:
             outcome = error
         if isinstance(outcome, Exception):

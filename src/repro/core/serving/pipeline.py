@@ -270,7 +270,7 @@ class ServingPipeline:
         except IndexError:   # a shard grown since the last lane was built
             queue = self._grow_lanes(shard_id)
         self.seq = seq = self.seq + 1
-        request = Request(op, name, features, future, direction,
+        request = Request(op, target, features, future, direction,
                           shard_id, seq)
         config = self.config
         reason = self._admission.admit_request(
@@ -404,17 +404,20 @@ class ServingPipeline:
         ``drained_ns``, ``settled_ns`` - read off the dispatcher, which
         still has that batch in hand.  :func:`repro.obs.postmortem
         .request_stages` turns them into queue wait / batch window /
-        crossing."""
+        crossing.  Like the kernel's spans, it names the shard hosting
+        its domain now, which a reshard may have moved off the lane the
+        request was queued on."""
         dispatcher = self.dispatchers[request.shard_id]
         submitted = request.future.submitted_ns
+        domain = request.domain
         self.tracer.record(
-            "request", request.domain, "serving", submitted,
+            "request", domain.name, "serving", submitted,
             now - submitted, 0,
             {"op": request.op, "outcome": outcome,
              "rows": dispatcher.rows, "trigger": dispatcher.trigger,
              "collect_ns": dispatcher.collect_ns,
              "drained_ns": dispatcher.drained_ns, "settled_ns": now},
-            dispatcher.queue.label)
+            domain.shard_label)
 
     # -- driving -------------------------------------------------------------
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.serving.future import CompletionFuture
 from repro.obs.metrics import (
@@ -32,6 +32,9 @@ from repro.obs.trace import NULL_TRACER, TracerLike
 from repro.sim.engine import Engine
 from repro.sim.process import SimEvent
 
+if TYPE_CHECKING:
+    from repro.core.kernel.domain import Domain
+
 
 @dataclass(slots=True)
 class Request:
@@ -39,14 +42,16 @@ class Request:
 
     ``op`` is ``"predict"`` or ``"update"``; ``direction`` is only
     meaningful for updates.  Its handle admitted it at submit
-    (:meth:`~repro.core.kernel.domain.DomainHandle.admit`), so what is
-    queued is already decided: the dispatcher only executes it, by
-    ``domain`` name.  One is built per submit, so the pipeline
-    constructs it positionally: keep the field order.
+    (:meth:`~repro.core.kernel.domain.DomainHandle.admit`) against
+    ``domain``, so what is queued is already decided: the dispatcher
+    only executes it, by that domain's name - unless the domain was
+    removed since, when the name may be a successor's and the request
+    fails instead.  One is built per submit, so the pipeline constructs
+    it positionally: keep the field order.
     """
 
     op: str
-    domain: str
+    domain: "Domain"
     features: Sequence[int]
     future: CompletionFuture
     direction: bool = False
@@ -111,7 +116,7 @@ class RequestQueue:
         self.shed += 1
         if self.tracer.enabled:
             self.tracer.record(
-                "queue.shed", domain=request.domain,
+                "queue.shed", domain=request.domain.name,
                 transport="serving", ts_ns=self.engine.now,
                 shard=self.label,
                 detail={"op": request.op, "reason": reason,

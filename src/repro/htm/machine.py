@@ -124,7 +124,7 @@ class HTMMachine:
         yield cfg.begin_cost_ns
 
         # Deterministic early-outs: capacity and unsupported instructions
-        # abort regardless of concurrency, after burning part of the work.
+        # abort regardless of contention, after burning part of the work.
         if shape.footprint > cfg.capacity_lines:
             yield shape.duration_ns * cfg.capacity_abort_fraction
             yield cfg.abort_cost_ns

@@ -1,6 +1,6 @@
 """Deterministic discrete-event simulation engine.
 
-The HTM lock-elision and page-reclaim scenarios both need concurrency with
+The HTM lock-elision and page-reclaim scenarios both need parallel work with
 *controlled*, reproducible timing - real threads would make every figure
 non-deterministic.  This engine provides a simulated nanosecond clock and an
 event queue; :mod:`repro.sim.process` layers coroutine-style processes on

@@ -6,6 +6,7 @@ and a seeded violation in a copy of the tree fails it (exit 1).
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import sys
 import pytest
 
 from repro.analysis.cli import main
+from repro.analysis.rules import RULE_CLASSES
 
 from .conftest import REPO_ROOT
 
@@ -73,10 +75,20 @@ class TestSeededViolation:
 class TestUsage:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for rule_id in ("CTR001", "DET001", "DET002", "EXC001",
-                        "TRC001", "TRC002"):
-            assert rule_id in out
+        listed = [line.split()[0]
+                  for line in capsys.readouterr().out.splitlines()]
+        assert listed == [
+            "CTR001", "DET001", "DET002", "EXC001", "OBS001", "PLN001",
+            "QUE001", "REP001", "TRC001", "TRC002"]
+
+    def test_the_catalogue_documents_every_rule_and_no_other(self):
+        """docs/INVARIANTS.md has a ``### <ID>`` heading per shipped
+        rule, and a heading per rule only."""
+        catalogue = (REPO_ROOT / "docs" / "INVARIANTS.md").read_text()
+        documented = re.findall(r"^### ([A-Z]{3}\d{3}) ", catalogue,
+                                flags=re.MULTILINE)
+        assert sorted(documented) == sorted(
+            cls.rule_id for cls in RULE_CLASSES)
 
     def test_unknown_rule_is_exit_2(self, capsys):
         assert main(["--rules", "NOPE99"]) == 2

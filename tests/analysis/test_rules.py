@@ -30,8 +30,7 @@ class TestRegistry:
     def test_expected_rules_present(self):
         assert set(rules_by_id()) == {
             "CTR001", "DET001", "DET002", "EXC001", "OBS001",
-            "PLN001", "QUE001", "RAC001", "RAC002", "RAC003",
-            "REP001", "TRC001", "TRC002",
+            "PLN001", "QUE001", "REP001", "TRC001", "TRC002",
         }
 
     def test_every_rule_ships_a_fixit_hint(self):
@@ -212,10 +211,6 @@ class TestQue001:
                    for m in messages)
         assert all(f.rule_id == "QUE001" and f.severity == "error"
                    for f in bad)
-        # The interprocedural pass adds the helper-path catch in
-        # bench/indirect.py (see test_concurrency.py for its shape).
-        indirect = grouped.pop("indirect.py")
-        assert len(indirect) == 1
         # good_process.py (submit/wait, dict .update, plain-function
         # kernel entry, nested-def helper) and the path-exempt
         # core/serving/dispatch.py produce nothing.

@@ -88,6 +88,22 @@ class TestSyncAndLag:
         followers = service.shard(0).replicas[0].followers
         assert NAMES[0] not in followers
 
+    def test_a_recreated_domain_never_sees_its_predecessors_follower(self):
+        """A follower goes with its domain: the one created under the
+        name since is unseen by any follower, so a crash refuses its
+        reads and a promotion leaves it cold - it is neither served nor
+        given what the removed domain had learned."""
+        service = PredictionService(num_shards=1, num_replicas=1)
+        populate(service)
+        service.sync_replicas()
+        service.remove_domain(NAMES[0])
+        successor = service.create_domain(NAMES[0], config=CONFIG)
+        service.crash_shard(0)
+        with pytest.raises(ShardDownError):
+            service.predict(NAMES[0], [1])
+        ReplicaPromoter(service).promote(0)
+        assert successor.model.weights.nonzero_count() == 0
+
     def test_replicated_summaries_report_lag(self):
         service = PredictionService(num_shards=2, num_replicas=2)
         populate(service)

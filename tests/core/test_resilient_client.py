@@ -180,6 +180,29 @@ class TestFallback:
         assert [client.predict(row) for row in rows] == [1, 1]
         assert client.last_prediction_was_fallback
 
+    def test_a_recreated_domain_starts_a_fresh_aggregate(self):
+        """The resilience aggregate is the domain's, not the name's: a
+        domain created under a removed one's name reports none of its
+        fallbacks, and its resilient clients share a new block."""
+        service, client = make_client(
+            plan=FaultPlan(seed=0, syscall_failure_rate=1.0),
+            resilience=ResilienceConfig(max_attempts=1,
+                                        breaker_threshold=1))
+        for _ in range(5):
+            client.predict([1, 2])
+        assert client.stats.breaker_opens == 1
+        service.remove_domain("dom")
+        service.create_domain("dom", config=PSSConfig(num_features=2))
+        (report,) = service.reports()
+        assert report.resilience is None
+        fresh = service.connect("dom", fallback=1)
+        assert fresh.stats is not client.stats
+        fresh.predict([1, 2])
+        (report,) = service.reports()
+        assert report.resilience is fresh.stats
+        assert (report.stats.predictions,
+                report.resilience.fallback_predictions) == (1, 0)
+
 
 class TestNoExceptionGuarantee:
     @pytest.mark.parametrize("transport", ["vdso", "syscall"])

@@ -14,6 +14,7 @@ from repro.core.kernel.service import ShardedService
 from repro.core.serving import ServingConfig, ServingPipeline
 from repro.obs import MetricsRegistry, Tracer
 from repro.sim.process import spawn
+from tests.obs.shard_labels import mixed_label_spans
 
 CONFIG = PSSConfig(num_features=2)
 NAMES = [f"domain-{i}" for i in range(12)]
@@ -75,6 +76,26 @@ class TestGrow:
             served = metrics.histogram("pss_serve_latency_ns",
                                        shard=shard)
             assert served.count == list(owners.values()).count(shard)
+
+    def test_a_request_queued_before_a_move_names_the_new_owner(self):
+        """Queued before a reshard moved its domain, served on the lane
+        it was queued on: its record names the shard hosting the domain
+        now, as the kernel's spans under it do, and a batch over two
+        shards by then is a ``serve.dispatch`` that names none."""
+        tracer = Tracer()
+        service = build(2, tracer=tracer)
+        pipeline = ServingPipeline(
+            service, ServingConfig(batch_window_ns=200.0))
+        for name in NAMES:
+            pipeline.submit(name, ROW)
+        service.reshard(3)
+        assert any(service.shard_of(name) == 2 for name in NAMES)
+        tracer.clear()
+        pipeline.run()
+        assert {event.domain: event.shard for event in tracer.events()
+                if event.kind == "request"} \
+            == {name: str(service.shard_of(name)) for name in NAMES}
+        assert mixed_label_spans(tracer.spans()) == []
 
     def test_lanes_grow_while_the_engine_runs(self):
         """A lane started mid-run (its dispatcher spawned from inside a

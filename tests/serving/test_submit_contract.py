@@ -4,10 +4,11 @@
 synchronous ``predict`` / ``update`` ask, so the pipeline is no way
 round a tenant's budget or a domain's policy, and a request that cannot
 be served fails alone: refused at submit, on its own future, with the
-synchronous call's exception type and charge.
-``tests/serving/test_identity.py::TestOneContract`` is the property;
-these are the cases - the three in ``TestTheThreeSideDoors`` each got
-through once - and the client ``submit`` family on top.
+synchronous call's exception type and charge.  ``tests/test_machine.py``
+is the property; these are the cases - the three in
+``TestTheThreeSideDoors`` each got through once, and so did the
+successor in ``TestNamesAndHandlesOverTime`` - and the client
+``submit`` family on top.
 """
 
 import pytest
@@ -132,6 +133,29 @@ class TestNamesAndHandlesOverTime:
         assert errors(futures) == [None, DomainError, None]
         assert pipeline.snapshot()["failed"] == 1
 
+    @pytest.mark.parametrize("window", [0.0, 200.0])
+    def test_a_request_never_runs_on_a_same_named_successor(self, window):
+        """Admitted under the open domain, executed after it was removed
+        and a private one created under its name: the requests fail with
+        the domain they were admitted against, and the successor - which
+        Bob may not touch - is untouched."""
+        service = ShardedService()
+        service.create_domain("d", config=CONFIG)
+        pipeline = ServingPipeline(
+            service, ServingConfig(batch_window_ns=window))
+        bob = service.handle("d", BOB)
+        futures = [pipeline.submit(bob, (1, 2), op="update",
+                                   direction=True),
+                   pipeline.submit(bob, (1, 2)), pipeline.submit(bob, (3, 4))]
+        service.remove_domain("d")
+        service.create_domain("d", config=CONFIG,
+                              policy=private_policy(ALICE))
+        pipeline.run()
+        assert errors(futures) == [DomainError] * 3
+        successor = service.domain("d")
+        assert (successor.stats.updates, successor.stats.predictions,
+                successor.generation) == (0, 0, 0)
+
 
 class TestClientSubmitFamily:
     def test_without_a_pipeline_the_refusal_settles_the_future(self):
@@ -185,3 +209,16 @@ class TestClientSubmitFamily:
         pipeline.run()
         assert errors(futures) == [PolicyError] * 2
         assert client.stats.fallback_predictions == 0
+
+    def test_a_refused_resilient_submit_clears_the_fallback_flag(self):
+        """The flag says whether the last prediction was served from the
+        fallback: after one that was refused outright it is False, as
+        after a synchronous ``predict`` that raised."""
+        service = ShardedService()
+        client = service.connect("d", config=CONFIG, fallback=-7)
+        service.crash_shard(0)                  # and no follower
+        assert client.predict((1, 2)) == -7
+        assert client.last_prediction_was_fallback
+        client.attach_pipeline(ServingPipeline(service, ServingConfig()))
+        assert errors([client.submit((1, 2, 3))]) == [FeatureError]
+        assert not client.last_prediction_was_fallback

@@ -95,7 +95,7 @@ class TestSimMutex:
 
 
 class TestSimSemaphore:
-    def test_permits_bound_concurrency(self):
+    def test_permits_bound_the_holders(self):
         eng = Engine()
         sem = SimSemaphore(eng, permits=2)
         concurrent = [0]
