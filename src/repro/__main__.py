@@ -31,12 +31,6 @@ def cmd_models(_args: list[str]) -> int:
     return 0
 
 
-def cmd_check(args: list[str]) -> int:
-    from repro.analysis.cli import main as check_main
-
-    return check_main(args)
-
-
 def cmd_postmortem(args: list[str]) -> int:
     from repro.obs.postmortem import main as postmortem_main
 
@@ -47,8 +41,6 @@ UTILITIES = {
     "all": (cmd_all, "run every experiment in sequence (shared flags "
                      "only)"),
     "models": (cmd_models, "list the registered predictor models"),
-    "check": (cmd_check, "run the project invariant checker "
-                         "(docs/INVARIANTS.md)"),
     "postmortem": (cmd_postmortem, "render a flight-recorder bundle "
                                    "(causal span tree + critical paths)"),
 }

@@ -11,10 +11,10 @@ Two measurements:
 
 The whole measurement is one cell.
 
-This module is the one sanctioned wall-clock reader in the package:
-the invariant checker's DET001 rule (see ``docs/INVARIANTS.md``)
-allowlists it, because comparing simulated cost against real Python
-overhead is exactly its job.  Everything else must use simulated time.
+This module is the one wall-clock reader in the package (the only one
+``tests/test_source.py`` lets import ``time``), because comparing
+simulated cost against real Python overhead is exactly its job.
+Everything else must use simulated time.
 """
 
 from __future__ import annotations

@@ -212,10 +212,9 @@ class ShardedCheckpointManager:
             path = self.directory / shard_file_name(shard.shard_id)
             if not path.exists():
                 continue
-            text = path.read_text()
             shards[str(shard.shard_id)] = {
                 "file": path.name,
-                "checksum": zlib.crc32(text.encode("utf-8")),
+                "checksum": zlib.crc32(path.read_bytes()),
                 "domains": len(shard),
             }
         manifest = {
@@ -235,24 +234,26 @@ class ShardedCheckpointManager:
     # -- recovery ----------------------------------------------------------
 
     def read_manifest(self) -> dict[str, Any] | None:
-        """The manifest dict, or None when missing/corrupt (recorded)."""
+        """The manifest dict, or None when missing or corrupt; a corrupt
+        one is recorded like a skipped shard file (:meth:`_skip`)."""
         if not self.manifest_path.exists():
             return None
         try:
             manifest = json.loads(self.manifest_path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            self.corrupt_detected += 1
-            self.last_error = f"corrupt manifest: {exc}"
-            return None
-        if not isinstance(manifest, dict) \
-                or manifest.get("version") != MANIFEST_VERSION:
-            self.corrupt_detected += 1
-            self.last_error = (
-                f"unsupported manifest version "
-                f"{manifest.get('version') if isinstance(manifest, dict) else manifest!r}"
-            )
-            return None
-        return manifest
+        except (OSError, ValueError) as exc:    # ValueError: bad UTF-8 too
+            reason = f"corrupt manifest: {exc}"
+        else:
+            if not isinstance(manifest, dict) \
+                    or manifest.get("version") != MANIFEST_VERSION:
+                version = (manifest.get("version")
+                           if isinstance(manifest, dict) else manifest)
+                reason = f"unsupported manifest version {version!r}"
+            elif not isinstance(manifest.get("shards"), dict):
+                reason = "corrupt manifest: its shards are not a table"
+            else:
+                return manifest
+        self._skip("", MANIFEST_NAME, reason)
+        return None
 
     def _skip(self, shard_key: str, file_name: str, reason: str) -> None:
         """Record one unrecoverable shard file - counted, remembered,
@@ -270,10 +271,12 @@ class ShardedCheckpointManager:
     def recover(self) -> RecoveryResult:
         """Restore every recoverable shard; returns how many restored.
 
-        A missing manifest is a clean cold start (0).  Each shard file
-        is validated twice - against the manifest's whole-file CRC and
+        A missing manifest is a clean cold start (0), and a corrupt one
+        restores nothing and is skipped itself.  Each shard file is
+        validated twice - against the manifest's whole-file CRC and
         against the snapshot's embedded domain checksum - and skipped
-        when either fails.  Every skip updates
+        when either fails, when it is missing, or when its manifest
+        entry names no file.  Every skip updates
         ``corrupt_detected``/``last_error``, emits a
         ``checkpoint.corrupt`` trace event, and lands in the returned
         :class:`RecoveryResult`'s ``skipped`` list, so callers can see
@@ -282,52 +285,56 @@ class ShardedCheckpointManager:
         different shard count still restores: domains re-route through
         the live service's router.
         """
-        from repro.core.persistence import CheckpointManager
-
+        if not self.manifest_path.exists():
+            return RecoveryResult(0)
         manifest = self.read_manifest()
         if manifest is None:
-            return RecoveryResult(0)
+            return RecoveryResult(0, (MANIFEST_NAME,),
+                                  (self.last_error or "",))
         restored = 0
         skipped: list[str] = []
         errors: list[str] = []
-        for shard_key, entry in manifest.get("shards", {}).items():
-            path = self.directory / entry["file"]
-            if not path.exists():
-                reason = f"missing shard file {entry['file']}"
-                self._skip(shard_key, entry["file"], reason)
-                skipped.append(entry["file"])
-                errors.append(reason)
-                continue
-            text = path.read_text()
-            if zlib.crc32(text.encode("utf-8")) != entry.get("checksum"):
-                reason = (
-                    f"manifest checksum mismatch for {entry['file']}"
-                )
-                self._skip(shard_key, entry["file"], reason)
-                skipped.append(entry["file"])
-                errors.append(reason)
-                continue
-            # Restore into the service, not a shard's view of it: state
-            # is installed into (or a domain created on) whichever shard
-            # owns the name now, and room is counted over all of them.
-            manager = CheckpointManager(
-                self.service, path,
-                interval=self.interval,
-                include_stats=self.include_stats,
-                tracer=self.tracer,
-            )
-            if manager.recover():
-                restored += 1
+        for shard_key, entry in manifest["shards"].items():
+            file_name = entry.get("file") if isinstance(entry, dict) \
+                else None
+            if isinstance(file_name, str):
+                reason = self._restore_shard(file_name,
+                                             entry.get("checksum"))
             else:
-                reason = manager.last_error or (
-                    f"unreadable snapshot {entry['file']}"
-                )
-                self._skip(shard_key, entry["file"], reason)
-                # _skip counted the failure once; fold in any extra
-                # detections the inner manager made beyond its own.
-                self.corrupt_detected += max(
-                    0, manager.corrupt_detected - 1
-                )
-                skipped.append(entry["file"])
-                errors.append(reason)
+                reason = f"manifest entry names no shard file: {entry!r}"
+                file_name = f"shard {shard_key}"
+            if reason is None:
+                restored += 1
+                continue
+            self._skip(shard_key, file_name, reason)
+            skipped.append(file_name)
+            errors.append(reason)
         return RecoveryResult(restored, tuple(skipped), tuple(errors))
+
+    def _restore_shard(self, file_name: str, checksum: Any) -> str | None:
+        """Restore one shard file the manifest vouches for with
+        ``checksum``: None when it did, else why it is skipped."""
+        from repro.core.persistence import CheckpointManager
+
+        path = self.directory / file_name
+        try:
+            data = path.read_bytes()
+        except OSError as exc:
+            return f"missing shard file {file_name}: {exc.strerror}"
+        if zlib.crc32(data) != checksum:
+            return f"manifest checksum mismatch for {file_name}"
+        # Restore into the service, not a shard's view of it: state is
+        # installed into (or a domain created on) whichever shard owns
+        # the name now, and room is counted over all of them.
+        manager = CheckpointManager(
+            self.service, path,
+            interval=self.interval,
+            include_stats=self.include_stats,
+            tracer=self.tracer,
+        )
+        if manager.recover():
+            return None
+        # The skip counts the failure once; fold in any extra
+        # detections the inner manager made beyond its own.
+        self.corrupt_detected += max(0, manager.corrupt_detected - 1)
+        return manager.last_error or f"unreadable snapshot {file_name}"

@@ -10,9 +10,9 @@ generations (:meth:`ShardReplica.lag` reports exactly how many), which
 is the documented staleness window failover answers live in.
 
 Replicas never learn: they hold :class:`FollowerDomain` snapshots that
-only ``predict`` - the REP001 invariant rule enforces at lint time
-that nothing in a replica/follower type ever calls ``update()`` or
-``train()`` on domain state.
+only ``predict``.  The state machine (``tests/test_machine.py``)
+compares every follower with the model its primary last synced after
+every step.
 
 :class:`ReplicaPromoter` closes the loop: when a shard's primary is
 fault-injected down (its in-memory models destroyed), promotion loads

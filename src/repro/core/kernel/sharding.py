@@ -98,10 +98,6 @@ class SlotRing:
             if owner == shard_id
         )
 
-    def assignments(self) -> tuple[int, ...]:
-        """The full slots -> shards table (index = slot)."""
-        return tuple(self._owners)
-
     def _target_size(self, shard_id: int, num_shards: int) -> int:
         """Balanced slot count for ``shard_id`` among ``num_shards``."""
         base, extra = divmod(self.num_slots, num_shards)

@@ -34,9 +34,9 @@ prediction"):
   different tenants resolve to the *same* read-only plan instance
   (cache hits/misses are counted and traced as ``plan.hit`` /
   ``plan.compile``).
-* Plans are immutable after ``__init__`` (enforced statically by the
-  PLN001 invariant rule): they capture salts and table geometry only,
-  never weights, which is what makes cross-tenant sharing safe.
+* Plans are immutable (a :class:`SpecializedPlan` is a named tuple):
+  they capture salts and table geometry only, never weights, which is
+  what makes cross-tenant sharing safe.
 * A :class:`~repro.core.weights.WeightMatrix` *binds* a plan lazily and
   drops the binding whenever a snapshot restore swaps its learned state
   wholesale (:meth:`~repro.core.weights.WeightMatrix.load_state`) -
@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import struct
 from functools import lru_cache
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from repro.core.config import PSSConfig
 from repro.core.hashing import _MASK64, salt_table
@@ -145,8 +145,8 @@ def _vector_engine(salts: tuple[int, ...], entries: int) -> Any:
     acceleration; the compiled Python path is the fallback).
 
     The first call is what imports numpy.  Kept here, by shape, because
-    a plan is immutable after ``__init__`` (PLN001) and building three
-    arrays per block would cost a short block more than hashing it.
+    a plan is immutable and building three arrays per block would cost
+    a short block more than hashing it.
     """
     try:
         import numpy as np
@@ -183,7 +183,7 @@ def _rows_as_u64(_np: Any, keys: Sequence[tuple[int, ...]]) -> Any:
         return None
 
 
-class SpecializedPlan:
+class SpecializedPlan(NamedTuple):
     """One compiled, immutable scorer for a model shape.
 
     ``select(row)`` maps a feature tuple to the selected flat weight
@@ -191,23 +191,16 @@ class SpecializedPlan:
     against a caller-supplied weight array without touching any index
     cache; :meth:`score_select_rows` is the vectorized block variant.
     No closure holds weights: a plan is pure shape, shared read-only
-    across every same-shape domain (PLN001 forbids any ``self``
-    assignment outside ``__init__``).
+    across every same-shape domain, and a tuple - a write to a field,
+    or to any other attribute, raises ``AttributeError``.
     """
 
-    __slots__ = ("signature", "num_features", "entries_per_feature",
-                 "salts", "select", "score_rows")
-
-    def __init__(self, signature: PlanSignature,
-                 salts: tuple[int, ...],
-                 select: Callable[[Sequence[int]], tuple[int, ...]],
-                 score_rows: Callable[..., list[int]]) -> None:
-        self.signature = signature
-        self.num_features = signature[0]
-        self.entries_per_feature = signature[1]
-        self.salts = salts
-        self.select = select
-        self.score_rows = score_rows
+    signature: PlanSignature
+    num_features: int
+    entries_per_feature: int
+    salts: tuple[int, ...]
+    select: Callable[[Sequence[int]], tuple[int, ...]]
+    score_rows: Callable[..., list[int]]
 
     def __repr__(self) -> str:
         return (f"SpecializedPlan(features={self.num_features}, "
@@ -256,7 +249,7 @@ def compile_plan(config: PSSConfig) -> SpecializedPlan:
     }
     exec(compile(source, f"<plan {signature}>", "exec"), namespace)
     return SpecializedPlan(
-        signature, salts,
+        signature, config.num_features, config.entries_per_feature, salts,
         namespace["select"],       # type: ignore[arg-type]
         namespace["score_rows"],   # type: ignore[arg-type]
     )

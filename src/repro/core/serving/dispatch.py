@@ -18,7 +18,7 @@ shard down with no follower).
 This module is the single sanctioned site for kernel entry from inside
 the event loop, because a blocking kernel call in an event-loop process
 stalls every queued request behind it without charging the simulated
-clock.  QUE001 (docs/INVARIANTS.md) flags a kernel
+clock.  ``tests/test_source.py`` rejects a kernel
 ``predict_batch``/``update`` call written in any *other* sim-process
 body; that each request settles once, with its own outcome, is checked
 by running the system (``tests/test_machine.py``).

@@ -13,7 +13,7 @@ into the ``pss_queue_depth`` histogram (its trace record is the
 ``request`` event the pipeline emits when it settles, which carries
 the time it was submitted); each refusal records ``queue.shed`` with
 its reason and counts into ``pss_shed_total`` - this module is that
-kind's single emit site (TRC002).
+kind's single emit site.
 """
 
 from __future__ import annotations

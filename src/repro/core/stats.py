@@ -393,26 +393,6 @@ class LatencyAccount:
             },
         }
 
-    @classmethod
-    def from_snapshot(cls, snapshot: dict) -> "LatencyAccount":
-        """Rebuild an account from a :meth:`snapshot` dict (round-trip).
-
-        Derived values (``total_ns``, ``cache_hit_rate``) are recomputed
-        from the restored counters, not read back.
-        """
-        ops = snapshot.get("ops", {})
-        return cls(
-            vdso_ns=snapshot["vdso_ns"],
-            syscall_ns=snapshot["syscall_ns"],
-            vdso_calls=snapshot["vdso_calls"],
-            syscalls=snapshot["syscalls"],
-            update_records=snapshot["update_records"],
-            cache_hits=snapshot["cache_hits"],
-            cache_misses=snapshot["cache_misses"],
-            op_ns={op: entry["ns"] for op, entry in ops.items()},
-            op_calls={op: entry["calls"] for op, entry in ops.items()},
-        )
-
 
 @dataclass
 class ResilienceStats:

@@ -104,10 +104,6 @@ class Transport:
         self._clock = self.account.clock
 
     @property
-    def latency_model(self) -> LatencyModel:
-        return self._latency
-
-    @property
     def closed(self) -> bool:
         return self._closed
 

@@ -103,10 +103,6 @@ class HTMMachine:
         # critical sections currently executing under a lock
         self._locked_sections: list[LockedSection] = []
 
-    @property
-    def running_count(self) -> int:
-        return len(self._running)
-
     def run_transaction(self, shape: TxAttemptShape,
                         mutex: SimMutex | None = None):
         """Generator: execute ``shape`` transactionally; yields a TxResult.

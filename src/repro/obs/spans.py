@@ -6,9 +6,10 @@ predict may traverse facade -> admission -> router -> shard -> failover
 -> transport -> plan.  A :class:`Span` is one timed stage of one request
 with an explicit ``parent_id``, so every predict/update/predict_batch
 yields a reconstructable tree.  Spans are opened through the tracer API
-(``with tracer.span("client.predict"): ...`` - context-manager use is
-enforced by the OBS001 static rule) and flat events recorded while a
-span is open attach to it via ``TraceEvent.span_id``.
+as a ``with`` item (``with tracer.span("client.predict"): ...``; the
+state machine checks no span is left open after any step) and flat
+events recorded while a span is open attach to it via
+``TraceEvent.span_id``.
 
 A span is one slotted object that is also its own context manager (the
 open/close work happens inline in ``__enter__``/``__exit__`` against

@@ -174,8 +174,8 @@ class Tracer:
              clock: Callable[[], float] | None = None) -> Span:
         """Open a span for the duration of a ``with`` block.
 
-        The only sanctioned way to open a span (OBS001 flags a span
-        call that is not a ``with`` item): the returned
+        The only way to open a span, as a ``with`` item (the tracer
+        has no begin / end pair): the returned
         :class:`~repro.obs.spans.Span` is its own context manager and
         closes on every path, stamping ``status`` from the in-flight
         exception.  ``clock`` overrides the tracer clock for this span

@@ -53,6 +53,9 @@ class TestCli:
         assert "unknown command 'figure99'" in err
         for name in ("fig2", "fig6", "latency"):
             assert name in err
+        # `check` is no command: unknown like any other
+        assert main(["check"]) == 2
+        assert "unknown command 'check'" in capsys.readouterr().err
 
     def test_no_command_lists_experiments(self, capsys):
         from repro.__main__ import main
@@ -62,6 +65,7 @@ class TestCli:
         assert "experiments:" in out
         assert "Figure 2" in out
         assert "--trace" in out
+        assert "  check" not in out
 
     def test_observability_flags_accepted(self, capsys, tmp_path):
         from repro.__main__ import main

@@ -126,3 +126,15 @@ def test_a_warning_from_the_hash_path_is_an_error():
     plan = compile_plan(PSSConfig(num_features=2))
     with pytest.raises(DeprecationWarning):
         plan.select((Deprecated(), 2))
+
+
+def test_a_plan_is_read_only():
+    """One plan serves every same-shape domain of every tenant, so
+    nothing may write to it: not a field, not a new attribute."""
+    plan = compile_plan(PSSConfig(num_features=2))
+    with pytest.raises(AttributeError):
+        plan.select = len
+    with pytest.raises(AttributeError):
+        plan.hits = 1
+    assert plan.num_features == 2 and plan.entries_per_feature == \
+        PSSConfig().entries_per_feature

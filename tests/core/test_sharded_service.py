@@ -183,6 +183,54 @@ class TestShardedCheckpoints:
         assert event.detail["file"] == shard_file_name(victim)
         assert "missing" in event.detail["reason"]
 
+    @pytest.mark.parametrize("damage", [
+        "shard file byte", "manifest byte", "entry without file",
+        "shards not a table"])
+    def test_damage_is_a_recorded_skip(self, tmp_path, damage):
+        """Each of these raised out of ``recover()`` (UnicodeDecodeError
+        twice, KeyError, AttributeError) where the one-file manager
+        returns False: a damaged shard costs that shard, a damaged
+        manifest restores nothing, and either is counted, traced and
+        named."""
+        source = self.trained_service()
+        ShardedCheckpointManager(source, tmp_path).checkpoint()
+        occupied = [s["shard"] for s in source.shard_summaries()
+                    if s["domains"]]
+        victim = shard_file_name(occupied[0])
+        manifest_path = tmp_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        if damage == "entry without file":
+            del manifest["shards"][str(occupied[0])]["file"]
+            victim = f"shard {occupied[0]}"
+        elif damage == "shards not a table":
+            manifest["shards"] = []
+        manifest_path.write_text(json.dumps(manifest))
+        if damage.endswith("byte"):
+            path = tmp_path / (victim if damage == "shard file byte"
+                               else "manifest.json")
+            data = bytearray(path.read_bytes())
+            data[len(data) // 2] = 0xFF
+            path.write_bytes(data)
+
+        tracer = Tracer()
+        restored = PredictionService(num_shards=4, tracer=tracer)
+        manager = ShardedCheckpointManager(restored, tmp_path)
+        result = manager.recover()
+        lost_manifest = damage in ("manifest byte", "shards not a table")
+        if lost_manifest:
+            assert result == 0 and result.skipped == ("manifest.json",)
+            assert restored.domain_names() == ()
+        else:
+            assert result == len(occupied) - 1
+            assert result.skipped == (victim,)
+            lost = set(source.shard(occupied[0]).domain_names())
+            assert set(restored.domain_names()) == set(NAMES) - lost
+        assert manager.corrupt_detected == 1
+        assert manager.last_error == result.errors[0]
+        corrupt = [event.detail["file"] for event in tracer.events()
+                   if event.kind == "checkpoint.corrupt"]
+        assert corrupt == list(result.skipped)
+
     def test_clean_recovery_skips_nothing(self, tmp_path):
         source = self.trained_service()
         ShardedCheckpointManager(source, tmp_path).checkpoint()

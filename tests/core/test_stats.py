@@ -148,26 +148,6 @@ class TestLatencyAccount:
         a.merge(LatencyAccount())
         assert a.snapshot() == before
 
-    def test_snapshot_round_trip(self):
-        account = LatencyAccount()
-        account.charge_vdso(4.19)
-        account.charge_syscall(68.0, records=2)
-        account.charge_op("predict", 4.19)
-        account.charge_op("flush", 68.0)
-        account.record_cache_hit()
-        account.record_cache_miss()
-        restored = LatencyAccount.from_snapshot(account.snapshot())
-        assert restored.snapshot() == account.snapshot()
-        assert restored.total_ns == pytest.approx(account.total_ns)
-        assert restored.cache_hit_rate == \
-            pytest.approx(account.cache_hit_rate)
-
-    def test_from_snapshot_tolerates_missing_ops(self):
-        snap = LatencyAccount().snapshot()
-        del snap["ops"]
-        restored = LatencyAccount.from_snapshot(snap)
-        assert restored.op_ns == {}
-
 
 class TestResilienceStats:
     def test_any_activity(self):

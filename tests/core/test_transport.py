@@ -1,13 +1,17 @@
 """Tests for vDSO/syscall transports and the batch update buffer."""
 
+from collections.abc import Sized
+
 import pytest
 
 from repro.core.config import LatencyModel
 from repro.core.errors import TransportClosedError, TransportError
+from repro.core.faults import FaultInjector, FaultPlan
 from repro.core.models import VersionWord
 from repro.core.transport import (
     BatchUpdateBuffer,
     SyscallTransport,
+    Transport,
     VdsoTransport,
     make_transport,
 )
@@ -291,10 +295,15 @@ class TestMakeTransport:
             make_transport("pigeon", RecordingTarget())
 
 
+#: every transport there is, named as ``make_transport`` names it
+TRANSPORTS = pytest.mark.parametrize(
+    "cls", Transport.__subclasses__(), ids=lambda cls: cls.name)
+
+
 class TestCloseContract:
-    @pytest.mark.parametrize("kind", ["vdso", "syscall"])
-    def test_use_after_close_raises(self, kind):
-        t = make_transport(kind, RecordingTarget(), LAT)
+    @TRANSPORTS
+    def test_use_after_close_raises(self, cls):
+        t = cls(RecordingTarget(), LAT)
         t.close()
         assert t.closed
         with pytest.raises(TransportClosedError):
@@ -306,12 +315,33 @@ class TestCloseContract:
         with pytest.raises(TransportClosedError):
             t.flush()
 
-    @pytest.mark.parametrize("kind", ["vdso", "syscall"])
-    def test_close_is_idempotent(self, kind):
-        t = make_transport(kind, RecordingTarget(), LAT)
+    @TRANSPORTS
+    def test_close_is_idempotent(self, cls):
+        t = cls(RecordingTarget(), LAT)
         t.close()
         t.close()  # must not raise
         assert t.closed
+
+    @TRANSPORTS
+    def test_close_releases_what_the_transport_holds(self, cls):
+        """Whatever a transport holds beyond the base's fields (its
+        buffer, its score and stale-read caches) is empty once it is
+        closed: a closed mapping keeps no answer or record alive past
+        the handle it was read through."""
+        base = set(vars(Transport(RecordingTarget(), LAT)))
+        t = cls(VersionedTarget(), LAT)
+        t.predict([1, 2])
+        t.predict_batch([(3, 4), (5, 6)])
+        t.update([1, 2], True)
+        t.attach_injector(FaultInjector(FaultPlan(seed=0,
+                                                  stale_read_rate=0.5)))
+        for row in ([1, 2], [3, 4], [1, 2], [3, 4]):
+            t.predict(row)
+        t.close()
+        held = {name: value for name, value in vars(t).items()
+                if name not in base and isinstance(value, Sized)
+                and len(value)}
+        assert held == {}
 
     def test_closed_error_is_a_transport_error(self):
         # Callers catching the broad transport error keep working.

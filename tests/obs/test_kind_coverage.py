@@ -1,13 +1,14 @@
 """Every registered trace kind is actually reachable by the tier-1 suite.
 
-TRC002 proves statically that every kind in ``EVENT_KINDS`` has an emit
-site; this test proves *dynamically* that a documented scenario drives
-each one - a kind nobody can trigger is dead weight in the taxonomy and
-a gap in the docs.  The test fails with the exact list of never-emitted
-kinds so a new kind must arrive with its scenario.
+A documented scenario drives each kind in ``EVENT_KINDS``, and every
+kind the scenarios emit is registered - a kind nobody can trigger is
+dead weight in the taxonomy and a gap in the docs, one nobody
+registered bypasses the exporters' schema.  The test fails with the
+exact list of never-emitted kinds so a new kind must arrive with its
+scenario.
 
-The same scenarios hold the two catalogues no static rule guards to
-what the stack does: every span they open is in ``SPAN_NAMES`` and
+The same scenarios hold the two other catalogues to what the stack
+does: every span they open is in ``SPAN_NAMES`` and
 every metric they file is one of ``repro.obs.metrics``'s name
 constants, and neither registry lists a name they never produce - so
 the tables docs/OBSERVABILITY.md generates from those registries
@@ -220,7 +221,7 @@ def test_every_registered_kind_is_emitted(seen):
         f"registered trace kinds never emitted by any scenario: "
         f"{missing}; add a driving scenario here (and to "
         f"docs/OBSERVABILITY.md) or retire the kind")
-    # the scenarios only emit registered kinds (TRC001's dynamic twin)
+    # and the scenarios only emit registered kinds
     assert seen <= EVENT_KINDS
 
 

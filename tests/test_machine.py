@@ -8,15 +8,16 @@ three identities over both transports, plain and resilient; sync
 reads, batches, writes and flushes; submits through the serving
 pipeline, with closed-loop sim clients interleaving; fault plans, shard
 crashes, promotions, live reshard steps (some stalled); replica syncs,
-checkpoints and restores.  After every step the system must equal the reference: per
-domain, the frozen perceptron of ``tests/core/reference_impl.py`` (what
-the live model holds), the model each shard's follower last synced and
-what each checkpoint saved, plus :class:`Tenants`, the policy and quota
-rules written out once more.
+checkpoints, a corrupted checkpoint file and restores.  After every
+step the system must equal the reference: per domain, the frozen
+perceptron of ``tests/core/reference_impl.py`` (what the live model
+holds), the model each shard's follower last synced and what each
+checkpoint saved, plus :class:`Tenants`, the policy and quota rules
+written out once more.  No span is left open.
 
 The budget is the machine's settings at the bottom of this file:
 ``max_examples=500`` runs of up to ``stateful_step_count=50`` steps,
-about 15 s of tier-1 wall time on a 2-vCPU host.
+about 25-35 s of tier-1 wall time on a 2-vCPU host.
 """
 
 import dataclasses
@@ -54,6 +55,7 @@ from repro.core.kernel.admission import (
     TenantQuota,
     TenantUsage,
 )
+from repro.core.kernel.checkpoint import shard_file_name
 from repro.core.persistence import load_service, save_service
 from repro.core.policy import (
     ClientIdentity,
@@ -262,6 +264,7 @@ class SystemMachine(RuleBasedStateMachine):
         self.refs, self.by_domain, self.conns = {}, {}, []
         self.down, self.migration = set(), None
         self.saved, self.shard_files, self.manifest = None, {}, {}
+        self.corrupt = set()        # shards whose file holds a bad byte
         self.signatures, self.series = {}, {}
         self.tracked, self.wrong, self.records = [], [], []
         self.samples = self.served = self.refused = self.shed = 0
@@ -750,10 +753,11 @@ class SystemMachine(RuleBasedStateMachine):
             ref.stats = dataclasses.replace(stats)
 
     @rule(action=st.sampled_from(["save", "load", "checkpoint",
-                                  "recover"]))
-    def persist(self, action):
+                                  "recover", "corrupt"]), pick=PICK)
+    def persist(self, action, pick):
         """A whole-service snapshot saved or loaded, or the per-shard
-        checkpoint written or recovered."""
+        checkpoint written or recovered - after, for ``corrupt``, one
+        written shard file had a byte turned to invalid UTF-8."""
         if action == "save":
             save_service(self.service, self.dir / "service.json")
             self.saved = self.saved_state(self.refs.values())
@@ -763,9 +767,24 @@ class SystemMachine(RuleBasedStateMachine):
         elif action == "checkpoint":
             self.shard_checkpoints.checkpoint()
             self.checkpointed()
+        elif action == "corrupt" and self.manifest:
+            shard = sorted(self.manifest)[pick % len(self.manifest)]
+            path = self.dir / "shards" / shard_file_name(shard)
+            data = bytearray(path.read_bytes())
+            data[pick * len(data) // 16] = 0xFF
+            path.write_bytes(data)
+            self.corrupt.add(shard)
+            self.recovered()
         elif action == "recover":
-            self.shard_checkpoints.recover()
-            for content in self.manifest.values():
+            self.recovered()
+
+    def recovered(self):
+        """What ``ShardedCheckpointManager.recover`` restores: every
+        manifest entry but a corrupted file, whose domains keep their
+        live state."""
+        self.shard_checkpoints.recover()
+        for shard, content in self.manifest.items():
+            if shard not in self.corrupt:
                 self.restore(content)
 
     def checkpointed(self):
@@ -787,6 +806,7 @@ class SystemMachine(RuleBasedStateMachine):
             self.signatures[shard] = signature
             self.shard_files[shard] = self.saved_state(
                 ref for _, ref in hosted)
+            self.corrupt.discard(shard)
             written = True
         self.signatures = {shard: signature for shard, signature
                            in self.signatures.items() if shard < shards}
@@ -804,6 +824,7 @@ class SystemMachine(RuleBasedStateMachine):
         self.check_clients()
         self.check_pipeline()
         self.check_records()
+        assert self.tracer.open_spans() == []   # every span closed
         self.tracer.clear()
 
     def check_domains(self):
