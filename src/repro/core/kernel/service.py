@@ -34,7 +34,6 @@ from repro.core.errors import (
     ConfigError,
     DomainError,
     FeatureError,
-    PSSError,
     ShardDownError,
 )
 from repro.core.kernel.admission import AdmissionController
@@ -74,13 +73,13 @@ _DomainRows = tuple[Domain, list[Sequence[int]], list[int]]
 
 
 def _each(predict: Callable[[Sequence[int]], int],
-          rows: list[Sequence[int]]) -> list[int | PSSError]:
+          rows: list[Sequence[int]]) -> list[int | Exception]:
     """``predict(row)`` per row, an error standing where it was raised."""
-    outcomes: list[int | PSSError] = []
+    outcomes: list[int | Exception] = []
     for row in rows:
         try:
             outcomes.append(predict(row))
-        except PSSError as error:
+        except Exception as error:
             outcomes.append(error)
     return outcomes
 
@@ -474,7 +473,7 @@ class ShardedService:
     @spanned(_batch_span, tracer="tracer")
     def predict_batch(
         self, requests: Sequence[tuple[str, Sequence[int]]]
-    ) -> list[int | PSSError]:
+    ) -> list[int | Exception]:
         """Batch predict across domains by name, one outcome per row.
 
         ``requests`` are ``(domain_name, features)`` pairs, grouped by
@@ -484,23 +483,26 @@ class ShardedService:
         :class:`PSSError` the scalar ``self.predict(name, f)`` raises
         for it - a name unknown or since removed, a down shard without
         a follower, a malformed row: the batch never raises for a row
-        and no outcome depends on the rows around it.  Scores and stats
-        are bit-identical to the scalar loop; a batch of one row *is*
-        that call, watched or not.  Kernel-internal like it: no
-        transport latency, no policy, no admission charge.
+        and no outcome depends on the rows around it.  Any other
+        exception a domain's model raises (a bug) stands at that
+        domain's rows only, in a batch of one or of many: the other
+        domains' rows are scored and counted as if it were not there.
+        Scores and stats are bit-identical to the scalar loop; a batch
+        of one row *is* that call, watched or not.  Kernel-internal
+        like it: no transport latency, no policy, no admission charge.
         """
         count = len(requests)
         if count == 1:
             (name, features), = requests
             try:
                 return [self._predict_one(self.domain(name), features)]
-            except PSSError as error:
+            except Exception as error:
                 return [error]
         if count == 0:
             return []
         tracer = self.tracer
         traced = tracer.enabled
-        outcomes: list[int | PSSError | None] = [None] * count
+        outcomes: list[int | Exception | None] = [None] * count
         # One pass resolves each *distinct* domain once and groups its
         # rows, in first-occurrence order.
         by_name: dict[str, _DomainRows] = {}
@@ -540,9 +542,10 @@ class ShardedService:
 
     def _dispatch_shard_batch(
         self, members: list[_DomainRows],
-        outcomes: list[int | PSSError | None],
+        outcomes: list[int | Exception | None],
     ) -> None:
         """Run one shard's slice of a batch into ``outcomes`` in place."""
+        group: Sequence[int | Exception]
         for domain, rows, positions in members:
             shard = domain.shard
             if shard is not None and shard.down:
@@ -554,6 +557,10 @@ class ShardedService:
                     # the refused block scored and counted nothing:
                     # row by row, a malformed row costs only itself
                     group = _each(domain.predict, rows)
+                except Exception as error:
+                    # a model's bug: this domain's rows, and only
+                    # theirs, fail with it
+                    group = [error] * len(rows)
             for position, outcome in zip(positions, group):
                 outcomes[position] = outcome
 

@@ -171,15 +171,16 @@ class Dispatcher:
         Adjacent predictions collapse into one ``predict_batch`` call,
         which answers row by row (a request whose domain was removed
         since takes no row of it); updates run individually at their
-        queue position.  A request fails for its own outcome only.
-        An exception *escaping* a kernel call (anything that is not a
-        :class:`PSSError`: a model's bug) fails exactly the requests
-        that call covered and later requests still execute: this is
-        the boundary that must keep running, since an error escaping
-        here would end the shard's process and strand every future
-        still queued behind it.  The error is not swallowed - it is
-        counted in ``pipeline.failed`` and re-raised, traceback and
-        all, by each covered future's ``result()``.
+        queue position.  A request fails for its own outcome only: a
+        model's bug in one domain is that domain's rows' outcome, so
+        another tenant's requests in the same run are served.  An
+        exception that still escapes a kernel call fails exactly the
+        requests that call covered and later requests still execute:
+        this is the boundary that must keep running, since an error
+        escaping here would end the shard's process and strand every
+        future still queued behind it.  The error is not swallowed -
+        it is counted in ``pipeline.failed`` and re-raised, traceback
+        and all, by each failed future's ``result()``.
         """
         index = 0
         while index < len(batch):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from array import array
 from collections import OrderedDict
+from itertools import islice
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.core.config import PSSConfig
@@ -77,7 +78,7 @@ class WeightMatrix:
         #: uncached hot path; ``popitem(last=False)`` is O(1) with the
         #: exact same eviction order.  Written only with a vector's real
         #: index tuple, by the scalar miss and by :meth:`dot_batch`'s
-        #: replay of it - never a placeholder.
+        #: replay of it or block append - never a placeholder.
         self._index_cache: OrderedDict[
             tuple[int, ...], tuple[int, ...]
         ] = OrderedDict()
@@ -236,6 +237,13 @@ class WeightMatrix:
         cache therefore only ever holds real index tuples, and a batch
         that raises has nothing to undo.
 
+        When every row still to come is a distinct vector the cache
+        does not hold - a block of first touches, every row of a cold
+        batch - the replay's result is known: each row misses, scores
+        its block score, evicts the oldest entry once the cache is full
+        and is appended.  :meth:`_admit_block` writes that state in one
+        step instead of row by row.
+
         Resolution waits for the first miss because CPython does not
         cache tuple hashes: resolving up front would hash every row
         once more, which an all-hit batch (the served, hot case) would
@@ -280,6 +288,13 @@ class WeightMatrix:
                 misses += 1
                 if slots is None:
                     slots, block = self._resolve_block(rows[len(scores):])
+                    if len(slots) == len(rows) - len(scores):
+                        # every row still to come is a distinct first
+                        # touch: the replay's result is known
+                        self._admit_block(slots, block[1])
+                        misses += len(slots) - 1
+                        scores += block[0]
+                        break
                 slot = slots.get(key)
                 if slot is None:
                     misses -= 1  # the scalar call counts it
@@ -323,6 +338,26 @@ class WeightMatrix:
             block = [bias + sum(map(getitem, one))
                      for one in selected], selected
         return slots, block
+
+    def _admit_block(self, keys: Iterable[tuple[int, ...]],
+                     selected: list[tuple[int, ...]]) -> None:
+        """Cache a block of distinct vectors the cache does not hold, in
+        order, in one step: the state the scalar misses leave one by
+        one, each evicting the oldest entry once the cache is full."""
+        cache = self._index_cache
+        evict = len(selected) - max(0, self.INDEX_CACHE_ENTRIES - len(cache))
+        pairs: Iterable[tuple[tuple[int, ...], tuple[int, ...]]] = zip(
+            keys, selected)
+        if evict > len(cache):
+            # a block longer than the cache evicts everything cached,
+            # then its own first ``evict - len(cache)`` entries
+            pairs = islice(pairs, evict - len(cache), None)
+            cache.clear()
+        else:
+            popitem = cache.popitem
+            for _ in range(evict):
+                popitem(last=False)
+        cache.update(pairs)
 
     def train_batch(
         self, records: Sequence[tuple[Sequence[int], bool]],

@@ -8,7 +8,9 @@ stats, index- and score-cache counters, cache contents and eviction
 order, weight generations).  These properties pin that claim across:
 
 * the raw :class:`~repro.core.weights.WeightMatrix` (vectorized and
-  compiled-fallback block paths, interleaved with training);
+  compiled-fallback block paths, interleaved with training), and its
+  blocks of first touches, which are cached in one step (into empty,
+  part-full and full caches, and longer than the cache);
 * vDSO and syscall clients against 1/2/4-shard services, with tracing
   enabled;
 * fault injection (stale vDSO reads consume one die per read either
@@ -21,6 +23,10 @@ order, weight generations).  These properties pin that claim across:
 * plan sharing: same-shape tenants reuse one compiled plan instance and
   diverge after a shape change.
 """
+
+import sys
+from collections import Counter
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -169,6 +175,124 @@ class TestWeightMatrixBatchIdentity:
         batch = [pool[i % 6] for i in (0, 1, 2, 3, 0, 4, 1, 1, 5, 0)]
         assert batched.dot_batch(batch) == [scalar.dot(r) for r in batch]
         assert matrix_state(batched) == matrix_state(scalar)
+
+
+def first_touch_cases():
+    """A shape, a cache bound, a vector pool, how many of the pool are
+    trained (and so cached) first, the picks among those that lead the
+    batch, and where a malformed row goes (None: nowhere).  The rest
+    of the pool follows the picks: distinct vectors never seen, so the
+    batch ends in a block of first touches."""
+    return configs().flatmap(
+        lambda config: st.tuples(
+            st.just(config),
+            st.sampled_from([1, 2, 3, 5, WeightMatrix.INDEX_CACHE_ENTRIES]),
+            st.lists(
+                st.lists(
+                    st.integers(-(2 ** 70), 2 ** 70),
+                    min_size=config.num_features,
+                    max_size=config.num_features,
+                ).map(tuple),
+                min_size=2, max_size=24, unique=True,
+            ),
+            st.integers(0, 8),
+            st.lists(st.integers(0, 7), max_size=4),
+            st.none() | st.integers(0, 40),
+        )
+    )
+
+
+def bounded_pair(config, limit, vector_min_rows):
+    """A batched matrix and its scalar twin, both bounded at ``limit``."""
+
+    class Batched(WeightMatrix):
+        INDEX_CACHE_ENTRIES = limit
+        VECTOR_MIN_ROWS = vector_min_rows
+
+    class Scalar(WeightMatrix):
+        INDEX_CACHE_ENTRIES = limit
+
+    return Batched(config), Scalar(config)
+
+
+def cache_calls(matrix, action):
+    """The index cache's C methods called while ``action()`` runs, by
+    name (``in`` and item assignment are operators, not calls)."""
+    cache = matrix._index_cache
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "c_call" and getattr(arg, "__self__", None) is cache:
+            calls[arg.__name__] += 1
+
+    sys.setprofile(profile)
+    try:
+        action()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+class TestFirstTouchBlock:
+    """A batch whose rows from its first miss on are distinct vectors
+    the cache does not hold is cached in one step, not replayed row by
+    row; every observable is still the scalar replay's."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=first_touch_cases(),
+           vector_min_rows=st.sampled_from([1, 10 ** 9]))
+    def test_first_touch_block_is_the_scalar_replay(self, case,
+                                                    vector_min_rows):
+        config, limit, pool, trained, picks, bad_at = case
+        trained = min(trained, len(pool) - 1)
+        warm, fresh = pool[:trained], pool[trained:]
+        batched, scalar = bounded_pair(config, limit, vector_min_rows)
+        reference = ReferenceWeightMatrix(config)
+        for position, row in enumerate(warm):
+            for matrix in (batched, scalar, reference):
+                matrix.adjust(row, 1 if position % 2 else -1)
+        rows = [warm[i % len(warm)] for i in picks] if warm else []
+        rows += fresh
+        if bad_at is not None:
+            # refused at the first miss, before anything is written:
+            # the scalar replay's hits up to there, then the failure
+            bad = rows[0] + (0,)
+            failing = list(rows)
+            failing.insert(bad_at % (len(rows) + 1), bad)
+            with pytest.raises(FeatureError):
+                batched.dot_batch(failing)
+            with pytest.raises(FeatureError):
+                for row in failing:
+                    scalar.dot(row if row in scalar._index_cache else bad)
+            assert matrix_state(batched) == matrix_state(scalar)
+        scores = batched.dot_batch(rows)
+        assert scores == [scalar.dot(row) for row in rows] \
+            == [reference.dot(row) for row in rows]
+        assert matrix_state(batched) == matrix_state(scalar)
+
+    @pytest.mark.parametrize(
+        "cached", [0, 100, WeightMatrix.INDEX_CACHE_ENTRIES])
+    def test_a_cold_block_is_not_replayed_row_by_row(self, cached):
+        """256 first touches probe the cache once (the first row's
+        miss), then evict and append as a block; the row-by-row replay
+        probed it 256 times."""
+        matrix = WeightMatrix(PSSConfig(num_features=8))
+        for i in range(cached):
+            matrix.dot((i,) * 8)
+        rows = [(i, -i, 0, 0, 0, 0, 0, 1) for i in range(256)]
+        calls = cache_calls(matrix, partial(matrix.dot_batch, rows))
+        evicted = max(0, cached + 256 - WeightMatrix.INDEX_CACHE_ENTRIES)
+        assert calls == Counter(get=1, update=1, popitem=evicted)
+        assert list(matrix._index_cache)[-256:] == rows
+        assert (matrix.index_cache_hits, matrix.index_cache_misses) == \
+            (0, cached + 256)
+
+    def test_a_repeat_in_the_block_keeps_the_replay(self):
+        matrix = WeightMatrix(PSSConfig(num_features=8))
+        rows = [(i, -i, 0, 0, 0, 0, 0, 1) for i in range(255)]
+        rows.append(rows[0])
+        calls = cache_calls(matrix, partial(matrix.dot_batch, rows))
+        assert calls == Counter(get=256, move_to_end=1)
 
 
 #: ways a batch is refused as a whole

@@ -2,7 +2,6 @@
 
 import enum
 
-import numpy
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -77,6 +76,17 @@ class Word(int):
     """An int subclass a caller might tag its feature values with."""
 
 
+#: int-like values a miss refuses (a numpy integer only where numpy
+#: imports: the package does not require it)
+REFUSED = [True, 1.0, "1", None]
+try:
+    import numpy
+except ImportError:
+    pass
+else:
+    REFUSED.append(numpy.int64(1))
+
+
 #: every way a matrix takes a vector in
 DOORS = {
     "dot": lambda m, row: m.dot(row),
@@ -103,8 +113,7 @@ class TestFeatureTypes:
         assert DOORS[door](m, (value, 5)) == plain.dot((1, 5)) == 3
         assert m._index_cache[(1, 5)] == plain._index_cache[(1, 5)]
 
-    @pytest.mark.parametrize(
-        "value", [True, 1.0, "1", None, numpy.int64(1)], ids=repr)
+    @pytest.mark.parametrize("value", REFUSED, ids=repr)
     def test_refused_and_nothing_written(self, door, value):
         m = make_matrix()
         m.dot((9, 9))

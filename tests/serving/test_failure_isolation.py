@@ -5,7 +5,9 @@ that is not a :class:`PSSError` (a bug in a model, say) used to escape
 ``_execute``, end the shard's sim process and strand every future
 queued behind it.  Now any exception fails exactly the requests the
 kernel call covered, is counted in ``pipeline.failed``, and the shard
-keeps draining.
+keeps draining.  Inside a kernel batch the boundary is the domain: a
+model's bug is the outcome of that domain's rows, and another
+domain's rows in the same batch are served.
 """
 
 import pytest
@@ -116,6 +118,49 @@ def test_a_failed_run_in_a_micro_batch_does_not_stop_the_rest():
     assert futures[0].error is None and futures[2].error is None
     assert isinstance(futures[1].error, RuntimeError)
     assert pipeline.batch_stats()["batches"] == 1
+
+
+def test_a_broken_domain_fails_only_its_own_rows_of_a_mixed_run():
+    """Predicts on good, bad, good in one window are one kernel batch.
+    The bad model's error is its own row's outcome; good's two rows are
+    served (they used to fail with it, counted in good's stats and
+    never returned)."""
+    service, pipeline = build(batch_window_ns=200.0, max_batch=8)
+    reference = ShardedService()
+    reference.create_domain("good")
+    futures = [pipeline.submit(name, FEATURES)
+               for name in ("good", "bad", "good")]
+    counts = settle_counter(futures)
+    pipeline.run()
+    assert counts == [1, 1, 1]
+    assert pipeline.batch_stats()["batches"] == 1
+    assert isinstance(futures[1].error, RuntimeError)
+    expected = reference.predict("good", FEATURES)
+    assert futures[0].result() == futures[2].result() == expected
+    assert (pipeline.completed, pipeline.failed) == (2, 1)
+    reference.predict("good", FEATURES)
+    assert service.domain("good").stats == reference.domain("good").stats
+
+
+@pytest.mark.parametrize("names", [
+    ("good", "bad", "good"), ("bad", "good"), ("bad", "bad"), ("bad",),
+], ids="-".join)
+def test_a_kernel_batch_stands_a_model_bug_at_its_domain_rows(names):
+    """``predict_batch`` returns the error at the broken domain's rows,
+    in a batch of one or of many; good's stats count only the rows it
+    served."""
+    service, _pipeline = build()
+    reference = ShardedService()
+    reference.create_domain("good")
+    outcomes = service.predict_batch([(name, FEATURES) for name in names])
+    expected = [reference.predict("good", FEATURES)
+                if name == "good" else None for name in names]
+    for name, outcome, score in zip(names, outcomes, expected):
+        if name == "bad":
+            assert isinstance(outcome, RuntimeError), outcome
+        else:
+            assert outcome == score
+    assert service.domain("good").stats == reference.domain("good").stats
 
 
 @pytest.mark.parametrize("domain, pages", [("bad", True), ("good", False)])
