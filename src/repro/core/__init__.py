@@ -95,7 +95,6 @@ from repro.core.stats import (
     ResilienceStats,
 )
 from repro.core.transport import (
-    BatchUpdateBuffer,
     SyscallTransport,
     Transport,
     VdsoTransport,
@@ -169,7 +168,6 @@ __all__ = [
     "LatencyAccount",
     "PredictionStats",
     "ResilienceStats",
-    "BatchUpdateBuffer",
     "SyscallTransport",
     "Transport",
     "VdsoTransport",

@@ -582,8 +582,11 @@ class ResilientClient(PSSClient):
             return
         try:
             self._attempt(self._transport.reset, features, reset_all)
-        except TransportFault as fault:
-            self._degrade(fault)
+        except _DEGRADABLE as error:
+            self._degrade(error)
+            if isinstance(error, QuotaExceededError):
+                # The flush the reset crossed first refused its suffix.
+                self.stats.dropped_updates += error.lost_records
             self.stats.dropped_resets += 1
         else:
             self._breaker.record_success()

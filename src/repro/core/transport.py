@@ -9,19 +9,20 @@ simulated-nanosecond account so experiments can compare:
 * :class:`SyscallTransport` - every operation pays the syscall cost
   (the paper's "PSS-syscall" configuration in Figure 5).
 * :class:`VdsoTransport`    - predictions pay only the vDSO read cost;
-  updates are pooled in a :class:`BatchUpdateBuffer` and flushed as one
-  syscall per batch (the paper's default "PSS" configuration).
+  updates are pooled in a local buffer and flushed as one syscall per
+  batch (the paper's default "PSS" configuration).
 
 Transports do not interpret features or results; they only move calls and
-charge time.  The wrapped target is any object with the service's
-``predict``/``update``/``reset`` signature, normally a
-:class:`repro.core.service.DomainHandle`.
+charge time.  A transport wraps one
+:class:`~repro.core.kernel.domain.DomainHandle` - the domain's
+read-only page (its version word) and its syscall, the one kernel
+object the paper's client library talks to.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Protocol, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.config import LatencyModel
 from repro.core.errors import (
@@ -38,6 +39,9 @@ from repro.core.stats import LatencyAccount
 from repro.obs.spanned import named, spanned
 from repro.obs.trace import NULL_TRACER, SpanHandleLike
 
+if TYPE_CHECKING:
+    from repro.core.kernel.domain import DomainHandle
+
 #: the operations a transport opens a span around
 SPAN_OPS = ("predict", "predict_batch", "update", "reset", "flush")
 
@@ -52,25 +56,6 @@ _BUFFERED_UP = {"direction": True, "buffered": True}
 _BUFFERED_DOWN = {"direction": False, "buffered": True}
 
 
-class ServiceTarget(Protocol):
-    """What a transport needs from the service side.
-
-    A target may also publish a ``version`` attribute: a
-    :class:`~repro.core.models.VersionWord` whose ``value`` rises
-    whenever its scores may have changed (a
-    :class:`~repro.core.kernel.domain.DomainHandle` publishes its
-    domain's).  A transport binds it once and loads ``value`` to stamp
-    its records, and a vDSO transport keys its score cache on it; a
-    target without one gets no score cache.
-    """
-
-    def predict(self, features: Sequence[int]) -> int: ...
-
-    def update(self, features: Sequence[int], direction: bool) -> None: ...
-
-    def reset(self, features: Sequence[int], reset_all: bool) -> None: ...
-
-
 class Transport:
     """Base transport: owns the latency model, account, and fault hooks."""
 
@@ -80,7 +65,7 @@ class Transport:
     #: that buffers (vDSO) ever has any
     pending_updates = 0
 
-    def __init__(self, target: ServiceTarget,
+    def __init__(self, target: "DomainHandle",
                  latency: LatencyModel | None = None,
                  account: LatencyAccount | None = None) -> None:
         self._target = target
@@ -91,11 +76,10 @@ class Transport:
         #: structured event tracer; NULL_TRACER keeps the hot path to a
         #: single ``enabled`` attribute check when tracing is off
         self._tracer = NULL_TRACER
-        self._obs_domain = getattr(target, "domain_name", "")
-        #: the target's published version word (None: it has none),
-        #: bound once and loaded - no call - wherever a generation is
-        #: needed
-        self._version = getattr(target, "version", None)
+        self._obs_domain = target.domain_name
+        #: the domain's published version word, bound once and loaded -
+        #: no call - wherever a generation is needed
+        self._version = target.version
         # What every traced crossing would otherwise rebuild: the span
         # names and the account's simulated clock, bound once.  (The
         # shard label is not: a reshard moves the domain, so records
@@ -110,10 +94,6 @@ class Transport:
     @property
     def injector(self) -> FaultInjector | None:
         return self._injector
-
-    @property
-    def tracer(self):
-        return self._tracer
 
     def attach_observability(self, tracer=None, metrics=None) -> None:
         """Attach a :class:`repro.obs.Tracer` and/or a
@@ -155,32 +135,7 @@ class Transport:
     def predict_batch(
         self, feature_rows: Sequence[Sequence[int]]
     ) -> list[int]:
-        """Scores for a whole batch of feature vectors.
-
-        The base contract is a scalar loop - trivially bit-identical to
-        ``[predict(r) for r in feature_rows]`` in scores, stats, and
-        fault behaviour.  Concrete transports override this to amortize
-        what their cost model allows (one syscall crossing, one pass
-        over the score cache) while preserving that identity for scores
-        and model-side stats.
-        """
-        return [self.predict(features) for features in feature_rows]
-
-    def _target_predict_rows(
-        self, rows: Sequence[tuple[int, ...]]
-    ) -> list[int]:
-        """Service-side scores for ``rows``, batched when the target can.
-
-        A batch-aware target (:class:`repro.core.service.DomainHandle`)
-        charges admission once for N predicts and scores through the
-        domain's specialized plan; anything else is scored row by row.
-        Either way the per-row model stats are identical.
-        """
-        batch = getattr(self._target, "predict_batch", None)
-        if batch is not None:
-            return batch(rows)
-        predict = self._target.predict
-        return [predict(key) for key in rows]
+        raise NotImplementedError
 
     def update(self, features: Sequence[int], direction: bool) -> None:
         raise NotImplementedError
@@ -193,8 +148,7 @@ class Transport:
         stamped with ``generation`` or else the version word's value.
         """
         if generation is None:
-            version = self._version
-            generation = version.value if version is not None else 0
+            generation = self._version.value
         account = self.account
         self._tracer.record(
             kind, self._obs_domain, self.name, account.total_ns,
@@ -303,7 +257,7 @@ class SyscallTransport(Transport):
                               {"rows": len(rows)}, op="predict")
         if self._injector is not None:
             self._roll_crossing(self._injector, "predict_batch")
-        return self._target_predict_rows(rows)
+        return self._target.predict_batch(rows)
 
     @spanned(named(Transport._op_span, "update"))
     def update(self, features: Sequence[int], direction: bool) -> None:
@@ -322,58 +276,25 @@ class SyscallTransport(Transport):
         self._target.update(features, direction)
 
 
-class BatchUpdateBuffer:
-    """Local pool of pending update records (paper Section 3.3).
-
-    "A local buffer aggregates updates and allows us to amortize the
-    boundary crossing."  Records are (features, direction) tuples; a flush
-    delivers them in arrival order in one simulated syscall.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise TransportError(
-                f"batch capacity must be positive, got {capacity}"
-            )
-        self.capacity = capacity
-        self._records: list[tuple[tuple[int, ...], bool]] = []
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    @property
-    def full(self) -> bool:
-        return len(self._records) >= self.capacity
-
-    def add(self, features: Sequence[int], direction: bool) -> None:
-        if self.full:
-            raise TransportError("buffer full; flush before adding")
-        # Clients canonicalize to tuples at the boundary; only re-tuple
-        # vectors that arrived through some other path.
-        self._records.append((canonical_features(features), direction))
-
-    def drain(self) -> list[tuple[tuple[int, ...], bool]]:
-        records, self._records = self._records, []
-        return records
-
-
 class VdsoTransport(Transport):
     """Read-only vDSO fast path for predictions, batched syscall updates.
 
     A vDSO "can be only used in a read-only manner", so ``predict`` is a
     direct memory read at vDSO cost, while ``update`` records are pooled
-    and flushed once the batch fills (or on an explicit :meth:`flush`).
+    in a local buffer - "a local buffer aggregates updates and allows us
+    to amortize the boundary crossing" (paper Section 3.3) - and flushed,
+    in arrival order, once ``batch_size`` are held (or on an explicit
+    :meth:`flush`).
 
-    When the target publishes a ``version`` word (a
-    :class:`repro.core.service.DomainHandle` does), predictions are
-    additionally memoized in a score cache keyed on its value: a feature
-    vector predicted again while the weights have not changed is answered
-    from the cache without re-evaluating the model - exactly the paper's
-    read-only mapping, where repeated reads of unchanged kernel state
-    cost only the read.  Cached answers are bit-identical (the weights
-    did not move), still charge the vDSO read cost, and still count in
-    the domain's prediction stats.  Any weight mutation bumps the word
-    and invalidates the whole cache.
+    Predictions are memoized in a score cache keyed on the value of the
+    handle's version word: a feature vector predicted again while the
+    weights have not changed is answered from the cache without
+    re-evaluating the model - exactly the paper's read-only mapping,
+    where repeated reads of unchanged kernel state cost only the read.
+    Cached answers are bit-identical (the weights did not move), still
+    charge the vDSO read cost, and still count in the domain's
+    prediction stats.  Any weight mutation bumps the word and
+    invalidates the whole cache.
 
     While a fault injector that can inject stale reads is attached, the
     score cache is bypassed: the injector's stale-read dice must roll on
@@ -397,12 +318,18 @@ class VdsoTransport(Transport):
     #: bound on the generation-keyed score cache
     SCORE_CACHE_ENTRIES = 1024
 
-    def __init__(self, target: ServiceTarget,
+    def __init__(self, target: "DomainHandle",
                  latency: LatencyModel | None = None,
                  account: LatencyAccount | None = None,
                  batch_size: int = 32) -> None:
+        if batch_size < 1:
+            raise TransportError(
+                f"batch capacity must be positive, got {batch_size}")
         super().__init__(target, latency, account)
-        self._buffer = BatchUpdateBuffer(batch_size)
+        #: the buffered update records, (features, direction) in arrival
+        #: order, and how many fill the buffer
+        self._records: list[tuple[tuple[int, ...], bool]] = []
+        self._batch_size = batch_size
         # Both caches are FIFO-bounded OrderedDicts: ``popitem(last=False)``
         # evicts the same victim as ``pop(next(iter(cache)))`` on a plain
         # dict but in O(1), where the plain-dict spelling rescans an
@@ -414,22 +341,17 @@ class VdsoTransport(Transport):
         #: generation; written only with a score the service returned
         self._score_cache: OrderedDict[tuple[int, ...], int] = OrderedDict()
         self._score_cache_generation = -1
-        # Capability probe, once: caching needs the version word bound
-        # in Transport.__init__; stats parity also needs the recorder.
-        self._cached_recorder = getattr(
-            target, "record_cached_prediction", None
-        )
-        #: the target's batch entry for a flush's records, if it has one
-        self._update_batch = getattr(target, "update_batch", None)
-        #: what a read that is not a hit calls.  A vDSO read never
-        #: enters the kernel: where the target offers its predict
-        #: without the ``kernel.predict`` span, that is the one it takes
-        self._read = getattr(target, "predict_mapped", target.predict)
+        #: what a hit accounts to the domain
+        self._cached_recorder = target.record_cached_prediction
+        #: what a read that is not a hit calls: a vDSO read never
+        #: enters the kernel, so it takes the handle's predict without
+        #: the ``kernel.predict`` span
+        self._read = target.predict_mapped
 
     @property
     def pending_updates(self) -> int:
         """Updates buffered but not yet delivered to the service."""
-        return len(self._buffer)
+        return len(self._records)
 
     @property
     def score_cache_size(self) -> int:
@@ -460,8 +382,7 @@ class VdsoTransport(Transport):
             start_ns = account.vdso_ns + account.syscall_ns
         vdso_ns = self._latency.vdso_predict_ns
         account.charge_vdso_predict(vdso_ns)
-        version = self._version
-        generation = version.value if version is not None else 0
+        generation = self._version.value
         key = features if type(features) is tuple else tuple(features)
         injector = self._injector
         if injector is not None and injector.plan.stale_read_rate > 0.0:
@@ -469,11 +390,6 @@ class VdsoTransport(Transport):
                 return self._traced_read(self._predict_injected, key,
                                          start_ns, vdso_ns, None, generation)
             return self._predict_injected(key)
-        if version is None:
-            if traced:
-                return self._traced_read(self._read, key,
-                                         start_ns, vdso_ns, None, generation)
-            return self._read(key)
         cache = self._score_cache
         if generation != self._score_cache_generation:
             if cache:
@@ -490,8 +406,7 @@ class VdsoTransport(Transport):
                         "predict", self._obs_domain, self.name,
                         account.vdso_ns + account.syscall_ns, vdso_ns,
                         generation, _CACHE_HIT, account.shard_label)
-                if self._cached_recorder is not None:
-                    self._cached_recorder(score)
+                self._cached_recorder(score)
                 return score
         account.record_cache_miss()
         if traced:
@@ -537,8 +452,8 @@ class VdsoTransport(Transport):
         bit-identical to ``[predict(r) for r in feature_rows]``.  What
         batching amortizes is the service side: cache misses are
         collected and resolved through one
-        :meth:`Transport._target_predict_rows` call, which a
-        batch-aware target scores in a single pass over its weights.
+        :meth:`~repro.core.kernel.domain.DomainHandle.predict_batch`
+        call, which scores them in a single pass over the weights.
 
         *Resolve, then replay*: at the first miss, every distinct
         vector among the rows still to come that the cache does not
@@ -570,18 +485,11 @@ class VdsoTransport(Transport):
                     self._trace("predict", dur_ns=vdso_ns)
                 out.append(self._predict_injected(key))
             return out
-        version = self._version
-        if version is None:
-            for key in rows:
-                account.charge_vdso_predict(vdso_ns)
-                if traced:
-                    self._trace("predict", dur_ns=vdso_ns)
-            return self._target_predict_rows(rows)
         cache = self._score_cache
         # Predictions never move weights, so one load of the word covers
         # the whole batch: the cache check and the event of every row
         # (the scalar path re-loads an unchanged value per call).
-        generation = version.value
+        generation = self._version.value
         if generation != self._score_cache_generation:
             if cache:
                 cache.clear()
@@ -598,8 +506,7 @@ class VdsoTransport(Transport):
                 account.record_cache_hit()
                 if traced:
                     self._trace("predict", vdso_ns, _CACHE_HIT, generation)
-                if recorder is not None:
-                    recorder(score)
+                recorder(score)
                 scores.append(score)
                 continue
             account.record_cache_miss()
@@ -609,7 +516,7 @@ class VdsoTransport(Transport):
                 missing = [row for row in dict.fromkeys(rows[len(scores):])
                            if row not in cache]
                 fresh = dict(zip(missing,
-                                 self._target_predict_rows(missing)))
+                                 self._target.predict_batch(missing)))
             score = fresh.pop(key, None)
             if score is None:
                 score = self._read(key)
@@ -655,14 +562,12 @@ class VdsoTransport(Transport):
         Buffering crosses nothing, so it opens no span: watched, the
         ``update{buffered: true}`` event is its one record, and the
         flush it may trigger is rooted at ``vdso.flush``.  It is also
-        the whole cost of most updates, so :meth:`BatchUpdateBuffer.add`
-        is written out here: the closed check, the tuple test, one
-        append, ``full`` tested once.
+        the whole cost of most updates, so it is kept to the closed
+        check, the tuple test, one append and one length test.
         """
         if self._closed:
             self._ensure_open()
-        buffer = self._buffer
-        records = buffer._records
+        records = self._records
         records.append((
             features if type(features) is tuple else tuple(features),
             direction))
@@ -670,20 +575,19 @@ class VdsoTransport(Transport):
             # _trace, written out: this event is all that watching a
             # buffered update costs.
             account = self.account
-            version = self._version
             self._tracer.record(
                 "update", self._obs_domain, self.name,
                 account.vdso_ns + account.syscall_ns, 0.0,
-                version.value if version is not None else 0,
+                self._version.value,
                 _BUFFERED_UP if direction else _BUFFERED_DOWN,
                 account.shard_label)
-        if len(records) >= buffer.capacity:
+        if len(records) >= self._batch_size:
             self.flush()
 
     def _flush_span(self) -> SpanHandleLike | None:
         """A flush is a crossing, and gets a span, only when records
         are buffered."""
-        records = len(self._buffer)
+        records = len(self._records)
         if not records:
             return None
         return self._op_span("flush", {"records": records})
@@ -691,7 +595,7 @@ class VdsoTransport(Transport):
     @spanned(_flush_span)
     def flush(self) -> None:
         self._ensure_open()
-        records = self._buffer.drain()
+        records, self._records = self._records, []
         if not records:
             return
         cost = (self._latency.syscall_ns
@@ -728,10 +632,12 @@ class VdsoTransport(Transport):
                     "op": "flush", "errno": fault.errno_name,
                     "lost_records": fault.lost_records,
                 })
+        # A refusal drops the rest of what crossed and says how many
+        # on the error (DomainHandle.update_batch).
         refused: AdmissionError | ShardDownError | FeatureError | None = None
         if delivered:
             try:
-                self._deliver(records[:delivered])
+                self._target.update_batch(records[:delivered])
             except (AdmissionError, ShardDownError, FeatureError) as exc:
                 refused = exc
         if fault is not None:
@@ -752,32 +658,8 @@ class VdsoTransport(Transport):
                 })
             raise refused
 
-    def _deliver(self, records: list[tuple[tuple[int, ...], bool]]
-                 ) -> None:
-        """Hand the records that crossed to the service side: one call
-        when the target takes a batch (a
-        :class:`~repro.core.kernel.domain.DomainHandle` does), else one
-        call per record.
 
-        Either way a refusal drops the rest and says how many on the
-        error, like an undelivered crossing: budgets are monotonic, and
-        a crashed primary refuses writes until promotion, so once one
-        record is refused the records after it would be too.
-        """
-        batch = self._update_batch
-        if batch is not None:
-            batch(records)
-            return
-        update = self._target.update
-        for index, (features, direction) in enumerate(records):
-            try:
-                update(features, direction)
-            except (AdmissionError, ShardDownError) as exc:
-                exc.lost_records = len(records) - index
-                raise
-
-
-def make_transport(kind: str, target: ServiceTarget,
+def make_transport(kind: str, target: "DomainHandle",
                    latency: LatencyModel | None = None,
                    batch_size: int = 32) -> Transport:
     """Factory mapping a config string to a transport instance."""

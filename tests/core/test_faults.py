@@ -10,27 +10,10 @@ from repro.core import (
 )
 from repro.core.errors import ConfigError
 from repro.core.transport import SyscallTransport, VdsoTransport
+from tests.core.fake_handle import FakeHandle
 
 LAT = LatencyModel(vdso_predict_ns=4.19, syscall_ns=68.0,
                    batch_record_ns=1.0)
-
-
-class CountingTarget:
-    """Service target counting deliveries and varying scores."""
-
-    def __init__(self):
-        self.updates = []
-        self.resets = 0
-        self.score = 0
-
-    def predict(self, features):
-        return self.score
-
-    def update(self, features, direction):
-        self.updates.append((tuple(features), direction))
-
-    def reset(self, features, reset_all):
-        self.resets += 1
 
 
 class TestFaultPlan:
@@ -104,7 +87,7 @@ class TestInjectorDeterminism:
 
 class TestSyscallTransportFaults:
     def test_failed_predict_raises_but_charges(self):
-        t = SyscallTransport(CountingTarget(), LAT)
+        t = SyscallTransport(FakeHandle(score=0), LAT)
         t.attach_injector(
             FaultInjector(FaultPlan(seed=0, syscall_failure_rate=1.0))
         )
@@ -114,7 +97,7 @@ class TestSyscallTransportFaults:
         assert t.account.syscalls == 1
 
     def test_failed_update_delivers_nothing(self):
-        target = CountingTarget()
+        target = FakeHandle(score=0)
         t = SyscallTransport(target, LAT)
         t.attach_injector(
             FaultInjector(FaultPlan(seed=0, syscall_failure_rate=1.0))
@@ -126,7 +109,7 @@ class TestSyscallTransportFaults:
         assert t.account.update_records == 0
 
     def test_detaching_injector_heals(self):
-        t = SyscallTransport(CountingTarget(), LAT)
+        t = SyscallTransport(FakeHandle(score=0), LAT)
         t.attach_injector(
             FaultInjector(FaultPlan(seed=0, syscall_failure_rate=1.0))
         )
@@ -138,7 +121,7 @@ class TestSyscallTransportFaults:
 
 class TestVdsoTransportFaults:
     def test_stale_read_returns_previous_score(self):
-        target = CountingTarget()
+        target = FakeHandle(score=0)
         t = VdsoTransport(target, LAT, batch_size=4)
         t.attach_injector(
             FaultInjector(FaultPlan(seed=0, stale_read_rate=1.0))
@@ -150,7 +133,7 @@ class TestVdsoTransportFaults:
         assert t.predict([1, 2]) == 5
 
     def test_stale_reads_never_raise(self):
-        t = VdsoTransport(CountingTarget(), LAT, batch_size=4)
+        t = VdsoTransport(FakeHandle(score=0), LAT, batch_size=4)
         t.attach_injector(
             FaultInjector(FaultPlan(seed=0, stale_read_rate=1.0))
         )
@@ -158,7 +141,7 @@ class TestVdsoTransportFaults:
             t.predict([i % 4])
 
     def test_dropped_flush_loses_whole_batch(self):
-        target = CountingTarget()
+        target = FakeHandle(score=0)
         t = VdsoTransport(target, LAT, batch_size=4)
         t.attach_injector(
             FaultInjector(FaultPlan(seed=0, flush_drop_rate=1.0))
@@ -171,7 +154,7 @@ class TestVdsoTransportFaults:
         assert t.pending_updates == 0
 
     def test_partial_flush_delivers_prefix(self):
-        target = CountingTarget()
+        target = FakeHandle(score=0)
         t = VdsoTransport(target, LAT, batch_size=8)
         t.attach_injector(
             FaultInjector(FaultPlan(seed=1, partial_flush_rate=1.0))
@@ -187,7 +170,7 @@ class TestVdsoTransportFaults:
         assert target.updates == [((i,), True) for i in range(delivered)]
 
     def test_failed_flush_still_charges_syscall(self):
-        t = VdsoTransport(CountingTarget(), LAT, batch_size=4)
+        t = VdsoTransport(FakeHandle(score=0), LAT, batch_size=4)
         t.attach_injector(
             FaultInjector(FaultPlan(seed=0, syscall_failure_rate=1.0))
         )
@@ -198,7 +181,7 @@ class TestVdsoTransportFaults:
         assert t.account.update_records == 0
 
     def test_no_injector_means_no_behaviour_change(self):
-        target = CountingTarget()
+        target = FakeHandle(score=0)
         t = VdsoTransport(target, LAT, batch_size=2)
         for i in range(6):
             t.update([i], True)

@@ -13,6 +13,8 @@ from repro.core import (
 )
 from repro.core.client import CircuitBreaker
 from repro.core.errors import ConfigError
+from repro.core.kernel.admission import AdmissionController, TenantQuota
+from repro.core.policy import ClientIdentity
 
 
 def make_client(transport="syscall", resilience=None, fallback=1,
@@ -235,8 +237,29 @@ class TestNoExceptionGuarantee:
             transport="vdso",
             plan=FaultPlan(seed=0, syscall_failure_rate=1.0),
         )
-        client._transport._buffer.add([1], True)
+        client.update([1, 2], True)
+        assert client.pending_updates == 1
         client.close()
+
+    def test_a_quota_refused_flush_behind_a_reset_is_absorbed(self):
+        """A vDSO reset flushes the buffer first.  When the tenant's
+        budget refuses part of that flush, the refusal is served like
+        an update's - never retried, never raised - and the refused
+        records and the reset are counted as dropped."""
+        who, admission = ClientIdentity(), AdmissionController()
+        admission.set_quota(who, TenantQuota(update_budget=2))
+        service = PredictionService(admission=admission)
+        client = service.connect("dom", config=PSSConfig(num_features=2),
+                                 identity=who, batch_size=8, fallback=0)
+        for i in range(4):
+            client.update((i, i), True)
+        client.reset((1, 1))
+        stats = client.stats
+        assert (stats.dropped_updates, stats.dropped_resets,
+                stats.quota_rejections, stats.retries) == (2, 1, 1, 0)
+        domain = service.domain("dom")
+        assert (domain.stats.updates, domain.stats.resets) == (2, 0)
+        assert client.pending_updates == 0
 
 
 class TestZeroRateTransparency:

@@ -13,6 +13,7 @@ from repro.core import (
     TenantQuota,
 )
 from repro.core.errors import DomainError
+from repro.core.faults import FaultInjector, FaultPlan
 from repro.core.kernel import ShardedCheckpointManager, SlotRing
 from repro.core.kernel.checkpoint import shard_file_name
 from repro.core.persistence import snapshot_service
@@ -185,15 +186,21 @@ class TestShardedCheckpoints:
 
     @pytest.mark.parametrize("damage", [
         "shard file byte", "manifest byte", "entry without file",
-        "shards not a table"])
+        "shards not a table", "corrupted on write"])
     def test_damage_is_a_recorded_skip(self, tmp_path, damage):
-        """Each of these raised out of ``recover()`` (UnicodeDecodeError
-        twice, KeyError, AttributeError) where the one-file manager
-        returns False: a damaged shard costs that shard, a damaged
-        manifest restores nothing, and either is counted, traced and
-        named."""
+        """Each of the first four raised out of ``recover()``
+        (UnicodeDecodeError twice, KeyError, AttributeError) where the
+        one-file manager returns False; a file corrupted on its way to
+        disk (its manifest CRC vouches for the damaged bytes, so only
+        the snapshot's own checks see it) was traced as two skips.  A
+        damaged shard costs that shard, a damaged manifest restores
+        nothing, and either is counted, traced and named once."""
         source = self.trained_service()
-        ShardedCheckpointManager(source, tmp_path).checkpoint()
+        written = damage == "corrupted on write"
+        ShardedCheckpointManager(
+            source, tmp_path,
+            injector=FaultInjector(FaultPlan(corruption_rate=1.0))
+            if written else None).checkpoint()
         occupied = [s["shard"] for s in source.shard_summaries()
                     if s["domains"]]
         victim = shard_file_name(occupied[0])
@@ -220,16 +227,25 @@ class TestShardedCheckpoints:
         if lost_manifest:
             assert result == 0 and result.skipped == ("manifest.json",)
             assert restored.domain_names() == ()
+        elif written:
+            assert result == 0
+            assert result.skipped == tuple(map(shard_file_name, occupied))
+            assert restored.domain_names() == ()
         else:
             assert result == len(occupied) - 1
             assert result.skipped == (victim,)
             lost = set(source.shard(occupied[0]).domain_names())
             assert set(restored.domain_names()) == set(NAMES) - lost
-        assert manager.corrupt_detected == 1
-        assert manager.last_error == result.errors[0]
+        assert manager.corrupt_detected == len(result.skipped)
+        assert manager.last_error == result.errors[-1]
         corrupt = [event.detail["file"] for event in tracer.events()
                    if event.kind == "checkpoint.corrupt"]
         assert corrupt == list(result.skipped)
+        restores = [(event.shard, event.detail) for event in tracer.events()
+                    if event.kind == "checkpoint_restore"]
+        assert len(restores) == result.restored
+        assert all(shard and detail == {"ok": True}
+                   for shard, detail in restores)
 
     def test_clean_recovery_skips_nothing(self, tmp_path):
         source = self.trained_service()

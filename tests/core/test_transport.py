@@ -4,58 +4,44 @@ from collections.abc import Sized
 
 import pytest
 
+from repro.core import PredictionService, PSSConfig
 from repro.core.config import LatencyModel
 from repro.core.errors import TransportClosedError, TransportError
 from repro.core.faults import FaultInjector, FaultPlan
-from repro.core.models import VersionWord
 from repro.core.transport import (
-    BatchUpdateBuffer,
     SyscallTransport,
     Transport,
     VdsoTransport,
     make_transport,
 )
-
-
-class RecordingTarget:
-    """Minimal service target recording the calls it receives."""
-
-    def __init__(self):
-        self.calls = []
-
-    def predict(self, features):
-        self.calls.append(("predict", tuple(features)))
-        return 7
-
-    def update(self, features, direction):
-        self.calls.append(("update", tuple(features), direction))
-
-    def reset(self, features, reset_all):
-        self.calls.append(("reset", tuple(features), reset_all))
-
+from tests.core.fake_handle import FakeHandle
 
 LAT = LatencyModel(vdso_predict_ns=4.19, syscall_ns=68.0,
                    batch_record_ns=1.0)
 
 
+def real_handle():
+    """A handle on a fresh two-feature domain."""
+    return PredictionService().handle("d", config=PSSConfig(num_features=2))
+
+
 class TestSyscallTransport:
     def test_predict_charges_syscall(self):
-        target = RecordingTarget()
+        target = FakeHandle()
         t = SyscallTransport(target, LAT)
         assert t.predict([1, 2]) == 7
         assert t.account.syscall_ns == 68.0
         assert t.account.vdso_ns == 0.0
 
     def test_update_immediate_delivery(self):
-        target = RecordingTarget()
+        target = FakeHandle()
         t = SyscallTransport(target, LAT)
         t.update([1, 2], True)
         assert target.calls == [("update", (1, 2), True)]
         assert t.account.update_records == 1
 
     def test_ten_calls_cost_ten_syscalls(self):
-        target = RecordingTarget()
-        t = SyscallTransport(target, LAT)
+        t = SyscallTransport(real_handle(), LAT)
         for _ in range(5):
             t.predict([1, 2])
             t.update([1, 2], True)
@@ -65,14 +51,14 @@ class TestSyscallTransport:
 
 class TestVdsoTransport:
     def test_predict_charges_vdso_only(self):
-        target = RecordingTarget()
+        target = FakeHandle()
         t = VdsoTransport(target, LAT)
         assert t.predict([1, 2]) == 7
         assert t.account.vdso_ns == pytest.approx(4.19)
         assert t.account.syscall_ns == 0.0
 
     def test_updates_buffered_until_batch_full(self):
-        target = RecordingTarget()
+        target = FakeHandle()
         t = VdsoTransport(target, LAT, batch_size=3)
         t.update([1, 2], True)
         t.update([3, 4], False)
@@ -83,7 +69,7 @@ class TestVdsoTransport:
         assert t.pending_updates == 0
 
     def test_flush_preserves_order(self):
-        target = RecordingTarget()
+        target = FakeHandle()
         t = VdsoTransport(target, LAT, batch_size=10)
         t.update([1, 1], True)
         t.update([2, 2], False)
@@ -94,8 +80,7 @@ class TestVdsoTransport:
         ]
 
     def test_batch_cost_amortizes_boundary(self):
-        target = RecordingTarget()
-        t = VdsoTransport(target, LAT, batch_size=32)
+        t = VdsoTransport(real_handle(), LAT, batch_size=32)
         for _ in range(32):
             t.update([1, 2], True)
         # One syscall of 68 + 32 * 1 record ns, not 32 * 68.
@@ -104,12 +89,12 @@ class TestVdsoTransport:
         assert t.account.update_records == 32
 
     def test_empty_flush_is_free(self):
-        t = VdsoTransport(RecordingTarget(), LAT)
+        t = VdsoTransport(real_handle(), LAT)
         t.flush()
         assert t.account.syscalls == 0
 
     def test_reset_flushes_pending_first(self):
-        target = RecordingTarget()
+        target = FakeHandle()
         t = VdsoTransport(target, LAT, batch_size=10)
         t.update([1, 2], True)
         t.reset([0, 0], reset_all=True)
@@ -117,7 +102,7 @@ class TestVdsoTransport:
         assert kinds == ["update", "reset"]
 
     def test_close_flushes(self):
-        target = RecordingTarget()
+        target = FakeHandle()
         t = VdsoTransport(target, LAT, batch_size=10)
         t.update([1, 2], True)
         t.close()
@@ -129,58 +114,16 @@ class TestVdsoTransport:
 
 
 class TestBatchUpdateBuffer:
+    """The vDSO transport's local buffer of update records."""
+
     def test_rejects_zero_capacity(self):
         with pytest.raises(TransportError):
-            BatchUpdateBuffer(0)
-
-    def test_add_past_capacity_raises(self):
-        buf = BatchUpdateBuffer(1)
-        buf.add([1], True)
-        with pytest.raises(TransportError):
-            buf.add([2], True)
-
-    def test_drain_empties(self):
-        buf = BatchUpdateBuffer(4)
-        buf.add([1], True)
-        records = buf.drain()
-        assert records == [((1,), True)]
-        assert len(buf) == 0
-        assert buf.drain() == []
-
-
-class VersionedTarget(RecordingTarget):
-    """Recording target that also publishes a version word."""
-
-    def __init__(self):
-        super().__init__()
-        self.version = VersionWord()
-        self.cached_recorded = []
-        self.score = 7
-
-    def predict(self, features):
-        self.calls.append(("predict", tuple(features)))
-        return self.score
-
-    def record_cached_prediction(self, score):
-        self.cached_recorded.append(score)
-
-    def mutate(self, score):
-        self.score = score
-        self.version.value += 1
+            VdsoTransport(real_handle(), LAT, batch_size=0)
 
 
 class TestScoreCache:
-    def test_no_generation_means_no_caching(self):
-        target = RecordingTarget()
-        t = VdsoTransport(target, LAT)
-        for _ in range(3):
-            t.predict([1, 2])
-        assert len(target.calls) == 3
-        assert t.account.cache_hits == 0
-        assert t.account.cache_misses == 0
-
     def test_repeat_predicts_hit_cache_without_crossing(self):
-        target = VersionedTarget()
+        target = FakeHandle()
         t = VdsoTransport(target, LAT)
         for _ in range(5):
             assert t.predict([1, 2]) == 7
@@ -189,12 +132,12 @@ class TestScoreCache:
         assert t.account.cache_hits == 4
         assert t.account.cache_misses == 1
         # Cached serves were still accounted to the domain.
-        assert target.cached_recorded == [7, 7, 7, 7]
+        assert target.cached == [7, 7, 7, 7]
         # And every read still paid the vDSO cost.
         assert t.account.vdso_calls == 5
 
     def test_generation_bump_invalidates(self):
-        target = VersionedTarget()
+        target = FakeHandle()
         t = VdsoTransport(target, LAT)
         assert t.predict([1, 2]) == 7
         assert t.predict([1, 2]) == 7
@@ -206,7 +149,7 @@ class TestScoreCache:
         assert t.account.cache_misses == 2
 
     def test_distinct_vectors_cached_independently(self):
-        target = VersionedTarget()
+        target = FakeHandle()
         t = VdsoTransport(target, LAT)
         t.predict([1, 2])
         t.predict([3, 4])
@@ -216,15 +159,13 @@ class TestScoreCache:
         assert t.account.cache_hits == 2
 
     def test_score_cache_is_bounded(self):
-        target = VersionedTarget()
-        t = VdsoTransport(target, LAT)
+        t = VdsoTransport(real_handle(), LAT)
         for i in range(VdsoTransport.SCORE_CACHE_ENTRIES + 10):
             t.predict([i, i])
         assert t.score_cache_size == VdsoTransport.SCORE_CACHE_ENTRIES
 
     def test_op_aggregates_split_predict_and_flush(self):
-        target = VersionedTarget()
-        t = VdsoTransport(target, LAT, batch_size=2)
+        t = VdsoTransport(real_handle(), LAT, batch_size=2)
         t.predict([1, 2])
         t.update([1, 2], True)
         t.update([1, 2], True)  # fills the batch -> flush
@@ -266,33 +207,28 @@ class TestScoreCache:
     def test_faulted_batch_call_writes_nothing(self):
         """The misses are scored before any is written, so a service
         call that raises leaves the cache as the hits found it."""
-        class FlakyTarget(VersionedTarget):
-            def predict_batch(self, rows):
-                if self.score < 0:
-                    raise TransportError("service side failed")
-                return [self.predict(row) for row in rows]
-
-        target = FlakyTarget()
+        target = FakeHandle()
         t = VdsoTransport(target, LAT)
         assert t.predict_batch([(1, 2), (3, 4)]) == [7, 7]
-        target.score = -1   # same generation: the cache stays valid
+        # same generation: the cache stays valid
+        target.error = TransportError("service side failed")
         with pytest.raises(TransportError):
             t.predict_batch([(1, 2), (5, 6), (3, 4), (5, 6)])
         assert dict(t._score_cache) == {(1, 2): 7, (3, 4): 7}
-        target.score = 9
+        target.error, target.score = None, 9
         assert t.predict_batch([(5, 6), (1, 2), (5, 6)]) == [9, 7, 9]
         assert list(t._score_cache) == [(1, 2), (3, 4), (5, 6)]
 
 
 class TestMakeTransport:
     def test_known_kinds(self):
-        target = RecordingTarget()
+        target = real_handle()
         assert make_transport("vdso", target).name == "vdso"
         assert make_transport("syscall", target).name == "syscall"
 
     def test_unknown_kind_raises(self):
         with pytest.raises(TransportError):
-            make_transport("pigeon", RecordingTarget())
+            make_transport("pigeon", real_handle())
 
 
 #: every transport there is, named as ``make_transport`` names it
@@ -303,7 +239,7 @@ TRANSPORTS = pytest.mark.parametrize(
 class TestCloseContract:
     @TRANSPORTS
     def test_use_after_close_raises(self, cls):
-        t = cls(RecordingTarget(), LAT)
+        t = cls(real_handle(), LAT)
         t.close()
         assert t.closed
         with pytest.raises(TransportClosedError):
@@ -317,7 +253,7 @@ class TestCloseContract:
 
     @TRANSPORTS
     def test_close_is_idempotent(self, cls):
-        t = cls(RecordingTarget(), LAT)
+        t = cls(real_handle(), LAT)
         t.close()
         t.close()  # must not raise
         assert t.closed
@@ -328,8 +264,8 @@ class TestCloseContract:
         buffer, its score and stale-read caches) is empty once it is
         closed: a closed mapping keeps no answer or record alive past
         the handle it was read through."""
-        base = set(vars(Transport(RecordingTarget(), LAT)))
-        t = cls(VersionedTarget(), LAT)
+        base = set(vars(Transport(real_handle(), LAT)))
+        t = cls(real_handle(), LAT)
         t.predict([1, 2])
         t.predict_batch([(3, 4), (5, 6)])
         t.update([1, 2], True)
@@ -348,7 +284,7 @@ class TestCloseContract:
         assert issubclass(TransportClosedError, TransportError)
 
     def test_close_flushes_pending_batch_once(self):
-        target = RecordingTarget()
+        target = FakeHandle()
         t = VdsoTransport(target, LAT, batch_size=10)
         t.update([1, 2], True)
         t.close()

@@ -349,28 +349,6 @@ class TestFlushIsTheScalarLoop:
             stacks.append(client_state(service, client))
         assert stacks[0] == stacks[1] == stacks[2]
 
-    def test_a_target_without_update_batch_keeps_the_loop(self):
-        from repro.core.transport import VdsoTransport
-
-        class ScalarOnly:
-            """A handle's scalar surface and nothing else."""
-
-            def __init__(self, handle):
-                self.predict = handle.predict
-                self.update = handle.update
-                self.reset = handle.reset
-
-        records = [(ROWS[i % 6], i % 3 == 0) for i in range(20)]
-        batched, scalar = build(), build()
-        for service, wrap in ((batched, lambda handle: handle),
-                              (scalar, ScalarOnly)):
-            transport = VdsoTransport(wrap(service.handle("dom")),
-                                      batch_size=8)
-            for features, direction in records:
-                transport.update(features, direction)
-            transport.close()
-        assert stack_state(batched) == stack_state(scalar)
-
     @pytest.mark.parametrize("tracer", [None, Tracer()])
     def test_quota_refusal_drops_the_suffix_and_says_so(self, tracer):
         service = build(quota=TenantQuota(update_budget=5), tracer=tracer)

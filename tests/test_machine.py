@@ -5,7 +5,7 @@ performance but never correctness.  :class:`SystemMachine` drives the
 public operations in whatever order hypothesis finds: domains created
 and removed under an open, a private or a read-only policy; clients of
 three identities over both transports, plain and resilient; sync
-reads, batches, writes and flushes; submits through the serving
+reads, batches, writes, flushes and resets; submits through the serving
 pipeline, with closed-loop sim clients interleaving; fault plans, shard
 crashes, promotions, live reshard steps (some stalled); replica syncs,
 checkpoints, a corrupted checkpoint file and restores.  After every
@@ -120,6 +120,16 @@ def outcome(call):
         return type(error)
 
 
+def injected(conn):
+    """The crossings ``conn``'s injector has failed so far, and the
+    flushes it dropped or cut short."""
+    if conn.injector is None:
+        return 0, 0
+    stats = conn.injector.stats
+    return stats.syscall_faults, \
+        stats.dropped_flushes + stats.partial_flushes
+
+
 def settled(future):
     error = future.error
     return future.result() if error is None else type(error)
@@ -151,10 +161,11 @@ class Tenants:
     def refusal(self, who, ref, op, down):
         if ref.removed:
             return DomainError
+        writes = op != "predict"        # an update or a reset
         if ref.owner not in (None, who) and (
-                op == "update" or ref.mode is SharingMode.PRIVATE):
+                writes or ref.mode is SharingMode.PRIVATE):
             return PolicyError
-        return ShardDownError if op == "update" and down else None
+        return ShardDownError if writes and down else None
 
     def charge_domain(self, who):
         usage, limit = self.usage[who], self.quotas[who].max_domains
@@ -185,11 +196,12 @@ class Tenants:
 class Conn:
     """One open client and what the reference expects of it."""
 
-    def __init__(self, client, who, ref, resilient):
+    def __init__(self, client, who, ref, resilient, batch):
         self.client = client
         self.who = who
         self.ref = ref
         self.resilient = resilient
+        self.batch = batch              # the vDSO buffer's capacity
         self.transport = client._transport
         self.vdso = client.transport_name == "vdso"
         self.pending = []               # the vDSO buffer's records
@@ -215,6 +227,7 @@ class Before:
     cache: dict
     blocked: bool
     faults: int
+    rolls: int          # flushes the injector dropped or cut short
     delivered: int
     fallbacks: int
 
@@ -227,7 +240,7 @@ class SystemMachine(RuleBasedStateMachine):
                 queue_limit=st.sampled_from([0, 4]),
                 quota=st.builds(TenantQuota,
                                 max_domains=st.sampled_from([1, None]),
-                                update_budget=st.sampled_from([4, 16]),
+                                update_budget=st.sampled_from([0, 4, 16]),
                                 predict_budget=st.sampled_from([3, 24])),
                 mode=st.sampled_from(SharingMode),
                 clients=st.lists(CLIENT, min_size=1, max_size=3))
@@ -354,19 +367,33 @@ class SystemMachine(RuleBasedStateMachine):
             return QuotaExceededError
         return FeatureError if FeatureError in applied else None
 
+    def handle_reset(self, who, ref, row, reset_all):
+        """``DomainHandle.reset``: the policy's verdict and the shard,
+        then ``ReferenceDomain.reset`` - the model's, and one more
+        reset counted; a selective reset validates its row."""
+        refused = self.tenants.refusal(who, ref, "reset", self.is_down(ref))
+        if refused:
+            return refused
+        if not (reset_all or well_formed(row)):
+            return FeatureError
+        ref.model.reset(row, reset_all)
+        ref.stats.record_reset()
+        return None
+
     # -- the reference's clients --------------------------------------------
 
     def before(self, conn):
         transport = conn.transport
         breaker = conn.client._breaker if conn.resilient else None
+        faults, rolls = injected(conn)
         return Before(
             cache=(dict(transport._score_cache) if conn.vdso
                    and transport._score_cache_generation
                    == conn.ref.domain.generation else {}),
             blocked=(breaker is not None and breaker.state == "open"
                      and breaker._cooldown_left > 1),
-            faults=(conn.injector.stats.syscall_faults
-                    if conn.injector is not None else 0),
+            faults=faults,
+            rolls=rolls,
             delivered=conn.client.latency.update_records,
             fallbacks=(conn.client.stats.fallback_predictions
                        if conn.resilient else 0))
@@ -377,8 +404,7 @@ class SystemMachine(RuleBasedStateMachine):
         counter (a down shard is the one kernel answer retried)."""
         if conn.resilient and before.blocked:
             return fallback
-        faults = (conn.injector.stats.syscall_faults
-                  if conn.injector is not None else 0) - before.faults
+        faults = injected(conn)[0] - before.faults
         result = TransportFault
         for _ in range((ATTEMPTS if conn.resilient else 1) - faults):
             result = attempt()
@@ -441,7 +467,7 @@ class SystemMachine(RuleBasedStateMachine):
         if conn.resilient and before.blocked:
             return None                                 # dropped
         conn.pending.append(record)
-        if len(conn.pending) < conn.transport._buffer.capacity:
+        if len(conn.pending) < conn.batch:
             return None
         result = self.flush_records(
             conn, conn.client.latency.update_records - before.delivered)
@@ -450,6 +476,35 @@ class SystemMachine(RuleBasedStateMachine):
         if result in (TransportFault, ShardDownError):
             conn.pending.append(record)     # the retry buffers it again
         return None if result in DEGRADED else result
+
+    def resets(self, conn, before, row, reset_all):
+        """A client's reset: a syscall whose first attempt flushes the
+        vDSO buffer before it rolls its own die and reaches the
+        handle; a later attempt finds the buffer empty."""
+        if conn.resilient and before.blocked:
+            return None                                 # dropped
+        attempts = ATTEMPTS if conn.resilient else 1
+        faults, rolls = injected(conn)
+        faults -= before.faults
+        if conn.pending:
+            records = len(conn.pending)
+            delivered = conn.client.latency.update_records \
+                - before.delivered
+            flushed = self.flush_records(conn, delivered)
+            if flushed is not None:     # the attempt ended in its flush
+                attempts -= 1
+                if delivered < records and rolls == before.rolls:
+                    faults -= 1         # the flush's own crossing
+                if not (conn.resilient and attempts and flushed in (
+                        TransportFault, ShardDownError)):
+                    return None if conn.resilient \
+                        and flushed in DEGRADED else flushed
+        result = TransportFault
+        for _ in range(attempts - faults):
+            result = self.handle_reset(conn.who, conn.ref, row, reset_all)
+            if result is not ShardDownError:
+                break
+        return None if conn.resilient and result in DEGRADED else result
 
     def check_fallback_flag(self, conn, before, fell_back):
         if conn.resilient:
@@ -503,7 +558,7 @@ class SystemMachine(RuleBasedStateMachine):
                 return
             ref = self.adopt(self.service.domain(name), None, who)
         got.attach_pipeline(self.pipeline)
-        self.conns.append(Conn(got, who, ref, resilient))
+        self.conns.append(Conn(got, who, ref, resilient, batch))
 
     @precondition(lambda self: self.conns)
     @rule(pick=PICK, seed=st.integers(0, 9))
@@ -575,6 +630,23 @@ class SystemMachine(RuleBasedStateMachine):
                 conn, conn.client.latency.update_records - before.delivered)
             if conn.resilient and want in DEGRADED:
                 want = None
+        assert got == want, (got, want)
+
+    @precondition(lambda self: self.conns)
+    @rule(pick=PICK, row=ROWS, reset_all=st.booleans(),
+          behind=st.lists(st.tuples(ROWS, st.booleans()), max_size=2))
+    def reset(self, pick, row, reset_all, behind):
+        """The paper's third call, made behind the updates ``behind``
+        (each an ``update`` step of its own, short of filling a vDSO
+        buffer), so that the flush a vDSO reset crosses first is not
+        left to chance."""
+        conn = self.conns[pick % len(self.conns)]
+        room = conn.batch - 1 - len(conn.pending) if conn.vdso else 2
+        for features, direction in behind[:room]:
+            self.update(pick, features, direction)
+        before = self.before(conn)
+        got = outcome(lambda: conn.client.reset(row, reset_all=reset_all))
+        want = self.resets(conn, before, tuple(row), reset_all)
         assert got == want, (got, want)
 
     # -- rules: the pipeline ------------------------------------------------
@@ -871,7 +943,7 @@ class SystemMachine(RuleBasedStateMachine):
             if not conn.vdso:
                 continue
             account = conn.client.latency
-            assert transport._buffer._records == conn.pending
+            assert transport._records == conn.pending
             assert (account.vdso_calls, account.cache_hits,
                     account.cache_misses) == (conn.reads, conn.hits,
                                               conn.misses)

@@ -2,7 +2,7 @@
 
 Everything else the system promises is checked by running it (the state
 machine in ``tests/test_machine.py``, the kind-coverage and close
-contract tests, the plan type).  These three are about what the code
+contract tests, the plan type).  These four are about what the code
 *says* whether or not a run reaches it, so they parse the tree:
 
 * simulated time and seeded streams only - the modules that may import
@@ -10,7 +10,10 @@ contract tests, the plan type).  These three are about what the code
 * no handler swallows every exception with a bare ``pass``;
 * a sim process submits and never enters the kernel: a generator body
   outside the dispatcher calls no ``predict_batch``, and no ``update``
-  on a kernel-shaped receiver.
+  on a kernel-shaped receiver;
+* the client, its transports and the kernel call what a handle or a
+  model declares, and never probe for it: no ``getattr`` / ``hasattr``
+  naming an attribute in a string literal (a computed name passes).
 """
 
 import ast
@@ -33,6 +36,8 @@ IMPORT_ALLOWED = {
 DISPATCHER = "core/serving/dispatch.py"
 #: an ``update`` receiver naming one of these is the kernel, not a dict
 KERNEL_RECEIVERS = ("service", "kernel", "shard", "svc")
+#: the modules that take a handle or a model as its type declares it
+NO_PROBES = ("core/transport.py", "core/client.py", "core/kernel/")
 
 
 def dotted(node):
@@ -129,4 +134,21 @@ def test_only_the_dispatcher_enters_the_kernel_from_a_sim_process():
                                 for hint in KERNEL_RECEIVERS)):
                     found.append(f"{path}:{node.lineno} {function.name} "
                                  f"calls .{node.func.attr}()")
+    assert found == []
+
+
+def test_no_capability_probes():
+    found = []
+    for path, tree in SOURCES.items():
+        if not path.startswith(NO_PROBES):
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Name) \
+                    and node.func.id in ("getattr", "hasattr") \
+                    and len(node.args) > 1 \
+                    and isinstance(node.args[1], ast.Constant) \
+                    and isinstance(node.args[1].value, str):
+                found.append(f"{path}:{node.lineno} {node.func.id}"
+                             f"(..., {node.args[1].value!r})")
     assert found == []
