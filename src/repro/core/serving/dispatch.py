@@ -4,11 +4,11 @@ A :class:`Dispatcher` is one generator-bodied sim process per serving
 shard.  It parks on its queue's ``nonempty`` event, lets the
 :class:`~repro.core.serving.batcher.MicroBatcher` decide when to stop
 collecting, charges the batch's boundary-crossing cost as simulated
-time, and only then executes the drained requests against the kernel -
-``ShardedService.predict_batch`` for runs of predictions,
-``ShardedService.update`` for updates - settling each request's
-:class:`~repro.core.serving.future.CompletionFuture` with its own
-outcome: the score, or the error the kernel returned for that row.
+time, and only then executes the drained requests against the kernel,
+one kernel call per request - ``ShardedService.predict_batch`` of one
+row for a prediction, ``ShardedService.update`` for an update - settling
+each request's :class:`~repro.core.serving.future.CompletionFuture`
+with its own outcome: the score, or the error the kernel returned.
 Every request here was admitted by its handle at submit, so the kernel
 calls are plain execution by the name of the domain it was admitted
 against; what can still fail is what could only be known late (that
@@ -24,16 +24,15 @@ body; that each request settles once, with its own outcome, is checked
 by running the system (``tests/test_machine.py``).
 
 Ordering is the bit-identity linchpin: a drained batch executes in
-FIFO order, with *adjacent* predictions grouped into one
-``predict_batch`` call (bit-identical to the scalar loop - the PR 7
-pinned property) and updates executed in place between them, so a
-mixed batch observes exactly the generation sequence the synchronous
-path would have produced.
+FIFO order, so a mixed batch observes exactly the generation sequence
+the synchronous path would have produced.  The batch saves crossings,
+not model work: one ``service_ns(rows)`` charge and one
+``serve.dispatch`` span per drain, one kernel call per request.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from repro.core.errors import DomainError
 from repro.core.policy import REMOVED
@@ -166,61 +165,26 @@ class Dispatcher:
     @spanned(_dispatch_span, tracer="tracer")
     def _execute(self, batch: list[Request]) -> None:
         """Run one drained batch of several requests against the
-        kernel, in FIFO order.
+        kernel: one :meth:`_serve_one` per request, in FIFO order.
 
-        Adjacent predictions collapse into one ``predict_batch`` call,
-        which answers row by row (a request whose domain was removed
-        since takes no row of it); updates run individually at their
-        queue position.  A request fails for its own outcome only: a
-        model's bug in one domain is that domain's rows' outcome, so
-        another tenant's requests in the same run are served.  An
-        exception that still escapes a kernel call fails exactly the
-        requests that call covered and later requests still execute:
-        this is the boundary that must keep running, since an error
-        escaping here would end the shard's process and strand every
-        future still queued behind it.  The error is not swallowed -
-        it is counted in ``pipeline.failed`` and re-raised, traceback
-        and all, by each failed future's ``result()``.
+        The batch was one crossing (one ``service_ns`` charge); each of
+        its requests is one kernel call, as the charge's per-row term
+        says.  Served traffic spreads over many domains, so a kernel
+        batch of its adjacent predictions splits into blocks of one or
+        two rows each, which cost more than these scalar calls
+        (docs/PERFORMANCE.md, "Kept, with evidence").
         """
-        index = 0
-        while index < len(batch):
-            bound = index + 1
-            if batch[index].op == "predict":
-                while bound < len(batch) \
-                        and batch[bound].op == "predict":
-                    bound += 1
-            if bound - index == 1:
-                self._serve_one(batch[index])
-            else:
-                run = batch[index:bound]
-                rows = [(request.domain.name, request.features)
-                        for request in run
-                        if request.domain.policy is not REMOVED]
-                outcomes: Sequence[object]
-                try:
-                    outcomes = self.service.predict_batch(rows)
-                except Exception as error:
-                    outcomes = [error] * len(rows)
-                if len(rows) < len(run):
-                    served = iter(outcomes)
-                    outcomes = [next(served)
-                                if request.domain.policy is not REMOVED
-                                else _removed(request.domain)
-                                for request in run]
-                for request, outcome in zip(run, outcomes):
-                    if isinstance(outcome, Exception):
-                        self.pipeline.request_failed(request, outcome)
-                    else:
-                        self.pipeline.request_done(request, outcome)
-            index = bound
+        for request in batch:
+            self._serve_one(request)
 
     def _serve_one(self, request: Request) -> None:
-        """A run of one - a drained batch of one (every batch at
-        window 0), an update, or a prediction with no prediction next
-        to it - is one kernel call and one settlement.  It still
-        enters through ``self.service.predict_batch`` /
-        ``self.service.update``: that is the kernel boundary (what
-        ``perf/`` times)."""
+        """One request is one kernel call and one settlement, through
+        ``self.service.predict_batch`` / ``self.service.update``: that
+        is the kernel boundary (what ``perf/`` times).  A request fails
+        for its own outcome only, and an exception escaping the kernel
+        call is caught here - it would otherwise end the shard's
+        process and strand every future queued behind it - and re-raised,
+        traceback and all, by the future's ``result()``."""
         domain = request.domain
         try:
             if domain.policy is REMOVED:

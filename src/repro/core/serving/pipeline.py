@@ -329,9 +329,10 @@ class ServingPipeline:
         return bool(domain) and domain in scopes
 
     def _monitor(self) -> ProcessBody:
-        """Sim process: periodic SLO evaluation into the paging cache.
-
-        Exits once the load generator finished and the pipeline
+        """Sim process: periodic SLO evaluation into the paging cache,
+        judged at the simulated now (a page ends once its bad samples
+        age out, even while shedding leaves the windows without new
+        ones).  Exits once the load generator finished and the pipeline
         drained, so a completed simulation's event queue empties and
         ``engine.run()`` terminates naturally.
         """
@@ -341,7 +342,7 @@ class ServingPipeline:
         while True:
             yield interval
             self.evals += 1
-            verdicts = engine.evaluate()
+            verdicts = engine.evaluate(self.engine.now)
             paging = frozenset(v.scope for v in verdicts
                                if v.verdict == "page")
             if paging:

@@ -210,12 +210,19 @@ class SLOEngine:
             return 0.0
         return (bad / total) / (1.0 - objective)
 
-    def evaluate(self) -> list[SLOVerdict]:
-        """Verdicts for every SLO at the latest observed timestamp.
+    def evaluate(self, now: float | None = None) -> list[SLOVerdict]:
+        """Verdicts for every SLO at ``now``, or at the latest observed
+        timestamp if that is later or ``now`` is not given.
 
-        Emits one ``slo.page`` trace event per SLO per paging excursion,
-        and drops samples that have aged out of the long window.
+        A live monitor passes its clock: the windows then age out while
+        no sample arrives (a pipeline that sheds on a page records no
+        sample for a shed request, so a page judged only at the last
+        sample would never end).  Emits one ``slo.page`` trace event
+        per SLO per paging excursion, and drops samples that have aged
+        out of the long window.
         """
+        if now is not None and now > self._now:
+            self._now = now
         verdicts: list[SLOVerdict] = []
         for slo in self.slos:
             samples = self._samples[slo.name]

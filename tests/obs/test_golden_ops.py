@@ -384,8 +384,9 @@ class TestPipeline:
 
     def test_windowed_batch_keeps_the_stage_tree(self):
         """Predictions drained together are a real batch: one
-        ``serve.dispatch{rows, trigger}``, one kernel call with the
-        four-span stage tree, one ``request`` record each."""
+        ``serve.dispatch{rows, trigger}`` over one ``kernel.predict``
+        per request (one crossing, one kernel call each), one
+        ``request`` record each."""
         tracer, service = traced_service()
         service.create_domain("d", config=CONFIG)
         pipeline = ServingPipeline(service,
@@ -396,10 +397,7 @@ class TestPipeline:
         pipeline.run()
         assert all(f.done and f.error is None for f in futures)
         assert forest(tracer) == [
-            ("serve.dispatch", [
-                ("kernel.predict_batch", [
-                    ("kernel.route", []),
-                    ("kernel.dispatch", [("plan.execute", [])])])])]
+            ("serve.dispatch", [("kernel.predict", [])] * 4)]
         dispatch = tracer.spans()[-1]
         assert dispatch.detail == {"rows": 4, "trigger": "timeout"}
         assert kinds(tracer) == ["batch.flush_timeout"] + ["request"] * 4

@@ -165,6 +165,21 @@ def _kernel_metrics_scenario(seen):
     seen.take(tracer, registry)
 
 
+def _kernel_batch_scenario(seen):
+    """A kernel batch over two domains on two shards: ``kernel.route``
+    and a ``kernel.dispatch`` per shard (a served request is a scalar
+    kernel call, so the serving scenario opens neither)."""
+    tracer = Tracer()
+    service = ShardedService(num_shards=2, tracer=tracer)
+    names = [next(name for name in map("d{}".format, range(64))
+                  if service.shard_of(name) == shard_id)
+             for shard_id in (0, 1)]
+    for name in names:
+        service.create_domain(name, config=PSSConfig(**CONFIG_KW))
+    service.predict_batch([(name, FEATURES) for name in names])
+    seen.take(tracer)
+
+
 def _serving_scenario(seen):
     """request / shed / flush-timeout on one tiny pipeline."""
     tracer, registry = Tracer(), MetricsRegistry()
@@ -209,6 +224,7 @@ def seen(tmp_path_factory):
     _checkpoint_scenario(seen, tmp_path_factory.mktemp("checkpoint"))
     _chaos_scenario(seen)
     _kernel_metrics_scenario(seen)
+    _kernel_batch_scenario(seen)
     _serving_scenario(seen)
     _slo_scenario(seen)
     return seen

@@ -282,10 +282,19 @@ class TestAgainstReferenceModel:
 #: miss was 4 records and is 2).  Dropping those 246 from the parent's
 #: export and renumbering gives this one span for span; the 528 events
 #: are equal but for ``span_id`` and the four clockless ``ts_ns``.
+#: PR 33, all three files: the dispatcher serves a drained batch one
+#: kernel call per request, so under the nine ``serve.dispatch`` spans
+#: the 28 ``kernel.predict_batch`` trees (28 ``kernel.route``, 28
+#: ``kernel.dispatch``, 65 ``plan.execute``) and the 5 lone
+#: ``kernel.predict`` are 154 ``kernel.predict`` leaves (315 spans ->
+#: 315).  Every root and every ``serve.dispatch`` span is field-for-field
+#: the parent's; the 528 events are equal but for the ``span_id`` of
+#: 179 ``request`` records, which name the same ``serve.dispatch``
+#: renumbered.
 PINNED = {
-    "events.jsonl": 2554605430,
-    "spans.jsonl": 1341094332,
-    "chrome.json": 4165279325,
+    "events.jsonl": 3702943234,
+    "spans.jsonl": 3101471591,
+    "chrome.json": 2243445346,
 }
 
 CONFIG = PSSConfig(num_features=4)
@@ -376,7 +385,8 @@ class TestPinnedExports:
         assert {"vdso.predict", "vdso.flush", "kernel.update_batch",
                 "syscall.update", "kernel.update",
                 "syscall.predict_batch", "plan.execute",
-                "serve.dispatch", "kernel.route"} <= names
+                "serve.dispatch", "kernel.predict"} <= names
+        assert "kernel.route" not in names   # one kernel call a request
         assert pipeline.snapshot()["completed"] > 150
         assert tracer.dropped == 0 and tracer.span_dropped == 0
 

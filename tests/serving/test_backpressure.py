@@ -17,9 +17,10 @@ from repro.bench.experiments.serve import (
 from repro.bench.runner import parse
 from repro.core.errors import RequestShedError
 from repro.core.kernel.service import ShardedService
-from repro.core.serving import ServingConfig, ServingPipeline
+from repro.core.serving import ServingConfig, ServingPipeline, serving_slos
 from repro.core.serving.pipeline import SERVE_SLO
 from repro.obs import SLO
+from repro.sim.process import spawn
 
 
 class TestShedding:
@@ -95,3 +96,30 @@ class TestShedding:
         else:
             assert covered.result() is not None
         assert pipeline.shed_count == int(shed_on_page)
+
+    def test_a_page_ends_once_traffic_goes_quiet(self):
+        """A shed request is no latency sample, so a page judged at the
+        last sample's time never ages out: after a burst pages, a quiet
+        millisecond must end it and light traffic must be served."""
+        service = ShardedService()
+        service.create_domain("d")
+        pipeline = ServingPipeline(
+            service, ServingConfig(batch_window_ns=0, shed_on_page=True),
+            slos=serving_slos(4000))
+        burst, light = [], []
+
+        def arrivals():
+            for _ in range(3000):       # 100 req/us: pages
+                burst.append(pipeline.submit("d", [1, 2]))
+                yield 10.0
+            yield 1e6                   # a quiet millisecond
+            for _ in range(200):        # 1 req/us
+                light.append(pipeline.submit("d", [1, 2]))
+                yield 1000.0
+            pipeline.mark_load_complete()
+
+        spawn(pipeline.engine, arrivals(), name="arrivals")
+        pipeline.run()
+        assert pipeline.page_excursions == 1
+        assert any(isinstance(f.error, RequestShedError) for f in burst)
+        assert [f.error for f in light] == [None] * 200

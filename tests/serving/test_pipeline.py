@@ -203,16 +203,48 @@ class TestLedgerBoundaries:
         entries = [span for span in tracer.spans()
                    if span.name in ("kernel.predict",
                                     "kernel.predict_batch")]
-        assert len(predicts.calls) == len(entries)
-        if window == 0.0:
-            assert len(predicts.calls) == rows   # all runs of one
-        else:
-            assert len(predicts.calls) < rows    # real batches formed
-            assert any(len(requests) == 1
-                       for requests, in predicts.calls)
+        # one kernel call per predicted row, at every window: a drained
+        # batch is one crossing, not one kernel call
+        assert len(predicts.calls) == len(entries) == rows
+        if window > 0.0:   # real batches formed
+            batches = pipeline.batch_stats()
+            assert batches["rows"] > batches["batches"]
+            assert any(span.name == "serve.dispatch"
+                       and span.detail["rows"] > 1
+                       for span in tracer.spans())
         # calls == events: every scheduled event fired through step()
         assert sum(steps.results) == len(scheduled.calls)
         assert engine.pending() == 0
+
+    def test_a_drained_mixed_batch_is_one_kernel_entry_per_request(self):
+        """A batch over several domains with updates between its
+        predictions enters the kernel once per request, in FIFO order."""
+        service = ShardedService(num_shards=2)
+        for name in ("a", "b", "c"):
+            service.create_domain(name)
+        pipeline = ServingPipeline(
+            service, ServingConfig(batch_window_ns=1e6, max_batch=64))
+        entries = []
+        for attr in ("predict_batch", "update"):
+            inner = getattr(service, attr)
+
+            def entry(*args, _attr=attr, _inner=inner):
+                names = ((args[0],) if _attr == "update"
+                         else tuple(name for name, _ in args[0]))
+                entries.append((_attr, names))
+                return _inner(*args)
+
+            setattr(service, attr, entry)
+        sent = [("predict", "a"), ("predict", "b"), ("update", "a"),
+                ("predict", "a"), ("predict", "c"), ("predict", "b"),
+                ("update", "c"), ("predict", "c")]
+        for op, name in sent:
+            pipeline.submit(name, FEATURES, op=op, direction=True)
+        pipeline.run()
+        assert pipeline.snapshot()["completed"] == len(sent)
+        assert pipeline.batch_stats()["batches"] == 1
+        assert entries == [("predict_batch" if op == "predict"
+                            else "update", (name,)) for op, name in sent]
 
 
 class TestBatchingTriggers:
