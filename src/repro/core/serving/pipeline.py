@@ -97,7 +97,9 @@ def serving_slos(threshold_ns: float = 4_000.0,
     (or a handful of full micro-batches) of waiting before a completion
     counts against the budget.  Windows are sized to the serve sweep's
     simulated horizon so a sustained overload pages within a few
-    evaluation intervals.
+    evaluation intervals.  Pass the pipeline's
+    :attr:`ServingConfig.slo_threshold_ns`: a pipeline refuses a set
+    whose ``serve-latency`` SLO it cannot feed.
     """
     return (
         SLO(SERVE_SLO, "latency", objective=objective,
@@ -113,7 +115,10 @@ class ServingConfig:
     ``batch_window_ns == 0`` is the scalar-equivalent mode (no
     batching, bit-identical results); ``queue_limit == 0`` means
     unbounded queues (no depth back-pressure); ``shed_on_page`` sheds
-    the requests a paging SLO covers.
+    the requests a paging SLO covers.  A completion is a good
+    ``serve-latency`` sample iff its sojourn is at most
+    ``slo_threshold_ns``, so a pipeline given ``slos`` requires that
+    set's ``serve-latency`` SLO to carry the same ``threshold_ns``.
     """
 
     max_batch: int = 32
@@ -166,8 +171,17 @@ class ServingPipeline:
         self._latency_hists: list[Histogram] = []
         self._grow_lanes(service.num_shards - 1)
         # -- health / back-pressure --
-        self.slo_engine = (SLOEngine(slos, tracer=self.tracer)
-                           if slos is not None else None)
+        self.slo_engine: SLOEngine | None = None
+        if slos is not None:
+            if not any(slo.name == SERVE_SLO and slo.kind == "latency"
+                       and slo.threshold_ns == self.config.slo_threshold_ns
+                       for slo in slos):
+                raise ConfigError(
+                    f"slos must hold a latency SLO named {SERVE_SLO!r} "
+                    "with threshold_ns equal to slo_threshold_ns "
+                    f"({self.config.slo_threshold_ns}): completions are "
+                    "fed to it and judged by that threshold")
+            self.slo_engine = SLOEngine(slos, tracer=self.tracer)
         self._paging_scopes: frozenset[str] = frozenset()
         self._load_complete = False
         #: the one shed rule (queue depth, paging SLO); a service that

@@ -27,7 +27,7 @@ and deterministic by construction.
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Iterable
 
@@ -150,10 +150,15 @@ class SLOEngine:
         #: same tracer the service traces into and a flight recorder
         #: will snapshot the exact window that burned the budget)
         self.tracer = tracer
-        self._samples: dict[str, deque[tuple[float, bool]]] = {
-            slo.name: deque() for slo in self.slos
-        }
+        #: each SLO's window as ascending timestamps: every sample's,
+        #: and the bad samples' alone (counts are lengths and bisections)
+        self._times: dict[str, list[float]] = {
+            slo.name: [] for slo in self.slos}
+        self._bad: dict[str, list[float]] = {
+            slo.name: [] for slo in self.slos}
         self._now = 0.0
+        #: a sample older than ``_now`` arrived since the last sort
+        self._unsorted = False
         #: SLOs currently paging - each pages one ``slo.page`` event per
         #: excursion, not one per evaluate() call
         self._paging: set[str] = set()
@@ -163,9 +168,13 @@ class SLOEngine:
     def observe(self, slo_name: str, ts_ns: float, good: bool) -> None:
         """Record one good/bad observation against one SLO (the event
         mapping below uses this; live components may too)."""
-        self._samples[slo_name].append((ts_ns, good))
+        self._times[slo_name].append(ts_ns)
+        if not good:
+            self._bad[slo_name].append(ts_ns)
         if ts_ns > self._now:
             self._now = ts_ns
+        elif ts_ns < self._now:
+            self._unsorted = True
 
     def consume(self, events: Iterable[TraceEvent]) -> None:
         """Fold a trace stream into every matching SLO's window."""
@@ -219,34 +228,31 @@ class SLOEngine:
         sample for a shed request, so a page judged only at the last
         sample would never end).  Emits one ``slo.page`` trace event
         per SLO per paging excursion, and drops samples that have aged
-        out of the long window.
+        out of the long window.  Each window is two sorted lists, so
+        this costs four bisections and one deletion of the aged prefix
+        per SLO; samples that arrived out of order are sorted first.
         """
         if now is not None and now > self._now:
             self._now = now
+        if self._unsorted:
+            # Only a merged trace or a late ``observe`` gets here; a
+            # live monitor's stamps are its engine clock, monotone.
+            for times in (*self._times.values(), *self._bad.values()):
+                times.sort()
+            self._unsorted = False
         verdicts: list[SLOVerdict] = []
         for slo in self.slos:
-            samples = self._samples[slo.name]
+            times, bad_times = self._times[slo.name], self._bad[slo.name]
             cutoff = self._now - slo.long_window_ns
-            while samples and samples[0][0] < cutoff:
-                samples.popleft()
-            # One walk counts both trailing windows.  The age-out only
-            # trims the head, and ``consume`` may append out of order,
-            # so a stale sample can still sit mid-deque: test the long
-            # cutoff per sample (short <= long, so a sample inside the
-            # short window is inside the long one).
+            del times[:bisect_left(times, cutoff)]
+            del bad_times[:bisect_left(bad_times, cutoff)]
+            # short <= long, so the short window is a suffix of both
             short_cutoff = self._now - slo.short_window_ns
-            good = bad = short_good = short_bad = 0
-            for ts_ns, ok in samples:
-                if ts_ns < cutoff:
-                    continue
-                if ok:
-                    good += 1
-                    if ts_ns >= short_cutoff:
-                        short_good += 1
-                else:
-                    bad += 1
-                    if ts_ns >= short_cutoff:
-                        short_bad += 1
+            bad = len(bad_times)
+            good = len(times) - bad
+            short_bad = bad - bisect_left(bad_times, short_cutoff)
+            short_good = (len(times) - bisect_left(times, short_cutoff)
+                          - short_bad)
             long_burn = self._burn(good, bad, slo.objective)
             short_burn = self._burn(short_good, short_bad, slo.objective)
             if short_burn >= self.PAGE_BURN and long_burn >= self.PAGE_BURN:

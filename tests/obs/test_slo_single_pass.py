@@ -1,11 +1,18 @@
-"""``SLOEngine.evaluate`` counts both windows in one walk.
+"""``SLOEngine.evaluate`` counts both windows with bisections.
 
-``TwoPassEngine`` restores the evaluation it replaced - one
-``_window`` scan of the whole deque per window - and hypothesis drives
-both engines with the same stream of observations (any timestamp
-order, through ``observe`` and through ``consume``) and evaluations.
-Verdicts, burns and the ``slo.page`` events must agree exactly.
+``TwoPassEngine`` is the frozen reference: its own deque of
+``(ts, good)`` samples, aged from the head, and one scan of the whole
+deque per window.  Hypothesis drives it and the engine with the same
+observations and evaluations in two shapes - any timestamp order
+(through ``observe`` and ``consume``), and the serving pipeline's
+(a monotone clock, a drained batch settling at one ``now``, the
+monitor evaluating past the last sample, thousands of samples).
+Verdicts, burns and the ``slo.page`` events must agree exactly, and
+after every evaluation the engine must hold exactly the reference's
+in-window samples, sorted.
 """
+
+from collections import deque
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +22,16 @@ from repro.obs.trace import TraceEvent
 
 
 class TwoPassEngine(SLOEngine):
-    """The previous ``evaluate``: two full scans per SLO."""
+    """The reference: a deque of samples and two full scans per SLO."""
+
+    def __init__(self, slos, tracer):
+        super().__init__(slos, tracer=tracer)
+        self._samples = {slo.name: deque() for slo in self.slos}
+
+    def observe(self, slo_name, ts_ns, good):
+        self._samples[slo_name].append((ts_ns, good))
+        if ts_ns > self._now:
+            self._now = ts_ns
 
     def _window(self, slo, window_ns):
         cutoff = self._now - window_ns
@@ -29,7 +45,15 @@ class TwoPassEngine(SLOEngine):
                 bad += 1
         return good, bad
 
-    def evaluate(self):
+    def in_window(self, slo, bad_only=False):
+        """Sorted timestamps of the samples inside the long window."""
+        cutoff = self._now - slo.long_window_ns
+        return sorted(ts_ns for ts_ns, ok in self._samples[slo.name]
+                      if ts_ns >= cutoff and not (bad_only and ok))
+
+    def evaluate(self, now=None):
+        if now is not None and now > self._now:
+            self._now = now
         verdicts = []
         for slo in self.slos:
             samples = self._samples[slo.name]
@@ -84,7 +108,7 @@ def event(kind, ts_ns, dur_ns):
 
 
 #: timestamps on a coarse grid and in no particular order, so samples
-#: land exactly on both cutoffs and stale ones arrive mid-deque
+#: land exactly on both cutoffs and stale ones arrive mid-window
 stamps = st.integers(0, 300).map(float)
 actions = st.one_of(
     st.tuples(st.just("observe"),
@@ -97,6 +121,34 @@ actions = st.one_of(
     st.tuples(st.just("evaluate")),
 )
 
+#: the pipeline's shape: the clock advances on an integer grid (so
+#: samples sit on the cutoffs), a drained batch of up to 32 settles at
+#: one ``now`` (bit i of the mask: request i missed its limit), and
+#: the monitor evaluates at the clock - often past the last sample,
+#: sometimes long enough after it that the windows empty
+settle = st.tuples(st.just("settle"), st.integers(0, 3),
+                   st.integers(1, 32),
+                   st.one_of(st.just(0), st.integers(0, 2**32 - 1)))
+monitor = st.tuples(st.just("evaluate"),
+                    st.one_of(st.integers(0, 8), st.just(150)))
+traffic = st.lists(st.one_of(settle, settle, settle, monitor),
+                   min_size=200, max_size=300)
+
+
+def check_window(new, old):
+    """The engine holds exactly the reference's in-window samples,
+    sorted: every timestamp, and the bad ones on their own."""
+    for slo in new.slos:
+        assert new._times[slo.name] == old.in_window(slo)
+        assert new._bad[slo.name] == old.in_window(slo, bad_only=True)
+
+
+def check_evaluate(new, old, now=None):
+    assert [v.as_dict() for v in new.evaluate(now)] \
+        == [v.as_dict() for v in old.evaluate(now)]
+    check_window(new, old)
+    assert new._paging == old._paging
+
 
 class TestSinglePassEqualsTwoPass:
     @settings(max_examples=300, deadline=None)
@@ -106,20 +158,37 @@ class TestSinglePassEqualsTwoPass:
         new = SLOEngine(slos(), tracer=new_tracer)
         old = TwoPassEngine(slos(), tracer=old_tracer)
         for action in [*stream, ("evaluate",)]:
+            if action[0] == "evaluate":
+                check_evaluate(new, old)
+                # evaluate() is idempotent between observations
+                check_evaluate(new, old)
+                continue
             for engine in (new, old):
                 if action[0] == "observe":
                     engine.observe(*action[1:])
-                elif action[0] == "consume":
+                else:
                     engine.consume(event(*fields)
                                    for fields in action[1])
-                else:
-                    engine.evaluate()
+        assert [e.as_dict() for e in new_tracer.events()] \
+            == [e.as_dict() for e in old_tracer.events()]
+
+    @settings(max_examples=60, deadline=None)
+    @given(traffic)
+    def test_pipeline_traffic_verdicts_burns_and_pages_identical(
+            self, stream):
+        new_tracer, old_tracer = Tracer(), Tracer()
+        new = SLOEngine(slos(), tracer=new_tracer)
+        old = TwoPassEngine(slos(), tracer=old_tracer)
+        now = 0.0
+        for action in [*stream, ("evaluate", 0)]:
+            now += action[1]
             if action[0] == "evaluate":
-                # evaluate() is idempotent between observations, so
-                # calling it again to read the rows changes nothing
-                assert [v.as_dict() for v in new.evaluate()] \
-                    == [v.as_dict() for v in old.evaluate()]
-                assert new._samples == old._samples
-                assert new._paging == old._paging
+                check_evaluate(new, old, now)
+                continue
+            _, _, size, mask = action
+            for i in range(size):
+                for engine in (new, old):
+                    engine.observe("lat", now, good=not mask >> i & 1)
+        assert not new._unsorted
         assert [e.as_dict() for e in new_tracer.events()] \
             == [e.as_dict() for e in old_tracer.events()]

@@ -14,8 +14,10 @@ from repro.bench.experiments.serve import (
     run_backpressure_comparison,
     run_point,
 )
+import pytest
+
 from repro.bench.runner import parse
-from repro.core.errors import RequestShedError
+from repro.core.errors import ConfigError, RequestShedError
 from repro.core.kernel.service import ShardedService
 from repro.core.serving import ServingConfig, ServingPipeline, serving_slos
 from repro.core.serving.pipeline import SERVE_SLO
@@ -123,3 +125,29 @@ class TestShedding:
         assert pipeline.page_excursions == 1
         assert any(isinstance(f.error, RequestShedError) for f in burst)
         assert [f.error for f in light] == [None] * 200
+
+
+class TestSloContract:
+    """The pipeline feeds completions to ``serve-latency`` only, judged
+    by ``ServingConfig.slo_threshold_ns``: a set it cannot feed that
+    way is refused at construction, not discovered mid-run."""
+
+    def test_an_slo_set_without_serve_latency_is_refused(self):
+        # It used to raise KeyError inside the dispatcher at the first
+        # completion, killing the shard's process with the future
+        # never settled.
+        service = ShardedService()
+        service.create_domain("d")
+        with pytest.raises(ConfigError, match=SERVE_SLO):
+            ServingPipeline(service, ServingConfig(), slos=[
+                SLO("my-latency", "latency", threshold_ns=100.0)])
+
+    def test_a_threshold_the_config_does_not_judge_by_is_refused(self):
+        # It used to count every sojourn against the config's 4 000 ns,
+        # so 50 of 50 completions of 72 ns or more were good under a
+        # 1 ns SLO.
+        service = ShardedService()
+        service.create_domain("d")
+        with pytest.raises(ConfigError, match="slo_threshold_ns"):
+            ServingPipeline(service, ServingConfig(),
+                            slos=serving_slos(threshold_ns=1.0))
