@@ -64,7 +64,7 @@ class HashedPerceptron(PredictorModel):
         convenience.  Returning the raw score preserves the confidence
         information the paper highlights for asymmetric-cost scenarios.
         """
-        return self.score(features)
+        return self._weights.dot(features)
 
     def predict_batch(
         self, feature_rows: Sequence[Sequence[int]]

@@ -9,22 +9,23 @@ analogue: a domain's scoring loop is fully determined by its
 ``(num_features, entries_per_feature, seed)`` configuration, so the
 hash/index arithmetic can be compiled once into a
 :class:`SpecializedPlan` and reused by every domain that shares the
-shape.  The compiled ``select`` hashes a *row*, not a feature: the
-values are packed one per 128-bit lane of a single Python int and one
-splitmix64 pass mixes every lane at once, with the per-slot salts, the
-table masks (power-of-two widths) and the row-major table bases folded
-into lane-wide constants - about fifteen big-int operations per row
-whatever the feature count, where a per-feature body pays fourteen per
-feature (docs/PERFORMANCE.md, "The plan", has the layout and the
-numbers).  When numpy is importable the plan additionally carries a
-vectorized block scorer that hashes a whole batch of rows in a handful
-of uint64 array operations, which wins from about a dozen rows up;
-uint64 wraparound arithmetic is bit-identical to the masked Python
-arithmetic, and the pure-Python compiled path remains as the
-always-available fallback (no new hard dependency).  numpy is imported
-by the first block that asks for it, not with this module: a process
-that never scores a block - a scalar client, most CLI commands - does
-not pay its ~0.15 s and ~12 MB.
+shape, and the gather that sums the selected cells once per feature
+count (:func:`compile_gather`).  The compiled ``select`` hashes a
+*row*, not a feature: the values are packed one per 128-bit lane of a
+single Python int and one splitmix64 pass mixes every lane at once,
+with the per-slot salts, the table masks (power-of-two widths) and the
+row-major table bases folded into lane-wide constants - about fifteen
+big-int operations per row whatever the feature count, where a
+per-feature body pays fourteen per feature (docs/PERFORMANCE.md, "The
+plan", has the layout and the numbers).  When numpy is importable
+the plan additionally carries a vectorized block scorer that hashes a
+whole batch of rows in a handful of uint64 array operations, which
+wins from about fifteen rows up; uint64 wraparound arithmetic is
+bit-identical to the masked Python arithmetic, and the pure-Python
+compiled path remains as the always-available fallback (no new hard
+dependency).  numpy is imported by the first block that asks for it,
+not with this module: a process that never scores a block - a scalar
+client, most CLI commands - does not pay its ~0.15 s and ~12 MB.
 
 Plan lifecycle (see docs/PERFORMANCE.md, "Batched and specialized
 prediction"):
@@ -122,20 +123,52 @@ def _generate_source(signature: PlanSignature,
         f"z = (z ^ (z >> 27 & {mask})) * {_MIX_B} & {mask}",
         *reduce,
     ]
+    unpack_cells, cells = _gather_lines(num_features)
     return "\n".join([
         "def select(row):",
         *(f"    {line}" for line in body),
         "    return selected",
         "",
         "def score_rows(flat, bias, rows):",
-        "    getitem = flat.__getitem__",
         "    out = []",
         "    append = out.append",
         "    for row in rows:",
         *(f"        {line}" for line in body),
-        "        append(bias + sum(map(getitem, selected)))",
+        f"        {unpack_cells}",
+        f"        append(bias + {cells})",
         "    return out",
     ])
+
+
+def _gather_lines(num_features: int) -> tuple[str, str]:
+    """The gather of one row's ``selected`` cells out of ``flat``, as
+    two lines of straight-line code: ``i0, i1, = selected`` and
+    ``flat[i0] + flat[i1]``.  One subscript per cell and no call:
+    ``sum(map(flat.__getitem__, s))`` pays a method-wrapper call per
+    cell, and ``itemgetter(*s)`` returns a bare int, not a tuple, for a
+    one-feature row (docs/PERFORMANCE.md, "Kept, with evidence")."""
+    names = [f"i{k}" for k in range(num_features)]
+    return (f"{', '.join(names)}, = selected",
+            " + ".join(f"flat[{name}]" for name in names))
+
+
+@lru_cache(maxsize=None)  # one per feature count: at most MAX_FEATURES
+def compile_gather(
+        num_features: int) -> Callable[[Sequence[int], Sequence[int]], int]:
+    """``gather(flat, selected)``: the sum of the cells ``selected``
+    picks out of ``flat``, compiled for rows of ``num_features``
+    indices.  A weight matrix binds it at construction and passes its
+    array on every call, so a restore that swaps the array leaves
+    nothing stale."""
+    unpack_cells, cells = _gather_lines(num_features)
+    source = "\n".join([
+        "def gather(flat, selected):",
+        f"    {unpack_cells}",
+        f"    return {cells}",
+    ])
+    namespace: dict[str, object] = {"__name__": __name__}
+    exec(compile(source, f"<gather {num_features}>", "exec"), namespace)
+    return namespace["gather"]  # type: ignore[return-value]
 
 
 @lru_cache(maxsize=64)

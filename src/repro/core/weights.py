@@ -10,9 +10,10 @@ Hot-path layout (see docs/PERFORMANCE.md): the matrix is stored as one flat
 salts are precomputed once per shape (in the bound
 :class:`~repro.core.plans.SpecializedPlan`), and a bounded LRU cache maps
 feature vectors to their selected flat indices so a vector that repeats is
-hashed exactly once.  All of it is bit-identical to the plain list-of-lists
-implementation (kept as the reference model in
-``tests/core/reference_impl.py``).
+hashed exactly once; a gather compiled for the feature count
+(:func:`~repro.core.plans.compile_gather`) sums the selected cells.  All
+of it is bit-identical to the plain list-of-lists implementation (kept as
+the reference model in ``tests/core/reference_impl.py``).
 """
 
 from __future__ import annotations
@@ -20,14 +21,17 @@ from __future__ import annotations
 from array import array
 from collections import OrderedDict
 from itertools import islice
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.core.config import PSSConfig
 from repro.core.errors import FeatureError
 from repro.core.models import VersionWord
-
-if TYPE_CHECKING:
-    from repro.core.plans import SpecializedPlan
+from repro.core.plans import (
+    DEFAULT_COMPILER,
+    SpecializedPlan,
+    compile_gather,
+    plan_signature,
+)
 
 
 def saturate(value: int, lo: int, hi: int) -> int:
@@ -71,6 +75,9 @@ class WeightMatrix:
             [0] * (config.num_features * self._entries),
         )
         self._bias = 0
+        #: ``gather(flat, selected)``, compiled for the feature count:
+        #: every score is ``bias + gather(self._flat, selected)``
+        self._gather = compile_gather(config.num_features)
         #: feature tuple -> tuple of selected flat indices (LRU-bounded).
         #: An OrderedDict, not a plain dict: evicting the oldest entry of
         #: a churning plain dict (``pop(next(iter(cache)))``) rescans an
@@ -89,7 +96,7 @@ class WeightMatrix:
         self.version = VersionWord()
         #: bound SpecializedPlan (lazily compiled/shared; dropped on
         #: wholesale state swaps, like the generation-keyed score cache)
-        self._plan: "SpecializedPlan | None" = None
+        self._plan: SpecializedPlan | None = None
 
     @property
     def config(self) -> PSSConfig:
@@ -167,10 +174,8 @@ class WeightMatrix:
         This is the perceptron output the service returns from ``predict``:
         its sign is the decision, its magnitude the confidence.
         """
-        flat = self._flat
-        return self._bias + sum(
-            map(flat.__getitem__, self._flat_indices(features))
-        )
+        return self._bias + self._gather(
+            self._flat, self._flat_indices(features))
 
     def dot_and_indices(
         self, features: Iterable[int]
@@ -182,13 +187,12 @@ class WeightMatrix:
         (zero times when the index cache already holds it).
         """
         selected = self._flat_indices(features)
-        flat = self._flat
-        return self._bias + sum(map(flat.__getitem__, selected)), selected
+        return self._bias + self._gather(self._flat, selected), selected
 
     # -- specialized batch path (see repro.core.plans) -----------------------
 
     @property
-    def plan(self) -> "SpecializedPlan":
+    def plan(self) -> SpecializedPlan:
         """The bound :class:`~repro.core.plans.SpecializedPlan`.
 
         Binds lazily through the process-wide compiler when no service
@@ -197,17 +201,15 @@ class WeightMatrix:
         """
         plan = self._plan
         if plan is None:
-            from repro.core.plans import DEFAULT_COMPILER
             plan = self._plan = DEFAULT_COMPILER.plan_for(self._config)
         return plan
 
-    def attach_plan(self, plan: "SpecializedPlan") -> None:
+    def attach_plan(self, plan: SpecializedPlan) -> None:
         """Bind a compiler-owned plan (kernel wiring).
 
         The plan must describe this matrix's exact shape: a mismatched
         plan would silently select wrong table cells.
         """
-        from repro.core.plans import plan_signature
         if plan.signature != plan_signature(self._config):
             raise FeatureError(
                 f"plan signature {plan.signature} does not match "
@@ -218,8 +220,8 @@ class WeightMatrix:
     #: miss blocks at least this large go through the plan's vectorized
     #: block hasher; smaller blocks stay on the compiled per-row path
     #: (same results either way - this is purely a crossover point,
-    #: measured in docs/PERFORMANCE.md: 10 rows at 8 features, 13 at 4)
-    VECTOR_MIN_ROWS = 12
+    #: measured in docs/PERFORMANCE.md: 13-14 rows at 8 features, 20 at 4)
+    VECTOR_MIN_ROWS = 16
 
     def dot_batch(self, rows: Sequence[Sequence[int]]) -> list[int]:
         """Batch of :meth:`dot` scores in one pass, bit-identical.
@@ -267,7 +269,8 @@ class WeightMatrix:
         move_to_end = cache.move_to_end
         popitem = cache.popitem
         limit = self.INDEX_CACHE_ENTRIES
-        getitem = self._flat.__getitem__
+        gather = self._gather
+        flat = self._flat
         bias = self._bias
         scores: list[int] = []
         append = scores.append
@@ -283,7 +286,7 @@ class WeightMatrix:
                 if selected is not None:
                     hits += 1
                     move_to_end(key)
-                    append(bias + sum(map(getitem, selected)))
+                    append(bias + gather(flat, selected))
                     continue
                 misses += 1
                 if slots is None:
@@ -334,9 +337,8 @@ class WeightMatrix:
                  if len(keys) >= self.VECTOR_MIN_ROWS else None)
         if block is None:
             selected = [plan.select(key) for key in keys]
-            getitem = flat.__getitem__
-            block = [bias + sum(map(getitem, one))
-                     for one in selected], selected
+            gather = self._gather
+            block = [bias + gather(flat, one) for one in selected], selected
         return slots, block
 
     def _admit_block(self, keys: Iterable[tuple[int, ...]],
@@ -380,7 +382,8 @@ class WeightMatrix:
         cache = self._index_cache
         cache_get = cache.get
         move_to_end = cache.move_to_end
-        getitem = self._flat.__getitem__
+        gather = self._gather
+        flat = self._flat
         adjust_at = self.adjust_at
         refused: list[int] = []
         first_error: FeatureError | None = None
@@ -398,7 +401,7 @@ class WeightMatrix:
                         first_error = error
                     refused.append(position)
                     continue
-            score = self._bias + sum(map(getitem, selected))
+            score = self._bias + gather(flat, selected)
             if (score >= threshold) == direction and abs(score) > margin:
                 continue
             adjust_at(selected, 1 if direction else -1)
@@ -441,9 +444,13 @@ class WeightMatrix:
         self.version.value += 1
 
     def reset_all(self) -> None:
-        """Zero every weight and the bias (``reset(..., all=True)``)."""
-        for i in range(len(self._flat)):
-            self._flat[i] = 0
+        """Zero every weight and the bias (``reset(..., all=True)``).
+
+        One slice assignment from a zeroed array: the same array object
+        is zeroed in place, so a block hasher's ``np.frombuffer`` view
+        of it reads the zeroed table."""
+        flat = self._flat
+        flat[:] = array(flat.typecode, bytes(flat.itemsize * len(flat)))
         self._bias = 0
         self.version.value += 1
 

@@ -3,6 +3,8 @@
 ``repro.core.hashing`` is the reference (one value, one splitmix64
 round); the plan hashes a whole row in one lane-packed pass and must
 select exactly the same cells for every shape and every Python int.
+The compiled gather that sums the selected cells must equal the plain
+sum at every feature count and weight width.
 """
 
 import random
@@ -15,9 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import PSSConfig
+from repro.core.config import MAX_FEATURES, PSSConfig
 from repro.core.hashing import hash_feature
-from repro.core.plans import compile_plan
+from repro.core.plans import compile_gather, compile_plan
+from repro.core.weights import WeightMatrix, _weight_typecode
+
+from tests.core.reference_impl import ReferenceWeightMatrix
 
 ENTRIES = [2, 16, 24, 1000, 1024, 65536]
 
@@ -138,3 +143,126 @@ def test_a_plan_is_read_only():
         plan.hits = 1
     assert plan.num_features == 2 and plan.entries_per_feature == \
         PSSConfig().entries_per_feature
+
+
+#: the smallest and largest weight width of each typecode the matrix
+#: can pick: one byte for 2..8 bits, two for 9..16, four for 17..32
+WIDTHS = [2, 8, 9, 16, 17, 32]
+
+
+def extreme_cells(config):
+    """A cell value strategy for ``config``: mostly the saturation
+    bounds, where a narrowing or wrapping gather would show."""
+    return st.one_of(
+        st.sampled_from([config.weight_min, config.weight_max, 0]),
+        st.integers(config.weight_min, config.weight_max))
+
+
+def test_widths_cover_every_typecode():
+    assert {_weight_typecode(bits) for bits in WIDTHS} \
+        == {_weight_typecode(bits) for bits in range(2, 33)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_gather_is_the_sum_of_the_selected_cells(data):
+    num_features = data.draw(st.integers(1, MAX_FEATURES))
+    config = PSSConfig(num_features=num_features, entries_per_feature=4,
+                       weight_bits=data.draw(st.sampled_from(WIDTHS)))
+    cells = data.draw(st.lists(extreme_cells(config),
+                               min_size=4 * num_features,
+                               max_size=4 * num_features))
+    flat = array(_weight_typecode(config.weight_bits), cells)
+    selected = tuple(data.draw(st.lists(
+        st.integers(0, len(flat) - 1),
+        min_size=num_features, max_size=num_features)))
+    assert compile_gather(num_features)(flat, selected) \
+        == sum(flat[i] for i in selected)
+
+
+class Reference:
+    """``ReferenceWeightMatrix`` plus the generation a ``WeightMatrix``
+    keeps: one bump per state load and per training step."""
+
+    def __init__(self, config):
+        self.matrix = ReferenceWeightMatrix(config)
+        self.generation = 0
+
+    def load_state(self, state):
+        self.matrix.load_state(state)
+        self.generation += 1
+
+    def dot_and_indices(self, row):
+        entries = self.matrix.config.entries_per_feature
+        return self.matrix.dot(row), tuple(
+            i * entries + column
+            for i, column in enumerate(self.matrix.indices(row)))
+
+    def train(self, records, threshold, margin):
+        for row, direction in records:
+            score = self.matrix.dot(row)
+            if (score >= threshold) == direction and abs(score) > margin:
+                continue
+            self.matrix.adjust(row, 1 if direction else -1)
+            self.generation += 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_every_door_matches_the_reference_at_both_ends(data):
+    """A 1-feature and a MAX_FEATURES matrix, loaded with cells at the
+    saturation bounds, through ``dot``, ``dot_and_indices``,
+    ``train_batch`` and ``dot_batch`` on both sides of
+    ``VECTOR_MIN_ROWS``: scores, weights, bias and generation are the
+    reference's."""
+    config = PSSConfig(
+        num_features=data.draw(st.sampled_from([1, MAX_FEATURES])),
+        entries_per_feature=4,
+        weight_bits=data.draw(st.sampled_from(WIDTHS)))
+    n = config.num_features
+    state = {
+        "rows": data.draw(st.lists(
+            st.lists(extreme_cells(config), min_size=4, max_size=4),
+            min_size=n, max_size=n)),
+        "bias": data.draw(extreme_cells(config)),
+    }
+    matrix, reference = WeightMatrix(config), Reference(config)
+    matrix.load_state(state)
+    reference.load_state(state)
+    #: rows from a small pool repeat and hit the index cache; rows
+    #: from the whole 64-bit range are first touches
+    fresh_rows = st.tuples(*[st.integers(0, 2**64 - 1)] * n)
+    rows = st.one_of(st.tuples(*[st.integers(0, 9)] * n), fresh_rows)
+    sizes = [2, WeightMatrix.VECTOR_MIN_ROWS - 1,
+             WeightMatrix.VECTOR_MIN_ROWS, 2 * WeightMatrix.VECTOR_MIN_ROWS]
+    for op in data.draw(st.lists(
+            st.sampled_from(["dot", "dot_and_indices", "train", "batch"]),
+            min_size=1, max_size=8)):
+        if op == "dot":
+            row = data.draw(rows)
+            assert matrix.dot(row) == reference.dot_and_indices(row)[0]
+        elif op == "dot_and_indices":
+            row = data.draw(rows)
+            assert matrix.dot_and_indices(row) \
+                == reference.dot_and_indices(row)
+        elif op == "train":
+            records = data.draw(st.lists(st.tuples(rows, st.booleans()),
+                                         min_size=1, max_size=32))
+            threshold = data.draw(st.integers(-2, 2))
+            margin = data.draw(st.integers(0, 8 * n))
+            matrix.train_batch(records, threshold, margin)
+            reference.train(records, threshold, margin)
+        else:
+            # ``size`` first touches, then some rows that may repeat,
+            # in any order: the block hasher runs from VECTOR_MIN_ROWS
+            size = data.draw(st.sampled_from(sizes))
+            block = data.draw(st.permutations(
+                data.draw(st.lists(fresh_rows, min_size=size,
+                                   max_size=size, unique=True))
+                + data.draw(st.lists(rows, max_size=4))))
+            assert matrix.dot_batch(block) \
+                == [reference.dot_and_indices(row)[0] for row in block]
+        assert list(matrix.iter_weights()) \
+            == list(reference.matrix.iter_weights())
+        assert matrix.bias == reference.matrix.bias
+        assert matrix.generation == reference.generation

@@ -1,4 +1,4 @@
-"""What a vDSO read executes, pinned by frame count.
+"""What a vDSO read and a flush execute, pinned by frame count.
 
 A vDSO reader checks the version word its domain publishes; it never
 walks the kernel's objects to find it.  The frames one plain
@@ -6,9 +6,11 @@ walks the kernel's objects to find it.  The frames one plain
 client of an admission-controlled service - are pinned here by
 ``sys.setprofile``, with its observed twin (Tracer + MetricsRegistry)
 alongside, so a frame that creeps back onto the read fails by count,
-not by time.  No frame named ``generation`` runs on any of them.
+not by time.  No frame named ``generation`` runs on any of them.  The
+same holds for the write a flush delivers, on the ``sync_churn`` shape.
 """
 
+import gc
 import sys
 from collections import Counter
 from functools import partial
@@ -31,30 +33,46 @@ PINNED = {
     "hit": (9, 10),
     # the same transport frames with record_cache_miss, then
     # predict_mapped, _admit_predict, charge_predict, Domain.predict,
-    # the model's predict -> score -> dot -> _flat_indices and
+    # the model's predict -> dot -> _flat_indices -> gather and
     # record_prediction; watched adds _traced_read, its span (span,
     # __enter__, __exit__, the account's clock) and the event
     "miss": (14, 20),
     # client.update, VdsoTransport.update: one append; watched adds
     # the event
     "update": (2, 3),
+    # the update that fills a 32-record buffer: the two frames above,
+    # then the flush's 15 (spanned wrapper and body, _ensure_open,
+    # charge_op, charge_syscall, handle.update_batch wrapper and body,
+    # _tracer, charge_updates, domain.update_batch, record_updates,
+    # perceptron.update_batch, train_batch, two list comprehensions),
+    # one gather per record (32) and adjust_at per training record
+    # (14 of the 32 train): 2 + 15 + 32 + 14; watched adds the flush's
+    # and kernel's spans and the events
+    "flush": (63, 85),
 }
 
 
 def frames(action):
     """The Python functions entered while ``action()`` runs, by name
-    (``action`` is a ``partial``, so the first is the client's own)."""
+    (``action`` is a ``partial``, so the first is the client's own).
+    The cyclic collector is off meanwhile: a collection enters the
+    callbacks other code registers (hypothesis keeps one), which are
+    not the operation's frames."""
     calls = Counter()
 
     def profile(frame, event, arg):
         if event == "call":
             calls[frame.f_code.co_name] += 1
 
+    collecting = gc.isenabled()
+    gc.disable()
     sys.setprofile(profile)
     try:
         action()
     finally:
         sys.setprofile(None)
+        if collecting:
+            gc.enable()
     return calls
 
 
@@ -97,3 +115,36 @@ def test_what_a_read_executes(watched):
         assert sum(calls.values()) == PINNED[op][watched], (op, calls)
         assert "generation" not in calls, (op, calls)
         assert "_ensure_open" not in calls, (op, calls)
+
+
+#: the ``sync_churn`` shape: 8 features, 1 024 cells per feature, a
+#: 32-record buffer; rows alternate directions, one record in five
+#: against its row's (what the margin rule keeps training on)
+CHURN_CONFIG = PSSConfig(num_features=8, entries_per_feature=1024)
+CHURN_ROWS = [tuple((7 * r + 3 * f) % 50 for f in range(8))
+              for r in range(8)]
+CHURN_RECORDS = [(CHURN_ROWS[k % 8], (k % 2 == 0) != (k % 5 == 0))
+                 for k in range(32)]
+#: records of CHURN_RECORDS that train, once the warm-up below has run
+CHURN_TRAINED = 14
+
+
+@pytest.mark.parametrize("watched", [False, True],
+                         ids=["plain", "watched"])
+def test_what_a_flush_executes(watched):
+    observed = ({"tracer": Tracer(), "metrics": MetricsRegistry()}
+                if watched else {})
+    service = ShardedService(admission=AdmissionController(), **observed)
+    client = service.connect("d", transport="vdso", batch_size=32,
+                             config=CHURN_CONFIG)
+    for features, direction in CHURN_RECORDS * 4 + CHURN_RECORDS[:-1]:
+        client.update(features, direction)
+    assert client.pending_updates == 31
+    before = service.domain("d").generation
+    flush = frames(partial(client.update, *CHURN_RECORDS[-1]))
+    assert client.pending_updates == 0
+    assert service.domain("d").generation - before == CHURN_TRAINED
+    assert flush["gather"] == len(CHURN_RECORDS), flush
+    assert flush["adjust_at"] == CHURN_TRAINED, flush
+    assert sum(flush.values()) == PINNED["flush"][watched], flush
+    assert "generation" not in flush, flush

@@ -10,6 +10,8 @@ from repro.core.config import PSSConfig
 from repro.core.errors import FeatureError
 from repro.core.weights import WeightMatrix, saturate
 
+from tests.core.reference_impl import ReferenceWeightMatrix
+
 
 def make_matrix(num_features=2, entries=64, weight_bits=8, seed=0):
     return WeightMatrix(PSSConfig(
@@ -82,7 +84,7 @@ REFUSED = [True, 1.0, "1", None]
 try:
     import numpy
 except ImportError:
-    pass
+    numpy = None
 else:
     REFUSED.append(numpy.int64(1))
 
@@ -162,6 +164,32 @@ class TestReset:
         m.reset_all()
         assert m.nonzero_count() == 0
         assert m.dot([1, 2]) == 0
+
+    def test_reset_all_zeroes_the_array_a_block_reads(self):
+        """The reset zeroes the matrix's own array in place: a view of
+        it taken before reads zeros after, and the block hasher's next
+        ``np.frombuffer`` of it scores against the zeroed table.
+        Weights and bias are the reference's, with one version bump."""
+        m, twin = make_matrix(entries=4), make_matrix(entries=4)
+        reference = ReferenceWeightMatrix(m.config)
+        for v in range(16):
+            for matrix in (m, twin, reference):
+                matrix.adjust((v, 2 * v), +1 if v % 3 else -1)
+        flat = m._flat
+        view = (numpy.frombuffer(flat, dtype=flat.typecode)
+                if numpy is not None else None)
+        fresh = [(v, v + 1) for v in range(100, 100 + m.VECTOR_MIN_ROWS)]
+        assert any(twin.dot_batch(fresh))   # the cells they read moved
+        generation = m.generation
+        m.reset_all()
+        reference.reset_all()
+        assert m._flat is flat
+        assert m.generation == generation + 1
+        assert list(m.iter_weights()) == list(reference.iter_weights())
+        assert m.bias == reference.bias == 0
+        assert m.dot_batch(fresh) == [0] * len(fresh)
+        if view is not None:
+            assert not view.any()
 
 
 class TestStateRoundTrip:
