@@ -3,7 +3,7 @@
 "Since the system interface is not tied to the implementation, the underlying
 predictor model can be replaced easily."  Every model the service hosts
 inherits :class:`PredictorModel`; the default is the hashed perceptron, and
-:mod:`repro.models_extra` ships lighter and heavier alternatives.
+:mod:`repro.models_extra` ships lighter alternatives and static baselines.
 
 Models map directly onto the three service calls:
 
@@ -191,7 +191,7 @@ def ensure_builtin_models() -> None:
     # Imported here so the contract stays dependency-light, and the
     # ablation models stay out of ``import repro.core``.
     from repro.core import perceptron
-    from repro.models_extra import alt_models, heavy_models
+    from repro.models_extra import alt_models
 
     builtin: dict[str, ModelFactory] = {
         "perceptron": perceptron.HashedPerceptron,
@@ -201,9 +201,6 @@ def ensure_builtin_models() -> None:
         "always-true": alt_models.ConstantModel.always_true,
         "always-false": alt_models.ConstantModel.always_false,
         "majority": alt_models.MajorityModel,
-        "knn": heavy_models.KnnModel,
-        "boosted-stumps": heavy_models.BoostedStumpsModel,
-        "tiny-mlp": heavy_models.TinyMlpModel,
     }
     for name, factory in builtin.items():
         if name not in _MODEL_REGISTRY:

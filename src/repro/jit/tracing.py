@@ -116,8 +116,9 @@ class TracingJit:
         #: a hot-check, i.e. a prediction-service consultation point in
         #: the latency-sensitive configuration
         self.interp_entries = 0
-        # loop ids in least-recently-used-first order
-        self._lru: list[str] = []
+        # compiled loop ids, least recently used first; a touch follows a
+        # ``last_use_tick`` stamp, so this is ascending ``last_use_tick``
+        self._lru: dict[str, None] = {}
 
     # -- parameter updates (the tuner changes these between iterations) ---
 
@@ -154,16 +155,20 @@ class TracingJit:
         state.last_decay_tick = self._tick
 
     def _expire_old_traces(self, current_id: str) -> None:
-        """Free compiled loops unused for ``loop_longevity`` ticks."""
+        """Free compiled loops unused for ``loop_longevity`` ticks; the
+        walk stops at the first live loop, as every later one is live."""
         horizon = (self.params.loop_longevity
                    * self.costs.longevity_tick_scale)
-        for loop_id in list(self._lru):
+        expired: list[str] = []
+        for loop_id in self._lru:
             if loop_id == current_id:
                 continue
-            state = self._loops[loop_id]
-            if self._tick - state.last_use_tick > horizon:
-                self._free(loop_id)
-                self.stats.loops_freed += 1
+            if self._tick - self._loops[loop_id].last_use_tick <= horizon:
+                break
+            expired.append(loop_id)
+        for loop_id in expired:
+            self._free(loop_id)
+            self.stats.loops_freed += 1
 
     def _free(self, loop_id: str) -> None:
         state = self._loops[loop_id]
@@ -173,14 +178,13 @@ class TracingJit:
         state.counter = 0.0
         state.guards.clear()
         self._cache_used -= state.trace_ops
-        if loop_id in self._lru:
-            self._lru.remove(loop_id)
+        del self._lru[loop_id]
 
     def _reserve_cache(self, ops: int, loop_id: str) -> None:
         """Make room in the code cache, evicting LRU traces."""
         while (self._cache_used + ops > self.costs.code_cache_ops
                and self._lru):
-            victim = self._lru[0]
+            victim = next(iter(self._lru))
             if victim == loop_id:
                 break
             self._free(victim)
@@ -188,9 +192,8 @@ class TracingJit:
         self._cache_used += ops
 
     def _touch(self, loop_id: str) -> None:
-        if loop_id in self._lru:
-            self._lru.remove(loop_id)
-        self._lru.append(loop_id)
+        self._lru.pop(loop_id, None)
+        self._lru[loop_id] = None
 
     # -- the decision points ----------------------------------------------------
 

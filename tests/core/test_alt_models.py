@@ -158,10 +158,9 @@ class TestDecisionStumps:
 
 class TestRegistry:
     def test_builtins_registered(self):
-        names = registered_models()
-        for expected in ("perceptron", "linear", "naive-bayes",
-                         "stumps", "majority"):
-            assert expected in names
+        assert registered_models() == (
+            "always-false", "always-true", "linear", "majority",
+            "naive-bayes", "perceptron", "stumps")
 
     def test_create_model_returns_working_instance(self):
         m = create_model("linear", CFG2)

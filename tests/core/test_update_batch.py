@@ -182,7 +182,7 @@ class TestHandleBatchIsTheScalarLoop:
                 == scalar_loop(handle_s.update, records)
             assert stack_state(batched) == stack_state(scalar)
 
-    @pytest.mark.parametrize("model", ["linear", "majority", "knn"])
+    @pytest.mark.parametrize("model", ["linear", "majority", "stumps"])
     @settings(max_examples=25, deadline=None)
     @given(batches=st.lists(records_with(BAD_ROWS[:2]), max_size=3))
     def test_a_model_without_update_batch(self, model, batches):

@@ -1,6 +1,8 @@
 """Tests for the tracing-JIT state machine and the mini-VM."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.jit.interp import VM
 from repro.jit.params import JitParams, with_param
@@ -204,6 +206,54 @@ class TestCodeCache:
         assert vm.jit.stats.cache_evictions == 1
         assert not vm.jit.loop_state("a").compiled
         assert vm.jit.loop_state("b").compiled
+
+
+class FullWalkJit(TracingJit):
+    """The reference expiry: test every compiled loop on every entry."""
+
+    def _expire_old_traces(self, current_id):
+        horizon = (self.params.loop_longevity
+                   * self.costs.longevity_tick_scale)
+        for loop_id in list(self._lru):
+            if loop_id == current_id:
+                continue
+            if self._tick - self._loops[loop_id].last_use_tick > horizon:
+                self._free(loop_id)
+                self.stats.loops_freed += 1
+
+
+#: a dozen loops whose traces (20-75 ops) overflow a 300-op cache
+LOOPS = [leaf(f"L{i}", trips=10, body_ops=20 + 5 * i) for i in range(12)]
+
+
+class TestExpiryStopsAtFirstLiveLoop:
+    """Each iteration sets ``loop_longevity``, as the tuner does, then
+    runs a program's loops in order: a shorter longevity expires several
+    loops at once, the entered one (the least recently used) first."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(programs=st.lists(st.lists(st.integers(0, len(LOOPS) - 1),
+                                      min_size=1, max_size=8, unique=True),
+                             min_size=1, max_size=3),
+           iterations=st.lists(st.tuples(st.integers(0, 2),
+                                         st.integers(1, 8)), max_size=40),
+           threshold=st.integers(1, 40))
+    def test_frees_exactly_what_the_full_walk_frees(self, programs,
+                                                    iterations, threshold):
+        params = with_param(JitParams(), threshold=threshold)
+        costs = CostModel(code_cache_ops=300, longevity_tick_scale=1)
+        jit, reference = TracingJit(params, costs), FullWalkJit(params, costs)
+        for which, longevity in iterations:
+            params = with_param(params, loop_longevity=longevity)
+            jit.set_params(params)
+            reference.set_params(params)
+            for index in programs[which % len(programs)]:
+                assert jit.enter_loop(LOOPS[index]) \
+                    == reference.enter_loop(LOOPS[index])
+                assert jit.stats == reference.stats
+        for loop in LOOPS:
+            assert jit.loop_state(loop.loop_id) \
+                == reference.loop_state(loop.loop_id)
 
 
 class TestCounters:
