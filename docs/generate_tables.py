@@ -52,9 +52,10 @@ EVENT_ROWS = [
      "a failed operation was retried / the static fallback answered"),
     (("breaker_open", "breaker_close"), "`CircuitBreaker`",
      "state transitions"),
-    (("checkpoint_save", "checkpoint_restore"), "`CheckpointManager`",
-     "snapshot written / recovery attempted (detail carries bytes, "
-     "corruption, ok)"),
+    (("checkpoint_save", "checkpoint_restore"),
+     "`ShardedCheckpointManager`",
+     "shard file written / restored (detail carries bytes, corruption, "
+     "ok)"),
     (("checkpoint.corrupt",), "checkpoint layer",
      "a CRC mismatch was detected on restore"),
     (("shard_crash",), "sharded kernel",
@@ -119,8 +120,6 @@ SPAN_ROWS = [
      "service with an `AdmissionController` (a charge of one opens "
      "none: its parent, or a submit's `request` record, says how it "
      "ended)"),
-    (("kernel.route", "kernel.dispatch"), "`ShardedService`",
-     "slot-ring fan-out `{rows, shards}` / the rows routed to one shard"),
     (("kernel.failover",), "`Shard`",
      "a follower replica served the read `{lag}`"),
     (("plan.execute",), "`Domain`",

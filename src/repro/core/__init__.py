@@ -74,7 +74,6 @@ from repro.core.plans import (
     plan_signature,
 )
 from repro.core.persistence import (
-    CheckpointManager,
     load_service,
     restore_service,
     save_service,
@@ -151,7 +150,6 @@ __all__ = [
     "SpecializedPlan",
     "compile_plan",
     "plan_signature",
-    "CheckpointManager",
     "load_service",
     "restore_service",
     "save_service",

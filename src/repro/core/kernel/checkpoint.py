@@ -19,9 +19,9 @@ Write ordering is shards first, manifest last, each file atomically
 manifest (pointing at previous files, which still exist byte-identical
 or were atomically replaced - a replaced file fails the manifest CRC
 and is skipped at recovery) or the new manifest over fully written new
-files.  Recovery is best-effort per shard, like
-:meth:`CheckpointManager.recover`: a corrupt shard file costs only that
-shard's learned state.
+files.  Recovery is best-effort per shard: a corrupt shard file costs
+only that shard's learned state.  A service of one shard is one file
+and the manifest, so this is the checkpoint daemon for any shard count.
 
 Because placement is a pure function of the domain name
 (:class:`~repro.core.kernel.sharding.SlotRing`), restoring routes
@@ -99,13 +99,13 @@ class ShardView:
 
 
 class ShardedCheckpointManager:
-    """Periodic per-shard checkpoints plus best-effort recovery.
+    """Periodic per-shard checkpoints plus best-effort recovery: the
+    daemon that keeps learned state alive across service restarts.
 
-    The sharded counterpart of :class:`~repro.core.persistence
-    .CheckpointManager`: :meth:`tick` counts service operations and, on
-    interval boundaries, checkpoints only the shards whose state
-    actually changed (tracked via :meth:`Shard.dirty_signature`), then
-    rewrites the manifest.  :meth:`recover` restores every shard file
+    :meth:`tick` counts service operations and, on interval
+    boundaries, checkpoints only the shards whose state actually
+    changed (tracked via :meth:`Shard.dirty_signature`), then rewrites
+    the manifest.  :meth:`recover` restores every shard file
     the manifest vouches for, skipping - never raising on - corrupt or
     missing ones.
 

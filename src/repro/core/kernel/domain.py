@@ -57,7 +57,7 @@ class Domain:
     #: .Shard` hosting it (None while no service hosts it).  The one
     #: stored copy of its placement - :meth:`Shard.adopt` and
     #: :meth:`Shard.evict` move it, the id and the obs label below are
-    #: read off it, handles consult it for crash failover
+    #: read off it, and a read consults it for crash failover
     shard: "Shard | None" = field(default=None, repr=False)
     #: the plan compiler every model this domain ever holds binds
     #: through (:meth:`bind`): the hosting kernel's, shared by shape
@@ -131,6 +131,14 @@ class Domain:
         word.value = survivor + 1
 
     def predict(self, features: Sequence[int]) -> int:
+        """The read every path ends in.  The crash rule is written here
+        and in :meth:`predict_batch` only: on a crashed primary a
+        follower answers (:meth:`Shard.failover_predict`, which raises
+        :class:`~repro.core.errors.ShardDownError` when none holds the
+        domain) - reads survive the outage."""
+        shard = self.shard
+        if shard is not None and shard.down:
+            return shard.failover_predict(self, features)
         score = self.model.predict(features)
         self.stats.record_prediction(score, self.config.threshold)
         return score
@@ -152,9 +160,14 @@ class Domain:
                                  None, detail)
 
     def _plan_span(self, feature_rows: Sequence[Sequence[int]]
-                   ) -> SpanHandleLike:
+                   ) -> SpanHandleLike | None:
         """One span per batched pass over the weights: this is where
-        the specialized plan (when the model holds one) executes."""
+        the specialized plan (when the model holds one) executes.  A
+        crashed primary runs none: its rows' ``kernel.failover`` spans
+        stand in the caller's tree."""
+        shard = self.shard
+        if shard is not None and shard.down:
+            return None
         return self.kernel_span("plan.execute",
                                 {"rows": len(feature_rows)})
 
@@ -166,8 +179,15 @@ class Domain:
 
         Batch-aware models (the hashed perceptron) score all rows in
         one pass over their weights; others inherit the scalar loop.
-        Stats count every row either way.
+        Stats count every row either way.  A crashed primary has no
+        block: a follower answers each row in turn, as :meth:`predict`
+        does, and the first row refused raises with the rows before it
+        served.
         """
+        shard = self.shard
+        if shard is not None and shard.down:
+            return [shard.failover_predict(self, features)
+                    for features in feature_rows]
         scores = self.model.predict_batch(feature_rows)
         self.stats.record_predictions(scores, self.config.threshold)
         return scores
@@ -365,14 +385,7 @@ class DomainHandle:
     @spanned(named(_kernel_span, "kernel.predict"), tracer="_tracer()")
     def predict(self, features: Sequence[int]) -> int:
         self._admit_predict()
-        domain = self._domain
-        shard = domain.shard
-        if shard is not None and shard.down:
-            # Crashed primary: serve the bounded-stale follower answer
-            # instead (raises ShardDownError when no follower holds
-            # the domain) - reads survive the outage.
-            return shard.failover_predict(domain, features)
-        return domain.predict(features)
+        return self._domain.predict(features)
 
     #: :meth:`predict` as a vDSO read reaches it - the same checks,
     #: charge and failover without the ``kernel.predict`` span: a read
@@ -398,19 +411,14 @@ class DomainHandle:
         check covers the batch; admission is charged as N predicts
         against the tenant budget in one all-or-nothing step (see
         :meth:`AdmissionController.charge_predict`).  On a crashed
-        primary every row takes the same follower-failover path a
-        scalar predict would.  An empty batch is no dispatch at all:
-        nothing is checked, charged or spanned.
+        primary every row fails over as a scalar predict would
+        (:meth:`Domain.predict_batch`).  An empty batch is no dispatch
+        at all: nothing is checked, charged or spanned.
         """
         if not feature_rows:
             return []
         self._admit_predict(len(feature_rows))
-        domain = self._domain
-        shard = domain.shard
-        if shard is not None and shard.down:
-            return [shard.failover_predict(domain, features)
-                    for features in feature_rows]
-        return domain.predict_batch(feature_rows)
+        return self._domain.predict_batch(feature_rows)
 
     def record_cached_prediction(self, score: int) -> None:
         """Account a cache-served prediction, with the same policy and

@@ -9,21 +9,18 @@ stats and latency accounting
 entry point through an optional :class:`~repro.core.kernel.admission
 .AdmissionController` enforcing per-tenant quotas.
 
-Single-shard mode is bit-identical to the pre-kernel monolith: with
-``num_shards=1`` and no admission controller, every score, stat,
-generation counter, and snapshot matches the old ``PredictionService``
-exactly (property-tested against the frozen reference implementation in
-``tests/core/reference_impl.py``).  Sharding is transparent to clients:
-placement only decides which shard's bookkeeping a domain lands in, so
-an N-shard service is behaviourally identical to a 1-shard one - what
-it buys is independently checkpointable state slices and per-shard
-observability.
+Sharding is transparent to clients: placement only decides which
+shard's bookkeeping a domain lands in, so an N-shard service scores
+exactly as a 1-shard one and as the frozen reference in
+``tests/core/reference_impl.py``; what it buys is independently
+checkpointable state slices and per-shard observability.  A read on a
+crashed shard fails over in :meth:`Domain.predict` /
+:meth:`Domain.predict_batch`, the one place that rule is written.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.core.config import (
     PSSConfig,
@@ -67,23 +64,6 @@ if TYPE_CHECKING:
     from repro.core.faults import FaultInjector, FaultPlan
 
 
-#: one domain's share of a kernel batch: the domain, its rows, and the
-#: request position each row's outcome goes back to
-_DomainRows = tuple[Domain, list[Sequence[int]], list[int]]
-
-
-def _each(predict: Callable[[Sequence[int]], int],
-          rows: list[Sequence[int]]) -> list[int | Exception]:
-    """``predict(row)`` per row, an error standing where it was raised."""
-    outcomes: list[int | Exception] = []
-    for row in rows:
-        try:
-            outcomes.append(predict(row))
-        except Exception as error:
-            outcomes.append(error)
-    return outcomes
-
-
 class ShardedService:
     """Container and dispatcher for prediction domains, in N shards.
 
@@ -117,11 +97,8 @@ class ShardedService:
         self.num_replicas = num_replicas
         #: the slot ring: which shard owns (or would own) each name
         self.ring = SlotRing(num_shards)
-        self._shards = [
-            Shard(i, tracer=self.tracer, num_replicas=num_replicas,
-                  metrics=metrics)
-            for i in range(num_shards)
-        ]
+        self._shards: list[Shard] = []
+        self.grow_shards(num_shards)
         self._active_migration: SlotMigrator | None = None
         #: per-domain aggregate resilient-client stats (shared by every
         #: resilient client connect() opens on that domain)
@@ -202,15 +179,13 @@ class ShardedService:
         return migrator.report()
 
     def grow_shards(self, new_shard_count: int) -> None:
-        """Extend the shard list for a growing migration (migrator
-        hook; the ring still routes every slot to its old owner until
-        the individual handoffs commit)."""
+        """Extend the shard list: at construction, and for a growing
+        migration (migrator hook; the ring still routes every slot to
+        its old owner until the individual handoffs commit)."""
         for shard_id in range(len(self._shards), new_shard_count):
-            self._shards.append(
-                Shard(shard_id, tracer=self.tracer,
-                      num_replicas=self.num_replicas,
-                      metrics=self.metrics)
-            )
+            self._shards.append(Shard(
+                shard_id, tracer=self.tracer,
+                num_replicas=self.num_replicas, metrics=self.metrics))
 
     def finish_reshard(self, new_shard_count: int) -> None:
         """Finalize a completed migration (migrator hook): truncate
@@ -236,13 +211,13 @@ class ShardedService:
         """Fault-inject a primary crash: destroy the shard's in-memory
         model state and mark it down.
 
-        Domains stay registered (their stats and identity survive, as
-        directory metadata would) but every model restarts cold with a
-        generation strictly above all pre-crash values, so stale score
-        caches self-invalidate.  Reads fail over to follower replicas;
-        writes raise :class:`~repro.core.errors.ShardDownError` until a
-        :class:`~repro.core.kernel.replica.ReplicaPromoter` revives the
-        shard.
+        Domains stay registered (stats and identity survive, as
+        directory metadata would); every model restarts cold with a
+        generation above all pre-crash values, so stale score caches
+        self-invalidate.  Reads fail over to follower replicas
+        (:meth:`Domain.predict`); writes raise :class:`ShardDownError`
+        until a :class:`~repro.core.kernel.replica.ReplicaPromoter`
+        revives the shard.
         """
         shard = self.shard(shard_id)
         if shard.down:
@@ -310,14 +285,10 @@ class ShardedService:
         if self.admission is not None and identity is not None:
             self.admission.admit_domain(identity, name)
         domain_config = config or PSSConfig()
-        domain = Domain(
-            name=name,
-            config=domain_config,
-            model=create_model(model, domain_config),
-            model_name=model,
-            policy=policy or open_policy(),
-            created_by=identity,
-        )
+        domain = Domain(name=name, config=domain_config,
+                        model=create_model(model, domain_config),
+                        model_name=model, policy=policy or open_policy(),
+                        created_by=identity)
         shard.adopt(domain)
         domain.bind(self.plans)
         return domain
@@ -341,9 +312,8 @@ class ShardedService:
         if self.admission is not None and domain.created_by is not None:
             self.admission.release_domain(domain.created_by)
         # What was kept about it by name goes with it: a domain created
-        # under the name later is another domain, and must neither add
-        # to this one's resilience aggregate nor fail over to (or be
-        # promoted from) this one's follower snapshots.
+        # under the name later is another domain, with neither this
+        # one's resilience aggregate nor its follower snapshots.
         self._resilience_stats.pop(name, None)
         for host in self._shards:
             for replica in host.replicas:
@@ -449,12 +419,8 @@ class ShardedService:
     @spanned(_predict_span, tracer="tracer")
     def _predict_one(self, domain: Domain,
                      features: Sequence[int]) -> int:
-        """One row against its resolved domain: the scalar predict, and
-        what a kernel batch of one row is.  The failover rule and,
-        traced, the span of :meth:`DomainHandle.predict`."""
-        shard = domain.shard
-        if shard is not None and shard.down:
-            return shard.failover_predict(domain, features)
+        """One row against its resolved domain - the scalar predict and
+        a kernel batch of one row - under DomainHandle.predict's span."""
         return domain.predict(features)
 
     def predict(self, name: str, features: Sequence[int]) -> int:
@@ -477,16 +443,12 @@ class ShardedService:
         """Batch predict across domains by name, one outcome per row.
 
         ``requests`` are ``(domain_name, features)`` pairs, grouped by
-        owning shard (visited in shard-id order), each domain scoring
-        its rows in one specialized pass (:meth:`Domain.predict_batch`).
-        Position by position the result is the row's score, or the
+        name in first-occurrence order, each domain scoring its rows in
+        one specialized pass (:meth:`Domain.predict_batch`).  Position
+        by position the result is the row's score, or the
         :class:`PSSError` the scalar ``self.predict(name, f)`` raises
-        for it - a name unknown or since removed, a down shard without
-        a follower, a malformed row: the batch never raises for a row
-        and no outcome depends on the rows around it.  Any other
-        exception a domain's model raises (a bug) stands at that
-        domain's rows only, in a batch of one or of many: the other
-        domains' rows are scored and counted as if it were not there.
+        for it (an unknown name, a down shard without a follower, a
+        malformed row); a model's bug stands at that domain's rows only.
         Scores and stats are bit-identical to the scalar loop; a batch
         of one row *is* that call, watched or not.  Kernel-internal
         like it: no transport latency, no policy, no admission charge.
@@ -498,71 +460,45 @@ class ShardedService:
                 return [self._predict_one(self.domain(name), features)]
             except Exception as error:
                 return [error]
-        if count == 0:
-            return []
-        tracer = self.tracer
-        traced = tracer.enabled
         outcomes: list[int | Exception | None] = [None] * count
-        # One pass resolves each *distinct* domain once and groups its
-        # rows, in first-occurrence order.
-        by_name: dict[str, _DomainRows] = {}
-        by_shard: dict[int, list[_DomainRows]] = {}
+        # each distinct domain resolved once: its rows and positions
+        groups: dict[str, tuple[Domain, list[Sequence[int]],
+                                list[int]]] = {}
         for position, (name, features) in enumerate(requests):
-            group = by_name.get(name)
+            group = groups.get(name)
             if group is None:
                 try:
                     domain = self.domain(name)
                 except DomainError as error:
                     outcomes[position] = error
                     continue
-                group = by_name[name] = (domain, [], [])
-                members = by_shard.get(domain.shard_id)
-                if members is None:
-                    by_shard[domain.shard_id] = [group]
-                else:
-                    members.append(group)
+                group = groups[name] = (domain, [], [])
             group[1].append(features)
             group[2].append(position)
-        if traced:
-            # routing is the pass above: the span keeps its stage
-            with tracer.span("kernel.route", "", "kernel", "", None,
-                             {"rows": count, "shards": len(by_shard)}):
-                pass
-        for shard_id in sorted(by_shard):
-            members = by_shard[shard_id]
-            if traced:
-                rows_here = sum(len(group[2]) for group in members)
-                with tracer.span("kernel.dispatch", "", "kernel",
-                                 self._shards[shard_id].label, None,
-                                 {"rows": rows_here}):
-                    self._dispatch_shard_batch(members, outcomes)
-            else:
-                self._dispatch_shard_batch(members, outcomes)
-        return outcomes  # type: ignore[return-value]
-
-    def _dispatch_shard_batch(
-        self, members: list[_DomainRows],
-        outcomes: list[int | Exception | None],
-    ) -> None:
-        """Run one shard's slice of a batch into ``outcomes`` in place."""
-        group: Sequence[int | Exception]
-        for domain, rows, positions in members:
+        for domain, rows, positions in groups.values():
+            scored: Sequence[int | Exception] = ()
             shard = domain.shard
-            if shard is not None and shard.down:
-                group = _each(partial(shard.failover_predict, domain), rows)
-            else:
+            if shard is None or not shard.down:
                 try:
-                    group = domain.predict_batch(rows)
+                    scored = domain.predict_batch(rows)
                 except FeatureError:
-                    # the refused block scored and counted nothing:
-                    # row by row, a malformed row costs only itself
-                    group = _each(domain.predict, rows)
-                except Exception as error:
-                    # a model's bug: this domain's rows, and only
-                    # theirs, fail with it
-                    group = [error] * len(rows)
-            for position, outcome in zip(positions, group):
+                    pass    # the refused block scored and counted nothing
+                except Exception as error:    # a model's bug: its rows
+                    scored = [error] * len(rows)
+            if not scored:
+                # Row by row, as the scalar loop: a malformed row costs
+                # only itself, and so it does on a crashed primary,
+                # whose block stops at the first row it refuses.
+                each: list[int | Exception] = []
+                for features in rows:
+                    try:
+                        each.append(domain.predict(features))
+                    except Exception as error:
+                        each.append(error)
+                scored = each
+            for position, outcome in zip(positions, scored):
                 outcomes[position] = outcome
+        return outcomes  # type: ignore[return-value]
 
     def update(self, name: str, features: Sequence[int],
                direction: bool) -> None:
@@ -650,19 +586,14 @@ class ShardedService:
                     for domain in shard.domains.values()
                 })
                 summary["plan_cache"] = self.plans.stats()
-            if self.metrics is not None and shard.domains:
+            if self.metrics is not None:
                 for path, metric in (("vdso_read_ns", VDSO_READ_NS),
                                      ("syscall_ns", SYSCALL_NS)):
-                    merged: Histogram | None = None
+                    merged = Histogram()
                     for name in shard.domain_names():
-                        part = self.metrics.merged_histogram(
-                            metric, domain=name
-                        )
-                        if merged is None:
-                            merged = part
-                        else:
-                            merged.merge(part)
-                    if merged is not None and merged.count:
+                        merged.merge(self.metrics.merged_histogram(
+                            metric, domain=name))
+                    if merged.count:
                         summary["latency_percentiles"][path] = \
                             merged.snapshot()
             summaries.append(summary)

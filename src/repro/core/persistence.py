@@ -22,9 +22,11 @@ Robustness guarantees (the service must survive its own restarts):
   to the side and only installs it into the service once the whole
   snapshot has validated, so a malformed snapshot leaves prior state
   untouched;
-* :class:`CheckpointManager` turns the two into a crash-recovery loop:
-  periodic checkpoints while the service runs, best-effort
-  :meth:`~CheckpointManager.recover` when it comes back up.
+* :func:`write_checkpoint` writes a snapshot atomically (temp file,
+  then rename), which :class:`~repro.core.kernel.checkpoint
+  .ShardedCheckpointManager` turns into a crash-recovery loop over one
+  file per shard: periodic checkpoints while the service runs,
+  best-effort recovery when it comes back up.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from repro.core.faults import FaultInjector
 from repro.core.models import create_model
 from repro.core.service import Domain
 from repro.core.stats import PredictionStats
-from repro.obs.trace import NULL_TRACER, TracerLike
+from repro.obs.trace import TracerLike
 
 #: bumped whenever the snapshot layout changes incompatibly
 SNAPSHOT_VERSION = 1
@@ -223,97 +225,3 @@ def write_checkpoint(source: SnapshotSource, path: Path,
             detail={"bytes": len(text), "corrupted": corrupted,
                     "domains": len(snapshot["domains"])},
         )
-
-
-class CheckpointManager:
-    """Periodic checkpoints plus best-effort recovery for one service.
-
-    The manager models the kernel-side daemon that keeps learned state
-    alive across service restarts:
-
-    * :meth:`tick` counts service operations and writes a checkpoint
-      every ``interval`` ticks;
-    * :meth:`checkpoint` writes atomically (temp file + rename) so a
-      crash mid-write can never destroy the previous good checkpoint;
-    * :meth:`recover` restores the newest checkpoint into the service,
-      returning False - never raising - when there is nothing usable
-      (missing file, corrupt JSON, checksum mismatch).
-
-    A :class:`~repro.core.faults.FaultInjector` may be attached to
-    corrupt checkpoint bytes on their way to disk, exercising the
-    detect-don't-trust path end to end.
-    """
-
-    def __init__(self, service: SnapshotTarget, path: str | Path,
-                 interval: int = 256,
-                 include_stats: bool = True,
-                 injector: FaultInjector | None = None,
-                 tracer: TracerLike | None = None) -> None:
-        if interval < 1:
-            raise PersistenceError(
-                f"checkpoint interval must be positive, got {interval}"
-            )
-        self.service = service
-        self.path = Path(path)
-        self.interval = interval
-        self.include_stats = include_stats
-        self.injector = injector
-        # Default to the owning service's tracer so checkpoint events
-        # appear on the same timeline as the traffic that caused them.
-        self.tracer = tracer if tracer is not None else getattr(
-            service, "tracer", NULL_TRACER
-        )
-        self.ticks = 0
-        self.checkpoints_written = 0
-        self.corrupt_detected = 0
-        self.last_error: str | None = None
-
-    def tick(self, count: int = 1) -> bool:
-        """Record ``count`` operations; checkpoint on interval boundaries.
-
-        Returns True when this tick triggered a checkpoint.
-        """
-        before = self.ticks // self.interval
-        self.ticks += count
-        if self.ticks // self.interval == before:
-            return False
-        self.checkpoint()
-        return True
-
-    def checkpoint(self) -> None:
-        """Write a snapshot atomically (temp file, then rename over)."""
-        write_checkpoint(self.service, self.path, self.include_stats,
-                         self.injector, self.tracer)
-        self.checkpoints_written += 1
-
-    def recover(self) -> bool:
-        """Restore the last checkpoint if one exists and validates.
-
-        Returns True on a successful restore.  A missing file is a clean
-        cold start (False); a corrupt one is counted, remembered in
-        :attr:`last_error`, and also reported as False - the service then
-        simply starts from scratch, because predictions are only hints.
-        """
-        if not self.path.exists():
-            return False
-        try:
-            load_service(self.service, self.path)
-        except PersistenceError as exc:
-            self.corrupt_detected += 1
-            self.last_error = str(exc)
-            if self.tracer.enabled:
-                self.tracer.record(
-                    "checkpoint.corrupt", transport="checkpoint",
-                    detail={"file": self.path.name, "reason": str(exc)},
-                )
-                self.tracer.record(
-                    "checkpoint_restore", transport="checkpoint",
-                    detail={"ok": False, "error": str(exc)},
-                )
-            return False
-        if self.tracer.enabled:
-            self.tracer.record(
-                "checkpoint_restore", transport="checkpoint",
-                detail={"ok": True},
-            )
-        return True

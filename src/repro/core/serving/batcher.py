@@ -36,9 +36,8 @@ TRIGGER_TIMEOUT = "timeout"
 class MicroBatcher:
     """Size/window drain policy plus the batch cost model."""
 
-    def __init__(self, max_batch: int = 32,
-                 batch_window_ns: float = 0.0,
-                 latency: LatencyModel | None = None) -> None:
+    def __init__(self, latency: LatencyModel, max_batch: int = 32,
+                 batch_window_ns: float = 0.0) -> None:
         if max_batch < 1:
             raise ConfigError(
                 f"max_batch must be >= 1, got {max_batch}")
@@ -47,7 +46,9 @@ class MicroBatcher:
                 f"batch_window_ns must be >= 0, got {batch_window_ns}")
         self.max_batch = max_batch
         self.batch_window_ns = batch_window_ns
-        self.latency = latency or LatencyModel()
+        #: the service's crossing costs, which a synchronous client
+        #: of the same service is charged too
+        self.latency = latency
         self.batches = 0
         self.flush_timeouts = 0
         self.rows = 0

@@ -44,7 +44,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Sequence
 
-from repro.core.config import LatencyModel
 from repro.core.errors import (
     ConfigError,
     DomainError,
@@ -127,7 +126,6 @@ class ServingConfig:
     shed_on_page: bool = False
     slo_threshold_ns: float = 4_000.0
     slo_eval_interval_ns: float = 2_000.0
-    latency: LatencyModel | None = None
 
     def __post_init__(self) -> None:
         if self.queue_limit < 0:
@@ -216,9 +214,9 @@ class ServingPipeline:
         for new_id in range(len(self.queues), shard_id + 1):
             queue = RequestQueue(new_id, self.engine, tracer=self.tracer,
                                  metrics=self.metrics)
-            batcher = MicroBatcher(self.config.max_batch,
-                                   self.config.batch_window_ns,
-                                   latency=self.config.latency)
+            batcher = MicroBatcher(self.service.config.latency,
+                                   self.config.max_batch,
+                                   self.config.batch_window_ns)
             dispatcher = Dispatcher(self, new_id, queue, batcher,
                                     self.service, self.engine,
                                     tracer=self.tracer,

@@ -47,8 +47,8 @@ SPAN_NAMES = frozenset({
     # kernel.predict under vdso.predict), and a charge of one is no
     # kernel.admission
     "kernel.predict", "kernel.predict_batch", "kernel.update",
-    "kernel.update_batch", "kernel.admission", "kernel.route",
-    "kernel.dispatch", "kernel.failover", "plan.execute",
+    "kernel.update_batch", "kernel.admission", "kernel.failover",
+    "plan.execute",
     # live resharding, and the serving Dispatcher's real batches
     "migrate.step", "serve.dispatch",
 })

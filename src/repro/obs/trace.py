@@ -39,8 +39,8 @@ EVENT_KINDS = frozenset({
     "fallback",           # resilient client served the static fallback
     "breaker_open",       # circuit breaker tripped OPEN
     "breaker_close",      # circuit breaker recovered to CLOSED
-    "checkpoint_save",    # CheckpointManager wrote a snapshot
-    "checkpoint_restore", # CheckpointManager attempted recovery
+    "checkpoint_save",    # a checkpoint file was written
+    "checkpoint_restore", # a shard checkpoint file was restored
     "checkpoint.corrupt", # a shard/snapshot file failed validation
     "shard_crash",        # a shard's primary lost its state (injected)
     "migration_start",    # a slot handoff began (source still serving)

@@ -3,12 +3,11 @@ scalar loop - however names repeat, interleave or spread over shards -
 and answers row by row: an unknown name is that row's outcome, not the
 batch's.
 
-The kernel resolves each distinct domain once and groups rows in the
-same pass.  ``expected_tree`` below is the grouping it replaced (resolve
-every row, then shard -> domain -> positions, shards in id order,
-domains in first-occurrence order) used as the oracle for the span
-tree; the scalar loop on a twin service is the oracle for scores, stats
-and cache counters.  The kernel batch takes no identity: who may ask,
+The kernel resolves each distinct domain once and groups its rows by
+name, in first-occurrence order: one ``plan.execute`` per domain under
+the batch's span, whatever shard hosts it (``expected_tree``).  The
+scalar loop on a twin service is the oracle for scores, stats and
+cache counters.  The kernel batch takes no identity: who may ask,
 and what it costs them, is ``DomainHandle.predict_batch``'s contract
 (``tests/core/test_admission.py``; admission as a stage of its tree,
 ``tests/obs/test_golden_ops.py::TestSyncClient``).
@@ -52,14 +51,13 @@ def domain_state(service):
 
 
 def expected_tree(service, requests):
-    """[(shard label, [(domain, rows), ...]), ...] as the old
-    list -> dict-of-dicts grouping produced it."""
-    groups = {}
+    """[(domain, its shard's label, rows), ...]: one plan pass per
+    distinct name, in first-occurrence order."""
+    rows = {}
     for name, _features in requests:
-        by_domain = groups.setdefault(service.shard_of(name), {})
-        by_domain[name] = by_domain.get(name, 0) + 1
-    return [(str(shard), list(groups[shard].items()))
-            for shard in sorted(groups)]
+        rows[name] = rows.get(name, 0) + 1
+    return [(name, str(service.shard_of(name)), count)
+            for name, count in rows.items()]
 
 
 requests_strategy = st.lists(
@@ -103,22 +101,11 @@ class TestGroupedBatchIsTheScalarLoop:
             return
         assert (root.name, root.detail) == ("kernel.predict_batch",
                                             {"rows": len(requests)})
-        route, *dispatches = children[root.span_id]
-        want = expected_tree(service, requests)
-        assert (route.name, route.detail) == (
-            "kernel.route", {"rows": len(requests), "shards": len(want)})
-        assert route.span_id not in children   # a leaf
-        got = []
-        for dispatch in dispatches:
-            assert dispatch.name == "kernel.dispatch"
-            plans = children[dispatch.span_id]
-            assert all(plan.name == "plan.execute" for plan in plans)
-            assert dispatch.detail == {
-                "rows": sum(plan.detail["rows"] for plan in plans)}
-            got.append((dispatch.shard,
-                        [(plan.domain, plan.detail["rows"])
-                         for plan in plans]))
-        assert got == want
+        plans = children[root.span_id]
+        assert all(plan.name == "plan.execute" for plan in plans)
+        assert not any(plan.span_id in children for plan in plans)
+        assert [(plan.domain, plan.shard, plan.detail["rows"])
+                for plan in plans] == expected_tree(service, requests)
         assert len(tracer.events()) == 0
 
 
@@ -169,6 +156,6 @@ class TestUnknownDomainAtPositionK:
         spans = tracer.spans()
         root, = validate_spans(spans)
         assert (root.name, root.status) == ("kernel.predict_batch", "ok")
-        route, dispatch = span_children(spans)[root.span_id]
-        assert route.detail == {"rows": 2, "shards": 1}
-        assert dispatch.detail == {"rows": 1}
+        plan, = span_children(spans)[root.span_id]
+        assert (plan.name, plan.domain, plan.detail) == (
+            "plan.execute", "d0", {"rows": 1})

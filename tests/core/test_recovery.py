@@ -1,18 +1,25 @@
-"""Tests for crash recovery via the checkpoint manager."""
+"""Tests for crash recovery via the checkpoint manager.
+
+One service, one shard: its checkpoint is ``shard-0000.json`` plus the
+manifest, and ``recover()`` counts the shard files it restored.
+"""
 
 import json
 
 import pytest
 
 from repro.core import (
-    CheckpointManager,
     FaultInjector,
     FaultPlan,
     PredictionService,
     PSSConfig,
+    ShardedCheckpointManager,
     snapshot_service,
 )
 from repro.core.errors import PersistenceError
+from repro.core.kernel.checkpoint import MANIFEST_NAME, shard_file_name
+
+SHARD_FILE = shard_file_name(0)
 
 
 def workload_step(service, i):
@@ -29,35 +36,36 @@ def fresh_service():
 
 
 class TestCheckpointManager:
-    def test_interval_validation(self):
+    def test_interval_validation(self, tmp_path):
         with pytest.raises(PersistenceError):
-            CheckpointManager(fresh_service(), "x.json", interval=0)
+            ShardedCheckpointManager(fresh_service(), tmp_path, interval=0)
 
     def test_ticks_trigger_periodic_checkpoints(self, tmp_path):
-        path = tmp_path / "ckpt.json"
-        manager = CheckpointManager(fresh_service(), path, interval=10)
-        fired = [manager.tick() for _ in range(35)]
+        service = fresh_service()
+        manager = ShardedCheckpointManager(service, tmp_path, interval=10)
+        fired = []
+        for i in range(35):
+            workload_step(service, i)   # every boundary finds it dirty
+            fired.append(manager.tick())
         assert sum(fired) == 3
         assert manager.checkpoints_written == 3
-        assert path.exists()
+        assert (tmp_path / SHARD_FILE).exists()
 
     def test_bulk_ticks_do_not_skip_checkpoints(self, tmp_path):
-        manager = CheckpointManager(fresh_service(),
-                                    tmp_path / "ckpt.json", interval=10)
+        manager = ShardedCheckpointManager(fresh_service(), tmp_path,
+                                           interval=10)
         assert manager.tick(count=25)
         assert manager.checkpoints_written == 1
 
     def test_recover_from_missing_file_is_clean_cold_start(self, tmp_path):
-        manager = CheckpointManager(fresh_service(),
-                                    tmp_path / "none.json")
-        assert manager.recover() is False
+        manager = ShardedCheckpointManager(fresh_service(), tmp_path)
+        assert manager.recover() == 0
         assert manager.corrupt_detected == 0
         assert manager.last_error is None
 
     def test_kill_and_recreate_mid_workload(self, tmp_path):
-        path = tmp_path / "ckpt.json"
         service = fresh_service()
-        manager = CheckpointManager(service, path, interval=50)
+        manager = ShardedCheckpointManager(service, tmp_path, interval=50)
         for i in range(340):  # dies mid-interval: last checkpoint at 300
             workload_step(service, i)
             manager.tick()
@@ -67,27 +75,26 @@ class TestCheckpointManager:
         del service
 
         reborn = PredictionService()
-        recovered = CheckpointManager(reborn, path, interval=50)
-        assert recovered.recover() is True
+        recovered = ShardedCheckpointManager(reborn, tmp_path, interval=50)
+        assert recovered.recover() == 1
         assert reborn.domain_names() == ("hle", "jit")
         # Weights and stats match the checkpoint exactly... not the 40
         # post-checkpoint steps - those died with the process.
         restored = snapshot_service(reborn)
         assert restored != at_checkpoint
-        assert restored == json.loads(path.read_text())
+        assert restored == json.loads((tmp_path / SHARD_FILE).read_text())
         # ...and the reborn service keeps learning from where it was.
         for i in range(10):
             workload_step(reborn, i)
 
     def test_recover_preserves_every_domain_weight(self, tmp_path):
-        path = tmp_path / "ckpt.json"
         service = fresh_service()
         for i in range(200):
             workload_step(service, i)
-        CheckpointManager(service, path).checkpoint()
+        ShardedCheckpointManager(service, tmp_path).checkpoint()
 
         reborn = PredictionService()
-        assert CheckpointManager(reborn, path).recover()
+        assert ShardedCheckpointManager(reborn, tmp_path).recover() == 1
         for i in range(16):
             features = [i % 8, 1]
             assert reborn.predict("hle", features) == \
@@ -97,12 +104,12 @@ class TestCheckpointManager:
                 service.predict("jit", features)
 
     def test_corrupt_checkpoint_detected_not_restored(self, tmp_path):
-        path = tmp_path / "ckpt.json"
         service = fresh_service()
         for i in range(100):
             workload_step(service, i)
-        CheckpointManager(service, path).checkpoint()
+        ShardedCheckpointManager(service, tmp_path).checkpoint()
         # Bit-flip the payload on disk.
+        path = tmp_path / SHARD_FILE
         text = path.read_text()
         middle = len(text) // 2
         flipped = chr(ord(text[middle]) ^ 0x2)
@@ -111,8 +118,9 @@ class TestCheckpointManager:
         reborn = PredictionService()
         reborn.create_domain("prior", config=PSSConfig(num_features=1))
         before = snapshot_service(reborn)
-        manager = CheckpointManager(reborn, path)
-        assert manager.recover() is False
+        manager = ShardedCheckpointManager(reborn, tmp_path)
+        result = manager.recover()
+        assert result == 0 and result.skipped == (SHARD_FILE,)
         assert manager.corrupt_detected == 1
         assert manager.last_error is not None
         # The service is untouched: it starts from scratch instead of
@@ -120,43 +128,43 @@ class TestCheckpointManager:
         assert snapshot_service(reborn) == before
 
     def test_atomic_write_leaves_no_temp_file(self, tmp_path):
-        path = tmp_path / "ckpt.json"
-        manager = CheckpointManager(fresh_service(), path, interval=1)
+        manager = ShardedCheckpointManager(fresh_service(), tmp_path,
+                                           interval=1)
         manager.checkpoint()
-        leftovers = [p for p in tmp_path.iterdir() if p != path]
-        assert leftovers == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            [MANIFEST_NAME, SHARD_FILE]
 
 
 class TestInjectedCorruption:
     def test_injector_corrupts_checkpoints_deterministically(self, tmp_path):
         def run(seed):
-            path = tmp_path / f"ckpt-{seed}.json"
+            directory = tmp_path / f"ckpt-{seed}"
             service = fresh_service()
             for i in range(100):
                 workload_step(service, i)
             injector = FaultInjector(
                 FaultPlan(seed=seed, corruption_rate=1.0)
             )
-            CheckpointManager(service, path,
-                              injector=injector).checkpoint()
-            return path.read_text()
+            ShardedCheckpointManager(service, directory,
+                                     injector=injector).checkpoint()
+            return (directory / SHARD_FILE).read_text()
 
         assert run(seed=0) == run(seed=0)
 
     def test_corrupted_write_is_caught_on_recover(self, tmp_path):
-        path = tmp_path / "ckpt.json"
         service = fresh_service()
         for i in range(100):
             workload_step(service, i)
         injector = FaultInjector(FaultPlan(seed=1, corruption_rate=1.0))
-        manager = CheckpointManager(service, path, injector=injector)
+        manager = ShardedCheckpointManager(service, tmp_path,
+                                           injector=injector)
         manager.checkpoint()
         assert injector.stats.corrupted_snapshots == 1
 
         reborn = PredictionService()
-        recovered = CheckpointManager(reborn, path)
+        recovered = ShardedCheckpointManager(reborn, tmp_path)
         # The flip may hit JSON structure or payload; either way the
         # restore must refuse rather than adopt damaged weights.
-        assert recovered.recover() is False
+        assert recovered.recover() == 0
         assert recovered.corrupt_detected == 1
         assert reborn.domain_names() == ()

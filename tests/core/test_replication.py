@@ -11,7 +11,12 @@ update acknowledged before the last sync is ever lost.
 import pytest
 
 from repro.core import PredictionService, PSSConfig
-from repro.core.errors import DomainError, ShardDownError, TransportFault
+from repro.core.errors import (
+    DomainError,
+    FeatureError,
+    ShardDownError,
+    TransportFault,
+)
 from repro.core.faults import FaultInjector, FaultPlan
 from repro.core.kernel import (
     ReplicaPromoter,
@@ -171,6 +176,94 @@ class TestCrashAndFailover:
         service.crash_shard(0)
         for name in NAMES:
             assert service.domain(name).generation > before[name]
+
+
+def lagging_crash(num_replicas=2):
+    """One crashed shard whose two followers hold different states
+    (the second missed the last sync), so that which follower answers
+    - the round robin - shows in the scores."""
+    service = PredictionService(num_shards=1, num_replicas=num_replicas)
+    populate(service)
+    service.sync_replicas()
+    shard = service.shard(0)
+    for name in NAMES:
+        service.update(name, [1], True)
+        service.update(name, [2], False)
+    if shard.replicas:
+        shard.replicas[0].sync(shard)
+    service.crash_shard(0)
+    return service
+
+
+READ_ROWS = [(1,), (1,), (2,), (3,)]
+#: every way a read reaches a domain, each asked for READ_ROWS
+READS = {
+    "Domain.predict": lambda service, name: [
+        service.domain(name).predict(row) for row in READ_ROWS],
+    "Domain.predict_batch": lambda service, name:
+        service.domain(name).predict_batch(READ_ROWS),
+    "DomainHandle.predict": lambda service, name: [
+        service.handle(name).predict(row) for row in READ_ROWS],
+    "DomainHandle.predict_batch": lambda service, name:
+        service.handle(name).predict_batch(READ_ROWS),
+    "vdso miss": lambda service, name: [
+        service.connect(name).predict(row) for row in READ_ROWS],
+    "ShardedService.predict": lambda service, name: [
+        service.predict(name, row) for row in READ_ROWS],
+    "ShardedService.predict_batch, 1 row": lambda service, name: [
+        service.predict_batch([(name, row)])[0] for row in READ_ROWS],
+    "ShardedService.predict_batch": lambda service, name:
+        service.predict_batch([(name, row) for row in READ_ROWS]),
+}
+
+
+class TestOneCrashRule:
+    """Every read path meets a crashed shard through the one rule in
+    ``Domain``: the same follower answers, counted the same way, as
+    the scalar handle read on a twin service."""
+
+    @pytest.mark.parametrize("path", READS)
+    def test_every_read_fails_over_alike(self, path):
+        service, twin = lagging_crash(), lagging_crash()
+        name = NAMES[3]
+        got = READS[path](service, name)
+        want = [twin.handle(name).predict(row) for row in READ_ROWS]
+        assert got == want
+        assert want[0] != want[1]   # the two followers disagree
+        assert service.domain(name).stats == twin.domain(name).stats
+        shard, other = service.shard(0), twin.shard(0)
+        assert shard.failover_predictions == other.failover_predictions \
+            == len(READ_ROWS)
+        assert shard._failover_cursor == other._failover_cursor
+
+    def test_a_malformed_row_costs_only_itself(self):
+        """The by-name batch on a crashed shard is the scalar loop: the
+        rows around a malformed one are served, and counted, once."""
+        service, twin = lagging_crash(), lagging_crash()
+        name = NAMES[3]
+        rows = [(1,), (1,), (1, 2), (2,), (1,)]
+        got = service.predict_batch([(name, row) for row in rows])
+        want = []
+        for row in rows:
+            try:
+                want.append(twin.handle(name).predict(row))
+            except FeatureError as error:
+                want.append(type(error))
+        assert [type(outcome) if isinstance(outcome, Exception)
+                else outcome for outcome in got] == want
+        assert service.domain(name).stats == twin.domain(name).stats
+        assert service.shard(0)._failover_cursor \
+            == twin.shard(0)._failover_cursor
+
+    @pytest.mark.parametrize("path", READS)
+    def test_no_follower_refuses(self, path):
+        service = lagging_crash(num_replicas=0)
+        try:
+            got = READS[path](service, NAMES[3])
+        except ShardDownError:
+            return
+        assert all(isinstance(outcome, ShardDownError) for outcome in got)
+        assert service.domain(NAMES[3]).stats.predictions == 0
 
 
 class TestPromotion:

@@ -121,10 +121,10 @@ def _spanned_tracer() -> Tracer:
     tracer = Tracer()
     with tracer.span("client.predict_batch", domain="d",
                      transport="client"):
-        with tracer.span("kernel.dispatch", domain="d",
+        with tracer.span("kernel.predict_batch", domain="d",
                          transport="kernel", shard="0"):
             pass
-        with tracer.span("kernel.dispatch", domain="d",
+        with tracer.span("kernel.predict_batch", domain="d",
                          transport="kernel", shard="1",
                          detail={"rows": 2}):
             pass
@@ -156,7 +156,7 @@ class TestChromeTraceSpans:
         data = chrome_trace(tracer.events(), tracer.spans())
         starts = [r for r in data["traceEvents"] if r["ph"] == "s"]
         ends = [r for r in data["traceEvents"] if r["ph"] == "f"]
-        # both kernel.dispatch children live on other tracks than the
+        # both kernel children live on other tracks than the
         # client span: one s/f pair each, bound by the child's span id
         assert len(starts) == len(ends) == 2
         assert {r["id"] for r in starts} == {r["id"] for r in ends}

@@ -46,11 +46,11 @@ class TestTriggers:
     def test_open_spans_captured_as_crash_context(self, tmp_path):
         rec = recorder(tmp_path)
         with rec.span("client.predict_batch", domain="d"):
-            with rec.span("kernel.dispatch", shard="1"):
+            with rec.span("kernel.failover", shard="1"):
                 rec.record("shard_crash", shard="1")
         payload = load_bundle(rec.bundles[0])
         assert [s["name"] for s in payload["open_spans"]] == \
-            ["client.predict_batch", "kernel.dispatch"]
+            ["client.predict_batch", "kernel.failover"]
 
     def test_non_trigger_events_do_not_dump(self, tmp_path):
         rec = recorder(tmp_path)

@@ -30,7 +30,8 @@ from repro.core import (
 )
 from repro.core.kernel.admission import AdmissionController
 from repro.core.kernel.service import ShardedService
-from repro.core.persistence import CheckpointManager
+from repro.core.kernel import ShardedCheckpointManager
+from repro.core.kernel.checkpoint import shard_file_name
 from repro.core.serving import ServingConfig, ServingPipeline
 from repro.obs import (
     EVENT_KINDS,
@@ -131,12 +132,11 @@ def _checkpoint_scenario(seen, tmp_path):
     tracer = Tracer()
     service = PredictionService(tracer=tracer)
     service.create_domain("d", config=PSSConfig(**CONFIG_KW))
-    path = tmp_path / "ckpt.json"
-    manager = CheckpointManager(service, path, interval=1)
+    manager = ShardedCheckpointManager(service, tmp_path, interval=1)
     manager.checkpoint()
-    assert manager.recover()
-    path.write_text("{ not json")
-    assert not manager.recover()
+    assert manager.recover() == 1
+    (tmp_path / shard_file_name(0)).write_text("{ not json")
+    assert manager.recover() == 0
     seen.take(tracer)
 
 
@@ -166,9 +166,9 @@ def _kernel_metrics_scenario(seen):
 
 
 def _kernel_batch_scenario(seen):
-    """A kernel batch over two domains on two shards: ``kernel.route``
-    and a ``kernel.dispatch`` per shard (a served request is a scalar
-    kernel call, so the serving scenario opens neither)."""
+    """A kernel batch over two domains on two shards: the service's
+    ``kernel.predict_batch`` over a ``plan.execute`` per domain (a
+    served request is a scalar kernel call, so serving opens neither)."""
     tracer = Tracer()
     service = ShardedService(num_shards=2, tracer=tracer)
     names = [next(name for name in map("d{}".format, range(64))

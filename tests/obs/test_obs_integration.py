@@ -8,7 +8,8 @@ from repro.core import (
     PSSConfig,
     ResilienceConfig,
 )
-from repro.core.persistence import CheckpointManager
+from repro.core.kernel import ShardedCheckpointManager
+from repro.core.kernel.checkpoint import MANIFEST_NAME
 from repro.obs import MetricsRegistry, Tracer
 from repro.obs.session import ObsSession
 
@@ -168,10 +169,9 @@ class TestCheckpointTracing:
     def test_save_and_restore_traced(self, tmp_path):
         service, tracer, _ = traced_service()
         service.create_domain("d", config=PSSConfig(**CONFIG_KW))
-        manager = CheckpointManager(service, tmp_path / "ckpt.json",
-                                    interval=1)
+        manager = ShardedCheckpointManager(service, tmp_path, interval=1)
         manager.checkpoint()
-        assert manager.recover()
+        assert manager.recover() == 1
         saves = [e for e in tracer.events()
                  if e.kind == "checkpoint_save"]
         restores = [e for e in tracer.events()
@@ -181,13 +181,14 @@ class TestCheckpointTracing:
 
     def test_failed_restore_traced(self, tmp_path):
         service, tracer, _ = traced_service()
-        path = tmp_path / "ckpt.json"
-        path.write_text("{ not json")
-        manager = CheckpointManager(service, path)
-        assert not manager.recover()
-        restores = [e for e in tracer.events()
+        (tmp_path / MANIFEST_NAME).write_text("{ not json")
+        manager = ShardedCheckpointManager(service, tmp_path)
+        assert manager.recover() == 0
+        corrupt = [e for e in tracer.events()
+                   if e.kind == "checkpoint.corrupt"]
+        assert [e.detail["file"] for e in corrupt] == [MANIFEST_NAME]
+        assert not [e for e in tracer.events()
                     if e.kind == "checkpoint_restore"]
-        assert restores and restores[0].detail["ok"] is False
 
 
 class TestReports:

@@ -1,8 +1,8 @@
 """Acceptance: one batch through a crashed-shard service yields one
-well-formed span tree - routing, per-shard dispatch, failover, and
-plan execution all causally under a single root.  (Admission is not a
-stage here: the kernel batch executes by name, and charging is the
-handle's - ``tests/obs/test_golden_ops.py`` pins it as a stage of
+well-formed span tree - a plan pass per live domain and a failover per
+row of the crashed shard, all causally under a single root.  (Admission
+is not a stage here: the kernel batch executes by name, and charging is
+the handle's - ``tests/obs/test_golden_ops.py`` pins it as a stage of
 ``DomainHandle.predict_batch``'s tree.)"""
 
 from repro.core.config import PSSConfig
@@ -18,7 +18,7 @@ NUM_DOMAINS = 8
 
 
 def crashed_shard_batch(num_shards=4):
-    """(tracer, scores, requests, victim shard, per-shard row counts)."""
+    """(tracer, scores, requests, victim shard, the names it hosts)."""
     tracer = Tracer()
     service = ShardedService(tracer=tracer, num_shards=num_shards,
                              admission=AdmissionController(),
@@ -34,19 +34,16 @@ def crashed_shard_batch(num_shards=4):
     for _ in range(ROWS_PER_DOMAIN):
         for name in domains:
             requests.append((name, (1, 2)))
-    rows_by_shard: dict[int, int] = {}
-    for name, _features in requests:
-        shard = service.shard_of(name)
-        rows_by_shard[shard] = rows_by_shard.get(shard, 0) + 1
+    crashed = {name for name in domains
+               if service.shard_of(name) == victim}
     tracer.clear()  # only the batch under test in the ring
     scores = service.predict_batch(requests)
-    return tracer, scores, requests, victim, rows_by_shard
+    return tracer, scores, requests, victim, crashed
 
 
 class TestBatchSpanTree:
     def test_single_root_tree_with_all_stages(self):
-        tracer, scores, requests, victim, rows_by_shard = \
-            crashed_shard_batch()
+        tracer, scores, requests, _, crashed = crashed_shard_batch()
         assert len(scores) == len(requests)
         spans = tracer.spans()
         roots = validate_spans(spans)  # raises on orphans/dups/open
@@ -54,52 +51,41 @@ class TestBatchSpanTree:
         root = roots[0]
         assert root.name == "kernel.predict_batch"
         assert root.detail == {"rows": len(requests)}
-        children = span_children(spans)
-        stages = children[root.span_id]
-        assert stages[0].name == "kernel.route"
-        dispatches = stages[1:]
-        assert all(s.name == "kernel.dispatch" for s in dispatches)
-        # one dispatch per shard that owns rows, in shard-id order,
-        # each annotated with the rows routed to it
-        assert [s.shard for s in dispatches] == \
-            [str(shard) for shard in sorted(rows_by_shard)]
-        assert {s.shard: s.detail["rows"] for s in dispatches} == \
-            {str(shard): rows for shard, rows in rows_by_shard.items()}
+        # one stage per domain, in the order names first occur: a plan
+        # pass over its rows, or on the crashed shard a failover each
+        want = []
+        for i in range(NUM_DOMAINS):
+            if f"d{i}" in crashed:
+                want += [("kernel.failover", f"d{i}")] * ROWS_PER_DOMAIN
+            else:
+                want.append(("plan.execute", f"d{i}"))
+        stages = span_children(spans)[root.span_id]
+        assert [(s.name, s.domain) for s in stages] == want
 
     def test_crashed_shard_dispatch_holds_failovers(self):
-        tracer, _, _, victim, rows_by_shard = crashed_shard_batch()
+        tracer, _, _, victim, crashed = crashed_shard_batch()
         spans = tracer.spans()
-        children = span_children(spans)
-        by_shard = {s.shard: s for s in spans
-                    if s.name == "kernel.dispatch"}
-        crashed_kids = [s.name for s in
-                        children[by_shard[str(victim)].span_id]]
+        root, = validate_spans(spans)
+        stages = span_children(spans)[root.span_id]
+        failovers = [s for s in stages if s.name == "kernel.failover"]
         # every row on the crashed shard is served by follower failover
-        assert crashed_kids == ["kernel.failover"] * rows_by_shard[victim]
-        for shard in rows_by_shard:
-            if shard == victim:
-                continue
-            kids = [s.name for s in
-                    children[by_shard[str(shard)].span_id]]
-            # live shards run one specialized plan pass per domain
-            assert kids and all(name == "plan.execute" for name in kids)
-
-    def test_routing_annotates_fanout(self):
-        tracer, _, requests, _, rows_by_shard = crashed_shard_batch()
-        route, = [s for s in tracer.spans() if s.name == "kernel.route"]
-        assert route.detail["rows"] == len(requests)
-        assert route.detail["shards"] == len(rows_by_shard)
+        assert len(failovers) == ROWS_PER_DOMAIN * len(crashed)
+        assert {(s.domain, s.shard) for s in failovers} == \
+            {(name, str(victim)) for name in crashed}
+        plans = [s for s in stages if s.name == "plan.execute"]
+        # live shards run one specialized plan pass per domain
+        assert len(plans) + len(crashed) == NUM_DOMAINS
+        assert all(s.detail == {"rows": ROWS_PER_DOMAIN} for s in plans)
+        assert str(victim) not in {s.shard for s in plans}
 
     def test_rendered_tree_shows_the_causal_story(self):
         tracer, _, _, _, _ = crashed_shard_batch()
         text = render_tree(tracer.spans())
         lines = text.splitlines()
         assert lines[0].startswith("kernel.predict_batch")
-        assert any(line.startswith("  kernel.route")
+        assert any(line.startswith("  kernel.failover")
                    for line in lines)
-        assert any(line.startswith("    kernel.failover")
-                   for line in lines)
-        assert any(line.startswith("    plan.execute")
+        assert any(line.startswith("  plan.execute")
                    for line in lines)
 
     def test_untraced_batch_produces_identical_scores(self):

@@ -14,6 +14,7 @@ from repro.core import (
     PSSConfig,
     ResilienceConfig,
 )
+from repro.core.config import LatencyModel, ServiceConfig
 from repro.core.errors import ConfigError, RequestShedError
 from repro.core.kernel.admission import AdmissionController
 from repro.core.kernel.service import ShardedService
@@ -99,6 +100,18 @@ class TestPipelineFlow:
         # One scalar crossing: syscall_ns + 1 row of vdso_predict_ns.
         assert future.latency_ns == pytest.approx(72.19)
         assert pipeline.engine.now > 0
+
+    def test_completion_charges_the_services_crossing_cost(self):
+        """A lane charges the crossing its service's clients are
+        charged - ``ServiceConfig.latency`` - not a default model."""
+        latency = LatencyModel(syscall_ns=100.0)
+        service = ShardedService(ServiceConfig(latency=latency))
+        service.create_domain("d")
+        pipeline = ServingPipeline(service,
+                                   ServingConfig(batch_window_ns=0))
+        future = pipeline.submit("d", FEATURES)
+        pipeline.run()
+        assert future.latency_ns == pytest.approx(104.19)
 
     def test_submit_snapshots_the_callers_buffer(self):
         """A list handed to ``submit`` may be reused before the engine

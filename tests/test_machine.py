@@ -4,16 +4,17 @@ The paper's contract is that a failing prediction service may cost
 performance but never correctness.  :class:`SystemMachine` drives the
 public operations in whatever order hypothesis finds: domains created
 and removed under an open, a private or a read-only policy; clients of
-three identities over both transports, plain and resilient; sync
-reads, batches, writes, flushes and resets; submits through the serving
-pipeline, with closed-loop sim clients interleaving; fault plans, shard
-crashes, promotions, live reshard steps (some stalled); replica syncs,
-checkpoints, a corrupted checkpoint file and restores.  After every
-step the system must equal the reference: per domain, the frozen
-perceptron of ``tests/core/reference_impl.py`` (what the live model
-holds), the model each shard's follower last synced and what each
-checkpoint saved, plus :class:`Tenants`, the policy and quota rules
-written out once more.  No span is left open.
+three identities over both transports, plain and resilient; sync reads,
+batches, writes, flushes and resets; kernel batches by name; submits
+through the serving pipeline, with closed-loop sim clients
+interleaving; fault plans, shard crashes, promotions, live reshard
+steps (some stalled); replica syncs, checkpoints, a corrupted
+checkpoint file and restores.  After every step the system must equal
+the reference: per domain, the frozen perceptron of
+``tests/core/reference_impl.py`` (what the live model holds), the model
+each shard's follower last synced and what each checkpoint saved, plus
+:class:`Tenants`, the policy and quota rules written out once more.  No
+span is left open.
 
 The budget is the machine's settings at the bottom of this file:
 ``max_examples=500`` runs of up to ``stateful_step_count=50`` steps,
@@ -604,6 +605,19 @@ class SystemMachine(RuleBasedStateMachine):
         assert got == want, (got, want)
         if rows:
             self.check_fallback_flag(conn, before, want == fallback)
+
+    @rule(requests=st.lists(st.tuples(st.sampled_from(NAMES), ROWS),
+                            min_size=2, max_size=5))
+    def kernel_batch(self, requests):
+        """``ShardedService.predict_batch`` by name, kernel-internal:
+        no policy, no charge, and row by row what the scalar read
+        answers - an unknown name, a crashed shard, a malformed row."""
+        requests = [(name, tuple(row)) for name, row in requests]
+        got = [type(outcome) if isinstance(outcome, PSSError) else outcome
+               for outcome in self.service.predict_batch(requests)]
+        want = [self.read(self.refs[name], row) if name in self.refs
+                else DomainError for name, row in requests]
+        assert got == want, (got, want)
 
     @precondition(lambda self: self.conns)
     @rule(pick=PICK, row=ROWS, direction=st.booleans())

@@ -2,7 +2,7 @@
 
 Everything else the system promises is checked by running it (the state
 machine in ``tests/test_machine.py``, the kind-coverage and close
-contract tests, the plan type).  These four are about what the code
+contract tests, the plan type).  These five are about what the code
 *says* whether or not a run reaches it, so they parse the tree:
 
 * simulated time and seeded streams only - the modules that may import
@@ -13,7 +13,9 @@ contract tests, the plan type).  These four are about what the code
   on a kernel-shaped receiver;
 * the client, its transports and the kernel call what a handle or a
   model declares, and never probe for it: no ``getattr`` / ``hasattr``
-  naming an attribute in a string literal (a computed name passes).
+  naming an attribute in a string literal (a computed name passes);
+* a read on a crashed shard fails over in one place: only the
+  ``Domain`` calls ``failover_predict``.
 """
 
 import ast
@@ -38,6 +40,8 @@ DISPATCHER = "core/serving/dispatch.py"
 KERNEL_RECEIVERS = ("service", "kernel", "shard", "svc")
 #: the modules that take a handle or a model as its type declares it
 NO_PROBES = ("core/transport.py", "core/client.py", "core/kernel/")
+#: the one class that applies the crash rule to a read, and its module
+FAILS_OVER = ("core/kernel/domain.py", "Domain")
 
 
 def dotted(node):
@@ -151,4 +155,21 @@ def test_no_capability_probes():
                     and isinstance(node.args[1].value, str):
                 found.append(f"{path}:{node.lineno} {node.func.id}"
                              f"(..., {node.args[1].value!r})")
+    assert found == []
+
+
+def test_only_the_domain_fails_a_read_over():
+    """No reference to ``failover_predict`` - a call, or the bound
+    method handed on - outside ``Domain``'s own methods."""
+    path, name = FAILS_OVER
+    allowed = {id(node)
+               for cls in ast.walk(SOURCES[path])
+               if isinstance(cls, ast.ClassDef) and cls.name == name
+               for node in ast.walk(cls)}
+    found = [f"{where}:{node.lineno}"
+             for where, tree in SOURCES.items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and node.attr == "failover_predict"
+             and id(node) not in allowed]
     assert found == []
