@@ -109,9 +109,10 @@ SPAN_ROWS = [
       "syscall.update", "syscall.reset"), "transports",
      "one syscall crossing"),
     (("kernel.predict", "kernel.update"), "`DomainHandle`, "
-     "`ShardedService`", "one scalar kernel call that crossed (a "
-     "syscall, a served row) - a batch of exactly one row included, "
-     "whichever entry it came through"),
+     "`ShardedService`", "one scalar kernel call: a syscall's - a "
+     "handle's batch of exactly one row included - or "
+     "`ShardedService.predict`.  A served request's kernel call opens "
+     "none: its `request` record is its one record"),
     (("kernel.predict_batch", "kernel.update_batch"), "`DomainHandle`, "
      "`ShardedService`", "one kernel call for a real batch `{rows}` / a "
      "flush's records `{records}`"),
@@ -152,7 +153,8 @@ METRIC_ROWS = [
     (("pss_migrated_slots_total",), "counter", "-",
      "slots handed off by completed live reshards"),
     (("pss_queue_depth",), "histogram", "`shard`",
-     "serving queue depth, observed at every enqueue"),
+     "serving queue depth at every enqueue, counted per depth and "
+     "filed when the registry is *read*"),
     (("pss_batch_size",), "histogram", "`shard`",
      "rows per drained micro-batch"),
     (("pss_serve_latency_ns",), "histogram", "`shard`",

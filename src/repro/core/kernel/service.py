@@ -419,8 +419,8 @@ class ShardedService:
     @spanned(_predict_span, tracer="tracer")
     def _predict_one(self, domain: Domain,
                      features: Sequence[int]) -> int:
-        """One row against its resolved domain - the scalar predict and
-        a kernel batch of one row - under DomainHandle.predict's span."""
+        """The scalar predict's row against its resolved domain, under
+        DomainHandle.predict's span."""
         return domain.predict(features)
 
     def predict(self, name: str, features: Sequence[int]) -> int:
@@ -430,7 +430,7 @@ class ShardedService:
     def _batch_span(self, requests: Sequence[tuple[str, Sequence[int]]]
                     ) -> SpanHandleLike | None:
         """Root of a real batch's stage tree: an empty batch enters no
-        stage, one row is the scalar predict under its own span."""
+        stage, and one row opens none (see :meth:`predict_batch`)."""
         if len(requests) < 2:
             return None
         return self.tracer.span("kernel.predict_batch", "", "kernel",
@@ -449,15 +449,22 @@ class ShardedService:
         :class:`PSSError` the scalar ``self.predict(name, f)`` raises
         for it (an unknown name, a down shard without a follower, a
         malformed row); a model's bug stands at that domain's rows only.
-        Scores and stats are bit-identical to the scalar loop; a batch
-        of one row *is* that call, watched or not.  Kernel-internal
-        like it: no transport latency, no policy, no admission charge.
+        Scores and stats are bit-identical to the scalar loop.
+        Kernel-internal like it: no transport latency, no policy, no
+        admission charge.
+
+        A batch of one row is one served request (the Dispatcher's
+        kernel call): it scores through :meth:`Domain.predict` and opens
+        no span, because the request's ``request`` record already says
+        its domain, shard and outcome, and under the engine clock the
+        call has no extent to measure.  A crashed shard's
+        ``kernel.failover`` span still opens.
         """
         count = len(requests)
         if count == 1:
             (name, features), = requests
             try:
-                return [self._predict_one(self.domain(name), features)]
+                return [self.domain(name).predict(features)]
             except Exception as error:
                 return [error]
         outcomes: list[int | Exception | None] = [None] * count

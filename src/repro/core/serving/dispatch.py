@@ -27,7 +27,9 @@ Ordering is the bit-identity linchpin: a drained batch executes in
 FIFO order, so a mixed batch observes exactly the generation sequence
 the synchronous path would have produced.  The batch saves crossings,
 not model work: one ``service_ns(rows)`` charge and one
-``serve.dispatch`` span per drain, one kernel call per request.
+``serve.dispatch`` span per drain, one kernel call per request.  A
+watched request leaves one trace record, the ``request`` the pipeline
+files as it settles: a kernel call of one row opens no span.
 """
 
 from __future__ import annotations

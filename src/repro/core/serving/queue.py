@@ -8,12 +8,13 @@ and a ``nonempty`` :class:`~repro.sim.process.SimEvent` the dispatcher
 parks on - with every admission decision kept upstream in the pipeline
 and the :class:`~repro.core.kernel.admission.AdmissionController`.
 
-Observability: each accepted request observes the post-enqueue depth
-into the ``pss_queue_depth`` histogram (its trace record is the
-``request`` event the pipeline emits when it settles, which carries
-the time it was submitted); each refusal records ``queue.shed`` with
-its reason and counts into ``pss_shed_total`` - this module is that
-kind's single emit site.
+Observability: each accepted request's post-enqueue depth goes into
+the ``pss_queue_depth`` histogram, counted per depth here and filed
+when the registry is next read (its trace record is the ``request``
+event the pipeline emits when it settles, which carries the time it
+was submitted); each refusal records ``queue.shed`` with its reason
+and counts into ``pss_shed_total`` - this module is that kind's single
+emit site.
 """
 
 from __future__ import annotations
@@ -74,11 +75,16 @@ class RequestQueue:
         self.tracer = tracer
         self.metrics = metrics
         # Bound once: the label every record carries and the depth
-        # histogram every enqueue observes into.
+        # histogram the enqueues are filed into.
         self.label = str(shard_id)
         self._depth_hist = (
             metrics.histogram(QUEUE_DEPTH, shard=self.label)
             if metrics is not None else None)
+        #: post-enqueue depth -> pushes at it since the last filing
+        #: (None: unmetered).  Depths are integers, so filing them as
+        #: runs leaves the histogram exactly as per-push observes do.
+        self._depths: dict[int, int] | None = (
+            {} if metrics is not None else None)
         #: fired on every enqueue; the dispatcher parks here when idle
         self.nonempty = SimEvent(engine)
         #: the live FIFO itself, a plain attribute so ``submit`` and
@@ -105,9 +111,21 @@ class RequestQueue:
         depth = len(self.items)
         if depth > self.max_depth:
             self.max_depth = depth
-        if self._depth_hist is not None:
-            self._depth_hist.observe(float(depth))
+        depths = self._depths
+        if depths is not None:
+            if not depths:  # the first push since the last filing
+                self.metrics.file_before_read(self._file_depths)
+            depths[depth] = depths.get(depth, 0) + 1
         self.nonempty.fire()
+
+    def _file_depths(self) -> None:
+        """What the registry calls before it is read: each depth
+        pushed since the last filing, once per push."""
+        depths = self._depths
+        histogram = self._depth_hist
+        for depth, times in depths.items():
+            histogram.observe_run(float(depth), times)
+        depths.clear()
 
     def record_shed(self, request: Request, reason: str) -> None:
         """Account one refused request (the pipeline already failed

@@ -44,8 +44,8 @@ SPAN_NAMES = frozenset({
     "syscall.predict", "syscall.predict_batch", "syscall.update",
     "syscall.reset",
     # the sharded kernel.  A vDSO read never enters it (no
-    # kernel.predict under vdso.predict), and a charge of one is no
-    # kernel.admission
+    # kernel.predict under vdso.predict), a served request's kernel
+    # call opens none, and a charge of one is no kernel.admission
     "kernel.predict", "kernel.predict_batch", "kernel.update",
     "kernel.update_batch", "kernel.admission", "kernel.failover",
     "plan.execute",

@@ -32,6 +32,7 @@ from repro.core.kernel import ReplicaPromoter
 from repro.core.kernel.admission import AdmissionController, TenantQuota
 from repro.core.kernel.service import ShardedService
 from repro.core.policy import ClientIdentity
+from repro.core.serving import ServingConfig, ServingPipeline
 from repro.obs import Tracer, validate_spans
 
 CONFIG = PSSConfig(num_features=2, entries_per_feature=16)
@@ -192,23 +193,40 @@ class TestOneRowKernelBatchIsTheScalarPredict:
         assert service.domain("d0").report().stats.predictions == before
 
 
+def served_record(service, tracer, name, row):
+    """The one record a window-0 pipeline leaves for ``row``."""
+    pipeline = ServingPipeline(service, ServingConfig(batch_window_ns=0.0))
+    tracer.clear()
+    pipeline.submit(name, row)
+    pipeline.run()
+    assert tracer.spans() == []
+    record, = tracer.events()
+    assert record.kind == "request"
+    return record
+
+
 class TestOneRowSpanTree:
     def test_one_row_leaves_the_sync_handles_tree(self):
-        """``kernel.predict`` (domain, shard label) and nothing else -
-        what ``DomainHandle.predict`` leaves: a charge of one is no
-        ``kernel.admission`` stage on either entry."""
+        """A one-row kernel batch is one served request: it opens no
+        span and records nothing - its record is the pipeline's
+        ``request``, which names the domain, shard label and outcome
+        the sync handle's ``kernel.predict`` span names.  A charge of
+        one is no ``kernel.admission`` stage."""
         tracer = Tracer()
         service = build(tracer)
         handle = service.handle("d3", ROOMY)
-        for call in (lambda: service.predict_batch([("d3", ROWS[2])]),
-                     lambda: handle.predict(ROWS[2])):
-            tracer.clear()
-            call()
-            root, = validate_spans(tracer.spans())
-            assert len(tracer.spans()) == 1
-            assert (root.name, root.domain, root.shard, root.status) == (
-                "kernel.predict", "d3", str(service.shard_of("d3")), "ok")
-            assert len(tracer.events()) == 0
+        tracer.clear()
+        service.predict_batch([("d3", ROWS[2])])
+        assert tracer.spans() == [] and len(tracer.events()) == 0
+        handle.predict(ROWS[2])
+        root, = validate_spans(tracer.spans())
+        assert len(tracer.spans()) == 1
+        assert len(tracer.events()) == 0
+        assert (root.name, root.domain, root.shard, root.status) == (
+            "kernel.predict", "d3", str(service.shard_of("d3")), "ok")
+        record = served_record(service, tracer, "d3", ROWS[2])
+        assert (record.domain, record.shard, record.detail["outcome"]) \
+            == (root.domain, root.shard, root.status)
 
     def test_scalar_predict_opens_the_same_span(self):
         tracer = Tracer()
@@ -219,14 +237,22 @@ class TestOneRowSpanTree:
         assert (root.name, root.domain) == ("kernel.predict", "d3")
 
     def test_refused_one_row_closes_its_span_with_the_error(self):
+        """A row the kernel refuses is that row's outcome, with no span
+        opened for it; served, the request's record carries the error
+        the scalar's span closes with."""
         tracer = Tracer()
         service = build(tracer)
         tracer.clear()
         outcome, = service.predict_batch([("d0", (1, 2, 3))])
         assert isinstance(outcome, FeatureError)
+        assert tracer.spans() == [] and len(tracer.events()) == 0
+        with pytest.raises(FeatureError):
+            service.predict("d0", (1, "2"))
         root, = tracer.spans()
         assert (root.name, root.status) == ("kernel.predict",
                                             "error:FeatureError")
+        record = served_record(service, tracer, "d0", (1, "2"))
+        assert record.detail["outcome"] == root.status
         tracer.clear()
         outcome, = service.predict_batch([("ghost", ROWS[0])])
         assert isinstance(outcome, DomainError)

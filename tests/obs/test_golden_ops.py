@@ -364,16 +364,17 @@ class TestPipeline:
 
     def test_window_0_predict_is_at_most_two_records(self):
         """The record budget of a served predict: its one wide
-        ``request`` record and the scalar kernel call's span.  A
-        drained batch of one is no ``serve.dispatch`` - the record
-        says ``rows: 1`` - so the kernel span is a root."""
+        ``request`` record.  A drained batch of one is no
+        ``serve.dispatch`` - the record says ``rows: 1`` - and its
+        kernel call opens no span: the record already names its
+        domain, shard and outcome."""
         tracer, pipeline = self.build()
         future = pipeline.submit("d", ROW)
         pipeline.run()
         assert future.done and future.error is None
         assert kinds(tracer) == ["request"]
-        assert forest(tracer) == [("kernel.predict", [])]
-        assert len(tracer) + len(tracer.spans()) <= 2
+        assert forest(tracer) == []
+        assert len(tracer) + len(tracer.spans()) == 1
         event, = tracer.events()
         assert (event.ts_ns, event.dur_ns) == (
             future.submitted_ns, future.latency_ns)
@@ -384,9 +385,8 @@ class TestPipeline:
 
     def test_windowed_batch_keeps_the_stage_tree(self):
         """Predictions drained together are a real batch: one
-        ``serve.dispatch{rows, trigger}`` over one ``kernel.predict``
-        per request (one crossing, one kernel call each), one
-        ``request`` record each."""
+        ``serve.dispatch{rows, trigger}`` (one crossing) with one
+        ``request`` record per request filed under it as its leaves."""
         tracer, service = traced_service()
         service.create_domain("d", config=CONFIG)
         pipeline = ServingPipeline(service,
@@ -396,13 +396,14 @@ class TestPipeline:
         futures = [pipeline.submit("d", row) for row in rows]
         pipeline.run()
         assert all(f.done and f.error is None for f in futures)
-        assert forest(tracer) == [
-            ("serve.dispatch", [("kernel.predict", [])] * 4)]
-        dispatch = tracer.spans()[-1]
+        assert forest(tracer) == [("serve.dispatch", [])]
+        dispatch, = tracer.spans()
         assert dispatch.detail == {"rows": 4, "trigger": "timeout"}
         assert kinds(tracer) == ["batch.flush_timeout"] + ["request"] * 4
         for event in tracer.events()[1:]:
             assert event.span_id == dispatch.span_id
+            assert (event.domain, event.shard) == ("d", dispatch.shard)
+            assert event.detail["outcome"] == "ok"
             assert event.detail["rows"] == 4
             assert event.detail["trigger"] == "timeout"
             assert (event.detail["collect_ns"],
@@ -416,7 +417,106 @@ class TestPipeline:
         assert kinds(tracer) == ["request"]
         assert details(tracer)[0]["op"] == "update"
         assert forest(tracer) == []
-        assert len(tracer) + len(tracer.spans()) <= 2
+        assert len(tracer) + len(tracer.spans()) == 1
+
+    def test_failed_over_predict_is_a_root_failover_and_its_record(self):
+        """On a crashed shard a synced follower answers: the read's
+        ``kernel.failover`` span is a root (window 0 opens no
+        ``serve.dispatch``), its ``failover`` event inside it, and the
+        request's record says ``ok`` on the crashed shard's label."""
+        tracer = Tracer()
+        service = ShardedService(num_shards=2, num_replicas=1,
+                                 tracer=tracer)
+        service.create_domain("d", config=CONFIG)
+        service.sync_replicas()
+        service.crash_shard(service.shard_of("d"))
+        pipeline = ServingPipeline(service,
+                                   ServingConfig(batch_window_ns=0.0))
+        tracer.clear()
+        future = pipeline.submit("d", ROW)
+        pipeline.run()
+        assert future.error is None
+        assert future.result() == service.predict("d", ROW)
+        label = str(service.shard_of("d"))
+        failover = tracer.spans()[0]
+        assert forest(tracer)[0] == ("kernel.failover", [])
+        assert (failover.domain, failover.shard, failover.status) == (
+            "d", label, "ok")
+        failed_over, record = tracer.events()[:2]
+        assert failed_over.kind == "failover"
+        assert failed_over.span_id == failover.span_id
+        assert record.kind == "request" and record.span_id == 0  # a root
+        assert (record.domain, record.shard,
+                record.detail["outcome"]) == ("d", label, "ok")
+
+    def test_crashed_shard_without_a_follower_says_so_twice(self):
+        """No follower holds the domain: the failover stage is the only
+        span, a root closed ``error:ShardDownError``, and the request's
+        record says the same outcome.  No ``failover`` event: nothing
+        answered."""
+        tracer, service = traced_service()
+        service.create_domain("d", config=CONFIG)
+        service.crash_shard(service.shard_of("d"))
+        pipeline = ServingPipeline(service,
+                                   ServingConfig(batch_window_ns=0.0))
+        tracer.clear()
+        future = pipeline.submit("d", ROW)
+        pipeline.run()
+        assert isinstance(future.error, ShardDownError)
+        label = str(service.shard_of("d"))
+        assert forest(tracer) == [("kernel.failover", [])]
+        failover, = tracer.spans()
+        assert (failover.domain, failover.shard, failover.status) == (
+            "d", label, "error:ShardDownError")
+        record, = tracer.events()
+        assert (record.kind, record.domain, record.shard) == (
+            "request", "d", label)
+        assert record.detail["outcome"] == "error:ShardDownError"
+
+    def test_served_update_and_predict_leave_the_same_shape(self):
+        """An update leaves what a predict leaves: one root ``request``
+        record, no span, the same keys; only ``op`` tells them apart."""
+        shapes = []
+        for op in ("update", "predict"):
+            tracer, pipeline = self.build()
+            future = pipeline.submit("d", ROW, op=op, direction=False)
+            pipeline.run()
+            assert future.error is None
+            assert tracer.spans() == []
+            record, = tracer.events()
+            assert record.detail["op"] == op
+            shapes.append((record.kind, record.domain, record.shard,
+                           record.span_id,
+                           {**record.detail, "op": ""}))
+        assert shapes[0] == shapes[1]
+        assert shapes[0][0] == "request"
+
+    def test_mixed_windowed_batch_is_one_dispatch_over_its_records(self):
+        """Predicts, updates and a kernel failure drained together: one
+        ``serve.dispatch`` and, under it, one ``request`` record per
+        request in FIFO order, each with its own op and outcome."""
+        tracer, service = traced_service()
+        service.create_domain("d", config=CONFIG)
+        pipeline = ServingPipeline(service,
+                                   ServingConfig(batch_window_ns=200.0))
+        tracer.clear()
+        submits = [(ROW, "predict"), (ROW, "update"),
+                   (ROW[:-1] + ("x",), "predict"), (ROW, "predict")]
+        futures = [pipeline.submit("d", row, op=op, direction=True)
+                   for row, op in submits]
+        pipeline.run()
+        assert forest(tracer) == [("serve.dispatch", [])]
+        dispatch, = tracer.spans()
+        assert dispatch.detail == {"rows": 4, "trigger": "timeout"}
+        records = tracer.events()[1:]
+        assert [(r.kind, r.span_id, r.detail["op"], r.detail["outcome"])
+                for r in records] == [
+            ("request", dispatch.span_id, "predict", "ok"),
+            ("request", dispatch.span_id, "update", "ok"),
+            ("request", dispatch.span_id, "predict", "error:FeatureError"),
+            ("request", dispatch.span_id, "predict", "ok")]
+        assert isinstance(futures[2].error, FeatureError)
+        assert futures[3].result() == service.predict("d", ROW)
 
     def test_failed_request_says_so_in_its_record(self):
         """A failure only the kernel can find (the count is right, an

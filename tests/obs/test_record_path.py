@@ -251,9 +251,9 @@ class TestAgainstReferenceModel:
 #: field the parent's once ids are renumbered (the ``ts_ns`` of the
 #: four clockless ``plan.*`` events is the tracer's record count).
 PINNED = {
-    "events.jsonl": 3702943234,
-    "spans.jsonl": 3101471591,
-    "chrome.json": 2243445346,
+    "events.jsonl": 2923721430,
+    "spans.jsonl": 1032189279,
+    "chrome.json": 2519724754,
 }
 
 CONFIG = PSSConfig(num_features=4)
@@ -344,13 +344,16 @@ class TestPinnedExports:
         assert {"vdso.predict", "vdso.flush", "kernel.update_batch",
                 "syscall.update", "kernel.update",
                 "syscall.predict_batch", "plan.execute",
-                "serve.dispatch", "kernel.predict"} <= names
-        # one kernel call a request: no batch under a drained batch
+                "serve.dispatch"} <= names
+        # a served request is its record: nothing opens under a drained
+        # batch, whose requests' records are its leaves
         dispatches = {span.span_id for span in tracer.spans()
                       if span.name == "serve.dispatch"}
         assert not any(span.parent_id in dispatches
-                       and span.name == "kernel.predict_batch"
                        for span in tracer.spans())
+        assert "kernel.predict" not in names
+        assert any(event.span_id in dispatches
+                   for event in tracer.events() if event.kind == "request")
         assert pipeline.snapshot()["completed"] > 150
         assert tracer.dropped == 0 and tracer.span_dropped == 0
 

@@ -132,12 +132,22 @@ class TestOneShardIsShardZero:
         assert {e.shard for e in tracer.events()} == {"0"}
 
     def test_request_record_and_its_kernel_span_agree(self):
+        """A served predict is its ``request '0'`` record alone; on the
+        crashed shard the kernel span it then opens, the follower's
+        ``kernel.failover``, carries the same label."""
         tracer, service = self.one_shard()
         pipeline = ServingPipeline(service, ServingConfig())
+        tracer.clear()
+        pipeline.submit("d", (1, 2))
+        pipeline.run()
+        record, = tracer.events()
+        assert (record.kind, record.shard) == ("request", "0")
+        assert tracer.spans() == []
+        service.crash_shard(0)
         tracer.clear()
         pipeline.submit("d", (1, 2))
         pipeline.run()
         record, = [e for e in tracer.events() if e.kind == "request"]
         span, = tracer.spans()
         assert (span.name, span.shard, record.shard) \
-            == ("kernel.predict", "0", "0")
+            == ("kernel.failover", "0", "0")

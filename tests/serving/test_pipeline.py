@@ -213,12 +213,13 @@ class TestLedgerBoundaries:
         rows = sum(len(requests) for requests, in predicts.calls)
         assert rows == len(ops) - sent_updates \
             == sum(s.predictions for s in stats)
-        entries = [span for span in tracer.spans()
-                   if span.name in ("kernel.predict",
-                                    "kernel.predict_batch")]
+        served = [event.detail["op"] for event in tracer.events()
+                  if event.kind == "request"]
         # one kernel call per predicted row, at every window: a drained
-        # batch is one crossing, not one kernel call
-        assert len(predicts.calls) == len(entries) == rows
+        # batch is one crossing, not one kernel call - and each call
+        # is one request record
+        assert len(predicts.calls) == served.count("predict") == rows
+        assert served.count("update") == sent_updates
         if window > 0.0:   # real batches formed
             batches = pipeline.batch_stats()
             assert batches["rows"] > batches["batches"]

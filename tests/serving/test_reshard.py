@@ -70,12 +70,11 @@ class TestGrow:
         owners = {name: str(service.shard_of(name)) for name in NAMES}
         records = [e for e in tracer.events() if e.kind == "request"]
         assert {e.domain: e.shard for e in records} == owners
-        assert {s.domain: s.shard for s in tracer.spans()
-                if s.name == "kernel.predict"} == owners
-        for shard in set(owners.values()):
+        labels = [e.shard for e in records]
+        for shard in set(labels):
             served = metrics.histogram("pss_serve_latency_ns",
                                        shard=shard)
-            assert served.count == list(owners.values()).count(shard)
+            assert served.count == labels.count(shard)
 
     def test_a_request_queued_before_a_move_names_the_new_owner(self):
         """Queued before a reshard moved its domain, served on the lane
