@@ -160,6 +160,11 @@ class ServingPipeline:
             # during the run (kernel spans included) is stamped with
             # the engine's simulated now.
             self.tracer.clock = self.engine.clock
+        # What a settled request's record is appended through, bound
+        # once (the transports' hot sites do the same).
+        self._emit = self.tracer.emit
+        self._next_event = self.tracer.next_number
+        self._open_spans = self.tracer.span_stack
         # -- per-shard lanes, each list indexed by shard id --
         self.queues: list[RequestQueue] = []
         self.batchers: list[MicroBatcher] = []
@@ -423,14 +428,15 @@ class ServingPipeline:
         dispatcher = self.dispatchers[request.shard_id]
         submitted = request.future.submitted_ns
         domain = request.domain
-        self.tracer.record(
-            "request", domain.name, "serving", submitted,
-            now - submitted, 0,
+        spans = self._open_spans
+        self._emit((
+            self._next_event(), submitted, "request", domain.name,
+            "serving", now - submitted, 0,
             {"op": request.op, "outcome": outcome,
              "rows": dispatcher.rows, "trigger": dispatcher.trigger,
              "collect_ns": dispatcher.collect_ns,
              "drained_ns": dispatcher.drained_ns, "settled_ns": now},
-            domain.shard_label)
+            domain.shard_label, spans[-1].span_id if spans else 0))
 
     # -- driving -------------------------------------------------------------
 

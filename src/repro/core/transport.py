@@ -75,7 +75,7 @@ class Transport:
         self._closed = False
         #: structured event tracer; NULL_TRACER keeps the hot path to a
         #: single ``enabled`` attribute check when tracing is off
-        self._tracer = NULL_TRACER
+        self._bind_tracer(NULL_TRACER)
         self._obs_domain = target.domain_name
         #: the domain's published version word, bound once and loaded -
         #: no call - wherever a generation is needed
@@ -106,12 +106,22 @@ class Transport:
         through the same tracer.
         """
         if tracer is not None:
-            self._tracer = tracer
+            self._bind_tracer(tracer)
             if self._injector is not None:
                 self._injector.tracer = tracer
         if metrics is not None:
             self.account.attach_metrics(
                 metrics, domain=self._obs_domain, transport=self.name)
+
+    def _bind_tracer(self, tracer) -> None:
+        """Hold ``tracer``, and bind what the hot sites record through:
+        its ``emit`` (the event ring's append), its event numbers and
+        its open-span stack, so a watched event is one tuple appended
+        in place, stamped with the innermost open span's id."""
+        self._tracer = tracer
+        self._emit = tracer.emit
+        self._next_event = tracer.next_number
+        self._open_spans = tracer.span_stack
 
     def attach_injector(self, injector: FaultInjector | None) -> None:
         """Attach (or, with None, detach) a fault injector.
@@ -150,9 +160,11 @@ class Transport:
         if generation is None:
             generation = self._version.value
         account = self.account
-        self._tracer.record(
-            kind, self._obs_domain, self.name, account.total_ns,
-            dur_ns, generation, detail, account.shard_label)
+        spans = self._open_spans
+        self._emit((
+            self._next_event(), account.total_ns, kind, self._obs_domain,
+            self.name, dur_ns, generation, detail, account.shard_label,
+            spans[-1].span_id if spans else 0))
 
     def _op_span(self, op: str, detail: dict | None = None):
         """Span covering one boundary crossing on this transport's
@@ -402,10 +414,13 @@ class VdsoTransport(Transport):
                 if traced:
                     # _trace, written out: this event is all that
                     # watching a hit costs.
-                    self._tracer.record(
-                        "predict", self._obs_domain, self.name,
-                        account.vdso_ns + account.syscall_ns, vdso_ns,
-                        generation, _CACHE_HIT, account.shard_label)
+                    spans = self._open_spans
+                    self._emit((
+                        self._next_event(),
+                        account.vdso_ns + account.syscall_ns, "predict",
+                        self._obs_domain, self.name, vdso_ns, generation,
+                        _CACHE_HIT, account.shard_label,
+                        spans[-1].span_id if spans else 0))
                 self._cached_recorder(score)
                 return score
         account.record_cache_miss()
@@ -426,15 +441,14 @@ class VdsoTransport(Transport):
         ``vdso.predict``, from ``start_ns`` (the account's clock before
         the read was charged), around the read's ``predict`` event -
         :meth:`_trace`, written out - and ``read(key)``."""
-        tracer = self._tracer
         account = self.account
-        with tracer.span(
+        with self._tracer.span(
                 self._span_names["predict"], self._obs_domain, self.name,
-                account.shard_label, start_ns, None, self._clock):
-            tracer.record(
-                "predict", self._obs_domain, self.name,
-                account.vdso_ns + account.syscall_ns, vdso_ns,
-                generation, detail, account.shard_label)
+                account.shard_label, start_ns, None, self._clock) as span:
+            self._emit((
+                self._next_event(), account.vdso_ns + account.syscall_ns,
+                "predict", self._obs_domain, self.name, vdso_ns,
+                generation, detail, account.shard_label, span.span_id))
             return read(key)
 
     @spanned(named(Transport._op_span, "predict_batch", rows=True))
@@ -575,12 +589,13 @@ class VdsoTransport(Transport):
             # _trace, written out: this event is all that watching a
             # buffered update costs.
             account = self.account
-            self._tracer.record(
-                "update", self._obs_domain, self.name,
-                account.vdso_ns + account.syscall_ns, 0.0,
+            spans = self._open_spans
+            self._emit((
+                self._next_event(), account.vdso_ns + account.syscall_ns,
+                "update", self._obs_domain, self.name, 0.0,
                 self._version.value,
                 _BUFFERED_UP if direction else _BUFFERED_DOWN,
-                account.shard_label)
+                account.shard_label, spans[-1].span_id if spans else 0))
         if len(records) >= self._batch_size:
             self.flush()
 

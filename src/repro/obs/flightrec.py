@@ -60,18 +60,17 @@ class FlightRecorder(Tracer):
         self.suppressed_dumps = 0
         self._metrics: MetricsRegistry | None = None
         self._dump_seq = 0
+        #: every event lands here - ``record`` and a hot site's bound
+        #: ``emit`` alike - so a trigger kind dumps whichever emitted it
+        self.emit = self._emit_watched
 
     def attach_metrics(self, metrics: MetricsRegistry) -> None:
         """Snapshot this registry into every bundle."""
         self._metrics = metrics
 
-    def record(self, kind: str, domain: str = "", transport: str = "",
-               ts_ns: float | None = None, dur_ns: float = 0.0,
-               generation: int = 0,
-               detail: dict[str, Any] | None = None,
-               shard: str = "") -> None:
-        Tracer.record(self, kind, domain, transport, ts_ns, dur_ns,
-                      generation, detail, shard)
+    def _emit_watched(self, event: tuple[Any, ...]) -> None:
+        self._ring.append(event)
+        kind = event[2]   # (number, ts_ns, kind, ...)
         if kind in self.triggers:
             self.dump(trigger=kind)
 

@@ -92,8 +92,8 @@ class Span:
 
     def __enter__(self) -> Span:
         tracer = self._tracer
-        tracer._seq += 1
-        stack = tracer._span_stack
+        tracer._ticks += 1
+        stack = tracer.span_stack
         clock = self._clock
         if stack:
             parent = stack[-1]
@@ -104,7 +104,12 @@ class Span:
         if start is None:
             if clock is None:
                 clock = tracer.clock
-            start = clock() if clock is not None else float(tracer._seq)
+            if clock is not None:
+                start = clock()
+            else:  # the fallback sequence, Tracer._last_number written out
+                ring = tracer._ring
+                start = float((ring[-1][0] if ring else tracer._cleared_at)
+                              + tracer._ticks)
         self.start_ns = start
         self.span_id = tracer._next_span_id
         tracer._next_span_id += 1
@@ -115,26 +120,28 @@ class Span:
                  exc: BaseException | None,
                  tb: TracebackType | None) -> None:
         tracer = self._tracer
-        tracer._seq += 1
+        tracer._ticks += 1
         clock = self._clock
         if clock is None:
             clock = tracer.clock
-        end = clock() if clock is not None else float(tracer._seq)
+        if clock is not None:
+            end = clock()
+        else:  # the fallback sequence, as in __enter__
+            ring = tracer._ring
+            end = float((ring[-1][0] if ring else tracer._cleared_at)
+                        + tracer._ticks)
         self.end_ns = end if end >= self.start_ns else self.start_ns
         self.status = ("ok" if exc_type is None
                        else f"error:{exc_type.__name__}")
-        stack = tracer._span_stack
+        stack = tracer.span_stack
         if stack and stack[-1] is self:
             stack.pop()
         else:  # mis-nested close: unwind defensively
             stack[:] = [span for span in stack if span is not self]
         ring = tracer._spans
-        if len(ring) < tracer.capacity:
-            ring.append(self)
-        else:
-            ring[tracer._span_head] = self
-            tracer._span_head = (tracer._span_head + 1) % tracer.capacity
+        if len(ring) == tracer.capacity:
             tracer.span_dropped += 1
+        ring.append(self)
 
     @property
     def dur_ns(self) -> float:

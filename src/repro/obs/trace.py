@@ -18,6 +18,8 @@ ever built.
 
 from __future__ import annotations
 
+from collections import deque
+from itertools import count
 from types import TracebackType
 from typing import Any, Callable, NamedTuple, Union, cast
 
@@ -117,6 +119,15 @@ class Tracer:
     When the buffer is full the oldest events are overwritten and
     :attr:`dropped` counts how many were lost - a long run keeps its most
     recent window instead of growing without bound.
+
+    Both rings are ``deque(maxlen=capacity)``: the event ring holds
+    plain tuples ``(number, *TraceEvent fields)``, numbered from
+    :attr:`next_number`, and :meth:`events` builds the
+    :class:`TraceEvent` records only when it is read.  A hot site binds
+    :attr:`emit` (the ring's own ``append``), :attr:`next_number` and
+    :attr:`span_stack` once and records with one inline tuple append -
+    no Python frame; :meth:`record` is the same append for every other
+    site.
     """
 
     enabled = True
@@ -129,18 +140,38 @@ class Tracer:
         #: optional global clock (e.g. a sim Engine's ``now``) used for
         #: events recorded without an explicit timestamp
         self.clock = clock
-        self.dropped = 0
         self.span_dropped = 0
-        self._ring: list[TraceEvent] = []
-        self._head = 0  # next write position once the ring is full
-        self._seq = 0   # fallback timestamp: monotonic event number
-        self._spans: list[Span] = []   # completed spans, same ring scheme
-        self._span_head = 0
-        self._span_stack: list[Span] = []  # open spans, innermost last
+        self._ring: deque[tuple[Any, ...]] = deque(maxlen=capacity)
+        self._spans: deque[Span] = deque(maxlen=capacity)  # completed
+        #: open spans, innermost last: emptied only by their own exits,
+        #: so the reference a hot site binds stays live
+        self.span_stack: list[Span] = []
+        #: the record path a hot site binds: append one event tuple,
+        #: ``(next_number(), ts_ns, kind, domain, transport, dur_ns,
+        #: generation, detail, shard, span_id)``
+        self.emit: Callable[[tuple[Any, ...]], None] = self._ring.append
+        self.next_number: Callable[[], int] = count(1).__next__
+        # Fallback timestamp of a clockless record: its number plus the
+        # span enters and exits so far (one monotonic sequence).
+        self._ticks = 0
+        self._cleared_at = 0   # the last event number at clear()
         self._next_span_id = 1
 
     def __len__(self) -> int:
         return len(self._ring)
+
+    def _last_number(self) -> int:
+        """The newest event's number (the last one before a
+        :meth:`clear` while the ring is empty)."""
+        ring = self._ring
+        number: int = ring[-1][0] if ring else self._cleared_at
+        return number
+
+    @property
+    def dropped(self) -> int:
+        """Events overwritten since the last :meth:`clear`: every
+        number issued since then that the ring no longer holds."""
+        return self._last_number() - self._cleared_at - len(self._ring)
 
     def record(self, kind: str, domain: str = "", transport: str = "",
                ts_ns: float | None = None, dur_ns: float = 0.0,
@@ -152,21 +183,14 @@ class Tracer:
         The event attaches to the innermost open span, if any - flat
         events are not replaced by spans, they become their leaves.
         """
-        self._seq += 1
+        number = self.next_number()
         if ts_ns is None:
             ts_ns = self.clock() if self.clock is not None else float(
-                self._seq)
-        stack = self._span_stack
-        event = _new_event(TraceEvent, (
-            ts_ns, kind, domain, transport, dur_ns, generation, detail,
-            shard, stack[-1].span_id if stack else ROOT_PARENT))
-        ring = self._ring
-        if len(ring) < self.capacity:
-            ring.append(event)
-        else:
-            ring[self._head] = event
-            self._head = (self._head + 1) % self.capacity
-            self.dropped += 1
+                number + self._ticks)
+        stack = self.span_stack
+        self.emit((number, ts_ns, kind, domain, transport, dur_ns,
+                   generation, detail, shard,
+                   stack[-1].span_id if stack else ROOT_PARENT))
 
     def span(self, name: str, domain: str = "", transport: str = "",
              shard: str = "", ts_ns: float | None = None,
@@ -198,30 +222,35 @@ class Tracer:
         return opened
 
     def current_span_id(self) -> int:
-        stack = self._span_stack
+        stack = self.span_stack
         return stack[-1].span_id if stack else ROOT_PARENT
 
     def events(self) -> list[TraceEvent]:
         """All buffered events, oldest first."""
-        return self._ring[self._head:] + self._ring[:self._head]
+        return [_new_event(TraceEvent, event[1:]) for event in self._ring]
 
     def spans(self) -> list[Span]:
         """All completed spans, completion order (children first)."""
-        return self._spans[self._span_head:] + self._spans[:self._span_head]
+        return list(self._spans)
 
     def open_spans(self) -> list[Span]:
         """Spans still on the stack (outermost first) - crash context."""
-        return list(self._span_stack)
+        return list(self.span_stack)
 
     def clear(self) -> None:
-        self._ring = []
-        self._head = 0
-        self.dropped = 0
-        self._spans = []
-        self._span_head = 0
-        self._span_stack = []
+        """Forget every buffered event and completed span.
+
+        Spans still open stay on the stack - they close into the
+        emptied ring - and the ids they hold are never handed out
+        again.  Both rings are emptied in place, so what a hot site
+        bound stays live.
+        """
+        self._cleared_at = self._last_number()
+        self._ring.clear()
+        self._spans.clear()
         self.span_dropped = 0
-        self._next_span_id = 1
+        stack = self.span_stack
+        self._next_span_id = stack[-1].span_id + 1 if stack else 1
 
 
 class NullTracer:
@@ -236,6 +265,9 @@ class NullTracer:
     dropped = 0
     span_dropped = 0
     clock: Callable[[], float] | None = None
+    #: the emit path's names are inert too (``emit``, ``next_number``
+    #: below): a site binds them all, and records only while ``enabled``
+    span_stack: tuple[Span, ...] = ()
 
     def __len__(self) -> int:
         return 0
@@ -267,6 +299,12 @@ class NullTracer:
 
     def clear(self) -> None:
         pass
+
+    def emit(self, event: tuple[Any, ...]) -> None:
+        pass
+
+    def next_number(self) -> int:
+        return 0
 
 
 class NullSpanHandle:

@@ -28,18 +28,20 @@ PINNED = {
     # client.predict, canonical_features, VdsoTransport.predict,
     # charge_vdso_predict, record_cache_hit, the handle's and the
     # domain's record_cached_prediction, TenantMeter.charge_predict,
-    # PredictionStats.record_cached_prediction; watched adds the
-    # event's Tracer.record
-    "hit": (9, 10),
+    # PredictionStats.record_cached_prediction; watched adds none: its
+    # event is a tuple appended through the tracer's bound ``emit``,
+    # where a ``Tracer.record`` frame was
+    "hit": (9, 9),
     # the same transport frames with record_cache_miss, then
     # predict_mapped, _admit_predict, charge_predict, Domain.predict,
     # the model's predict -> dot -> _flat_indices -> gather and
-    # record_prediction; watched adds _traced_read, its span (span,
-    # __enter__, __exit__, the account's clock) and the event
-    "miss": (14, 20),
+    # record_prediction; watched adds _traced_read and its span (span,
+    # __enter__, __exit__, the account's clock), and the event is
+    # appended through ``emit`` (its ``Tracer.record`` frame went)
+    "miss": (14, 19),
     # client.update, VdsoTransport.update: one append; watched adds
-    # the event
-    "update": (2, 3),
+    # none (the event's ``Tracer.record`` frame went)
+    "update": (2, 2),
     # the update that fills a 32-record buffer: the two frames above,
     # then the flush's 15 (spanned wrapper and body, _ensure_open,
     # charge_op, charge_syscall, handle.update_batch wrapper and body,
@@ -47,8 +49,9 @@ PINNED = {
     # perceptron.update_batch, train_batch, two list comprehensions),
     # one gather per record (32) and adjust_at per training record
     # (14 of the 32 train): 2 + 15 + 32 + 14; watched adds the flush's
-    # and kernel's spans and the events
-    "flush": (63, 85),
+    # and kernel's spans and the events, appended through ``emit`` (the
+    # buffered update's and the flush's ``Tracer.record`` frames went)
+    "flush": (63, 83),
 }
 
 

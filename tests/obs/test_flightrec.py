@@ -52,6 +52,20 @@ class TestTriggers:
         assert [s["name"] for s in payload["open_spans"]] == \
             ["client.predict_batch", "kernel.failover"]
 
+    def test_a_hot_site_emit_still_triggers(self, tmp_path):
+        rec = recorder(tmp_path, triggers=frozenset({"update"}))
+        client = ShardedService(tracer=rec).connect(
+            "d", transport="vdso", config=PSSConfig(num_features=2))
+        client.predict((1, 2))
+        assert rec.bundles == []
+        client.update((1, 2), True)    # buffered: its event is emitted
+        assert client.pending_updates == 1
+        assert len(rec.bundles) == 1
+        payload = load_bundle(rec.bundles[0])
+        assert payload["trigger"] == "update"
+        assert payload["events"][-1]["detail"] == {
+            "direction": True, "buffered": True}
+
     def test_non_trigger_events_do_not_dump(self, tmp_path):
         rec = recorder(tmp_path)
         rec.record("predict")

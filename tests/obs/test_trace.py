@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.obs import EVENT_KINDS, NULL_TRACER, NullTracer, Tracer
+from repro.obs import (
+    EVENT_KINDS,
+    NULL_TRACER,
+    NullTracer,
+    Tracer,
+    validate_spans,
+)
 
 
 class TestTracer:
@@ -58,6 +64,19 @@ class TestTracer:
         assert tracer.dropped == 0
         assert tracer.events() == []
 
+    def test_clear_inside_an_open_span_issues_no_held_id(self):
+        tracer = Tracer()
+        with tracer.span("a") as outer:
+            tracer.clear()
+            tracer.record("flush")
+            with tracer.span("b") as inner:
+                pass
+        assert inner.span_id != outer.span_id
+        assert inner.parent_id == outer.span_id
+        assert tracer.events()[0].span_id == outer.span_id
+        roots = validate_spans(tracer.spans())
+        assert [span.name for span in roots] == ["a"]
+
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
             Tracer(capacity=0)
@@ -78,6 +97,8 @@ class TestNullTracer:
         assert len(NULL_TRACER) == 0
         assert NULL_TRACER.events() == []
         NULL_TRACER.clear()
+        NULL_TRACER.emit((NULL_TRACER.next_number(), 1.0, "predict"))
+        assert len(NULL_TRACER) == 0 and not NULL_TRACER.span_stack
 
     def test_shares_record_signature_with_tracer(self):
         import inspect
