@@ -1,11 +1,16 @@
-"""Generate the event / span / metric tables of docs/OBSERVABILITY.md.
+"""Generate the event / span / metric tables of docs/OBSERVABILITY.md,
+and its watch-budget table.
 
 The names come from the program's registries - ``EVENT_KINDS``,
 ``SPAN_NAMES`` and the ``pss_*`` name constants of
 ``repro.obs.metrics`` - and the prose from the rows below; a name
 without a row, or a row naming something no registry holds, is an
 error, so the tables cannot list what the stack does not emit or omit
-what it does.  ``tests/obs/test_doc_tables.py`` (tier 1) fails when the
+what it does.  The watch-budget table holds each ``perf/`` workload's
+budget for the observed twin against its committed ratio - the
+untraced ``obs_overhead_x`` of its last seed-0 entry in
+``BENCH_trajectory.json`` - and a ratio over its budget is an error
+the same way.  ``tests/obs/test_doc_tables.py`` (tier 1) fails when the
 committed tables differ from what this prints.
 
     PYTHONPATH=src python docs/generate_tables.py           # print
@@ -15,6 +20,8 @@ committed tables differ from what this prints.
 
 from __future__ import annotations
 
+import importlib.util
+import json
 import re
 import sys
 from pathlib import Path
@@ -24,19 +31,34 @@ from repro.obs.spans import SPAN_NAMES
 from repro.obs.trace import EVENT_KINDS
 
 DOC = Path(__file__).with_name("OBSERVABILITY.md")
+ROOT = DOC.parent.parent
+TRAJECTORY = ROOT / "BENCH_trajectory.json"
+
+#: the observed twin's budget per ``perf/`` workload: the most its
+#: watched run may cost, as a multiple of its plain run
+#: (``obs_overhead_x``)
+WATCH_BUDGETS = {
+    "sync_hot": 1.5,
+    "sync_churn": 1.5,
+    "batch_cold": 1.5,
+    "serve_scalar": 1.5,
+    "serve_batched": 1.5,
+}
 
 #: (kinds, emitted by, when) - one row per group of kinds
 EVENT_ROWS = [
     (("predict", "update", "reset", "flush"), "transports",
-     "an operation crossed (or was served at) the boundary.  A vDSO "
-     "read's `predict` is emitted once its score-cache probe has decided "
-     "and says which way in `detail.cache`: `\"hit\"` (the "
-     "generation-keyed cache answered; the event, `dur_ns` 4.19, is the "
-     "read's only record) or `\"miss\"` (the model was evaluated; the "
-     "event is the leaf of the read's `vdso.predict`, its other "
-     "record); there is no `detail` on a read that bypasses the "
-     "cache (staleness injection armed, or a target that publishes no "
-     "generation).  One event per read, scalar or per row of a batch"),
+     "an operation crossed (or was served at) the boundary.  A scalar "
+     "vDSO read's `predict` is its only record - it opens no span, hit "
+     "or miss - emitted when the read settles, `dur_ns` 4.19, and says "
+     "which way its score-cache probe went in `detail.cache`: `\"hit\"` "
+     "(the generation-keyed cache answered) or `\"miss\"` (the model "
+     "was evaluated; a follower's `failover` comes first); there is no "
+     "`cache` on a read that bypasses the cache (staleness injection "
+     "armed).  A refused read's event adds `detail.outcome`, "
+     "`\"error:<Type>\"`, which the error SLO counts bad.  One event per "
+     "read, scalar or per row of a batch (a batch row's is emitted at "
+     "its probe and names no outcome)"),
     (("predict_batch",), "syscall transport",
      "a batched crossing served N rows in one trap"),
     (("stale_read",), "vDSO transport",
@@ -93,12 +115,6 @@ SPAN_ROWS = [
      "one application-facing call: the root over its retry ladder and "
      "the parent of its `retry` / `fallback` events (a plain "
      "`PSSClient` opens no span)"),
-    (("vdso.predict",), "`VdsoTransport`",
-     "a read that calls the service: a score-cache *miss*, or one that "
-     "bypasses the cache; from the read's start, around its `predict` "
-     "event and the call, which opens no `kernel.predict` (a vDSO read "
-     "never enters the kernel); closes `error:<Type>` on a refusal.  A "
-     "hit opens none"),
     (("vdso.predict_batch",), "`VdsoTransport`",
      "a batch of reads `{rows}`; enters the kernel at most once, at the "
      "first miss"),
@@ -171,24 +187,80 @@ def metric_constants() -> frozenset[str]:
         and value.startswith("pss_"))
 
 
+def _refuse(problems: list[str]) -> None:
+    if problems:
+        raise SystemExit("docs/generate_tables.py: " + "; ".join(problems))
+
+
+def _markdown(header: tuple[str, ...], rows: list[list[str]]) -> str:
+    lines = ["| " + " | ".join(header) + " |",
+             "|" + "---|" * len(header)]
+    lines += ["| " + " | ".join(cells) + " |" for cells in rows]
+    return "\n".join(lines)
+
+
 def _table(header: tuple[str, ...], rows, registry: frozenset[str],
            what: str) -> str:
     named = [name for names, *_ in rows for name in names]
-    problems = (
+    _refuse(
         [f"{what} {name!r} has no row" for name in sorted(
             registry - set(named))]
         + [f"row names unknown {what} {name!r}" for name in sorted(
             set(named) - registry)]
         + [f"{what} {name!r} is in two rows" for name in sorted(
             {name for name in named if named.count(name) > 1})])
-    if problems:
-        raise SystemExit("docs/generate_tables.py: " + "; ".join(problems))
-    lines = ["| " + " | ".join(header) + " |",
-             "|" + "---|" * len(header)]
-    for names, *cells in rows:
-        first = " / ".join(f"`{name}`" for name in names)
-        lines.append("| " + " | ".join([first, *cells]) + " |")
-    return "\n".join(lines)
+    return _markdown(header, [
+        [" / ".join(f"`{name}`" for name in names), *cells]
+        for names, *cells in rows])
+
+
+def perf_workloads() -> list[str]:
+    """The workload names ``perf/inputs.py`` declares, in its order."""
+    spec = importlib.util.spec_from_file_location(
+        "perf_inputs", ROOT / "perf" / "inputs.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return list(module.WORKLOADS)
+
+
+def committed_ratios() -> dict[str, tuple[int, float, float, float, str]]:
+    """Workload -> (n, q1, median, q3, src tree) of the untraced
+    ``obs_overhead_x`` in its last seed-0 trajectory entry."""
+    ratios = {}
+    for entry in json.loads(TRAJECTORY.read_text())["trajectory"]:
+        if entry["seed"] != 0:
+            continue
+        for workload, run, metric, _unit, n, q1, median, q3 \
+                in entry["rows"]:
+            if run == "untraced" and metric == "obs_overhead_x":
+                ratios[workload] = (n, q1, median, q3,
+                                    entry["src_tree"][:7])
+    return ratios
+
+
+def watch_budget_table() -> str:
+    workloads = perf_workloads()
+    ratios = committed_ratios()
+    _refuse(
+        [f"workload {name!r} has no watch budget" for name in workloads
+         if name not in WATCH_BUDGETS]
+        + [f"watch budget for unknown workload {name!r}"
+           for name in WATCH_BUDGETS if name not in workloads]
+        + [f"workload {name!r} has no seed-0 obs_overhead_x"
+           for name in workloads if name not in ratios]
+        + [f"workload {name!r}: obs_overhead_x {ratios[name][2]} is over "
+           f"its budget {WATCH_BUDGETS[name]}" for name in workloads
+           if name in ratios and name in WATCH_BUDGETS
+           and ratios[name][2] > WATCH_BUDGETS[name]])
+    rows = []
+    for name in workloads:
+        n, q1, median, q3, tree = ratios[name]
+        rows.append([f"`{name}`", f"{WATCH_BUDGETS[name]:.2f}",
+                     f"{median:.3f}", f"{q1:.3f} - {q3:.3f}", str(n),
+                     f"`{tree}`"])
+    return _markdown(("workload", "budget", "`obs_overhead_x` median",
+                      "q1 - q3", "runs", "`src` tree"), rows)
 
 
 def tables() -> dict[str, str]:
@@ -200,6 +272,7 @@ def tables() -> dict[str, str]:
                         SPAN_NAMES, "span name"),
         "metrics": _table(("metric", "instrument", "labels", "meaning"),
                           METRIC_ROWS, metric_constants(), "metric"),
+        "watch-budget": watch_budget_table(),
     }
 
 

@@ -62,9 +62,9 @@ class PSSClient:
     A plain client adds nothing to its transport's crossing, so it
     opens no span of its own: where a call crosses, the transport's
     span (``syscall.update``, ``vdso.flush`` ...) is the root of its
-    trace.  A score-cache miss is ``vdso.predict`` and, as its leaf,
-    the read's ``predict`` event - two records, no kernel span (a vDSO
-    read never enters the kernel); a hit is that event alone.
+    trace.  A vDSO read, hit or miss, is one record: its ``predict``
+    event, no span (a vDSO read never enters the kernel), which names
+    a refusal in ``detail.outcome``.
     :class:`ResilientClient`, which may cross several times for one
     call, roots them under ``client.*``.
     """

@@ -390,7 +390,7 @@ class DomainHandle:
     #: :meth:`predict` as a vDSO read reaches it - the same checks,
     #: charge and failover without the ``kernel.predict`` span: a read
     #: of the mapped page never enters the kernel (it is charged 4.19
-    #: ns hit or miss), so watched it is its ``vdso.predict`` alone
+    #: ns hit or miss), so watched it is its ``predict`` event alone
     predict_mapped = inspect.unwrap(predict)
 
     def _batch_span(self, feature_rows: Sequence[Sequence[int]]

@@ -56,6 +56,12 @@ _BUFFERED_UP = {"direction": True, "buffered": True}
 _BUFFERED_DOWN = {"direction": False, "buffered": True}
 
 
+def _refused(detail: dict | None, error: Exception) -> dict:
+    """``detail`` of a refused vDSO read's event: ``detail`` plus what
+    refused it as ``outcome``, ``"error:<Type>"`` (a span's status)."""
+    return {**(detail or {}), "outcome": f"error:{type(error).__name__}"}
+
+
 class Transport:
     """Base transport: owns the latency model, account, and fault hooks."""
 
@@ -373,13 +379,16 @@ class VdsoTransport(Transport):
     def predict(self, features: Sequence[int]) -> int:
         """One vDSO read.
 
-        A score-cache hit never leaves the process, so it opens no
-        span: watched, its ``predict{cache: hit}`` event - ``dur_ns``
-        the 4.19 the read was charged - is its one record.  A read that
-        calls the service (a miss, or one that bypasses the cache) is
-        two: ``vdso.predict``, opened from the read's start around that
-        call, and the read's event as its leaf (:meth:`_traced_read`).
-        Which it is depends on the probe, never on ``tracer.enabled``.
+        A read never enters the kernel, so it opens no span, hit or
+        miss: watched, its ``predict`` event - ``dur_ns`` the 4.19 the
+        read was charged, ``detail.cache`` saying which it was - is its
+        one record, emitted when the read settles: a hit once its
+        answer is accounted, a read that calls the service (a miss, or
+        one that bypasses the cache) once that call returns - so what a
+        follower recorded answering it comes first.  A refused read's
+        event names the refusal in ``detail.outcome``
+        (``"error:<Type>"``), then the error is re-raised.  Which it is
+        depends on the probe, never on ``tracer.enabled``.
 
         What the caller already holds is not re-derived: the closed
         test and the key's tuple test are written out, and the version
@@ -390,18 +399,22 @@ class VdsoTransport(Transport):
             self._ensure_open()
         account = self.account
         traced = self._tracer.enabled
-        if traced:
-            start_ns = account.vdso_ns + account.syscall_ns
         vdso_ns = self._latency.vdso_predict_ns
         account.charge_vdso_predict(vdso_ns)
         generation = self._version.value
         key = features if type(features) is tuple else tuple(features)
         injector = self._injector
         if injector is not None and injector.plan.stale_read_rate > 0.0:
-            if traced:
-                return self._traced_read(self._predict_injected, key,
-                                         start_ns, vdso_ns, None, generation)
-            return self._predict_injected(key)
+            if not traced:
+                return self._predict_injected(key)
+            try:
+                score = self._predict_injected(key)
+            except Exception as error:
+                self._trace("predict", vdso_ns, _refused(None, error),
+                            generation)
+                raise
+            self._trace("predict", vdso_ns, None, generation)
+            return score
         cache = self._score_cache
         if generation != self._score_cache_generation:
             if cache:
@@ -411,45 +424,45 @@ class VdsoTransport(Transport):
             score = cache.get(key)
             if score is not None:
                 account.record_cache_hit()
-                if traced:
-                    # _trace, written out: this event is all that
-                    # watching a hit costs.
-                    spans = self._open_spans
-                    self._emit((
-                        self._next_event(),
-                        account.vdso_ns + account.syscall_ns, "predict",
-                        self._obs_domain, self.name, vdso_ns, generation,
-                        _CACHE_HIT, account.shard_label,
-                        spans[-1].span_id if spans else 0))
-                self._cached_recorder(score)
+                if not traced:
+                    self._cached_recorder(score)
+                    return score
+                try:
+                    self._cached_recorder(score)
+                except Exception as error:
+                    self._trace("predict", vdso_ns,
+                                _refused(_CACHE_HIT, error), generation)
+                    raise
+                # _trace, written out: this event is all that watching
+                # a hit costs.
+                spans = self._open_spans
+                self._emit((
+                    self._next_event(), account.vdso_ns + account.syscall_ns,
+                    "predict", self._obs_domain, self.name, vdso_ns,
+                    generation, _CACHE_HIT, account.shard_label,
+                    spans[-1].span_id if spans else 0))
                 return score
         account.record_cache_miss()
         if traced:
-            score = self._traced_read(self._read, key, start_ns,
-                                      vdso_ns, _CACHE_MISS, generation)
+            try:
+                score = self._read(key)
+            except Exception as error:
+                self._trace("predict", vdso_ns,
+                            _refused(_CACHE_MISS, error), generation)
+                raise
+            # _trace, written out, as for a hit: the miss's one record.
+            spans = self._open_spans
+            self._emit((
+                self._next_event(), account.vdso_ns + account.syscall_ns,
+                "predict", self._obs_domain, self.name, vdso_ns,
+                generation, _CACHE_MISS, account.shard_label,
+                spans[-1].span_id if spans else 0))
         else:
             score = self._read(key)
         if len(cache) >= self.SCORE_CACHE_ENTRIES:
             cache.popitem(last=False)
         cache[key] = score
         return score
-
-    def _traced_read(self, read, key: tuple[int, ...], start_ns: float,
-                     vdso_ns: float, detail: dict | None,
-                     generation: int) -> int:
-        """The watched form of a read that leaves the process:
-        ``vdso.predict``, from ``start_ns`` (the account's clock before
-        the read was charged), around the read's ``predict`` event -
-        :meth:`_trace`, written out - and ``read(key)``."""
-        account = self.account
-        with self._tracer.span(
-                self._span_names["predict"], self._obs_domain, self.name,
-                account.shard_label, start_ns, None, self._clock) as span:
-            self._emit((
-                self._next_event(), account.vdso_ns + account.syscall_ns,
-                "predict", self._obs_domain, self.name, vdso_ns,
-                generation, detail, account.shard_label, span.span_id))
-            return read(key)
 
     @spanned(named(Transport._op_span, "predict_batch", rows=True))
     def predict_batch(

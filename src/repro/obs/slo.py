@@ -33,7 +33,8 @@ from typing import Any, Iterable
 
 from repro.obs.trace import NULL_TRACER, TraceEvent, TracerLike
 
-#: operation kinds that count as served requests for error-rate SLOs
+#: operation kinds that count as requests for error-rate SLOs: good
+#: unless the event's ``detail.outcome`` is ``"error:<Type>"``
 OP_KINDS = frozenset({"predict", "predict_batch", "update", "flush",
                       "reset"})
 
@@ -195,7 +196,9 @@ class SLOEngine:
             if event.kind == "fault":
                 return False
             if event.kind in OP_KINDS:
-                return True
+                # a refused vDSO read names its refusal on its event
+                outcome = (event.detail or {}).get("outcome", "")
+                return not str(outcome).startswith("error:")
             return None
         # staleness
         if event.kind not in STALENESS_KINDS:

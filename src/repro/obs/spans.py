@@ -38,14 +38,15 @@ SPAN_NAMES = frozenset({
     # ResilientClient: the root over one call's retry ladder
     "client.predict", "client.predict_batch", "client.update",
     "client.reset", "client.flush",
-    # transports: one boundary crossing.  A vDSO read that hits the
-    # score cache and a buffered vDSO update cross nothing and open none
-    "vdso.predict", "vdso.predict_batch", "vdso.reset", "vdso.flush",
+    # transports: one boundary crossing.  A scalar vDSO read (hit or
+    # miss: it never enters the kernel) and a buffered vDSO update
+    # open none
+    "vdso.predict_batch", "vdso.reset", "vdso.flush",
     "syscall.predict", "syscall.predict_batch", "syscall.update",
     "syscall.reset",
     # the sharded kernel.  A vDSO read never enters it (no
-    # kernel.predict under vdso.predict), a served request's kernel
-    # call opens none, and a charge of one is no kernel.admission
+    # kernel.predict), a served request's kernel call opens none, and
+    # a charge of one is no kernel.admission
     "kernel.predict", "kernel.predict_batch", "kernel.update",
     "kernel.update_batch", "kernel.admission", "kernel.failover",
     "plan.execute",

@@ -125,9 +125,9 @@ class TestChaosInvariant:
     def test_reference_schedule_span_trees_carry_one_shard_label(self):
         """CI's traced chaos run: clients opened before the 2 -> 4 -> 3
         reshards keep crossing into domains that moved, and a
-        ``vdso.predict`` must not enclose a ``kernel.predict`` filed
-        under another shard (255 such pairs before placement became
-        one fact)."""
+        transport span (a flush's ``vdso.flush``, a ``syscall.*``) must
+        not enclose a kernel span filed under another shard (255 such
+        pairs before placement became one fact)."""
         tracer = Tracer()
         run_chaos(seed=42, replicas=2, reshard_schedule=dict(SCHEDULE),
                   tracer=tracer)

@@ -35,10 +35,11 @@ PINNED = {
     # the same transport frames with record_cache_miss, then
     # predict_mapped, _admit_predict, charge_predict, Domain.predict,
     # the model's predict -> dot -> _flat_indices -> gather and
-    # record_prediction; watched adds _traced_read and its span (span,
-    # __enter__, __exit__, the account's clock), and the event is
-    # appended through ``emit`` (its ``Tracer.record`` frame went)
-    "miss": (14, 19),
+    # record_prediction; watched adds none: the miss opens no span (the
+    # five frames of ``_traced_read`` and its ``vdso.predict`` - span,
+    # __enter__, __exit__, the account's clock - went), and its event
+    # is appended through ``emit`` once the read returns
+    "miss": (14, 14),
     # client.update, VdsoTransport.update: one append; watched adds
     # none (the event's ``Tracer.record`` frame went)
     "update": (2, 2),

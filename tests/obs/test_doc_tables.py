@@ -1,10 +1,13 @@
 """docs/OBSERVABILITY.md's event, span and metric tables are the ones
-``docs/generate_tables.py`` prints from the registries.
+``docs/generate_tables.py`` prints from the registries, and its
+watch-budget table the one it prints from ``BENCH_trajectory.json``.
 
 The generator refuses a registry name without a row and a row naming
 something no registry holds, so a kind, span or metric cannot be added,
 renamed or retired without the table changing; this test then fails
-until ``docs/generate_tables.py --write`` has been run.
+until ``docs/generate_tables.py --write`` has been run.  It refuses a
+``perf/`` workload whose committed ``obs_overhead_x`` is over its watch
+budget the same way, so this test fails while one is.
 """
 
 import importlib.util
@@ -42,4 +45,12 @@ def test_a_row_for_a_retired_name_is_refused(generator, monkeypatch):
     monkeypatch.setattr(generator, "EVENT_KINDS",
                         generator.EVENT_KINDS - {"request"})
     with pytest.raises(SystemExit, match="unknown event kind 'request'"):
+        generator.tables()
+
+
+def test_a_ratio_over_its_watch_budget_is_refused(generator, monkeypatch):
+    monkeypatch.setitem(generator.WATCH_BUDGETS, "sync_churn", 1.0)
+    with pytest.raises(SystemExit,
+                       match="'sync_churn': obs_overhead_x .* over its "
+                             "budget 1.0"):
         generator.tables()

@@ -281,7 +281,8 @@ class TestCliGlue:
         path = tmp_path / "trace.json"
         session = session_for(["--trace", str(path)])
         service = PredictionService(tracer=session.tracer)
-        client = service.connect("d", config=PSSConfig(**CONFIG_KW))
+        client = service.connect("d", config=PSSConfig(**CONFIG_KW),
+                                 transport="syscall")
         client.predict(FEATURES)
         summary = session.finish()
         spans_path = tmp_path / "trace.json.spans.jsonl"
@@ -289,7 +290,7 @@ class TestCliGlue:
         assert "spans ->" in summary
         parsed = [Span.from_dict(json.loads(line))
                   for line in spans_path.read_text().splitlines()]
-        assert any(span.name == "vdso.predict" for span in parsed)
+        assert any(span.name == "syscall.predict" for span in parsed)
 
     def test_slo_flag_enables_tracing_and_health_table(self):
         session = session_for(["--slo"])

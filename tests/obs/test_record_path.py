@@ -251,9 +251,9 @@ class TestAgainstReferenceModel:
 #: field the parent's once ids are renumbered (the ``ts_ns`` of the
 #: four clockless ``plan.*`` events is the tracer's record count).
 PINNED = {
-    "events.jsonl": 2923721430,
-    "spans.jsonl": 1032189279,
-    "chrome.json": 2519724754,
+    "events.jsonl": 2280142613,
+    "spans.jsonl": 622950946,
+    "chrome.json": 646282608,
 }
 
 CONFIG = PSSConfig(num_features=4)
@@ -340,8 +340,9 @@ class TestPinnedExports:
             if event.kind == "predict" and event.transport == "vdso"}
         names = {span.name for span in tracer.spans()}
         assert not any(name.startswith("client.") for name in names)
-        assert "vdso.update" not in names   # buffering opens no span
-        assert {"vdso.predict", "vdso.flush", "kernel.update_batch",
+        # buffering and a scalar read, hit or miss, open no span
+        assert not {"vdso.update", "vdso.predict"} & names
+        assert {"vdso.flush", "kernel.update_batch",
                 "syscall.update", "kernel.update",
                 "syscall.predict_batch", "plan.execute",
                 "serve.dispatch"} <= names

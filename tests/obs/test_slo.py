@@ -64,6 +64,21 @@ class TestClassification:
         verdict, = engine.evaluate()
         assert (verdict.good, verdict.bad) == (2, 1)
 
+    def test_error_slo_counts_a_refused_op_bad(self):
+        """A refused vDSO read is its one event, naming the refusal in
+        ``detail.outcome``: that op is bad, whatever served it."""
+        engine = SLOEngine([SLO("err", "error", objective=0.5)])
+        engine.consume([
+            event("predict", 1.0, detail={"cache": "hit"}),
+            event("predict", 2.0, detail={
+                "cache": "miss", "outcome": "error:QuotaExceededError"}),
+            event("predict", 3.0, detail={
+                "cache": "miss", "outcome": "error:ShardDownError"}),
+            event("predict", 4.0, detail={"outcome": "ok"}),
+        ])
+        verdict, = engine.evaluate()
+        assert (verdict.good, verdict.bad) == (2, 2)
+
     def test_staleness_slo_uses_failover_lag(self):
         engine = SLOEngine([SLO("stale", "staleness", max_lag=2)])
         engine.consume([

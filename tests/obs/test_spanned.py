@@ -171,9 +171,12 @@ class TestInstrumentedStack:
                                  resilience=ResilienceConfig())
         assert isinstance(client, ResilientClient)
         client.predict(ROW)
-        assert span_names(tracer).count("client.predict") == 1
-        # the miss never enters the kernel: no kernel.predict under it
-        assert span_names(tracer) == ["vdso.predict", "client.predict"]
+        # the miss opens no span of its own and never enters the
+        # kernel: its event is the leaf of client.predict
+        assert span_names(tracer) == ["client.predict"]
+        read, = [event for event in tracer.events()
+                 if event.kind == "predict"]
+        assert read.span_id == tracer.spans()[0].span_id
 
     def test_vdso_flush_spans_only_a_buffered_batch(self):
         tracer = Tracer()
