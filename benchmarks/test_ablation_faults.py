@@ -16,7 +16,8 @@ behaviour.  The assertions pin three properties:
   ``tests/core/test_faults.py::TestInjectorDeterminism``).
 """
 
-from repro.core import FaultPlan, PredictionService
+from repro.core import PredictionService
+from repro.core.faults import FaultPlan
 from repro.htm import pss_builder, run_workload, vanilla_builder
 from repro.htm.stamp import get_profile
 from repro.jit.polybench import KERNELS

@@ -36,13 +36,15 @@ TRAJECTORY = ROOT / "BENCH_trajectory.json"
 
 #: the observed twin's budget per ``perf/`` workload: the most its
 #: watched run may cost, as a multiple of its plain run
-#: (``obs_overhead_x``)
+#: (``obs_overhead_x``).  Each is the median of the workload's seed-0
+#: entry for ``src`` tree ``6efc139`` plus 10 %, capped at 1.5: a
+#: change that makes watching dearer than that has to say so here.
 WATCH_BUDGETS = {
-    "sync_hot": 1.5,
-    "sync_churn": 1.5,
-    "batch_cold": 1.5,
-    "serve_scalar": 1.5,
-    "serve_batched": 1.5,
+    "sync_hot": 1.50,      # 1.374
+    "sync_churn": 1.42,    # 1.294
+    "batch_cold": 1.16,    # 1.058
+    "serve_scalar": 1.42,  # 1.291
+    "serve_batched": 1.45,  # 1.320
 }
 
 #: (kinds, emitted by, when) - one row per group of kinds

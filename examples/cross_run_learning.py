@@ -12,11 +12,8 @@ Run: python examples/cross_run_learning.py
 import tempfile
 from pathlib import Path
 
-from repro.core import (
-    PredictionService,
-    load_service,
-    save_service,
-)
+from repro.core import PredictionService
+from repro.core.persistence import load_service, save_service
 from repro.htm import pss_builder, run_workload, lock_only_builder
 from repro.htm.stamp import get_profile
 

@@ -28,7 +28,8 @@ from repro.core import PredictionService
 from repro.core.config import PSSConfig
 from repro.core.errors import ShardDownError
 from repro.core.faults import FaultInjector, FaultPlan
-from repro.core.kernel import ReplicaPromoter, ShardedCheckpointManager
+from repro.core.kernel.checkpoint import ShardedCheckpointManager
+from repro.core.kernel.replica import ReplicaPromoter
 from repro.core.models import create_model
 from repro.sim.rng import RngStreams
 

@@ -8,12 +8,18 @@ Public surface:
   configuration.
 * :class:`HashedPerceptron` and the model registry - prediction backends.
 * Feature helpers (:func:`round_to_msf`, :class:`HistoryRegister`, ...).
-* Policy (:class:`ClientIdentity`, :class:`DomainPolicy`) and persistence
-  (:func:`save_service`, :func:`load_service`).
+* Policy (:class:`ClientIdentity`, :class:`DomainPolicy`).
 * The sharded kernel (:mod:`repro.core.kernel`):
-  :class:`ShardedService`, :class:`AdmissionController` with
-  :class:`TenantQuota` budgets, and the per-shard
-  :class:`ShardedCheckpointManager`.
+  :class:`ShardedService` and :class:`AdmissionController` with
+  :class:`TenantQuota` budgets.
+
+This package exports what a request runs through.  The subsystems a
+request never touches are imported from their own modules: fault
+injection (:mod:`repro.core.faults`), persistence
+(:mod:`repro.core.persistence`: ``save_service`` / ``load_service``),
+per-shard checkpoints (:mod:`repro.core.kernel.checkpoint`), live
+resharding (:mod:`repro.core.kernel.migrate`) and follower replicas
+(:mod:`repro.core.kernel.replica`).
 """
 
 from repro.core.client import CircuitBreaker, PSSClient, ResilientClient
@@ -40,7 +46,6 @@ from repro.core.errors import (
     TransportError,
     TransportFault,
 )
-from repro.core.faults import FaultInjector, FaultPlan, FaultStats
 from repro.core.features import (
     FeatureVector,
     HistoryRegister,
@@ -53,9 +58,7 @@ from repro.core.features import (
 from repro.core.kernel import (
     AdmissionController,
     Shard,
-    ShardedCheckpointManager,
     ShardedService,
-    ShardView,
     TenantQuota,
     TenantUsage,
 )
@@ -72,12 +75,6 @@ from repro.core.plans import (
     SpecializedPlan,
     compile_plan,
     plan_signature,
-)
-from repro.core.persistence import (
-    load_service,
-    restore_service,
-    save_service,
-    snapshot_service,
 )
 from repro.core.policy import (
     ClientIdentity,
@@ -125,14 +122,9 @@ __all__ = [
     "TransportFault",
     "AdmissionController",
     "Shard",
-    "ShardedCheckpointManager",
     "ShardedService",
-    "ShardView",
     "TenantQuota",
     "TenantUsage",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultStats",
     "FeatureVector",
     "HistoryRegister",
     "embed_category",
@@ -150,10 +142,6 @@ __all__ = [
     "SpecializedPlan",
     "compile_plan",
     "plan_signature",
-    "load_service",
-    "restore_service",
-    "save_service",
-    "snapshot_service",
     "ClientIdentity",
     "DomainPolicy",
     "SharingMode",

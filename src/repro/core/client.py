@@ -26,7 +26,6 @@ from repro.core.errors import (
     RequestShedError,
     TransportFault,
 )
-from repro.core.faults import FaultInjector
 from repro.core.features import canonical_features
 from repro.core.serving.future import CompletionFuture
 from repro.core.service import DomainHandle
@@ -36,6 +35,7 @@ from repro.obs.spanned import named, spanned
 from repro.obs.trace import NULL_TRACER, SpanHandleLike
 
 if TYPE_CHECKING:
+    from repro.core.faults import FaultInjector
     from repro.core.serving.pipeline import ServingPipeline
 
 #: a static fallback: a fixed score, or a pure function of the features
@@ -93,6 +93,11 @@ class PSSClient:
     def latency(self) -> LatencyAccount:
         """Simulated boundary-crossing time charged so far."""
         return self._transport.account
+
+    @property
+    def latency_model(self) -> LatencyModel:
+        """The per-crossing costs the transport charges."""
+        return self._transport._latency
 
     @property
     def pending_updates(self) -> int:

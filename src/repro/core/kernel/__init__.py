@@ -18,10 +18,11 @@ Layer diagram (see ``docs/ARCHITECTURE.md``)::
           PSSClient / ResilientClient
 
 :data:`~repro.core.service.PredictionService` is the paper-shaped
-alias of :class:`ShardedService`.  Recovery paths:
-:class:`ShardedCheckpointManager` (per-shard snapshots + manifest) and
-:class:`ReplicaPromoter` (zero-downtime promotion of a crashed shard
-from its freshest followers).
+alias of :class:`ShardedService`.  This package exports the request
+path; live resharding (:mod:`.migrate`), follower replicas and
+promotion (:mod:`.replica`) and per-shard checkpoints
+(:mod:`.checkpoint`: :class:`~.checkpoint.ShardedCheckpointManager`)
+are imported from their own modules, by the code that uses them.
 """
 
 from repro.core.kernel.admission import (
@@ -30,21 +31,7 @@ from repro.core.kernel.admission import (
     TenantUsage,
     UNLIMITED,
 )
-from repro.core.kernel.checkpoint import (
-    MANIFEST_NAME,
-    RecoveryResult,
-    ShardView,
-    ShardedCheckpointManager,
-    shard_file_name,
-)
 from repro.core.kernel.domain import Domain, DomainHandle
-from repro.core.kernel.migrate import MigrationReport, SlotMigrator
-from repro.core.kernel.replica import (
-    FollowerDomain,
-    PromotionReport,
-    ReplicaPromoter,
-    ShardReplica,
-)
 from repro.core.kernel.service import ShardedService
 from repro.core.kernel.shard import Shard
 from repro.core.kernel.sharding import (
@@ -58,19 +45,8 @@ __all__ = [
     "TenantQuota",
     "TenantUsage",
     "UNLIMITED",
-    "MANIFEST_NAME",
-    "RecoveryResult",
-    "ShardView",
-    "ShardedCheckpointManager",
-    "shard_file_name",
     "Domain",
     "DomainHandle",
-    "MigrationReport",
-    "SlotMigrator",
-    "FollowerDomain",
-    "PromotionReport",
-    "ReplicaPromoter",
-    "ShardReplica",
     "ShardedService",
     "Shard",
     "DEFAULT_SLOTS",

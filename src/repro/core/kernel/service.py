@@ -35,10 +35,9 @@ from repro.core.errors import (
 )
 from repro.core.kernel.admission import AdmissionController
 from repro.core.kernel.domain import Domain, DomainHandle
-from repro.core.kernel.migrate import MigrationReport, SlotMigrator
 from repro.core.kernel.shard import Shard
 from repro.core.kernel.sharding import SlotRing
-from repro.core.models import create_model, ensure_builtin_models
+from repro.core.models import create_model
 from repro.core.plans import PlanCompiler, plan_signature
 from repro.core.policy import (
     REMOVED,
@@ -62,6 +61,7 @@ from repro.obs.trace import NULL_TRACER, SpanHandleLike, TracerLike
 if TYPE_CHECKING:
     from repro.core.client import Fallback, PSSClient
     from repro.core.faults import FaultInjector, FaultPlan
+    from repro.core.kernel.migrate import MigrationReport, SlotMigrator
 
 
 class ShardedService:
@@ -82,7 +82,6 @@ class ShardedService:
                  num_shards: int = 1,
                  admission: AdmissionController | None = None,
                  num_replicas: int = 0) -> None:
-        ensure_builtin_models()
         self.config = config or ServiceConfig()
         self.tracer: TracerLike = (tracer if tracer is not None
                                    else NULL_TRACER)
@@ -149,6 +148,8 @@ class ShardedService:
         service fully live (and routing consistent) in between.  At
         most one migration may be active at a time.
         """
+        from repro.core.kernel.migrate import SlotMigrator
+
         if self._active_migration is not None \
                 and not self._active_migration.done:
             raise DomainError(
@@ -370,7 +371,6 @@ class ShardedService:
         """
         # Local import: client builds on service, not the other way around.
         from repro.core.client import PSSClient, ResilientClient
-        from repro.core.faults import FaultInjector, FaultPlan
 
         handle = self.handle(name, identity, config, model)
         effective_batch = (batch_size if batch_size is not None
@@ -403,6 +403,8 @@ class ShardedService:
                 metrics=self.metrics,
             )
         if fault_plan is not None:
+            from repro.core.faults import FaultInjector, FaultPlan
+
             injector = (fault_plan if isinstance(fault_plan, FaultInjector)
                         else FaultInjector(FaultPlan(**fault_plan)
                                            if isinstance(fault_plan, dict)

@@ -19,9 +19,10 @@ domain while writes refuse with :class:`~repro.core.errors
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.core.errors import ShardDownError
 from repro.core.kernel.domain import Domain
-from repro.core.kernel.replica import ShardReplica
 from repro.core.stats import LatencyAccount, PredictionStats
 from repro.obs.metrics import (
     FAILOVER_PREDICTIONS_TOTAL,
@@ -29,6 +30,9 @@ from repro.obs.metrics import (
 )
 from repro.obs.spanned import spanned
 from repro.obs.trace import NULL_TRACER, SpanHandleLike, TracerLike
+
+if TYPE_CHECKING:
+    from repro.core.kernel.replica import ShardReplica
 
 
 class Shard:
@@ -54,10 +58,14 @@ class Shard:
         #: was destroyed, reads fail over to replicas, writes refuse
         self.down = False
         #: read-only follower replicas of this shard's domains
-        self.replicas = [
-            ShardReplica(shard_id, replica_id)
-            for replica_id in range(num_replicas)
-        ]
+        self.replicas: list[ShardReplica] = []
+        if num_replicas > 0:
+            from repro.core.kernel.replica import ShardReplica
+
+            self.replicas = [
+                ShardReplica(shard_id, replica_id)
+                for replica_id in range(num_replicas)
+            ]
         #: predictions served by followers while the primary was down
         self.failover_predictions = 0
         self._failover_cursor = 0

@@ -153,15 +153,28 @@ class PredictorModel:
 
 ModelFactory = Callable[[PSSConfig], PredictorModel]
 
-_MODEL_REGISTRY: dict[str, ModelFactory] = {}
+
+def _perceptron(config: PSSConfig) -> PredictorModel:
+    # Imported here: the perceptron module builds on this contract.
+    from repro.core.perceptron import HashedPerceptron
+
+    return HashedPerceptron(config)
+
+
+#: the default model is registered from the start; the rest of the
+#: built-in set joins the first time a name is asked for that is not
+#: registered yet (:func:`ensure_builtin_models`)
+_MODEL_REGISTRY: dict[str, ModelFactory] = {"perceptron": _perceptron}
 
 
 def register_model(name: str, factory: ModelFactory) -> None:
     """Register a model factory under ``name``.
 
     Raises:
-        ModelError: if ``name`` is already registered.
+        ModelError: if ``name`` is already registered, built-ins included.
     """
+    if name not in _MODEL_REGISTRY:
+        ensure_builtin_models()
     if name in _MODEL_REGISTRY:
         raise ModelError(f"model {name!r} is already registered")
     _MODEL_REGISTRY[name] = factory
@@ -169,11 +182,12 @@ def register_model(name: str, factory: ModelFactory) -> None:
 
 def create_model(name: str, config: PSSConfig) -> PredictorModel:
     """Instantiate the registered model ``name`` with ``config``."""
-    ensure_builtin_models()
+    if name not in _MODEL_REGISTRY:
+        ensure_builtin_models()
     try:
         factory = _MODEL_REGISTRY[name]
     except KeyError:
-        known = ", ".join(sorted(_MODEL_REGISTRY)) or "<none>"
+        known = ", ".join(sorted(_MODEL_REGISTRY))
         raise ModelError(
             f"unknown model {name!r}; registered models: {known}"
         ) from None
@@ -188,13 +202,11 @@ def registered_models() -> tuple[str, ...]:
 
 def ensure_builtin_models() -> None:
     """Idempotently register the built-in model set."""
-    # Imported here so the contract stays dependency-light, and the
-    # ablation models stay out of ``import repro.core``.
-    from repro.core import perceptron
+    # Imported here so the ablation models stay out of a process that
+    # only ever asks for the perceptron.
     from repro.models_extra import alt_models
 
     builtin: dict[str, ModelFactory] = {
-        "perceptron": perceptron.HashedPerceptron,
         "linear": alt_models.OnlineLinearModel,
         "naive-bayes": alt_models.NaiveBayesModel,
         "stumps": alt_models.DecisionStumpEnsemble,

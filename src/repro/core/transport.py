@@ -33,13 +33,13 @@ from repro.core.errors import (
     TransportError,
     TransportFault,
 )
-from repro.core.faults import FaultInjector
 from repro.core.features import canonical_features
 from repro.core.stats import LatencyAccount
 from repro.obs.spanned import named, spanned
 from repro.obs.trace import NULL_TRACER, SpanHandleLike
 
 if TYPE_CHECKING:
+    from repro.core.faults import FaultInjector
     from repro.core.kernel.domain import DomainHandle
 
 #: the operations a transport opens a span around

@@ -293,11 +293,16 @@ class PSSElision(ElisionPolicy):
         return self._states[key]
 
     def _predict_cost_ns(self) -> float:
-        model = self.client.latency
-        # Charge mean per-call cost for whichever transport is in use.
+        account = self.client.latency
+        # Charge mean per-call cost for whichever transport is in use;
+        # before the first call, the cost model's figure.
         if self.client.transport_name == "vdso":
-            return 4.19 if not model.vdso_calls else model.mean_vdso_ns
-        return 68.0 if not model.syscalls else model.mean_syscall_ns
+            if account.vdso_calls:
+                return account.mean_vdso_ns
+            return self.client.latency_model.vdso_predict_ns
+        if account.syscalls:
+            return account.mean_syscall_ns
+        return self.client.latency_model.syscall_ns
 
     def critical_section(self, thread_id, section_id, lock, shape):
         state = self._state(thread_id, section_id)

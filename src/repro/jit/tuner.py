@@ -150,10 +150,11 @@ class PSSTuner:
 
     def _consult_overhead_ns(self, decisions: int) -> float:
         """Application-side time spent consulting the service."""
+        latency = self.client.latency_model
         if self.client.transport_name == "syscall":
-            per_call = 68.0 + self._footprint_ns
+            per_call = latency.syscall_ns + self._footprint_ns
         else:
-            per_call = 4.19
+            per_call = latency.vdso_predict_ns
         return decisions * per_call
 
     def run(self, program, iterations: int) -> TunerReport:

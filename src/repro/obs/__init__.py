@@ -2,43 +2,27 @@
 
 White-box instrumentation (PRETZEL-style): a bounded structured event
 tracer with causal request spans, a metrics registry with log-bucketed
-latency histograms, declarative SLOs with multi-window error-budget
-burn rates, an always-on flight recorder dumping CRC-checked
-post-mortem bundles, and exporters for JSONL, Chrome trace-event JSON
-(Perfetto, with nested spans and cross-shard flow arrows), and
-Prometheus text.  See ``docs/OBSERVABILITY.md`` for the event schema,
-the span tree, and a post-mortem walkthrough.
+latency histograms, and declarative SLOs with multi-window error-budget
+burn rates.  This package exports what a request runs through; the
+subsystems a request never touches are imported from their own
+modules: exporters for JSONL, Chrome trace-event JSON and Prometheus
+text (:mod:`repro.obs.exporters`), the flight recorder and its
+CRC-checked post-mortem bundles (:mod:`repro.obs.flightrec`), their
+renderer (:mod:`repro.obs.postmortem`) and the CLI's
+:class:`~repro.obs.session.ObsSession`.  See ``docs/OBSERVABILITY.md``
+for the event schema, the span tree, and a post-mortem walkthrough.
 
 Everything is opt-in: components default to :data:`NULL_TRACER` and no
 registry, so the disabled hot path pays a single attribute or ``None``
 check and allocates nothing.
 """
 
-from repro.obs.exporters import (
-    chrome_trace,
-    prometheus_text,
-    validate_chrome_trace,
-    write_chrome_trace,
-    write_jsonl,
-)
-from repro.obs.flightrec import (
-    BUNDLE_SCHEMA,
-    TRIGGER_KINDS,
-    FlightRecorder,
-    load_bundle,
-)
 from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.postmortem import (
-    critical_paths,
-    render_bundle,
-    render_tree,
-)
-from repro.obs.session import ObsSession, histogram_summary
 from repro.obs.slo import (
     SLO,
     SLOEngine,
@@ -81,18 +65,4 @@ __all__ = [
     "SLOEngine",
     "SLOVerdict",
     "default_slos",
-    "BUNDLE_SCHEMA",
-    "TRIGGER_KINDS",
-    "FlightRecorder",
-    "load_bundle",
-    "critical_paths",
-    "render_bundle",
-    "render_tree",
-    "ObsSession",
-    "histogram_summary",
-    "chrome_trace",
-    "prometheus_text",
-    "validate_chrome_trace",
-    "write_chrome_trace",
-    "write_jsonl",
 ]

@@ -1,8 +1,10 @@
 """Deterministic discrete-event simulation substrate.
 
-Provides the engine (simulated nanosecond clock + event queue), generator
-processes, synchronization resources, and named seeded RNG streams used by
-the HTM and memory-management scenarios.
+Provides the engine (simulated nanosecond clock + event queue) and
+generator processes, which the serving pipeline runs on.  The HTM and
+memory-management scenarios also import the synchronization resources
+(:mod:`repro.sim.resources`) and the named seeded RNG streams
+(:mod:`repro.sim.rng`) from their own modules.
 """
 
 from repro.sim.engine import Engine, SimulationError
@@ -12,8 +14,6 @@ from repro.sim.process import (
     Wait,
     spawn,
 )
-from repro.sim.resources import SimMutex, SimSemaphore
-from repro.sim.rng import RngStreams
 
 __all__ = [
     "Engine",
@@ -22,7 +22,4 @@ __all__ = [
     "SimEvent",
     "Wait",
     "spawn",
-    "SimMutex",
-    "SimSemaphore",
-    "RngStreams",
 ]

@@ -38,8 +38,9 @@ from repro.core.errors import (
     QuotaExceededError,
     ShardDownError,
 )
-from repro.core.kernel import ReplicaPromoter, ShardedCheckpointManager
 from repro.core.kernel.admission import AdmissionController, TenantQuota
+from repro.core.kernel.checkpoint import ShardedCheckpointManager
+from repro.core.kernel.replica import ReplicaPromoter
 from repro.core.policy import ClientIdentity
 from repro.core.plans import plan_signature
 from repro.core.weights import WeightMatrix

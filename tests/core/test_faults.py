@@ -2,13 +2,9 @@
 
 import pytest
 
-from repro.core import (
-    FaultInjector,
-    FaultPlan,
-    LatencyModel,
-    TransportFault,
-)
+from repro.core import LatencyModel, TransportFault
 from repro.core.errors import ConfigError
+from repro.core.faults import FaultInjector, FaultPlan
 from repro.core.transport import SyscallTransport, VdsoTransport
 from tests.core.fake_handle import FakeHandle
 

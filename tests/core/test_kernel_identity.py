@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import PredictionService, PSSConfig
-from repro.core.kernel import ShardedCheckpointManager
+from repro.core.kernel.checkpoint import ShardedCheckpointManager
 from repro.core.persistence import snapshot_service
 
 from tests.core.reference_impl import ReferenceService

@@ -28,8 +28,8 @@ from repro.core.errors import (
     QuotaExceededError,
     ShardDownError,
 )
-from repro.core.kernel import ReplicaPromoter
 from repro.core.kernel.admission import AdmissionController, TenantQuota
+from repro.core.kernel.replica import ReplicaPromoter
 from repro.core.kernel.service import ShardedService
 from repro.core.policy import ClientIdentity
 from repro.core.serving import ServingConfig, ServingPipeline

@@ -4,15 +4,14 @@ import json
 
 import pytest
 
-from repro.core import (
-    PredictionService,
-    PSSConfig,
+from repro.core import PredictionService, PSSConfig
+from repro.core.errors import PersistenceError
+from repro.core.persistence import (
     load_service,
     restore_service,
     save_service,
     snapshot_service,
 )
-from repro.core.errors import PersistenceError
 
 
 def trained_service():

@@ -8,16 +8,15 @@ import json
 
 import pytest
 
-from repro.core import (
-    FaultInjector,
-    FaultPlan,
-    PredictionService,
-    PSSConfig,
-    ShardedCheckpointManager,
-    snapshot_service,
-)
+from repro.core import PredictionService, PSSConfig
 from repro.core.errors import PersistenceError
-from repro.core.kernel.checkpoint import MANIFEST_NAME, shard_file_name
+from repro.core.faults import FaultInjector, FaultPlan
+from repro.core.kernel.checkpoint import (
+    MANIFEST_NAME,
+    ShardedCheckpointManager,
+    shard_file_name,
+)
+from repro.core.persistence import snapshot_service
 
 SHARD_FILE = shard_file_name(0)
 

@@ -18,10 +18,8 @@ from repro.core.errors import (
     TransportFault,
 )
 from repro.core.faults import FaultInjector, FaultPlan
-from repro.core.kernel import (
-    ReplicaPromoter,
-    ShardedCheckpointManager,
-)
+from repro.core.kernel.checkpoint import ShardedCheckpointManager
+from repro.core.kernel.replica import ReplicaPromoter
 from repro.core.persistence import (
     load_service,
     save_service,

@@ -11,7 +11,8 @@ import pytest
 from repro.core import PredictionService, PSSConfig
 from repro.core.errors import DomainError
 from repro.core.faults import FaultInjector, FaultPlan
-from repro.core.kernel import ReplicaPromoter, ShardedCheckpointManager
+from repro.core.kernel.checkpoint import ShardedCheckpointManager
+from repro.core.kernel.replica import ReplicaPromoter
 from repro.core.persistence import snapshot_service
 from repro.core.serving import ServingConfig, ServingPipeline
 from repro.obs import MetricsRegistry, Tracer

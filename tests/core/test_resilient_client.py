@@ -3,8 +3,6 @@
 import pytest
 
 from repro.core import (
-    FaultInjector,
-    FaultPlan,
     PredictionService,
     PSSConfig,
     ResilienceConfig,
@@ -13,6 +11,7 @@ from repro.core import (
 )
 from repro.core.client import CircuitBreaker
 from repro.core.errors import ConfigError
+from repro.core.faults import FaultInjector, FaultPlan
 from repro.core.kernel.admission import AdmissionController, TenantQuota
 from repro.core.policy import ClientIdentity
 

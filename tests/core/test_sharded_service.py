@@ -14,8 +14,11 @@ from repro.core import (
 )
 from repro.core.errors import DomainError
 from repro.core.faults import FaultInjector, FaultPlan
-from repro.core.kernel import ShardedCheckpointManager, SlotRing
-from repro.core.kernel.checkpoint import shard_file_name
+from repro.core.kernel import SlotRing
+from repro.core.kernel.checkpoint import (
+    ShardedCheckpointManager,
+    shard_file_name,
+)
 from repro.core.persistence import snapshot_service
 from repro.obs import Tracer
 

@@ -23,8 +23,8 @@ from repro.core.errors import (
     TransportFault,
 )
 from repro.core.faults import FaultInjector, FaultPlan
-from repro.core.kernel import ReplicaPromoter
 from repro.core.kernel.admission import AdmissionController, TenantQuota
+from repro.core.kernel.replica import ReplicaPromoter
 from repro.core.models import PredictorModel
 from repro.core.perceptron import HashedPerceptron
 from repro.core.policy import ClientIdentity

@@ -1,6 +1,6 @@
 """Tests for the lock-elision policies."""
 
-from repro.core import PredictionService, PSSConfig
+from repro.core import LatencyModel, PredictionService, PSSConfig, ServiceConfig
 from repro.htm.elision import (
     FixedRetryElision,
     LockOnlyPolicy,
@@ -149,6 +149,24 @@ class TestPSSElision:
         policy, service = self.make_policy(machine)
         run_sections(engine, policy, lock, [(0, 0, shape(writes=[1]))])
         assert service.domain("hle").stats.updates >= 1
+
+    def test_cold_cost_is_the_services_latency_model(self):
+        """Before its first call the policy charges what the service's
+        cost model says a crossing costs, on either transport."""
+        paper = LatencyModel()
+        slow = LatencyModel(vdso_predict_ns=paper.vdso_predict_ns * 16,
+                            syscall_ns=paper.syscall_ns * 16)
+        for transport in ("vdso", "syscall"):
+            costs = []
+            for latency in (paper, slow):
+                service = PredictionService(
+                    config=ServiceConfig(latency=latency))
+                client = service.connect(
+                    "hle", config=PSSConfig(num_features=2),
+                    transport=transport)
+                _, machine, _ = make_world()
+                costs.append(PSSElision(machine, client)._predict_cost_ns())
+            assert costs[1] == 16 * costs[0], transport
 
     def test_per_thread_section_state_isolated(self):
         engine, machine, lock = make_world()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import PredictionService
+from repro.core import LatencyModel, PredictionService, ServiceConfig
 from repro.jit.macro import MACROBENCHMARKS, MacroWorkload, aiohttp
 from repro.jit.params import DEFAULT_LADDER_INDEX, LADDER
 from repro.jit.polybench import KERNELS, build_kernel
@@ -84,6 +84,20 @@ class TestPSSTuner:
         tuner = PSSTuner(transport="syscall")
         tuner.run(build_kernel("gemm"), 5)
         assert tuner.client.latency.syscalls > 0
+
+    def test_consult_overhead_is_the_services_latency_model(self):
+        """The consult charge reads the service's cost model, here the
+        paper's and one 16 times slower."""
+        paper = LatencyModel()
+        slow = LatencyModel(vdso_predict_ns=paper.vdso_predict_ns * 16,
+                            syscall_ns=paper.syscall_ns * 16)
+        for latency in (paper, slow):
+            service = PredictionService(config=ServiceConfig(latency=latency))
+            vdso = PSSTuner(service=service)
+            syscall = PSSTuner(service=service, transport="syscall")
+            assert vdso._consult_overhead_ns(3) == 3 * latency.vdso_predict_ns
+            assert syscall._consult_overhead_ns(1) == (
+                latency.syscall_ns + syscall._footprint_ns)
 
     def test_syscall_overhead_visible_per_decision(self):
         quiet = PSSTuner(transport="vdso", consult_per_decision=True)

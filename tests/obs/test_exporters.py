@@ -4,9 +4,8 @@ import json
 
 import pytest
 
-from repro.obs import (
-    MetricsRegistry,
-    Tracer,
+from repro.obs import MetricsRegistry, Tracer
+from repro.obs.exporters import (
     chrome_trace,
     prometheus_text,
     validate_chrome_trace,

@@ -7,17 +7,16 @@ import pytest
 from repro.core.config import PSSConfig
 from repro.core.kernel.service import ShardedService
 from repro.core.serving import ServingConfig, ServingPipeline
-from repro.obs import (
+from repro.obs import MetricsRegistry, Tracer
+from repro.obs.exporters import write_jsonl
+from repro.obs.flightrec import (
     BUNDLE_SCHEMA,
     TRIGGER_KINDS,
     FlightRecorder,
-    MetricsRegistry,
-    Tracer,
     load_bundle,
-    render_bundle,
 )
-from repro.obs.exporters import write_jsonl
 from repro.obs.postmortem import main as postmortem_main
+from repro.obs.postmortem import render_bundle
 
 
 def recorder(tmp_path, **kwargs):

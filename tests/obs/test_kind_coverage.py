@@ -22,16 +22,14 @@ from repro.bench.experiments.chaos import (
     parse_reshard_schedule,
     run_chaos,
 )
-from repro.core import (
-    FaultPlan,
-    PredictionService,
-    PSSConfig,
-    ResilienceConfig,
-)
+from repro.core import PredictionService, PSSConfig, ResilienceConfig
+from repro.core.faults import FaultPlan
 from repro.core.kernel.admission import AdmissionController
+from repro.core.kernel.checkpoint import (
+    ShardedCheckpointManager,
+    shard_file_name,
+)
 from repro.core.kernel.service import ShardedService
-from repro.core.kernel import ShardedCheckpointManager
-from repro.core.kernel.checkpoint import shard_file_name
 from repro.core.serving import ServingConfig, ServingPipeline
 from repro.obs import (
     EVENT_KINDS,

@@ -2,14 +2,12 @@
 
 import pytest
 
-from repro.core import (
-    FaultPlan,
-    PredictionService,
-    PSSConfig,
-    ResilienceConfig,
+from repro.core import PredictionService, PSSConfig, ResilienceConfig
+from repro.core.faults import FaultPlan
+from repro.core.kernel.checkpoint import (
+    MANIFEST_NAME,
+    ShardedCheckpointManager,
 )
-from repro.core.kernel import ShardedCheckpointManager
-from repro.core.kernel.checkpoint import MANIFEST_NAME
 from repro.obs import MetricsRegistry, Tracer
 from repro.obs.session import ObsSession
 
@@ -269,7 +267,7 @@ class TestCliGlue:
         assert "Prometheus" in summary
         import json
 
-        from repro.obs import validate_chrome_trace
+        from repro.obs.exporters import validate_chrome_trace
 
         validate_chrome_trace(json.loads(path.read_text()))
 
@@ -305,7 +303,7 @@ class TestCliGlue:
         assert "verdict" in summary
 
     def test_flight_recorder_flag_builds_recorder(self, tmp_path):
-        from repro.obs import FlightRecorder, load_bundle
+        from repro.obs.flightrec import FlightRecorder, load_bundle
 
         session = session_for(["--flight-recorder",
                                str(tmp_path / "fr"), "--metrics"])

@@ -5,7 +5,7 @@ record path was rewritten.
 Two angles on "the trace content did not change":
 
 * a hypothesis test drives :class:`~repro.obs.Tracer` (and a
-  :class:`~repro.obs.FlightRecorder`) and a small list-based reference
+  :class:`~repro.obs.flightrec.FlightRecorder`) and a small list-based reference
   model through the same random programs of records, nested spans,
   raises and clocks, and compares everything a consumer can read;
 * a pinned-digest test runs one seeded scenario through the real stack
@@ -28,7 +28,8 @@ from repro.core.serving import (
     ServingPipeline,
     serving_slos,
 )
-from repro.obs import FlightRecorder, MetricsRegistry, Span, Tracer
+from repro.obs import MetricsRegistry, Span, Tracer
+from repro.obs.flightrec import FlightRecorder
 from repro.obs.session import ObsSession
 from repro.sim.process import spawn
 

@@ -17,16 +17,22 @@ import itertools
 import os
 import sys
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.sim as live_sim
+import repro.sim
 from repro.sim.engine import Engine, SimulationError
 from repro.sim.process import SimEvent, Wait, spawn
-from repro.sim.resources import SimSemaphore
+from repro.sim.resources import SimMutex, SimSemaphore
 from tests.sim import reference_sim
+
+#: the live simulator, shaped like the one-module ``reference_sim``
+live_sim = SimpleNamespace(Engine=Engine, SimEvent=SimEvent, Wait=Wait,
+                           spawn=spawn, SimMutex=SimMutex,
+                           SimSemaphore=SimSemaphore)
 
 
 class Seconds(float):
@@ -376,7 +382,7 @@ class TestAgainstTheFrozenSimulator:
 
 # -- what one event executes ------------------------------------------------
 
-SIM_DIR = os.path.dirname(os.path.abspath(live_sim.__file__))
+SIM_DIR = os.path.dirname(os.path.abspath(repro.sim.__file__))
 
 
 def sim_calls(action):

@@ -1,10 +1,7 @@
 """Cross-package integration tests: one service, all three scenarios."""
 
-from repro.core import (
-    PredictionService,
-    load_service,
-    save_service,
-)
+from repro.core import PredictionService
+from repro.core.persistence import load_service, save_service
 from repro.htm import pss_builder, run_workload
 from repro.htm.stamp import get_profile
 from repro.jit.polybench import build_kernel

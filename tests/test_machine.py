@@ -50,13 +50,16 @@ from repro.core.errors import (
     TransportFault,
 )
 from repro.core.faults import FaultInjector, FaultPlan
-from repro.core.kernel import ReplicaPromoter, ShardedCheckpointManager
 from repro.core.kernel.admission import (
     AdmissionController,
     TenantQuota,
     TenantUsage,
 )
-from repro.core.kernel.checkpoint import shard_file_name
+from repro.core.kernel.checkpoint import (
+    ShardedCheckpointManager,
+    shard_file_name,
+)
+from repro.core.kernel.replica import ReplicaPromoter
 from repro.core.persistence import load_service, save_service
 from repro.core.policy import (
     ClientIdentity,

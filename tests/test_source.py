@@ -16,9 +16,16 @@ contract tests, the plan type).  These five are about what the code
   naming an attribute in a string literal (a computed name passes);
 * a read on a crashed shard fails over in one place: only the
   ``Domain`` calls ``failover_predict``.
+
+One more is about what the code *loads*: a fresh interpreter that
+serves requests imports the request path and nothing else, so the
+cold subsystems stay out of every start-up (pinned by running it).
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -173,3 +180,92 @@ def test_only_the_domain_fails_a_read_over():
              and node.attr == "failover_predict"
              and id(node) not in allowed]
     assert found == []
+
+
+#: what a fresh interpreter runs before and during its first requests:
+#: the imports of ``perf/drivers.load_program``, then a 2-shard kernel
+#: with admission, a tracer and a registry, a vDSO client and a serving
+#: pipeline, each driven once; it prints the ``repro`` modules loaded
+REQUEST_PATH = """
+import importlib, sys
+core = importlib.import_module("repro.core")
+importlib.import_module("repro.core.errors")
+serving = importlib.import_module("repro.core.serving")
+obs = importlib.import_module("repro.obs")
+importlib.import_module("repro.sim.process")
+config = core.PSSConfig(num_features=2)
+service = core.ShardedService(
+    num_shards=2, admission=core.AdmissionController(),
+    tracer=obs.Tracer(), metrics=obs.MetricsRegistry())
+client = service.connect("d", transport="vdso", batch_size=4,
+                         config=config)
+client.predict((1, 2))
+client.update((1, 2), True)
+client.flush()
+client.predict_batch([(1, 2), (3, 4)])
+pipeline = serving.ServingPipeline(
+    service, serving.ServingConfig(shed_on_page=True,
+                                   slo_threshold_ns=1000.0),
+    slos=serving.serving_slos(1000.0))
+future = pipeline.submit("d", (1, 2))
+pipeline.submit("d", (1, 2), op="update", direction=False)
+pipeline.mark_load_complete()
+pipeline.run()
+future.result()
+service.reports()
+service.metrics.snapshot()
+print(*sorted(name for name in sys.modules
+              if name.partition(".")[0] == "repro"))
+"""
+#: the modules of the request path; a module joins it only with a
+#: reason, and the change that adds it re-pins this list
+REQUEST_PATH_MODULES = [
+    "repro",
+    "repro.core",
+    "repro.core.client",
+    "repro.core.config",
+    "repro.core.errors",
+    "repro.core.features",
+    "repro.core.hashing",
+    "repro.core.kernel",
+    "repro.core.kernel.admission",
+    "repro.core.kernel.domain",
+    "repro.core.kernel.service",
+    "repro.core.kernel.shard",
+    "repro.core.kernel.sharding",
+    "repro.core.models",
+    "repro.core.perceptron",
+    "repro.core.plans",
+    "repro.core.policy",
+    "repro.core.service",
+    "repro.core.serving",
+    "repro.core.serving.batcher",
+    "repro.core.serving.dispatch",
+    "repro.core.serving.future",
+    "repro.core.serving.pipeline",
+    "repro.core.serving.queue",
+    "repro.core.stats",
+    "repro.core.transport",
+    "repro.core.weights",
+    "repro.obs",
+    "repro.obs.metrics",
+    "repro.obs.slo",
+    "repro.obs.spanned",
+    "repro.obs.spans",
+    "repro.obs.trace",
+    "repro.sim",
+    "repro.sim.engine",
+    "repro.sim.process",
+]
+
+
+def test_the_request_path_loads_only_what_it_runs():
+    """Fault injection, persistence, checkpoints, migration, replicas,
+    the ablation models, exporters, the flight recorder, postmortem,
+    the CLI session and the sim's resources and RNG streams are not
+    imported by serving a request: every start-up would compile them."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", REQUEST_PATH], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=60)
+    assert done.stdout.split() == REQUEST_PATH_MODULES
