@@ -77,6 +77,8 @@ class PSSClient:
         self._transport: Transport = make_transport(
             transport_kind, handle, latency, batch_size=batch_size
         )
+        #: the transport's read, bound once
+        self._read = self._transport.predict
         self._pipeline: "ServingPipeline | None" = None
 
     # -- identity / introspection -------------------------------------------
@@ -108,9 +110,9 @@ class PSSClient:
 
     def predict(self, features: Sequence[int]) -> int:
         """Signed prediction score: ``int predict(int*, int)``."""
-        # Canonicalize once at the API boundary; caches and batch
-        # buffers below reuse this tuple instead of re-tupling.
-        return self._transport.predict(canonical_features(features))
+        # The row as given: the transport's tuple test is a read's one
+        # canonicalisation (a call here would double it).
+        return self._read(features)
 
     def predict_batch(
         self, feature_rows: Sequence[Sequence[int]]
@@ -122,10 +124,9 @@ class PSSClient:
         amortizes its crossing (one syscall round-trip, one batched
         pass over the score cache and the domain's specialized plan).
         See docs/PERFORMANCE.md, "Batched and specialized prediction".
+        Both transports canonicalise the rows themselves.
         """
-        return self._transport.predict_batch(
-            [canonical_features(features) for features in feature_rows]
-        )
+        return self._transport.predict_batch(feature_rows)
 
     def update(self, features: Sequence[int], direction: bool) -> None:
         """Feedback: ``void update(int*, int, bool dir)``."""
@@ -259,10 +260,11 @@ class CircuitBreaker:
                            transport="breaker", ts_ns=ts)
 
     def allow(self) -> bool:
-        """Whether the next operation may touch the transport."""
+        """Whether the next operation may touch the transport: while
+        OPEN, not for ``cooldown`` calls, then once, as the probe."""
         if self.state == self.OPEN:
-            self._cooldown_left -= 1
             if self._cooldown_left > 0:
+                self._cooldown_left -= 1
                 return False
             self.state = self.HALF_OPEN
         return True
@@ -339,6 +341,10 @@ class ResilientClient(PSSClient):
         )
         self._fallback = fallback
         self._last_was_fallback = False
+        #: the breaker is closed with no failure counted and no fallback
+        #: was served since the last success: a predict is then the
+        #: plain read, and the ladder below is entered only on a fault
+        self._steady = True
         self._tracer = NULL_TRACER
         # The span's domain label and the simulated clock, bound once
         # (a span per public call would otherwise re-derive them); the
@@ -406,6 +412,7 @@ class ResilientClient(PSSClient):
         the breaker, so they do not feed it either.
         """
         stats = self.stats
+        self._steady = False
         if isinstance(error, RequestShedError):
             stats.shed_requests += 1
             return error.reason
@@ -423,6 +430,7 @@ class ResilientClient(PSSClient):
         """Answer ``rows`` from the static fallback, counted and
         traced under ``reason``."""
         self._last_was_fallback = True
+        self._steady = False
         self.stats.fallback_predictions += len(rows)
         if self._tracer.enabled:
             detail: dict[str, Any] = {"reason": reason}
@@ -510,18 +518,40 @@ class ResilientClient(PSSClient):
     def predict(self, features: Sequence[int]) -> int:
         """``predict`` that answers from the static fallback instead of
         raising when the breaker is open, the tenant is over quota, or
-        the transport still faults after the retries."""
-        features = canonical_features(features)
+        the transport still faults after the retries.
+
+        While :attr:`_steady` it is the plain client's read plus one
+        count: the breaker is closed with nothing to reset, so it is
+        consulted only once a read raises.
+        """
+        if self._steady:
+            try:
+                score = self._read(features)
+            except PSSError as error:
+                return self._guarded_predict(
+                    canonical_features(features), error)
+            self.stats.predictions += 1
+            return score
+        return self._guarded_predict(canonical_features(features))
+
+    def _guarded_predict(self, features: tuple[int, ...],
+                         error: PSSError | None = None) -> int:
+        """The degrade ladder's predict: the breaker consulted, the
+        read retried on a transport fault, the fallback served once
+        the ladder gives up - entered with the ``error`` a steady
+        read already raised, if it did (the breaker is then closed,
+        so consulting it after that read changes nothing)."""
         self.stats.predictions += 1
         self._last_was_fallback = False
         if not self._breaker.allow():
             return self._serve_fallback("breaker_open", (features,))[0]
         try:
-            score = self._attempt(self._transport.predict, features)
-        except _DEGRADABLE as error:
+            score = self._attempt(self._read, features, error=error)
+        except _DEGRADABLE as failure:
             return self._serve_fallback(
-                self._degrade(error), (features,))[0]
+                self._degrade(failure), (features,))[0]
         self._breaker.record_success()
+        self._steady = True
         return score
 
     @spanned(named(_client_span, "client.predict_batch", rows=True))
@@ -632,9 +662,13 @@ class ResilientClient(PSSClient):
 
     # -- retry machinery ------------------------------------------------------
 
-    def _attempt(self, operation: Callable[..., Any], *args: Any) -> Any:
+    def _attempt(self, operation: Callable[..., Any], *args: Any,
+                 error: PSSError | None = None) -> Any:
         """Run ``operation(*args)`` with bounded retry + exponential
-        backoff.
+        backoff; ``error`` is what a first attempt made before the call
+        raised, if one was.  A transport fault is retried until
+        ``max_attempts`` attempts were made, and what the last one
+        raised is raised; any other error is raised at once.
 
         Batch records lost with any failed crossing are counted here
         (they are gone whether or not a later attempt succeeds), and so
@@ -642,23 +676,30 @@ class ResilientClient(PSSClient):
         a :class:`FeatureError` is the caller's bug and still raised.
         """
         config = self.resilience
-        for attempt in range(config.max_attempts):
-            try:
-                return operation(*args)
-            except FeatureError as error:
+        attempt = 0
+        while True:
+            if error is None:
+                try:
+                    return operation(*args)
+                except (FeatureError, TransportFault) as failure:
+                    error = failure
+            if isinstance(error, FeatureError):
                 self.stats.dropped_updates += error.lost_records
-                raise
-            except TransportFault as fault:
-                self.stats.dropped_updates += fault.lost_records
-                if attempt + 1 >= config.max_attempts:
-                    raise
-                self.stats.retries += 1
-                backoff = (config.backoff_base_ns
-                           * config.backoff_multiplier ** attempt)
-                self.stats.backoff_ns += backoff
-                if self._tracer.enabled:
-                    self._trace_client("retry", detail={
-                        "attempt": attempt + 1,
-                        "errno": fault.errno_name,
-                        "backoff_ns": backoff,
-                    })
+                raise error
+            if not isinstance(error, TransportFault):
+                raise error
+            self.stats.dropped_updates += error.lost_records
+            if attempt + 1 >= config.max_attempts:
+                raise error
+            self.stats.retries += 1
+            backoff = (config.backoff_base_ns
+                       * config.backoff_multiplier ** attempt)
+            self.stats.backoff_ns += backoff
+            if self._tracer.enabled:
+                self._trace_client("retry", detail={
+                    "attempt": attempt + 1,
+                    "errno": error.errno_name,
+                    "backoff_ns": backoff,
+                })
+            attempt += 1
+            error = None

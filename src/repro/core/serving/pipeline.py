@@ -192,6 +192,9 @@ class ServingPipeline:
         self._admission = (service.admission
                            if service.admission is not None
                            else AdmissionController())
+        #: the monitor exited with the load not marked complete; the
+        #: next submit restarts it
+        self._monitor_idle = False
         if self.slo_engine is not None:
             spawn(self.engine, self._monitor(), name="slo-monitor")
         #: the anonymous handle of each domain submitted by bare name
@@ -290,6 +293,9 @@ class ServingPipeline:
         request = Request(op, target, features, future, direction,
                           shard_id, seq)
         config = self.config
+        if self._monitor_idle:
+            self._monitor_idle = False
+            spawn(engine, self._monitor(), name="slo-monitor")
         reason = self._admission.admit_request(
             len(queue.items), config.queue_limit,
             config.shed_on_page and self.should_shed(name, queue.label))
@@ -349,9 +355,15 @@ class ServingPipeline:
         """Sim process: periodic SLO evaluation into the paging cache,
         judged at the simulated now (a page ends once its bad samples
         age out, even while shedding leaves the windows without new
-        ones).  Exits once the load generator finished and the pipeline
-        drained, so a completed simulation's event queue empties and
-        ``engine.run()`` terminates naturally.
+        ones).  Exits once the pipeline drained and either the load
+        generator said it finished or - with nothing paging - nothing
+        else is scheduled, so a completed simulation's event queue
+        empties and ``engine.run()`` terminates naturally.  The idle
+        exit is not the end: the next submit restarts the monitor, an
+        interval from then, so a pipeline driven with
+        ``run(until=...)`` and fed from outside the engine is still
+        judged (``evals`` counts only evaluations made: none while it
+        is idle).
         """
         interval = self.config.slo_eval_interval_ns
         engine = self.slo_engine
@@ -367,8 +379,12 @@ class ServingPipeline:
                 if not self._paging_scopes:
                     self.page_excursions += 1
             self._paging_scopes = paging
-            if self._load_complete and self.in_flight == 0:
-                return
+            if self.in_flight == 0:
+                if self._load_complete:
+                    return
+                if not paging and not self.engine.pending():
+                    self._monitor_idle = True
+                    return
 
     # -- completion half (dispatcher callbacks) ------------------------------
 

@@ -116,7 +116,7 @@ class PredictionStats:
         self.failover_predictions += other.failover_predictions
 
 
-@dataclass
+@dataclass(eq=False)
 class LatencyAccount:
     """Simulated nanoseconds charged per boundary-crossing category.
 
@@ -127,23 +127,26 @@ class LatencyAccount:
     accounting could not express.  Unattached accounts pay one ``None``
     check per charge.
 
-    A varying charge (a syscall, a flush, a batch crossing) is pushed
-    into its histograms as it happens.  A vDSO *read* is not: every
-    read of one transport is charged the same constant, and the score
-    cache's hit / miss series *are* :attr:`cache_hits` /
-    :attr:`cache_misses`, so a read only lengthens the account's
-    pending run (one compare, one increment) and the registry files the
-    run when it is next read (:meth:`_file_reads`, enlisted through
+    A vDSO *read* is counted as a run.  Every read of one transport is
+    charged the same constant, so a read adds its ns to the clock
+    (:attr:`vdso_ns`) and only lengthens the account's pending run (one
+    compare, one increment); its transport counts its score-cache probe
+    in :attr:`cache_hits` / :attr:`cache_misses` in place.  The run is
+    filed when something reads what it owes: the ``predict`` entries of
+    :attr:`op_ns` / :attr:`op_calls` (through those properties,
+    :meth:`snapshot`, :meth:`mean_op_ns`, :meth:`merge`, equality) and,
+    attached, the registry's ``pss_vdso_read_ns`` /
+    ``pss_op_ns{op="predict"}`` histograms and hit / miss counters
+    (:meth:`_file_reads`, enlisted through
     :meth:`MetricsRegistry.file_before_read
-    <repro.obs.metrics.MetricsRegistry.file_before_read>`).  Only what
-    is order-free waits: integer counters, and a run of one repeated
-    value, which :meth:`Histogram.observe_run
-    <repro.obs.metrics.Histogram.observe_run>` adds one by one so
-    ``sum`` is the float the per-read pushes made.  A charge that could
-    land between the reads of a run in the same histogram files the run
-    first; two accounts that share one label set *and* charge different
-    read costs are the one case whose ``sum`` can differ from the
-    pushed one, in its last bits.
+    <repro.obs.metrics.MetricsRegistry.file_before_read>`).  Filing
+    adds one value per read, in read order, so every float is the one
+    per-read booking made; a charge that could land between the reads
+    of a run in the same sum (``charge_op("predict")``, a read at
+    another cost, re-attaching) files the run first.  Two accounts that
+    share one label set *and* charge different read costs are the one
+    case whose histogram ``sum`` can differ from the pushed one, in its
+    last bits.
     """
 
     vdso_ns: float = 0.0
@@ -156,10 +159,12 @@ class LatencyAccount:
     cache_hits: int = 0
     #: predictions that had to evaluate the model (cacheable path only)
     cache_misses: int = 0
-    #: simulated ns charged, broken down by operation kind
-    op_ns: dict[str, float] = field(default_factory=dict)
-    #: call counts, broken down by operation kind
-    op_calls: dict[str, int] = field(default_factory=dict)
+    #: the op breakdown as filed so far: read through :attr:`op_ns` /
+    #: :attr:`op_calls`, which file the pending run first
+    _op_ns: dict[str, float] = field(default_factory=dict, init=False,
+                                     repr=False)
+    _op_calls: dict[str, int] = field(default_factory=dict, init=False,
+                                      repr=False)
 
     #: obs label of the shard hosting the account's domain, "" while no
     #: shard tracks the account: what its transport stamps on records
@@ -169,21 +174,47 @@ class LatencyAccount:
     #: not what two accounts compare equal on.
     shard_label = ""
 
+    #: the pending run of vDSO reads: the ns each was charged (None:
+    #: no run, the next read starts one) and how many there were
+    _read_ns = None
+    _reads = 0
+
     # Metrics attachment state (class attributes, not dataclass fields:
     # an unattached account stays a plain counter block).
     _hist_vdso = None
     _hist_syscall = None
     _metrics = None
     _metric_labels = None
-    #: the pending run of vDSO reads: the ns each was charged (None:
-    #: no run, the next read starts one) and how many there were
-    _read_ns = None
-    _reads = 0
     #: whether the registry already holds this account's ``_collect``
     _enlisted = False
     #: how much of ``cache_hits`` / ``cache_misses`` the registry holds
     _hits_filed = 0
     _misses_filed = 0
+
+    @property
+    def op_ns(self) -> dict[str, float]:
+        """Simulated ns charged, broken down by operation kind."""
+        if self._reads:
+            self._file_reads()
+        return self._op_ns
+
+    @property
+    def op_calls(self) -> dict[str, int]:
+        """Call counts, broken down by operation kind."""
+        if self._reads:
+            self._file_reads()
+        return self._op_calls
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LatencyAccount):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def _fields(self) -> tuple:
+        """What two accounts compare equal on, the run filed."""
+        return (self.vdso_ns, self.syscall_ns, self.vdso_calls,
+                self.syscalls, self.update_records, self.cache_hits,
+                self.cache_misses, self.op_ns, self.op_calls)
 
     def attach_metrics(self, registry, domain: str = "",
                        transport: str = "") -> None:
@@ -195,9 +226,10 @@ class LatencyAccount:
         name - plus per-operation ``pss_op_ns{op=...}`` histograms
         (resolved lazily per op kind).
         """
-        if self._metrics is not None:
-            self._file_reads()   # what the old series are owed
-            self._enlisted = False
+        # The pending run is owed to the op breakdown and to the old
+        # registry, if any, not to this one.
+        self._file_reads()
+        self._enlisted = False
         self._metrics = registry
         self._metric_labels = {"domain": domain, "transport": transport}
         if self.shard_label:
@@ -229,14 +261,6 @@ class LatencyAccount:
             self.attach_metrics(self._metrics, labels["domain"],
                                 labels["transport"])
 
-    def charge_vdso(self, ns: float) -> None:
-        self.vdso_ns += ns
-        self.vdso_calls += 1
-        if self._hist_vdso is not None:
-            if self._reads:
-                self._file_reads()
-            self._hist_vdso.observe(ns)
-
     def charge_syscall(self, ns: float, records: int = 0) -> None:
         self.syscall_ns += ns
         self.syscalls += 1
@@ -247,15 +271,17 @@ class LatencyAccount:
     def charge_op(self, op: str, ns: float) -> None:
         """Attribute ``ns`` of already-charged crossing time to one op kind.
 
-        Transports call this alongside :meth:`charge_vdso` /
-        :meth:`charge_syscall`, so ``op_ns`` is a *breakdown* of
-        :attr:`total_ns` by operation, not additional time.
+        Transports call this alongside :meth:`charge_syscall`, so
+        ``op_ns`` is a *breakdown* of :attr:`total_ns` by operation,
+        not additional time.  A ``predict`` files the pending run of
+        reads first: it lands after them in the same sums.
         """
-        self.op_ns[op] = self.op_ns.get(op, 0.0) + ns
-        self.op_calls[op] = self.op_calls.get(op, 0) + 1
+        if self._reads and op == "predict":
+            self._file_reads()
+        op_ns, op_calls = self._op_ns, self._op_calls
+        op_ns[op] = op_ns.get(op, 0.0) + ns
+        op_calls[op] = op_calls.get(op, 0) + 1
         if self._metrics is not None:
-            if self._reads and op == "predict":
-                self._file_reads()
             self._op_hist(op).observe(ns)
 
     def _op_hist(self, op: str):
@@ -267,26 +293,28 @@ class LatencyAccount:
         return hist
 
     def charge_vdso_predict(self, ns: float) -> None:
-        """One vDSO read: :meth:`charge_vdso` and
-        ``charge_op("predict")`` of the same ``ns``, in one call."""
+        """One vDSO read of ``ns``: onto the clock now, into the op
+        breakdown (and, attached, the registry) when that is read."""
         self.vdso_ns += ns
         self.vdso_calls += 1
-        self.op_ns["predict"] = self.op_ns.get("predict", 0.0) + ns
-        self.op_calls["predict"] = self.op_calls.get("predict", 0) + 1
-        if self._metrics is not None:
-            if ns == self._read_ns:
-                self._reads += 1
-            else:
-                self._start_read_run(ns)
+        if ns == self._read_ns:
+            self._reads += 1
+        else:
+            self._start_read_run(ns)
 
     def _start_read_run(self, ns: float) -> None:
-        """The first read since the registry was last read, or the
-        first at a new cost: file the run before it, start the next,
-        and make sure the registry will ask for it."""
+        """The first read since the run was last filed, or the first
+        at a new cost: file the run before it, start the next, and,
+        attached, make sure the registry will ask for it."""
         self._file_reads()
         self._read_ns = ns
         self._reads = 1
-        if not self._enlisted:
+        if "predict" not in self._op_calls:
+            # Keyed where the first read happened: the breakdown keeps
+            # the order its ops first came in.
+            self._op_ns["predict"] = 0.0
+            self._op_calls["predict"] = 0
+        if self._metrics is not None and not self._enlisted:
             self._enlisted = True
             self._metrics.file_before_read(self._collect)
 
@@ -296,13 +324,25 @@ class LatencyAccount:
         self._file_reads()
 
     def _file_reads(self) -> None:
-        """Hand the registry what the reads since the last filing owe
-        it: the pending run into ``pss_vdso_read_ns`` and
-        ``pss_op_ns{op="predict"}``, the hit / miss counts since."""
+        """File what the reads since the last filing owe: the pending
+        run into ``op_ns`` / ``op_calls`` - one addition per read, so
+        the sum is the float per-read booking made - and, attached,
+        into ``pss_vdso_read_ns`` and ``pss_op_ns{op="predict"}``, with
+        the hit / miss counts since."""
         reads, ns = self._reads, self._read_ns
         # Cleared first: resolving the op histogram reads the registry,
         # which files whatever is pending.
         self._reads, self._read_ns = 0, None
+        if reads:
+            op_ns = self._op_ns
+            total = op_ns.get("predict", 0.0)
+            for _ in range(reads):
+                total += ns
+            op_ns["predict"] = total
+            self._op_calls["predict"] = \
+                self._op_calls.get("predict", 0) + reads
+        if self._metrics is None:
+            return
         if reads:
             self._hist_vdso.observe_run(ns, reads)
             self._op_hist("predict").observe_run(ns, reads)
@@ -313,14 +353,6 @@ class LatencyAccount:
         if misses != self._misses_filed:
             self._cache_miss_counter.inc(misses - self._misses_filed)
             self._misses_filed = misses
-
-    def record_cache_hit(self) -> None:
-        """Count one score-cache hit; ``pss_score_cache_hits_total``
-        catches up when the read it belongs to is filed."""
-        self.cache_hits += 1
-
-    def record_cache_miss(self) -> None:
-        self.cache_misses += 1
 
     def merge(self, other: "LatencyAccount") -> None:
         """Accumulate another account into this one (multi-client runs).
@@ -339,10 +371,11 @@ class LatencyAccount:
             # Merged-in probes were never this registry's to count.
             self._hits_filed += other.cache_hits
             self._misses_filed += other.cache_misses
+        op_ns, op_calls = self.op_ns, self.op_calls
         for op, ns in other.op_ns.items():
-            self.op_ns[op] = self.op_ns.get(op, 0.0) + ns
+            op_ns[op] = op_ns.get(op, 0.0) + ns
         for op, calls in other.op_calls.items():
-            self.op_calls[op] = self.op_calls.get(op, 0) + calls
+            op_calls[op] = op_calls.get(op, 0) + calls
 
     @property
     def cache_hit_rate(self) -> float:

@@ -244,7 +244,9 @@ class SyscallTransport(Transport):
         self._charge_crossing("predict", self._latency.syscall_ns)
         if self._injector is not None:
             self._roll_crossing(self._injector, "predict")
-        return self._target.predict(features)
+        # canonical_features, written out: a read's one canonicalisation
+        return self._target.predict(
+            features if type(features) is tuple else tuple(features))
 
     @spanned(named(Transport._op_span, "predict_batch", rows=True))
     def predict_batch(
@@ -391,9 +393,11 @@ class VdsoTransport(Transport):
         depends on the probe, never on ``tracer.enabled``.
 
         What the caller already holds is not re-derived: the closed
-        test and the key's tuple test are written out, and the version
-        word is loaded once - it keys the score cache and is stamped on
-        the event this read emits.
+        test and the key's tuple test are written out - the tuple test
+        is the read's one canonicalisation, the client passes the row
+        as given - the score-cache probe is counted on the account in
+        place, and the version word is loaded once - it keys the score
+        cache and is stamped on the event this read emits.
         """
         if self._closed:
             self._ensure_open()
@@ -423,7 +427,7 @@ class VdsoTransport(Transport):
         else:
             score = cache.get(key)
             if score is not None:
-                account.record_cache_hit()
+                account.cache_hits += 1
                 if not traced:
                     self._cached_recorder(score)
                     return score
@@ -442,7 +446,7 @@ class VdsoTransport(Transport):
                     generation, _CACHE_HIT, account.shard_label,
                     spans[-1].span_id if spans else 0))
                 return score
-        account.record_cache_miss()
+        account.cache_misses += 1
         if traced:
             try:
                 score = self._read(key)
@@ -530,13 +534,13 @@ class VdsoTransport(Transport):
             account.charge_vdso_predict(vdso_ns)
             score = cache.get(key)
             if score is not None:
-                account.record_cache_hit()
+                account.cache_hits += 1
                 if traced:
                     self._trace("predict", vdso_ns, _CACHE_HIT, generation)
                 recorder(score)
                 scores.append(score)
                 continue
-            account.record_cache_miss()
+            account.cache_misses += 1
             if traced:
                 self._trace("predict", vdso_ns, _CACHE_MISS, generation)
             if fresh is None:

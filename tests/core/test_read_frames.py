@@ -25,21 +25,20 @@ ROW = (1, 1)
 #: Python frames per call, from the client's own frame down:
 #: (plain, watched)
 PINNED = {
-    # client.predict, canonical_features, VdsoTransport.predict,
-    # charge_vdso_predict, record_cache_hit, the handle's and the
-    # domain's record_cached_prediction, TenantMeter.charge_predict,
-    # PredictionStats.record_cached_prediction; watched adds none: its
-    # event is a tuple appended through the tracer's bound ``emit``,
-    # where a ``Tracer.record`` frame was
-    "hit": (9, 9),
-    # the same transport frames with record_cache_miss, then
-    # predict_mapped, _admit_predict, charge_predict, Domain.predict,
-    # the model's predict -> dot -> _flat_indices -> gather and
-    # record_prediction; watched adds none: the miss opens no span (the
-    # five frames of ``_traced_read`` and its ``vdso.predict`` - span,
-    # __enter__, __exit__, the account's clock - went), and its event
-    # is appended through ``emit`` once the read returns
-    "miss": (14, 14),
+    # client.predict, VdsoTransport.predict, charge_vdso_predict, the
+    # handle's and the domain's record_cached_prediction,
+    # TenantMeter.charge_predict and the stats' record_cached_prediction:
+    # the row's tuple test and the probe's count are inline in the
+    # transport, and the read's op breakdown is filed when the account
+    # is read; watched adds none: its event is a tuple appended through
+    # the tracer's bound ``emit``
+    "hit": (7, 7),
+    # the same transport frames, then predict_mapped, _admit_predict,
+    # charge_predict, Domain.predict, the model's predict -> dot ->
+    # _flat_indices -> gather and record_prediction; watched adds none:
+    # the miss opens no span, and its event is appended through
+    # ``emit`` once the read returns
+    "miss": (12, 12),
     # client.update, VdsoTransport.update: one append; watched adds
     # none (the event's ``Tracer.record`` frame went)
     "update": (2, 2),
@@ -80,12 +79,12 @@ def frames(action):
     return calls
 
 
-def sync_hot_client(watched):
+def sync_hot_client(watched, **connect):
     observed = ({"tracer": Tracer(), "metrics": MetricsRegistry()}
                 if watched else {})
     service = ShardedService(admission=AdmissionController(), **observed)
     client = service.connect("d", transport="vdso", batch_size=32,
-                             config=PSSConfig(num_features=2))
+                             config=PSSConfig(num_features=2), **connect)
     for i in range(40):
         client.update((i % 4, 1), True)
     client.flush()
@@ -152,3 +151,22 @@ def test_what_a_flush_executes(watched):
     assert flush["adjust_at"] == CHURN_TRAINED, flush
     assert sum(flush.values()) == PINNED["flush"][watched], flush
     assert "generation" not in flush, flush
+
+
+def test_a_guarded_read_is_a_plain_read_in_its_span_wrapper():
+    """A client connected with ``fallback=`` reads, while nothing has
+    faulted, what a plain client reads inside its ``client.predict``
+    span wrapper: the breaker, the retry loop and the row's
+    canonicalisation wait for a fault."""
+    domain, client = sync_hot_client(False, fallback=0)
+    hit = frames(partial(client.predict, ROW))
+    assert client.latency.cache_hits == 1
+    moved(domain)
+    miss = frames(partial(client.predict, ROW))
+    assert client.stats.predictions == 3
+    assert not client.last_prediction_was_fallback
+    for op, calls in {"hit": hit, "miss": miss}.items():
+        assert sum(calls.values()) == PINNED[op][False] + 1, (op, calls)
+        for skipped in ("canonical_features", "allow", "_attempt",
+                        "record_success"):
+            assert skipped not in calls, (op, calls)

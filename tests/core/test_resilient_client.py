@@ -125,6 +125,26 @@ class TestCircuitBreaker:
         assert client.stats.breaker_closes == 1
         assert not client.last_prediction_was_fallback
 
+    @pytest.mark.parametrize("cooldown", [1, 2, 3, 4])
+    def test_cooldown_calls_are_served_degraded_before_the_probe(
+            self, cooldown):
+        """``breaker_cooldown`` calls get the fallback without a
+        crossing; the one after them is the half-open probe."""
+        _, client = self.failing_client(threshold=1, cooldown=cooldown)
+        client.predict([1, 2])                 # fails: the breaker opens
+        assert client.breaker_state == CircuitBreaker.OPEN
+        crossed = client.latency.syscalls
+        for _ in range(cooldown):
+            assert client.predict([1, 2]) == 1
+            assert client.last_prediction_was_fallback
+            assert client.latency.syscalls == crossed
+        client.attach_fault_injector(None)     # the transport healed
+        client.predict([1, 2])                 # the probe crosses
+        assert client.latency.syscalls == crossed + 1
+        assert client.breaker_state == CircuitBreaker.CLOSED
+        assert not client.last_prediction_was_fallback
+        assert client.stats.fallback_predictions == 1 + cooldown
+
     def test_open_breaker_drops_updates_and_resets(self):
         _, client = self.failing_client(threshold=1, cooldown=1000)
         client.predict([1, 2])

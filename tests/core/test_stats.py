@@ -58,8 +58,8 @@ class TestPredictionStats:
 class TestLatencyAccount:
     def test_charges_accumulate(self):
         account = LatencyAccount()
-        account.charge_vdso(4.19)
-        account.charge_vdso(4.19)
+        account.charge_vdso_predict(4.19)
+        account.charge_vdso_predict(4.19)
         account.charge_syscall(68.0, records=5)
         assert account.vdso_calls == 2
         assert account.syscalls == 1
@@ -68,6 +68,8 @@ class TestLatencyAccount:
 
     @pytest.mark.parametrize("watched", [False, True])
     def test_vdso_predict_charge_is_the_pair_it_replaces(self, watched):
+        """A read booked as a run reads as the clock charge plus
+        ``charge_op("predict")`` it stands for, pushed per read."""
         from repro.obs import MetricsRegistry
 
         fused, paired = LatencyAccount(), LatencyAccount()
@@ -76,10 +78,14 @@ class TestLatencyAccount:
             for account, registry in zip((fused, paired), registries):
                 account.attach_metrics(registry, domain="d",
                                        transport="vdso")
-        for ns in (4.19, 4.19, 0.1, 7.0):
+        for ns in (4.19, 4.19, 0.1, 7.0, 7.0):
             fused.charge_vdso_predict(ns)
-            paired.charge_vdso(ns)
+            paired.vdso_ns += ns
+            paired.vdso_calls += 1
             paired.charge_op("predict", ns)
+            if watched:
+                registries[1].histogram("pss_vdso_read_ns", domain="d",
+                                        transport="vdso").observe(ns)
         assert fused.snapshot() == paired.snapshot()
         assert registries[0].snapshot() == registries[1].snapshot()
 
@@ -87,8 +93,8 @@ class TestLatencyAccount:
         account = LatencyAccount()
         assert account.mean_vdso_ns == 0.0
         assert account.mean_syscall_ns == 0.0
-        account.charge_vdso(4.0)
-        account.charge_vdso(6.0)
+        account.charge_vdso_predict(4.0)
+        account.charge_vdso_predict(6.0)
         assert account.mean_vdso_ns == pytest.approx(5.0)
 
     def test_snapshot_keys(self):
@@ -113,24 +119,21 @@ class TestLatencyAccount:
     def test_cache_counters(self):
         account = LatencyAccount()
         assert account.cache_hit_rate == 0.0
-        account.record_cache_hit()
-        account.record_cache_hit()
-        account.record_cache_miss()
+        account.cache_hits += 2
+        account.cache_misses += 1
         assert account.cache_hits == 2
         assert account.cache_misses == 1
         assert account.cache_hit_rate == pytest.approx(2 / 3)
 
     def test_merge(self):
         a = LatencyAccount()
-        a.charge_vdso(4.0)
-        a.charge_op("predict", 4.0)
-        a.record_cache_hit()
+        a.charge_vdso_predict(4.0)
+        a.cache_hits += 1
         b = LatencyAccount()
-        b.charge_vdso(6.0)
+        b.charge_vdso_predict(6.0)
         b.charge_syscall(68.0, records=3)
-        b.charge_op("predict", 6.0)
         b.charge_op("flush", 68.0)
-        b.record_cache_miss()
+        b.cache_misses += 1
         a.merge(b)
         assert a.vdso_calls == 2
         assert a.mean_vdso_ns == pytest.approx(5.0)
@@ -143,7 +146,7 @@ class TestLatencyAccount:
 
     def test_merge_with_empty_is_identity(self):
         a = LatencyAccount()
-        a.charge_vdso(4.19)
+        a.charge_vdso_predict(4.19)
         before = a.snapshot()
         a.merge(LatencyAccount())
         assert a.snapshot() == before

@@ -226,22 +226,41 @@ class TestHistogramRepeats:
 
 class PushedAccount(LatencyAccount):
     """The account as it was before a read was filed late: every read
-    pushes its two observations and its probe's count as it happens.
-    The reference the late filing is held to."""
+    books its op breakdown and pushes its two observations as it
+    happens, and every score-cache probe its transport counts pushes
+    its counter.  The reference the late filing is held to.  (A merge
+    into it pushes the merged-in probes too, which the account does
+    not: the references below merge accounts without probes.)"""
+
+    _pushed_hits = 0
+    _pushed_misses = 0
 
     def charge_vdso_predict(self, ns):
-        self.charge_vdso(ns)
+        self.vdso_ns += ns
+        self.vdso_calls += 1
+        if self._metrics is not None:
+            self._hist_vdso.observe(ns)
         self.charge_op("predict", ns)
 
-    def record_cache_hit(self):
-        self.cache_hits += 1
-        if self._metrics is not None:
-            self._cache_hit_counter.inc()
+    @property
+    def cache_hits(self):
+        return self._pushed_hits
 
-    def record_cache_miss(self):
-        self.cache_misses += 1
+    @cache_hits.setter
+    def cache_hits(self, value):
         if self._metrics is not None:
-            self._cache_miss_counter.inc()
+            self._cache_hit_counter.inc(value - self._pushed_hits)
+        self._pushed_hits = value
+
+    @property
+    def cache_misses(self):
+        return self._pushed_misses
+
+    @cache_misses.setter
+    def cache_misses(self, value):
+        if self._metrics is not None:
+            self._cache_miss_counter.inc(value - self._pushed_misses)
+        self._pushed_misses = value
 
     def _file_reads(self):
         pass
@@ -344,11 +363,11 @@ class TestReadsAreFiledWhenTheRegistryIsRead:
         old, new = MetricsRegistry(), MetricsRegistry()
         account.attach_metrics(old, domain="d", transport="vdso")
         account.charge_vdso_predict(4.19)
-        account.record_cache_hit()
+        account.cache_hits += 1
         account.attach_metrics(new, domain="d", transport="vdso")
         for _ in range(2):
             account.charge_vdso_predict(4.19)
-            account.record_cache_miss()
+            account.cache_misses += 1
         key = dict(domain="d", transport="vdso")
         assert new.histogram("pss_vdso_read_ns", **key).count == 2
         assert new.counter("pss_score_cache_misses_total", **key).value == 2
@@ -366,7 +385,7 @@ class TestReadsAreFiledWhenTheRegistryIsRead:
             "pss_vdso_read_ns", domain="d", transport="vdso").count == 100
 
     @pytest.mark.parametrize("varying", [
-        lambda account: account.charge_vdso(2.0 ** 53),
+        lambda account: account.charge_vdso_predict(2.0 ** 53),
         lambda account: account.charge_op("predict", 2.0 ** 53),
     ])
     def test_a_varying_charge_lands_after_the_reads_before_it(
@@ -386,6 +405,98 @@ class TestReadsAreFiledWhenTheRegistryIsRead:
             account.charge_vdso_predict(1.0)
         assert registry_fields(registries[0]) \
             == registry_fields(registries[1])
+
+
+class TestAnAccountReadsAsBookedPerRead:
+    """A vDSO read is booked as a run and filed when the account is
+    read; read at any point, the account is the one per-read booking
+    (:class:`PushedAccount`) leaves, floats bit for bit."""
+
+    #: two read costs whose sums round differently, and one far larger
+    #: syscall cost, so that any reordering of the additions shows
+    COSTS = (4.19, 0.1)
+
+    ops = st.lists(st.one_of(
+        st.tuples(st.just("read"), st.integers(0, 1),
+                  st.integers(1, 5), st.sampled_from([None, True, False])),
+        st.tuples(st.just("syscall"),
+                  st.sampled_from(["predict", "flush", "update"]),
+                  st.sampled_from([68.0, 2.0 ** 53, 0.3])),
+        st.tuples(st.just("merge"), st.integers(0, 1),
+                  st.integers(0, 4), st.booleans()),
+        st.tuples(st.just("attach"), st.integers(0, 1)),
+        st.tuples(st.just("look"),
+                  st.sampled_from(["snapshot", "op_ns", "op_calls",
+                                   "mean_op_ns", "equal", "registry"])),
+    ), max_size=50)
+
+    @staticmethod
+    def side(account_type, cost, reads, syscall):
+        """An account to merge in: reads, maybe a predict syscall."""
+        account = account_type()
+        for _ in range(reads):
+            account.charge_vdso_predict(cost)
+        if syscall:
+            account.charge_syscall(68.0)
+            account.charge_op("predict", 68.0)
+        return account
+
+    @staticmethod
+    def seen(account):
+        """Everything a reader of the account sees, floats by repr."""
+        return repr((account.snapshot(), account.op_ns, account.op_calls,
+                     account.mean_op_ns("predict"), account.total_ns))
+
+    @settings(max_examples=200, deadline=None)
+    @given(ops=ops)
+    def test_an_account_read_at_any_point_is_the_booked_one(self, ops):
+        late, booked = LatencyAccount(), PushedAccount()
+        # each account's two registries, to attach to and move between
+        registries = [(MetricsRegistry(), MetricsRegistry())
+                      for _ in range(2)]
+        for op, *rest in ops:
+            if op == "look":
+                look = rest[0]
+                if look == "snapshot":
+                    assert repr(late.snapshot()) \
+                        == repr(booked.snapshot())
+                elif look == "op_ns":
+                    assert repr(late.op_ns) == repr(booked.op_ns)
+                elif look == "op_calls":
+                    assert late.op_calls == booked.op_calls
+                elif look == "mean_op_ns":
+                    assert repr(late.mean_op_ns("predict")) \
+                        == repr(booked.mean_op_ns("predict"))
+                elif look == "equal":
+                    assert late == booked
+                else:
+                    for one, other in zip(*registries):
+                        assert registry_fields(one) \
+                            == registry_fields(other)
+                continue
+            for account, owned in zip((late, booked), registries):
+                if op == "read":   # as a vDSO transport reads
+                    cost, reads, hit = rest
+                    for _ in range(reads):
+                        account.charge_vdso_predict(self.COSTS[cost])
+                        if hit:
+                            account.cache_hits += 1
+                        elif hit is not None:
+                            account.cache_misses += 1
+                elif op == "syscall":
+                    account.charge_syscall(rest[1])
+                    account.charge_op(rest[0], rest[1])
+                elif op == "merge":
+                    account.merge(self.side(
+                        type(account), self.COSTS[rest[0]], rest[1],
+                        rest[2]))
+                else:
+                    account.attach_metrics(owned[rest[0]], domain="d",
+                                           transport="vdso")
+        assert self.seen(late) == self.seen(booked)
+        assert late == booked
+        for one, other in zip(*registries):
+            assert registry_fields(one) == registry_fields(other)
 
 
 class TestRegistry:

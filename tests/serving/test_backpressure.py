@@ -126,6 +126,35 @@ class TestShedding:
         assert any(isinstance(f.error, RequestShedError) for f in burst)
         assert [f.error for f in light] == [None] * 200
 
+    def test_a_page_ends_when_driven_from_outside_the_engine(self):
+        """The same traffic submitted by the caller between
+        ``run(until=...)`` steps, with no load generator to mark the
+        load complete: the monitor keeps judging while a page is up,
+        and whenever it went idle a submit restarts it, so the page
+        ends in the quiet millisecond and the light traffic is both
+        served and still evaluated."""
+        service = ShardedService()
+        service.create_domain("d")
+        pipeline = ServingPipeline(
+            service, ServingConfig(batch_window_ns=0, shed_on_page=True),
+            slos=serving_slos(4000))
+        engine = pipeline.engine
+        burst, light = [], []
+        for _ in range(3000):           # 100 req/us: pages
+            burst.append(pipeline.submit("d", [1, 2]))
+            pipeline.run(until=engine.now + 10.0)
+        assert pipeline.page_excursions == 1
+        pipeline.run(until=engine.now + 1e6)    # a quiet millisecond
+        assert not pipeline.should_shed("d")
+        evals = pipeline.evals
+        for _ in range(200):            # 1 req/us
+            light.append(pipeline.submit("d", [1, 2]))
+            pipeline.run(until=engine.now + 1000.0)
+        assert any(isinstance(f.error, RequestShedError) for f in burst)
+        assert [f.error for f in light] == [None] * 200
+        assert pipeline.evals >= evals + 200 * 1000.0 / 2000.0 - 1
+        assert pipeline.page_excursions == 1
+
 
 class TestSloContract:
     """The pipeline feeds completions to ``serve-latency`` only, judged

@@ -173,6 +173,8 @@ class TestClosedLoopHarnessIdentity:
         pipeline.run(until=1e9)     # a monitor never told would tick on
         counters = pipeline.snapshot()
         assert (counters["submitted"], counters["completed"]) == (20, 20)
+        # the mark itself: a drained monitor also exits without it
+        assert pipeline._load_complete
         assert pipeline.engine.pending() == 0
 
 

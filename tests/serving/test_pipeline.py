@@ -22,6 +22,7 @@ from repro.core.serving import (
     CompletionFuture,
     ServingConfig,
     ServingPipeline,
+    serving_slos,
 )
 from repro.obs import MetricsRegistry, Tracer
 from repro.sim.engine import Engine
@@ -136,6 +137,21 @@ class TestPipelineFlow:
         assert future.result() == want_first
         # the updates trained the row they were submitted with
         assert service.predict("d", other) == want_other
+
+    def test_a_monitored_run_drains_without_a_load_generator(self):
+        """With an SLO monitor live and no ``mark_load_complete()``,
+        ``run()`` still ends once the queues drain: the monitor is the
+        last process, and it winds down when nothing else is
+        scheduled."""
+        service = ShardedService()
+        service.create_domain("d")
+        pipeline = ServingPipeline(service, ServingConfig(),
+                                   slos=serving_slos())
+        future = pipeline.submit("d", FEATURES)
+        pipeline.engine.run(max_events=100_000)
+        assert future.done and future.result() == 0
+        assert pipeline.evals == 1
+        assert pipeline.engine.pending() == 0
 
     def test_unknown_op_rejected(self):
         _, pipeline = build()

@@ -395,7 +395,7 @@ class SystemMachine(RuleBasedStateMachine):
                    and transport._score_cache_generation
                    == conn.ref.domain.generation else {}),
             blocked=(breaker is not None and breaker.state == "open"
-                     and breaker._cooldown_left > 1),
+                     and breaker._cooldown_left > 0),
             faults=faults,
             rolls=rolls,
             delivered=conn.client.latency.update_records,
