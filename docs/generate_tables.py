@@ -101,10 +101,10 @@ EVENT_ROWS = [
      "[SERVING.md](SERVING.md)).  A request its handle refused at "
      "submit has no sojourn and no batch: `dur_ns` 0, no shard, detail "
      "`{op, outcome: \"refused:domain|policy|quota|feature\"}`"),
-    (("queue.shed",), "serving request queues",
+    (("queue.shed",), "serving lane (`Dispatcher`)",
      "an admitted submit was shed (detail carries the shed reason); its "
      "only record"),
-    (("batch.flush_timeout",), "serving dispatcher",
+    (("batch.flush_timeout",), "serving lane (`Dispatcher`)",
      "a partial batch was flushed by window expiry"),
     (("slo.page",), "`SLOEngine`",
      "an SLO entered a fast-burn excursion (see below)"),
@@ -144,7 +144,7 @@ SPAN_ROWS = [
     (("plan.execute",), "`Domain`",
      "one specialized-plan pass over a block of rows"),
     (("migrate.step",), "`SlotMigrator`", "one slot handoff"),
-    (("serve.dispatch",), "serving `Dispatcher`",
+    (("serve.dispatch",), "serving lane (`Dispatcher`)",
      "one drained batch of two or more requests `{rows, trigger}`; a "
      "batch of one opens none (its `request` record says `rows: 1`)"),
 ]

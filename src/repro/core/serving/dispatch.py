@@ -1,19 +1,35 @@
-"""Per-shard dispatchers: the only sim processes that enter the kernel.
+"""Per-shard serving lanes: the only sim processes that enter the kernel.
 
-A :class:`Dispatcher` is one generator-bodied sim process per serving
-shard.  It parks on its queue's ``nonempty`` event, lets the
-:class:`~repro.core.serving.batcher.MicroBatcher` decide when to stop
-collecting, charges the batch's boundary-crossing cost as simulated
-time, and only then executes the drained requests against the kernel,
-one kernel call per request - ``ShardedService.predict_batch`` of one
-row for a prediction, ``ShardedService.update`` for an update - settling
-each request's :class:`~repro.core.serving.future.CompletionFuture`
-with its own outcome: the score, or the error the kernel returned.
-Every request here was admitted by its handle at submit, so the kernel
-calls are plain execution by the name of the domain it was admitted
-against; what can still fail is what could only be known late (that
-domain removed since - the name may be a successor's by now - or its
-shard down with no follower).
+A :class:`Dispatcher` is one serving shard's whole lane: the FIFO of
+admitted :class:`Request`\\ s ``submit`` appends to, the drain rule
+that decides when to stop collecting and how much to take, and one
+generator-bodied sim process that runs that rule, charges the batch's
+boundary-crossing cost as simulated time, and only then executes the
+drained requests against the kernel, one kernel call per request -
+``ShardedService.predict_batch`` of one row for a prediction,
+``ShardedService.update`` for an update - settling each request's
+:class:`~repro.core.serving.future.CompletionFuture` with its own
+outcome: the score, or the error the kernel returned.  Every request
+here was admitted by its handle at submit, so the kernel calls are
+plain execution by the name of the domain it was admitted against;
+what can still fail is what could only be known late (that domain
+removed since - the name may be a successor's by now - or its shard
+down with no follower).
+
+The drain rule, with its three triggers (stamped on every ``request``
+record):
+
+* **scalar** - ``batch_window_ns == 0``: the head drains alone at
+  once, each request paying a full crossing (the mode bit-identical to
+  the synchronous call path, ``tests/serving/test_identity.py``);
+* **size** - the queue holds ``max_batch`` when the lane starts
+  collecting (it drains at once) or when the window ends;
+* **timeout** - the window ended with a partial batch, which drains
+  anyway (bounded added latency is what makes batching safe to
+  enable): a ``batch.flush_timeout`` record.
+
+A drain takes up to ``max_batch`` in FIFO order; whatever arrived
+beyond that stays queued for the drain that follows at once.
 
 This module is the single sanctioned site for kernel entry from inside
 the event loop, because a blocking kernel call in an event-loop process
@@ -26,30 +42,74 @@ by running the system (``tests/test_machine.py``).
 Ordering is the bit-identity linchpin: a drained batch executes in
 FIFO order, so a mixed batch observes exactly the generation sequence
 the synchronous path would have produced.  The batch saves crossings,
-not model work: one ``service_ns(rows)`` charge and one
-``serve.dispatch`` span per drain, one kernel call per request.  A
+not model work: one ``syscall_ns + rows * vdso_predict_ns`` charge and
+one ``serve.dispatch`` span per drain, one kernel call per request.  A
 watched request leaves one trace record, the ``request`` the pipeline
 files as it settles: a kernel call of one row opens no span.
+
+Observability: each accepted request's post-enqueue depth goes into the
+``pss_queue_depth`` histogram, counted per depth here and filed when
+the registry is next read; each drain's size into ``pss_batch_size``;
+each refusal records ``queue.shed`` with its reason and counts into
+``pss_shed_total`` - this module is that kind's single emit site.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from collections import deque
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.errors import DomainError
 from repro.core.policy import REMOVED
-from repro.core.serving.batcher import TRIGGER_TIMEOUT, MicroBatcher
-from repro.core.serving.queue import Request, RequestQueue
-from repro.obs.metrics import BATCH_SIZE, MetricsRegistry
-from repro.obs.spanned import spanned
+from repro.core.serving.future import CompletionFuture
+from repro.obs.metrics import (
+    BATCH_SIZE,
+    MetricsRegistry,
+    QUEUE_DEPTH,
+    SHED_TOTAL,
+)
 from repro.obs.trace import NULL_TRACER, SpanHandleLike, TracerLike
 from repro.sim.engine import Engine
-from repro.sim.process import Process, ProcessBody, spawn
+from repro.sim.process import PARK, ProcessBody, spawn
 
 if TYPE_CHECKING:
     from repro.core.kernel.domain import Domain
     from repro.core.kernel.service import ShardedService
-    from repro.core.serving.pipeline import ServingPipeline
+    from repro.core.serving.pipeline import ServingConfig, ServingPipeline
+
+#: drain-trigger labels stamped on ``request`` events and
+#: ``serve.dispatch`` spans
+TRIGGER_SCALAR = "scalar"
+TRIGGER_SIZE = "size"
+TRIGGER_TIMEOUT = "timeout"
+
+
+@dataclass(slots=True)
+class Request:
+    """One queued operation awaiting dispatch.
+
+    ``op`` is ``"predict"`` or ``"update"``; ``direction`` is only
+    meaningful for updates.  Its handle admitted it at submit
+    (:meth:`~repro.core.kernel.domain.DomainHandle.admit`) against
+    ``domain``, so what is queued is already decided: the lane only
+    executes it, by that domain's name - unless the domain was removed
+    since, when the name may be a successor's and the request fails
+    instead.  One is built per submit, so the pipeline constructs it
+    positionally: keep the field order.
+    """
+
+    op: str
+    domain: "Domain"
+    features: Sequence[int]
+    future: CompletionFuture
+    direction: bool = False
+    #: serving shard the pipeline routed this request to at submit;
+    #: completion files its sojourn under the shard that served it
+    shard_id: int = 0
+    #: submission order, stamped by the pipeline - the deterministic
+    #: tie-break audit trail for same-timestamp requests
+    seq: int = field(default=0, compare=False)
 
 
 def _removed(domain: "Domain") -> DomainError:
@@ -59,148 +119,228 @@ def _removed(domain: "Domain") -> DomainError:
 
 
 class Dispatcher:
-    """One shard's drain loop: collect, charge sim time, execute."""
+    """One shard's lane: queue, drain rule, crossing charge, execution."""
 
     def __init__(self, pipeline: "ServingPipeline", shard_id: int,
-                 queue: RequestQueue, batcher: MicroBatcher,
-                 service: "ShardedService", engine: Engine,
-                 tracer: TracerLike = NULL_TRACER,
+                 config: "ServingConfig", service: "ShardedService",
+                 engine: Engine, tracer: TracerLike = NULL_TRACER,
                  metrics: MetricsRegistry | None = None) -> None:
         self.pipeline = pipeline
         self.shard_id = shard_id
-        self.queue = queue
-        self.batcher = batcher
         self.service = service
         self.engine = engine
         self.tracer = tracer
         self.metrics = metrics
-        # Bound once: the label every record carries, the histogram
-        # every drain observes into, and the engine clock spans ride.
-        self._label = queue.label
-        self._batch_hist = (
-            metrics.histogram(BATCH_SIZE, shard=self._label)
-            if metrics is not None else None)
+        self.max_batch = config.max_batch
+        self.batch_window_ns = config.batch_window_ns
+        #: the service's crossing costs, which a synchronous client
+        #: of the same service is charged too
+        self.latency = service.config.latency
+        # Bound once: the label every record carries, the histograms
+        # the enqueues and drains are filed into, and the engine clock
+        # spans ride.
+        self.label = str(shard_id)
+        self._depth_hist = self._batch_hist = None
+        #: post-enqueue depth -> pushes at it since the last filing
+        #: (None: unmetered).  Depths are integers, so filing them as
+        #: runs leaves the histogram exactly as per-push observes do.
+        self._depths: dict[int, int] | None = None
+        if metrics is not None:
+            self._depth_hist = metrics.histogram(QUEUE_DEPTH,
+                                                 shard=self.label)
+            self._batch_hist = metrics.histogram(BATCH_SIZE,
+                                                 shard=self.label)
+            self._depths = {}
         self._clock = engine.clock
+        #: the live FIFO itself, a plain attribute so ``submit`` tests
+        #: and measures it without a call.  Read-only by contract:
+        #: requests enter through :meth:`push` and leave by the drain.
+        self.items: deque[Request] = deque()
+        # -- counters (stable keys for snapshots/tables) --
+        self.enqueued = 0
+        self.shed = 0
+        self.max_depth = 0
+        self.batches = 0
+        self.rows = 0
+        self.flush_timeouts = 0
         #: the batch in hand, stamped once per drain (watched or not)
         #: and read by the pipeline into each of its requests'
-        #: ``request`` record: when this dispatcher began collecting
-        #: it, when it was drained, its rows and what triggered it
+        #: ``request`` record: when this lane began collecting it, when
+        #: it was drained, its rows and what triggered it
         self.collect_ns = 0.0
         self.drained_ns = 0.0
-        self.rows = 0
+        self.batch_rows = 0
         self.trigger = ""
-        self.process: Process | None = None
+        #: the process is parked on an empty queue: :meth:`push`
+        #: resumes it
+        self.parked = False
+        self.process = spawn(engine, self._run(),
+                             name=f"dispatch-{shard_id}")
 
-    def start(self) -> Process:
-        self.process = spawn(self.engine, self._run(),
-                             name=f"dispatch-{self.shard_id}")
-        return self.process
+    def push(self, request: Request) -> None:
+        """Append an admitted request; a parked lane starts at once."""
+        items = self.items
+        items.append(request)
+        self.enqueued += 1
+        depth = len(items)
+        if depth > self.max_depth:
+            self.max_depth = depth
+        depths = self._depths
+        if depths is not None:
+            if not depths:  # the first push since the last filing
+                self.metrics.file_before_read(self._file_depths)
+            depths[depth] = depths.get(depth, 0) + 1
+        if self.parked:
+            self.parked = False
+            self.process.resume()
+
+    def _file_depths(self) -> None:
+        """What the registry calls before it is read: each depth
+        pushed since the last filing, once per push."""
+        depths = self._depths
+        histogram = self._depth_hist
+        for depth, times in depths.items():
+            histogram.observe_run(float(depth), times)
+        depths.clear()
+
+    def record_shed(self, request: Request, reason: str) -> None:
+        """Account one refused request (the pipeline already failed
+        its future); the lane owns the trace/metric emission so every
+        shed lands on the target shard's track."""
+        self.shed += 1
+        if self.tracer.enabled:
+            self.tracer.record(
+                "queue.shed", domain=request.domain.name,
+                transport="serving", ts_ns=self.engine.now,
+                shard=self.label,
+                detail={"op": request.op, "reason": reason,
+                        "depth": len(self.items)},
+            )
+        if self.metrics is not None:
+            self.metrics.counter(
+                SHED_TOTAL, shard=self.label, reason=reason
+            ).inc()
 
     def _run(self) -> ProcessBody:
-        """Sim-process body: the shard's event-driven serve loop.
+        """Sim-process body: the shard's drain loop.
 
-        The loop never blocks the engine: idle time is spent parked on
-        the queue's ``nonempty`` event (no scheduled wake-up, so a
-        drained simulation terminates), and kernel execution happens
+        The loop never blocks the engine: idle time is spent parked
+        (no scheduled wake-up, so a drained simulation terminates)
+        until :meth:`push` resumes it, and kernel execution happens
         only after the batch's crossing cost has been charged with a
-        ``yield``.  An unobserved shard (no histogram, no tracer)
-        skips :meth:`_trace_drain`.  A drained batch of one is served
-        directly; only a real batch is a ``serve.dispatch``.
+        ``yield``.  An unobserved lane (no histogram, no tracer) skips
+        :meth:`_trace_drain`.  Only a watched batch of two or more is
+        served inside a ``serve.dispatch`` span.
         """
-        queue = self.queue
-        items = queue.items
-        batcher = self.batcher
+        items = self.items
         engine = self.engine
-        parked = queue.nonempty.wait()  # one command, re-yielded
+        max_batch = self.max_batch
+        # a float, so the sleep is the engine's exact-type command
+        window = float(self.batch_window_ns)
+        latency = self.latency
         while True:
             if not items:
-                yield parked
-                if not items:  # pragma: no cover - spurious wake
-                    continue
+                self.parked = True
+                yield PARK
             collect_ns = engine.now
-            collect = batcher.collect_ns(len(items))
-            if collect > 0:
-                yield collect
-            batch, trigger = batcher.drain(queue)
-            if not batch:  # pragma: no cover - drained by a restart
-                continue
+            if not window:
+                batch = [items.popleft()]
+                trigger = TRIGGER_SCALAR
+            else:
+                if len(items) < max_batch:
+                    yield window
+                if len(items) <= max_batch:  # the usual: all queued
+                    batch = list(items)
+                    items.clear()
+                else:
+                    batch = [items.popleft() for _ in range(max_batch)]
+                trigger = (TRIGGER_SIZE if len(batch) == max_batch
+                           else TRIGGER_TIMEOUT)
+            rows = len(batch)
+            self.batches += 1
+            self.rows += rows
+            if trigger is TRIGGER_TIMEOUT:
+                self.flush_timeouts += 1
             self.collect_ns = collect_ns
             self.drained_ns = engine.now
-            self.rows = len(batch)
+            self.batch_rows = rows
             self.trigger = trigger
             if self.tracer.enabled or self._batch_hist is not None:
-                self._trace_drain(batch, trigger)
-            yield batcher.service_ns(len(batch))
-            if len(batch) == 1:
-                self._serve_one(batch[0])
+                self._trace_drain(rows, trigger)
+            yield latency.syscall_ns + rows * latency.vdso_predict_ns
+            if rows > 1 and self.tracer.enabled:
+                with self._dispatch_span(batch):
+                    self._serve(batch)
             else:
-                self._execute(batch)
+                self._serve(batch)
 
-    def _trace_drain(self, batch: list[Request], trigger: str) -> None:
+    def _trace_drain(self, rows: int, trigger: str) -> None:
         """The drain's size into ``pss_batch_size`` and, for a
         window-expiry drain, ``batch.flush_timeout`` on this shard's
         track.  (The drain itself is not an event: each request it
         took says ``rows`` and ``trigger`` in its ``request`` record.)
         """
         if self._batch_hist is not None:
-            self._batch_hist.observe(float(len(batch)))
-        if trigger == TRIGGER_TIMEOUT and self.tracer.enabled:
+            self._batch_hist.observe(float(rows))
+        if trigger is TRIGGER_TIMEOUT and self.tracer.enabled:
             self.tracer.record(
                 "batch.flush_timeout", "", "serving", self.engine.now,
                 0.0, 0,
-                {"rows": len(batch),
-                 "window_ns": self.batcher.batch_window_ns},
-                self._label)
+                {"rows": rows, "window_ns": self.batch_window_ns},
+                self.label)
 
     def _dispatch_span(self, batch: list[Request]) -> SpanHandleLike:
         """The batch's span names this lane's shard - unless a reshard
         moved a domain of the batch away since it was queued: the
         kernel spans under it then name another shard, and a batch over
         several shards names none."""
-        label = self._label
+        label = self.label
         if any(request.domain.shard_label != label for request in batch):
             label = ""
         return self.tracer.span(
             "serve.dispatch", "", "serving", label, None,
             {"rows": len(batch), "trigger": self.trigger}, self._clock)
 
-    @spanned(_dispatch_span, tracer="tracer")
-    def _execute(self, batch: list[Request]) -> None:
-        """Run one drained batch of several requests against the
-        kernel: one :meth:`_serve_one` per request, in FIFO order.
+    def _serve(self, batch: list[Request]) -> None:
+        """Run one drained batch against the kernel in FIFO order.
 
-        The batch was one crossing (one ``service_ns`` charge); each of
-        its requests is one kernel call, as the charge's per-row term
-        says.  Served traffic spreads over many domains, so a kernel
-        batch of its adjacent predictions splits into blocks of one or
-        two rows each, which cost more than these scalar calls
-        (docs/PERFORMANCE.md, "Kept, with evidence").
-        """
+        The batch was one crossing (one charge); each of its requests
+        is one kernel call and one settlement, as the charge's per-row
+        term says, through ``self.service.predict_batch`` /
+        ``self.service.update``: that is the kernel boundary (what
+        ``perf/`` times).  Served traffic spreads over many domains, so
+        a kernel batch of its adjacent predictions splits into blocks
+        of one or two rows each, which cost more than these scalar
+        calls (docs/PERFORMANCE.md, "Kept, with evidence").  A request
+        fails for its own outcome only, and an exception escaping the
+        kernel call is caught here - it would otherwise end the shard's
+        process and strand every future queued behind it - and
+        re-raised, traceback and all, by the future's ``result()``."""
         for request in batch:
-            self._serve_one(request)
-
-    def _serve_one(self, request: Request) -> None:
-        """One request is one kernel call and one settlement, through
-        ``self.service.predict_batch`` / ``self.service.update``: that
-        is the kernel boundary (what ``perf/`` times).  A request fails
-        for its own outcome only, and an exception escaping the kernel
-        call is caught here - it would otherwise end the shard's
-        process and strand every future queued behind it - and re-raised,
-        traceback and all, by the future's ``result()``."""
-        domain = request.domain
-        try:
-            if domain.policy is REMOVED:
-                outcome = _removed(domain)
-            elif request.op == "predict":
-                outcome, = self.service.predict_batch(
-                    [(domain.name, request.features)])
+            domain = request.domain
+            try:
+                if domain.policy is REMOVED:
+                    outcome = _removed(domain)
+                elif request.op == "predict":
+                    outcome, = self.service.predict_batch(
+                        [(domain.name, request.features)])
+                else:
+                    outcome = None
+                    self.service.update(
+                        domain.name, request.features, request.direction)
+            except Exception as error:
+                outcome = error
+            if isinstance(outcome, Exception):
+                self.pipeline.request_failed(request, outcome)
             else:
-                outcome = None
-                self.service.update(
-                    domain.name, request.features, request.direction)
-        except Exception as error:
-            outcome = error
-        if isinstance(outcome, Exception):
-            self.pipeline.request_failed(request, outcome)
-        else:
-            self.pipeline.request_done(request, outcome)
+                self.pipeline.request_done(request, outcome)
+
+    def snapshot(self) -> dict[str, int]:
+        """Stable-keyed queue counters for reports and BENCH json."""
+        return {
+            "shard": self.shard_id,
+            "enqueued": self.enqueued,
+            "shed": self.shed,
+            "max_depth": self.max_depth,
+            "depth": len(self.items),
+        }

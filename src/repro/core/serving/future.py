@@ -2,7 +2,7 @@
 
 The event-driven pipeline separates *issuing* a request from
 *completing* it: ``submit`` returns immediately with a
-:class:`CompletionFuture`, and a per-shard dispatcher completes it
+:class:`CompletionFuture`, and a per-shard lane settles it
 whenever the micro-batch carrying the request finishes crossing the
 kernel.  Simulated client processes block on a future with ``yield
 future.wait()`` exactly like any other sim resource; plain
@@ -28,11 +28,11 @@ DoneCallback = Callable[["CompletionFuture"], None]
 class CompletionFuture:
     """One request's pending result.
 
-    Exactly one of :meth:`complete` / :meth:`fail` is called, exactly
-    once, by the pipeline; ``result()`` then returns the value or
-    re-raises the failure.  ``submitted_ns``/``completed_ns`` bracket
-    the request's queue sojourn plus service time on the simulated
-    clock.
+    The pipeline settles it exactly once (:meth:`settle`, or
+    :meth:`complete` / :meth:`fail`); ``result()`` then returns the
+    value or re-raises the failure.  ``submitted_ns``/``completed_ns``
+    bracket the request's queue sojourn plus service time on the
+    simulated clock.
     """
 
     __slots__ = ("done", "submitted_ns", "completed_ns", "_engine",
@@ -55,14 +55,16 @@ class CompletionFuture:
 
     def complete(self, value: Any, ts_ns: float = 0.0) -> None:
         """Resolve successfully; wakes waiters and runs callbacks."""
-        self._settle(value, None, ts_ns)
+        self.settle(value, None, ts_ns)
 
     def fail(self, error: BaseException, ts_ns: float = 0.0) -> None:
         """Resolve with an error; ``result()`` will re-raise it."""
-        self._settle(None, error, ts_ns)
+        self.settle(None, error, ts_ns)
 
-    def _settle(self, value: Any, error: BaseException | None,
-                ts_ns: float) -> None:
+    def settle(self, value: Any, error: BaseException | None,
+               ts_ns: float) -> None:
+        """Resolve with ``value``, or with ``error`` when it is not
+        None: the one call the pipeline makes per request."""
         if self.done:
             raise RuntimeError("future already completed")
         self.done = True

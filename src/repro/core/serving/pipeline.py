@@ -7,15 +7,14 @@ frame, the pipeline splits every request into an *issue* half
 :class:`~repro.core.kernel.domain.DomainHandle` admit the request -
 the contract the synchronous call passes: domain, policy, quota,
 feature count - checks the queue, enqueues on the owning shard's
-:class:`~repro.core.serving.queue.RequestQueue`, and returns a
+:class:`~repro.core.serving.dispatch.Dispatcher` lane, and returns a
 :class:`~repro.core.serving.future.CompletionFuture`) and a
-*completion* half (the shard's
-:class:`~repro.core.serving.dispatch.Dispatcher` sim process drains
-micro-batches on the deterministic :class:`~repro.sim.engine.Engine`
-and completes the futures).  The synchronous API is untouched - the
-pipeline is a frontend over the same kernel, and a 1-client,
-batch-window-0 serve run is bit-identical to the scalar path
-(hypothesis-pinned in ``tests/serving/test_identity.py``).
+*completion* half (the lane's sim process drains micro-batches on the
+deterministic :class:`~repro.sim.engine.Engine` and settles the
+futures).  The synchronous API is untouched - the pipeline is a
+frontend over the same kernel, and a 1-client, batch-window-0 serve
+run is bit-identical to the scalar path (hypothesis-pinned in
+``tests/serving/test_identity.py``).
 
 Back-pressure is one rule: every request its handle admitted goes
 through
@@ -30,8 +29,9 @@ process every ``slo_eval_interval_ns``) - which refuses with
 :class:`~repro.core.errors.RequestShedError` - the resilient client
 maps that to its static fallback like any transient fault.
 
-The pipeline follows the service's topology: one *lane* (queue,
-batcher, dispatcher, sojourn histogram) per shard at construction, and
+The pipeline follows the service's topology: one *lane* (a
+:class:`~repro.core.serving.dispatch.Dispatcher`: queue, drain rule and
+sim process; plus a sojourn histogram) per shard at construction, and
 one more the first time a request is routed to a shard a reshard grew
 since (:meth:`ServingPipeline._grow_lanes`); a shrunk-away shard's lane
 drains what it holds and then idles.
@@ -53,14 +53,11 @@ from repro.core.errors import (
     QuotaExceededError,
     RequestShedError,
 )
-from repro.core.features import canonical_features
 from repro.core.kernel.admission import AdmissionController
 from repro.core.kernel.domain import DomainHandle
 from repro.core.policy import ClientIdentity
-from repro.core.serving.batcher import MicroBatcher
-from repro.core.serving.dispatch import Dispatcher
+from repro.core.serving.dispatch import Dispatcher, Request
 from repro.core.serving.future import CompletionFuture
-from repro.core.serving.queue import Request, RequestQueue
 from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
@@ -128,6 +125,12 @@ class ServingConfig:
     slo_eval_interval_ns: float = 2_000.0
 
     def __post_init__(self) -> None:
+        if self.max_batch < 1:
+            raise ConfigError(
+                f"max_batch must be >= 1, got {self.max_batch}")
+        if self.batch_window_ns < 0:
+            raise ConfigError(
+                f"batch_window_ns must be >= 0, got {self.batch_window_ns}")
         if self.queue_limit < 0:
             raise ConfigError(
                 f"queue_limit must be >= 0, got {self.queue_limit}")
@@ -138,7 +141,7 @@ class ServingConfig:
 
 
 class ServingPipeline:
-    """Queues, batchers, and dispatchers over one sharded service."""
+    """One serving lane per shard over one sharded service."""
 
     def __init__(self, service: "ShardedService",
                  config: ServingConfig | None = None,
@@ -166,9 +169,7 @@ class ServingPipeline:
         self._next_event = self.tracer.next_number
         self._open_spans = self.tracer.span_stack
         # -- per-shard lanes, each list indexed by shard id --
-        self.queues: list[RequestQueue] = []
-        self.batchers: list[MicroBatcher] = []
-        self.dispatchers: list[Dispatcher] = []
+        self.lanes: list[Dispatcher] = []
         #: completion-sojourn histogram per serving shard, resolved
         #: once (empty without a registry)
         self._latency_hists: list[Histogram] = []
@@ -192,8 +193,7 @@ class ServingPipeline:
         self._admission = (service.admission
                            if service.admission is not None
                            else AdmissionController())
-        #: the monitor exited with the load not marked complete; the
-        #: next submit restarts it
+        #: the monitor exited; the next submit restarts it
         self._monitor_idle = False
         if self.slo_engine is not None:
             spawn(self.engine, self._monitor(), name="slo-monitor")
@@ -213,30 +213,21 @@ class ServingPipeline:
         #: need percentiles even without a metrics registry)
         self.latency = Histogram()
 
-    def _grow_lanes(self, shard_id: int) -> RequestQueue:
-        """The queue of ``shard_id``'s lane, building - and starting,
-        in shard-id order - every lane up to it that does not exist
-        yet: all of them at construction, later the ones a reshard
-        grew (a request is routed by the shard hosting its domain, and
-        the pipeline may be older than that shard)."""
-        for new_id in range(len(self.queues), shard_id + 1):
-            queue = RequestQueue(new_id, self.engine, tracer=self.tracer,
-                                 metrics=self.metrics)
-            batcher = MicroBatcher(self.service.config.latency,
-                                   self.config.max_batch,
-                                   self.config.batch_window_ns)
-            dispatcher = Dispatcher(self, new_id, queue, batcher,
-                                    self.service, self.engine,
-                                    tracer=self.tracer,
-                                    metrics=self.metrics)
-            self.queues.append(queue)
-            self.batchers.append(batcher)
-            self.dispatchers.append(dispatcher)
+    def _grow_lanes(self, shard_id: int) -> Dispatcher:
+        """``shard_id``'s lane, building - and starting, in shard-id
+        order - every lane up to it that does not exist yet: all of
+        them at construction, later the ones a reshard grew (a request
+        is routed by the shard hosting its domain, and the pipeline may
+        be older than that shard)."""
+        for new_id in range(len(self.lanes), shard_id + 1):
+            lane = Dispatcher(self, new_id, self.config, self.service,
+                              self.engine, tracer=self.tracer,
+                              metrics=self.metrics)
+            self.lanes.append(lane)
             if self.metrics is not None:
                 self._latency_hists.append(self.metrics.histogram(
-                    SERVE_LATENCY_NS, shard=queue.label))
-            dispatcher.start()
-        return self.queues[shard_id]
+                    SERVE_LATENCY_NS, shard=lane.label))
+        return self.lanes[shard_id]
 
     # -- issue half ---------------------------------------------------------
 
@@ -264,7 +255,8 @@ class ServingPipeline:
         engine = self.engine
         now = engine.now
         future = CompletionFuture(engine, now)
-        features = canonical_features(features)
+        if type(features) is not tuple:     # canonical_features, inline
+            features = tuple(features)
         self.submitted += 1
         try:
             if not isinstance(domain, str):
@@ -281,31 +273,33 @@ class ServingPipeline:
         except PSSError as error:
             self._refused(op, error, domain if isinstance(domain, str)
                           else domain.domain_name)
-            future.fail(error, ts_ns=now)
+            future.settle(None, error, now)
             return future
         name = target.name
-        shard_id = target.shard_id
+        shard = target.shard                # Domain.shard_id, inline
+        shard_id = shard.shard_id if shard is not None else 0
         try:
-            queue = self.queues[shard_id]
+            lane = self.lanes[shard_id]
         except IndexError:   # a shard grown since the last lane was built
-            queue = self._grow_lanes(shard_id)
+            lane = self._grow_lanes(shard_id)
         self.seq = seq = self.seq + 1
         request = Request(op, target, features, future, direction,
                           shard_id, seq)
         config = self.config
         if self._monitor_idle:
-            self._monitor_idle = False
-            spawn(engine, self._monitor(), name="slo-monitor")
+            self._restart_monitor()
         reason = self._admission.admit_request(
-            len(queue.items), config.queue_limit,
-            config.shed_on_page and self.should_shed(name, queue.label))
+            len(lane.items), config.queue_limit,
+            # should_shed is asked only while some scope is paging
+            bool(self._paging_scopes) and config.shed_on_page
+            and self.should_shed(name, lane.label))
         if reason is not None:
             self.shed_count += 1
-            queue.record_shed(request, reason)
-            future.fail(RequestShedError(reason, name, shard_id),
-                        ts_ns=now)
+            lane.record_shed(request, reason)
+            future.settle(None, RequestShedError(reason, name, shard_id),
+                          now)
             return future
-        queue.push(request)
+        lane.push(request)
         self.in_flight += 1
         return future
 
@@ -337,10 +331,10 @@ class ServingPipeline:
     def should_shed(self, domain: str = "", shard: str = "") -> bool:
         """Cached SLO verdict: is a paging scope covering this target?
 
-        A shedding pipeline asks on every submit, so it must be O(1):
-        the monitor process refreshes the paging-scope set every
-        evaluation interval instead of re-running
-        ``SLOEngine.evaluate`` per request.
+        A shedding pipeline asks on every submit while some scope
+        pages, so it must be O(1): the monitor process refreshes the
+        paging-scope set every evaluation interval instead of
+        re-running ``SLOEngine.evaluate`` per request.
         """
         scopes = self._paging_scopes
         if not scopes:
@@ -358,38 +352,54 @@ class ServingPipeline:
         ones).  Exits once the pipeline drained and either the load
         generator said it finished or - with nothing paging - nothing
         else is scheduled, so a completed simulation's event queue
-        empties and ``engine.run()`` terminates naturally.  The idle
-        exit is not the end: the next submit restarts the monitor, an
-        interval from then, so a pipeline driven with
-        ``run(until=...)`` and fed from outside the engine is still
-        judged (``evals`` counts only evaluations made: none while it
-        is idle).
+        empties and ``engine.run()`` terminates naturally.  An exit is
+        not the end: the next submit restarts the monitor
+        (:meth:`_restart_monitor`), so a pipeline driven with
+        ``run(until=...)`` and fed from outside the engine, or reused
+        after its load was marked complete, is still judged (``evals``
+        counts only evaluations made: none while it is idle).
         """
         interval = self.config.slo_eval_interval_ns
-        engine = self.slo_engine
-        assert engine is not None
         while True:
             yield interval
-            self.evals += 1
-            verdicts = engine.evaluate(self.engine.now)
-            paging = frozenset(v.scope for v in verdicts
-                               if v.verdict == "page")
-            if paging:
-                self.page_evals += 1
-                if not self._paging_scopes:
-                    self.page_excursions += 1
-            self._paging_scopes = paging
-            if self.in_flight == 0:
-                if self._load_complete:
-                    return
-                if not paging and not self.engine.pending():
-                    self._monitor_idle = True
-                    return
+            paging = self._judge()
+            if self.in_flight == 0 and (
+                    self._load_complete
+                    or not paging and not self.engine.pending()):
+                self._monitor_idle = True
+                return
 
-    # -- completion half (dispatcher callbacks) ------------------------------
+    def _judge(self) -> frozenset[str]:
+        """One SLO evaluation at the simulated now into the paging
+        cache; returns the scopes paging."""
+        engine = self.slo_engine
+        assert engine is not None
+        self.evals += 1
+        verdicts = engine.evaluate(self.engine.now)
+        paging = frozenset(v.scope for v in verdicts
+                           if v.verdict == "page")
+        if paging:
+            self.page_evals += 1
+            if not self._paging_scopes:
+                self.page_excursions += 1
+        self._paging_scopes = paging
+        return paging
+
+    def _restart_monitor(self) -> None:
+        """Restart the monitor that exited, an interval from now.  A
+        page it left standing (a load-complete exit does, paging or
+        not) is judged again first, at the simulated now: the request
+        that restarts it is shed only for bad samples still in the
+        windows, not for ones aged out while nothing was judged."""
+        self._monitor_idle = False
+        if self._paging_scopes:
+            self._judge()
+        spawn(self.engine, self._monitor(), name="slo-monitor")
+
+    # -- completion half (lane callbacks) ----------------------------------
 
     def request_done(self, request: Request, value: Any) -> None:
-        """Complete one served request (dispatcher only)."""
+        """Complete one served request (lane only)."""
         now = self.engine.now
         self.completed += 1
         self.in_flight -= 1
@@ -403,11 +413,11 @@ class ServingPipeline:
                 good=sojourn <= self.config.slo_threshold_ns)
         if self.tracer.enabled:
             self._trace_request(request, now, "ok")
-        request.future.complete(value, ts_ns=now)
+        request.future.settle(value, None, now)
 
     def request_failed(self, request: Request,
                        error: BaseException) -> None:
-        """Fail one request with the kernel's error (dispatcher only).
+        """Fail one request with the kernel's error (lane only).
 
         A failed request misses any latency limit, so the health
         engine gets it as a bad ``SERVE_SLO`` sample at its failure
@@ -425,7 +435,7 @@ class ServingPipeline:
         if self.tracer.enabled:
             self._trace_request(request, now,
                                 f"error:{type(error).__name__}")
-        request.future.fail(error, ts_ns=now)
+        request.future.settle(None, error, now)
 
     def _trace_request(self, request: Request, now: float,
                        outcome: str) -> None:
@@ -433,15 +443,15 @@ class ServingPipeline:
         spanning its sojourn (``ts_ns`` the submit, ``dur_ns`` what
         ``future.latency_ns`` will read) whose detail carries its own
         stage breakdown as monotone stamps - ``collect_ns`` (its
-        dispatcher began collecting the batch that took it; earlier
+        lane began collecting the batch that took it; earlier
         than the submit for a request that arrived inside the window),
-        ``drained_ns``, ``settled_ns`` - read off the dispatcher, which
-        still has that batch in hand.  :func:`repro.obs.postmortem
+        ``drained_ns``, ``settled_ns`` - read off the lane, which still
+        has that batch in hand.  :func:`repro.obs.postmortem
         .request_stages` turns them into queue wait / batch window /
         crossing.  Like the kernel's spans, it names the shard hosting
         its domain now, which a reshard may have moved off the lane the
         request was queued on."""
-        dispatcher = self.dispatchers[request.shard_id]
+        lane = self.lanes[request.shard_id]
         submitted = request.future.submitted_ns
         domain = request.domain
         spans = self._open_spans
@@ -449,9 +459,9 @@ class ServingPipeline:
             self._next_event(), submitted, "request", domain.name,
             "serving", now - submitted, 0,
             {"op": request.op, "outcome": outcome,
-             "rows": dispatcher.rows, "trigger": dispatcher.trigger,
-             "collect_ns": dispatcher.collect_ns,
-             "drained_ns": dispatcher.drained_ns, "settled_ns": now},
+             "rows": lane.batch_rows, "trigger": lane.trigger,
+             "collect_ns": lane.collect_ns,
+             "drained_ns": lane.drained_ns, "settled_ns": now},
             domain.shard_label, spans[-1].span_id if spans else 0))
 
     # -- driving -------------------------------------------------------------
@@ -468,12 +478,12 @@ class ServingPipeline:
     # -- reporting -----------------------------------------------------------
 
     def batch_stats(self) -> dict[str, float]:
-        """Batcher counters summed across shards."""
+        """Drain counters summed across lanes."""
+        lanes = self.lanes
         return {
-            "batches": sum(b.batches for b in self.batchers),
-            "rows": sum(b.rows for b in self.batchers),
-            "flush_timeouts": sum(b.flush_timeouts
-                                  for b in self.batchers),
+            "batches": sum(lane.batches for lane in lanes),
+            "rows": sum(lane.rows for lane in lanes),
+            "flush_timeouts": sum(lane.flush_timeouts for lane in lanes),
         }
 
     def snapshot(self) -> dict[str, Any]:
@@ -490,7 +500,7 @@ class ServingPipeline:
             "mean_batch": (batches["rows"] / batches["batches"]
                            if batches["batches"] else 0.0),
             "latency": self.latency.snapshot(),
-            "queues": [queue.snapshot() for queue in self.queues],
+            "queues": [lane.snapshot() for lane in self.lanes],
             "slo": {
                 "evals": self.evals,
                 "page_evals": self.page_evals,
@@ -508,15 +518,13 @@ class ServingPipeline:
         ``shard_summaries()`` rows (rendered by ``shard_table``)."""
         for summary in summaries:
             shard_id = summary.get("shard")
-            if isinstance(shard_id, int) \
-                    and shard_id < len(self.queues):
-                queue = self.queues[shard_id]
-                batcher = self.batchers[shard_id]
+            if isinstance(shard_id, int) and shard_id < len(self.lanes):
+                lane = self.lanes[shard_id]
                 summary["serving"] = {
-                    "enqueued": queue.enqueued,
-                    "shed": queue.shed,
-                    "max_depth": queue.max_depth,
-                    "batches": batcher.batches,
-                    "flush_timeouts": batcher.flush_timeouts,
+                    "enqueued": lane.enqueued,
+                    "shed": lane.shed,
+                    "max_depth": lane.max_depth,
+                    "batches": lane.batches,
+                    "flush_timeouts": lane.flush_timeouts,
                 }
         return summaries

@@ -5,7 +5,9 @@ A process body is a Python generator that yields *commands*:
 * a number - sleep that many simulated nanoseconds;
 * a :class:`Wait` - block until the named :class:`SimEvent` fires;
 * an :class:`AcquireCmd` - block until a simulated resource is granted
-  (built by :meth:`repro.sim.resources.SimMutex.acquire` and friends).
+  (built by :meth:`repro.sim.resources.SimMutex.acquire` and friends);
+* :data:`PARK` - block until the process's one waker calls
+  :meth:`Process.resume` itself (a wait with no event to fire).
 
 The scheduler resumes a process by calling ``send`` with the command's
 result, so bodies read like straight-line blocking code::
@@ -49,6 +51,19 @@ class AcquireCmd:
         # ``grant`` takes ownership for the process and returns True, or
         # queues it and returns False (the module's grant contract).
         self.grant = grant
+
+
+class Park:
+    """Command: block until the owner of the process resumes it.
+
+    For a body with exactly one waker that holds the process (a
+    serving lane, woken by its own queue's push): the waker calls
+    ``process.resume()`` directly, with no event, waiter list or
+    ``fire`` in between.  Yield the one instance, :data:`PARK`."""
+
+
+#: the :class:`Park` command
+PARK = Park()
 
 
 class SimEvent:
@@ -119,6 +134,8 @@ class Process:
             if kind is AcquireCmd:
                 if not command.grant(self):
                     return
+            elif kind is Park:
+                return
             elif not self._carry_out(command):
                 return
             payload = None

@@ -155,6 +155,33 @@ class TestShedding:
         assert pipeline.evals >= evals + 200 * 1000.0 / 2000.0 - 1
         assert pipeline.page_excursions == 1
 
+    def test_a_page_left_at_load_complete_is_judged_again(self):
+        """A monitor exits once the load is marked complete and nothing
+        is in flight, paging or not.  The page it leaves must not shed
+        the traffic a reused pipeline is sent later: the next submit
+        restarts the monitor, which judges the page again first, and
+        by then its bad samples have aged out."""
+        service = ShardedService()
+        service.create_domain("d")
+        pipeline = ServingPipeline(
+            service, ServingConfig(shed_on_page=True, slo_threshold_ns=100.0),
+            slos=serving_slos(100.0))
+        engine = pipeline.engine
+        for _ in range(400):            # all at t=0: every sojourn misses
+            pipeline.submit("d", [1, 2])
+        pipeline.mark_load_complete()
+        pipeline.run()
+        assert pipeline.should_shed("d")        # the monitor exited paging
+        evals = pipeline.evals
+        pipeline.run(until=engine.now + 1e6)    # a quiet millisecond
+        later = []
+        for _ in range(20):             # 1 req/us
+            later.append(pipeline.submit("d", [1, 2]))
+            pipeline.run(until=engine.now + 1000.0)
+        assert [f.error for f in later] == [None] * 20
+        assert pipeline.evals > evals
+        assert not pipeline.should_shed("d")
+
 
 class TestSloContract:
     """The pipeline feeds completions to ``serve-latency`` only, judged

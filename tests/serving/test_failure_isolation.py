@@ -1,8 +1,8 @@
 """A failing kernel call fails its own requests and nothing else.
 
-The Dispatcher is the boundary that must keep running: an exception
+The shard's lane is the boundary that must keep running: an exception
 that is not a :class:`PSSError` (a bug in a model, say) used to escape
-``_execute``, end the shard's sim process and strand every future
+the drain, end the shard's sim process and strand every future
 queued behind it.  Now any exception fails exactly the requests the
 kernel call covered, is counted in ``pipeline.failed``, and the shard
 keeps draining.  Inside a kernel batch the boundary is the domain: a
@@ -88,7 +88,7 @@ def test_runtime_error_fails_its_own_futures_and_the_shard_drains():
     assert (snapshot["completed"], snapshot["failed"],
             snapshot["in_flight"]) == (3, 3, 0)
     # The shard's process is still parked on its queue, not dead.
-    assert not pipeline.dispatchers[0].process.finished
+    assert not pipeline.lanes[0].process.finished
 
 
 def test_requests_submitted_after_a_failure_still_settle():

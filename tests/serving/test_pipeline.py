@@ -387,8 +387,7 @@ class TestVisibility:
                                    tracer=tracer)
         assert pipeline.tracer is tracer
         assert ServingPipeline(service).tracer is tracer
-        assert all(q.tracer is tracer for q in pipeline.queues)
-        assert all(d.tracer is tracer for d in pipeline.dispatchers)
+        assert all(lane.tracer is tracer for lane in pipeline.lanes)
         service.create_domain("d")
         tracer.clear()
         pipeline.submit("d", FEATURES, op="update", direction=True)

@@ -1,12 +1,12 @@
 """``pss_queue_depth`` filed when the registry is read is the histogram
 per-push observes leave.
 
-A :class:`RequestQueue` counts each post-enqueue depth and hands the
-counts to the registry only when it is next read
+A serving lane (:class:`Dispatcher`) counts each post-enqueue depth
+and hands the counts to the registry only when it is next read
 (``MetricsRegistry.file_before_read``).  Depths are integers, so every
 reported field - ``count``, ``sum``, ``min``, ``max``, the zero bucket
 and the log buckets - must equal what one ``observe`` per push gives.
-The oracle here is exactly that: ``RequestQueue.push`` shadowed to
+The oracle here is exactly that: ``Dispatcher.push`` shadowed to
 observe each push's depth into a private histogram per shard, compared
 at registry reads taken mid-run and after it.
 """
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.core.config import PSSConfig
 from repro.core.kernel.service import ShardedService
 from repro.core.serving import ServingConfig, ServingPipeline
-from repro.core.serving.queue import RequestQueue
+from repro.core.serving.dispatch import Dispatcher
 from repro.obs import MetricsRegistry
 from repro.obs.metrics import QUEUE_DEPTH, Histogram, SHED_TOTAL
 from repro.sim.process import spawn
@@ -40,20 +40,20 @@ def fields(histogram):
 def per_push_oracle():
     """Per shard label, the histogram one ``observe`` per push leaves."""
     oracle = {}
-    push = RequestQueue.push
+    push = Dispatcher.push
 
-    def observed_push(queue, request):
-        # the depth this push makes, taken before it wakes a
-        # dispatcher that may drain the queue at once
-        depth = len(queue.items) + 1
-        push(queue, request)
-        oracle.setdefault(queue.label, Histogram()).observe(float(depth))
+    def observed_push(lane, request):
+        # the depth this push makes, taken before it wakes a parked
+        # lane that may drain the queue at once
+        depth = len(lane.items) + 1
+        push(lane, request)
+        oracle.setdefault(lane.label, Histogram()).observe(float(depth))
 
-    RequestQueue.push = observed_push
+    Dispatcher.push = observed_push
     try:
         yield oracle
     finally:
-        RequestQueue.push = push
+        Dispatcher.push = push
 
 
 @pytest.fixture
@@ -115,7 +115,7 @@ class TestDepthFilingIsPerPushObserve:
             + burst(20, every=10.0)
         pipeline, _ = run(per_push, schedule, shards=1,
                           batch_window_ns=50.0, max_batch=3)
-        assert pipeline.queues[0].max_depth > 3
+        assert pipeline.lanes[0].max_depth > 3
         assert pipeline.batch_stats()["batches"] > 1
         assert per_push["0"].count == 41
 
@@ -144,7 +144,7 @@ class TestDepthFilingIsPerPushObserve:
         pipeline = ServingPipeline(service, ServingConfig())
         pipeline.submit("d", ROW)
         pipeline.run()
-        assert pipeline.queues[0]._depths is None
+        assert pipeline.lanes[0]._depths is None
 
     @settings(max_examples=60, deadline=None)
     @given(shards=st.integers(1, 3),

@@ -50,9 +50,8 @@ class TestGrow:
         # queued, by name; the ones after it on the new shard's lane
         assert [f.result() for f in before] == sync_scores(2, NAMES)
         assert [f.result() for f in after] == sync_scores(2, moved)
-        assert len(pipeline.queues) == len(pipeline.batchers) \
-            == len(pipeline.dispatchers) == 3
-        assert pipeline.queues[2].enqueued == len(moved)
+        assert len(pipeline.lanes) == 3
+        assert pipeline.lanes[2].enqueued == len(moved)
         assert pipeline.snapshot()["in_flight"] == 0
 
     def test_a_grown_lane_files_under_its_shard(self):
@@ -63,7 +62,7 @@ class TestGrow:
         tracer.clear()
         futures = {name: pipeline.submit(name, ROW) for name in NAMES}
         pipeline.run()
-        assert len(pipeline.queues) == 1 + max(
+        assert len(pipeline.lanes) == 1 + max(
             service.shard_of(name) for name in NAMES)
         for name, future in futures.items():
             assert future.error is None
@@ -115,7 +114,7 @@ class TestGrow:
         spawn(pipeline.engine, load(), name="load")
         pipeline.run()
         assert [f.result() for f in futures] == sync_scores(2, NAMES) * 3
-        assert len(pipeline.queues) > 2
+        assert len(pipeline.lanes) > 2
 
 
 class TestShrink:
@@ -130,5 +129,5 @@ class TestShrink:
         pipeline.run()
         assert [f.result() for f in queued] == sync_scores(3, doomed)
         assert [f.result() for f in rerouted] == sync_scores(3, doomed)
-        assert pipeline.queues[2].enqueued == len(doomed)   # and no more
-        assert pipeline.queues[2].depth == 0
+        assert pipeline.lanes[2].enqueued == len(doomed)   # and no more
+        assert not pipeline.lanes[2].items

@@ -132,7 +132,7 @@ class TestFireWithoutWaiters:
         assert event.fire() == 0
 
     def test_a_reyielded_wait_parks_again(self):
-        """The Dispatcher builds one ``Wait`` and yields it for ever."""
+        """A body may build one ``Wait`` and yield it for ever."""
         engine = Engine()
         event = SimEvent(engine)
         got = []

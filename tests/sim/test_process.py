@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.engine import Engine, SimulationError
-from repro.sim.process import SimEvent, spawn
+from repro.sim.process import PARK, SimEvent, spawn
 
 
 class TestProcessBasics:
@@ -52,6 +52,30 @@ class TestProcessBasics:
         spawn(eng, body())
         with pytest.raises(SimulationError):
             eng.run()
+
+
+class TestPark:
+    def test_a_parked_process_waits_for_its_owner(self):
+        """``PARK`` schedules nothing: the engine drains around the
+        parked process, and only a direct ``resume`` continues it, at
+        the simulated now, with the payload it is given."""
+        eng = Engine()
+        trace = []
+
+        def body():
+            while True:
+                payload = yield PARK
+                trace.append((eng.now, payload))
+                yield 5.0
+
+        p = spawn(eng, body())
+        eng.run()
+        assert trace == [] and not p.finished
+        eng.run(until=20.0)
+        p.resume("a")
+        eng.run()
+        p.resume("b")
+        assert trace == [(20.0, "a"), (25.0, "b")]
 
 
 class TestSimEvent:

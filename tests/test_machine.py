@@ -684,8 +684,8 @@ class SystemMachine(RuleBasedStateMachine):
             or (FeatureError if len(row) != 2 else None))
         if want is None:
             lane = ref.domain.shard_id
-            queues = self.pipeline.queues
-            depth = len(queues[lane].items) if lane < len(queues) else 0
+            lanes = self.pipeline.lanes
+            depth = len(lanes[lane].items) if lane < len(lanes) else 0
             if self.queue_limit and depth >= self.queue_limit:
                 want = RequestShedError
         future = self.last_submit = self.real_submit(
@@ -1002,8 +1002,8 @@ class SystemMachine(RuleBasedStateMachine):
             == self.refused + self.served
         assert self.samples == self.served
         if self.queue_limit:
-            assert all(queue.max_depth <= self.queue_limit
-                       for queue in pipeline.queues)
+            assert all(lane.max_depth <= self.queue_limit
+                       for lane in pipeline.lanes)
 
     def check_records(self):
         events, spans = self.tracer.events(), self.tracer.spans()

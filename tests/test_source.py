@@ -41,7 +41,7 @@ IMPORT_ALLOWED = {
     "datetime": {"bench/experiments/latency.py"},
     "random": {"sim/rng.py", "core/faults.py"},
 }
-#: the one sim process that enters the kernel
+#: the one module whose sim process (a serving lane) enters the kernel
 DISPATCHER = "core/serving/dispatch.py"
 #: an ``update`` receiver naming one of these is the kernel, not a dict
 KERNEL_RECEIVERS = ("service", "kernel", "shard", "svc")
@@ -239,11 +239,9 @@ REQUEST_PATH_MODULES = [
     "repro.core.policy",
     "repro.core.service",
     "repro.core.serving",
-    "repro.core.serving.batcher",
     "repro.core.serving.dispatch",
     "repro.core.serving.future",
     "repro.core.serving.pipeline",
-    "repro.core.serving.queue",
     "repro.core.stats",
     "repro.core.transport",
     "repro.core.weights",
