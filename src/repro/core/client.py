@@ -569,7 +569,7 @@ class ResilientClient(PSSClient):
         are never retried and never trip the breaker, exactly like the
         scalar call.
         """
-        rows = [canonical_features(features) for features in feature_rows]
+        rows = [f if type(f) is tuple else tuple(f) for f in feature_rows]
         if not rows:
             return []
         self.stats.predictions += len(rows)

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import struct
 from functools import lru_cache
+from itertools import chain
 from typing import Any, Callable, NamedTuple, Sequence
 
 from repro.core.config import PSSConfig
@@ -190,28 +191,30 @@ def _vector_engine(salts: tuple[int, ...], entries: int) -> Any:
             np.uint64(entries))
 
 
-def _rows_as_u64(_np: Any, keys: Sequence[tuple[int, ...]]) -> Any:
+def _rows_as_u64(_np: Any, keys: Sequence[tuple[int, ...]],
+                 width: int) -> Any:
     """Feature rows as a uint64 matrix, or None when they cannot be.
 
     Mirrors ``value & _MASK64`` (two's complement for negatives, low 64
-    bits for huge ints).  The common all-machine-word case converts
-    directly; anything outside falls back one step at a time, and rows
-    numpy cannot represent at all return None so the caller uses the
-    compiled Python path (bit-identical either way).
+    bits for huge ints).  All-machine-word rows stream into the matrix;
+    anything outside falls back one step at a time, and rows not all
+    ``width`` long or that numpy cannot represent return None, for the
+    caller's compiled Python path (bit-identical, or it raises).
     """
+    if list(map(len, keys)) != [width] * len(keys):
+        return None
     try:
-        return _np.array(keys, dtype=_np.uint64)
-    except (OverflowError, ValueError, TypeError):
+        return _np.fromiter(chain.from_iterable(keys), _np.uint64,
+                            count=len(keys) * width).reshape(-1, width)
+    except OverflowError:
         pass
     try:  # negative machine words: int64 -> uint64 is two's complement
         return _np.array(keys, dtype=_np.int64).astype(_np.uint64)
     except (OverflowError, ValueError, TypeError):
         pass
     try:  # arbitrary Python ints: mask down to 64 bits first
-        return _np.array(
-            [[value & _MASK64 for value in key] for key in keys],
-            dtype=_np.uint64,
-        )
+        return _np.array([[value & _MASK64 for value in key] for key in keys],
+                         dtype=_np.uint64)
     except (OverflowError, ValueError, TypeError):
         return None
 
@@ -243,20 +246,21 @@ class SpecializedPlan(NamedTuple):
         self, weights: Sequence[int], bias: int,
         keys: Sequence[tuple[int, ...]],
     ) -> tuple[list[int], list[tuple[int, ...]]] | None:
-        """Vectorized (scores, selected indices) for a block of rows.
+        """Vectorized (scores, selected indices) for a block of rows,
+        in a fixed number of C-level passes: no Python frame per row.
 
         Returns None when the vector engine is unavailable or the rows
-        cannot be represented as uint64; the caller then falls back to
-        the compiled per-row path.  uint64 wraparound multiplication is
-        exactly the ``& _MASK64`` arithmetic, so both paths produce
-        bit-identical indices and scores.
+        are not all ``num_features`` wide or uint64-representable; the
+        caller then falls back to the compiled per-row path.  uint64
+        wraparound multiplication is exactly the ``& _MASK64`` arithmetic,
+        so both paths produce bit-identical indices and scores.
         """
         engine = _vector_engine(self.salts, self.entries_per_feature)
         if engine is None:  # pragma: no cover - numpy is in the dev image
             return None
         _np, salts, bases, entries = engine
-        rows = _rows_as_u64(_np, keys)
-        if rows is None or rows.ndim != 2:
+        rows = _rows_as_u64(_np, keys, self.num_features)
+        if rows is None:
             return None
         with _np.errstate(over="ignore"):
             z = rows ^ salts
@@ -266,7 +270,7 @@ class SpecializedPlan(NamedTuple):
             flat_indices = z % entries + bases
         table = _np.frombuffer(weights, dtype=weights.typecode)
         scores = (table[flat_indices].sum(axis=1) + bias).tolist()
-        return scores, [tuple(row) for row in flat_indices.tolist()]
+        return scores, list(map(tuple, flat_indices.tolist()))
 
 
 def compile_plan(config: PSSConfig) -> SpecializedPlan:

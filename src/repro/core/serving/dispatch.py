@@ -295,8 +295,12 @@ class Dispatcher:
         kernel spans under it then name another shard, and a batch over
         several shards names none."""
         label = self.label
-        if any(request.domain.shard_label != label for request in batch):
-            label = ""
+        shard_id = self.shard_id
+        for request in batch:
+            shard = request.domain.shard
+            if shard is None or shard.shard_id != shard_id:
+                label = ""
+                break
         return self.tracer.span(
             "serve.dispatch", "", "serving", label, None,
             {"rows": len(batch), "trigger": self.trigger}, self._clock)

@@ -365,7 +365,7 @@ class ServingPipeline:
             paging = self._judge()
             if self.in_flight == 0 and (
                     self._load_complete
-                    or not paging and not self.engine.pending()):
+                    or not paging and not self.engine.has_pending()):
                 self._monitor_idle = True
                 return
 

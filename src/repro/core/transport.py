@@ -33,7 +33,6 @@ from repro.core.errors import (
     TransportError,
     TransportFault,
 )
-from repro.core.features import canonical_features
 from repro.core.stats import LatencyAccount
 from repro.obs.spanned import named, spanned
 from repro.obs.trace import NULL_TRACER, SpanHandleLike
@@ -268,7 +267,7 @@ class SyscallTransport(Transport):
         will not line up with one observed under batching.
         """
         self._ensure_open()
-        rows = [canonical_features(features) for features in feature_rows]
+        rows = [f if type(f) is tuple else tuple(f) for f in feature_rows]
         if not rows:
             return []
         cost = (self._latency.syscall_ns
@@ -501,7 +500,7 @@ class VdsoTransport(Transport):
         cache tuple hashes: an all-hit batch pays nothing for it.)
         """
         self._ensure_open()
-        rows = [canonical_features(features) for features in feature_rows]
+        rows = [f if type(f) is tuple else tuple(f) for f in feature_rows]
         account = self.account
         vdso_ns = self._latency.vdso_predict_ns
         traced = self._tracer.enabled

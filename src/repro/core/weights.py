@@ -19,8 +19,8 @@ the reference model in ``tests/core/reference_impl.py``).
 from __future__ import annotations
 
 from array import array
-from collections import OrderedDict
-from itertools import islice
+from collections import OrderedDict, deque
+from itertools import chain, filterfalse, islice, repeat
 from typing import Iterable, Iterator, Sequence
 
 from repro.core.config import PSSConfig
@@ -220,8 +220,8 @@ class WeightMatrix:
     #: miss blocks at least this large go through the plan's vectorized
     #: block hasher; smaller blocks stay on the compiled per-row path
     #: (same results either way - this is purely a crossover point,
-    #: measured in docs/PERFORMANCE.md: 13-14 rows at 8 features, 20 at 4)
-    VECTOR_MIN_ROWS = 16
+    #: measured in docs/PERFORMANCE.md: 12 rows at 8 features, 16 at 4)
+    VECTOR_MIN_ROWS = 14
 
     def dot_batch(self, rows: Sequence[Sequence[int]]) -> list[int]:
         """Batch of :meth:`dot` scores in one pass, bit-identical.
@@ -244,14 +244,14 @@ class WeightMatrix:
         batch - the replay's result is known: each row misses, scores
         its block score, evicts the oldest entry once the cache is full
         and is appended.  :meth:`_admit_block` writes that state in one
-        step instead of row by row.
+        step instead of row by row, and no replay position map is built.
 
         Resolution waits for the first miss because CPython does not
         cache tuple hashes: resolving up front would hash every row
         once more, which an all-hit batch (the served, hot case) would
         pay for nothing (+19 % per row on 25 hot rows).
 
-        The block validates its vectors, so a row that fails raises
+        The block validates its vectors in one pass, so a bad row raises
         :class:`~repro.core.errors.FeatureError` at the batch's first
         miss: no score is returned, nothing was written, and cache and
         counters stand where a scalar replay that failed at that miss
@@ -276,9 +276,10 @@ class WeightMatrix:
         append = scores.append
         hits = 0
         misses = 0
-        #: from the first miss on: each resolved vector's position in
-        #: ``block``, the resolved ``(scores, selected indices)`` lists
-        slots: dict[tuple[int, ...], int] | None = None
+        #: from the first miss on: the resolved ``(scores, selected
+        #: indices)`` lists, and each resolved vector's position in them
+        block: tuple[list[int], list[tuple[int, ...]]] | None = None
+        slots: dict[tuple[int, ...], int]
         try:
             for row in rows:
                 key = row if type(row) is tuple else tuple(row)
@@ -289,15 +290,16 @@ class WeightMatrix:
                     append(bias + gather(flat, selected))
                     continue
                 misses += 1
-                if slots is None:
-                    slots, block = self._resolve_block(rows[len(scores):])
-                    if len(slots) == len(rows) - len(scores):
+                if block is None:
+                    keys, block = self._resolve_block(rows[len(scores):])
+                    if len(keys) == len(rows) - len(scores):
                         # every row still to come is a distinct first
                         # touch: the replay's result is known
-                        self._admit_block(slots, block[1])
-                        misses += len(slots) - 1
+                        self._admit_block(keys, block[1])
+                        misses += len(keys) - 1
                         scores += block[0]
                         break
+                    slots = dict(zip(keys, range(len(keys))))
                 slot = slots.get(key)
                 if slot is None:
                     misses -= 1  # the scalar call counts it
@@ -314,22 +316,27 @@ class WeightMatrix:
 
     def _resolve_block(
         self, rows: Sequence[Sequence[int]]
-    ) -> tuple[dict[tuple[int, ...], int],
+    ) -> tuple[list[tuple[int, ...]],
                tuple[list[int], list[tuple[int, ...]]]]:
-        """Every distinct vector in ``rows`` the cache does not hold,
-        validated and then hashed as one block - vectorized when the
-        block is large enough, the compiled per-row selector otherwise.
-        Returns each vector's position in the block and the block's
-        ``(scores, selected indices)``.  Reads the cache, never writes
-        it."""
+        """Every distinct vector in ``rows`` the cache does not hold, in
+        order, validated and then hashed as one block - vectorized when
+        the block is large enough, the compiled per-row selector
+        otherwise.  Returns the vectors and the block's ``(scores,
+        selected indices)``.  Reads the cache, never writes it.
+
+        Each step up to the hash is a C-level pass over the block,
+        whatever its length; only a block whose row lengths or value
+        types fail the one test is walked by :meth:`_check_features`."""
         cache = self._index_cache
-        slots: dict[tuple[int, ...], int] = {}
-        for key in map(tuple, rows):
-            if key not in cache:
-                slots.setdefault(key, len(slots))
-        keys = list(slots)
-        for key in keys:
-            self._check_features(key)
+        distinct = dict.fromkeys(map(tuple, rows))
+        keys = list(distinct if cache.keys().isdisjoint(distinct)
+                    else filterfalse(cache.__contains__, distinct))
+        width = self._config.num_features
+        if (list(map(len, keys)) != [width] * len(keys)
+                or list(map(type, chain.from_iterable(keys)))
+                != [int] * (width * len(keys))):
+            for key in keys:
+                self._check_features(key)
         flat = self._flat
         bias = self._bias
         plan = self.plan
@@ -339,13 +346,14 @@ class WeightMatrix:
             selected = [plan.select(key) for key in keys]
             gather = self._gather
             block = [bias + gather(flat, one) for one in selected], selected
-        return slots, block
+        return keys, block
 
     def _admit_block(self, keys: Iterable[tuple[int, ...]],
                      selected: list[tuple[int, ...]]) -> None:
         """Cache a block of distinct vectors the cache does not hold, in
-        order, in one step: the state the scalar misses leave one by
-        one, each evicting the oldest entry once the cache is full."""
+        order, in one step - a C-driven ``popitem(last=False)`` pass and
+        one ``update`` - leaving the state the scalar misses leave one
+        by one, each evicting the oldest entry once the cache is full."""
         cache = self._index_cache
         evict = len(selected) - max(0, self.INDEX_CACHE_ENTRIES - len(cache))
         pairs: Iterable[tuple[tuple[int, ...], tuple[int, ...]]] = zip(
@@ -356,9 +364,7 @@ class WeightMatrix:
             pairs = islice(pairs, evict - len(cache), None)
             cache.clear()
         else:
-            popitem = cache.popitem
-            for _ in range(evict):
-                popitem(last=False)
+            deque(map(cache.popitem, repeat(False, evict)), 0)
         cache.update(pairs)
 
     def train_batch(

@@ -62,6 +62,19 @@ class Engine:
             1 for _, seq, _ in self._queue if seq not in self._cancelled
         )
 
+    def has_pending(self) -> bool:
+        """Whether any not-yet-fired, not-cancelled event is scheduled:
+        ``pending() > 0`` without the count.  The heap's head is live
+        unless it was cancelled, so only a cancelled head walks the
+        heap; nothing is added to :meth:`schedule` or :meth:`step`."""
+        queue = self._queue
+        if not queue:
+            return False
+        cancelled = self._cancelled
+        if queue[0][1] not in cancelled:
+            return True
+        return any(seq not in cancelled for _, seq, _ in queue)
+
     def step(self) -> bool:
         """Fire the next event; returns False when the queue is empty."""
         queue = self._queue

@@ -24,8 +24,7 @@ order, weight generations).  These properties pin that claim across:
   diverge after a shape change.
 """
 
-import sys
-from collections import Counter
+from collections import Counter, OrderedDict
 from functools import partial
 
 import pytest
@@ -46,6 +45,7 @@ from repro.core.plans import plan_signature
 from repro.core.weights import WeightMatrix
 
 from tests.core.reference_impl import ReferenceWeightMatrix
+from tests.core.test_weights import REFUSED, Slot, Word
 
 
 def configs():
@@ -216,22 +216,45 @@ def bounded_pair(config, limit, vector_min_rows):
     return Batched(config), Scalar(config)
 
 
+class CountingCache(OrderedDict):
+    """An index cache that counts the calls made on it, by method name,
+    whether Python or C makes them (``sys.setprofile`` sees only the
+    C methods Python code calls; ``in`` is a ``__contains__`` call).
+    Only outermost calls count: the item writes of a bulk ``update``
+    and the deletion inside a ``popitem`` are that call's own."""
+
+    def __init__(self, *args):
+        self.calls = Counter()
+        self._depth = 0
+        super().__init__(*args)
+
+
+def _counted(name):
+    method = getattr(OrderedDict, name)
+
+    def counted(self, *args, **kwargs):
+        if not self._depth:
+            self.calls[name] += 1
+        self._depth += 1
+        try:
+            return method(self, *args, **kwargs)
+        finally:
+            self._depth -= 1
+    return counted
+
+
+for _name in ("get", "move_to_end", "popitem", "update", "__setitem__",
+              "pop", "__delitem__", "clear", "setdefault", "keys",
+              "__contains__"):
+    setattr(CountingCache, _name, _counted(_name))
+
+
 def cache_calls(matrix, action):
-    """The index cache's C methods called while ``action()`` runs, by
-    name (``in`` and item assignment are operators, not calls)."""
-    cache = matrix._index_cache
-    calls = Counter()
-
-    def profile(frame, event, arg):
-        if event == "c_call" and getattr(arg, "__self__", None) is cache:
-            calls[arg.__name__] += 1
-
-    sys.setprofile(profile)
-    try:
-        action()
-    finally:
-        sys.setprofile(None)
-    return calls
+    """The calls made on the index cache while ``action()`` runs."""
+    cache = matrix._index_cache = CountingCache(matrix._index_cache)
+    cache.calls.clear()
+    action()
+    return cache.calls
 
 
 class TestFirstTouchBlock:
@@ -275,16 +298,19 @@ class TestFirstTouchBlock:
         "cached", [0, 100, WeightMatrix.INDEX_CACHE_ENTRIES])
     def test_a_cold_block_is_not_replayed_row_by_row(self, cached):
         """256 first touches probe the cache once (the first row's
-        miss), then evict and append as a block; the row-by-row replay
-        probed it 256 times."""
+        miss), then evict the oldest entries and append as a block; the
+        row-by-row replay probed and wrote it 256 times."""
         matrix = WeightMatrix(PSSConfig(num_features=8))
         for i in range(cached):
             matrix.dot((i,) * 8)
+        before = list(matrix._index_cache)
         rows = [(i, -i, 0, 0, 0, 0, 0, 1) for i in range(256)]
         calls = cache_calls(matrix, partial(matrix.dot_batch, rows))
         evicted = max(0, cached + 256 - WeightMatrix.INDEX_CACHE_ENTRIES)
-        assert calls == Counter(get=1, update=1, popitem=evicted)
-        assert list(matrix._index_cache)[-256:] == rows
+        # ``keys`` is the one disjointness test: no row is probed with
+        # ``in`` (``__contains__``), none written alone
+        assert calls == Counter(get=1, keys=1, update=1, popitem=evicted)
+        assert list(matrix._index_cache) == before[evicted:] + rows
         assert (matrix.index_cache_hits, matrix.index_cache_misses) == \
             (0, cached + 256)
 
@@ -293,7 +319,118 @@ class TestFirstTouchBlock:
         rows = [(i, -i, 0, 0, 0, 0, 0, 1) for i in range(255)]
         rows.append(rows[0])
         calls = cache_calls(matrix, partial(matrix.dot_batch, rows))
-        assert calls == Counter(get=256, move_to_end=1)
+        assert calls == Counter(get=256, keys=1, __setitem__=255,
+                                move_to_end=1)
+
+    def test_a_cached_row_in_the_block_is_filtered_out(self):
+        """Only a block that holds a cached row is probed row by row
+        (one ``in`` per distinct row) and then replayed."""
+        matrix = WeightMatrix(PSSConfig(num_features=8))
+        rows = [(i, -i, 0, 0, 0, 0, 0, 1) for i in range(256)]
+        matrix.dot(rows[100])
+        calls = cache_calls(matrix, partial(matrix.dot_batch, rows))
+        assert calls == Counter(get=256, keys=1, __contains__=256,
+                                __setitem__=255, move_to_end=1)
+        assert list(matrix._index_cache) == rows  # the hit moved to 100
+
+    def test_a_block_longer_than_the_cache_clears_it(self):
+        class Small(WeightMatrix):
+            INDEX_CACHE_ENTRIES = 100
+
+        matrix = Small(PSSConfig(num_features=8))
+        for i in range(50):
+            matrix.dot((i,) * 8)
+        rows = [(i, -i, 0, 0, 0, 0, 0, 1) for i in range(256)]
+        calls = cache_calls(matrix, partial(matrix.dot_batch, rows))
+        assert calls == Counter(get=1, keys=1, clear=1, update=1)
+        assert list(matrix._index_cache) == rows[-100:]
+        assert matrix.index_cache_misses == 50 + 256
+
+
+def spoiled_blocks():
+    """A shape, a cache bound, how many vectors are cached first and
+    which of them lead the batch, a cold block of 16-300 distinct
+    vectors after them, and one place in the block - row and slot -
+    to spoil.  No value of the block is 0 or 1, so a spoiled value
+    that compares equal to 1 cannot turn its row into another's."""
+    return configs().flatmap(
+        lambda config: st.tuples(
+            st.just(config),
+            st.sampled_from([5, WeightMatrix.INDEX_CACHE_ENTRIES]),
+            st.integers(0, 3),
+            st.lists(st.integers(0, 2), max_size=3),
+            st.integers(16, 300),
+            st.integers(2, 2 ** 70) | st.integers(-(2 ** 70), -1000),
+            st.integers(0, 299),
+            st.integers(0, config.num_features - 1),
+        )
+    )
+
+
+def spoiled_case(case, vector_min_rows):
+    """The batched matrix and its scalar twin, trained alike, and the
+    batch: the picked cached vectors, then the cold block; plus where
+    in the batch the block's spoiled row is, and its slot."""
+    config, limit, warm, picks, rows, offset, at, slot = case
+    width = config.num_features
+    batched, scalar = bounded_pair(config, limit, vector_min_rows)
+    cached = [(-(k + 1),) * width for k in range(warm)]
+    for position, row in enumerate(cached):
+        for matrix in (batched, scalar):
+            matrix.adjust(row, 1 if position % 2 else -1)
+    block = [tuple(offset + n * width + f for f in range(width))
+             for n in range(rows)]
+    batch = [cached[i % warm] for i in picks] if warm else []
+    return batched, scalar, batch + block, len(batch) + at % rows, slot
+
+
+class TestBlockValidation:
+    """A block is validated in one pass over all its rows, and refuses
+    exactly what the scalar miss's ``_check_features`` refuses,
+    wherever in the block the bad value sits."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=spoiled_blocks(),
+           vector_min_rows=st.sampled_from(
+               [WeightMatrix.VECTOR_MIN_ROWS, 10 ** 9]),
+           spoil=st.sampled_from(
+               list(range(len(REFUSED))) + ["longer", "shorter"]))
+    def test_refused_as_the_scalar_miss_refuses(self, case,
+                                                vector_min_rows, spoil):
+        batched, scalar, rows, at, slot = spoiled_case(case,
+                                                       vector_min_rows)
+        row = list(rows[at])
+        if spoil == "longer":
+            row.append(0)
+        elif spoil == "shorter":
+            row.pop()
+        else:
+            row[slot] = REFUSED[spoil]
+        rows[at] = bad = tuple(row)
+        with pytest.raises(FeatureError):
+            batched.dot_batch(rows)
+        # the scalar replay: the hits up to the first miss, which meets
+        # the block's bad row and raises before writing anything
+        with pytest.raises(FeatureError):
+            for row in rows:
+                scalar.dot(row if row in scalar._index_cache else bad)
+        assert matrix_state(batched) == matrix_state(scalar)
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=spoiled_blocks(),
+           vector_min_rows=st.sampled_from(
+               [WeightMatrix.VECTOR_MIN_ROWS, 10 ** 9]),
+           value=st.sampled_from([Slot.ONE, Word(1)]))
+    def test_an_int_subclass_scores_as_the_scalar_path(self, case,
+                                                       vector_min_rows,
+                                                       value):
+        batched, scalar, rows, at, slot = spoiled_case(case,
+                                                       vector_min_rows)
+        row = list(rows[at])
+        row[slot] = value
+        rows[at] = tuple(row)
+        assert batched.dot_batch(rows) == [scalar.dot(row) for row in rows]
+        assert matrix_state(batched) == matrix_state(scalar)
 
 
 #: ways a batch is refused as a whole

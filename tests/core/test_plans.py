@@ -82,8 +82,8 @@ def test_score_rows_is_bias_plus_gather_of_select(case):
 
 
 @settings(max_examples=100, deadline=None)
-@given(plans_and_rows())
-def test_block_hasher_equals_per_row_select(case):
+@given(plans_and_rows(), st.data())
+def test_block_hasher_equals_per_row_select(case, data):
     config, rows = case
     plan = compile_plan(config)
     flat = some_weights(config)
@@ -92,6 +92,15 @@ def test_block_hasher_equals_per_row_select(case):
         scores, selected = block
         assert selected == [plan.select(row) for row in rows]
         assert scores == plan.score_rows(flat, 7, rows)
+    # a row of the wrong length anywhere - also one too long beside one
+    # too short, which keeps the block's total right - is one the
+    # per-row path raises for: the block hasher hands the block back
+    at = data.draw(st.integers(0, len(rows) - 1))
+    wrong = rows[:at] + [rows[at] + (1,)] + rows[at + 1:]
+    assert plan.score_select_rows(flat, 7, wrong) is None
+    if len(rows) > 1:
+        wrong[at - 1] = wrong[at - 1][:-1]
+        assert plan.score_select_rows(flat, 7, wrong) is None
 
 
 @pytest.mark.parametrize("entries", [16, 24])

@@ -7,7 +7,8 @@ client of an admission-controlled service - are pinned here by
 ``sys.setprofile``, with its observed twin (Tracer + MetricsRegistry)
 alongside, so a frame that creeps back onto the read fails by count,
 not by time.  No frame named ``generation`` runs on any of them.  The
-same holds for the write a flush delivers, on the ``sync_churn`` shape.
+same holds for the write a flush delivers, on the ``sync_churn`` shape,
+and for a cold block's ``predict_batch`` on the ``batch_cold`` shape.
 """
 
 import gc
@@ -19,6 +20,11 @@ import pytest
 
 from repro.core import AdmissionController, PSSConfig, ShardedService
 from repro.obs import MetricsRegistry, Tracer
+
+try:
+    import numpy
+except ImportError:     # the package does not require it
+    numpy = None
 
 ROW = (1, 1)
 
@@ -170,3 +176,49 @@ def test_a_guarded_read_is_a_plain_read_in_its_span_wrapper():
         for skipped in ("canonical_features", "allow", "_attempt",
                         "record_success"):
             assert skipped not in calls, (op, calls)
+
+
+#: Python frames a cold block's ``client.predict_batch`` enters with the
+#: vector engine live, whatever its row count: client.predict_batch,
+#: the transport's spanned wrapper and body, _ensure_open, the rows'
+#: tuple test (one list comprehension), _charge_crossing,
+#: charge_syscall, charge_op; the handle's wrapper and body, its two
+#: _tracer reads, _admit_predict, charge_predict; the domain's wrapper,
+#: body and _tracer, the model's predict_batch, dot_batch,
+#: _resolve_block, plan, score_select_rows, _rows_as_u64, numpy's
+#: errstate (__init__, __enter__, __exit__) and sum, _admit_block,
+#: record_predictions and its list comprehension.  No frame runs per
+#: row: a block's distinct rows, its validation, its uint64 matrix,
+#: its index tuples and its evictions are C-level passes.
+COLD_BLOCK = 30
+
+
+def cold_rows(first, count):
+    """Rows ``first`` .. ``first + count - 1`` of a never-repeating
+    sequence (an odd multiplier is a bijection mod 2**32)."""
+    return [tuple((n * 2654435761 + 97 * f) & 0xFFFFFFFF
+                  for f in range(8)) for n in range(first, first + count)]
+
+
+def test_what_a_cold_block_executes():
+    """The ``batch_cold`` shape: a syscall client, 8 features x 1 024
+    cells, blocks of rows the index cache has never seen."""
+    service = ShardedService(admission=AdmissionController())
+    client = service.connect("d", transport="syscall", config=CHURN_CONFIG)
+    client.predict_batch(cold_rows(0, 256))     # warm: plan, numpy
+    weights = service.domain("d").model.weights
+    counted = {}
+    first = 256
+    for rows in (64, 256):
+        before = weights.index_cache_misses
+        counted[rows] = frames(partial(client.predict_batch,
+                                       cold_rows(first, rows)))
+        assert weights.index_cache_misses - before == rows
+        first += rows
+    for calls in counted.values():
+        # a valid block is validated in one pass, canonicalised inline
+        for skipped in ("_check_features", "canonical_features"):
+            assert skipped not in calls, (skipped, calls)
+    if numpy is not None:
+        assert [sum(calls.values()) for calls in counted.values()] == \
+            [COLD_BLOCK, COLD_BLOCK], counted

@@ -153,6 +153,36 @@ class TestPipelineFlow:
         assert pipeline.evals == 1
         assert pipeline.engine.pending() == 0
 
+    def test_an_idle_evaluation_does_not_walk_the_event_heap(self):
+        """The monitor's idle test asks whether anything live is
+        scheduled, which the heap's head answers: 10 000 sleeping
+        processes cost an evaluation nothing."""
+
+        class WalkedHeap(list):
+            walks = 0
+
+            def __iter__(self):
+                WalkedHeap.walks += 1
+                return super().__iter__()
+
+        service = ShardedService()
+        service.create_domain("d")
+        pipeline = ServingPipeline(service, ServingConfig(),
+                                   slos=serving_slos())
+        engine = pipeline.engine
+
+        def sleeper():
+            yield 1e9
+
+        for _ in range(10_000):
+            spawn(engine, sleeper())
+        engine.run(until=1.0)           # every sleeper is asleep
+        engine._queue = WalkedHeap(engine._queue)
+        interval = pipeline.config.slo_eval_interval_ns
+        engine.run(until=interval * 1.5)
+        assert pipeline.evals == 1 and not pipeline._monitor_idle
+        assert WalkedHeap.walks == 0
+
     def test_unknown_op_rejected(self):
         _, pipeline = build()
         with pytest.raises(ConfigError):

@@ -36,41 +36,43 @@ PINNED = {
     # service.domain, shard_of, Domain.predict, the model's predict ->
     # dot -> _flat_indices -> gather, record_prediction, request_done,
     # the sojourn histogram's observe, SLOEngine.observe and the
-    # future's settle.  33 x 64 = 2112; the other 102 are the run's
+    # future's settle.  33 x 64 = 2112; the other 89 are the run's
     # own (run, engine.run, the monitor's restart) and 7 SLO
     # evaluations (step, resume, _monitor, _judge, evaluate and its
-    # window sums, pending, schedule).  Watched adds 6 a request: the
+    # window sums, has_pending, schedule).  Watched adds 6 a request: the
     # drain's _trace_drain and its batch-size observe, the kernel's
     # _batch_span opener (a row opens no span), _trace_request,
     # shard_label and the shard's sojourn histogram's observe.
-    (0, "predict"): (2214, 2598),
+    (0, "predict"): (2201, 2585),
     # The update path serves through service.update (no wrapper),
     # Domain.update, the model's update -> dot_and_indices ->
     # _flat_indices -> gather (and adjust_at when a weight moves) and
     # record_update, and admits through _admit_update and
     # charge_updates: one frame fewer a request than a predict.
     # Watched adds 5: no kernel opener.
-    (0, "update"): (2150, 2470),
+    (0, "update"): (2137, 2457),
     # Window 200, one request every 10 ns: 3 drains of ~21 rows.  Per
     # request (26): the body's step, resume, generator and schedule,
     # submit, the two __init__s, admit, _admit_predict, charge_predict,
     # admit_request, push (the lane is collecting: no resume); and the
     # 14 kernel-and-settle frames above (no per-request step, resume
-    # or _serve: the batch is served in one).  26 x 64 = 1664, plus 54
+    # or _serve: the batch is served in one).  26 x 64 = 1664, plus 53
     # for the drains, the run and 1 evaluation.  Watched adds the
     # per-request record and opener (_batch_span, _trace_request,
     # shard_label, observe) and, per drain, a serve.dispatch span whose
-    # opener tests each request's shard_label.
-    (200, "predict"): (1718, 2131),
-    (200, "update"): (1654, 2003),
+    # opener compares each request's shard id inline.
+    (200, "predict"): (1717, 1999),
+    (200, "update"): (1653, 1871),
 }
 
 #: frames the lane no longer has: the queue, the batcher and the event
 #: that stood between them, the row's canonicalisation (inline in
 #: submit), the shed test while nothing pages, the domain's shard_id
-#: property (read inline) and the future's complete -> _settle pair
+#: property (read inline), the future's complete -> _settle pair and
+#: the monitor's count of the event heap (its idle test reads the head)
 GONE = ("collect_ns", "drain", "service_ns", "fire", "canonical_features",
-        "should_shed", "shard_id", "complete", "_settle", "_carry_out")
+        "should_shed", "shard_id", "complete", "_settle", "_carry_out",
+        "pending")
 
 
 def serve(window, op, watched):
