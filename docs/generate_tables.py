@@ -160,8 +160,8 @@ METRIC_ROWS = [
     (("pss_score_cache_hits_total", "pss_score_cache_misses_total"),
      "counter", "`domain`, `transport`, `shard`",
      "the vDSO score cache's probes.  With `pss_vdso_read_ns` and "
-     "`pss_op_ns{op=\"predict\"}` of a vDSO transport these are filed "
-     "when the registry is *read*, not per read"),
+     "`pss_op_ns{op=\"predict\"}` of a vDSO transport these are counts "
+     "filed when the registry is *read*, reads as count x cost"),
     (("pss_shard_crashes_total", "pss_failover_predictions_total"),
      "counter", "`shard`", "injected primary crashes / reads served by "
      "a follower replica"),

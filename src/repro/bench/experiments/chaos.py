@@ -197,7 +197,8 @@ def run_chaos(seed: int = 0, replicas: int = 2,
               reshard_schedule: dict[int, int] | None = None,
               rounds: int = 24, ops_per_round: int = 48,
               crash_rate: float = 0.15,
-              tracer=None) -> tuple[ChaosResult, PredictionService]:
+              tracer=None, metrics=None,
+              ) -> tuple[ChaosResult, PredictionService]:
     """Run one seeded chaos schedule; see the module docstring.
 
     Returns the result plus the (still live) service so callers can
@@ -215,7 +216,7 @@ def run_chaos(seed: int = 0, replicas: int = 2,
         replica_lag_rate=0.05,
     ))
     service = PredictionService(
-        tracer=tracer, num_shards=2, num_replicas=replicas,
+        tracer=tracer, metrics=metrics, num_shards=2, num_replicas=replicas,
     )
     result = ChaosResult(
         seed=seed, replicas=replicas, rounds=rounds,
@@ -420,7 +421,7 @@ def cell(spec, tracer, metrics) -> tuple[ChaosResult, dict]:
     """The schedule's result and its final-state snapshot."""
     seed, schedule = spec
     result, service = run_chaos(seed=seed, reshard_schedule=schedule,
-                                tracer=tracer)
+                                tracer=tracer, metrics=metrics)
     return result, result.snapshot(service)
 
 

@@ -25,7 +25,8 @@ Everything is deterministic in ``--seed``: same seed, byte-identical
 JSON and report.
 
 Run with ``python -m repro serve`` (``--quick`` for the reduced sweep
-CI runs; ``--out PATH`` to choose where the JSON lands).
+CI runs; ``--out PATH`` to choose where the JSON lands - a ``--quick``
+run writes it only then).
 """
 
 from __future__ import annotations
@@ -335,15 +336,20 @@ def write_payload(payload: dict[str, Any], path: str) -> None:
 
 
 def write(results: list, args) -> str:
-    write_payload(build_payload(results, args), args.out)
-    return f"\nwrote {args.out}"
+    """The JSON, to ``--out``; a ``--quick`` run writes only there, so
+    it never overwrites the committed full sweep."""
+    if args.quick and not args.out:
+        return ""
+    path = args.out or "BENCH_serving.json"
+    write_payload(build_payload(results, args), path)
+    return f"\nwrote {path}"
 
 
 SERVE = Experiment(
     "serve", "Event-driven serving sweep (10k-1M clients)",
     grid, cell, render, write=write,
-    flags=(SEED, flag("--out", default="BENCH_serving.json",
-                      metavar="PATH",
-                      help="where to write the JSON results "
-                           "(default: BENCH_serving.json)")),
+    flags=(SEED, flag("--out", metavar="PATH",
+                      help="where to write the JSON results (default: "
+                           "BENCH_serving.json; a --quick run writes "
+                           "only when given a PATH)")),
 )

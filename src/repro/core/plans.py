@@ -193,16 +193,15 @@ def _vector_engine(salts: tuple[int, ...], entries: int) -> Any:
 
 def _rows_as_u64(_np: Any, keys: Sequence[tuple[int, ...]],
                  width: int) -> Any:
-    """Feature rows as a uint64 matrix, or None when they cannot be.
+    """Feature rows, every one ``width`` long, as a uint64 matrix, or
+    None when they cannot be.
 
     Mirrors ``value & _MASK64`` (two's complement for negatives, low 64
     bits for huge ints).  All-machine-word rows stream into the matrix;
-    anything outside falls back one step at a time, and rows not all
-    ``width`` long or that numpy cannot represent return None, for the
-    caller's compiled Python path (bit-identical, or it raises).
+    anything outside falls back one step at a time, and rows numpy
+    cannot represent return None, for the caller's compiled Python path
+    (bit-identical, or it raises).
     """
-    if list(map(len, keys)) != [width] * len(keys):
-        return None
     try:
         return _np.fromiter(chain.from_iterable(keys), _np.uint64,
                             count=len(keys) * width).reshape(-1, width)
@@ -244,32 +243,40 @@ class SpecializedPlan(NamedTuple):
 
     def score_select_rows(
         self, weights: Sequence[int], bias: int,
-        keys: Sequence[tuple[int, ...]],
+        keys: Sequence[tuple[int, ...]], widths_checked: bool = False,
     ) -> tuple[list[int], list[tuple[int, ...]]] | None:
         """Vectorized (scores, selected indices) for a block of rows,
         in a fixed number of C-level passes: no Python frame per row.
 
         Returns None when the vector engine is unavailable or the rows
-        are not all ``num_features`` wide or uint64-representable; the
-        caller then falls back to the compiled per-row path.  uint64
-        wraparound multiplication is exactly the ``& _MASK64`` arithmetic,
-        so both paths produce bit-identical indices and scores.
+        are not all ``num_features`` wide (tested here unless the
+        caller already did: ``widths_checked``) or uint64-representable;
+        the caller then falls back to the compiled per-row path.  uint64
+        wraparound multiplication is exactly the ``& _MASK64`` arithmetic
+        (an array product wraps without a warning), so both paths
+        produce bit-identical indices and scores.
         """
         engine = _vector_engine(self.salts, self.entries_per_feature)
         if engine is None:  # pragma: no cover - numpy is in the dev image
             return None
+        width = self.num_features
+        if not widths_checked and \
+                list(map(len, keys)) != [width] * len(keys):
+            return None
         _np, salts, bases, entries = engine
-        rows = _rows_as_u64(_np, keys, self.num_features)
+        rows = _rows_as_u64(_np, keys, width)
         if rows is None:
             return None
-        with _np.errstate(over="ignore"):
-            z = rows ^ salts
-            z = (z ^ (z >> _np.uint64(30))) * _np.uint64(_MIX_A)
-            z = (z ^ (z >> _np.uint64(27))) * _np.uint64(_MIX_B)
-            z = z ^ (z >> _np.uint64(31))
-            flat_indices = z % entries + bases
+        z = rows ^ salts
+        z = (z ^ (z >> _np.uint64(30))) * _np.uint64(_MIX_A)
+        z = (z ^ (z >> _np.uint64(27))) * _np.uint64(_MIX_B)
+        z = z ^ (z >> _np.uint64(31))
+        flat_indices = z % entries + bases
         table = _np.frombuffer(weights, dtype=weights.typecode)
-        scores = (table[flat_indices].sum(axis=1) + bias).tolist()
+        # add.reduce, not .sum(): the method enters numpy's Python
+        # ``_methods._sum`` frame
+        scores = (_np.add.reduce(table[flat_indices], axis=1)
+                  + bias).tolist()
         return scores, list(map(tuple, flat_indices.tolist()))
 
 

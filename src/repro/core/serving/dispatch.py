@@ -151,6 +151,7 @@ class Dispatcher:
             self._batch_hist = metrics.histogram(BATCH_SIZE,
                                                  shard=self.label)
             self._depths = {}
+            metrics.add_filer(self._file_depths)
         self._clock = engine.clock
         #: the live FIFO itself, a plain attribute so ``submit`` tests
         #: and measures it without a call.  Read-only by contract:
@@ -187,16 +188,14 @@ class Dispatcher:
             self.max_depth = depth
         depths = self._depths
         if depths is not None:
-            if not depths:  # the first push since the last filing
-                self.metrics.file_before_read(self._file_depths)
             depths[depth] = depths.get(depth, 0) + 1
         if self.parked:
             self.parked = False
             self.process.resume()
 
     def _file_depths(self) -> None:
-        """What the registry calls before it is read: each depth
-        pushed since the last filing, once per push."""
+        """The lane's filer, called before the registry is read: each
+        depth pushed since the last filing, once per push."""
         depths = self._depths
         histogram = self._depth_hist
         for depth, times in depths.items():

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from repro.core.config import VDSO_PREDICT_LATENCY_NS
 from repro.obs.metrics import (
     OP_NS,
     SCORE_CACHE_HITS_TOTAL,
@@ -116,37 +117,23 @@ class PredictionStats:
         self.failover_predictions += other.failover_predictions
 
 
-@dataclass(eq=False)
+@dataclass
 class LatencyAccount:
     """Simulated nanoseconds charged per boundary-crossing category.
 
-    Means and counts are always maintained; attaching a
-    :class:`repro.obs.metrics.MetricsRegistry` via :meth:`attach_metrics`
-    additionally files every charge into log-bucketed latency histograms
-    (p50/p90/p99/max) - the distribution view the mean-only seed
-    accounting could not express.  Unattached accounts pay one ``None``
-    check per charge.
+    Attached to a :class:`repro.obs.metrics.MetricsRegistry`
+    (:meth:`attach_metrics`), it also files its charges into
+    log-bucketed latency histograms.
 
-    A vDSO *read* is counted as a run.  Every read of one transport is
-    charged the same constant, so a read adds its ns to the clock
-    (:attr:`vdso_ns`) and only lengthens the account's pending run (one
-    compare, one increment); its transport counts its score-cache probe
-    in :attr:`cache_hits` / :attr:`cache_misses` in place.  The run is
-    filed when something reads what it owes: the ``predict`` entries of
-    :attr:`op_ns` / :attr:`op_calls` (through those properties,
-    :meth:`snapshot`, :meth:`mean_op_ns`, :meth:`merge`, equality) and,
-    attached, the registry's ``pss_vdso_read_ns`` /
-    ``pss_op_ns{op="predict"}`` histograms and hit / miss counters
-    (:meth:`_file_reads`, enlisted through
-    :meth:`MetricsRegistry.file_before_read
-    <repro.obs.metrics.MetricsRegistry.file_before_read>`).  Filing
-    adds one value per read, in read order, so every float is the one
-    per-read booking made; a charge that could land between the reads
-    of a run in the same sum (``charge_op("predict")``, a read at
-    another cost, re-attaching) files the run first.  Two accounts that
-    share one label set *and* charge different read costs are the one
-    case whose histogram ``sum`` can differ from the pushed one, in its
-    last bits.
+    A vDSO *read* is two counts: every read of one transport costs the
+    same :attr:`read_ns`, so the transport adds that to the clock
+    (:attr:`vdso_ns`, a running sum) and one to :attr:`vdso_calls` in
+    place, as it counts its score-cache probe in :attr:`cache_hits` /
+    :attr:`cache_misses`.  What the reads cost elsewhere is count x
+    cost: the ``predict`` entries of :attr:`op_ns` / :attr:`op_calls`
+    add ``reads * read_ns`` when read, and an attached account files
+    the reads and probes since its last filing whenever the registry
+    is read (:meth:`_file`, one of the registry's filers).
     """
 
     vdso_ns: float = 0.0
@@ -159,62 +146,53 @@ class LatencyAccount:
     cache_hits: int = 0
     #: predictions that had to evaluate the model (cacheable path only)
     cache_misses: int = 0
-    #: the op breakdown as filed so far: read through :attr:`op_ns` /
-    #: :attr:`op_calls`, which file the pending run first
+    #: what one vDSO read costs: the transport's
+    #: ``LatencyModel.vdso_predict_ns``
+    read_ns: float = VDSO_PREDICT_LATENCY_NS
+    #: what was charged per call (:meth:`charge_op`) or merged in from
+    #: other accounts: read through :attr:`op_ns` / :attr:`op_calls`,
+    #: which add this account's own reads
     _op_ns: dict[str, float] = field(default_factory=dict, init=False,
                                      repr=False)
     _op_calls: dict[str, int] = field(default_factory=dict, init=False,
                                       repr=False)
+    #: the part of :attr:`vdso_calls` merged in, already in ``_op_ns``
+    _merged_reads: int = field(default=0, init=False, repr=False)
 
-    #: obs label of the shard hosting the account's domain, "" while no
-    #: shard tracks the account: what its transport stamps on records
-    #: and :meth:`attach_metrics` files under.  The shard sets it, at
-    #: registration and on every handoff (:meth:`file_under`).  A class
-    #: attribute like those below, not a dataclass field: placement is
-    #: not what two accounts compare equal on.
+    #: obs label of the shard hosting the account's domain ("": none),
+    #: which its records and series carry; set by the shard
+    #: (:meth:`file_under`).  Like the metrics state below, a class
+    #: attribute: not what two accounts compare equal on.
     shard_label = ""
 
-    #: the pending run of vDSO reads: the ns each was charged (None:
-    #: no run, the next read starts one) and how many there were
-    _read_ns = None
-    _reads = 0
-
-    # Metrics attachment state (class attributes, not dataclass fields:
-    # an unattached account stays a plain counter block).
     _hist_vdso = None
     _hist_syscall = None
     _metrics = None
     _metric_labels = None
-    #: whether the registry already holds this account's ``_collect``
-    _enlisted = False
-    #: how much of ``cache_hits`` / ``cache_misses`` the registry holds
+    #: how much of ``vdso_calls`` / ``cache_hits`` / ``cache_misses``
+    #: the registry holds
+    _reads_filed = 0
     _hits_filed = 0
     _misses_filed = 0
+
+    def _with_reads(self, filed: dict, per_read):
+        """``filed`` plus this account's own reads, ``per_read`` each."""
+        breakdown = dict(filed)
+        reads = self.vdso_calls - self._merged_reads
+        if reads:
+            breakdown["predict"] = breakdown.get("predict", 0) \
+                + reads * per_read
+        return breakdown
 
     @property
     def op_ns(self) -> dict[str, float]:
         """Simulated ns charged, broken down by operation kind."""
-        if self._reads:
-            self._file_reads()
-        return self._op_ns
+        return self._with_reads(self._op_ns, self.read_ns)
 
     @property
     def op_calls(self) -> dict[str, int]:
         """Call counts, broken down by operation kind."""
-        if self._reads:
-            self._file_reads()
-        return self._op_calls
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LatencyAccount):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def _fields(self) -> tuple:
-        """What two accounts compare equal on, the run filed."""
-        return (self.vdso_ns, self.syscall_ns, self.vdso_calls,
-                self.syscalls, self.update_records, self.cache_hits,
-                self.cache_misses, self.op_ns, self.op_calls)
+        return self._with_reads(self._op_calls, 1)
 
     def attach_metrics(self, registry, domain: str = "",
                        transport: str = "") -> None:
@@ -224,32 +202,42 @@ class LatencyAccount:
         labeled ``{domain, transport, shard}`` - ``shard`` the account's
         :attr:`shard_label`; an account no shard tracks has none to
         name - plus per-operation ``pss_op_ns{op=...}`` histograms
-        (resolved lazily per op kind).
+        (resolved lazily per op kind).  The account is one of the
+        registry's filers until it attaches elsewhere or detaches.
         """
-        # The pending run is owed to the op breakdown and to the old
-        # registry, if any, not to this one.
-        self._file_reads()
-        self._enlisted = False
+        old = self._metrics
+        if old is not None:
+            # What is owed is the old series', not the new ones'.
+            self._file()
+            if registry is not old:
+                old.remove_filer(self._file)
         self._metrics = registry
-        self._metric_labels = {"domain": domain, "transport": transport}
+        labels = self._metric_labels = {"domain": domain,
+                                        "transport": transport}
         if self.shard_label:
-            self._metric_labels["shard"] = self.shard_label
-        self._hist_vdso = registry.histogram(
-            VDSO_READ_NS, **self._metric_labels
-        )
-        self._hist_syscall = registry.histogram(
-            SYSCALL_NS, **self._metric_labels
-        )
+            labels["shard"] = self.shard_label
+        self._hist_vdso = registry.histogram(VDSO_READ_NS, **labels)
+        self._hist_syscall = registry.histogram(SYSCALL_NS, **labels)
         self._op_hists = {}
-        self._cache_hit_counter = registry.counter(
-            SCORE_CACHE_HITS_TOTAL, **self._metric_labels
-        )
+        self._cache_hit_counter = registry.counter(SCORE_CACHE_HITS_TOTAL,
+                                                   **labels)
         self._cache_miss_counter = registry.counter(
-            SCORE_CACHE_MISSES_TOTAL, **self._metric_labels
-        )
+            SCORE_CACHE_MISSES_TOTAL, **labels)
         # Only what happens from here on is this registry's.
+        self._reads_filed = self.vdso_calls
         self._hits_filed = self.cache_hits
         self._misses_filed = self.cache_misses
+        if registry is not old:
+            registry.add_filer(self._file)
+
+    def detach_metrics(self) -> None:
+        """File what is owed and leave the registry (the transport
+        closed: nothing more is charged)."""
+        registry = self._metrics
+        if registry is not None:
+            self._file()
+            registry.remove_filer(self._file)
+            self._metrics = self._metric_labels = self._hist_syscall = None
 
     def file_under(self, shard_label: str) -> None:
         """The account's domain is hosted by that shard from here on:
@@ -273,11 +261,8 @@ class LatencyAccount:
 
         Transports call this alongside :meth:`charge_syscall`, so
         ``op_ns`` is a *breakdown* of :attr:`total_ns` by operation,
-        not additional time.  A ``predict`` files the pending run of
-        reads first: it lands after them in the same sums.
+        not additional time.
         """
-        if self._reads and op == "predict":
-            self._file_reads()
         op_ns, op_calls = self._op_ns, self._op_calls
         op_ns[op] = op_ns.get(op, 0.0) + ns
         op_calls[op] = op_calls.get(op, 0) + 1
@@ -288,77 +273,35 @@ class LatencyAccount:
         hist = self._op_hists.get(op)
         if hist is None:
             hist = self._op_hists[op] = self._metrics.histogram(
-                OP_NS, op=op, **self._metric_labels
-            )
+                OP_NS, op=op, **self._metric_labels)
         return hist
 
-    def charge_vdso_predict(self, ns: float) -> None:
-        """One vDSO read of ``ns``: onto the clock now, into the op
-        breakdown (and, attached, the registry) when that is read."""
-        self.vdso_ns += ns
-        self.vdso_calls += 1
-        if ns == self._read_ns:
-            self._reads += 1
-        else:
-            self._start_read_run(ns)
-
-    def _start_read_run(self, ns: float) -> None:
-        """The first read since the run was last filed, or the first
-        at a new cost: file the run before it, start the next, and,
-        attached, make sure the registry will ask for it."""
-        self._file_reads()
-        self._read_ns = ns
-        self._reads = 1
-        if "predict" not in self._op_calls:
-            # Keyed where the first read happened: the breakdown keeps
-            # the order its ops first came in.
-            self._op_ns["predict"] = 0.0
-            self._op_calls["predict"] = 0
-        if self._metrics is not None and not self._enlisted:
-            self._enlisted = True
-            self._metrics.file_before_read(self._collect)
-
-    def _collect(self) -> None:
-        """What the registry calls before it is read."""
-        self._enlisted = False
-        self._file_reads()
-
-    def _file_reads(self) -> None:
-        """File what the reads since the last filing owe: the pending
-        run into ``op_ns`` / ``op_calls`` - one addition per read, so
-        the sum is the float per-read booking made - and, attached,
-        into ``pss_vdso_read_ns`` and ``pss_op_ns{op="predict"}``, with
-        the hit / miss counts since."""
-        reads, ns = self._reads, self._read_ns
-        # Cleared first: resolving the op histogram reads the registry,
-        # which files whatever is pending.
-        self._reads, self._read_ns = 0, None
+    def _file(self) -> None:
+        """What the registry calls before it is read: the reads since
+        the last filing, ``reads * read_ns`` into ``pss_vdso_read_ns``
+        and ``pss_op_ns{op="predict"}``, and the probes since."""
+        reads = self.vdso_calls - self._reads_filed
+        hits = self.cache_hits - self._hits_filed
+        misses = self.cache_misses - self._misses_filed
+        # Marked filed first: resolving the op histogram reads the
+        # registry, which calls this again.
+        self._reads_filed = self.vdso_calls
+        self._hits_filed = self.cache_hits
+        self._misses_filed = self.cache_misses
         if reads:
-            op_ns = self._op_ns
-            total = op_ns.get("predict", 0.0)
-            for _ in range(reads):
-                total += ns
-            op_ns["predict"] = total
-            self._op_calls["predict"] = \
-                self._op_calls.get("predict", 0) + reads
-        if self._metrics is None:
-            return
-        if reads:
-            self._hist_vdso.observe_run(ns, reads)
-            self._op_hist("predict").observe_run(ns, reads)
-        hits, misses = self.cache_hits, self.cache_misses
-        if hits != self._hits_filed:
-            self._cache_hit_counter.inc(hits - self._hits_filed)
-            self._hits_filed = hits
-        if misses != self._misses_filed:
-            self._cache_miss_counter.inc(misses - self._misses_filed)
-            self._misses_filed = misses
+            self._hist_vdso.observe_run(self.read_ns, reads)
+            self._op_hist("predict").observe_run(self.read_ns, reads)
+        if hits:
+            self._cache_hit_counter.inc(hits)
+        if misses:
+            self._cache_miss_counter.inc(misses)
 
     def merge(self, other: "LatencyAccount") -> None:
         """Accumulate another account into this one (multi-client runs).
 
         Counterpart of :meth:`PredictionStats.merge`; histograms are not
         merged here - attach the same registry to every account instead.
+        The other's reads come in at its own count x cost.
         """
         self.vdso_ns += other.vdso_ns
         self.syscall_ns += other.syscall_ns
@@ -367,11 +310,12 @@ class LatencyAccount:
         self.update_records += other.update_records
         self.cache_hits += other.cache_hits
         self.cache_misses += other.cache_misses
-        if self._metrics is not None:
-            # Merged-in probes were never this registry's to count.
-            self._hits_filed += other.cache_hits
-            self._misses_filed += other.cache_misses
-        op_ns, op_calls = self.op_ns, self.op_calls
+        self._merged_reads += other.vdso_calls
+        # Merged-in reads and probes were never a registry's to count.
+        self._reads_filed += other.vdso_calls
+        self._hits_filed += other.cache_hits
+        self._misses_filed += other.cache_misses
+        op_ns, op_calls = self._op_ns, self._op_calls
         for op, ns in other.op_ns.items():
             op_ns[op] = op_ns.get(op, 0.0) + ns
         for op, calls in other.op_calls.items():
@@ -386,7 +330,7 @@ class LatencyAccount:
     def mean_op_ns(self, op: str) -> float:
         """Average simulated ns per call of one operation kind."""
         calls = self.op_calls.get(op, 0)
-        return self.op_ns.get(op, 0.0) / calls if calls else 0.0
+        return self.op_ns[op] / calls if calls else 0.0
 
     def clock(self) -> float:
         """Cumulative simulated ns: this account's clock.  A method so
@@ -407,6 +351,7 @@ class LatencyAccount:
 
     def snapshot(self) -> dict[str, float]:
         """Plain-dict view for reports."""
+        op_ns, op_calls = self.op_ns, self.op_calls
         return {
             "vdso_ns": self.vdso_ns,
             "syscall_ns": self.syscall_ns,
@@ -417,13 +362,8 @@ class LatencyAccount:
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "cache_hit_rate": self.cache_hit_rate,
-            "ops": {
-                op: {
-                    "calls": self.op_calls.get(op, 0),
-                    "ns": self.op_ns.get(op, 0.0),
-                }
-                for op in sorted(set(self.op_calls) | set(self.op_ns))
-            },
+            "ops": {op: {"calls": op_calls[op], "ns": op_ns[op]}
+                    for op in sorted(op_ns)},
         }
 
 

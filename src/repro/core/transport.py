@@ -76,6 +76,8 @@ class Transport:
         self._target = target
         self._latency = latency or LatencyModel()
         self.account = account or LatencyAccount()
+        #: what a vDSO read of this transport costs, counted per read
+        self.account.read_ns = self._latency.vdso_predict_ns
         self._injector: FaultInjector | None = None
         self._closed = False
         #: structured event tracer; NULL_TRACER keeps the hot path to a
@@ -226,6 +228,7 @@ class Transport:
             self.flush()
         finally:
             self._closed = True
+            self.account.detach_metrics()
 
 
 class SyscallTransport(Transport):
@@ -394,8 +397,9 @@ class VdsoTransport(Transport):
         What the caller already holds is not re-derived: the closed
         test and the key's tuple test are written out - the tuple test
         is the read's one canonicalisation, the client passes the row
-        as given - the score-cache probe is counted on the account in
-        place, and the version word is loaded once - it keys the score
+        as given - the read's two counts and its score-cache probe are
+        counted on the account in place, and the version word is loaded
+        once - it keys the score
         cache and is stamped on the event this read emits.
         """
         if self._closed:
@@ -403,7 +407,8 @@ class VdsoTransport(Transport):
         account = self.account
         traced = self._tracer.enabled
         vdso_ns = self._latency.vdso_predict_ns
-        account.charge_vdso_predict(vdso_ns)
+        account.vdso_ns += vdso_ns
+        account.vdso_calls += 1
         generation = self._version.value
         key = features if type(features) is tuple else tuple(features)
         injector = self._injector
@@ -510,7 +515,8 @@ class VdsoTransport(Transport):
             # roll its dice once per read, in row order: no batching.
             out = []
             for key in rows:
-                account.charge_vdso_predict(vdso_ns)
+                account.vdso_ns += vdso_ns
+                account.vdso_calls += 1
                 if traced:
                     self._trace("predict", dur_ns=vdso_ns)
                 out.append(self._predict_injected(key))
@@ -530,7 +536,8 @@ class VdsoTransport(Transport):
         #: the misses' scores, each handed out once
         fresh: dict[tuple[int, ...], int] | None = None
         for key in rows:
-            account.charge_vdso_predict(vdso_ns)
+            account.vdso_ns += vdso_ns
+            account.vdso_calls += 1
             score = cache.get(key)
             if score is not None:
                 account.cache_hits += 1

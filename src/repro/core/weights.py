@@ -340,7 +340,8 @@ class WeightMatrix:
         flat = self._flat
         bias = self._bias
         plan = self.plan
-        block = (plan.score_select_rows(flat, bias, keys)
+        block = (plan.score_select_rows(flat, bias, keys,
+                                        widths_checked=True)
                  if len(keys) >= self.VECTOR_MIN_ROWS else None)
         if block is None:
             selected = [plan.select(key) for key in keys]

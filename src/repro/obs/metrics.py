@@ -133,24 +133,20 @@ class Histogram:
         self.buckets[exponent] = self.buckets.get(exponent, 0) + 1
 
     def observe_run(self, value: float, count: int) -> None:
-        """``count`` observations of one ``value``, field for field
-        what that many :meth:`observe` calls leave: filed once, but
-        ``sum`` still grows one addition at a time, because ``count *
-        value`` is a different float."""
+        """``count`` observations of one ``value``, filed once: ``sum``
+        grows by ``value * count``, every other field as that many
+        :meth:`observe` calls leave it."""
         if count < 1:
             return
+        total = self.sum + value * count
         self.observe(value)
-        repeats = count - 1
-        total = self.sum
-        for _ in range(repeats):
-            total += value
         self.sum = total
-        self.count += repeats
+        self.count += count - 1
         exponent = self._last_exponent
         if exponent is None:
-            self.zero_count += repeats
+            self.zero_count += count - 1
         else:
-            self.buckets[exponent] += repeats
+            self.buckets[exponent] += count - 1
 
     @property
     def mean(self) -> float:
@@ -242,34 +238,35 @@ def _key(name: str, labels: dict[str, Any]) -> MetricKey:
 class MetricsRegistry:
     """Named, labeled instruments with get-or-create semantics.
 
-    An emitter whose series is order-free - an integer it already
-    counts, a run of one repeated observation - need not push it per
-    operation: it enlists once with :meth:`file_before_read`, and every
-    accessor of counters or histograms files what is owed before it
-    answers, so a reader (an exporter, a report, an ``ObsSession``)
-    never sees the difference.  An instrument object held from an
-    earlier lookup is only as fresh as the registry's last read.
+    An emitter whose series is a count it already keeps need not push
+    it per operation: it registers a *filer* once with
+    :meth:`add_filer`, and every accessor of counters or histograms
+    calls each filer before it answers, so a reader (an exporter, a
+    report, an ``ObsSession``) never sees the difference.  An
+    instrument object held from an earlier lookup is only as fresh as
+    the registry's last read.
     """
 
     def __init__(self) -> None:
         self._counters: dict[MetricKey, Counter] = {}
         self._gauges: dict[MetricKey, Gauge] = {}
         self._histograms: dict[MetricKey, Histogram] = {}
-        self._owed: list[Callable[[], None]] = []
+        self._filers: list[Callable[[], None]] = []
 
-    def file_before_read(self, file: Callable[[], None]) -> None:
-        """Run ``file()`` once, before the next read of this registry's
-        counters or histograms answers."""
-        self._owed.append(file)
+    def add_filer(self, file: Callable[[], None]) -> None:
+        """Call ``file()`` before every read of this registry's
+        counters or histograms, until :meth:`remove_filer`."""
+        self._filers.append(file)
 
-    def _collect(self) -> None:
-        owed, self._owed = self._owed, []
-        for file in owed:
+    def remove_filer(self, file: Callable[[], None]) -> None:
+        self._filers.remove(file)
+
+    def _file(self) -> None:
+        for file in self._filers:
             file()
 
     def counter(self, name: str, **labels: Any) -> Counter:
-        if self._owed:
-            self._collect()
+        self._file()
         key = _key(name, labels)
         instrument = self._counters.get(key)
         if instrument is None:
@@ -284,8 +281,7 @@ class MetricsRegistry:
         return instrument
 
     def histogram(self, name: str, **labels: Any) -> Histogram:
-        if self._owed:
-            self._collect()
+        self._file()
         key = _key(name, labels)
         instrument = self._histograms.get(key)
         if instrument is None:
@@ -295,24 +291,21 @@ class MetricsRegistry:
     # -- introspection -------------------------------------------------------
 
     def counters(self) -> list[tuple[MetricKey, Counter]]:
-        if self._owed:
-            self._collect()
+        self._file()
         return sorted(self._counters.items())
 
     def gauges(self) -> list[tuple[MetricKey, Gauge]]:
         return sorted(self._gauges.items())
 
     def histograms(self) -> list[tuple[MetricKey, Histogram]]:
-        if self._owed:
-            self._collect()
+        self._file()
         return sorted(self._histograms.items())
 
     def merged_histogram(self, name: str,
                          **label_filter: Any) -> Histogram:
         """Union of every histogram named ``name`` whose labels include
         ``label_filter`` (e.g. all transports of one domain)."""
-        if self._owed:
-            self._collect()
+        self._file()
         wanted = {(k, str(v)) for k, v in label_filter.items()}
         merged = Histogram()
         for (metric_name, labels), histogram in self._histograms.items():

@@ -81,6 +81,7 @@ def test_score_rows_is_bias_plus_gather_of_select(case):
         -3 + sum(flat[i] for i in plan.select(row)) for row in rows]
 
 
+@pytest.mark.filterwarnings("error")
 @settings(max_examples=100, deadline=None)
 @given(plans_and_rows(), st.data())
 def test_block_hasher_equals_per_row_select(case, data):

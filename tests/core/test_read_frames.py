@@ -31,20 +31,20 @@ ROW = (1, 1)
 #: Python frames per call, from the client's own frame down:
 #: (plain, watched)
 PINNED = {
-    # client.predict, VdsoTransport.predict, charge_vdso_predict, the
-    # handle's and the domain's record_cached_prediction,
-    # TenantMeter.charge_predict and the stats' record_cached_prediction:
-    # the row's tuple test and the probe's count are inline in the
-    # transport, and the read's op breakdown is filed when the account
+    # client.predict, VdsoTransport.predict, the handle's and the
+    # domain's record_cached_prediction, TenantMeter.charge_predict and
+    # the stats' record_cached_prediction: the row's tuple test, the
+    # read's two counts and the probe's count are inline in the
+    # transport, and its op breakdown is count x cost when the account
     # is read; watched adds none: its event is a tuple appended through
     # the tracer's bound ``emit``
-    "hit": (7, 7),
+    "hit": (6, 6),
     # the same transport frames, then predict_mapped, _admit_predict,
     # charge_predict, Domain.predict, the model's predict -> dot ->
     # _flat_indices -> gather and record_prediction; watched adds none:
     # the miss opens no span, and its event is appended through
     # ``emit`` once the read returns
-    "miss": (12, 12),
+    "miss": (11, 11),
     # client.update, VdsoTransport.update: one append; watched adds
     # none (the event's ``Tracer.record`` frame went)
     "update": (2, 2),
@@ -185,12 +185,11 @@ def test_a_guarded_read_is_a_plain_read_in_its_span_wrapper():
 #: charge_syscall, charge_op; the handle's wrapper and body, its two
 #: _tracer reads, _admit_predict, charge_predict; the domain's wrapper,
 #: body and _tracer, the model's predict_batch, dot_batch,
-#: _resolve_block, plan, score_select_rows, _rows_as_u64, numpy's
-#: errstate (__init__, __enter__, __exit__) and sum, _admit_block,
+#: _resolve_block, plan, score_select_rows, _rows_as_u64, _admit_block,
 #: record_predictions and its list comprehension.  No frame runs per
 #: row: a block's distinct rows, its validation, its uint64 matrix,
-#: its index tuples and its evictions are C-level passes.
-COLD_BLOCK = 30
+#: its index tuples, its scores and its evictions are C-level passes.
+COLD_BLOCK = 26
 
 
 def cold_rows(first, count):

@@ -55,11 +55,18 @@ class TestPredictionStats:
         assert a.resets == 1
 
 
+def read(account, times=1):
+    """``times`` vDSO reads, as the transport counts them: two in-place
+    increments each."""
+    for _ in range(times):
+        account.vdso_ns += account.read_ns
+        account.vdso_calls += 1
+
+
 class TestLatencyAccount:
     def test_charges_accumulate(self):
-        account = LatencyAccount()
-        account.charge_vdso_predict(4.19)
-        account.charge_vdso_predict(4.19)
+        account = LatencyAccount(read_ns=4.19)
+        read(account, 2)
         account.charge_syscall(68.0, records=5)
         assert account.vdso_calls == 2
         assert account.syscalls == 1
@@ -68,33 +75,29 @@ class TestLatencyAccount:
 
     @pytest.mark.parametrize("watched", [False, True])
     def test_vdso_predict_charge_is_the_pair_it_replaces(self, watched):
-        """A read booked as a run reads as the clock charge plus
-        ``charge_op("predict")`` it stands for, pushed per read."""
+        """A read's two counts read as the clock charge plus the
+        ``charge_op("predict")`` it stands for, at count x cost: one
+        product, not one addition per read (4.19 six times over is
+        another float), while the clock stays the running sum."""
         from repro.obs import MetricsRegistry
 
-        fused, paired = LatencyAccount(), LatencyAccount()
-        registries = [MetricsRegistry(), MetricsRegistry()]
+        account, registry = LatencyAccount(read_ns=4.19), MetricsRegistry()
         if watched:
-            for account, registry in zip((fused, paired), registries):
-                account.attach_metrics(registry, domain="d",
-                                       transport="vdso")
-        for ns in (4.19, 4.19, 0.1, 7.0, 7.0):
-            fused.charge_vdso_predict(ns)
-            paired.vdso_ns += ns
-            paired.vdso_calls += 1
-            paired.charge_op("predict", ns)
-            if watched:
-                registries[1].histogram("pss_vdso_read_ns", domain="d",
-                                        transport="vdso").observe(ns)
-        assert fused.snapshot() == paired.snapshot()
-        assert registries[0].snapshot() == registries[1].snapshot()
+            account.attach_metrics(registry, domain="d", transport="vdso")
+        read(account, 6)
+        assert account.op_ns == {"predict": 6 * 4.19}
+        assert account.op_calls == {"predict": 6}
+        assert account.vdso_ns == sum([4.19] * 6) != 6 * 4.19
+        if watched:
+            for name in ("pss_vdso_read_ns", "pss_op_ns"):
+                hist = registry.merged_histogram(name, domain="d")
+                assert (hist.count, hist.sum) == (6, 6 * 4.19)
 
     def test_means(self):
-        account = LatencyAccount()
+        account = LatencyAccount(read_ns=5.0)
         assert account.mean_vdso_ns == 0.0
         assert account.mean_syscall_ns == 0.0
-        account.charge_vdso_predict(4.0)
-        account.charge_vdso_predict(6.0)
+        read(account, 2)
         assert account.mean_vdso_ns == pytest.approx(5.0)
 
     def test_snapshot_keys(self):
@@ -126,11 +129,12 @@ class TestLatencyAccount:
         assert account.cache_hit_rate == pytest.approx(2 / 3)
 
     def test_merge(self):
-        a = LatencyAccount()
-        a.charge_vdso_predict(4.0)
+        """Each account's reads come in at its own count x cost."""
+        a = LatencyAccount(read_ns=4.0)
+        read(a)
         a.cache_hits += 1
-        b = LatencyAccount()
-        b.charge_vdso_predict(6.0)
+        b = LatencyAccount(read_ns=6.0)
+        read(b)
         b.charge_syscall(68.0, records=3)
         b.charge_op("flush", 68.0)
         b.cache_misses += 1
@@ -143,10 +147,12 @@ class TestLatencyAccount:
         assert a.op_calls["predict"] == 2
         assert a.mean_op_ns("predict") == pytest.approx(5.0)
         assert a.op_calls["flush"] == 1
+        read(a)   # a's own read, at a's cost
+        assert a.op_ns["predict"] == 6.0 + 2 * 4.0
 
     def test_merge_with_empty_is_identity(self):
-        a = LatencyAccount()
-        a.charge_vdso_predict(4.19)
+        a = LatencyAccount(read_ns=4.19)
+        read(a)
         before = a.snapshot()
         a.merge(LatencyAccount())
         assert a.snapshot() == before

@@ -212,35 +212,59 @@ class TestHistogramRepeats:
     @given(runs=st.lists(st.tuples(values, st.integers(0, 40)),
                          max_size=12))
     def test_a_run_files_as_that_many_observes(self, runs):
-        """``observe_run`` is ``count`` observes, ``sum`` included: it
-        adds one by one, because ``count * value`` is another float."""
+        """``observe_run`` is ``count`` observes, except that ``sum``
+        grows by count x value: one product, not one addition per
+        observation."""
         fast, plain = Histogram(), Histogram()
+        total = 0.0
         for value, count in runs:
             fast.observe_run(value, count)
             for _ in range(count):
                 observe_every_time(plain, value)
+            if count:
+                total += value * count
+        plain.sum = total
         for field in FIELDS:
             assert repr(getattr(fast, field)) \
                 == repr(getattr(plain, field)), field
 
 
-class PushedAccount(LatencyAccount):
-    """The account as it was before a read was filed late: every read
-    books its op breakdown and pushes its two observations as it
-    happens, and every score-cache probe its transport counts pushes
-    its counter.  The reference the late filing is held to.  (A merge
-    into it pushes the merged-in probes too, which the account does
-    not: the references below merge accounts without probes.)"""
+def read(account, times=1, probe=None):
+    """``times`` vDSO reads as the transport counts them - two in-place
+    increments each - with a score-cache hit (``probe`` True), miss
+    (False) or neither (None) apiece."""
+    for _ in range(times):
+        account.vdso_ns += account.read_ns
+        account.vdso_calls += 1
+        if probe:
+            account.cache_hits += 1
+        elif probe is not None:
+            account.cache_misses += 1
 
+
+class PushedAccount(LatencyAccount):
+    """Every read and every score-cache probe pushed as it happens:
+    a read observes its cost into ``pss_vdso_read_ns`` and
+    ``pss_op_ns{op="predict"}``, a probe increments its counter.  The
+    reference the filing at registry reads is held to.  (A merge into
+    it would push the merged-in reads and probes, which the account
+    does not: the references below merge nothing.)"""
+
+    _pushed_reads = 0
     _pushed_hits = 0
     _pushed_misses = 0
 
-    def charge_vdso_predict(self, ns):
-        self.vdso_ns += ns
-        self.vdso_calls += 1
+    @property
+    def vdso_calls(self):
+        return self._pushed_reads
+
+    @vdso_calls.setter
+    def vdso_calls(self, value):
         if self._metrics is not None:
-            self._hist_vdso.observe(ns)
-        self.charge_op("predict", ns)
+            for _ in range(value - self._pushed_reads):
+                self._hist_vdso.observe(self.read_ns)
+                self._op_hist("predict").observe(self.read_ns)
+        self._pushed_reads = value
 
     @property
     def cache_hits(self):
@@ -262,15 +286,17 @@ class PushedAccount(LatencyAccount):
             self._cache_miss_counter.inc(value - self._pushed_misses)
         self._pushed_misses = value
 
-    def _file_reads(self):
+    def _file(self):
         pass
 
 
 def registry_fields(registry):
-    """Everything a reader can see, floats by ``repr``."""
+    """Everything a reader can see, floats by ``repr`` (buckets in
+    exponent order: readers walk them sorted)."""
     return (
         [(key, counter.value) for key, counter in registry.counters()],
-        [(key, [repr(getattr(histogram, field)) for field in FIELDS])
+        [(key, [repr(sorted(histogram.buckets.items()) if field == "buckets"
+                     else getattr(histogram, field)) for field in FIELDS])
          for key, histogram in registry.histograms()],
     )
 
@@ -281,12 +307,14 @@ class TestReadsAreFiledWhenTheRegistryIsRead:
 
     def stack(self, account_type):
         """Two vDSO connections to one domain (one label set, shared
-        instruments) and a third, dearer one to another domain, all on
-        one registry."""
+        instruments) and a third, cheaper one to another domain, all on
+        one registry.  The read costs are exact in binary, so reads
+        pushed one by one sum to the count x cost the filing adds,
+        however the filings fall: the comparison is exact."""
         registry = MetricsRegistry()
         service = ShardedService()   # one shard: no shard label
         transports = []
-        for domain, vdso_ns in (("a", 4.19), ("a", 4.19), ("b", 0.1)):
+        for domain, vdso_ns in (("a", 4.25), ("a", 4.25), ("b", 0.125)):
             transport = VdsoTransport(
                 service.handle(domain, config=self.CONFIG),
                 LatencyModel(vdso_predict_ns=vdso_ns),
@@ -362,12 +390,9 @@ class TestReadsAreFiledWhenTheRegistryIsRead:
         account = LatencyAccount()
         old, new = MetricsRegistry(), MetricsRegistry()
         account.attach_metrics(old, domain="d", transport="vdso")
-        account.charge_vdso_predict(4.19)
-        account.cache_hits += 1
+        read(account, probe=True)
         account.attach_metrics(new, domain="d", transport="vdso")
-        for _ in range(2):
-            account.charge_vdso_predict(4.19)
-            account.cache_misses += 1
+        read(account, 2, probe=False)
         key = dict(domain="d", transport="vdso")
         assert new.histogram("pss_vdso_read_ns", **key).count == 2
         assert new.counter("pss_score_cache_misses_total", **key).value == 2
@@ -375,128 +400,201 @@ class TestReadsAreFiledWhenTheRegistryIsRead:
         assert old.histogram("pss_vdso_read_ns", **key).count == 1
         assert old.counter("pss_score_cache_hits_total", **key).value == 1
 
-    def test_alternating_costs_do_not_pile_up_in_the_registry(self):
-        account, registry = LatencyAccount(), MetricsRegistry()
+    def test_a_registry_files_count_times_cost(self):
+        """Six reads at 4.19 filed in one registry read: ``sum`` is
+        6 * 4.19, not 4.19 added six times (another float)."""
+        account, registry = LatencyAccount(read_ns=4.19), MetricsRegistry()
         account.attach_metrics(registry, domain="d", transport="vdso")
-        for index in range(100):
-            account.charge_vdso_predict(4.19 if index % 2 else 0.1)
-        assert len(registry._owed) == 1
-        assert registry.histogram(
-            "pss_vdso_read_ns", domain="d", transport="vdso").count == 100
+        read(account, 6)
+        for name in ("pss_vdso_read_ns", "pss_op_ns"):
+            histogram = registry.merged_histogram(name, domain="d")
+            assert (histogram.count, histogram.sum) == (6, 6 * 4.19)
+        assert account.vdso_ns == sum([4.19] * 6) != 6 * 4.19
 
-    @pytest.mark.parametrize("varying", [
-        lambda account: account.charge_vdso_predict(2.0 ** 53),
-        lambda account: account.charge_op("predict", 2.0 ** 53),
-    ])
-    def test_a_varying_charge_lands_after_the_reads_before_it(
-            self, varying):
-        """A charge pushed into a histogram a pending run belongs to
-        files the run first: ``sum`` is order-sensitive (1.0 added to
-        2**53 is lost, added before it is not)."""
-        late, pushed = LatencyAccount(), PushedAccount()
-        registries = MetricsRegistry(), MetricsRegistry()
-        for account, registry in zip((late, pushed), registries):
+
+class TestFilers:
+    """A filer is registered once, however often its account moves,
+    and leaves with its client: the list is bounded by live clients."""
+
+    def test_an_account_is_one_filer_wherever_it_files(self):
+        account, registry = LatencyAccount(), MetricsRegistry()
+        other = MetricsRegistry()
+        for _ in range(3):
             account.attach_metrics(registry, domain="d", transport="vdso")
-            account.charge_vdso_predict(1.0)
-            registry.snapshot()   # every instrument now exists
-            for _ in range(3):
-                account.charge_vdso_predict(1.0)
-            varying(account)
-            account.charge_vdso_predict(1.0)
-        assert registry_fields(registries[0]) \
-            == registry_fields(registries[1])
+            for label in ("0", "1", "2"):
+                account.file_under(label)
+        assert registry._filers == [account._file]
+        account.attach_metrics(other, domain="d", transport="vdso")
+        assert (registry._filers, other._filers) == ([], [account._file])
+
+    def test_a_closed_client_files_what_it_owes_and_leaves(self):
+        registry = MetricsRegistry()
+        service = ShardedService(metrics=registry)
+        client = service.connect("d", config=PSSConfig(num_features=2))
+        client.predict((1, 2))
+        client.predict((1, 2))
+        assert len(registry._filers) == 1
+        client.close()
+        assert registry._filers == []
+        assert registry.merged_histogram("pss_vdso_read_ns").count == 2
+        assert registry.counter(
+            "pss_score_cache_hits_total", domain="d",
+            transport="vdso", shard="0").value == 1
+
+    def test_chaos_keeps_one_filer_per_client(self):
+        """Two live reshards and three crashes move every client's
+        account between shards; each stays one filer."""
+        from repro.bench.experiments.chaos import CHAOS_DOMAINS, run_chaos
+
+        registry = MetricsRegistry()
+        result, service = run_chaos(seed=42, reshard_schedule={6: 4, 14: 3},
+                                    metrics=registry)
+        assert result.crashes and result.final_num_shards == 3
+        assert len(registry._filers) == len(CHAOS_DOMAINS)
+        reads = registry.merged_histogram("pss_vdso_read_ns")
+        assert reads.count == sum(
+            shard.merged_latency().vdso_calls for shard in service.shards)
 
 
-class TestAnAccountReadsAsBookedPerRead:
-    """A vDSO read is booked as a run and filed when the account is
-    read; read at any point, the account is the one per-read booking
-    (:class:`PushedAccount`) leaves, floats bit for bit."""
+class TestAnAccountIsCountTimesCost:
+    """Any interleaving of reads, syscall charges, merges, attaching,
+    moving shards and registry reads leaves the account's breakdown and
+    every registry equal to count x cost.  The reference keeps the
+    contract by hand: its own counts, the breakdown's ``predict`` as
+    what was charged per call plus ``reads * cost``, and each registry
+    series as the reads pushed one by one.  Costs are exact in binary,
+    so a sum of reads is count x cost however the filings fall, and
+    every field compares exactly."""
 
-    #: two read costs whose sums round differently, and one far larger
-    #: syscall cost, so that any reordering of the additions shows
-    COSTS = (4.19, 0.1)
+    #: the account's read cost, a merged-in account's, and the syscall
+    #: costs charged between the reads
+    COST = 4.25
+    SIDE_COSTS = (0.125, 8.5)
+    SYSCALLS = (68.0, 0.5, 3.0)
 
     ops = st.lists(st.one_of(
-        st.tuples(st.just("read"), st.integers(0, 1),
-                  st.integers(1, 5), st.sampled_from([None, True, False])),
+        st.tuples(st.just("read"), st.integers(1, 5),
+                  st.sampled_from([None, True, False])),
         st.tuples(st.just("syscall"),
                   st.sampled_from(["predict", "flush", "update"]),
-                  st.sampled_from([68.0, 2.0 ** 53, 0.3])),
+                  st.sampled_from(SYSCALLS)),
         st.tuples(st.just("merge"), st.integers(0, 1),
                   st.integers(0, 4), st.booleans()),
         st.tuples(st.just("attach"), st.integers(0, 1)),
-        st.tuples(st.just("look"),
-                  st.sampled_from(["snapshot", "op_ns", "op_calls",
-                                   "mean_op_ns", "equal", "registry"])),
+        st.tuples(st.just("move"), st.sampled_from(["0", "1", "2"])),
+        st.tuples(st.just("look"), st.sampled_from(["account", "registry"])),
     ), max_size=50)
-
-    @staticmethod
-    def side(account_type, cost, reads, syscall):
-        """An account to merge in: reads, maybe a predict syscall."""
-        account = account_type()
-        for _ in range(reads):
-            account.charge_vdso_predict(cost)
-        if syscall:
-            account.charge_syscall(68.0)
-            account.charge_op("predict", 68.0)
-        return account
-
-    @staticmethod
-    def seen(account):
-        """Everything a reader of the account sees, floats by repr."""
-        return repr((account.snapshot(), account.op_ns, account.op_calls,
-                     account.mean_op_ns("predict"), account.total_ns))
 
     @settings(max_examples=200, deadline=None)
     @given(ops=ops)
-    def test_an_account_read_at_any_point_is_the_booked_one(self, ops):
-        late, booked = LatencyAccount(), PushedAccount()
-        # each account's two registries, to attach to and move between
-        registries = [(MetricsRegistry(), MetricsRegistry())
-                      for _ in range(2)]
+    def test_any_interleaving_is_count_times_cost(self, ops):
+        account = LatencyAccount(read_ns=self.COST)
+        registries = (MetricsRegistry(), MetricsRegistry())
+        # the reference: registries pushed per read, and the counts
+        pushed = (MetricsRegistry(), MetricsRegistry())
+        attached, shard = None, ""
+        reads = merged_reads = hits = misses = 0
+        clock = 0.0
+        filed_ns, filed_calls = {}, {}
+
+        def labels():
+            return ({"domain": "d", "transport": "vdso", "shard": shard}
+                    if shard else {"domain": "d", "transport": "vdso"})
+
+        def push(name, value, **more):
+            if attached is not None:
+                pushed[attached].histogram(
+                    name, **labels(), **more).observe(value)
+
+        def attach(index):
+            nonlocal attached
+            attached = index
+            registry = pushed[index]
+            for name in ("pss_vdso_read_ns", "pss_syscall_ns"):
+                registry.histogram(name, **labels())
+            for name in ("pss_score_cache_hits_total",
+                         "pss_score_cache_misses_total"):
+                registry.counter(name, **labels())
+
+        def check_account():
+            ns, calls = dict(filed_ns), dict(filed_calls)
+            if reads:
+                ns["predict"] = ns.get("predict", 0) + reads * self.COST
+                calls["predict"] = calls.get("predict", 0) + reads
+            assert repr(account.op_ns) == repr(ns)
+            assert account.op_calls == calls
+            assert repr(account.snapshot()["ops"]) == repr({
+                op: {"calls": calls[op], "ns": ns[op]} for op in sorted(ns)})
+            assert repr(account.vdso_ns) == repr(clock)
+            assert account.vdso_calls == reads + merged_reads
+            assert (account.cache_hits, account.cache_misses) \
+                == (hits, misses)
+
+        def check_registries():
+            for one, other in zip(registries, pushed):
+                assert registry_fields(one) == registry_fields(other)
+
         for op, *rest in ops:
-            if op == "look":
-                look = rest[0]
-                if look == "snapshot":
-                    assert repr(late.snapshot()) \
-                        == repr(booked.snapshot())
-                elif look == "op_ns":
-                    assert repr(late.op_ns) == repr(booked.op_ns)
-                elif look == "op_calls":
-                    assert late.op_calls == booked.op_calls
-                elif look == "mean_op_ns":
-                    assert repr(late.mean_op_ns("predict")) \
-                        == repr(booked.mean_op_ns("predict"))
-                elif look == "equal":
-                    assert late == booked
-                else:
-                    for one, other in zip(*registries):
-                        assert registry_fields(one) \
-                            == registry_fields(other)
-                continue
-            for account, owned in zip((late, booked), registries):
-                if op == "read":   # as a vDSO transport reads
-                    cost, reads, hit = rest
-                    for _ in range(reads):
-                        account.charge_vdso_predict(self.COSTS[cost])
-                        if hit:
-                            account.cache_hits += 1
-                        elif hit is not None:
-                            account.cache_misses += 1
-                elif op == "syscall":
-                    account.charge_syscall(rest[1])
-                    account.charge_op(rest[0], rest[1])
-                elif op == "merge":
-                    account.merge(self.side(
-                        type(account), self.COSTS[rest[0]], rest[1],
-                        rest[2]))
-                else:
-                    account.attach_metrics(owned[rest[0]], domain="d",
-                                           transport="vdso")
-        assert self.seen(late) == self.seen(booked)
-        assert late == booked
-        for one, other in zip(*registries):
-            assert registry_fields(one) == registry_fields(other)
+            if op == "read":
+                times, probe = rest
+                read(account, times, probe)
+                reads += times
+                for _ in range(times):
+                    clock += self.COST
+                    push("pss_vdso_read_ns", self.COST)
+                    push("pss_op_ns", self.COST, op="predict")
+                    if probe is not None and attached is not None:
+                        name = ("pss_score_cache_hits_total" if probe
+                                else "pss_score_cache_misses_total")
+                        pushed[attached].counter(name, **labels()).inc()
+                if probe:
+                    hits += times
+                elif probe is not None:
+                    misses += times
+            elif op == "syscall":
+                kind, ns = rest
+                account.charge_syscall(ns)
+                account.charge_op(kind, ns)
+                push("pss_syscall_ns", ns)
+                push("pss_op_ns", ns, op=kind)
+                filed_ns[kind] = filed_ns.get(kind, 0.0) + ns
+                filed_calls[kind] = filed_calls.get(kind, 0) + 1
+            elif op == "merge":
+                cost, side_reads, syscall = rest
+                side = LatencyAccount(read_ns=self.SIDE_COSTS[cost])
+                read(side, side_reads, probe=True)
+                side_ns, side_calls = 0.0, 0
+                if syscall:
+                    side.charge_syscall(68.0)
+                    side.charge_op("predict", 68.0)
+                    side_ns, side_calls = 68.0, 1
+                account.merge(side)
+                # the side's own breakdown: its reads at its own cost
+                if side_reads:
+                    side_ns = side_ns + side_reads * self.SIDE_COSTS[cost]
+                if side_calls or side_reads:
+                    filed_ns["predict"] = filed_ns.get("predict", 0.0) \
+                        + side_ns
+                    filed_calls["predict"] = filed_calls.get(
+                        "predict", 0) + side_calls + side_reads
+                clock += side.vdso_ns
+                merged_reads += side_reads
+                hits += side_reads
+            elif op == "attach":
+                account.attach_metrics(registries[rest[0]], domain="d",
+                                       transport="vdso")
+                attach(rest[0])
+            elif op == "move":
+                account.file_under(rest[0])
+                shard = rest[0]
+                if attached is not None:
+                    attach(attached)
+            elif rest[0] == "account":
+                check_account()
+            else:
+                check_registries()
+        check_account()
+        check_registries()
 
 
 class TestRegistry:

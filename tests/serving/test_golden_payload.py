@@ -15,7 +15,7 @@ simulated results, and say so in CHANGES.md::
 from pathlib import Path
 
 from repro.bench.experiments.serve import SERVE, build_payload, write_payload
-from repro.bench.runner import parse, rows
+from repro.bench.runner import parse, rows, run
 
 GOLDEN = Path(__file__).parent / "golden" / "serve_quick_seed42.json"
 
@@ -26,3 +26,13 @@ def test_quick_seed42_payload_matches_committed_golden(tmp_path):
     written = tmp_path / "serve_quick_seed42.json"
     write_payload(payload, written)
     assert written.read_bytes() == GOLDEN.read_bytes()
+
+
+def test_a_quick_run_without_out_writes_nothing(tmp_path, monkeypatch,
+                                                capsys):
+    """The committed ``BENCH_serving.json`` is the full sweep: a quick
+    run in its directory must not overwrite it."""
+    monkeypatch.chdir(tmp_path)
+    assert run(SERVE, ["--quick", "--seed", "42"]) == 0
+    assert list(tmp_path.iterdir()) == []
+    assert "wrote" not in capsys.readouterr().out

@@ -2,8 +2,8 @@
 per-push observes leave.
 
 A serving lane (:class:`Dispatcher`) counts each post-enqueue depth
-and hands the counts to the registry only when it is next read
-(``MetricsRegistry.file_before_read``).  Depths are integers, so every
+and hands the counts to the registry only when it is next read (the
+lane is one of ``MetricsRegistry``'s filers).  Depths are integers, so every
 reported field - ``count``, ``sum``, ``min``, ``max``, the zero bucket
 and the log buckets - must equal what one ``observe`` per push gives.
 The oracle here is exactly that: ``Dispatcher.push`` shadowed to
