@@ -43,7 +43,7 @@ class LoadSpec:
     #: requests per simulated ns per client (the knob that turns a
     #: population into offered load)
     per_client_rate: float = 1e-7
-    #: total requests the generator issues before marking load complete
+    #: total requests the generator issues
     requests: int = 3_000
     #: prediction domains (Zipf-ranked by popularity)
     domains: int = 12
@@ -132,7 +132,6 @@ class LoadGenerator:
                         feats.randrange(spec.feature_space)]
             self._submit_one(pipeline, pick.random(), ops.random(),
                              features, ops.random())
-        pipeline.mark_load_complete()
 
     # -- closed loop --------------------------------------------------------
 
@@ -140,24 +139,21 @@ class LoadGenerator:
                           requests_per_client: int | None = None) -> None:
         """Spawn one sim process per client (keep ``spec.clients``
         small in this mode), splitting ``spec.requests`` evenly with
-        the remainder on the lowest-numbered clients.  The load is
-        complete when the pipeline has counted the last of them
-        submitted, whichever client that was."""
+        the remainder on the lowest-numbered clients."""
         clients = self.spec.clients
         if requests_per_client is None:
             base, extra = divmod(self.spec.requests, clients)
             shares = [base + (index < extra) for index in range(clients)]
         else:
             shares = [requests_per_client] * clients
-        last = pipeline.submitted + sum(shares)
         for index, share in enumerate(shares):
             if share:
                 spawn(pipeline.engine,
-                      self._client(pipeline, index, share, last),
+                      self._client(pipeline, index, share),
                       name=f"loadgen-client-{index}")
 
     def _client(self, pipeline: ServingPipeline, index: int,
-                count: int, last: int) -> ProcessBody:
+                count: int) -> ProcessBody:
         spec = self.spec
         rng = self.streams.stream(f"loadgen.client.{index}")
         think_mean = 1.0 / spec.per_client_rate
@@ -167,7 +163,5 @@ class LoadGenerator:
             future = self._submit_one(pipeline, rng.random(),
                                       rng.random(), features,
                                       rng.random())
-            if pipeline.submitted == last:
-                pipeline.mark_load_complete()
             yield future.wait()
             yield rng.expovariate(1.0 / think_mean)

@@ -65,6 +65,7 @@ from repro.core.policy import REMOVED
 from repro.core.serving.future import CompletionFuture
 from repro.obs.metrics import (
     BATCH_SIZE,
+    Counter,
     MetricsRegistry,
     QUEUE_DEPTH,
     SHED_TOTAL,
@@ -145,6 +146,9 @@ class Dispatcher:
         #: (None: unmetered).  Depths are integers, so filing them as
         #: runs leaves the histogram exactly as per-push observes do.
         self._depths: dict[int, int] | None = None
+        #: shed reason -> this lane's ``pss_shed_total`` counter,
+        #: resolved at the reason's first shed (a registry read files)
+        self._shed_counters: dict[str, Counter] = {}
         if metrics is not None:
             self._depth_hist = metrics.histogram(QUEUE_DEPTH,
                                                  shard=self.label)
@@ -216,9 +220,11 @@ class Dispatcher:
                         "depth": len(self.items)},
             )
         if self.metrics is not None:
-            self.metrics.counter(
-                SHED_TOTAL, shard=self.label, reason=reason
-            ).inc()
+            counter = self._shed_counters.get(reason)
+            if counter is None:
+                counter = self._shed_counters[reason] = self.metrics.counter(
+                    SHED_TOTAL, shard=self.label, reason=reason)
+            counter.inc()
 
     def _run(self) -> ProcessBody:
         """Sim-process body: the shard's drain loop.

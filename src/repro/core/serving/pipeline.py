@@ -1,46 +1,38 @@
 """The event-driven serving pipeline: issue/complete split end to end.
 
-:class:`ServingPipeline` is the refactored request path.  Where the
-blocking stack ran ``client -> transport -> kernel`` inside one call
-frame, the pipeline splits every request into an *issue* half
-(:meth:`submit`, which has the caller's
-:class:`~repro.core.kernel.domain.DomainHandle` admit the request -
-the contract the synchronous call passes: domain, policy, quota,
-feature count - checks the queue, enqueues on the owning shard's
-:class:`~repro.core.serving.dispatch.Dispatcher` lane, and returns a
-:class:`~repro.core.serving.future.CompletionFuture`) and a
+:class:`ServingPipeline` splits every request into an *issue* half
+(:meth:`~ServingPipeline.submit`: the caller's
+:class:`~repro.core.kernel.domain.DomainHandle` admits it - the
+contract the synchronous call passes - it is queued on the owning
+shard's :class:`~repro.core.serving.dispatch.Dispatcher` lane, and a
+:class:`~repro.core.serving.future.CompletionFuture` comes back) and a
 *completion* half (the lane's sim process drains micro-batches on the
 deterministic :class:`~repro.sim.engine.Engine` and settles the
-futures).  The synchronous API is untouched - the pipeline is a
-frontend over the same kernel, and a 1-client, batch-window-0 serve
-run is bit-identical to the scalar path (hypothesis-pinned in
-``tests/serving/test_identity.py``).
+futures).  It is a frontend over the same kernel: a 1-client,
+batch-window-0 serve run is bit-identical to the scalar path
+(``tests/serving/test_identity.py``).
 
-Back-pressure is one rule: every request its handle admitted goes
-through
-:meth:`~repro.core.kernel.admission.AdmissionController.admit_request`
-with the target queue's depth, so a full queue refuses with
-``queue_full``, and with the pipeline's own health verdict - when
+Back-pressure is one rule,
+:meth:`~repro.core.kernel.admission.AdmissionController.admit_request`,
+asked for every admitted request with the target queue's depth (a full
+queue sheds with ``queue_full``) and, when
 :attr:`ServingConfig.shed_on_page` is set, whether a paging SLO covers
-the target (:meth:`ServingPipeline.should_shed`, a cached view of the
-:class:`~repro.obs.slo.SLOEngine` verdicts, refreshed by a monitor
-process every ``slo_eval_interval_ns``) - which refuses with
-``slo_page``.  Shed requests fail fast with
-:class:`~repro.core.errors.RequestShedError` - the resilient client
-maps that to its static fallback like any transient fault.
+the target (``slo_page``).  The paging scopes are a cache of the
+:class:`~repro.obs.slo.SLOEngine` verdicts at the grid points
+``start + k * slo_eval_interval_ns``, judged lazily: when a submit or
+the end of :meth:`~ServingPipeline.run` reaches a point not judged
+yet.  A shed fails fast with :class:`~repro.core.errors.RequestShedError`,
+which the resilient client maps to its static fallback.
 
-The pipeline follows the service's topology: one *lane* (a
-:class:`~repro.core.serving.dispatch.Dispatcher`: queue, drain rule and
-sim process; plus a sojourn histogram) per shard at construction, and
-one more the first time a request is routed to a shard a reshard grew
-since (:meth:`ServingPipeline._grow_lanes`); a shrunk-away shard's lane
-drains what it holds and then idles.
-
-See docs/SERVING.md for the pipeline diagram and tuning guidance.
+One lane per shard at construction, and one more the first time a
+request is routed to a shard a reshard grew since; a shrunk-away
+shard's lane drains what it holds and then idles.  See docs/SERVING.md
+for the pipeline diagram and tuning guidance.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -66,7 +58,6 @@ from repro.obs.metrics import (
 from repro.obs.slo import SLO, SLOEngine
 from repro.obs.trace import TracerLike
 from repro.sim.engine import Engine
-from repro.sim.process import ProcessBody, spawn
 
 if TYPE_CHECKING:
     from repro.core.kernel.service import ShardedService
@@ -186,17 +177,19 @@ class ServingPipeline:
                     f"({self.config.slo_threshold_ns}): completions are "
                     "fed to it and judged by that threshold")
             self.slo_engine = SLOEngine(slos, tracer=self.tracer)
+            #: a sample older than a grid point by this is in no window
+            self._horizon = max(slo.long_window_ns for slo in slos)
         self._paging_scopes: frozenset[str] = frozenset()
-        self._load_complete = False
+        #: the SLO grid is ``_eval_start + k * interval``; ``_next_eval``
+        #: is its first point not judged yet, number ``_eval_k``
+        self._eval_start, self._eval_k = self.engine.now, 1
+        self._next_eval = (self._eval_start + self.config.slo_eval_interval_ns
+                           if slos is not None else math.inf)
         #: the one shed rule (queue depth, paging SLO); a service that
         #: runs without a controller gets a private, unlimited one
         self._admission = (service.admission
                            if service.admission is not None
                            else AdmissionController())
-        #: the monitor exited; the next submit restarts it
-        self._monitor_idle = False
-        if self.slo_engine is not None:
-            spawn(self.engine, self._monitor(), name="slo-monitor")
         #: the anonymous handle of each domain submitted by bare name
         self._anonymous: dict[str, DomainHandle] = {}
         # -- counters --
@@ -214,11 +207,9 @@ class ServingPipeline:
         self.latency = Histogram()
 
     def _grow_lanes(self, shard_id: int) -> Dispatcher:
-        """``shard_id``'s lane, building - and starting, in shard-id
-        order - every lane up to it that does not exist yet: all of
-        them at construction, later the ones a reshard grew (a request
-        is routed by the shard hosting its domain, and the pipeline may
-        be older than that shard)."""
+        """``shard_id``'s lane, building and starting, in shard-id
+        order, every lane up to it not built yet: all at construction,
+        later the ones a reshard grew since."""
         for new_id in range(len(self.lanes), shard_id + 1):
             lane = Dispatcher(self, new_id, self.config, self.service,
                               self.engine, tracer=self.tracer,
@@ -247,8 +238,7 @@ class ServingPipeline:
         type and the same charge, and nothing is queued.  An admitted
         request can still be shed (queue full, a paging SLO the
         pipeline sheds on), with :class:`RequestShedError`.  The caller
-        never blocks either way, and a sim process that ``yield``s the
-        future's ``wait()`` resumes on the next engine step.
+        never blocks either way.
         """
         if op not in ("predict", "update"):
             raise ConfigError(f"unknown serving op {op!r}")
@@ -286,8 +276,8 @@ class ServingPipeline:
         request = Request(op, target, features, future, direction,
                           shard_id, seq)
         config = self.config
-        if self._monitor_idle:
-            self._restart_monitor()
+        if now >= self._next_eval:
+            self._judge_until(now)
         reason = self._admission.admit_request(
             len(lane.items), config.queue_limit,
             # should_shed is asked only while some scope is paging
@@ -330,11 +320,8 @@ class ServingPipeline:
 
     def should_shed(self, domain: str = "", shard: str = "") -> bool:
         """Cached SLO verdict: is a paging scope covering this target?
-
-        A shedding pipeline asks on every submit while some scope
-        pages, so it must be O(1): the monitor process refreshes the
-        paging-scope set every evaluation interval instead of
-        re-running ``SLOEngine.evaluate`` per request.
+        O(1), for a shedding pipeline asks on every submit while some
+        scope pages: the scopes change only when a grid point is judged.
         """
         scopes = self._paging_scopes
         if not scopes:
@@ -345,56 +332,32 @@ class ServingPipeline:
             return True
         return bool(domain) and domain in scopes
 
-    def _monitor(self) -> ProcessBody:
-        """Sim process: periodic SLO evaluation into the paging cache,
-        judged at the simulated now (a page ends once its bad samples
-        age out, even while shedding leaves the windows without new
-        ones).  Exits once the pipeline drained and either the load
-        generator said it finished or - with nothing paging - nothing
-        else is scheduled, so a completed simulation's event queue
-        empties and ``engine.run()`` terminates naturally.  An exit is
-        not the end: the next submit restarts the monitor
-        (:meth:`_restart_monitor`), so a pipeline driven with
-        ``run(until=...)`` and fed from outside the engine, or reused
-        after its load was marked complete, is still judged (``evals``
-        counts only evaluations made: none while it is idle).
-        """
+    def _judge_until(self, now: float) -> None:
+        """Judge, in order, every grid point at or before ``now`` not
+        judged yet, each at its own time (``evaluate`` counts no sample
+        stamped after it), into the paging cache.  Once the latest
+        sample is out of every window, the points left up to ``now``
+        all judge empty windows: one evaluation counts for them all."""
         interval = self.config.slo_eval_interval_ns
-        while True:
-            yield interval
-            paging = self._judge()
-            if self.in_flight == 0 and (
-                    self._load_complete
-                    or not paging and not self.engine.has_pending()):
-                self._monitor_idle = True
-                return
-
-    def _judge(self) -> frozenset[str]:
-        """One SLO evaluation at the simulated now into the paging
-        cache; returns the scopes paging."""
-        engine = self.slo_engine
-        assert engine is not None
-        self.evals += 1
-        verdicts = engine.evaluate(self.engine.now)
-        paging = frozenset(v.scope for v in verdicts
-                           if v.verdict == "page")
-        if paging:
-            self.page_evals += 1
-            if not self._paging_scopes:
-                self.page_excursions += 1
-        self._paging_scopes = paging
-        return paging
-
-    def _restart_monitor(self) -> None:
-        """Restart the monitor that exited, an interval from now.  A
-        page it left standing (a load-complete exit does, paging or
-        not) is judged again first, at the simulated now: the request
-        that restarts it is shed only for bad samples still in the
-        windows, not for ones aged out while nothing was judged."""
-        self._monitor_idle = False
-        if self._paging_scopes:
-            self._judge()
-        spawn(self.engine, self._monitor(), name="slo-monitor")
+        start, k, at = self._eval_start, self._eval_k, self._next_eval
+        while at <= now:
+            if self.slo_engine.latest_ns < at - self._horizon:
+                last = max(k, int((now - start) // interval))
+                self.evals += last - k
+                k, at = last, start + last * interval
+            self.evals += 1
+            # looked up per call: a profiler may shadow it on the instance
+            verdicts = self.slo_engine.evaluate(at)
+            paging = frozenset(v.scope for v in verdicts
+                               if v.verdict == "page")
+            if paging:
+                self.page_evals += 1
+                if not self._paging_scopes:
+                    self.page_excursions += 1
+            self._paging_scopes = paging
+            k += 1
+            at = start + k * interval
+        self._eval_k, self._next_eval = k, at
 
     # -- completion half (lane callbacks) ----------------------------------
 
@@ -419,13 +382,10 @@ class ServingPipeline:
                        error: BaseException) -> None:
         """Fail one request with the kernel's error (lane only).
 
-        A failed request misses any latency limit, so the health
-        engine gets it as a bad ``SERVE_SLO`` sample at its failure
-        time: a shard that fails everything it is sent burns its
-        budget and pages.  A *shed* is deliberately not fed back (it
-        never reaches here - ``submit`` fails its future): sheds are
-        what a page causes, and counting them as bad samples would
-        latch the page that caused them.
+        A failed request misses any latency limit: a bad ``SERVE_SLO``
+        sample, so a shard that fails everything it is sent pages.  A
+        *shed* never reaches here: sheds are what a page causes, and
+        counting them as bad samples would latch the page.
         """
         now = self.engine.now
         self.failed += 1
@@ -440,17 +400,13 @@ class ServingPipeline:
     def _trace_request(self, request: Request, now: float,
                        outcome: str) -> None:
         """The one record of a settled request: a ``request`` event
-        spanning its sojourn (``ts_ns`` the submit, ``dur_ns`` what
-        ``future.latency_ns`` will read) whose detail carries its own
-        stage breakdown as monotone stamps - ``collect_ns`` (its
-        lane began collecting the batch that took it; earlier
-        than the submit for a request that arrived inside the window),
-        ``drained_ns``, ``settled_ns`` - read off the lane, which still
-        has that batch in hand.  :func:`repro.obs.postmortem
-        .request_stages` turns them into queue wait / batch window /
-        crossing.  Like the kernel's spans, it names the shard hosting
-        its domain now, which a reshard may have moved off the lane the
-        request was queued on."""
+        spanning its sojourn (``ts_ns`` the submit) whose detail
+        carries its stage stamps - ``collect_ns`` (its lane began
+        collecting the batch; earlier than the submit for a request
+        that arrived inside the window), ``drained_ns``,
+        ``settled_ns`` - read off the lane, which still has that batch
+        in hand (:func:`repro.obs.postmortem.request_stages` turns them
+        into stages).  It names the shard hosting its domain now."""
         lane = self.lanes[request.shard_id]
         submitted = request.future.submitted_ns
         domain = request.domain
@@ -467,13 +423,16 @@ class ServingPipeline:
     # -- driving -------------------------------------------------------------
 
     def run(self, until: float | None = None) -> None:
-        """Drive the engine (to ``until``, or until it drains)."""
-        self.engine.run(until=until)
+        """Drive the engine (to ``until``, or until its last request
+        settles), then judge the grid points the run passed."""
+        engine = self.engine
+        engine.run(until=until)
+        if engine.now >= self._next_eval:
+            self._judge_until(engine.now)
 
     def mark_load_complete(self) -> None:
-        """Load generators call this after their last submit, letting
-        the monitor process wind down once the queues drain."""
-        self._load_complete = True
+        """A no-op: a run ends when its last request settles, with or
+        without being told that the load is complete."""
 
     # -- reporting -----------------------------------------------------------
 

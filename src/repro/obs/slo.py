@@ -27,7 +27,7 @@ and deterministic by construction.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Any, Iterable
 
@@ -157,8 +157,9 @@ class SLOEngine:
             slo.name: [] for slo in self.slos}
         self._bad: dict[str, list[float]] = {
             slo.name: [] for slo in self.slos}
-        self._now = 0.0
-        #: a sample older than ``_now`` arrived since the last sort
+        #: the latest sample's timestamp
+        self.latest_ns = 0.0
+        #: a sample older than ``latest_ns`` arrived since the last sort
         self._unsorted = False
         #: SLOs currently paging - each pages one ``slo.page`` event per
         #: excursion, not one per evaluate() call
@@ -172,9 +173,9 @@ class SLOEngine:
         self._times[slo_name].append(ts_ns)
         if not good:
             self._bad[slo_name].append(ts_ns)
-        if ts_ns > self._now:
-            self._now = ts_ns
-        elif ts_ns < self._now:
+        if ts_ns > self.latest_ns:
+            self.latest_ns = ts_ns
+        elif ts_ns < self.latest_ns:
             self._unsorted = True
 
     def consume(self, events: Iterable[TraceEvent]) -> None:
@@ -224,38 +225,42 @@ class SLOEngine:
 
     def evaluate(self, now: float | None = None) -> list[SLOVerdict]:
         """Verdicts for every SLO at ``now``, or at the latest observed
-        timestamp if that is later or ``now`` is not given.
+        timestamp if ``now`` is not given.
 
-        A live monitor passes its clock: the windows then age out while
-        no sample arrives (a pipeline that sheds on a page records no
-        sample for a shed request, so a page judged only at the last
-        sample would never end).  Emits one ``slo.page`` trace event
-        per SLO per paging excursion, and drops samples that have aged
-        out of the long window.  Each window is two sorted lists, so
-        this costs four bisections and one deletion of the aged prefix
-        per SLO; samples that arrived out of order are sorted first.
+        Judged at exactly ``now``: a sample stamped after it is not
+        counted (it stays for a later evaluation), and a page is
+        stamped ``now``.  So a caller may judge a past instant after
+        later samples arrived - the serving pipeline judges its
+        evaluation grid lazily, when a submit asks - and windows age
+        out while no sample arrives (a pipeline that sheds on a page
+        records no sample for a shed request, so a page judged only at
+        the last sample would never end).  ``now`` must not go back
+        between calls: samples older than a window are dropped.  Emits
+        one ``slo.page`` trace event per SLO per paging excursion.
+        Each window is two sorted lists, so this costs six bisections
+        and one deletion of the aged prefix per SLO; samples that
+        arrived out of order are sorted first.
         """
-        if now is not None and now > self._now:
-            self._now = now
+        at = self.latest_ns if now is None else now
         if self._unsorted:
-            # Only a merged trace or a late ``observe`` gets here; a
-            # live monitor's stamps are its engine clock, monotone.
+            # Only a merged trace or a late ``observe`` gets here; the
+            # pipeline's stamps are its engine clock, monotone.
             for times in (*self._times.values(), *self._bad.values()):
                 times.sort()
             self._unsorted = False
         verdicts: list[SLOVerdict] = []
         for slo in self.slos:
             times, bad_times = self._times[slo.name], self._bad[slo.name]
-            cutoff = self._now - slo.long_window_ns
+            cutoff = at - slo.long_window_ns
             del times[:bisect_left(times, cutoff)]
             del bad_times[:bisect_left(bad_times, cutoff)]
+            end = bisect_right(times, at)
+            bad = bisect_right(bad_times, at)
+            good = end - bad
             # short <= long, so the short window is a suffix of both
-            short_cutoff = self._now - slo.short_window_ns
-            bad = len(bad_times)
-            good = len(times) - bad
+            short_cutoff = at - slo.short_window_ns
             short_bad = bad - bisect_left(bad_times, short_cutoff)
-            short_good = (len(times) - bisect_left(times, short_cutoff)
-                          - short_bad)
+            short_good = end - bisect_left(times, short_cutoff) - short_bad
             long_burn = self._burn(good, bad, slo.objective)
             short_burn = self._burn(short_good, short_bad, slo.objective)
             if short_burn >= self.PAGE_BURN and long_burn >= self.PAGE_BURN:
@@ -269,7 +274,7 @@ class SLOEngine:
                     self._paging.add(slo.name)
                     self.tracer.record(
                         "slo.page", domain=slo.scope, transport="slo",
-                        ts_ns=self._now,
+                        ts_ns=at,
                         detail={"slo": slo.name,
                                 "short_burn": round(short_burn, 3),
                                 "long_burn": round(long_burn, 3)})

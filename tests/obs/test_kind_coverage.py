@@ -193,7 +193,6 @@ def _serving_scenario(seen):
     for _ in range(5):
         pipeline.submit("d", FEATURES)
     pipeline.submit("d", FEATURES + [1])
-    pipeline.mark_load_complete()
     pipeline.run()
     seen.take(tracer, registry)
     # a refusal at submit is not a kind of its own: it is the request

@@ -307,7 +307,6 @@ def pinned_scenario(tracer):
                                 direction=rng.random() < 0.5)
             else:
                 pipeline.submit(name, rng.choice(rows))
-        pipeline.mark_load_complete()
 
     spawn(pipeline.engine, arrivals(), name="arrivals")
     pipeline.run()

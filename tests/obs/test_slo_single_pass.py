@@ -2,14 +2,15 @@
 
 ``TwoPassEngine`` is the frozen reference: its own deque of
 ``(ts, good)`` samples, aged from the head, and one scan of the whole
-deque per window.  Hypothesis drives it and the engine with the same
-observations and evaluations in two shapes - any timestamp order
-(through ``observe`` and ``consume``), and the serving pipeline's
-(a monotone clock, a drained batch settling at one ``now``, the
-monitor evaluating past the last sample, thousands of samples).
-Verdicts, burns and the ``slo.page`` events must agree exactly, and
-after every evaluation the engine must hold exactly the reference's
-in-window samples, sorted.
+deque per window, counting no sample stamped after the evaluation.
+Hypothesis drives it and the engine with the same observations and
+evaluations in two shapes - any timestamp order (through ``observe``
+and ``consume``), and the serving pipeline's (a monotone clock, a
+drained batch settling at one ``now``, evaluations past the last
+sample and, as the pipeline's lazy grid makes them, before it,
+thousands of samples).  Verdicts, burns and the ``slo.page`` events
+must agree exactly, and after every evaluation the engine must hold
+exactly the reference's samples not aged out, sorted.
 """
 
 from collections import deque
@@ -27,17 +28,18 @@ class TwoPassEngine(SLOEngine):
     def __init__(self, slos, tracer):
         super().__init__(slos, tracer=tracer)
         self._samples = {slo.name: deque() for slo in self.slos}
+        self._at = 0.0
 
     def observe(self, slo_name, ts_ns, good):
         self._samples[slo_name].append((ts_ns, good))
-        if ts_ns > self._now:
-            self._now = ts_ns
+        if ts_ns > self.latest_ns:
+            self.latest_ns = ts_ns
 
     def _window(self, slo, window_ns):
-        cutoff = self._now - window_ns
+        cutoff = self._at - window_ns
         good = bad = 0
         for ts_ns, ok in self._samples[slo.name]:
-            if ts_ns < cutoff:
+            if not cutoff <= ts_ns <= self._at:
                 continue
             if ok:
                 good += 1
@@ -46,18 +48,18 @@ class TwoPassEngine(SLOEngine):
         return good, bad
 
     def in_window(self, slo, bad_only=False):
-        """Sorted timestamps of the samples inside the long window."""
-        cutoff = self._now - slo.long_window_ns
+        """Sorted timestamps of the samples not aged out of the long
+        window at the last evaluation (later ones included)."""
+        cutoff = self._at - slo.long_window_ns
         return sorted(ts_ns for ts_ns, ok in self._samples[slo.name]
                       if ts_ns >= cutoff and not (bad_only and ok))
 
     def evaluate(self, now=None):
-        if now is not None and now > self._now:
-            self._now = now
+        self._at = self.latest_ns if now is None else now
         verdicts = []
         for slo in self.slos:
             samples = self._samples[slo.name]
-            cutoff = self._now - slo.long_window_ns
+            cutoff = self._at - slo.long_window_ns
             while samples and samples[0][0] < cutoff:
                 samples.popleft()
             good, bad = self._window(slo, slo.long_window_ns)
@@ -76,7 +78,7 @@ class TwoPassEngine(SLOEngine):
                     self._paging.add(slo.name)
                     self.tracer.record(
                         "slo.page", domain=slo.scope, transport="slo",
-                        ts_ns=self._now,
+                        ts_ns=self._at,
                         detail={"slo": slo.name,
                                 "short_burn": round(short_burn, 3),
                                 "long_burn": round(long_burn, 3)})
@@ -123,15 +125,17 @@ actions = st.one_of(
 
 #: the pipeline's shape: the clock advances on an integer grid (so
 #: samples sit on the cutoffs), a drained batch of up to 32 settles at
-#: one ``now`` (bit i of the mask: request i missed its limit), and
-#: the monitor evaluates at the clock - often past the last sample,
-#: sometimes long enough after it that the windows empty
+#: one ``now`` (bit i of the mask: request i missed its limit), and an
+#: evaluation judges a grid point: at the clock - often past the last
+#: sample, sometimes long enough after it that the windows empty - or,
+#: judged lazily, up to 10 ns before it, never before the last one
 settle = st.tuples(st.just("settle"), st.integers(0, 3),
                    st.integers(1, 32),
                    st.one_of(st.just(0), st.integers(0, 2**32 - 1)))
-monitor = st.tuples(st.just("evaluate"),
-                    st.one_of(st.integers(0, 8), st.just(150)))
-traffic = st.lists(st.one_of(settle, settle, settle, monitor),
+judge = st.tuples(st.just("evaluate"),
+                  st.one_of(st.integers(0, 8), st.just(150)),
+                  st.one_of(st.just(0), st.integers(0, 10)))
+traffic = st.lists(st.one_of(settle, settle, settle, judge),
                    min_size=200, max_size=300)
 
 
@@ -179,11 +183,12 @@ class TestSinglePassEqualsTwoPass:
         new_tracer, old_tracer = Tracer(), Tracer()
         new = SLOEngine(slos(), tracer=new_tracer)
         old = TwoPassEngine(slos(), tracer=old_tracer)
-        now = 0.0
-        for action in [*stream, ("evaluate", 0)]:
+        now = at = 0.0
+        for action in [*stream, ("evaluate", 0, 0)]:
             now += action[1]
             if action[0] == "evaluate":
-                check_evaluate(new, old, now)
+                at = max(at, now - action[2])
+                check_evaluate(new, old, at)
                 continue
             _, _, size, mask = action
             for i in range(size):

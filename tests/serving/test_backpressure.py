@@ -118,7 +118,6 @@ class TestShedding:
             for _ in range(200):        # 1 req/us
                 light.append(pipeline.submit("d", [1, 2]))
                 yield 1000.0
-            pipeline.mark_load_complete()
 
         spawn(pipeline.engine, arrivals(), name="arrivals")
         pipeline.run()
@@ -128,11 +127,10 @@ class TestShedding:
 
     def test_a_page_ends_when_driven_from_outside_the_engine(self):
         """The same traffic submitted by the caller between
-        ``run(until=...)`` steps, with no load generator to mark the
-        load complete: the monitor keeps judging while a page is up,
-        and whenever it went idle a submit restarts it, so the page
-        ends in the quiet millisecond and the light traffic is both
-        served and still evaluated."""
+        ``run(until=...)`` steps, with no load generator: each submit
+        and each run's end judges the grid points passed since the
+        last, so the page ends in the quiet millisecond and the light
+        traffic is both served and still evaluated."""
         service = ShardedService()
         service.create_domain("d")
         pipeline = ServingPipeline(
@@ -156,11 +154,10 @@ class TestShedding:
         assert pipeline.page_excursions == 1
 
     def test_a_page_left_at_load_complete_is_judged_again(self):
-        """A monitor exits once the load is marked complete and nothing
-        is in flight, paging or not.  The page it leaves must not shed
-        the traffic a reused pipeline is sent later: the next submit
-        restarts the monitor, which judges the page again first, and
-        by then its bad samples have aged out."""
+        """A run ends when its last request settles, paging or not.
+        The page it leaves must not shed the traffic a reused pipeline
+        is sent later: the next submit judges the grid points passed
+        since, and by then the page's bad samples have aged out."""
         service = ShardedService()
         service.create_domain("d")
         pipeline = ServingPipeline(
@@ -169,9 +166,8 @@ class TestShedding:
         engine = pipeline.engine
         for _ in range(400):            # all at t=0: every sojourn misses
             pipeline.submit("d", [1, 2])
-        pipeline.mark_load_complete()
         pipeline.run()
-        assert pipeline.should_shed("d")        # the monitor exited paging
+        assert pipeline.should_shed("d")        # the run ended paging
         evals = pipeline.evals
         pipeline.run(until=engine.now + 1e6)    # a quiet millisecond
         later = []

@@ -181,7 +181,6 @@ def test_a_shard_that_fails_its_requests_burns_budget_and_pages(
         for _ in range(100):
             yield 100.0
             futures.append(pipeline.submit(domain, FEATURES))
-        pipeline.mark_load_complete()
 
     spawn(pipeline.engine, arrivals(), name="arrivals")
     pipeline.run()

@@ -162,19 +162,19 @@ class TestClosedLoopHarnessIdentity:
 
 
     def test_several_clients_complete_the_load(self):
-        """Whichever client submits the last request marks the load
-        complete (the pipeline's ``submitted`` says which), so the SLO
-        monitor winds down and the engine drains on its own."""
+        """The clients between them submit the whole load, and the
+        engine drains on its own; a run to a far ``until`` judges every
+        evaluation grid point up to it, the idle ones counted at once
+        (looping them would take seconds)."""
         spec = LoadSpec(clients=3, requests=20, domains=4,
                         per_client_rate=1e-3)
         pipeline = ServingPipeline(build_harness_service(spec, 2),
                                    ServingConfig(), slos=serving_slos())
         LoadGenerator(spec, seed=1).start_closed_loop(pipeline)
-        pipeline.run(until=1e9)     # a monitor never told would tick on
+        pipeline.run(until=1e9)
         counters = pipeline.snapshot()
         assert (counters["submitted"], counters["completed"]) == (20, 20)
-        # the mark itself: a drained monitor also exits without it
-        assert pipeline._load_complete
+        assert counters["slo"]["evals"] == 1e9 // 2_000
         assert pipeline.engine.pending() == 0
 
 

@@ -84,7 +84,6 @@ def run(oracle, schedule, shards, **config):
             pipeline.submit(NAMES[index], ROW)
             if read:
                 agree()
-        pipeline.mark_load_complete()
 
     spawn(pipeline.engine, arrivals(), name="arrivals")
     pipeline.run()
@@ -127,8 +126,9 @@ class TestDepthFilingIsPerPushObserve:
         assert sum(h.count for h in per_push.values()) == 60
 
     def test_sheds_file_what_is_owed_before_counting(self, per_push):
-        """A shed counts through ``metrics.counter``, a registry read,
-        so filings interleave with the burst's pushes."""
+        """A lane's first shed resolves its counter through
+        ``metrics.counter``, a registry read, so a filing interleaves
+        with the burst's pushes."""
         pipeline, metrics = run(per_push, burst(40), shards=1,
                                 batch_window_ns=200.0, max_batch=4,
                                 queue_limit=6)
@@ -137,6 +137,22 @@ class TestDepthFilingIsPerPushObserve:
         assert metrics.counter(SHED_TOTAL, shard="0",
                                reason="queue_full").value == shed
         assert per_push["0"].count == 40 - shed
+
+    def test_only_a_reasons_first_shed_reads_the_registry(self):
+        """A lane resolves its ``pss_shed_total`` counter once per
+        reason: later sheds make no registry read (a read calls every
+        standing filer)."""
+        metrics = MetricsRegistry()
+        service = ShardedService(metrics=metrics)
+        service.create_domain(NAMES[0], config=CONFIG)
+        pipeline = ServingPipeline(service, ServingConfig(queue_limit=1))
+        reads = []
+        metrics.add_filer(lambda: reads.append(pipeline.shed_count))
+        for _ in range(10):             # one queued, nine shed
+            pipeline.submit(NAMES[0], ROW)
+        assert reads == [1]
+        assert metrics.counter(SHED_TOTAL, shard="0",
+                               reason="queue_full").value == 9
 
     def test_an_unmetered_queue_counts_nothing(self):
         service = ShardedService()

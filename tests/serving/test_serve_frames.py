@@ -4,7 +4,7 @@ A served request crosses one lane: ``submit`` appends it to its shard's
 :class:`~repro.core.serving.dispatch.Dispatcher`, whose one sim process
 drains, charges the crossing and settles the future.  The frames 64
 warm requests enter - submitted by a sim body to a 1-shard pipeline
-shedding on pages, with the serving SLO monitor live - are pinned here
+shedding on pages, judging the serving SLOs - are pinned here
 by ``sys.setprofile`` (as ``tests/core/test_read_frames.py`` pins a
 read), plain and watched (Tracer + MetricsRegistry), so a frame that
 creeps back onto the lane fails by count, not by time.
@@ -21,7 +21,7 @@ from tests.core.test_read_frames import frames
 
 REQUESTS = 64
 
-#: Python frames the 64 requests' run enters, body and monitor
+#: Python frames the 64 requests' run enters, body and SLO judgements
 #: included: (plain, watched)
 PINNED = {
     # Window 0, one request every 200 ns, so each is served alone.
@@ -36,43 +36,44 @@ PINNED = {
     # service.domain, shard_of, Domain.predict, the model's predict ->
     # dot -> _flat_indices -> gather, record_prediction, request_done,
     # the sojourn histogram's observe, SLOEngine.observe and the
-    # future's settle.  33 x 64 = 2112; the other 89 are the run's
-    # own (run, engine.run, the monitor's restart) and 7 SLO
-    # evaluations (step, resume, _monitor, _judge, evaluate and its
-    # window sums, has_pending, schedule).  Watched adds 6 a request: the
+    # future's settle.  33 x 64 = 2112; the other 41 are the run's
+    # own (run, engine.run, the body's last step, resume and
+    # generator) and 6 grid points judged at submit (_judge_until,
+    # evaluate, its SLOVerdict, the paging scan's genexpr and two
+    # _burn).  Watched adds 6 a request: the
     # drain's _trace_drain and its batch-size observe, the kernel's
     # _batch_span opener (a row opens no span), _trace_request,
     # shard_label and the shard's sojourn histogram's observe.
-    (0, "predict"): (2201, 2585),
+    (0, "predict"): (2153, 2537),
     # The update path serves through service.update (no wrapper),
     # Domain.update, the model's update -> dot_and_indices ->
     # _flat_indices -> gather (and adjust_at when a weight moves) and
     # record_update, and admits through _admit_update and
     # charge_updates: one frame fewer a request than a predict.
     # Watched adds 5: no kernel opener.
-    (0, "update"): (2137, 2457),
+    (0, "update"): (2089, 2409),
     # Window 200, one request every 10 ns: 3 drains of ~21 rows.  Per
     # request (26): the body's step, resume, generator and schedule,
     # submit, the two __init__s, admit, _admit_predict, charge_predict,
     # admit_request, push (the lane is collecting: no resume); and the
     # 14 kernel-and-settle frames above (no per-request step, resume
-    # or _serve: the batch is served in one).  26 x 64 = 1664, plus 53
-    # for the drains, the run and 1 evaluation.  Watched adds the
+    # or _serve: the batch is served in one).  26 x 64 = 1664, plus 41
+    # for the drains, the run and 1 judged grid point.  Watched adds the
     # per-request record and opener (_batch_span, _trace_request,
     # shard_label, observe) and, per drain, a serve.dispatch span whose
     # opener compares each request's shard id inline.
-    (200, "predict"): (1717, 1999),
-    (200, "update"): (1653, 1871),
+    (200, "predict"): (1705, 1987),
+    (200, "update"): (1641, 1859),
 }
 
 #: frames the lane no longer has: the queue, the batcher and the event
 #: that stood between them, the row's canonicalisation (inline in
 #: submit), the shed test while nothing pages, the domain's shard_id
 #: property (read inline), the future's complete -> _settle pair and
-#: the monitor's count of the event heap (its idle test reads the head)
+#: the SLO monitor process (judged at submit, nothing is scheduled)
 GONE = ("collect_ns", "drain", "service_ns", "fire", "canonical_features",
         "should_shed", "shard_id", "complete", "_settle", "_carry_out",
-        "pending")
+        "pending", "_monitor", "_judge", "has_pending")
 
 
 def serve(window, op, watched):

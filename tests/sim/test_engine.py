@@ -76,17 +76,6 @@ class TestCancel:
         eng.cancel(event_id)
         assert eng.pending() == 1
 
-    def test_has_pending_is_pending_above_zero(self):
-        eng = Engine()
-        assert not eng.has_pending()
-        first = eng.schedule(10, lambda: None)
-        second = eng.schedule(20, lambda: None)
-        assert eng.has_pending()
-        eng.cancel(first)               # a cancelled head: the rest live
-        assert eng.has_pending() and eng.pending() == 1
-        eng.cancel(second)
-        assert not eng.has_pending() and eng.pending() == 0
-
 
 class TestRunUntil:
     def test_stops_before_later_events(self):

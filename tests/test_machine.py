@@ -6,15 +6,16 @@ public operations in whatever order hypothesis finds: domains created
 and removed under an open, a private or a read-only policy; clients of
 three identities over both transports, plain and resilient; sync reads,
 batches, writes, flushes and resets; kernel batches by name; submits
-through the serving pipeline, with closed-loop sim clients
-interleaving; fault plans, shard crashes, promotions, live reshard
-steps (some stalled); replica syncs, checkpoints, a corrupted
-checkpoint file and restores.  After every step the system must equal
-the reference: per domain, the frozen perceptron of
-``tests/core/reference_impl.py`` (what the live model holds), the model
-each shard's follower last synced and what each checkpoint saved, plus
-:class:`Tenants`, the policy and quota rules written out once more.  No
-span is left open.
+through the serving pipeline (shedding on SLO pages or not), with
+closed-loop sim clients interleaving, idle gaps and drains; fault
+plans, shard crashes, promotions, live reshard steps (some stalled);
+replica syncs, checkpoints, a corrupted checkpoint file and restores.
+After every step the system must equal the reference: per domain,
+the frozen perceptron of ``tests/core/reference_impl.py`` (what the
+live model holds), the model each shard's follower last synced and
+what each checkpoint saved, plus :class:`Tenants`, the policy and quota
+rules written out once more.  No span is left open, and no request is
+shed for a page whose bad samples have all aged out.
 
 The budget is the machine's settings at the bottom of this file:
 ``max_examples=500`` runs of up to ``stateful_step_count=50`` steps,
@@ -101,6 +102,10 @@ FALLBACK = 1_000
 ATTEMPTS = ResilienceConfig().max_attempts
 #: a resilient call that ends in one of these serves its fallback
 DEGRADED = (QuotaExceededError, TransportFault, ShardDownError)
+#: the longest a bad serving sample can hold a page up: its long window,
+#: plus the up-to-one-interval age of the latest grid point judged
+PAGE_MEMORY_NS = (serving_slos()[0].long_window_ns
+                  + ServingConfig().slo_eval_interval_ns)
 #: emitters acting for one shard: what they record about a domain names
 #: the shard hosting it
 SHARD_SIDE = {"vdso", "syscall", "kernel", "serving", "replica"}
@@ -247,9 +252,10 @@ class SystemMachine(RuleBasedStateMachine):
                                 update_budget=st.sampled_from([0, 4, 16]),
                                 predict_budget=st.sampled_from([3, 24])),
                 mode=st.sampled_from(SharingMode),
-                clients=st.lists(CLIENT, min_size=1, max_size=3))
+                clients=st.lists(CLIENT, min_size=1, max_size=3),
+                shed_on_page=st.booleans())
     def build(self, shards, replicas, window, max_batch, queue_limit,
-              quota, mode, clients):
+              quota, mode, clients, shed_on_page):
         self.admission = AdmissionController(quotas={OTHER: quota})
         self.tenants = Tenants({OWNER: TenantQuota(), OTHER: quota,
                                 ANONYMOUS: TenantQuota()})
@@ -262,17 +268,22 @@ class SystemMachine(RuleBasedStateMachine):
         self.pipeline = ServingPipeline(
             self.service, ServingConfig(max_batch=max_batch,
                                         batch_window_ns=window,
-                                        queue_limit=queue_limit),
+                                        queue_limit=queue_limit,
+                                        shed_on_page=shed_on_page),
             slos=serving_slos())
         # Every submit - a client's, a load process's - passes the
-        # reference first, and every SLO sample is counted.
+        # reference first, and every SLO sample is counted, the time of
+        # the latest bad one kept.
         self.real_submit = self.pipeline.submit
         self.pipeline.submit = self.submitted
         observe = self.pipeline.slo_engine.observe
+        self.last_bad = -math.inf
 
-        def counted(*args, **kwargs):
+        def counted(slo_name, ts_ns, good):
             self.samples += 1
-            observe(*args, **kwargs)
+            if not good:
+                self.last_bad = ts_ns
+            observe(slo_name, ts_ns, good)
 
         self.pipeline.slo_engine.observe = counted
         self.dir = Path(tempfile.mkdtemp())
@@ -690,6 +701,16 @@ class SystemMachine(RuleBasedStateMachine):
                 want = RequestShedError
         future = self.last_submit = self.real_submit(
             target, features, op=op, direction=direction)
+        if want is None and isinstance(future.error, RequestShedError) \
+                and future.error.reason == "slo_page":
+            # A page stands on bad samples in the windows of the latest
+            # grid point judged, which is at most an interval old: with
+            # none that recent, the pipeline must not shed.
+            now = self.pipeline.engine.now
+            if self.last_bad < now - PAGE_MEMORY_NS:
+                self.wrong.append(("shed on a stale page", now,
+                                   self.last_bad))
+            want = RequestShedError
         if want is not None:
             if not (future.done and type(future.error) is want):
                 self.wrong.append(("admitted", op, row, want, future.error))
@@ -768,6 +789,19 @@ class SystemMachine(RuleBasedStateMachine):
     @rule(duration=st.sampled_from([0.0, 100.0, 1_000.0, 5_000.0]))
     def run(self, duration):
         self.pipeline.run(until=self.pipeline.engine.now + duration)
+
+    @rule(gap=st.floats(0.0, 1e6))
+    def idle(self, gap):
+        """Time passes with nothing submitted: pages age out."""
+        self.pipeline.run(until=self.pipeline.engine.now + gap)
+
+    @rule()
+    def drain(self):
+        """A run with no ``until`` ends when its last request settles,
+        with nothing told that the load is complete."""
+        self.pipeline.run()
+        assert self.pipeline.in_flight == 0
+        assert self.pipeline.engine.pending() == 0
 
     # -- rules: shards, replicas, checkpoints -------------------------------
 

@@ -2,7 +2,7 @@
 
 Everything else the system promises is checked by running it (the state
 machine in ``tests/test_machine.py``, the kind-coverage and close
-contract tests, the plan type).  These five are about what the code
+contract tests, the plan type).  These six are about what the code
 *says* whether or not a run reaches it, so they parse the tree:
 
 * simulated time and seeded streams only - the modules that may import
@@ -15,7 +15,11 @@ contract tests, the plan type).  These five are about what the code
   model declares, and never probe for it: no ``getattr`` / ``hasattr``
   naming an attribute in a string literal (a computed name passes);
 * a read on a crashed shard fails over in one place: only the
-  ``Domain`` calls ``failover_predict``.
+  ``Domain`` calls ``failover_predict``;
+* the serving pipeline judges its SLOs when asked, with no process of
+  its own, so a run ends when its last request settles:
+  ``core/serving/pipeline.py`` spawns nothing, and nothing in ``src``
+  or ``tests`` calls ``mark_load_complete`` (a no-op ``perf/`` calls).
 
 One more is about what the code *loads*: a fresh interpreter that
 serves requests imports the request path and nothing else, so the
@@ -41,8 +45,11 @@ IMPORT_ALLOWED = {
     "datetime": {"bench/experiments/latency.py"},
     "random": {"sim/rng.py", "core/faults.py"},
 }
+TESTS = PACKAGE.parents[1] / "tests"
 #: the one module whose sim process (a serving lane) enters the kernel
 DISPATCHER = "core/serving/dispatch.py"
+#: the serving pipeline, which runs no sim process of its own
+PIPELINE = "core/serving/pipeline.py"
 #: an ``update`` receiver naming one of these is the kernel, not a dict
 KERNEL_RECEIVERS = ("service", "kernel", "shard", "svc")
 #: the modules that take a handle or a model as its type declares it
@@ -182,6 +189,21 @@ def test_only_the_domain_fails_a_read_over():
     assert found == []
 
 
+def test_the_pipeline_needs_no_load_complete_mark():
+    trees = list(SOURCES.items()) + [
+        (path.as_posix(), ast.parse(text, filename=str(path)))
+        for path in sorted(TESTS.rglob("*.py"))
+        if "mark_load_complete" in (text := path.read_text())]
+    found = [f"{path}:{node.lineno} calls {dotted(node.func)}"
+             for path, tree in trees
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and (
+                 dotted(node.func).endswith("mark_load_complete")
+                 or path == PIPELINE
+                 and dotted(node.func).rpartition(".")[2] == "spawn")]
+    assert found == []
+
+
 #: what a fresh interpreter runs before and during its first requests:
 #: the imports of ``perf/drivers.load_program``, then a 2-shard kernel
 #: with admission, a tracer and a registry, a vDSO client and a serving
@@ -209,7 +231,6 @@ pipeline = serving.ServingPipeline(
     slos=serving.serving_slos(1000.0))
 future = pipeline.submit("d", (1, 2))
 pipeline.submit("d", (1, 2), op="update", direction=False)
-pipeline.mark_load_complete()
 pipeline.run()
 future.result()
 service.reports()
