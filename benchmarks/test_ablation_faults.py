@@ -4,11 +4,11 @@ The paper's safety argument - predictions are hints, so losing them may
 cost performance but never correctness - becomes measurable here: each
 scenario runs with a :class:`FaultPlan` injecting syscall failures, stale
 vDSO reads, and dropped/partial batch flushes at 0 % through 50 %, on a
-resilient client whose static fallback is the scenario's pre-PSS
-behaviour.  The assertions pin three properties:
+client whose static fallback is the scenario's pre-PSS behaviour.  The
+assertions pin three properties:
 
-* **transparency** - at rate 0 the resilient path is bit-identical to
-  the plain client (same scores, same simulated latency);
+* **transparency** - at rate 0 a run is bit-identical to one with no
+  injector (same scores, same simulated latency);
 * **smooth degradation** - runtime grows by bounded factors as the fault
   rate rises, with no exception reaching scenario code even at 50 %;
 * **determinism** - the same plan injects the same fault sequence, so a

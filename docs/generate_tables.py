@@ -72,7 +72,7 @@ EVENT_ROWS = [
      "the injector decided to inject (decision time; tracing never "
      "touches the injector's RNG, so fault sequences are identical with "
      "tracing on or off)"),
-    (("retry", "fallback"), "`ResilientClient`",
+    (("retry", "fallback"), "`PSSClient` degrade ladder",
      "a failed operation was retried / the static fallback answered"),
     (("breaker_open", "breaker_close"), "`CircuitBreaker`",
      "state transitions"),
@@ -113,10 +113,10 @@ EVENT_ROWS = [
 #: (names, opened by, covers)
 SPAN_ROWS = [
     (("client.predict", "client.predict_batch", "client.update",
-      "client.reset", "client.flush"), "`ResilientClient`",
-     "one application-facing call: the root over its retry ladder and "
-     "the parent of its `retry` / `fallback` events (a plain "
-     "`PSSClient` opens no span)"),
+      "client.reset", "client.flush"), "`PSSClient`",
+     "a call that entered the degrade ladder: the root of its retries "
+     "and the parent of its `retry` / `fallback` events (a steady call "
+     "opens no span)"),
     (("vdso.predict_batch",), "`VdsoTransport`",
      "a batch of reads `{rows}`; enters the kernel at most once, at the "
      "first miss"),

@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 from repro.bench.runner import SEED, Experiment, flag
 from repro.bench.tables import format_table, shard_table
 from repro.core import PredictionService
-from repro.core.config import PSSConfig
-from repro.core.errors import ShardDownError
+from repro.core.config import PSSConfig, ResilienceConfig
 from repro.core.faults import FaultInjector, FaultPlan
 from repro.core.kernel.checkpoint import ShardedCheckpointManager
 from repro.core.kernel.replica import ReplicaPromoter
@@ -234,10 +233,18 @@ def run_chaos(seed: int = 0, replicas: int = 2,
     #: it; a promoted follower's generation looks up exactly the prefix
     #: its restored weights replay to
     synced_prefix: dict[str, dict[int, int]] = {}
+    # The ledger counts each refused op once, off the client's stats:
+    # no retry, and a breaker that never trips (a threshold above the
+    # run's op count, flushes included).
+    ladder = ResilienceConfig(
+        max_attempts=1,
+        breaker_threshold=rounds * (ops_per_round + len(CHAOS_DOMAINS)) + 1,
+    )
     for name in CHAOS_DOMAINS:
         service.create_domain(name, config=PSSConfig())
         clients[name] = service.connect(
             name, transport="vdso", batch_size=CHAOS_BATCH_SIZE,
+            resilience=ladder,
         )
         delivered[name] = []
         pending[name] = []
@@ -251,11 +258,18 @@ def run_chaos(seed: int = 0, replicas: int = 2,
     result.replica_syncs += service.sync_replicas(injector=injector)
     record_sync_boundary()
 
+    def dropped(name: str, call, *args) -> int:
+        """Run one client call; the update records it dropped (a
+        down shard refused their delivery)."""
+        stats = clients[name].stats
+        before = stats.dropped_updates
+        call(*args)
+        return stats.dropped_updates - before
+
     def flush_client(name: str) -> None:
-        try:
-            clients[name].flush()
-        except ShardDownError:
-            result.downtime_lost += len(pending[name])
+        lost = dropped(name, clients[name].flush)
+        if lost:
+            result.downtime_lost += lost
             pending[name].clear()
             return
         if clients[name].pending_updates == 0 and pending[name]:
@@ -330,17 +344,18 @@ def run_chaos(seed: int = 0, replicas: int = 2,
                 name = traffic.choice(CHAOS_DOMAINS)
                 features = [traffic.randrange(16), traffic.randrange(16)]
                 if traffic.random() < 0.65:
-                    try:
-                        clients[name].predict(features)
-                    except ShardDownError:
-                        result.refused_predictions += 1
+                    stats = clients[name].stats
+                    fallbacks = stats.fallback_predictions
+                    clients[name].predict(features)
+                    result.refused_predictions += \
+                        stats.fallback_predictions - fallbacks
                 else:
                     direction = traffic.random() < 0.7
                     pending[name].append((tuple(features), direction))
-                    try:
-                        clients[name].update(features, direction)
-                    except ShardDownError:
-                        result.downtime_lost += len(pending[name])
+                    lost = dropped(name, clients[name].update,
+                                   features, direction)
+                    if lost:
+                        result.downtime_lost += lost
                         pending[name].clear()
                         continue
                     if clients[name].pending_updates == 0:

@@ -17,7 +17,7 @@ Per shard count the driver reports
 * the tenant table - what each identity consumed against its quota.
 
 A fourth "scavenger" tenant runs with a deliberately tiny prediction
-budget on a resilient client, demonstrating the admission path: its
+budget, demonstrating the admission path: its
 excess predictions are refused with
 :class:`~repro.core.errors.QuotaExceededError` and served by the static
 fallback without a single retry.
@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from repro.bench.runner import SEED, Experiment
 from repro.bench.tables import fastpath_table, shard_table, tenant_table
 from repro.core import PredictionService
-from repro.core.config import ResilienceConfig
 from repro.core.kernel import AdmissionController, TenantQuota
 from repro.core.policy import ClientIdentity
 from repro.htm.runner import pss_builder, run_workload
@@ -113,7 +112,6 @@ def _run_scavenger(service: PredictionService) -> object:
     client = service.connect(
         "scavenger",
         identity=SCAVENGER,
-        resilience=ResilienceConfig(),
         fallback=-1,
     )
     for i in range(SCAVENGER_ATTEMPTS):
@@ -202,7 +200,7 @@ def render(runs, args) -> str:
             "",
             "tenants:",
             tenant_table(run.usage_rows),
-            f"scavenger: {stats.predictions} predicts, "
+            f"scavenger: {SCAVENGER_ATTEMPTS} predicts, "
             f"{stats.quota_rejections} refused by admission, "
             f"{stats.fallback_predictions} served by fallback, "
             f"{stats.retries} retries",

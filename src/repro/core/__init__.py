@@ -22,7 +22,7 @@ resharding (:mod:`repro.core.kernel.migrate`) and follower replicas
 (:mod:`repro.core.kernel.replica`).
 """
 
-from repro.core.client import CircuitBreaker, PSSClient, ResilientClient
+from repro.core.client import CircuitBreaker, PSSClient
 from repro.core.config import (
     LatencyModel,
     MAX_FEATURES,
@@ -100,7 +100,6 @@ from repro.core.transport import (
 __all__ = [
     "CircuitBreaker",
     "PSSClient",
-    "ResilientClient",
     "LatencyModel",
     "MAX_FEATURES",
     "PSSConfig",

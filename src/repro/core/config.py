@@ -126,7 +126,7 @@ class LatencyModel:
 class ResilienceConfig:
     """Client-side degraded-mode behaviour (retry, backoff, breaker).
 
-    Used by :class:`repro.core.client.ResilientClient`.  Retries apply to
+    Used by :class:`repro.core.client.PSSClient`.  Retries apply to
     syscall-path operations that raise a transient
     :class:`~repro.core.errors.TransportFault`; backoff is simulated time
     (charged to :class:`~repro.core.stats.ResilienceStats.backoff_ns`),

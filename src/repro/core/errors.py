@@ -64,7 +64,7 @@ class QuotaExceededError(AdmissionError):
     exhausted its quota, ``resource`` names the budget
     ("domains" / "updates" / "predictions"), ``limit`` is its ceiling.
     Quota exhaustion is *not* transient - retrying cannot un-exhaust a
-    budget - so the :class:`~repro.core.client.ResilientClient` serves
+    budget - so the :class:`~repro.core.client.PSSClient` serves
     its static fallback immediately instead of retrying.
     """
 
@@ -97,7 +97,7 @@ class TransportFault(TransportError):
     counts buffered update records that were dropped with the failed
     crossing (non-zero only for batch-flush faults).  Transient: the same
     operation may succeed when retried, which is what the
-    :class:`repro.core.client.ResilientClient` retry path does.
+    :class:`repro.core.client.PSSClient` retry path does.
     """
 
     def __init__(self, errno_name: str = "EAGAIN",
@@ -118,7 +118,7 @@ class ShardDownError(TransportFault):
     no replica can absorb it: updates and resets always fail (replicas
     are read-only), and predictions fail only when no follower holds
     the domain.  Modeled as a :class:`TransportFault` (simulated
-    ``EHOSTDOWN``) so the resilient client's retry/breaker/fallback
+    ``EHOSTDOWN``) so the client's retry/breaker/fallback
     machinery treats a crashed shard like any other transient boundary
     failure - a later retry may land after a
     :class:`~repro.core.kernel.replica.ReplicaPromoter` revived the
@@ -145,7 +145,7 @@ class RequestShedError(TransportFault):
     ``"queue_full"``) or the pipeline sheds on SLO pages and a paging
     scope covers the request (``reason`` ``"slo_page"``).  Modeled as a
     :class:`TransportFault` (simulated ``EAGAIN``) so the
-    :class:`~repro.core.client.ResilientClient` degraded ladder treats
+    :class:`~repro.core.client.PSSClient` degraded ladder treats
     a shed exactly like any other transient boundary refusal: the
     caller gets its static fallback and may resubmit once the queue
     drains.

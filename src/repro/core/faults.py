@@ -5,7 +5,7 @@ missing prediction may cost performance but never correctness.  This
 module exists to exercise that property end to end: a :class:`FaultPlan`
 declares which failures occur and how often, a :class:`FaultInjector`
 rolls seeded, deterministic dice, and the transports consult the injector
-at every boundary crossing.  The :class:`repro.core.client.ResilientClient`
+at every boundary crossing.  The :class:`repro.core.client.PSSClient`
 layer then has to absorb each injected failure without leaking an
 exception into scenario code.
 

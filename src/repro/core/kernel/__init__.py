@@ -15,7 +15,7 @@ Layer diagram (see ``docs/ARCHITECTURE.md``)::
                 ▲
           Transports          vDSO / syscall cost model
                 ▲
-          PSSClient / ResilientClient
+          PSSClient           degrades instead of raising
 
 :data:`~repro.core.service.PredictionService` is the paper-shaped
 alias of :class:`ShardedService`.  This package exports the request

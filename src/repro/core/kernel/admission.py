@@ -15,7 +15,7 @@ domains, enforcing a :class:`TenantQuota` per identity:
 
 Exhausting a quota raises
 :class:`~repro.core.errors.QuotaExceededError`, which the
-:class:`~repro.core.client.ResilientClient` treats as
+:class:`~repro.core.client.PSSClient` treats as
 *fallback-eligible but not retryable*: retrying cannot un-exhaust a
 budget, so the client degrades immediately instead of burning backoff
 time.  In-kernel callers (the service's direct ``predict``/``update``

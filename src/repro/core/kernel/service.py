@@ -71,7 +71,7 @@ class ShardedService:
     :class:`repro.obs.MetricsRegistry` turns on white-box observability:
     every client opened through :meth:`connect` is wired to them, and
     :meth:`reports` aggregates latency histogram percentiles and
-    resilient-client stats per domain.  Every trace record and metric
+    client degrade stats per domain.  Every trace record and metric
     series about a domain carries a ``shard`` label naming the shard
     that hosts it at that moment, on a service of any size.
     """
@@ -99,8 +99,8 @@ class ShardedService:
         self._shards: list[Shard] = []
         self.grow_shards(num_shards)
         self._active_migration: SlotMigrator | None = None
-        #: per-domain aggregate resilient-client stats (shared by every
-        #: resilient client connect() opens on that domain)
+        #: per-domain aggregate client degrade stats (shared by every
+        #: client connect() opens on that domain)
         self._resilience_stats: dict[str, ResilienceStats] = {}
         #: PRETZEL-style plan cache: every domain this kernel creates
         #: binds its weights through this compiler, so identical-shape
@@ -349,52 +349,38 @@ class ShardedService:
                 model: str = "perceptron",
                 batch_size: int | None = None,
                 resilience: ResilienceConfig | None = None,
-                fallback: Fallback | None = None,
+                fallback: Fallback = 0,
                 fault_plan: FaultPlan | FaultInjector | dict[str, Any]
                 | None = None) -> PSSClient:
         """Open a :class:`repro.core.client.PSSClient` on a domain.
 
         This is the normal entry point for applications: it wires the
         policy-checked handle through the requested transport (vDSO by
-        default, matching the paper's deployment).
-
-        Passing ``resilience`` (a :class:`~repro.core.config
-        .ResilienceConfig`) or ``fallback`` (a static fallback score or
-        ``features -> score`` callable) upgrades the client to a
-        :class:`~repro.core.client.ResilientClient` with retry/backoff,
-        a circuit breaker, and degraded-mode fallbacks.  ``fault_plan``
-        (a :class:`~repro.core.faults.FaultPlan` or ready-made
+        default, matching the paper's deployment).  The client degrades
+        instead of raising: ``resilience`` (a :class:`~repro.core.config
+        .ResilienceConfig`) sets its retries and circuit breaker, and
+        ``fallback`` (a static score or ``features -> score`` callable)
+        answers the reads it gives up on; every client of a domain
+        shares one :class:`ResilienceStats` block.  ``fault_plan`` (a
+        :class:`~repro.core.faults.FaultPlan` or ready-made
         :class:`~repro.core.faults.FaultInjector`) attaches fault
-        injection to the client's transport - combine both to exercise
-        graceful degradation, or inject without resilience to observe
-        raw :class:`~repro.core.errors.TransportFault` propagation.
+        injection to the client's transport.
         """
         # Local import: client builds on service, not the other way around.
-        from repro.core.client import PSSClient, ResilientClient
+        from repro.core.client import PSSClient
 
         handle = self.handle(name, identity, config, model)
-        effective_batch = (batch_size if batch_size is not None
-                           else self.domain(name).config.update_batch_size)
-        if resilience is not None or fallback is not None:
-            shared_stats = self._resilience_stats.setdefault(
-                name, ResilienceStats()
-            )
-            client = ResilientClient(
-                handle,
-                transport_kind=transport,
-                latency=self.config.latency,
-                batch_size=effective_batch,
-                resilience=resilience,
-                fallback=0 if fallback is None else fallback,
-                stats=shared_stats,
-            )
-        else:
-            client = PSSClient(
-                handle,
-                transport_kind=transport,
-                latency=self.config.latency,
-                batch_size=effective_batch,
-            )
+        client = PSSClient(
+            handle,
+            transport_kind=transport,
+            latency=self.config.latency,
+            batch_size=(batch_size if batch_size is not None
+                        else self.domain(name).config.update_batch_size),
+            resilience=resilience,
+            fallback=fallback,
+            stats=self._resilience_stats.setdefault(name,
+                                                    ResilienceStats()),
+        )
         self._shards[handle.shard_id].register_account(
             client.latency, name)
         if self.tracer.enabled or self.metrics is not None:
@@ -535,8 +521,9 @@ class ShardedService:
         When the service carries a metrics registry, each report also
         gets latency-histogram percentile summaries (vDSO reads and
         syscalls, merged across every transport that served the domain);
-        domains that ever had a resilient client attached additionally
-        carry the aggregated :class:`ResilienceStats`.
+        domains whose clients degraded (retried, fell back, dropped a
+        hint ...) additionally carry their aggregated
+        :class:`ResilienceStats`.
         """
         reports: list[DomainReport] = []
         for name in self.domain_names():

@@ -22,7 +22,7 @@ the target (``slo_page``).  The paging scopes are a cache of the
 ``start + k * slo_eval_interval_ns``, judged lazily: when a submit or
 the end of :meth:`~ServingPipeline.run` reaches a point not judged
 yet.  A shed fails fast with :class:`~repro.core.errors.RequestShedError`,
-which the resilient client maps to its static fallback.
+which a client's ``submit`` maps to its static fallback.
 
 One lane per shard at construction, and one more the first time a
 request is routed to a shard a reshard grew since; a shrunk-away

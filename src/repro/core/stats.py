@@ -369,16 +369,16 @@ class LatencyAccount:
 
 @dataclass
 class ResilienceStats:
-    """Degraded-mode accounting for one resilient client.
+    """Degraded-mode accounting for a client (or, shared, a domain's).
 
     Counts what the retry/breaker/fallback machinery did, so experiments
     can report how much of a run was served degraded and what the faults
-    cost.  ``backoff_ns`` is simulated application-side wait time (it is
-    not boundary-crossing time, so it is kept out of the
+    cost (the reads served are the domain's :class:`PredictionStats`).
+    ``backoff_ns`` is simulated application-side wait time (it is not
+    boundary-crossing time, so it is kept out of the
     :class:`LatencyAccount`).
     """
 
-    predictions: int = 0
     fallback_predictions: int = 0
     retries: int = 0
     transport_failures: int = 0
@@ -396,25 +396,17 @@ class ResilienceStats:
     shed_requests: int = 0
 
     @property
-    def degraded_fraction(self) -> float:
-        """Share of predictions answered by the static fallback."""
-        if not self.predictions:
-            return 0.0
-        return self.fallback_predictions / self.predictions
-
-    @property
     def any_activity(self) -> bool:
         """Whether this stats block recorded anything at all."""
         return bool(
-            self.predictions or self.retries or self.transport_failures
+            self.retries or self.transport_failures
             or self.dropped_updates or self.dropped_resets
             or self.breaker_opens or self.breaker_closes
             or self.quota_rejections or self.shed_requests
         )
 
     def merge(self, other: "ResilienceStats") -> None:
-        """Accumulate another resilient client's stats into this one."""
-        self.predictions += other.predictions
+        """Accumulate another client's stats into this one."""
         self.fallback_predictions += other.fallback_predictions
         self.retries += other.retries
         self.transport_failures += other.transport_failures
@@ -442,8 +434,8 @@ class DomainReport:
     #: feature-vector -> selected-indices cache activity (model side)
     index_cache_hits: int = 0
     index_cache_misses: int = 0
-    #: aggregated resilient-client stats for this domain (None when no
-    #: resilient client ever connected)
+    #: aggregated client degrade stats for this domain (None when no
+    #: client of it ever degraded)
     resilience: ResilienceStats | None = None
     #: latency histogram summaries per boundary path, populated when the
     #: owning service has a metrics registry attached: maps a path name

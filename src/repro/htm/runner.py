@@ -162,10 +162,11 @@ def pss_builder(service: PredictionService | None = None,
     (the paper's cross-invocation learning); otherwise each run starts
     cold with its own service instance.
 
-    Passing ``fault_plan`` and/or ``resilience`` runs the policy on a
-    degradable client: injected transport faults are absorbed and, with
-    the breaker open, elision decisions fall back to ``fallback_score``
-    (+1 by default - always attempt HTM, the paper's pre-PSS behaviour).
+    The policy's client degrades instead of raising: transport faults
+    (``fault_plan`` injects them) are retried under ``resilience`` and,
+    once it gives up or the breaker is open, elision decisions fall
+    back to ``fallback_score`` (+1 by default - always attempt HTM, the
+    paper's pre-PSS behaviour).
 
     ``tracer``/``metrics`` instrument the implicitly created service
     when no ``service`` is passed (an explicit service carries its own
@@ -178,7 +179,6 @@ def pss_builder(service: PredictionService | None = None,
         svc = service if service is not None else _Service(
             tracer=tracer, metrics=metrics
         )
-        resilient = fault_plan is not None or resilience is not None
         client = svc.connect(
             domain,
             identity=identity,
@@ -189,8 +189,8 @@ def pss_builder(service: PredictionService | None = None,
                              training_margin=8),
             transport=transport,
             batch_size=batch_size,
-            resilience=resilience if resilient else None,
-            fallback=fallback_score if resilient else None,
+            resilience=resilience,
+            fallback=fallback_score,
             fault_plan=fault_plan,
         )
         return PSSElision(machine, client, max_retries=max_retries)

@@ -38,9 +38,10 @@ def run_polybench_kernel(program_builder, iterations: int,
                          resilience=None) -> KernelComparison:
     """Baseline vs PSS-tuned run of one kernel (fresh VMs for each).
 
-    ``fault_plan``/``resilience`` run the tuner on a degradable client:
-    the baseline is unaffected (it never consults the service), so the
-    comparison isolates what service faults cost the PSS configuration.
+    ``fault_plan`` injects faults into the tuner's client and
+    ``resilience`` tunes its retries and breaker: the baseline is
+    unaffected (it never consults the service), so the comparison
+    isolates what service faults cost the PSS configuration.
     """
     program = program_builder()
     baseline = BaselineRunner(VM(JitParams()))

@@ -116,7 +116,6 @@ class PSSTuner:
                  resilience=None,
                  identity=None) -> None:
         self.service = service or PredictionService()
-        resilient = fault_plan is not None or resilience is not None
         self.client: PSSClient = self.service.connect(
             domain,
             identity=identity,
@@ -124,11 +123,11 @@ class PSSTuner:
                              training_margin=6),
             transport=transport,
             batch_size=batch_size,
-            resilience=resilience if resilient else None,
+            resilience=resilience,
             # The degraded decision is "hold position": the run loop
             # checks last_prediction_was_fallback and skips the ladder
             # move entirely, so the fallback score itself is unused.
-            fallback=0 if resilient else None,
+            fallback=0,
             fault_plan=fault_plan,
         )
         self.vm = vm or VM(LADDER[DEFAULT_LADDER_INDEX])
@@ -177,8 +176,7 @@ class PSSTuner:
             # Degraded service: the JIT's static fallback is "no move" -
             # current parameters are known-good, so hold the ladder
             # position until predictions come back.
-            degraded = getattr(self.client,
-                               "last_prediction_was_fallback", False)
+            degraded = self.client.last_prediction_was_fallback
             overhead_calls = 1  # the Listing 2 per-iteration predict
 
             # Plateau exploration: with no feedback for a while, force a

@@ -70,12 +70,12 @@ def make_pss_throttle(service: PredictionService,
                       identity=None) -> PSSThrottle:
     """A PSS throttle bound to (possibly pre-trained) service state.
 
-    With ``fault_plan``/``resilience`` the throttle runs on a degradable
-    client whose static fallback is :func:`gorman_fallback`.
+    The throttle's client degrades to :func:`gorman_fallback`;
+    ``fault_plan`` injects faults and ``resilience`` tunes the retries
+    and the breaker.
     ``identity`` names the tenant to charge on admission-controlled
     services.
     """
-    resilient = fault_plan is not None or resilience is not None
     client = service.connect(
         domain,
         identity=identity,
@@ -83,8 +83,8 @@ def make_pss_throttle(service: PredictionService,
                          training_margin=8),
         transport="vdso",
         batch_size=1,
-        resilience=resilience if resilient else None,
-        fallback=gorman_fallback if resilient else None,
+        resilience=resilience,
+        fallback=gorman_fallback,
         fault_plan=fault_plan,
     )
     return PSSThrottle(client)

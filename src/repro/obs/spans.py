@@ -35,7 +35,7 @@ ROOT_PARENT = 0
 #: ``EVENT_KINDS`` is for events).  A site that opens a new span
 #: registers its name here.
 SPAN_NAMES = frozenset({
-    # ResilientClient: the root over one call's retry ladder
+    # PSSClient: the root over one call on its degrade ladder
     "client.predict", "client.predict_batch", "client.update",
     "client.reset", "client.flush",
     # transports: one boundary crossing.  A scalar vDSO read (hit or

@@ -37,8 +37,8 @@ EVENT_KINDS = frozenset({
     "stale_read",         # injected vDSO staleness served an old score
     "fault",              # a TransportFault was raised to the caller
     "fault_injected",     # the injector decided to inject (decision time)
-    "retry",              # resilient client retried a failed operation
-    "fallback",           # resilient client served the static fallback
+    "retry",              # a client retried a failed operation
+    "fallback",           # a client served the static fallback
     "breaker_open",       # circuit breaker tripped OPEN
     "breaker_close",      # circuit breaker recovered to CLOSED
     "checkpoint_save",    # a checkpoint file was written

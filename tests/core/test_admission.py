@@ -6,7 +6,7 @@ Covers the two ways the kernel refuses a client-facing operation:
   identity's predict/update/reset with :class:`PolicyError`;
 * **admission** - per-tenant quotas refuse domain registration,
   predictions, and update delivery with
-  :class:`QuotaExceededError`, which the :class:`ResilientClient`
+  :class:`QuotaExceededError`, which the :class:`PSSClient`
   treats as fallback-eligible but *not* retryable (and never a
   breaker trip).
 """
@@ -19,7 +19,6 @@ from repro.core import (
     PredictionService,
     PSSConfig,
     QuotaExceededError,
-    ResilienceConfig,
     TenantQuota,
     private_policy,
 )
@@ -204,8 +203,7 @@ class TestResilientClientQuotaPath:
         service = PredictionService(admission=admission)
         client = service.connect(
             "d", identity=OWNER, config=CONFIG,
-            transport=transport, batch_size=batch_size,
-            resilience=ResilienceConfig(), fallback=-7,
+            transport=transport, batch_size=batch_size, fallback=-7,
         )
         return service, admission, client
 

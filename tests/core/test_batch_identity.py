@@ -526,8 +526,8 @@ def fail_a_client_batch(service, client, rows, failure):
 
 
 def score_cache(client):
-    """The vDSO transport's score cache (a syscall client has none)."""
-    return getattr(client._transport, "_score_cache", {})
+    """The vDSO transport's score cache (a syscall one has none)."""
+    return getattr(client, "_score_cache", {})
 
 
 def index_cache(service):
@@ -539,9 +539,9 @@ def service_state(service, client):
     return {
         "stats": domain.stats,
         "generation": domain.generation,
-        "account": (client.latency.cache_hits,
-                    client.latency.cache_misses,
-                    client.latency.vdso_calls),
+        "account": (client.account.cache_hits,
+                    client.account.cache_misses,
+                    client.account.vdso_calls),
         "caches": (
             list(score_cache(client).items()),
             list(index_cache(service).items()),
@@ -559,8 +559,9 @@ class TestClientBatchIdentity:
         config, pool, stream = data.draw(service_workloads(failures=True))
         svc_b = build_service(config, num_shards)
         svc_s = build_service(config, num_shards)
-        client_b = svc_b.connect("dom", transport=transport)
-        client_s = svc_s.connect("dom", transport=transport)
+        # the transports under the clients: a refused batch raises
+        client_b = svc_b.connect("dom", transport=transport)._transport
+        client_s = svc_s.connect("dom", transport=transport)._transport
         b_scores, s_scores = [], []
         drive_client(svc_b, client_b, pool, stream, b_scores,
                      scalar_only=False)
@@ -584,8 +585,8 @@ class TestClientBatchIdentity:
         plan = {"seed": seed, "stale_read_rate": 0.4}
         svc_b = build_service(config, 2)
         svc_s = build_service(config, 2)
-        client_b = svc_b.connect("dom", fault_plan=dict(plan))
-        client_s = svc_s.connect("dom", fault_plan=dict(plan))
+        client_b = svc_b.connect("dom", fault_plan=dict(plan))._transport
+        client_s = svc_s.connect("dom", fault_plan=dict(plan))._transport
         b_scores, s_scores = [], []
         drive_client(svc_b, client_b, pool, stream, b_scores,
                      scalar_only=False)

@@ -111,7 +111,8 @@ class TestQuotaBinding:
     def test_set_quota_after_connect_binds_at_the_next_call(self):
         service = service_with_domain()
         admission = service.admission
-        client = service.connect("d", identity=ALICE, batch_size=1)
+        # the transport under the client: its refusals raise
+        client = service.connect("d", identity=ALICE, batch_size=1)._transport
         client.predict(ROW)
         client.update(ROW, True)
         admission.set_quota(
@@ -149,10 +150,10 @@ class TestQuotaBinding:
         service = service_with_domain()
         admission = service.admission
         admission.set_quota(ALICE, TenantQuota(predict_budget=3))
-        client = service.connect("d", identity=ALICE)
+        client = service.connect("d", identity=ALICE)._transport
         for _ in range(3):
             client.predict(ROW)
-        assert client.latency.cache_hits == 2
+        assert client.account.cache_hits == 2
         assert admission.usage_for(ALICE).predictions == 3
         self.check_refusal(admission, lambda: client.predict(ROW),
                            "predictions", 3)

@@ -8,7 +8,8 @@ client of an admission-controlled service - are pinned here by
 alongside, so a frame that creeps back onto the read fails by count,
 not by time.  No frame named ``generation`` runs on any of them.  The
 same holds for the write a flush delivers, on the ``sync_churn`` shape,
-and for a cold block's ``predict_batch`` on the ``batch_cold`` shape.
+and for a cold block's ``predict_batch`` on the ``batch_cold`` shape,
+with the degrade ladder configured or not (none of its frames runs).
 """
 
 import gc
@@ -18,7 +19,12 @@ from functools import partial
 
 import pytest
 
-from repro.core import AdmissionController, PSSConfig, ShardedService
+from repro.core import (
+    AdmissionController,
+    PSSConfig,
+    ResilienceConfig,
+    ShardedService,
+)
 from repro.obs import MetricsRegistry, Tracer
 
 try:
@@ -59,6 +65,14 @@ PINNED = {
     # buffered update's and the flush's ``Tracer.record`` frames went)
     "flush": (63, 83),
 }
+
+
+#: a client as ``connect`` builds it, and with its ladder configured
+CONNECTS = ({}, {"fallback": 1, "resilience": ResilienceConfig()})
+#: the breaker, the retry loop, canonicalisation and the ladder bodies
+LADDER = {"allow", "_attempt", "record_success", "canonical_features",
+          "_ladder", "_predict_ladder", "_predict_batch_ladder",
+          "_update_ladder", "_reset_ladder", "_flush_ladder"}
 
 
 def frames(action):
@@ -110,20 +124,21 @@ def moved(domain):
 @pytest.mark.parametrize("watched", [False, True],
                          ids=["plain", "watched"])
 def test_what_a_read_executes(watched):
-    domain, client = sync_hot_client(watched)
-    account = client.latency
-    hit = frames(partial(client.predict, ROW))
-    assert account.cache_hits == 1
-    moved(domain)
-    miss = frames(partial(client.predict, ROW))
-    assert account.cache_misses == 2
-    update = frames(partial(client.update, ROW, True))
-    assert client.pending_updates == 1
-    counts = {"hit": hit, "miss": miss, "update": update}
-    for op, calls in counts.items():
-        assert sum(calls.values()) == PINNED[op][watched], (op, calls)
-        assert "generation" not in calls, (op, calls)
-        assert "_ensure_open" not in calls, (op, calls)
+    for connect in CONNECTS:
+        domain, client = sync_hot_client(watched, **connect)
+        account = client.latency
+        hit = frames(partial(client.predict, ROW))
+        assert account.cache_hits == 1
+        moved(domain)
+        miss = frames(partial(client.predict, ROW))
+        assert account.cache_misses == 2
+        update = frames(partial(client.update, ROW, True))
+        assert client.pending_updates == 1
+        counts = {"hit": hit, "miss": miss, "update": update}
+        for op, calls in counts.items():
+            assert sum(calls.values()) == PINNED[op][watched], (op, calls)
+            assert not {"generation", "_ensure_open", *LADDER} & set(calls), (
+                op, calls)
 
 
 #: the ``sync_churn`` shape: 8 features, 1 024 cells per feature, a
@@ -141,41 +156,38 @@ CHURN_TRAINED = 14
 @pytest.mark.parametrize("watched", [False, True],
                          ids=["plain", "watched"])
 def test_what_a_flush_executes(watched):
-    observed = ({"tracer": Tracer(), "metrics": MetricsRegistry()}
-                if watched else {})
-    service = ShardedService(admission=AdmissionController(), **observed)
-    client = service.connect("d", transport="vdso", batch_size=32,
-                             config=CHURN_CONFIG)
-    for features, direction in CHURN_RECORDS * 4 + CHURN_RECORDS[:-1]:
-        client.update(features, direction)
-    assert client.pending_updates == 31
-    before = service.domain("d").generation
-    flush = frames(partial(client.update, *CHURN_RECORDS[-1]))
-    assert client.pending_updates == 0
-    assert service.domain("d").generation - before == CHURN_TRAINED
-    assert flush["gather"] == len(CHURN_RECORDS), flush
-    assert flush["adjust_at"] == CHURN_TRAINED, flush
-    assert sum(flush.values()) == PINNED["flush"][watched], flush
-    assert "generation" not in flush, flush
+    for connect in CONNECTS:
+        observed = ({"tracer": Tracer(), "metrics": MetricsRegistry()}
+                    if watched else {})
+        service = ShardedService(admission=AdmissionController(),
+                                 **observed)
+        client = service.connect("d", transport="vdso", batch_size=32,
+                                 config=CHURN_CONFIG, **connect)
+        for features, direction in CHURN_RECORDS * 4 + CHURN_RECORDS[:-1]:
+            client.update(features, direction)
+        assert client.pending_updates == 31
+        before = service.domain("d").generation
+        flush = frames(partial(client.update, *CHURN_RECORDS[-1]))
+        assert client.pending_updates == 0
+        assert service.domain("d").generation - before == CHURN_TRAINED
+        assert flush["gather"] == len(CHURN_RECORDS), flush
+        assert flush["adjust_at"] == CHURN_TRAINED, flush
+        assert sum(flush.values()) == PINNED["flush"][watched], flush
+        assert not {"generation", *LADDER} & set(flush), flush
 
 
 def test_a_guarded_read_is_a_plain_read_in_its_span_wrapper():
-    """A client connected with ``fallback=`` reads, while nothing has
-    faulted, what a plain client reads inside its ``client.predict``
-    span wrapper: the breaker, the retry loop and the row's
-    canonicalisation wait for a fault."""
-    domain, client = sync_hot_client(False, fallback=0)
+    """A callable ``fallback=`` waits for a fault: a steady read runs
+    no span wrapper and no ladder frame, the fallback's included."""
+    domain, client = sync_hot_client(False, fallback=lambda features: 1)
     hit = frames(partial(client.predict, ROW))
-    assert client.latency.cache_hits == 1
     moved(domain)
     miss = frames(partial(client.predict, ROW))
-    assert client.stats.predictions == 3
-    assert not client.last_prediction_was_fallback
+    assert (client.latency.cache_hits, client.latency.cache_misses,
+            client.stats.fallback_predictions) == (1, 2, 0)
     for op, calls in {"hit": hit, "miss": miss}.items():
-        assert sum(calls.values()) == PINNED[op][False] + 1, (op, calls)
-        for skipped in ("canonical_features", "allow", "_attempt",
-                        "record_success"):
-            assert skipped not in calls, (op, calls)
+        assert sum(calls.values()) == PINNED[op][False], (op, calls)
+        assert not {"<lambda>", *LADDER} & set(calls), (op, calls)
 
 
 #: Python frames a cold block's ``client.predict_batch`` enters with the
@@ -202,22 +214,21 @@ def cold_rows(first, count):
 def test_what_a_cold_block_executes():
     """The ``batch_cold`` shape: a syscall client, 8 features x 1 024
     cells, blocks of rows the index cache has never seen."""
-    service = ShardedService(admission=AdmissionController())
-    client = service.connect("d", transport="syscall", config=CHURN_CONFIG)
-    client.predict_batch(cold_rows(0, 256))     # warm: plan, numpy
-    weights = service.domain("d").model.weights
-    counted = {}
-    first = 256
-    for rows in (64, 256):
-        before = weights.index_cache_misses
-        counted[rows] = frames(partial(client.predict_batch,
-                                       cold_rows(first, rows)))
-        assert weights.index_cache_misses - before == rows
-        first += rows
-    for calls in counted.values():
-        # a valid block is validated in one pass, canonicalised inline
-        for skipped in ("_check_features", "canonical_features"):
-            assert skipped not in calls, (skipped, calls)
-    if numpy is not None:
-        assert [sum(calls.values()) for calls in counted.values()] == \
-            [COLD_BLOCK, COLD_BLOCK], counted
+    for connect in CONNECTS:
+        service = ShardedService(admission=AdmissionController())
+        client = service.connect("d", transport="syscall",
+                                 config=CHURN_CONFIG, **connect)
+        client.predict_batch(cold_rows(0, 256))     # warm: plan, numpy
+        weights = service.domain("d").model.weights
+        counted = []
+        for first, rows in ((256, 64), (320, 256)):
+            before = weights.index_cache_misses
+            counted.append(frames(partial(client.predict_batch,
+                                          cold_rows(first, rows))))
+            assert weights.index_cache_misses - before == rows
+        for calls in counted:
+            # a valid block is validated in one pass, canonicalised inline
+            assert not {"_check_features", *LADDER} & set(calls), calls
+        if numpy is not None:
+            assert [sum(calls.values()) for calls in counted] == \
+                [COLD_BLOCK, COLD_BLOCK], counted

@@ -219,7 +219,6 @@ class TestCheckpointAcrossReshard:
 CLIENT_KINDS = (
     {"transport": "vdso", "batch_size": 2},
     {"transport": "syscall"},
-    {"transport": "vdso", "batch_size": 2, "fallback": 0},   # resilient
 )
 #: emitters that act for one shard: a record of theirs about a hosted
 #: domain always names it (client-side kinds - retry, fallback, the

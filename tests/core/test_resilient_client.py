@@ -4,9 +4,9 @@ import pytest
 
 from repro.core import (
     PredictionService,
+    PSSClient,
     PSSConfig,
     ResilienceConfig,
-    ResilientClient,
     TransportFault,
 )
 from repro.core.client import CircuitBreaker
@@ -41,13 +41,16 @@ class TestResilienceConfig:
             ResilienceConfig(backoff_multiplier=0.5)
 
     def test_connect_builds_resilient_client(self):
-        _, client = make_client()
-        assert isinstance(client, ResilientClient)
+        service, client = make_client()
+        assert type(client) is type(service.connect("dom")) is PSSClient
 
     def test_plain_connect_stays_plain(self):
-        service = PredictionService()
-        client = service.connect("dom")
-        assert not isinstance(client, ResilientClient)
+        # the defaults; on a healthy service no call counts anything
+        client = PredictionService().connect("dom")
+        client.predict([1, 2]), client.update([1, 2], True), client.flush()
+        assert client.resilience == ResilienceConfig()
+        assert not (client.stats.any_activity
+                    or client.stats.fallback_predictions)
 
 
 class TestRetry:
@@ -175,7 +178,7 @@ class TestFallback:
         assert client.predict([9, 0]) == -1
         assert client.predict([1, 0]) == 1
 
-    def test_degraded_fraction_reported(self):
+    def test_fallback_predictions_reported(self):
         _, client = make_client(
             plan=FaultPlan(seed=0, syscall_failure_rate=1.0),
             resilience=ResilienceConfig(max_attempts=1,
@@ -184,7 +187,7 @@ class TestFallback:
         )
         for i in range(10):
             client.predict([1, 2])
-        assert client.stats.degraded_fraction > 0.8
+        assert client.stats.fallback_predictions == 10
 
     def test_batch_on_a_dead_shard_is_served_like_the_scalar_calls(self):
         """Crashed shard, follower never synced: the first attempt's
@@ -204,7 +207,7 @@ class TestFallback:
     def test_a_recreated_domain_starts_a_fresh_aggregate(self):
         """The resilience aggregate is the domain's, not the name's: a
         domain created under a removed one's name reports none of its
-        fallbacks, and its resilient clients share a new block."""
+        fallbacks, and its clients share a new block."""
         service, client = make_client(
             plan=FaultPlan(seed=0, syscall_failure_rate=1.0),
             resilience=ResilienceConfig(max_attempts=1,
@@ -218,11 +221,12 @@ class TestFallback:
         assert report.resilience is None
         fresh = service.connect("dom", fallback=1)
         assert fresh.stats is not client.stats
+        service.crash_shard(0)
         fresh.predict([1, 2])
         (report,) = service.reports()
         assert report.resilience is fresh.stats
         assert (report.stats.predictions,
-                report.resilience.fallback_predictions) == (1, 0)
+                report.resilience.fallback_predictions) == (0, 1)
 
 
 class TestNoExceptionGuarantee:
@@ -240,16 +244,12 @@ class TestNoExceptionGuarantee:
         client.flush()
         client.close()  # none of the above may raise
 
-    def test_plain_client_with_plan_does_raise(self):
-        # The contrast: without the resilient layer, injected faults
-        # reach the caller.
-        service = PredictionService()
-        client = service.connect(
-            "dom", transport="syscall",
-            fault_plan=FaultPlan(seed=0, syscall_failure_rate=1.0),
-        )
+    def test_the_transport_does_raise(self):
+        # The contrast: below the client, injected faults raise.
+        _, client = make_client(
+            plan=FaultPlan(seed=0, syscall_failure_rate=1.0))
         with pytest.raises(TransportFault):
-            client.predict([1, 2])
+            client._transport.predict([1, 2])
 
     def test_close_never_raises(self):
         _, client = make_client(
@@ -284,16 +284,11 @@ class TestNoExceptionGuarantee:
 class TestZeroRateTransparency:
     @pytest.mark.parametrize("transport", ["vdso", "syscall"])
     def test_identical_results_and_latency_at_rate_zero(self, transport):
-        def run(resilient):
-            service = PredictionService()
-            kwargs = {}
-            if resilient:
-                kwargs = dict(resilience=ResilienceConfig(),
-                              fault_plan=FaultPlan.uniform(0.0, seed=4))
-            client = service.connect(
-                "dom", config=PSSConfig(num_features=2),
-                transport=transport, **kwargs,
-            )
+        def run(injected):
+            client = PredictionService().connect(
+                "dom", config=PSSConfig(num_features=2), transport=transport,
+                fault_plan=FaultPlan.uniform(0.0, seed=4) if injected
+                else None)
             scores = []
             for i in range(200):
                 scores.append(client.predict([i % 8, 1]))
@@ -301,8 +296,8 @@ class TestZeroRateTransparency:
             client.flush()
             return scores, client.latency.snapshot()
 
-        plain_scores, plain_latency = run(resilient=False)
-        res_scores, res_latency = run(resilient=True)
+        plain_scores, plain_latency = run(injected=False)
+        res_scores, res_latency = run(injected=True)
         assert res_scores == plain_scores
         assert res_latency == plain_latency
 

@@ -161,27 +161,25 @@ class TestLatencyAccount:
 class TestResilienceStats:
     def test_any_activity(self):
         assert not ResilienceStats().any_activity
-        assert ResilienceStats(predictions=1).any_activity
+        assert ResilienceStats(retries=1).any_activity
         assert ResilienceStats(breaker_opens=1).any_activity
 
     def test_merge(self):
-        a = ResilienceStats(predictions=5, fallback_predictions=2,
-                            retries=1, backoff_ns=100.0)
-        b = ResilienceStats(predictions=3, fallback_predictions=1,
-                            dropped_updates=4, backoff_ns=50.0)
+        a = ResilienceStats(fallback_predictions=2, retries=1,
+                            backoff_ns=100.0)
+        b = ResilienceStats(fallback_predictions=1, dropped_updates=4,
+                            backoff_ns=50.0)
         a.merge(b)
-        assert a.predictions == 8
         assert a.fallback_predictions == 3
         assert a.dropped_updates == 4
         assert a.backoff_ns == pytest.approx(150.0)
-        assert a.degraded_fraction == pytest.approx(3 / 8)
 
     def test_merge_keeps_every_counter(self):
         """A merged per-domain block is the field-wise sum, sheds
         included (``merge`` used to drop ``shed_requests``)."""
-        a = ResilienceStats(predictions=5, shed_requests=2,
+        a = ResilienceStats(retries=5, shed_requests=2,
                             quota_rejections=1)
-        b = ResilienceStats(predictions=3, shed_requests=4)
+        b = ResilienceStats(retries=3, shed_requests=4)
         a.merge(b)
         assert a.shed_requests == 6
         merged = ResilienceStats()

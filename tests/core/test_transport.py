@@ -192,13 +192,13 @@ class TestScoreCache:
         admission = AdmissionController()
         admission.set_quota(who, TenantQuota(predict_budget=3))
         service = PredictionService(admission=admission)
-        client = service.connect(
-            "dom", config=PSSConfig(num_features=2), identity=who)
+        service.create_domain("dom", config=PSSConfig(num_features=2))
+        client = VdsoTransport(service.handle("dom", identity=who), LAT)
         service.update("dom", (1, 2), True)   # scores worth comparing
         rows = [(1, 2), (3, 4), (5, 6), (7, 8), *extra]
         with pytest.raises(QuotaExceededError):
             client.predict_batch(rows)
-        assert client._transport.score_cache_size == 0
+        assert client.score_cache_size == 0
         admission.set_quota(who, TenantQuota())
         scores = client.predict_batch(rows)
         assert None not in scores

@@ -352,7 +352,8 @@ class TestFlushIsTheScalarLoop:
     @pytest.mark.parametrize("tracer", [None, Tracer()])
     def test_quota_refusal_drops_the_suffix_and_says_so(self, tracer):
         service = build(quota=TenantQuota(update_budget=5), tracer=tracer)
-        client = service.connect("dom", batch_size=8)
+        # the transport under the client: the refusal raises here
+        client = service.connect("dom", batch_size=8)._transport
         with pytest.raises(QuotaExceededError) as exc_info:
             for i in range(8):
                 client.update(ROWS[i % 6], True)
@@ -370,7 +371,7 @@ class TestFlushIsTheScalarLoop:
     def test_shard_down_flush_loses_the_whole_buffer(self):
         tracer = Tracer()
         service = build(num_shards=3, tracer=tracer)
-        client = service.connect("dom", batch_size=8)
+        client = service.connect("dom", batch_size=8)._transport
         for i in range(5):
             client.update(ROWS[i], True)
         service.crash_shard(service.shard_of("dom"))
@@ -390,8 +391,8 @@ class TestFlushIsTheScalarLoop:
             self, seed, count):
         records = [(ROWS[i % 6], i % 2 == 0) for i in range(count)]
         service, scalar = build(), build()
-        client = service.connect("dom", batch_size=64)
-        client.attach_fault_injector(FaultInjector(
+        client = service.connect("dom", batch_size=64)._transport
+        client.attach_injector(FaultInjector(
             FaultPlan(seed=seed, partial_flush_rate=1.0)))
         for features, direction in records:
             client.update(features, direction)
@@ -399,7 +400,7 @@ class TestFlushIsTheScalarLoop:
             client.flush()
         delivered = count - exc_info.value.lost_records
         assert 0 <= delivered < count
-        assert client.latency.update_records == delivered
+        assert client.account.update_records == delivered
         handle = scalar.handle("dom")
         for features, direction in records[:delivered]:
             handle.update(features, direction)

@@ -58,6 +58,16 @@ def forest(tracer):
                                           key=lambda s: s.span_id)]
 
 
+def onto_the_ladder(service, client):
+    """A steady call is the transport's records alone; one refused
+    read puts the client on its degrade ladder (``client.*`` spans)
+    until a call succeeds there."""
+    service.admission.set_quota(ClientIdentity(), TenantQuota(
+        predict_budget=0))
+    client.predict((9, 9, 9, 9))
+    service.admission.set_quota(ClientIdentity(), TenantQuota())
+
+
 def kinds(tracer):
     return [event.kind for event in tracer.events()]
 
@@ -71,7 +81,7 @@ class TestSyncClient:
         """The record budget of a sync hit: the one event that says
         what the probe decided, spanning the read's 4.19 ns.  A hit
         never leaves the process, so nothing opens a span for it - not
-        the plain client, not the transport - and it never enters the
+        the client, not the transport - and it never enters the
         kernel."""
         tracer, service = traced_service()
         client = service.connect("d", transport="vdso", config=CONFIG)
@@ -126,6 +136,10 @@ class TestSyncClient:
                                  fallback=0)
         tracer.clear()
         client.predict(ROW)
+        assert (forest(tracer), details(tracer)) == ([], [{"cache": "miss"}])
+        onto_the_ladder(service, client)
+        tracer.clear()
+        client.predict((1, 2, 3, 4))
         assert forest(tracer) == [("client.predict", [])]
         assert details(tracer) == [{"cache": "miss"}]
         root, = tracer.spans()
@@ -142,8 +156,9 @@ class TestSyncClient:
         tracer = Tracer()
         who, admission = ClientIdentity(7, "t"), AdmissionController()
         service = ShardedService(tracer=tracer, admission=admission)
+        # the transport under the client: the refusal raises here
         client = service.connect("d", transport="vdso", config=CONFIG,
-                                 identity=who)
+                                 identity=who)._transport
         if why == "quota":
             admission.set_quota(who, TenantQuota(predict_budget=0))
             error = QuotaExceededError
@@ -202,8 +217,8 @@ class TestSyncClient:
             who, admission = ClientIdentity(7, "t"), AdmissionController()
             service = ShardedService(tracer=tracer, admission=admission,
                                      num_replicas=int(follower))
-            client = service.connect("d", transport="vdso",
-                                     config=CONFIG, identity=who)
+            client = service.connect("d", transport="vdso", config=CONFIG,
+                                     identity=who)._transport
             service.sync_replicas()
             outcomes = []
             for step in steps:
@@ -338,6 +353,10 @@ class TestSyncClient:
         client = service.connect("d", transport="vdso", config=CONFIG,
                                  fallback=0)
         client.predict(ROW)
+        tracer.clear()
+        client.predict(ROW)
+        assert (forest(tracer), details(tracer)) == ([], [{"cache": "hit"}])
+        onto_the_ladder(service, client)
         tracer.clear()
         client.predict(ROW)
         assert forest(tracer) == [("client.predict", [])]

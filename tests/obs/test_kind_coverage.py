@@ -24,12 +24,13 @@ from repro.bench.experiments.chaos import (
 )
 from repro.core import PredictionService, PSSConfig, ResilienceConfig
 from repro.core.faults import FaultPlan
-from repro.core.kernel.admission import AdmissionController
+from repro.core.kernel.admission import AdmissionController, TenantQuota
 from repro.core.kernel.checkpoint import (
     ShardedCheckpointManager,
     shard_file_name,
 )
 from repro.core.kernel.service import ShardedService
+from repro.core.policy import ClientIdentity
 from repro.core.serving import ServingConfig, ServingPipeline
 from repro.obs import (
     EVENT_KINDS,
@@ -65,7 +66,7 @@ class Seen:
 
 def _vdso_scenario(seen):
     """predict / cache activity / update / reset / flush / batch, over
-    both transports, through a plain and a resilient client."""
+    both transports, steady and on the degrade ladder."""
     tracer, registry = Tracer(), MetricsRegistry()
     service = ShardedService(tracer=tracer, metrics=registry,
                              admission=AdmissionController())
@@ -84,12 +85,16 @@ def _vdso_scenario(seen):
     batched.predict(FEATURES)
     batched.update(FEATURES, True)
     batched.reset(FEATURES, reset_all=False)
-    resilient = service.connect("d", config=PSSConfig(**CONFIG_KW),
-                                batch_size=4, fallback=0)
-    resilient.predict_batch([FEATURES])
-    resilient.update(FEATURES, False)
-    resilient.flush()
-    resilient.reset(FEATURES, reset_all=False)
+    # a refused read puts the client on its ladder: the next call spans
+    service.admission.set_quota(ClientIdentity(), TenantQuota(
+        predict_budget=0))
+    degraded = service.connect("d", batch_size=4)
+    degraded.predict_batch([FEATURES])
+    degraded.update(FEATURES, False)
+    degraded.predict(FEATURES)
+    degraded.flush()
+    degraded.predict(FEATURES)
+    degraded.reset(FEATURES, reset_all=False)
     seen.take(tracer, registry)
     # the probe's outcome is not a kind of its own: it is the vDSO
     # predict's detail, and the scenario drives both values

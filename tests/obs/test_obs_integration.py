@@ -194,27 +194,27 @@ class TestReports:
         service, _, _ = traced_service()
         plain = service.connect("d", config=PSSConfig(**CONFIG_KW))
         plain.predict(FEATURES)
-        degradable = service.connect(
-            "d", resilience=ResilienceConfig(), fallback=1
-        )
-        degradable.predict(FEATURES)
+        assert service.reports()[0].resilience is None   # none degraded
+        degradable = service.connect("d", fallback=1)
+        service.crash_shard(0)
+        assert degradable.predict([5, 3]) == 1
         (report,) = service.reports()
         assert "vdso_read_ns" in report.latency_percentiles
         snap = report.latency_percentiles["vdso_read_ns"]
         assert snap["p50"] == pytest.approx(4.19)
         assert report.resilience is not None
-        assert report.resilience.predictions == 1
+        assert report.resilience.fallback_predictions == 1
 
     def test_resilience_stats_shared_across_clients(self):
         service, _, _ = traced_service()
-        a = service.connect("d", config=PSSConfig(**CONFIG_KW),
-                            resilience=ResilienceConfig(), fallback=1)
-        b = service.connect("d", resilience=ResilienceConfig(),
-                            fallback=1)
+        a = service.connect("d", config=PSSConfig(**CONFIG_KW), fallback=1)
+        b = service.connect("d", fallback=1)
+        service.crash_shard(0)
         a.predict(FEATURES)
         b.predict(FEATURES)
         (report,) = service.reports()
-        assert report.resilience.predictions == 2
+        assert report.resilience is a.stats is b.stats
+        assert report.resilience.fallback_predictions == 2
 
     def test_uninstrumented_reports_stay_bare(self):
         service = PredictionService()

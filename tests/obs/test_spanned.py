@@ -14,7 +14,8 @@ import pytest
 
 import repro.core
 from repro.core import PredictionService, PSSConfig, ResilienceConfig
-from repro.core.client import PSSClient, ResilientClient
+from repro.core.client import PSSClient
+from repro.core.faults import FaultInjector, FaultPlan
 from repro.core.transport import Transport, VdsoTransport
 from repro.obs import NULL_TRACER, Tracer
 from repro.obs.spanned import named, spanned
@@ -141,17 +142,16 @@ class TestWrapper:
 
 
 class TestInstrumentedStack:
-    @pytest.mark.parametrize("cls", [PSSClient, ResilientClient])
-    def test_client_operations_keep_their_call_shape(self, cls):
-        assert str(inspect.signature(cls.reset)) == \
-            "(self, features: 'Sequence[int]', " \
-            "reset_all: 'bool' = False) -> 'None'"
+    def test_client_operations_keep_their_call_shape(self):
+        assert str(inspect.signature(PSSClient._reset_ladder)) == \
+            "(self, features: 'Sequence[int]', reset_all: 'bool', " \
+            "error: 'PSSError | None' = None) -> 'None'"
         for name in ("predict", "predict_batch", "update", "reset",
                      "flush"):
-            method = getattr(cls, name)
-            assert method.__name__ == name
-            assert method.__qualname__ == f"{cls.__name__}.{name}"
-            assert method.__doc__
+            ladder = getattr(PSSClient, f"_{name}_ladder")
+            assert ladder.__name__ == f"_{name}_ladder"
+            assert ladder.__qualname__ == f"PSSClient._{name}_ladder"
+            assert getattr(PSSClient, name).__doc__
         assert Transport.reset.__doc__.startswith("Resets always cross")
 
     @pytest.mark.parametrize("resilient", [False, True])
@@ -167,16 +167,21 @@ class TestInstrumentedStack:
     def test_resilient_predict_opens_exactly_one_client_span(self):
         tracer = Tracer()
         service = PredictionService(tracer=tracer)
-        client = service.connect("d", config=CONFIG,
-                                 resilience=ResilienceConfig())
-        assert isinstance(client, ResilientClient)
+        client = service.connect("d", config=CONFIG, transport="syscall")
         client.predict(ROW)
-        # the miss opens no span of its own and never enters the
-        # kernel: its event is the leaf of client.predict
-        assert span_names(tracer) == ["client.predict"]
-        read, = [event for event in tracer.events()
-                 if event.kind == "predict"]
-        assert read.span_id == tracer.spans()[0].span_id
+        # steady: the crossing roots the call
+        assert span_names(tracer) == ["kernel.predict", "syscall.predict"]
+        client.attach_fault_injector(FaultInjector(
+            FaultPlan(seed=0, syscall_failure_rate=1.0)))
+        tracer.clear()
+        client.predict(ROW)
+        # the refused crossing comes first; the ladder's one span roots
+        # the two retried crossings, the retries and the fallback
+        root, = [s for s in tracer.spans() if s.name == "client.predict"]
+        assert [s.parent_id for s in tracer.spans()
+                if s.name == "syscall.predict"] == [0] + [root.span_id] * 2
+        assert [e.kind for e in tracer.events() if e.span_id == root.span_id
+                ] == ["retry", "retry", "fallback"]
 
     def test_vdso_flush_spans_only_a_buffered_batch(self):
         tracer = Tracer()

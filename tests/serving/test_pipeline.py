@@ -9,11 +9,7 @@ import random
 
 import pytest
 
-from repro.core import (
-    PredictionService,
-    PSSConfig,
-    ResilienceConfig,
-)
+from repro.core import PredictionService, PSSConfig
 from repro.core.config import LatencyModel, ServiceConfig
 from repro.core.errors import ConfigError, RequestShedError
 from repro.core.kernel.admission import AdmissionController
@@ -453,10 +449,8 @@ class TestClientSubmit:
 
     def test_resilient_submit_falls_back_on_shed(self):
         service = PredictionService(admission=AdmissionController())
-        client = service.connect(
-            "d", config=PSSConfig(num_features=2),
-            resilience=ResilienceConfig(), fallback=-7,
-        )
+        client = service.connect("d", config=PSSConfig(num_features=2),
+                                 fallback=-7)
         pipeline = ServingPipeline(
             service, ServingConfig(queue_limit=2))
         client.attach_pipeline(pipeline)
@@ -474,10 +468,8 @@ class TestClientSubmit:
 
     def test_resilient_submit_clears_fallback_flag_on_success(self):
         service = PredictionService()
-        client = service.connect(
-            "d", config=PSSConfig(num_features=2),
-            resilience=ResilienceConfig(), fallback=-7,
-        )
+        client = service.connect("d", config=PSSConfig(num_features=2),
+                                 fallback=-7)
         pipeline = ServingPipeline(
             service, ServingConfig(queue_limit=1))
         client.attach_pipeline(pipeline)

@@ -44,14 +44,13 @@ def metered_service(**quota):
 class TestTheThreeSideDoors:
     def test_a_spent_budget_is_spent_for_the_pipeline_too(self):
         service = metered_service(predict_budget=3)
-        client = service.connect("d", config=CONFIG, identity=BOB,
-                                 transport="syscall")
-        client.attach_pipeline(ServingPipeline(service, ServingConfig()))
+        bob = service.handle("d", BOB, CONFIG)
+        pipeline = ServingPipeline(service, ServingConfig())
         for _ in range(3):
-            client.predict((1, 2))
+            bob.predict((1, 2))
         with pytest.raises(QuotaExceededError):
-            client.predict((1, 2))
-        futures = [client.submit((1, 2)) for _ in range(6)]
+            bob.predict((1, 2))
+        futures = [pipeline.submit(bob, (1, 2)) for _ in range(6)]
         assert all(future.done for future in futures)   # refused at submit
         assert errors(futures) == [QuotaExceededError] * 6
         usage = service.admission.usage_for(BOB)
@@ -159,8 +158,9 @@ class TestNamesAndHandlesOverTime:
 
 class TestClientSubmitFamily:
     def test_without_a_pipeline_the_refusal_settles_the_future(self):
-        """One API in both deployments: ``submit`` never raises what
-        ``predict`` refuses with, it returns it."""
+        """One API in both deployments: without a pipeline ``submit``
+        is ``predict``, settled at once - a refusal the client degrades
+        is its fallback, one it raises fails the future."""
         service = metered_service(predict_budget=1, update_budget=0)
         service.create_domain("mine", config=CONFIG,
                               policy=private_policy(ALICE))
@@ -173,9 +173,11 @@ class TestClientSubmitFamily:
                    intruder.submit((1, 2)),
                    intruder.submit_update((1, 2), True)]
         assert all(future.done for future in futures)
-        assert errors(futures) == [None, QuotaExceededError,
-                                   QuotaExceededError, PolicyError,
+        assert errors(futures) == [None, None, None, PolicyError,
                                    PolicyError]
+        assert futures[1].result() == 0         # the static fallback
+        assert (client.stats.quota_rejections,
+                client.stats.dropped_updates) == (2, 1)
         service.admission.set_quota(BOB, TenantQuota())
         assert errors([client.submit((1, 2, 3))]) == [FeatureError]
 

@@ -4,7 +4,7 @@ The paper's contract is that a failing prediction service may cost
 performance but never correctness.  :class:`SystemMachine` drives the
 public operations in whatever order hypothesis finds: domains created
 and removed under an open, a private or a read-only policy; clients of
-three identities over both transports, plain and resilient; sync reads,
+three identities over both transports; sync reads,
 batches, writes, flushes and resets; kernel batches by name; submits
 through the serving pipeline (shedding on SLO pages or not), with
 closed-loop sim clients interleaving, idle gaps and drains; fault
@@ -19,7 +19,8 @@ shed for a page whose bad samples have all aged out.
 
 The budget is the machine's settings at the bottom of this file:
 ``max_examples=500`` runs of up to ``stateful_step_count=50`` steps,
-about 25-35 s of tier-1 wall time on a 2-vCPU host.
+about 25-35 s of tier-1 wall time on a 2-vCPU host, and a failing
+example is reported unshrunk.
 """
 
 import dataclasses
@@ -28,7 +29,7 @@ import shutil
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, Phase, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -95,12 +96,12 @@ WHO = st.sampled_from([OWNER, OTHER, ANONYMOUS])
 CLIENT = st.fixed_dictionaries({
     "name": st.sampled_from(NAMES), "who": WHO,
     "transport": st.sampled_from(["vdso", "syscall"]),
-    "resilient": st.booleans(), "batch": st.sampled_from([2, 3])})
-#: a resilient client's static answer, above any score the model reaches
+    "batch": st.sampled_from([2, 3])})
+#: a client's static answer, above any score the model reaches
 FALLBACK = 1_000
-#: tries per resilient call
+#: tries per client call
 ATTEMPTS = ResilienceConfig().max_attempts
-#: a resilient call that ends in one of these serves its fallback
+#: a client call that ends in one of these serves its fallback
 DEGRADED = (QuotaExceededError, TransportFault, ShardDownError)
 #: the longest a bad serving sample can hold a page up: its long window,
 #: plus the up-to-one-interval age of the latest grid point judged
@@ -205,11 +206,10 @@ class Tenants:
 class Conn:
     """One open client and what the reference expects of it."""
 
-    def __init__(self, client, who, ref, resilient, batch):
+    def __init__(self, client, who, ref, batch):
         self.client = client
         self.who = who
         self.ref = ref
-        self.resilient = resilient
         self.batch = batch              # the vDSO buffer's capacity
         self.transport = client._transport
         self.vdso = client.transport_name == "vdso"
@@ -399,35 +399,32 @@ class SystemMachine(RuleBasedStateMachine):
 
     def before(self, conn):
         transport = conn.transport
-        breaker = conn.client._breaker if conn.resilient else None
+        breaker = conn.client._breaker
         faults, rolls = injected(conn)
         return Before(
             cache=(dict(transport._score_cache) if conn.vdso
                    and transport._score_cache_generation
                    == conn.ref.domain.generation else {}),
-            blocked=(breaker is not None and breaker.state == "open"
+            blocked=(breaker.state == "open"
                      and breaker._cooldown_left > 0),
             faults=faults,
             rolls=rolls,
             delivered=conn.client.latency.update_records,
-            fallbacks=(conn.client.stats.fallback_predictions
-                       if conn.resilient else 0))
+            fallbacks=conn.client.stats.fallback_predictions)
 
     def ladder(self, conn, before, attempt, fallback):
         """A client call: ``attempt()`` is one crossing that reached the
         handle; the crossings the injector failed are read off its
         counter (a down shard is the one kernel answer retried)."""
-        if conn.resilient and before.blocked:
+        if before.blocked:
             return fallback
         faults = injected(conn)[0] - before.faults
         result = TransportFault
-        for _ in range((ATTEMPTS if conn.resilient else 1) - faults):
+        for _ in range(ATTEMPTS - faults):
             result = attempt()
             if result is not ShardDownError:
                 break
-        if conn.resilient and result in DEGRADED:
-            return fallback
-        return result
+        return fallback if result in DEGRADED else result
 
     def hit(self, conn, row):
         conn.hits += 1
@@ -479,15 +476,13 @@ class SystemMachine(RuleBasedStateMachine):
         return TransportFault if delivered < len(records) else refused
 
     def buffered(self, conn, before, record):
-        if conn.resilient and before.blocked:
+        if before.blocked:
             return None                                 # dropped
         conn.pending.append(record)
         if len(conn.pending) < conn.batch:
             return None
         result = self.flush_records(
             conn, conn.client.latency.update_records - before.delivered)
-        if not conn.resilient:
-            return result
         if result in (TransportFault, ShardDownError):
             conn.pending.append(record)     # the retry buffers it again
         return None if result in DEGRADED else result
@@ -496,9 +491,9 @@ class SystemMachine(RuleBasedStateMachine):
         """A client's reset: a syscall whose first attempt flushes the
         vDSO buffer before it rolls its own die and reaches the
         handle; a later attempt finds the buffer empty."""
-        if conn.resilient and before.blocked:
+        if before.blocked:
             return None                                 # dropped
-        attempts = ATTEMPTS if conn.resilient else 1
+        attempts = ATTEMPTS
         faults, rolls = injected(conn)
         faults -= before.faults
         if conn.pending:
@@ -510,22 +505,19 @@ class SystemMachine(RuleBasedStateMachine):
                 attempts -= 1
                 if delivered < records and rolls == before.rolls:
                     faults -= 1         # the flush's own crossing
-                if not (conn.resilient and attempts and flushed in (
-                        TransportFault, ShardDownError)):
-                    return None if conn.resilient \
-                        and flushed in DEGRADED else flushed
+                if flushed not in (TransportFault, ShardDownError):
+                    return None if flushed in DEGRADED else flushed
         result = TransportFault
         for _ in range(attempts - faults):
             result = self.handle_reset(conn.who, conn.ref, row, reset_all)
             if result is not ShardDownError:
                 break
-        return None if conn.resilient and result in DEGRADED else result
+        return None if result in DEGRADED else result
 
     def check_fallback_flag(self, conn, before, fell_back):
-        if conn.resilient:
-            rose = conn.client.stats.fallback_predictions > before.fallbacks
-            assert conn.client.last_prediction_was_fallback \
-                == rose == fell_back
+        rose = conn.client.stats.fallback_predictions > before.fallbacks
+        assert conn.client.last_prediction_was_fallback \
+            == rose == fell_back
 
     # -- rules: domains and clients -----------------------------------------
 
@@ -560,12 +552,11 @@ class SystemMachine(RuleBasedStateMachine):
 
     @rule(name=st.sampled_from(NAMES), who=WHO,
           transport=st.sampled_from(["vdso", "syscall"]),
-          resilient=st.booleans(), batch=st.sampled_from([2, 3]))
-    def connect(self, name, who, transport, resilient, batch):
-        fallback = {"fallback": FALLBACK} if resilient else {}
+          batch=st.sampled_from([2, 3]))
+    def connect(self, name, who, transport, batch):
         got = outcome(lambda: self.service.connect(
             name, identity=who, transport=transport, config=CONFIG,
-            batch_size=batch, **fallback))
+            batch_size=batch, fallback=FALLBACK))
         ref = self.refs.get(name)
         if ref is None:         # connect creates it, as the caller's
             if not self.tenants.charge_domain(who):
@@ -573,7 +564,7 @@ class SystemMachine(RuleBasedStateMachine):
                 return
             ref = self.adopt(self.service.domain(name), None, who)
         got.attach_pipeline(self.pipeline)
-        self.conns.append(Conn(got, who, ref, resilient, batch))
+        self.conns.append(Conn(got, who, ref, batch))
 
     @precondition(lambda self: self.conns)
     @rule(pick=PICK, seed=st.integers(0, 9))
@@ -653,10 +644,10 @@ class SystemMachine(RuleBasedStateMachine):
         before = self.before(conn)
         got = outcome(conn.client.flush)
         want = None
-        if conn.pending and not (conn.resilient and before.blocked):
+        if conn.pending and not before.blocked:
             want = self.flush_records(
                 conn, conn.client.latency.update_records - before.delivered)
-            if conn.resilient and want in DEGRADED:
+            if want in DEGRADED:
                 want = None
         assert got == want, (got, want)
 
@@ -756,8 +747,6 @@ class SystemMachine(RuleBasedStateMachine):
             outer = conn.client.submit_update(row, direction)
         else:
             outer = conn.client.submit(row)
-        if not conn.resilient:
-            return
         # The handle's own request; the client's future answers from
         # its fallback instead of failing for what its ladder absorbs.
         inner = self.last_submit
@@ -767,7 +756,7 @@ class SystemMachine(RuleBasedStateMachine):
             want = ((None if update else FALLBACK) if degraded
                     else settled(inner))
             if settled(done) != want:
-                self.wrong.append(("resilient", want, settled(done)))
+                self.wrong.append(("degraded", want, settled(done)))
             if not update and \
                     conn.client.last_prediction_was_fallback != degraded:
                 self.wrong.append(("fallback flag", degraded))
@@ -978,13 +967,12 @@ class SystemMachine(RuleBasedStateMachine):
             assert self.admission.usage_for(who) == usage
 
     def check_clients(self):
-        resilient = [conn for conn in self.conns if conn.resilient]
-        for conn in resilient:
-            for other in resilient:
+        for conn in self.conns:
+            for other in self.conns:
                 assert (conn.client.stats is other.client.stats) \
                     == (conn.ref is other.ref)
         for report in self.service.reports():
-            shared = [conn.client.stats for conn in resilient
+            shared = [conn.client.stats for conn in self.conns
                       if conn.ref is self.refs[report.name]]
             assert report.resilience is None \
                 or any(report.resilience is stats for stats in shared)
@@ -1079,8 +1067,11 @@ class SystemMachine(RuleBasedStateMachine):
         self.series = series
 
 
+# No shrinking: a failing example is reported as found, in the run's
+# time, not after minutes of shrinking one of 50 steps at a time.
 SystemMachine.TestCase.settings = settings(
     max_examples=500, stateful_step_count=50, deadline=None,
+    phases=[phase for phase in Phase if phase is not Phase.shrink],
     suppress_health_check=[HealthCheck.too_slow,
                            HealthCheck.filter_too_much])
 TestSystem = SystemMachine.TestCase
