@@ -126,14 +126,13 @@ SPAN_ROWS = [
     (("vdso.reset", "syscall.predict", "syscall.predict_batch",
       "syscall.update", "syscall.reset"), "transports",
      "one syscall crossing"),
-    (("kernel.predict", "kernel.update"), "`DomainHandle`, "
-     "`ShardedService`", "one scalar kernel call: a syscall's - a "
-     "handle's batch of exactly one row included - or "
-     "`ShardedService.predict`.  A served request's kernel call opens "
-     "none: its `request` record is its one record"),
-    (("kernel.predict_batch", "kernel.update_batch"), "`DomainHandle`, "
-     "`ShardedService`", "one kernel call for a real batch `{rows}` / a "
-     "flush's records `{records}`"),
+    (("kernel.predict", "kernel.update"), "`DomainHandle`",
+     "one scalar kernel call: a syscall's.  The service's by-name calls "
+     "open none - a served request's `request` record is its one "
+     "record"),
+    (("kernel.predict_batch", "kernel.update_batch"), "`DomainHandle`",
+     "one kernel call for a batch `{rows}` / a flush's records "
+     "`{records}`"),
     (("kernel.admission",), "`DomainHandle`",
      "the per-tenant quota charge of a real batch, `{count}` > 1, on a "
      "service with an `AdmissionController` (a charge of one opens "

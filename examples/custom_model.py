@@ -67,6 +67,7 @@ def evaluate(service: PredictionService, domain: str,
              noise: float = 0.1, rounds: int = 600) -> float:
     """Accuracy on 'context < 50 means fast path', with label noise."""
     rng = random.Random(7)
+    handle = service.handle(domain)
     correct = 0
     scored = 0
     for step in range(rounds):
@@ -74,9 +75,9 @@ def evaluate(service: PredictionService, domain: str,
         truth = context < 50
         observed = truth if rng.random() > noise else not truth
         if step >= rounds // 2:
-            correct += (service.predict(domain, [context]) >= 0) == truth
+            correct += (handle.predict([context]) >= 0) == truth
             scored += 1
-        service.update(domain, [context], observed)
+        handle.update([context], observed)
     return correct / scored
 
 

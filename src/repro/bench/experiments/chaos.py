@@ -399,9 +399,9 @@ def run_chaos(seed: int = 0, replicas: int = 2,
         if replay.to_state() != domain.model.to_state():
             result.violations.append(name)
         result.updates_delivered += len(delivered[name])
+        probe = service.handle(name).predict
         result.final_rows.append((
-            name, domain.generation,
-            [service.predict(name, probe) for probe in CHAOS_PROBES],
+            name, domain.generation, [probe(row) for row in CHAOS_PROBES],
         ))
 
     result.migration_stalls = sum(

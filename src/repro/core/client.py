@@ -362,7 +362,7 @@ class PSSClient:
             lambda reason, _: self._serve_fallback(reason, (row,))[0],
             self._read, (row,), error)
 
-    @spanned(named(_client_span, "client.predict_batch", rows=True))
+    @spanned(named(_client_span, "client.predict_batch", "rows"))
     def _predict_batch_ladder(self, feature_rows: Sequence[Sequence[int]],
                               error: PSSError | None = None) -> list[int]:
         rows = [f if type(f) is tuple else tuple(f) for f in feature_rows]
@@ -377,7 +377,8 @@ class PSSClient:
     def _update_ladder(self, features: Sequence[int], direction: bool,
                        error: PSSError | None = None) -> None:
         self._ladder(self._drop_update, self._transport.update,
-                     (canonical_features(features), direction), error)
+                     (canonical_features(features), direction), error,
+                     resent=1)
 
     @spanned(named(_client_span, "client.reset"))
     def _reset_ladder(self, features: Sequence[int], reset_all: bool,
@@ -396,7 +397,7 @@ class PSSClient:
     def _ladder(self, refused: Callable[..., Any],
                 operation: Callable[..., Any],
                 args: tuple, error: PSSError | None = None,
-                retry: bool = True) -> Any:
+                retry: bool = True, resent: int = 0) -> Any:
         """One call on the degrade ladder: the breaker consulted, the
         operation run by :meth:`_attempt`, and ``refused(reason,
         failure)`` answering when either gives up (``failure`` None if
@@ -406,7 +407,7 @@ class PSSClient:
         if error is None and not self._breaker.allow():
             return refused("breaker_open", None)
         try:
-            result = self._attempt(operation, args, error, retry)
+            result = self._attempt(operation, args, error, retry, resent)
         except _DEGRADABLE as failure:
             return refused(self._degrade(failure), failure)
         self._breaker.record_success()
@@ -458,13 +459,15 @@ class PSSClient:
         self.stats.dropped_resets += 1
 
     def _attempt(self, operation: Callable[..., Any], args: tuple,
-                 error: PSSError | None = None, retry: bool = True) -> Any:
+                 error: PSSError | None = None, retry: bool = True,
+                 resent: int = 0) -> Any:
         """Run ``operation(*args)``, retried with exponential backoff
         while it raises a transport fault, up to ``max_attempts``
         attempts (one without ``retry``); what the last one raised is
         raised.  ``error`` is what a first attempt already raised.
-        Update records lost with any failed attempt are counted here:
-        they are gone whether or not a later attempt succeeds."""
+        Update records lost with any failed attempt are counted here,
+        gone whether or not a later attempt succeeds - but the
+        ``resent`` ones a retry sends again, lost only with the last."""
         config = self.resilience
         attempts = config.max_attempts if retry else 1
         attempt = 0
@@ -474,10 +477,14 @@ class PSSClient:
                     return operation(*args)
                 except PSSError as failure:
                     error = failure
-            if isinstance(error, _LOSSY):
-                self.stats.dropped_updates += error.lost_records
             attempt += 1
-            if not isinstance(error, TransportFault) or attempt >= attempts:
+            last = (not isinstance(error, TransportFault)
+                    or attempt >= attempts)
+            if isinstance(error, _LOSSY):
+                self.stats.dropped_updates += (
+                    error.lost_records if last
+                    else max(error.lost_records - resent, 0))
+            if last:
                 raise error
             self.stats.retries += 1
             backoff = (config.backoff_base_ns

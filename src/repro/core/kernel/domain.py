@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, NoReturn, Sequence
 
 from repro.core.config import PSSConfig
 from repro.core.errors import (
@@ -142,6 +142,14 @@ class Domain:
         score = self.model.predict(features)
         self.stats.record_prediction(score, self.config.threshold)
         return score
+
+    def refuse_write(self, lost_records: int = 0) -> NoReturn:
+        """A write's crash rule: a crashed primary cannot apply a record
+        anywhere (replicas are read-only).  Each write path tests
+        ``shard.down`` inline - a handle's between policy and charge -
+        and raises through here."""
+        raise ShardDownError(self.shard_id, self.name,
+                             lost_records=lost_records)
 
     def _tracer(self) -> TracerLike:
         shard = self.shard
@@ -353,7 +361,7 @@ class DomainHandle:
             self._policy.check_update(self._identity, domain.name)
         shard = domain.shard
         if shard is not None and shard.down:
-            raise ShardDownError(shard.shard_id, domain.name)
+            domain.refuse_write()
         admission = self._admission
         if admission is not None:
             (self._meter or self._bind_meter(admission)).charge_update()
@@ -393,15 +401,8 @@ class DomainHandle:
     #: ns hit or miss), so watched it is its ``predict`` event alone
     predict_mapped = inspect.unwrap(predict)
 
-    def _batch_span(self, feature_rows: Sequence[Sequence[int]]
-                    ) -> SpanHandleLike | None:
-        """An empty batch dispatches nothing and gets no span."""
-        if not feature_rows:
-            return None
-        return self._kernel_span("kernel.predict_batch",
-                                 {"rows": len(feature_rows)})
-
-    @spanned(_batch_span, tracer="_tracer()")
+    @spanned(named(_kernel_span, "kernel.predict_batch", "rows"),
+             tracer="_tracer()")
     def predict_batch(
         self, feature_rows: Sequence[Sequence[int]]
     ) -> list[int]:
@@ -438,16 +439,8 @@ class DomainHandle:
         self._admit_update()
         self._domain.update(features, direction)
 
-    def _update_batch_span(
-        self, records: Sequence[tuple[Sequence[int], bool]]
-    ) -> SpanHandleLike | None:
-        """An empty batch dispatches nothing and gets no span."""
-        if not records:
-            return None
-        return self._kernel_span("kernel.update_batch",
-                                 {"records": len(records)})
-
-    @spanned(_update_batch_span, tracer="_tracer()")
+    @spanned(named(_kernel_span, "kernel.update_batch", "records"),
+             tracer="_tracer()")
     def update_batch(
         self, records: Sequence[tuple[Sequence[int], bool]]
     ) -> None:
@@ -472,8 +465,7 @@ class DomainHandle:
             self._policy.check_update(self._identity, domain.name)
         shard = domain.shard
         if shard is not None and shard.down:
-            raise ShardDownError(shard.shard_id, domain.name,
-                                 lost_records=len(records))
+            domain.refuse_write(len(records))
         admission = self._admission
         if admission is not None:
             meter = self._meter or self._bind_meter(admission)
@@ -497,5 +489,5 @@ class DomainHandle:
             self._policy.check_reset(self._identity, domain.name)
         shard = domain.shard
         if shard is not None and shard.down:
-            raise ShardDownError(shard.shard_id, domain.name)
+            domain.refuse_write()
         domain.reset(features, reset_all)

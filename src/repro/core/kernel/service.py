@@ -15,7 +15,8 @@ exactly as a 1-shard one and as the frozen reference in
 ``tests/core/reference_impl.py``; what it buys is independently
 checkpointable state slices and per-shard observability.  A read on a
 crashed shard fails over in :meth:`Domain.predict` /
-:meth:`Domain.predict_batch`, the one place that rule is written.
+:meth:`Domain.predict_batch`, the one place that rule is written, and
+a write on one is refused by :meth:`Domain.refuse_write`.
 """
 
 from __future__ import annotations
@@ -27,12 +28,7 @@ from repro.core.config import (
     ResilienceConfig,
     ServiceConfig,
 )
-from repro.core.errors import (
-    ConfigError,
-    DomainError,
-    FeatureError,
-    ShardDownError,
-)
+from repro.core.errors import ConfigError, DomainError
 from repro.core.kernel.admission import AdmissionController
 from repro.core.kernel.domain import Domain, DomainHandle
 from repro.core.kernel.shard import Shard
@@ -55,8 +51,7 @@ from repro.obs.metrics import (
     SYSCALL_NS,
     VDSO_READ_NS,
 )
-from repro.obs.spanned import spanned
-from repro.obs.trace import NULL_TRACER, SpanHandleLike, TracerLike
+from repro.obs.trace import NULL_TRACER, TracerLike
 
 if TYPE_CHECKING:
     from repro.core.client import Fallback, PSSClient
@@ -350,8 +345,8 @@ class ShardedService:
                 batch_size: int | None = None,
                 resilience: ResilienceConfig | None = None,
                 fallback: Fallback = 0,
-                fault_plan: FaultPlan | FaultInjector | dict[str, Any]
-                | None = None) -> PSSClient:
+                fault_plan: FaultPlan | FaultInjector | None = None
+                ) -> PSSClient:
         """Open a :class:`repro.core.client.PSSClient` on a domain.
 
         This is the normal entry point for applications: it wires the
@@ -389,129 +384,40 @@ class ShardedService:
                 metrics=self.metrics,
             )
         if fault_plan is not None:
-            from repro.core.faults import FaultInjector, FaultPlan
+            from repro.core.faults import FaultInjector
 
-            injector = (fault_plan if isinstance(fault_plan, FaultInjector)
-                        else FaultInjector(FaultPlan(**fault_plan)
-                                           if isinstance(fault_plan, dict)
-                                           else fault_plan))
-            client.attach_fault_injector(injector)
+            client.attach_fault_injector(
+                fault_plan if isinstance(fault_plan, FaultInjector)
+                else FaultInjector(fault_plan))
         return client
 
-    # -- by-name execution (the dispatcher, kernel-internal callers) ---------
-
-    def _predict_span(self, domain: Domain,
-                      features: Sequence[int]) -> SpanHandleLike:
-        return domain.kernel_span("kernel.predict")
-
-    @spanned(_predict_span, tracer="tracer")
-    def _predict_one(self, domain: Domain,
-                     features: Sequence[int]) -> int:
-        """The scalar predict's row against its resolved domain, under
-        DomainHandle.predict's span."""
-        return domain.predict(features)
+    # -- by-name execution (the serving lanes) -------------------------------
 
     def predict(self, name: str, features: Sequence[int]) -> int:
-        """Direct in-kernel predict; no transport latency is charged."""
-        return self._predict_one(self.domain(name), features)
+        """In-kernel predict: no latency, policy, charge or span."""
+        return self.domain(name).predict(features)
 
-    def _batch_span(self, requests: Sequence[tuple[str, Sequence[int]]]
-                    ) -> SpanHandleLike | None:
-        """Root of a real batch's stage tree: an empty batch enters no
-        stage, and one row opens none (see :meth:`predict_batch`)."""
-        if len(requests) < 2:
-            return None
-        return self.tracer.span("kernel.predict_batch", "", "kernel",
-                                "", None, {"rows": len(requests)})
-
-    @spanned(_batch_span, tracer="tracer")
     def predict_batch(
         self, requests: Sequence[tuple[str, Sequence[int]]]
     ) -> list[int | Exception]:
-        """Batch predict across domains by name, one outcome per row.
-
-        ``requests`` are ``(domain_name, features)`` pairs, grouped by
-        name in first-occurrence order, each domain scoring its rows in
-        one specialized pass (:meth:`Domain.predict_batch`).  Position
-        by position the result is the row's score, or the
-        :class:`PSSError` the scalar ``self.predict(name, f)`` raises
-        for it (an unknown name, a down shard without a follower, a
-        malformed row); a model's bug stands at that domain's rows only.
-        Scores and stats are bit-identical to the scalar loop.
-        Kernel-internal like it: no transport latency, no policy, no
-        admission charge.
-
-        A batch of one row is one served request (the Dispatcher's
-        kernel call): it scores through :meth:`Domain.predict` and opens
-        no span, because the request's ``request`` record already says
-        its domain, shard and outcome, and under the engine clock the
-        call has no extent to measure.  A crashed shard's
-        ``kernel.failover`` span still opens.
-        """
-        count = len(requests)
-        if count == 1:
-            (name, features), = requests
+        """:meth:`predict` per ``(name, features)`` row, in order: the
+        row's score or what it raised.  A served predict is one row."""
+        outcomes: list[int | Exception] = []
+        for name, features in requests:
             try:
-                return [self.domain(name).predict(features)]
+                outcomes.append(self.domain(name).predict(features))
             except Exception as error:
-                return [error]
-        outcomes: list[int | Exception | None] = [None] * count
-        # each distinct domain resolved once: its rows and positions
-        groups: dict[str, tuple[Domain, list[Sequence[int]],
-                                list[int]]] = {}
-        for position, (name, features) in enumerate(requests):
-            group = groups.get(name)
-            if group is None:
-                try:
-                    domain = self.domain(name)
-                except DomainError as error:
-                    outcomes[position] = error
-                    continue
-                group = groups[name] = (domain, [], [])
-            group[1].append(features)
-            group[2].append(position)
-        for domain, rows, positions in groups.values():
-            scored: Sequence[int | Exception] = ()
-            shard = domain.shard
-            if shard is None or not shard.down:
-                try:
-                    scored = domain.predict_batch(rows)
-                except FeatureError:
-                    pass    # the refused block scored and counted nothing
-                except Exception as error:    # a model's bug: its rows
-                    scored = [error] * len(rows)
-            if not scored:
-                # Row by row, as the scalar loop: a malformed row costs
-                # only itself, and so it does on a crashed primary,
-                # whose block stops at the first row it refuses.
-                each: list[int | Exception] = []
-                for features in rows:
-                    try:
-                        each.append(domain.predict(features))
-                    except Exception as error:
-                        each.append(error)
-                scored = each
-            for position, outcome in zip(positions, scored):
-                outcomes[position] = outcome
-        return outcomes  # type: ignore[return-value]
+                outcomes.append(error)
+        return outcomes
 
     def update(self, name: str, features: Sequence[int],
                direction: bool) -> None:
-        """Direct in-kernel update (refused while the shard is down)."""
+        """In-kernel update, refused while the shard is down."""
         domain = self.domain(name)
         shard = domain.shard
         if shard is not None and shard.down:
-            raise ShardDownError(shard.shard_id, name)
+            domain.refuse_write()
         domain.update(features, direction)
-
-    def reset(self, name: str, features: Sequence[int],
-              reset_all: bool = False) -> None:
-        """Direct in-kernel reset (refused while the shard is down)."""
-        domain = self.domain(name)
-        shard = domain.shard
-        if shard is not None and shard.down:
-            raise ShardDownError(shard.shard_id, name)
-        domain.reset(features, reset_all)
 
     # -- introspection -------------------------------------------------------
 

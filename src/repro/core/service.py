@@ -16,7 +16,8 @@ names every caller programs against:
   kernel so historical imports (persistence, transports, tests) keep
   working unchanged.
 
-The service API intentionally reduces to the paper's three calls::
+The paper's three calls are made on a connection, ``connect(name)``
+(or on the policy-checked ``handle(name)`` a transport calls into)::
 
     int  predict(int* features, int len)
     void update(int* features, int len, bool dir)

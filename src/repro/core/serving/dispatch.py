@@ -317,14 +317,11 @@ class Dispatcher:
         is one kernel call and one settlement, as the charge's per-row
         term says, through ``self.service.predict_batch`` /
         ``self.service.update``: that is the kernel boundary (what
-        ``perf/`` times).  Served traffic spreads over many domains, so
-        a kernel batch of its adjacent predictions splits into blocks
-        of one or two rows each, which cost more than these scalar
-        calls (docs/PERFORMANCE.md, "Kept, with evidence").  A request
-        fails for its own outcome only, and an exception escaping the
-        kernel call is caught here - it would otherwise end the shard's
-        process and strand every future queued behind it - and
-        re-raised, traceback and all, by the future's ``result()``."""
+        ``perf/`` times).  A request fails for its own outcome only,
+        and an exception escaping the kernel call is caught here - it
+        would otherwise end the shard's process and strand every future
+        queued behind it - and re-raised, traceback and all, by the
+        future's ``result()``."""
         for request in batch:
             domain = request.domain
             try:

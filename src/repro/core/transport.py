@@ -250,7 +250,7 @@ class SyscallTransport(Transport):
         return self._target.predict(
             features if type(features) is tuple else tuple(features))
 
-    @spanned(named(Transport._op_span, "predict_batch", rows=True))
+    @spanned(named(Transport._op_span, "predict_batch", "rows"))
     def predict_batch(
         self, feature_rows: Sequence[Sequence[int]]
     ) -> list[int]:
@@ -472,7 +472,7 @@ class VdsoTransport(Transport):
         cache[key] = score
         return score
 
-    @spanned(named(Transport._op_span, "predict_batch", rows=True))
+    @spanned(named(Transport._op_span, "predict_batch", "rows"))
     def predict_batch(
         self, feature_rows: Sequence[Sequence[int]]
     ) -> list[int]:

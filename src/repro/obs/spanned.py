@@ -38,21 +38,22 @@ SpanOpener = Callable[..., Optional[SpanHandleLike]]
 class named(NamedTuple):
     """The common opener: the host already has one method that builds
     its spans, ``method(host, name, detail)``, and the operation only
-    supplies the ``name`` (``rows`` stamps the size of its first
-    argument on the span).  A tuple rather than a closure so that
-    :func:`spanned` can write the call into the wrapper: a traced
+    supplies the ``name``.  A batch's ``size`` is the detail key that
+    stamps the length of its first argument on the span; an empty one
+    does nothing and opens none.  A tuple rather than a closure so
+    that :func:`spanned` can write the call into the wrapper: a traced
     operation then reaches ``method`` directly, as the hand-written
     fork did."""
 
     method: Callable[..., SpanHandleLike]
     name: str
-    rows: bool = False
+    size: str = ""
 
 
 _TEMPLATE = """\
 def {name}({params}):
     if {host}.{tracer}.enabled:
-        _span = _open({opening})
+        _span = {opening}
         if _span is not None:
             with _span:
                 return _body({params})
@@ -93,12 +94,14 @@ def spanned(open_span: SpanOpener | named,
                 f"(none called {sorted(_RESERVED)}); "
                 f"{body.__qualname__}{inspect.signature(body)} is not one"
             )
-        params = opening = ", ".join(names)
-        opener = open_span
+        params = ", ".join(names)
+        opener, opening = open_span, f"_open({params})"
         if isinstance(open_span, named):
-            opener = open_span.method
-            detail = f'{{"rows": len({names[1]})}}' if open_span.rows else None
-            opening = f"{names[0]}, {open_span.name!r}, {detail}"
+            opener, size = open_span.method, open_span.size
+            detail = f'{{{size!r}: len({names[1]})}}' if size else None
+            opening = f"_open({names[0]}, {open_span.name!r}, {detail})"
+            if size:
+                opening += f" if {names[1]} else None"
         source = _TEMPLATE.format(
             name=body.__name__, params=params, opening=opening,
             host=names[0], tracer=tracer)

@@ -37,6 +37,7 @@ from repro.core.errors import (
     QuotaExceededError,
     ShardDownError,
 )
+from repro.core.faults import FaultPlan
 from repro.core.kernel.admission import AdmissionController, TenantQuota
 from repro.core.kernel.checkpoint import ShardedCheckpointManager
 from repro.core.kernel.replica import ReplicaPromoter
@@ -582,11 +583,11 @@ class TestClientBatchIdentity:
     def test_identity_under_stale_read_injection(self, data, seed):
         """Stale-vDSO dice roll once per read on both paths."""
         config, pool, stream = data.draw(service_workloads())
-        plan = {"seed": seed, "stale_read_rate": 0.4}
+        plan = FaultPlan(seed=seed, stale_read_rate=0.4)
         svc_b = build_service(config, 2)
         svc_s = build_service(config, 2)
-        client_b = svc_b.connect("dom", fault_plan=dict(plan))._transport
-        client_s = svc_s.connect("dom", fault_plan=dict(plan))._transport
+        client_b = svc_b.connect("dom", fault_plan=plan)._transport
+        client_s = svc_s.connect("dom", fault_plan=plan)._transport
         b_scores, s_scores = [], []
         drive_client(svc_b, client_b, pool, stream, b_scores,
                      scalar_only=False)
@@ -604,7 +605,7 @@ class TestClientBatchIdentity:
             service.create_domain("dom", config=config)
             pool = [(i, -i) for i in range(5)]
             for row in pool:
-                service.update("dom", row, True)
+                service.handle("dom").update(row, True)
             service.sync_replicas()
             service.crash_shard(service.shard_of("dom"))
             services.append((service, pool))
@@ -622,16 +623,15 @@ class TestClientBatchIdentity:
         def run(batched):
             service = PredictionService(num_shards=2)
             service.create_domain("dom", config=config)
+            handle = service.handle("dom")
             for row in pool[:4]:
-                service.update("dom", row, True)
+                handle.update(row, True)
             service.reshard(4)
             rows = [pool[i % 6] for i in range(10)]
             if batched:
-                scores = service.predict_batch(
-                    [("dom", row) for row in rows]
-                )
+                scores = handle.predict_batch(rows)
             else:
-                scores = [service.predict("dom", row) for row in rows]
+                scores = [handle.predict(row) for row in rows]
             return scores, service.domain("dom").stats, \
                 service.domain("dom").generation
 
@@ -645,7 +645,7 @@ class TestClientBatchIdentity:
             service.create_domain("dom", config=config)
             pool = [(i, 7 - i) for i in range(5)]
             for row in pool:
-                service.update("dom", row, True)
+                service.handle("dom").update(row, True)
             manager = ShardedCheckpointManager(
                 service, tmp_path / ("b" if batched else "s")
             )
@@ -656,12 +656,11 @@ class TestClientBatchIdentity:
             )
             manager_r.recover()
             rows = [pool[i % 5] for i in range(12)]
+            handle = restored.handle("dom")
             if batched:
-                scores = restored.predict_batch(
-                    [("dom", row) for row in rows]
-                )
+                scores = handle.predict_batch(rows)
             else:
-                scores = [restored.predict("dom", row) for row in rows]
+                scores = [handle.predict(row) for row in rows]
             return scores, restored.domain("dom").generation
 
         assert run(batched=True) == run(batched=False)

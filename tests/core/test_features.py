@@ -207,7 +207,7 @@ class TestCategoricalEmbedding:
         service = PredictionService()
         service.create_domain("routes", config=PSSConfig(num_features=1))
         for _ in range(20):
-            service.update("routes", [embed_category("GET")], True)
-            service.update("routes", [embed_category("POST")], False)
-        assert service.predict("routes", [embed_category("GET")]) > 0
-        assert service.predict("routes", [embed_category("POST")]) < 0
+            service.handle("routes").update([embed_category("GET")], True)
+            service.handle("routes").update([embed_category("POST")], False)
+        assert service.handle("routes").predict([embed_category("GET")]) > 0
+        assert service.handle("routes").predict([embed_category("POST")]) < 0

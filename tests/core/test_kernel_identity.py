@@ -61,8 +61,7 @@ def workloads():
             st.lists(
                 st.tuples(
                     st.sampled_from(
-                        ["predict", "update", "reset", "reset_all",
-                         "handle_predict"]
+                        ["predict", "update", "reset", "reset_all"]
                     ),
                     st.sampled_from(DOMAIN_NAMES),
                     st.integers(0, 4),
@@ -80,15 +79,13 @@ def drive(service, config, pool, stream, collect):
         service.create_domain(name, config=config)
     for op, name, vec_index, flag in stream:
         vector = pool[vec_index % len(pool)]
+        handle = service.handle(name)
         if op == "predict":
-            collect.append(service.predict(name, list(vector)))
-        elif op == "handle_predict":
-            collect.append(service.handle(name).predict(list(vector)))
+            collect.append(handle.predict(list(vector)))
         elif op == "update":
-            service.update(name, list(vector), flag)
+            handle.update(list(vector), flag)
         else:
-            service.reset(name, list(vector),
-                          reset_all=(op == "reset_all"))
+            handle.reset(list(vector), reset_all=(op == "reset_all"))
 
 
 def state_of(service):
@@ -125,7 +122,7 @@ class TestSingleShardMatchesMonolith:
         unlabelled mode.  Only a domain no shard hosts has no label."""
         service = PredictionService()
         service.create_domain("only", config=PSSConfig(num_features=1))
-        service.predict("only", [1])
+        service.handle("only").predict([1])
         (report,) = service.reports()
         assert report.shard == 0
         domain = service.domain("only")

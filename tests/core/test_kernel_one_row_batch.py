@@ -54,7 +54,7 @@ def build(tracer=None):
     for index, name in enumerate(DOMAINS):
         service.create_domain(name, config=CONFIG)
         for _ in range(index):   # distinct learned state per domain
-            service.update(name, ROWS[index % len(ROWS)], True)
+            service.handle(name).update(ROWS[index % len(ROWS)], True)
     return service
 
 
@@ -112,7 +112,9 @@ def apply(service, step, one_row_through_batch):
         if op == "batch":
             return outcome_names(service.predict_batch(arg))
         if op == "update":
-            service.update(*arg)
+            name, row, direction = arg
+            service.domain(name)   # a handle would create the unknown name
+            service.handle(name).update(row, direction)
         elif op == "sync":
             service.sync_replicas()
         elif op == "crash":
@@ -172,7 +174,7 @@ class TestOneRowKernelBatchIsTheScalarPredict:
         assert observable(batched) == observable(scalar)
         for service in (batched, scalar):
             ReplicaPromoter(service).promote(shard_id)
-            service.update("d1", ROWS[1], True)
+            service.handle("d1").update(ROWS[1], True)
             service.sync_replicas()
             service.crash_shard(shard_id)
         got = apply(batched, step, True)
@@ -229,17 +231,21 @@ class TestOneRowSpanTree:
             == (root.domain, root.shard, root.status)
 
     def test_scalar_predict_opens_the_same_span(self):
+        """The by-name scalar opens none either: the span is the
+        handle's, whoever asks."""
         tracer = Tracer()
         service = build(tracer)
         tracer.clear()
         service.predict("d3", ROWS[2])
+        assert tracer.spans() == []
+        service.handle("d3").predict(ROWS[2])
         root, = tracer.spans()
         assert (root.name, root.domain) == ("kernel.predict", "d3")
 
     def test_refused_one_row_closes_its_span_with_the_error(self):
         """A row the kernel refuses is that row's outcome, with no span
         opened for it; served, the request's record carries the error
-        the scalar's span closes with."""
+        the handle's span closes with."""
         tracer = Tracer()
         service = build(tracer)
         tracer.clear()
@@ -247,7 +253,7 @@ class TestOneRowSpanTree:
         assert isinstance(outcome, FeatureError)
         assert tracer.spans() == [] and len(tracer.events()) == 0
         with pytest.raises(FeatureError):
-            service.predict("d0", (1, "2"))
+            service.handle("d0").predict((1, "2"))
         root, = tracer.spans()
         assert (root.name, root.status) == ("kernel.predict",
                                             "error:FeatureError")

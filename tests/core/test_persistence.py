@@ -20,8 +20,8 @@ def trained_service():
     s.create_domain("jit", config=PSSConfig(num_features=3),
                     model="naive-bayes")
     for _ in range(20):
-        s.update("hle", [3, 4], True)
-        s.update("jit", [1, 2, 3], False)
+        s.handle("hle").update([3, 4], True)
+        s.handle("jit").update([1, 2, 3], False)
     return s
 
 
@@ -31,10 +31,9 @@ class TestSnapshotRoundTrip:
         snapshot = snapshot_service(s)
         fresh = PredictionService()
         restore_service(fresh, snapshot)
-        assert fresh.predict("hle", [3, 4]) == s.predict("hle", [3, 4])
-        assert fresh.predict("jit", [1, 2, 3]) == s.predict(
-            "jit", [1, 2, 3]
-        )
+        for name, row in (("hle", [3, 4]), ("jit", [1, 2, 3])):
+            assert fresh.handle(name).predict(row) \
+                == s.handle(name).predict(row)
 
     def test_config_and_model_name_restored(self):
         s = trained_service()
@@ -66,9 +65,9 @@ class TestSnapshotRoundTrip:
         target = PredictionService()
         target.create_domain("hle", config=PSSConfig(num_features=2))
         for _ in range(50):
-            target.update("hle", [3, 4], False)
+            target.handle("hle").update([3, 4], False)
         restore_service(target, snapshot)
-        assert target.predict("hle", [3, 4]) > 0  # trained positive
+        assert target.handle("hle").predict([3, 4]) > 0  # trained positive
 
 
 class TestFileRoundTrip:
@@ -78,7 +77,7 @@ class TestFileRoundTrip:
         save_service(s, path)
         fresh = PredictionService()
         load_service(fresh, path)
-        assert fresh.predict("hle", [3, 4]) > 0
+        assert fresh.handle("hle").predict([3, 4]) > 0
 
     def test_load_missing_file_raises(self, tmp_path):
         with pytest.raises(PersistenceError):
@@ -126,15 +125,15 @@ class TestCrossInvocationLearning:
         # Run 1: cold start, learn that [8, 9] should be True.
         run1 = PredictionService()
         run1.create_domain("d", config=PSSConfig(num_features=2))
-        assert run1.predict("d", [8, 9]) == 0  # cold
+        assert run1.handle("d").predict([8, 9]) == 0  # cold
         for _ in range(15):
-            run1.update("d", [8, 9], True)
+            run1.handle("d").update([8, 9], True)
         save_service(run1, path)
 
         # Run 2: a fresh process restores and is immediately warm.
         run2 = PredictionService()
         load_service(run2, path)
-        assert run2.predict("d", [8, 9]) > 0
+        assert run2.handle("d").predict([8, 9]) > 0
 
 
 class TestCorruptionDetection:
@@ -185,7 +184,8 @@ class TestCorruptionDetection:
         del snapshot["checksum"]
         fresh = PredictionService()
         restore_service(fresh, snapshot)
-        assert fresh.predict("hle", [3, 4]) == s.predict("hle", [3, 4])
+        assert fresh.handle("hle").predict([3, 4]) \
+            == s.handle("hle").predict([3, 4])
 
 
 class TestAtomicRestore:
@@ -193,7 +193,7 @@ class TestAtomicRestore:
         s = PredictionService()
         s.create_domain("hle", config=PSSConfig(num_features=2))
         for _ in range(10):
-            s.update("hle", [1, 2], True)
+            s.handle("hle").update([1, 2], True)
         return s
 
     def test_failed_restore_leaves_prior_state(self):

@@ -61,9 +61,11 @@ PINNED = {
     # perceptron.update_batch, train_batch, two list comprehensions),
     # one gather per record (32) and adjust_at per training record
     # (14 of the 32 train): 2 + 15 + 32 + 14; watched adds the flush's
-    # and kernel's spans and the events, appended through ``emit`` (the
-    # buffered update's and the flush's ``Tracer.record`` frames went)
-    "flush": (63, 83),
+    # and kernel's spans (the kernel's opened by its span wrapper, with
+    # no opener of its own) and the events, appended through ``emit``
+    # (the buffered update's and the flush's ``Tracer.record`` frames
+    # went)
+    "flush": (63, 82),
 }
 
 

@@ -22,9 +22,9 @@ SHARD_FILE = shard_file_name(0)
 
 
 def workload_step(service, i):
-    service.update("hle", [i % 8, 1], i % 2 == 0)
-    service.update("jit", [i % 4, 2, 3], i % 3 == 0)
-    service.predict("hle", [i % 8, 1])
+    service.handle("hle").update([i % 8, 1], i % 2 == 0)
+    service.handle("jit").update([i % 4, 2, 3], i % 3 == 0)
+    service.handle("hle").predict([i % 8, 1])
 
 
 def fresh_service():
@@ -96,11 +96,11 @@ class TestCheckpointManager:
         assert ShardedCheckpointManager(reborn, tmp_path).recover() == 1
         for i in range(16):
             features = [i % 8, 1]
-            assert reborn.predict("hle", features) == \
-                service.predict("hle", features)
+            assert reborn.handle("hle").predict(features) == \
+                service.handle("hle").predict(features)
             features = [i % 4, 2, 3]
-            assert reborn.predict("jit", features) == \
-                service.predict("jit", features)
+            assert reborn.handle("jit").predict(features) == \
+                service.handle("jit").predict(features)
 
     def test_corrupt_checkpoint_detected_not_restored(self, tmp_path):
         service = fresh_service()

@@ -8,6 +8,8 @@ clients stay valid, generations stay strictly monotonic - and no
 update acknowledged before the last sync is ever lost.
 """
 
+from functools import partial
+
 import pytest
 
 from repro.core import PredictionService, PSSConfig
@@ -35,7 +37,7 @@ def populate(service, updates=4):
     for name in NAMES:
         service.create_domain(name, config=CONFIG)
         for i in range(updates):
-            service.update(name, [i], bool(i % 2))
+            service.handle(name).update([i], bool(i % 2))
 
 
 class TestSyncAndLag:
@@ -59,7 +61,7 @@ class TestSyncAndLag:
         populate(service)
         service.sync_replicas()
         for _ in range(3):
-            service.update(NAMES[0], [1], True)
+            service.handle(NAMES[0]).update([1], True)
         shard = service.shard(0)
         assert shard.replica_lag() == 3
         service.sync_replicas()
@@ -86,7 +88,7 @@ class TestSyncAndLag:
         populate(service)
         service.sync_replicas()
         service.remove_domain(NAMES[0])
-        service.update(NAMES[1], [1], True)
+        service.handle(NAMES[1]).update([1], True)
         service.sync_replicas()
         followers = service.shard(0).replicas[0].followers
         assert NAMES[0] not in followers
@@ -103,7 +105,7 @@ class TestSyncAndLag:
         successor = service.create_domain(NAMES[0], config=CONFIG)
         service.crash_shard(0)
         with pytest.raises(ShardDownError):
-            service.predict(NAMES[0], [1])
+            service.handle(NAMES[0]).predict([1])
         ReplicaPromoter(service).promote(0)
         assert successor.model.weights.nonzero_count() == 0
 
@@ -134,12 +136,12 @@ class TestCrashAndFailover:
     def test_reads_fail_over_to_followers(self):
         live = PredictionService(num_shards=1, num_replicas=2)
         populate(live)
-        expected = [live.predict(name, [1]) for name in NAMES]
+        expected = [live.handle(name).predict([1]) for name in NAMES]
 
         crashed = self.crashed_service()
         # Failover answers equal the primary's state at the sync
         # boundary - which is exactly the pre-crash trained state.
-        got = [crashed.predict(name, [1]) for name in NAMES]
+        got = [crashed.handle(name).predict([1]) for name in NAMES]
         assert got == expected
         assert crashed.shard(0).failover_predictions == len(NAMES)
         assert crashed.domain(NAMES[0]).stats.failover_predictions > 0
@@ -147,25 +149,29 @@ class TestCrashAndFailover:
     def test_failover_round_robins_across_replicas(self):
         service = self.crashed_service(num_replicas=2)
         for i in range(4):
-            service.predict(NAMES[0], [1])
+            service.handle(NAMES[0]).predict([1])
         shard = service.shard(0)
         assert shard._failover_cursor == 4
 
     def test_writes_refuse_while_down(self):
+        """By name (the served write) or on a handle, nothing is
+        applied: replicas are read-only."""
         service = self.crashed_service()
-        with pytest.raises(ShardDownError) as excinfo:
-            service.update(NAMES[0], [1], True)
-        assert isinstance(excinfo.value, TransportFault)
-        assert excinfo.value.errno_name == "EHOSTDOWN"
-        with pytest.raises(ShardDownError):
-            service.reset(NAMES[0], [1])
+        handle = service.handle(NAMES[0])
+        for write in (partial(service.update, NAMES[0]), handle.update,
+                      handle.reset):
+            with pytest.raises(ShardDownError) as excinfo:
+                write([1], True)
+            assert isinstance(excinfo.value, TransportFault)
+            assert excinfo.value.errno_name == "EHOSTDOWN"
+        assert service.domain(NAMES[0]).stats.updates == 4
 
     def test_unreplicated_crash_refuses_reads_too(self):
         service = PredictionService(num_shards=1, num_replicas=0)
         populate(service)
         service.crash_shard(0)
         with pytest.raises(ShardDownError):
-            service.predict(NAMES[0], [1])
+            service.handle(NAMES[0]).predict([1])
 
     def test_crash_bumps_generations_past_survivors(self):
         service = PredictionService(num_shards=1, num_replicas=1)
@@ -185,8 +191,8 @@ def lagging_crash(num_replicas=2):
     service.sync_replicas()
     shard = service.shard(0)
     for name in NAMES:
-        service.update(name, [1], True)
-        service.update(name, [2], False)
+        service.handle(name).update([1], True)
+        service.handle(name).update([2], False)
     if shard.replicas:
         shard.replicas[0].sync(shard)
     service.crash_shard(0)
@@ -270,7 +276,7 @@ class TestPromotion:
         populate(service)
         service.sync_replicas()
         expected = snapshot_service(service)["domains"]
-        pre_crash = [service.predict(name, [1]) for name in NAMES]
+        pre_crash = [service.handle(name).predict([1]) for name in NAMES]
 
         service.crash_shard(0)
         report = ReplicaPromoter(service).promote(0)
@@ -283,7 +289,8 @@ class TestPromotion:
         for name in NAMES:
             assert restored[name]["model_state"]["weights"]["rows"] \
                 == expected[name]["model_state"]["weights"]["rows"]
-        assert [service.predict(name, [1]) for name in NAMES] == pre_crash
+        assert [service.handle(name).predict([1])
+                for name in NAMES] == pre_crash
 
     def test_promotion_requires_a_down_shard(self):
         service = PredictionService(num_shards=1, num_replicas=1)
@@ -361,7 +368,7 @@ class TestLostUpdateWindow:
         synced = snapshot_service(service)["domains"]
         # Updates in the post-sync window: legitimately lost on crash.
         for name in NAMES:
-            service.update(name, [2], True)
+            service.handle(name).update([2], True)
         service.crash_shard(0)
         ReplicaPromoter(service).promote(0)
         restored = snapshot_service(service)["domains"]
@@ -370,7 +377,7 @@ class TestLostUpdateWindow:
                 == synced[name]["model_state"]["weights"]["rows"]
         # Writes resume on the promoted state.
         for name in NAMES:
-            service.update(name, [3], False)
+            service.handle(name).update([3], False)
 
     def test_vdso_client_survives_crash_and_promotion(self):
         service = PredictionService(num_shards=1, num_replicas=1)

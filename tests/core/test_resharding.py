@@ -27,14 +27,14 @@ def populate(service, updates=3):
     for name in NAMES:
         service.create_domain(name, config=CONFIG)
         for i in range(updates):
-            service.update(name, [i], bool(i % 2))
+            service.handle(name).update([i], bool(i % 2))
 
 
 def traffic(service, round_index):
     for offset, name in enumerate(NAMES):
         feature = (round_index + offset) % 5
-        service.update(name, [feature], offset % 2 == 0)
-        service.predict(name, [feature])
+        service.handle(name).update([feature], offset % 2 == 0)
+        service.handle(name).predict([feature])
 
 
 class TestFullReshard:
@@ -98,7 +98,8 @@ class TestLiveMigration:
         assert snapshot_service(live)["domains"] \
             == snapshot_service(baseline)["domains"]
         scores = [
-            (baseline.predict(name, [0]), live.predict(name, [0]))
+            (baseline.handle(name).predict([0]),
+             live.handle(name).predict([0]))
             for name in NAMES
         ]
         assert all(a == b for a, b in scores)

@@ -79,6 +79,21 @@ class TestRetry:
         client.predict([1, 2])  # fails all 3 attempts -> 2 backoffs
         assert client.stats.backoff_ns == pytest.approx(100.0 + 200.0)
 
+    @pytest.mark.parametrize("transport, batch, pending", [
+        ("syscall", 1, 0), ("vdso", 1, 0), ("vdso", 2, 1)])
+    def test_a_retried_update_is_counted_once(self, transport, batch,
+                                              pending):
+        """Each retry of an update on a down shard sends its record
+        again - a vDSO retry buffers it anew, where with room it stays
+        - so it is counted lost once, if at all; a record its first
+        flush took from an earlier update is lost for good."""
+        service, client = make_client(transport, batch_size=batch)
+        client.update([3, 4], True)     # a vDSO batch of 2 holds it
+        service.crash_shard(0)
+        client.update([1, 2], True)
+        assert (client.stats.dropped_updates,
+                client.pending_updates) == (1, pending)
+
 
 class TestCircuitBreaker:
     def failing_client(self, threshold=3, cooldown=4):

@@ -63,26 +63,28 @@ class TestDomainManagement:
 
 
 class TestPaperSignatureAPI:
-    """The three in-kernel calls: predict / update / reset."""
+    """The three calls, on a domain's handle: predict / update / reset."""
 
     def test_predict_update_reset_cycle(self):
         s = PredictionService()
         s.create_domain("d", config=PSSConfig(num_features=2))
-        assert s.predict("d", [1, 2]) == 0
+        h = s.handle("d")
+        assert h.predict([1, 2]) == 0
         for _ in range(10):
-            s.update("d", [1, 2], True)
-        assert s.predict("d", [1, 2]) > 0
-        s.reset("d", [1, 2], reset_all=True)
-        assert s.predict("d", [1, 2]) == 0
+            h.update([1, 2], True)
+        assert h.predict([1, 2]) > 0
+        h.reset([1, 2], reset_all=True)
+        assert h.predict([1, 2]) == 0
 
     def test_selective_reset(self):
         s = PredictionService()
         s.create_domain("d", config=PSSConfig(num_features=1))
+        h = s.handle("d")
         for _ in range(10):
-            s.update("d", [1], True)
-            s.update("d", [999], False)
-        s.reset("d", [1], reset_all=False)
-        assert s.predict("d", [999]) < 0
+            h.update([1], True)
+            h.update([999], False)
+        h.reset([1], reset_all=False)
+        assert h.predict([999]) < 0
 
 
 class TestClient:
@@ -144,10 +146,11 @@ class TestStatsAndReports:
     def test_stats_track_activity(self):
         s = PredictionService()
         s.create_domain("d", config=PSSConfig(num_features=1))
-        s.predict("d", [1])
-        s.update("d", [1], True)
-        s.update("d", [1], False)
-        s.reset("d", [1])
+        h = s.handle("d")
+        h.predict([1])
+        h.update([1], True)
+        h.update([1], False)
+        h.reset([1], reset_all=False)
         stats = s.domain("d").stats
         assert stats.predictions == 1
         assert stats.updates == 2
@@ -172,15 +175,16 @@ class TestAlternativeModels:
     def test_all_builtin_models_learn_a_constant_direction(self, model):
         s = PredictionService()
         s.create_domain("d", config=PSSConfig(num_features=2), model=model)
+        h = s.handle("d")
         for _ in range(40):
-            s.update("d", [5, 6], True)
-        assert s.predict("d", [5, 6]) > 0
+            h.update([5, 6], True)
+        assert h.predict([5, 6]) > 0
 
     @pytest.mark.parametrize("model", ["always-true", "always-false"])
     def test_constant_models(self, model):
         s = PredictionService()
         s.create_domain("d", config=PSSConfig(num_features=1), model=model)
-        score = s.predict("d", [1])
+        score = s.handle("d").predict([1])
         assert (score > 0) == (model == "always-true")
 
     def test_unknown_model_raises(self):
@@ -194,14 +198,14 @@ class TestWeightGeneration:
     def test_starts_at_zero_and_bumps_on_mutation(self):
         s = PredictionService()
         s.create_domain("d", config=PSSConfig(num_features=2))
-        domain = s.domain("d")
+        domain, h = s.domain("d"), s.handle("d")
         assert domain.generation == 0
-        s.predict("d", [1, 2])
+        h.predict([1, 2])
         assert domain.generation == 0  # reads never bump
-        s.update("d", [1, 2], True)
+        h.update([1, 2], True)
         generation_after_update = domain.generation
         assert generation_after_update > 0
-        s.reset("d", [1, 2], reset_all=True)
+        h.reset([1, 2], reset_all=True)
         assert domain.generation > generation_after_update
 
     def test_margin_skipped_update_does_not_bump(self):
@@ -210,20 +214,20 @@ class TestWeightGeneration:
         config = PSSConfig(num_features=2, training_margin=0)
         s = PredictionService()
         s.create_domain("d", config=config)
-        domain = s.domain("d")
+        domain, h = s.domain("d"), s.handle("d")
         for _ in range(10):
-            s.update("d", [1, 2], True)
+            h.update([1, 2], True)
         settled = domain.generation
-        s.update("d", [1, 2], True)  # agreed, |score| > margin: skipped
+        h.update([1, 2], True)  # agreed, |score| > margin: skipped
         assert domain.generation == settled
 
     def test_models_without_counter_bump_per_feedback(self):
         s = PredictionService()
         s.create_domain("d", config=PSSConfig(num_features=2),
                         model="majority")
-        domain = s.domain("d")
-        s.update("d", [1, 2], True)
-        s.update("d", [1, 2], True)
+        domain, h = s.domain("d"), s.handle("d")
+        h.update([1, 2], True)
+        h.update([1, 2], True)
         assert domain.generation == 2
 
     def test_handle_exposes_generation(self):

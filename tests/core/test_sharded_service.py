@@ -31,7 +31,7 @@ def populate(service, names=NAMES, updates=0):
     for name in names:
         service.create_domain(name, config=CONFIG)
         for i in range(updates):
-            service.update(name, [i], True)
+            service.handle(name).update([i], True)
 
 
 class TestShardRouter:
@@ -89,7 +89,7 @@ class TestShardedServiceTopology:
         service = PredictionService(num_shards=4)
         populate(service, updates=2)
         for name in NAMES:
-            service.predict(name, [1])
+            service.handle(name).predict([1])
         summaries = service.shard_summaries()
         assert [s["shard"] for s in summaries] == [0, 1, 2, 3]
         assert sum(s["domains"] for s in summaries) == len(NAMES)
@@ -268,7 +268,7 @@ class TestShardedCheckpoints:
         # Nothing moved: every shard is clean.
         assert manager.checkpoint() == 0
         # Touch one domain: only its shard is rewritten.
-        source.update(NAMES[0], [9], False)
+        source.handle(NAMES[0]).update([9], False)
         assert manager.checkpoint() == 1
 
     def test_tick_checkpoints_on_interval_boundaries(self, tmp_path):

@@ -194,7 +194,7 @@ class TestScoreCache:
         service = PredictionService(admission=admission)
         service.create_domain("dom", config=PSSConfig(num_features=2))
         client = VdsoTransport(service.handle("dom", identity=who), LAT)
-        service.update("dom", (1, 2), True)   # scores worth comparing
+        service.domain("dom").update((1, 2), True)   # scores worth comparing
         rows = [(1, 2), (3, 4), (5, 6), (7, 8), *extra]
         with pytest.raises(QuotaExceededError):
             client.predict_batch(rows)

@@ -207,7 +207,7 @@ class TestThrottlePolicies:
         policy, service = self.make_pss()
         # Force the predictor deeply negative.
         for _ in range(60):
-            service.update("reclaim", [0, 30, 1000], False)
+            service.handle("reclaim").update([0, 30, 1000], False)
         window = ReclaimWindow(nr_scanned=32, nr_reclaimed=0)
         decisions = [
             policy.consider(window, mm, device, float(i) * 1000)

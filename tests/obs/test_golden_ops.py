@@ -384,6 +384,19 @@ class TestSyncClient:
         assert event.detail == {"rows": 256}
         assert client.latency.syscalls == 1
 
+    @pytest.mark.parametrize("kind, ladder", [
+        ("syscall", False), ("vdso", False), ("vdso", True)])
+    def test_an_empty_batch_is_no_record(self, kind, ladder):
+        """An empty batch reads and crosses nothing: no span opens, on
+        the degrade ladder or off it."""
+        tracer, service = traced_service()
+        client = service.connect("d", transport=kind, config=CONFIG)
+        if ladder:
+            onto_the_ladder(service, client)
+        tracer.clear()
+        assert client.predict_batch([]) == []
+        assert (tracer.spans(), len(tracer)) == ([], 0)
+
 
 class TestSyncWritePath:
     def test_buffered_vdso_update_is_one_record(self):
@@ -520,7 +533,7 @@ class TestPipeline:
         future = pipeline.submit("d", ROW)
         pipeline.run()
         assert future.error is None
-        assert future.result() == service.predict("d", ROW)
+        assert future.result() == service.handle("d").predict(ROW)
         label = str(service.shard_of("d"))
         failover = tracer.spans()[0]
         assert forest(tracer)[0] == ("kernel.failover", [])
@@ -600,7 +613,7 @@ class TestPipeline:
             ("request", dispatch.span_id, "predict", "error:FeatureError"),
             ("request", dispatch.span_id, "predict", "ok")]
         assert isinstance(futures[2].error, FeatureError)
-        assert futures[3].result() == service.predict("d", ROW)
+        assert futures[3].result() == service.handle("d").predict(ROW)
 
     def test_failed_request_says_so_in_its_record(self):
         """A failure only the kernel can find (the count is right, an

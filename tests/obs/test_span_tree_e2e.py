@@ -1,9 +1,8 @@
-"""Acceptance: one batch through a crashed-shard service yields one
-well-formed span tree - a plan pass per live domain and a failover per
-row of the crashed shard, all causally under a single root.  (Admission
-is not a stage here: the kernel batch executes by name, and charging is
-the handle's - ``tests/obs/test_golden_ops.py`` pins it as a stage of
-``DomainHandle.predict_batch``'s tree.)"""
+"""Acceptance: one batch through a crashed shard's handle yields one
+well-formed span tree - the tenant's charge and a follower's failover
+per row, all causally under a single ``kernel.predict_batch`` root
+(the handle's: every ``kernel.*`` span is opened by a handle; the
+by-name kernel calls open none)."""
 
 from repro.core.config import PSSConfig
 from repro.core.kernel.admission import AdmissionController
@@ -13,96 +12,70 @@ from repro.obs import Tracer, span_children, validate_spans
 from repro.obs.postmortem import render_tree
 from tests.obs.shard_labels import mixed_label_spans
 
-ROWS_PER_DOMAIN = 2
-NUM_DOMAINS = 8
+ROWS = [(1, 2), (3, 4), (1, 2), (5, 6)]
 
 
-def crashed_shard_batch(num_shards=4):
-    """(tracer, scores, requests, victim shard, the names it hosts)."""
-    tracer = Tracer()
-    service = ShardedService(tracer=tracer, num_shards=num_shards,
+def crashed_shard_batch(tracer=None):
+    """(scores, victim shard's label) of one handle batch on a crashed
+    shard whose follower was synced after some training."""
+    service = ShardedService(tracer=tracer, num_shards=4,
                              admission=AdmissionController(),
                              num_replicas=1)
-    domains = [f"d{i}" for i in range(NUM_DOMAINS)]
-    for name in domains:
-        service.create_domain(name, config=PSSConfig(num_features=2))
-    # warm the replicas so the crashed shard can serve follower reads
+    service.create_domain("d", config=PSSConfig(num_features=2))
+    handle = service.handle("d")
+    for row in ROWS[1:]:
+        handle.update(row, True)
     service.sync_replicas()
-    victim = service.shard_of(domains[0])
-    service.crash_shard(victim)
-    requests = []
-    for _ in range(ROWS_PER_DOMAIN):
-        for name in domains:
-            requests.append((name, (1, 2)))
-    crashed = {name for name in domains
-               if service.shard_of(name) == victim}
-    tracer.clear()  # only the batch under test in the ring
-    scores = service.predict_batch(requests)
-    return tracer, scores, requests, victim, crashed
+    service.crash_shard(service.shard_of("d"))
+    if tracer is not None:
+        tracer.clear()  # only the batch under test in the ring
+    return handle.predict_batch(ROWS), str(service.shard_of("d"))
+
+
+def traced_batch():
+    tracer = Tracer()
+    scores, victim = crashed_shard_batch(tracer)
+    return tracer, scores, victim
 
 
 class TestBatchSpanTree:
     def test_single_root_tree_with_all_stages(self):
-        tracer, scores, requests, _, crashed = crashed_shard_batch()
-        assert len(scores) == len(requests)
+        tracer, scores, _ = traced_batch()
+        assert len(scores) == len(ROWS)
         spans = tracer.spans()
-        roots = validate_spans(spans)  # raises on orphans/dups/open
-        assert len(roots) == 1
-        root = roots[0]
-        assert root.name == "kernel.predict_batch"
-        assert root.detail == {"rows": len(requests)}
-        # one stage per domain, in the order names first occur: a plan
-        # pass over its rows, or on the crashed shard a failover each
-        want = []
-        for i in range(NUM_DOMAINS):
-            if f"d{i}" in crashed:
-                want += [("kernel.failover", f"d{i}")] * ROWS_PER_DOMAIN
-            else:
-                want.append(("plan.execute", f"d{i}"))
+        root, = validate_spans(spans)  # raises on orphans/dups/open
+        assert (root.name, root.domain) == ("kernel.predict_batch", "d")
+        assert root.detail == {"rows": len(ROWS)}
+        # the charge, then a failover per row: a crashed primary runs
+        # no plan pass
         stages = span_children(spans)[root.span_id]
-        assert [(s.name, s.domain) for s in stages] == want
+        assert [s.name for s in stages] == \
+            ["kernel.admission"] + ["kernel.failover"] * len(ROWS)
 
     def test_crashed_shard_dispatch_holds_failovers(self):
-        tracer, _, _, victim, crashed = crashed_shard_batch()
+        tracer, _, victim = traced_batch()
         spans = tracer.spans()
         root, = validate_spans(spans)
-        stages = span_children(spans)[root.span_id]
-        failovers = [s for s in stages if s.name == "kernel.failover"]
-        # every row on the crashed shard is served by follower failover
-        assert len(failovers) == ROWS_PER_DOMAIN * len(crashed)
-        assert {(s.domain, s.shard) for s in failovers} == \
-            {(name, str(victim)) for name in crashed}
-        plans = [s for s in stages if s.name == "plan.execute"]
-        # live shards run one specialized plan pass per domain
-        assert len(plans) + len(crashed) == NUM_DOMAINS
-        assert all(s.detail == {"rows": ROWS_PER_DOMAIN} for s in plans)
-        assert str(victim) not in {s.shard for s in plans}
+        failovers = [s for s in span_children(spans)[root.span_id]
+                     if s.name == "kernel.failover"]
+        # every row is served by follower failover, on the crashed shard
+        assert len(failovers) == len(ROWS)
+        assert {(s.domain, s.shard) for s in failovers} == {("d", victim)}
+        events = [e for e in tracer.events() if e.kind == "failover"]
+        assert [e.span_id for e in events] == [s.span_id for s in failovers]
+        assert mixed_label_spans(spans) == []
 
     def test_rendered_tree_shows_the_causal_story(self):
-        tracer, _, _, _, _ = crashed_shard_batch()
-        text = render_tree(tracer.spans())
-        lines = text.splitlines()
+        tracer, _, _ = traced_batch()
+        lines = render_tree(tracer.spans()).splitlines()
         assert lines[0].startswith("kernel.predict_batch")
-        assert any(line.startswith("  kernel.failover")
+        assert any(line.startswith("  kernel.admission")
                    for line in lines)
-        assert any(line.startswith("  plan.execute")
+        assert any(line.startswith("  kernel.failover")
                    for line in lines)
 
     def test_untraced_batch_produces_identical_scores(self):
-        traced_scores = crashed_shard_batch()[1]
-        service = ShardedService(num_shards=4,
-                                 admission=AdmissionController(),
-                                 num_replicas=1)
-        for i in range(NUM_DOMAINS):
-            service.create_domain(f"d{i}",
-                                  config=PSSConfig(num_features=2))
-        service.sync_replicas()
-        service.crash_shard(service.shard_of("d0"))
-        requests = []
-        for _ in range(ROWS_PER_DOMAIN):
-            for i in range(NUM_DOMAINS):
-                requests.append((f"d{i}", (1, 2)))
-        assert service.predict_batch(requests) == traced_scores
+        assert crashed_shard_batch()[0] == traced_batch()[1]
 
 
 class TestOneShardIsShardZero:

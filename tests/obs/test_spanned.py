@@ -118,7 +118,7 @@ class TestWrapper:
             def one(self, value):
                 return value
 
-            @spanned(named(_span, "host.many", rows=True))
+            @spanned(named(_span, "host.many", "rows"))
             def many(self, values, scale=1):
                 return [value * scale for value in values]
 
@@ -126,6 +126,7 @@ class TestWrapper:
         host = Batcher(tracer)
         assert host.one(4) == 4
         assert host.many([1, 2, 3], scale=2) == [2, 4, 6]
+        assert host.many([]) == []      # an empty batch opens no span
         assert [(span.name, span.detail) for span in tracer.spans()] == [
             ("host.one", None), ("host.many", {"rows": 3})]
 

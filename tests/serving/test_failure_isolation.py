@@ -79,10 +79,10 @@ def test_runtime_error_fails_its_own_futures_and_the_shard_drains():
         with pytest.raises(RuntimeError, match="model bug"):
             futures[index].result()
     # The healthy domain saw exactly the synchronous sequence.
-    assert futures[0].result() == reference.predict("good", FEATURES)
-    reference.update("good", FEATURES, True)
+    assert futures[0].result() == reference.handle("good").predict(FEATURES)
+    reference.handle("good").update(FEATURES, True)
     assert futures[3].result() is None
-    assert futures[5].result() == reference.predict("good", FEATURES)
+    assert futures[5].result() == reference.handle("good").predict(FEATURES)
 
     snapshot = pipeline.snapshot()
     assert (snapshot["completed"], snapshot["failed"],
@@ -135,10 +135,10 @@ def test_a_broken_domain_fails_only_its_own_rows_of_a_mixed_run():
     assert counts == [1, 1, 1]
     assert pipeline.batch_stats()["batches"] == 1
     assert isinstance(futures[1].error, RuntimeError)
-    expected = reference.predict("good", FEATURES)
+    expected = reference.handle("good").predict(FEATURES)
     assert futures[0].result() == futures[2].result() == expected
     assert (pipeline.completed, pipeline.failed) == (2, 1)
-    reference.predict("good", FEATURES)
+    reference.handle("good").predict(FEATURES)
     assert service.domain("good").stats == reference.domain("good").stats
 
 
@@ -153,7 +153,7 @@ def test_a_kernel_batch_stands_a_model_bug_at_its_domain_rows(names):
     reference = ShardedService()
     reference.create_domain("good")
     outcomes = service.predict_batch([(name, FEATURES) for name in names])
-    expected = [reference.predict("good", FEATURES)
+    expected = [reference.handle("good").predict(FEATURES)
                 if name == "good" else None for name in names]
     for name, outcome, score in zip(names, outcomes, expected):
         if name == "bad":

@@ -60,11 +60,11 @@ def state_of(service):
 def run_sync(service, stream):
     scores = []
     for index, op, features, direction in stream:
+        handle = service.handle(DOMAINS[index])
         if op == "predict":
-            scores.append(service.predict(DOMAINS[index],
-                                          list(features)))
+            scores.append(handle.predict(list(features)))
         else:
-            service.update(DOMAINS[index], list(features), direction)
+            handle.update(list(features), direction)
             scores.append(None)
     return scores
 
@@ -149,10 +149,10 @@ class TestClosedLoopHarnessIdentity:
         twin = build_harness_service(spec, num_shards)
         for domain, features, op, direction, future in recorded:
             if op == "predict":
-                assert future.result() == twin.predict(domain,
-                                                       features)
+                assert future.result() == \
+                    twin.handle(domain).predict(features)
             else:
-                twin.update(domain, features, direction)
+                twin.handle(domain).update(features, direction)
                 assert future.result() is None
         for name in spec.domain_names():
             assert service.domain(name).stats == \

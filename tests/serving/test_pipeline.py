@@ -76,9 +76,9 @@ class TestPipelineFlow:
         assert not first.done  # nothing runs until the engine does
         pipeline.run()
 
-        expected_first = reference.predict("d", FEATURES)
-        reference.update("d", FEATURES, True)
-        expected_second = reference.predict("d", FEATURES)
+        expected_first = reference.handle("d").predict(FEATURES)
+        reference.handle("d").update(FEATURES, True)
+        expected_second = reference.handle("d").predict(FEATURES)
         assert first.result() == expected_first
         assert write.result() is None
         assert second.result() == expected_second
@@ -116,10 +116,10 @@ class TestPipelineFlow:
         reference = ShardedService()
         reference.create_domain("d")
         for _ in range(3):
-            reference.update("d", [7, 9], True)
+            reference.handle("d").update([7, 9], True)
         first, other = [3, 5], [7, 9]
-        want_first = reference.predict("d", first)
-        want_other = reference.predict("d", other)
+        want_first = reference.handle("d").predict(first)
+        want_other = reference.handle("d").predict(other)
         assert want_first != want_other
 
         service, pipeline = build()
@@ -132,7 +132,7 @@ class TestPipelineFlow:
         pipeline.run()
         assert future.result() == want_first
         # the updates trained the row they were submitted with
-        assert service.predict("d", other) == want_other
+        assert service.handle("d").predict(other) == want_other
 
     def test_a_monitored_run_drains_without_a_load_generator(self):
         """With SLOs and nothing telling the pipeline the load is done,

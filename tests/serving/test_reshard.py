@@ -26,13 +26,13 @@ def build(num_shards, **obs):
     for index, name in enumerate(NAMES):
         service.create_domain(name, config=CONFIG)
         for step in range(index % 4):
-            service.update(name, (step, index), step % 2 == 0)
+            service.handle(name).update((step, index), step % 2 == 0)
     return service
 
 
 def sync_scores(num_shards, names):
     twin = build(num_shards)
-    return [twin.predict(name, ROW) for name in names]
+    return [twin.handle(name).predict(ROW) for name in names]
 
 
 class TestGrow:

@@ -31,49 +31,48 @@ PINNED = {
     # admit_request, Dispatcher.push, the parked lane's resume and its
     # generator (which drains at once and sleeps the crossing),
     # engine.schedule for that sleep and for the body's next gap.
-    # Serve side (18): engine.step, the lane's resume and generator,
-    # _serve, service.predict_batch (spanned wrapper and body),
-    # service.domain, shard_of, Domain.predict, the model's predict ->
-    # dot -> _flat_indices -> gather, record_prediction, request_done,
-    # the sojourn histogram's observe, SLOEngine.observe and the
-    # future's settle.  33 x 64 = 2112; the other 41 are the run's
-    # own (run, engine.run, the body's last step, resume and
-    # generator) and 6 grid points judged at submit (_judge_until,
-    # evaluate, its SLOVerdict, the paging scan's genexpr and two
-    # _burn).  Watched adds 6 a request: the
-    # drain's _trace_drain and its batch-size observe, the kernel's
-    # _batch_span opener (a row opens no span), _trace_request,
-    # shard_label and the shard's sojourn histogram's observe.
-    (0, "predict"): (2153, 2537),
-    # The update path serves through service.update (no wrapper),
-    # Domain.update, the model's update -> dot_and_indices ->
-    # _flat_indices -> gather (and adjust_at when a weight moves) and
-    # record_update, and admits through _admit_update and
-    # charge_updates: one frame fewer a request than a predict.
-    # Watched adds 5: no kernel opener.
+    # Serve side (17): engine.step, the lane's resume and generator,
+    # _serve, service.predict_batch (the row loop), service.domain,
+    # shard_of, Domain.predict, the model's predict -> dot ->
+    # _flat_indices -> gather, record_prediction, request_done, the
+    # sojourn histogram's observe, SLOEngine.observe and the future's
+    # settle.  32 x 64 = 2048; the other 41 are the run's own (run,
+    # engine.run, the body's last step, resume and generator) and 6
+    # grid points judged at submit (_judge_until, evaluate, its
+    # SLOVerdict, the paging scan's genexpr and two _burn).  Watched
+    # adds 5 a request: the drain's _trace_drain and its batch-size
+    # observe, _trace_request, shard_label and the shard's sojourn
+    # histogram's observe (the kernel opens no span for a row).
+    (0, "predict"): (2089, 2409),
+    # The update path serves through service.update, Domain.update,
+    # the model's update -> dot_and_indices -> _flat_indices -> gather
+    # (and adjust_at when a weight moves) and record_update, and admits
+    # through _admit_update and charge_updates: a served predict's
+    # frames, plain and watched.
     (0, "update"): (2089, 2409),
     # Window 200, one request every 10 ns: 3 drains of ~21 rows.  Per
-    # request (26): the body's step, resume, generator and schedule,
+    # request (25): the body's step, resume, generator and schedule,
     # submit, the two __init__s, admit, _admit_predict, charge_predict,
     # admit_request, push (the lane is collecting: no resume); and the
-    # 14 kernel-and-settle frames above (no per-request step, resume
-    # or _serve: the batch is served in one).  26 x 64 = 1664, plus 41
+    # 13 kernel-and-settle frames above (no per-request step, resume
+    # or _serve: the batch is served in one).  25 x 64 = 1600, plus 41
     # for the drains, the run and 1 judged grid point.  Watched adds the
-    # per-request record and opener (_batch_span, _trace_request,
-    # shard_label, observe) and, per drain, a serve.dispatch span whose
-    # opener compares each request's shard id inline.
-    (200, "predict"): (1705, 1987),
+    # per-request record (_trace_request, shard_label, observe) and, per
+    # drain, a serve.dispatch span whose opener compares each request's
+    # shard id inline.
+    (200, "predict"): (1641, 1859),
     (200, "update"): (1641, 1859),
 }
 
 #: frames the lane no longer has: the queue, the batcher and the event
 #: that stood between them, the row's canonicalisation (inline in
 #: submit), the shed test while nothing pages, the domain's shard_id
-#: property (read inline), the future's complete -> _settle pair and
-#: the SLO monitor process (judged at submit, nothing is scheduled)
+#: property (read inline), the future's complete -> _settle pair, the
+#: SLO monitor process (judged at submit, nothing is scheduled) and
+#: the kernel batch's span opener
 GONE = ("collect_ns", "drain", "service_ns", "fire", "canonical_features",
         "should_shed", "shard_id", "complete", "_settle", "_carry_out",
-        "pending", "_monitor", "_judge", "has_pending")
+        "pending", "_monitor", "_judge", "has_pending", "_batch_span")
 
 
 def serve(window, op, watched):

@@ -96,7 +96,7 @@ class TestTheThreeSideDoors:
         twin = ShardedService()
         twin.create_domain("d", config=CONFIG)
         assert [futures[0].result(), futures[2].result()] == [
-            twin.predict("d", (1, 2)), twin.predict("d", (3, 4))]
+            twin.handle("d").predict((1, 2)), twin.handle("d").predict((3, 4))]
 
 
 class TestNamesAndHandlesOverTime:

@@ -2,20 +2,21 @@
 
 Everything else the system promises is checked by running it (the state
 machine in ``tests/test_machine.py``, the kind-coverage and close
-contract tests, the plan type).  These six are about what the code
+contract tests, the plan type).  These seven are about what the code
 *says* whether or not a run reaches it, so they parse the tree:
 
 * simulated time and seeded streams only - the modules that may import
   a wall clock or the process-global ``random`` are named below;
 * no handler swallows every exception with a bare ``pass``;
-* a sim process submits and never enters the kernel: a generator body
-  outside the dispatcher calls no ``predict_batch``, and no ``update``
-  on a kernel-shaped receiver;
+* the kernel's by-name calls are the dispatcher's: nothing else calls
+  ``predict``, ``predict_batch`` or ``update`` on a kernel-shaped
+  receiver (everyone else goes through a handle or a client);
 * the client, its transports and the kernel call what a handle or a
   model declares, and never probe for it: no ``getattr`` / ``hasattr``
   naming an attribute in a string literal (a computed name passes);
 * a read on a crashed shard fails over in one place: only the
-  ``Domain`` calls ``failover_predict``;
+  ``Domain`` calls ``failover_predict``; and a write on one is refused
+  in one place, ``Domain.refuse_write``;
 * the serving pipeline judges its SLOs when asked, with no process of
   its own, so a run ends when its last request settles:
   ``core/serving/pipeline.py`` spawns nothing, and nothing in ``src``
@@ -46,11 +47,11 @@ IMPORT_ALLOWED = {
     "random": {"sim/rng.py", "core/faults.py"},
 }
 TESTS = PACKAGE.parents[1] / "tests"
-#: the one module whose sim process (a serving lane) enters the kernel
+#: the one module that calls the kernel by domain name: a serving lane
 DISPATCHER = "core/serving/dispatch.py"
 #: the serving pipeline, which runs no sim process of its own
 PIPELINE = "core/serving/pipeline.py"
-#: an ``update`` receiver naming one of these is the kernel, not a dict
+#: a receiver naming one of these is the kernel, not a dict or a model
 KERNEL_RECEIVERS = ("service", "kernel", "shard", "svc")
 #: the modules that take a handle or a model as its type declares it
 NO_PROBES = ("core/transport.py", "core/client.py", "core/kernel/")
@@ -128,30 +129,15 @@ def test_no_handler_swallows_every_exception():
     assert found == []
 
 
-def test_only_the_dispatcher_enters_the_kernel_from_a_sim_process():
-    found = []
-    for path, tree in SOURCES.items():
-        if path == DISPATCHER:
-            continue
-        for function in ast.walk(tree):
-            if not isinstance(function, (ast.FunctionDef,
-                                         ast.AsyncFunctionDef)):
-                continue
-            body = list(own_nodes(function))
-            if not any(isinstance(node, (ast.Yield, ast.YieldFrom))
-                       for node in body):
-                continue        # not a generator: not a sim process
-            for node in body:
-                if not isinstance(node, ast.Call) \
-                        or not isinstance(node.func, ast.Attribute):
-                    continue
-                receiver = dotted(node.func.value).lower()
-                if node.func.attr == "predict_batch" or (
-                        node.func.attr == "update"
-                        and any(hint in receiver
-                                for hint in KERNEL_RECEIVERS)):
-                    found.append(f"{path}:{node.lineno} {function.name} "
-                                 f"calls .{node.func.attr}()")
+def test_only_the_dispatcher_calls_the_kernel_by_name():
+    found = [f"{path}:{node.lineno} calls {dotted(node.func)}()"
+             for path, tree in SOURCES.items() if path != DISPATCHER
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("predict", "predict_batch", "update")
+             and any(hint in dotted(node.func.value).lower()
+                     for hint in KERNEL_RECEIVERS)]
     assert found == []
 
 
@@ -187,6 +173,22 @@ def test_only_the_domain_fails_a_read_over():
              and node.attr == "failover_predict"
              and id(node) not in allowed]
     assert found == []
+
+
+def test_only_the_domain_refuses_a_write():
+    """``core/kernel`` constructs a ``ShardDownError`` in two methods,
+    once each: the write's refusal and the read's when no follower
+    holds the domain."""
+    found = sorted(f"{path}:{function.name}"
+                   for path, tree in SOURCES.items()
+                   if path.startswith("core/kernel/")
+                   for function in ast.walk(tree)
+                   if isinstance(function, ast.FunctionDef)
+                   for node in own_nodes(function)
+                   if isinstance(node, ast.Call)
+                   and dotted(node.func) == "ShardDownError")
+    assert found == ["core/kernel/domain.py:refuse_write",
+                     "core/kernel/shard.py:failover_predict"]
 
 
 def test_the_pipeline_needs_no_load_complete_mark():
