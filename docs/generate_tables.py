@@ -63,9 +63,9 @@ EVENT_ROWS = [
      "its probe and names no outcome)"),
     (("predict_batch",), "syscall transport",
      "a batched crossing served N rows in one trap"),
-    (("stale_read",), "vDSO transport",
+    (("stale_read",), "`FaultLayer`, on the vDSO track",
      "injected staleness served an old score"),
-    (("fault",), "transports",
+    (("fault",), "transports, `FaultLayer`",
      "a `TransportFault` was raised to the caller (detail carries the "
      "errno)"),
     (("fault_injected",), "`FaultInjector`",

@@ -23,6 +23,7 @@ from repro.core.config import LatencyModel, ResilienceConfig
 from repro.core.errors import (
     AdmissionError,
     FeatureError,
+    PolicyError,
     PSSError,
     QuotaExceededError,
     RequestShedError,
@@ -46,7 +47,7 @@ Fallback = Union[int, Callable[[Sequence[int]], int]]
 #: what the degrade ladder absorbs instead of raising
 _DEGRADABLE = (QuotaExceededError, TransportFault)
 #: what may lose update records with it (``lost_records``)
-_LOSSY = (FeatureError, AdmissionError, TransportFault)
+_LOSSY = (FeatureError, AdmissionError, PolicyError, TransportFault)
 
 
 def _settled(call: Callable[..., Any], *args: Any) -> CompletionFuture:
@@ -322,8 +323,13 @@ class PSSClient:
 
     def attach_fault_injector(self,
                               injector: FaultInjector | None) -> None:
-        """Attach a :class:`FaultInjector` to this client's transport."""
-        self._transport.attach_injector(injector)
+        """Put a :class:`~repro.core.faults.FaultLayer` for
+        ``injector`` in front of this client's transport, replacing
+        any there; ``None`` removes it."""
+        from repro.core.faults import attach_injector
+
+        attach_injector(self._transport, injector)
+        self._read = self._transport.predict
 
     def attach_observability(self, tracer=None, metrics=None) -> None:
         """Wire a :class:`repro.obs.Tracer` and/or

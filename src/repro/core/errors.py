@@ -44,7 +44,13 @@ class DomainError(PSSError):
 
 
 class PolicyError(PSSError):
-    """The caller is not permitted to perform the requested operation."""
+    """The caller is not permitted to perform the requested operation.
+
+    ``lost_records`` counts the update records refused with it: a
+    whole delivered batch, as on an :class:`AdmissionError`.
+    """
+
+    lost_records = 0
 
 
 class AdmissionError(PSSError):

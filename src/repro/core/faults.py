@@ -4,19 +4,20 @@ The paper's safety argument is that predictions are *hints*: a wrong or
 missing prediction may cost performance but never correctness.  This
 module exists to exercise that property end to end: a :class:`FaultPlan`
 declares which failures occur and how often, a :class:`FaultInjector`
-rolls seeded, deterministic dice, and the transports consult the injector
-at every boundary crossing.  The :class:`repro.core.client.PSSClient`
-layer then has to absorb each injected failure without leaking an
-exception into scenario code.
+rolls seeded, deterministic dice, and a :class:`FaultLayer` in front of
+a transport rolls them at every boundary crossing - the transports
+themselves know nothing of faults.  The
+:class:`repro.core.client.PSSClient` then has to absorb each injected
+failure without leaking an exception into scenario code.
 
 Injected failure modes:
 
 * **syscall failures** - the crossing fails with a simulated ``EAGAIN``
   or ``EINTR`` (:class:`~repro.core.errors.TransportFault`); latency is
   still charged, exactly like a real failed syscall.
-* **vDSO read staleness** - a prediction is answered from the previously
-  observed score for that feature vector: a read-only mapping can lag
-  the kernel's latest weight write.  Never an error, just old data.
+* **vDSO read staleness** - a prediction is answered from the last
+  score the layer read for that feature vector: a read-only mapping can
+  lag the kernel's latest weight write.  Never an error, just old data.
 * **dropped / partial batch flushes** - the batched update syscall fails
   after delivering none, or only a prefix, of the pooled records; the
   rest are lost (updates are fire-and-forget hints).
@@ -38,9 +39,19 @@ attached to the same workload injects the identical fault sequence.
 from __future__ import annotations
 
 import random
+from collections import OrderedDict
 from dataclasses import dataclass, fields
+from typing import Sequence
 
-from repro.core.errors import ConfigError, TransportFault
+from repro.core.errors import (
+    AdmissionError,
+    ConfigError,
+    FeatureError,
+    ShardDownError,
+    TransportFault,
+)
+from repro.core.transport import Transport, VdsoTransport
+from repro.obs.spanned import named, spanned
 from repro.obs.trace import NULL_TRACER
 
 #: simulated errnos a failed crossing reports, chosen per-fault
@@ -109,13 +120,6 @@ class FaultPlan:
             corruption_rate=rate,
         )
 
-    @property
-    def any_faults(self) -> bool:
-        return any(
-            getattr(self, spec.name) > 0.0
-            for spec in fields(self) if spec.name.endswith("_rate")
-        )
-
 
 @dataclass
 class FaultStats:
@@ -130,20 +134,14 @@ class FaultStats:
     migration_stalls: int = 0
     replica_lags: int = 0
 
-    @property
-    def total(self) -> int:
-        return (self.syscall_faults + self.stale_reads
-                + self.dropped_flushes + self.partial_flushes
-                + self.corrupted_snapshots + self.shard_crashes
-                + self.migration_stalls + self.replica_lags)
-
 
 class FaultInjector:
     """Seeded decision engine; one per fault domain, attachable anywhere.
 
-    Transports call the ``*_fault``/``stale_read``/``flush_outcome``
-    hooks at their crossing points; the persistence layer calls the
-    ``corrupt*`` hooks per checkpoint.  Each injector owns a private
+    A :class:`FaultLayer` calls the ``syscall_fault`` / ``stale_read``
+    / ``flush_outcome`` hooks at a transport's crossing points; the
+    persistence layer calls the ``corrupt*`` hooks per checkpoint and
+    the sharded kernel the chaos hooks.  Each injector owns a private
     :class:`random.Random`, so decisions never perturb workload RNG
     streams and the whole fault sequence replays from the plan's seed.
     """
@@ -152,35 +150,39 @@ class FaultInjector:
         self.plan = plan
         self.stats = FaultStats()
         self._rng = random.Random(f"pss-faults-{plan.seed}")
-        #: structured event tracer (attached by the transport or caller);
+        #: structured event tracer (attached by the layer or caller);
         #: records a "fault_injected" event at each injection decision.
         #: Tracing never touches ``_rng``, so the fault sequence is
         #: identical with or without observability attached.
         self.tracer = NULL_TRACER
 
-    def _trace_injection(self, mode: str) -> None:
-        self.tracer.record("fault_injected", transport="injector",
-                           detail={"mode": mode})
+    def _injected(self, stat: str, mode: str) -> None:
+        """Count one injection in ``stats.<stat>``; trace it as
+        ``mode``."""
+        setattr(self.stats, stat, getattr(self.stats, stat) + 1)
+        if self.tracer.enabled:
+            self.tracer.record("fault_injected", transport="injector",
+                               detail={"mode": mode})
+
+    def _roll(self, rate: float, stat: str, mode: str) -> bool:
+        """One die against ``rate`` (none at a zero rate); a hit is
+        :meth:`_injected`."""
+        if rate <= 0.0 or self._rng.random() >= rate:
+            return False
+        self._injected(stat, mode)
+        return True
 
     def syscall_fault(self) -> TransportFault | None:
         """The fault for one syscall crossing, or None when it succeeds."""
-        rate = self.plan.syscall_failure_rate
-        if rate <= 0.0 or self._rng.random() >= rate:
+        if not self._roll(self.plan.syscall_failure_rate, "syscall_faults",
+                          "syscall_failure"):
             return None
-        self.stats.syscall_faults += 1
-        if self.tracer.enabled:
-            self._trace_injection("syscall_failure")
         return TransportFault(self._rng.choice(SYSCALL_ERRNOS))
 
     def stale_read(self) -> bool:
         """Whether one vDSO read observes stale weights."""
-        rate = self.plan.stale_read_rate
-        if rate <= 0.0 or self._rng.random() >= rate:
-            return False
-        self.stats.stale_reads += 1
-        if self.tracer.enabled:
-            self._trace_injection("stale_read")
-        return True
+        return self._roll(self.plan.stale_read_rate, "stale_reads",
+                          "stale_read")
 
     def flush_outcome(self, records: int) -> int:
         """How many of ``records`` a batch flush delivers.
@@ -194,56 +196,32 @@ class FaultInjector:
             return records
         roll = self._rng.random()
         if roll < drop:
-            self.stats.dropped_flushes += 1
-            if self.tracer.enabled:
-                self._trace_injection("flush_drop")
+            self._injected("dropped_flushes", "flush_drop")
             return 0
         if roll < drop + partial:
-            self.stats.partial_flushes += 1
-            if self.tracer.enabled:
-                self._trace_injection("partial_flush")
+            self._injected("partial_flushes", "partial_flush")
             return self._rng.randrange(records)
         return records
 
     def corrupt_snapshot(self) -> bool:
         """Whether one checkpoint write gets corrupted."""
-        rate = self.plan.corruption_rate
-        if rate <= 0.0 or self._rng.random() >= rate:
-            return False
-        self.stats.corrupted_snapshots += 1
-        if self.tracer.enabled:
-            self._trace_injection("snapshot_corruption")
-        return True
+        return self._roll(self.plan.corruption_rate, "corrupted_snapshots",
+                          "snapshot_corruption")
 
     def shard_crash(self) -> bool:
         """Whether one crash opportunity takes a shard's primary down."""
-        rate = self.plan.shard_crash_rate
-        if rate <= 0.0 or self._rng.random() >= rate:
-            return False
-        self.stats.shard_crashes += 1
-        if self.tracer.enabled:
-            self._trace_injection("shard_crash")
-        return True
+        return self._roll(self.plan.shard_crash_rate, "shard_crashes",
+                          "shard_crash")
 
     def migration_stall(self) -> bool:
         """Whether one slot handoff stalls (no progress this step)."""
-        rate = self.plan.migration_stall_rate
-        if rate <= 0.0 or self._rng.random() >= rate:
-            return False
-        self.stats.migration_stalls += 1
-        if self.tracer.enabled:
-            self._trace_injection("migration_stall")
-        return True
+        return self._roll(self.plan.migration_stall_rate,
+                          "migration_stalls", "migration_stall")
 
     def replica_lag(self) -> bool:
         """Whether one follower refresh is skipped (the replica lags)."""
-        rate = self.plan.replica_lag_rate
-        if rate <= 0.0 or self._rng.random() >= rate:
-            return False
-        self.stats.replica_lags += 1
-        if self.tracer.enabled:
-            self._trace_injection("replica_lag")
-        return True
+        return self._roll(self.plan.replica_lag_rate, "replica_lags",
+                          "replica_lag")
 
     def corrupt_text(self, text: str) -> str:
         """Flip one bit of one character - simulated torn/corrupt write.
@@ -257,3 +235,213 @@ class FaultInjector:
         position = self._rng.randrange(len(text))
         flipped = chr(ord(text[position]) ^ 0x2)
         return text[:position] + flipped + text[position + 1:]
+
+
+class FaultLayer:
+    """Every transport-level fault, one layer in front of a plain
+    transport (:func:`attach_injector`), whose bodies stay clean.
+
+    The layer stands in for the transport's kernel target, its
+    ``DomainHandle``: a syscall ``predict`` or ``predict_batch``, and a
+    ``reset`` on either transport, rolls its crossing's die between the
+    plain body's charge and event and the handle call, so a failed
+    crossing still cost its syscall.  A batch is one crossing, so its
+    die rolls *once per batch*: a fault loses the whole batch (no
+    partial scores), and a fault sequence seen under scalar predicts
+    does not line up with one seen under batching.
+
+    Where the work depends on the die the layer owns the body, an
+    instance attribute shadowing the transport's method: a syscall
+    ``update`` counts and traces only a record that crossed; a vDSO
+    ``flush`` rolls its crossing die, then its delivery die, then
+    charges and traces what it delivered (the flush an update, a
+    ``reset`` or ``close`` runs is this one).  While the plan injects
+    stale reads, a vDSO read is the layer's: a read-only mapping can
+    lag the kernel's writes, and a stale read answers from the last
+    score this layer read for the row.  It bypasses the score cache -
+    the stale die rolls on every read, in row order; a memoized fresh
+    score must not mask staleness, nor a stale one poison the cache.
+    At rate 0 the read is the plain cached one.  Buffered records,
+    account and tracer stay the transport's; stale scores go with the
+    layer.
+    """
+
+    #: feature vectors remembered for stale reads
+    STALE_CACHE_ENTRIES = 512
+
+    def __init__(self, transport: Transport,
+                 injector: FaultInjector) -> None:
+        self.transport, self.injector = transport, injector
+        self.handle = transport._target
+        self._stale: OrderedDict[tuple[int, ...], int] = OrderedDict()
+        if transport._tracer.enabled:
+            injector.tracer = transport._tracer
+        owned = {"attach_observability": self.attach_observability}
+        if not isinstance(transport, VdsoTransport):
+            owned["update"] = self.update
+        else:
+            owned.update(flush=self.flush, close=self.close)
+            if injector.plan.stale_read_rate > 0.0:
+                owned.update(predict=self.read, predict_batch=self.read_batch)
+        transport._target = self
+        vars(transport).update(owned)
+
+    def detach(self) -> None:
+        """Give the transport back its own methods and kernel target."""
+        for name in ("attach_observability", "update", "flush", "close",
+                     "predict", "predict_batch"):
+            vars(self.transport).pop(name, None)
+        self.transport._target = self.handle
+
+    def _roll(self, op: str) -> None:
+        """One syscall crossing's die; a fault is traced and raised."""
+        fault = self.injector.syscall_fault()
+        if fault is not None:
+            if self.transport._tracer.enabled:
+                self.transport._trace(
+                    "fault", detail={"op": op, "errno": fault.errno_name})
+            raise fault
+
+    # -- the kernel target's calls -------------------------------------------
+
+    def predict(self, features: tuple[int, ...]) -> int:
+        self._roll("predict")
+        return self.handle.predict(features)
+
+    def predict_batch(self, rows: list[tuple[int, ...]]) -> list[int]:
+        self._roll("predict_batch")
+        return self.handle.predict_batch(rows)
+
+    def reset(self, features: Sequence[int], reset_all: bool) -> None:
+        self._roll("reset")
+        self.handle.reset(features, reset_all)
+
+    # -- the transport's methods it shadows ----------------------------------
+
+    def _op_span(self, op: str, detail: dict | None = None):
+        return self.transport._op_span(op, detail)
+
+    def attach_observability(self, tracer=None, metrics=None) -> None:
+        """The transport's; the injector traces through its tracer."""
+        type(self.transport).attach_observability(
+            self.transport, tracer, metrics)
+        if tracer is not None:
+            self.injector.tracer = tracer
+
+    @spanned(named(_op_span, "update"), tracer="transport._tracer")
+    def update(self, features: Sequence[int], direction: bool) -> None:
+        transport, account = self.transport, self.transport.account
+        transport._ensure_open()
+        syscall_ns = transport._latency.syscall_ns
+        account.charge_syscall(syscall_ns)
+        account.charge_op("update", syscall_ns)
+        self._roll("update")
+        # only a record that crossed is counted and traced
+        account.update_records += 1
+        if transport._tracer.enabled:
+            transport._trace("update", dur_ns=syscall_ns,
+                             detail={"direction": direction})
+        self.handle.update(features, direction)
+
+    @spanned(lambda self: self.transport._flush_span(),
+             tracer="transport._tracer")
+    def flush(self) -> None:
+        transport, account = self.transport, self.transport.account
+        transport._ensure_open()
+        records, transport._records = transport._records, []
+        if not records:
+            return
+        count, latency = len(records), transport._latency
+        cost = latency.syscall_ns + latency.batch_record_ns * count
+        account.charge_op("flush", cost)
+        fault = self.injector.syscall_fault()
+        delivered = 0 if fault else self.injector.flush_outcome(count)
+        if not fault and delivered < count:
+            fault = TransportFault("EAGAIN", message=(
+                f"batch flush delivered {delivered} of {count} records"))
+        if fault:
+            fault.lost_records = count - delivered
+        account.charge_syscall(cost, records=delivered)
+        if transport._tracer.enabled:
+            transport._trace("flush", dur_ns=cost, detail={
+                "records": count, "delivered": delivered})
+            if fault:
+                transport._trace("fault", detail={
+                    "op": "flush", "errno": fault.errno_name,
+                    "lost_records": fault.lost_records})
+        try:
+            if delivered:
+                self.handle.update_batch(records[:delivered])
+        except (AdmissionError, ShardDownError, FeatureError) as refused:
+            if not fault:
+                transport._trace_refused_flush(refused)
+                raise
+            fault.lost_records += refused.lost_records
+        if fault:
+            raise fault  # the undelivered rest is gone: updates are hints
+
+    def close(self) -> None:
+        try:
+            VdsoTransport.close(self.transport)
+        finally:
+            self._stale.clear()
+
+    def read(self, features: Sequence[int]) -> int:
+        transport, account = self.transport, self.transport.account
+        transport._ensure_open()
+        vdso_ns = transport._latency.vdso_predict_ns
+        account.vdso_ns += vdso_ns
+        account.vdso_calls += 1
+        generation = transport._version.value
+        traced = transport._tracer.enabled
+        try:
+            score = self._stale_or_fresh(
+                features if type(features) is tuple else tuple(features))
+        except Exception as error:
+            if traced:
+                transport._trace("predict", vdso_ns, {
+                    "outcome": f"error:{type(error).__name__}"}, generation)
+            raise
+        if traced:
+            transport._trace("predict", vdso_ns, None, generation)
+        return score
+
+    @spanned(named(_op_span, "predict_batch", "rows"),
+             tracer="transport._tracer")
+    def read_batch(self, feature_rows: Sequence[Sequence[int]]
+                   ) -> list[int]:
+        transport, account = self.transport, self.transport.account
+        transport._ensure_open()
+        rows = [f if type(f) is tuple else tuple(f) for f in feature_rows]
+        vdso_ns = transport._latency.vdso_predict_ns
+        scores = []
+        for row in rows:
+            account.vdso_ns += vdso_ns
+            account.vdso_calls += 1
+            if transport._tracer.enabled:
+                transport._trace("predict", dur_ns=vdso_ns)
+            scores.append(self._stale_or_fresh(row))
+        return scores
+
+    def _stale_or_fresh(self, row: tuple[int, ...]) -> int:
+        stale = self._stale
+        if self.injector.stale_read() and row in stale:
+            if self.transport._tracer.enabled:
+                self.transport._trace("stale_read")
+            return stale[row]
+        score = self.handle.predict_mapped(row)
+        if row not in stale and len(stale) >= self.STALE_CACHE_ENTRIES:
+            stale.popitem(last=False)
+        stale[row] = score
+        return score
+
+
+def attach_injector(transport: Transport,
+                    injector: FaultInjector | None) -> None:
+    """Put a :class:`FaultLayer` for ``injector`` in front of
+    ``transport``, replacing any there; ``None`` removes it (the
+    transport healed)."""
+    if isinstance(transport._target, FaultLayer):
+        transport._target.detach()
+    if injector is not None:
+        FaultLayer(transport, injector)

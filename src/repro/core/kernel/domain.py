@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Any, NoReturn, Sequence
 from repro.core.config import PSSConfig
 from repro.core.errors import (
     FeatureError,
+    PolicyError,
     QuotaExceededError,
     ShardDownError,
 )
@@ -448,13 +449,15 @@ class DomainHandle:
         records - what a flushed buffer is - in one dispatch.
 
         One policy check and one shard-down test cover the batch (a
-        crashed primary refuses before anything is charged, every
-        record lost), and admission charges the records in one step
-        (:meth:`TenantMeter.charge_updates`): the prefix the budget
-        covers is applied and the refusal raised with the suffix as its
-        ``lost_records`` - what delivering the records one by one and
-        stopping at the first refusal does.  Records the domain itself
-        refused (:meth:`Domain.update_batch`) are lost with it.
+        refused identity or a crashed primary refuses before anything
+        is charged, every record lost and counted in the error's
+        ``lost_records``), and admission charges the records in one
+        step (:meth:`TenantMeter.charge_updates`): the prefix the
+        budget covers is applied and the refusal raised with the
+        suffix as its ``lost_records`` - what delivering the records
+        one by one and stopping at the first refusal does.  Records the
+        domain itself refused (:meth:`Domain.update_batch`) are lost
+        with it.
         """
         if not records:
             return
@@ -462,7 +465,11 @@ class DomainHandle:
         if domain.policy is not self._policy:
             self._judge()
         if not self._may_update:
-            self._policy.check_update(self._identity, domain.name)
+            try:
+                self._policy.check_update(self._identity, domain.name)
+            except PolicyError as refusal:
+                refusal.lost_records = len(records)
+                raise
         shard = domain.shard
         if shard is not None and shard.down:
             domain.refuse_write(len(records))

@@ -16,7 +16,9 @@ Transports do not interpret features or results; they only move calls and
 charge time.  A transport wraps one
 :class:`~repro.core.kernel.domain.DomainHandle` - the domain's
 read-only page (its version word) and its syscall, the one kernel
-object the paper's client library talks to.
+object the paper's client library talks to.  Injected faults are not
+theirs: :class:`repro.core.faults.FaultLayer` is one layer in front of
+a transport.
 """
 
 from __future__ import annotations
@@ -31,14 +33,12 @@ from repro.core.errors import (
     ShardDownError,
     TransportClosedError,
     TransportError,
-    TransportFault,
 )
 from repro.core.stats import LatencyAccount
 from repro.obs.spanned import named, spanned
 from repro.obs.trace import NULL_TRACER, SpanHandleLike
 
 if TYPE_CHECKING:
-    from repro.core.faults import FaultInjector
     from repro.core.kernel.domain import DomainHandle
 
 #: the operations a transport opens a span around
@@ -62,7 +62,7 @@ def _refused(detail: dict | None, error: Exception) -> dict:
 
 
 class Transport:
-    """Base transport: owns the latency model, account, and fault hooks."""
+    """Base transport: owns the latency model and the account."""
 
     #: human-readable name used in reports ("vdso" / "syscall")
     name = "base"
@@ -78,7 +78,6 @@ class Transport:
         self.account = account or LatencyAccount()
         #: what a vDSO read of this transport costs, counted per read
         self.account.read_ns = self._latency.vdso_predict_ns
-        self._injector: FaultInjector | None = None
         self._closed = False
         #: structured event tracer; NULL_TRACER keeps the hot path to a
         #: single ``enabled`` attribute check when tracing is off
@@ -98,10 +97,6 @@ class Transport:
     def closed(self) -> bool:
         return self._closed
 
-    @property
-    def injector(self) -> FaultInjector | None:
-        return self._injector
-
     def attach_observability(self, tracer=None, metrics=None) -> None:
         """Attach a :class:`repro.obs.Tracer` and/or a
         :class:`repro.obs.MetricsRegistry` to this transport.
@@ -109,13 +104,9 @@ class Transport:
         The tracer receives typed events for every crossing (timestamps
         are the account's cumulative simulated ns); the registry gets
         latency histograms via :meth:`LatencyAccount.attach_metrics`.
-        An already-attached fault injector starts tracing its decisions
-        through the same tracer.
         """
         if tracer is not None:
             self._bind_tracer(tracer)
-            if self._injector is not None:
-                self._injector.tracer = tracer
         if metrics is not None:
             self.account.attach_metrics(
                 metrics, domain=self._obs_domain, transport=self.name)
@@ -129,16 +120,6 @@ class Transport:
         self._emit = tracer.emit
         self._next_event = tracer.next_number
         self._open_spans = tracer.span_stack
-
-    def attach_injector(self, injector: FaultInjector | None) -> None:
-        """Attach (or, with None, detach) a fault injector.
-
-        Every subsequent crossing consults the injector; detaching mid
-        run models a transport that healed.
-        """
-        self._injector = injector
-        if injector is not None and self._tracer.enabled:
-            injector.tracer = self._tracer
 
     def _ensure_open(self) -> None:
         if self._closed:
@@ -184,25 +165,13 @@ class Transport:
     def _charge_crossing(self, kind: str, cost: float,
                          detail: dict | None = None,
                          op: str | None = None) -> None:
-        """First half of a syscall crossing: charge ``cost`` and trace
-        the crossing as a ``kind`` event (accounted under ``op`` when
-        that differs from the event kind)."""
+        """Charge one syscall crossing ``cost`` and trace it as a
+        ``kind`` event (accounted under ``op`` when that differs from
+        the event kind), before the kernel call it carries."""
         self.account.charge_syscall(cost)
         self.account.charge_op(op or kind, cost)
         if self._tracer.enabled:
             self._trace(kind, dur_ns=cost, detail=detail)
-
-    def _roll_crossing(self, injector: FaultInjector, kind: str) -> None:
-        """Second half, for callers with an injector attached: roll its
-        dice for the crossing just charged, tracing and raising the
-        fault when one comes up (the failed crossing still cost its
-        syscall)."""
-        fault = injector.syscall_fault()
-        if fault is not None:
-            if self._tracer.enabled:
-                self._trace("fault", detail={"op": kind,
-                                             "errno": fault.errno_name})
-            raise fault
 
     @spanned(named(_op_span, "reset"))
     def reset(self, features: Sequence[int], reset_all: bool) -> None:
@@ -211,8 +180,6 @@ class Transport:
         self._charge_crossing("reset", self._latency.syscall_ns,
                               {"reset_all": reset_all})
         self.flush()
-        if self._injector is not None:
-            self._roll_crossing(self._injector, "reset")
         self._target.reset(features, reset_all)
 
     def flush(self) -> None:
@@ -244,8 +211,6 @@ class SyscallTransport(Transport):
     def predict(self, features: Sequence[int]) -> int:
         self._ensure_open()
         self._charge_crossing("predict", self._latency.syscall_ns)
-        if self._injector is not None:
-            self._roll_crossing(self._injector, "predict")
         # canonical_features, written out: a read's one canonicalisation
         return self._target.predict(
             features if type(features) is tuple else tuple(features))
@@ -261,13 +226,6 @@ class SyscallTransport(Transport):
         batch=N the per-prediction boundary cost drops from
         ``syscall_ns`` to ``syscall_ns / N + batch_record_ns``.  Scores
         and model-side stats are bit-identical to the scalar loop.
-
-        Fault semantics intentionally diverge from the scalar loop and
-        are the documented contract: the injector's syscall dice roll
-        *once per batch*, not once per row, because there is only one
-        crossing to fail - a fault loses the whole batch (no partial
-        scores), and a fault sequence observed under scalar predicts
-        will not line up with one observed under batching.
         """
         self._ensure_open()
         rows = [f if type(f) is tuple else tuple(f) for f in feature_rows]
@@ -277,8 +235,6 @@ class SyscallTransport(Transport):
                 + self._latency.batch_record_ns * len(rows))
         self._charge_crossing("predict_batch", cost,
                               {"rows": len(rows)}, op="predict")
-        if self._injector is not None:
-            self._roll_crossing(self._injector, "predict_batch")
         return self._target.predict_batch(rows)
 
     @spanned(named(Transport._op_span, "update"))
@@ -287,10 +243,6 @@ class SyscallTransport(Transport):
         syscall_ns = self._latency.syscall_ns
         self.account.charge_syscall(syscall_ns)
         self.account.charge_op("update", syscall_ns)
-        if self._injector is not None:
-            self._roll_crossing(self._injector, "update")
-        # Only a crossing that got through delivered its record, and
-        # only then is there an update to trace.
         self.account.update_records += 1
         if self._tracer.enabled:
             self._trace("update", dur_ns=syscall_ns,
@@ -318,14 +270,6 @@ class VdsoTransport(Transport):
     prediction stats.  Any weight mutation bumps the word and
     invalidates the whole cache.
 
-    While a fault injector that can inject stale reads is attached, the
-    score cache is bypassed: the injector's stale-read dice must roll on
-    every read (determinism), injected staleness must not be masked by a
-    memoized fresh score, and stale answers must never poison the cache.
-    An injector with a zero stale-read rate leaves the fast path intact -
-    its stale dice consume no randomness, so caching cannot perturb the
-    fault sequence.
-
     Note the behavioural consequence the paper accepts: between flushes the
     model has not yet seen the buffered feedback, so learning lags by up to
     ``batch_size`` updates.  The transport ablation benchmark measures this
@@ -333,9 +277,6 @@ class VdsoTransport(Transport):
     """
 
     name = "vdso"
-
-    #: feature vectors remembered for stale-read injection
-    STALE_CACHE_ENTRIES = 512
 
     #: bound on the generation-keyed score cache
     SCORE_CACHE_ENTRIES = 1024
@@ -352,13 +293,11 @@ class VdsoTransport(Transport):
         #: order, and how many fill the buffer
         self._records: list[tuple[tuple[int, ...], bool]] = []
         self._batch_size = batch_size
-        # Both caches are FIFO-bounded OrderedDicts: ``popitem(last=False)``
-        # evicts the same victim as ``pop(next(iter(cache)))`` on a plain
-        # dict but in O(1), where the plain-dict spelling rescans an
-        # ever-growing tombstone prefix under churn (hits never reorder -
-        # these are insertion-order caches, not LRU).
-        #: last fresh score per feature vector, kept only under injection
-        self._stale_cache: OrderedDict[tuple[int, ...], int] = OrderedDict()
+        # A FIFO-bounded OrderedDict: ``popitem(last=False)`` evicts the
+        # same victim as ``pop(next(iter(cache)))`` on a plain dict but
+        # in O(1), where the plain-dict spelling rescans an ever-growing
+        # tombstone prefix under churn (hits never reorder - an
+        # insertion-order cache, not LRU).
         #: fresh score per feature vector, valid for one weight
         #: generation; written only with a score the service returned
         self._score_cache: OrderedDict[tuple[int, ...], int] = OrderedDict()
@@ -369,6 +308,10 @@ class VdsoTransport(Transport):
         #: enters the kernel, so it takes the handle's predict without
         #: the ``kernel.predict`` span
         self._read = target.predict_mapped
+        #: what a batch's misses call, bound like ``_read``: they cross
+        #: no syscall, whatever stands in for ``_target`` later (a
+        #: fault layer rolls a crossing's die there)
+        self._read_batch = target.predict_batch
 
     @property
     def pending_updates(self) -> int:
@@ -387,12 +330,12 @@ class VdsoTransport(Transport):
         miss: watched, its ``predict`` event - ``dur_ns`` the 4.19 the
         read was charged, ``detail.cache`` saying which it was - is its
         one record, emitted when the read settles: a hit once its
-        answer is accounted, a read that calls the service (a miss, or
-        one that bypasses the cache) once that call returns - so what a
-        follower recorded answering it comes first.  A refused read's
-        event names the refusal in ``detail.outcome``
-        (``"error:<Type>"``), then the error is re-raised.  Which it is
-        depends on the probe, never on ``tracer.enabled``.
+        answer is accounted, a miss once its call to the service
+        returns - so what a follower recorded answering it comes
+        first.  A refused read's event names the refusal in
+        ``detail.outcome`` (``"error:<Type>"``), then the error is
+        re-raised.  Which it is depends on the probe, never on
+        ``tracer.enabled``.
 
         What the caller already holds is not re-derived: the closed
         test and the key's tuple test are written out - the tuple test
@@ -411,18 +354,6 @@ class VdsoTransport(Transport):
         account.vdso_calls += 1
         generation = self._version.value
         key = features if type(features) is tuple else tuple(features)
-        injector = self._injector
-        if injector is not None and injector.plan.stale_read_rate > 0.0:
-            if not traced:
-                return self._predict_injected(key)
-            try:
-                score = self._predict_injected(key)
-            except Exception as error:
-                self._trace("predict", vdso_ns, _refused(None, error),
-                            generation)
-                raise
-            self._trace("predict", vdso_ns, None, generation)
-            return score
         cache = self._score_cache
         if generation != self._score_cache_generation:
             if cache:
@@ -481,9 +412,7 @@ class VdsoTransport(Transport):
         Every row keeps the scalar path's exact per-read semantics -
         one vDSO charge, one score-cache probe with the same hit/miss
         counters, the one ``predict`` trace event saying which it was,
-        the same FIFO eviction
-        sequence, one stale-read die while staleness injection is armed
-        - so scores, stats, and the injector's randomness stream are
+        the same FIFO eviction sequence - so scores and stats are
         bit-identical to ``[predict(r) for r in feature_rows]``.  What
         batching amortizes is the service side: cache misses are
         collected and resolved through one
@@ -509,18 +438,6 @@ class VdsoTransport(Transport):
         account = self.account
         vdso_ns = self._latency.vdso_predict_ns
         traced = self._tracer.enabled
-        injector = self._injector
-        if injector is not None and injector.plan.stale_read_rate > 0.0:
-            # Staleness injection bypasses the score cache and must
-            # roll its dice once per read, in row order: no batching.
-            out = []
-            for key in rows:
-                account.vdso_ns += vdso_ns
-                account.vdso_calls += 1
-                if traced:
-                    self._trace("predict", dur_ns=vdso_ns)
-                out.append(self._predict_injected(key))
-            return out
         cache = self._score_cache
         # Predictions never move weights, so one load of the word covers
         # the whole batch: the cache check and the event of every row
@@ -552,8 +469,7 @@ class VdsoTransport(Transport):
             if fresh is None:
                 missing = [row for row in dict.fromkeys(rows[len(scores):])
                            if row not in cache]
-                fresh = dict(zip(missing,
-                                 self._target.predict_batch(missing)))
+                fresh = dict(zip(missing, self._read_batch(missing)))
             score = fresh.pop(key, None)
             if score is None:
                 score = self._read(key)
@@ -563,33 +479,14 @@ class VdsoTransport(Transport):
             scores.append(score)
         return scores
 
-    def _predict_injected(self, key: tuple[int, ...]) -> int:
-        # A read-only mapping can lag the kernel's weight writes: a
-        # stale read answers from the last score observed for this
-        # feature vector.  Reads never fail - staleness is the vDSO's
-        # only failure mode.
-        if self._injector.stale_read():
-            stale = self._stale_cache.get(key)
-            if stale is not None:
-                if self._tracer.enabled:
-                    self._trace("stale_read")
-                return stale
-        score = self._read(key)
-        if key not in self._stale_cache \
-                and len(self._stale_cache) >= self.STALE_CACHE_ENTRIES:
-            self._stale_cache.popitem(last=False)
-        self._stale_cache[key] = score
-        return score
-
     def close(self) -> None:
-        """Flush buffered updates, then drop the score and stale-read
-        caches with the connection: a closed mapping must not keep
-        answers alive past the handle they were read through."""
+        """Flush buffered updates, then drop the score cache with the
+        connection: a closed mapping must not keep answers alive past
+        the handle they were read through."""
         try:
             super().close()
         finally:
             self._score_cache.clear()
-            self._stale_cache.clear()
             self._score_cache_generation = -1
 
     def update(self, features: Sequence[int], direction: bool) -> None:
@@ -636,65 +533,34 @@ class VdsoTransport(Transport):
         records, self._records = self._records, []
         if not records:
             return
+        count = len(records)
         cost = (self._latency.syscall_ns
-                + self._latency.batch_record_ns * len(records))
+                + self._latency.batch_record_ns * count)
         self.account.charge_op("flush", cost)
-        delivered = len(records)
-        fault = None
-        injector = self._injector
-        if injector is not None:
-            # Rolled here rather than through _roll_crossing: what the
-            # flush traces (and charges as delivered) depends on the
-            # outcome, and delivery of a partial batch still happens.
-            fault = injector.syscall_fault()
-            if fault is not None:
-                delivered = 0
-                fault.lost_records = len(records)
-            else:
-                delivered = injector.flush_outcome(len(records))
-                if delivered < len(records):
-                    fault = TransportFault(
-                        "EAGAIN", lost_records=len(records) - delivered,
-                        message=(
-                            f"batch flush delivered {delivered} of "
-                            f"{len(records)} records"
-                        ),
-                    )
-        self.account.charge_syscall(cost, records=delivered)
+        self.account.charge_syscall(cost, records=count)
         if self._tracer.enabled:
             self._trace("flush", dur_ns=cost,
-                        detail={"records": len(records),
-                                "delivered": delivered})
-            if fault is not None:
-                self._trace("fault", detail={
-                    "op": "flush", "errno": fault.errno_name,
-                    "lost_records": fault.lost_records,
-                })
+                        detail={"records": count, "delivered": count})
         # A refusal drops the rest of what crossed and says how many
         # on the error (DomainHandle.update_batch).
-        refused: AdmissionError | ShardDownError | FeatureError | None = None
-        if delivered:
-            try:
-                self._target.update_batch(records[:delivered])
-            except (AdmissionError, ShardDownError, FeatureError) as exc:
-                refused = exc
-        if fault is not None:
-            # The undelivered suffix is gone: updates are hints, and the
-            # batch buffer was already drained when the crossing failed.
-            if refused is not None:
-                fault.lost_records += refused.lost_records
-            raise fault
-        if refused is not None:
-            if self._tracer.enabled \
-                    and not isinstance(refused, FeatureError):
-                self._trace("fault", detail={
-                    "op": "flush",
-                    "errno": (refused.errno_name
-                              if isinstance(refused, ShardDownError)
-                              else "EDQUOT"),
-                    "lost_records": refused.lost_records,
-                })
-            raise refused
+        try:
+            self._target.update_batch(records)
+        except (AdmissionError, ShardDownError, FeatureError) as refused:
+            self._trace_refused_flush(refused)
+            raise
+
+    def _trace_refused_flush(self, refused: AdmissionError | ShardDownError
+                             | FeatureError) -> None:
+        """The ``fault`` event of a flush the kernel refused, unless the
+        domain did: a bad record costs only itself."""
+        if self._tracer.enabled and not isinstance(refused, FeatureError):
+            self._trace("fault", detail={
+                "op": "flush",
+                "errno": (refused.errno_name
+                          if isinstance(refused, ShardDownError)
+                          else "EDQUOT"),
+                "lost_records": refused.lost_records,
+            })
 
 
 def make_transport(kind: str, target: "DomainHandle",

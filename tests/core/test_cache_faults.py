@@ -105,6 +105,25 @@ class TestStaleScoresNotDoubleServed:
         assert client.predict(features) == fresh
         assert client.latency.cache_hits >= 1
 
+    def test_a_reattached_injector_starts_with_no_stale_answers(self):
+        """Stale scores are the attached layer's: once the transport
+        healed and read fresh scores, a new injector cannot answer
+        with a score older than those."""
+        service, client = make_client(
+            plan=FaultPlan(seed=0, stale_read_rate=1.0)
+        )
+        features = (3, 4)
+        stale_score = client.predict(features)
+        for _ in range(30):
+            client.update(features, True)
+        client.attach_fault_injector(None)
+        fresh = client.predict(features)
+        assert fresh != stale_score
+        client.attach_fault_injector(
+            FaultInjector(FaultPlan(seed=0, stale_read_rate=1.0))
+        )
+        assert client.predict(features) == fresh
+
     def test_cache_not_populated_during_injection_window(self):
         _, client = make_client(plan=FaultPlan(seed=1, stale_read_rate=0.5))
         for i in range(40):
@@ -129,7 +148,7 @@ class TestDeterminism:
                 scores.append(client.predict((i % 5, 1)))
                 if i % 3 == 0:
                     client.update((i % 5, 1), i % 2 == 0)
-            injector = client._transport.injector
+            injector = client._transport._target.injector
             return scores, injector.stats.stale_reads
 
         first_scores, first_stale = run()

@@ -4,7 +4,12 @@ import pytest
 
 from repro.core import LatencyModel, TransportFault
 from repro.core.errors import ConfigError
-from repro.core.faults import FaultInjector, FaultPlan
+from repro.core.faults import (
+    FaultInjector,
+    FaultPlan,
+    FaultStats,
+    attach_injector,
+)
 from repro.core.transport import SyscallTransport, VdsoTransport
 from tests.core.fake_handle import FakeHandle
 
@@ -28,10 +33,13 @@ class TestFaultPlan:
         assert plan.syscall_failure_rate == 0.4
         assert plan.flush_drop_rate + plan.partial_flush_rate == \
             pytest.approx(0.4)
-        assert plan.any_faults
+        assert plan.stale_read_rate == plan.corruption_rate == 0.4
 
     def test_zero_plan_has_no_faults(self):
-        assert not FaultPlan().any_faults
+        rates = {name: rate for name, rate in vars(FaultPlan()).items()
+                 if name.endswith("_rate")}
+        assert len(rates) == 8
+        assert not any(rates.values())
 
 
 class TestInjectorDeterminism:
@@ -62,15 +70,14 @@ class TestInjectorDeterminism:
             assert not injector.stale_read()
             assert injector.flush_outcome(4) == 4
             assert not injector.corrupt_snapshot()
-        assert injector.stats.total == 0
+        assert injector.stats == FaultStats()
 
     def test_stats_count_injections(self):
         injector = FaultInjector(FaultPlan(seed=0,
                                            syscall_failure_rate=1.0))
         for _ in range(10):
             assert injector.syscall_fault() is not None
-        assert injector.stats.syscall_faults == 10
-        assert injector.stats.total == 10
+        assert injector.stats == FaultStats(syscall_faults=10)
 
     def test_corrupt_text_changes_one_character(self):
         injector = FaultInjector(FaultPlan(seed=0, corruption_rate=1.0))
@@ -84,9 +91,8 @@ class TestInjectorDeterminism:
 class TestSyscallTransportFaults:
     def test_failed_predict_raises_but_charges(self):
         t = SyscallTransport(FakeHandle(score=0), LAT)
-        t.attach_injector(
-            FaultInjector(FaultPlan(seed=0, syscall_failure_rate=1.0))
-        )
+        attach_injector(
+            t, FaultInjector(FaultPlan(seed=0, syscall_failure_rate=1.0)))
         with pytest.raises(TransportFault) as exc:
             t.predict([1, 2])
         assert exc.value.errno_name in ("EAGAIN", "EINTR")
@@ -95,9 +101,8 @@ class TestSyscallTransportFaults:
     def test_failed_update_delivers_nothing(self):
         target = FakeHandle(score=0)
         t = SyscallTransport(target, LAT)
-        t.attach_injector(
-            FaultInjector(FaultPlan(seed=0, syscall_failure_rate=1.0))
-        )
+        attach_injector(
+            t, FaultInjector(FaultPlan(seed=0, syscall_failure_rate=1.0)))
         with pytest.raises(TransportFault) as exc:
             t.update([1, 2], True)
         assert exc.value.lost_records == 0
@@ -106,12 +111,11 @@ class TestSyscallTransportFaults:
 
     def test_detaching_injector_heals(self):
         t = SyscallTransport(FakeHandle(score=0), LAT)
-        t.attach_injector(
-            FaultInjector(FaultPlan(seed=0, syscall_failure_rate=1.0))
-        )
+        attach_injector(
+            t, FaultInjector(FaultPlan(seed=0, syscall_failure_rate=1.0)))
         with pytest.raises(TransportFault):
             t.predict([1])
-        t.attach_injector(None)
+        attach_injector(t, None)
         assert t.predict([1]) == 0
 
 
@@ -119,9 +123,8 @@ class TestVdsoTransportFaults:
     def test_stale_read_returns_previous_score(self):
         target = FakeHandle(score=0)
         t = VdsoTransport(target, LAT, batch_size=4)
-        t.attach_injector(
-            FaultInjector(FaultPlan(seed=0, stale_read_rate=1.0))
-        )
+        attach_injector(
+            t, FaultInjector(FaultPlan(seed=0, stale_read_rate=1.0)))
         target.score = 5
         assert t.predict([1, 2]) == 5  # first read: nothing cached yet
         target.score = 9
@@ -130,18 +133,16 @@ class TestVdsoTransportFaults:
 
     def test_stale_reads_never_raise(self):
         t = VdsoTransport(FakeHandle(score=0), LAT, batch_size=4)
-        t.attach_injector(
-            FaultInjector(FaultPlan(seed=0, stale_read_rate=1.0))
-        )
+        attach_injector(
+            t, FaultInjector(FaultPlan(seed=0, stale_read_rate=1.0)))
         for i in range(50):
             t.predict([i % 4])
 
     def test_dropped_flush_loses_whole_batch(self):
         target = FakeHandle(score=0)
         t = VdsoTransport(target, LAT, batch_size=4)
-        t.attach_injector(
-            FaultInjector(FaultPlan(seed=0, flush_drop_rate=1.0))
-        )
+        attach_injector(
+            t, FaultInjector(FaultPlan(seed=0, flush_drop_rate=1.0)))
         with pytest.raises(TransportFault) as exc:
             for i in range(4):
                 t.update([i], True)
@@ -152,9 +153,8 @@ class TestVdsoTransportFaults:
     def test_partial_flush_delivers_prefix(self):
         target = FakeHandle(score=0)
         t = VdsoTransport(target, LAT, batch_size=8)
-        t.attach_injector(
-            FaultInjector(FaultPlan(seed=1, partial_flush_rate=1.0))
-        )
+        attach_injector(
+            t, FaultInjector(FaultPlan(seed=1, partial_flush_rate=1.0)))
         for i in range(7):
             t.update([i], True)
         with pytest.raises(TransportFault) as exc:
@@ -167,9 +167,8 @@ class TestVdsoTransportFaults:
 
     def test_failed_flush_still_charges_syscall(self):
         t = VdsoTransport(FakeHandle(score=0), LAT, batch_size=4)
-        t.attach_injector(
-            FaultInjector(FaultPlan(seed=0, syscall_failure_rate=1.0))
-        )
+        attach_injector(
+            t, FaultInjector(FaultPlan(seed=0, syscall_failure_rate=1.0)))
         t.update([1], True)
         with pytest.raises(TransportFault):
             t.flush()

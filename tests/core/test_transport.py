@@ -7,7 +7,7 @@ import pytest
 from repro.core import PredictionService, PSSConfig
 from repro.core.config import LatencyModel
 from repro.core.errors import TransportClosedError, TransportError
-from repro.core.faults import FaultInjector, FaultPlan
+from repro.core.faults import FaultInjector, FaultPlan, attach_injector
 from repro.core.transport import (
     SyscallTransport,
     Transport,
@@ -261,20 +261,22 @@ class TestCloseContract:
     @TRANSPORTS
     def test_close_releases_what_the_transport_holds(self, cls):
         """Whatever a transport holds beyond the base's fields (its
-        buffer, its score and stale-read caches) is empty once it is
-        closed: a closed mapping keeps no answer or record alive past
-        the handle it was read through."""
+        buffer, its score cache, an attached fault layer's stale-read
+        cache) is empty once it is closed: a closed mapping keeps no
+        answer or record alive past the handle it was read through."""
         base = set(vars(Transport(real_handle(), LAT)))
         t = cls(real_handle(), LAT)
         t.predict([1, 2])
         t.predict_batch([(3, 4), (5, 6)])
         t.update([1, 2], True)
-        t.attach_injector(FaultInjector(FaultPlan(seed=0,
-                                                  stale_read_rate=0.5)))
+        attach_injector(t, FaultInjector(FaultPlan(seed=0,
+                                                   stale_read_rate=0.5)))
         for row in ([1, 2], [3, 4], [1, 2], [3, 4]):
             t.predict(row)
+        layer = t._target
         t.close()
-        held = {name: value for name, value in vars(t).items()
+        held = {name: value for holder in (t, layer)
+                for name, value in vars(holder).items()
                 if name not in base and isinstance(value, Sized)
                 and len(value)}
         assert held == {}

@@ -18,16 +18,17 @@ from hypothesis import strategies as st
 from repro.core import PredictionService, PSSConfig
 from repro.core.errors import (
     FeatureError,
+    PolicyError,
     QuotaExceededError,
     ShardDownError,
     TransportFault,
 )
-from repro.core.faults import FaultInjector, FaultPlan
+from repro.core.faults import FaultInjector, FaultPlan, attach_injector
 from repro.core.kernel.admission import AdmissionController, TenantQuota
 from repro.core.kernel.replica import ReplicaPromoter
 from repro.core.models import PredictorModel
 from repro.core.perceptron import HashedPerceptron
-from repro.core.policy import ClientIdentity
+from repro.core.policy import ClientIdentity, DomainPolicy, SharingMode
 from repro.obs import Tracer
 
 #: a margin this small is cleared after a few repeats, so the streams
@@ -392,7 +393,7 @@ class TestFlushIsTheScalarLoop:
         records = [(ROWS[i % 6], i % 2 == 0) for i in range(count)]
         service, scalar = build(), build()
         client = service.connect("dom", batch_size=64)._transport
-        client.attach_injector(FaultInjector(
+        attach_injector(client, FaultInjector(
             FaultPlan(seed=seed, partial_flush_rate=1.0)))
         for features, direction in records:
             client.update(features, direction)
@@ -455,3 +456,28 @@ class TestOneBadRecordDoesNotTakeItsNeighbours:
             getattr(client, how)()
         assert service.domain("d").stats.updates == 3
         assert client.stats.dropped_updates == 1
+
+
+class TestAPolicyRefusedFlushCountsWhatItDrops:
+    """Reproduced at the parent: a vDSO flush the domain's policy
+    refused raised ``PolicyError`` with no ``lost_records``, so the
+    buffered records were gone and ``dropped_updates`` stayed 0, where
+    a quota or down-shard refusal counts them."""
+
+    @pytest.mark.parametrize("how", ["flush", "update"])
+    def test_the_refusal_still_raises_and_counts_the_buffer(self, how):
+        owner, other = ClientIdentity(1, "owner"), ClientIdentity(2, "b")
+        service = PredictionService()
+        service.create_domain(
+            "d", config=PSSConfig(num_features=2), identity=owner,
+            policy=DomainPolicy(owner=owner, mode=SharingMode.READ_ONLY))
+        client = service.connect("d", identity=other,
+                                 batch_size=8 if how == "flush" else 2)
+        client.update(ROWS[0], True)
+        with pytest.raises(PolicyError) as exc_info:
+            client.update(ROWS[1], False)  # fills a buffer of 2
+            client.flush()
+        assert exc_info.value.lost_records == 2
+        assert client.stats.dropped_updates == 2
+        assert client.pending_updates == 0
+        assert service.domain("d").stats.updates == 0

@@ -2,7 +2,7 @@
 
 Everything else the system promises is checked by running it (the state
 machine in ``tests/test_machine.py``, the kind-coverage and close
-contract tests, the plan type).  These seven are about what the code
+contract tests, the plan type).  These eight are about what the code
 *says* whether or not a run reaches it, so they parse the tree:
 
 * simulated time and seeded streams only - the modules that may import
@@ -17,6 +17,10 @@ contract tests, the plan type).  These seven are about what the code
 * a read on a crashed shard fails over in one place: only the
   ``Domain`` calls ``failover_predict``; and a write on one is refused
   in one place, ``Domain.refuse_write``;
+* the plain transports know nothing of injected faults: no function in
+  ``core/transport.py`` names the injector or its stale die, and the
+  module does not import ``repro.core.faults`` (injection is the
+  ``FaultLayer`` in front of a transport);
 * the serving pipeline judges its SLOs when asked, with no process of
   its own, so a run ends when its last request settles:
   ``core/serving/pipeline.py`` spawns nothing, and nothing in ``src``
@@ -57,6 +61,9 @@ KERNEL_RECEIVERS = ("service", "kernel", "shard", "svc")
 NO_PROBES = ("core/transport.py", "core/client.py", "core/kernel/")
 #: the one class that applies the crash rule to a read, and its module
 FAILS_OVER = ("core/kernel/domain.py", "Domain")
+#: the plain transports, and the names only fault injection uses
+TRANSPORTS = "core/transport.py"
+INJECTION = {"injector", "_injector", "stale_read", "FaultInjector"}
 
 
 def dotted(node):
@@ -189,6 +196,27 @@ def test_only_the_domain_refuses_a_write():
                    and dotted(node.func) == "ShardDownError")
     assert found == ["core/kernel/domain.py:refuse_write",
                      "core/kernel/shard.py:failover_predict"]
+
+
+def test_the_transports_name_no_injector():
+    tree = SOURCES[TRANSPORTS]
+    found = [f"{TRANSPORTS}:{node.lineno} imports {node.module}"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom)
+             and node.module == "repro.core.faults"]
+    for function in ast.walk(tree):
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        for node in ast.walk(function):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.arg if isinstance(node, ast.arg)
+                    else node.name if isinstance(node, ast.FunctionDef)
+                    else None)
+            if name in INJECTION:
+                found.append(f"{TRANSPORTS}:{node.lineno} "
+                             f"{function.name} names {name}")
+    assert found == []
 
 
 def test_the_pipeline_needs_no_load_complete_mark():
