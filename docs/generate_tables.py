@@ -1,9 +1,10 @@
-"""Generate the event / span / metric tables of docs/OBSERVABILITY.md,
+"""Generate the trace-kind and metric tables of docs/OBSERVABILITY.md,
 and its watch-budget table.
 
-The names come from the program's registries - ``EVENT_KINDS``,
-``SPAN_NAMES`` and the ``pss_*`` name constants of
-``repro.obs.metrics`` - and the prose from the rows below; a name
+The names come from the program's registries - ``EVENT_KINDS``, which
+holds every kind the tracer records, instants and spans alike, and the
+``pss_*`` name constants of ``repro.obs.metrics`` - and the prose from
+the rows below; a name
 without a row, or a row naming something no registry holds, is an
 error, so the tables cannot list what the stack does not emit or omit
 what it does.  The watch-budget table holds each ``perf/`` workload's
@@ -27,7 +28,6 @@ import sys
 from pathlib import Path
 
 from repro.obs import metrics as metric_names
-from repro.obs.spans import SPAN_NAMES
 from repro.obs.trace import EVENT_KINDS
 
 DOC = Path(__file__).with_name("OBSERVABILITY.md")
@@ -47,7 +47,7 @@ WATCH_BUDGETS = {
     "serve_batched": 1.45,  # 1.320
 }
 
-#: (kinds, emitted by, when) - one row per group of kinds
+#: (kinds, emitted by, when) - one row per group of instants' kinds
 EVENT_ROWS = [
     (("predict", "update", "reset", "flush"), "transports",
      "an operation crossed (or was served at) the boundary.  A scalar "
@@ -110,7 +110,7 @@ EVENT_ROWS = [
      "an SLO entered a fast-burn excursion (see below)"),
 ]
 
-#: (names, opened by, covers)
+#: (kinds, opened by, covers) - one row per group of spans' kinds
 SPAN_ROWS = [
     (("client.predict", "client.predict_batch", "client.update",
       "client.reset", "client.flush"), "`PSSClient`",
@@ -267,10 +267,11 @@ def watch_budget_table() -> str:
 def tables() -> dict[str, str]:
     """Section name -> generated markdown table."""
     return {
-        "events": _table(("kind", "emitted by", "when"), EVENT_ROWS,
-                         EVENT_KINDS, "event kind"),
-        "spans": _table(("span", "opened by", "covers"), SPAN_ROWS,
-                        SPAN_NAMES, "span name"),
+        "events": _table(
+            ("kind", "record", "recorded by", "what"),
+            [(kinds, "instant", *cells) for kinds, *cells in EVENT_ROWS]
+            + [(kinds, "span", *cells) for kinds, *cells in SPAN_ROWS],
+            EVENT_KINDS, "event kind"),
         "metrics": _table(("metric", "instrument", "labels", "meaning"),
                           METRIC_ROWS, metric_constants(), "metric"),
         "watch-budget": watch_budget_table(),

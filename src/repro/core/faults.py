@@ -47,6 +47,7 @@ from repro.core.errors import (
     AdmissionError,
     ConfigError,
     FeatureError,
+    PolicyError,
     ShardDownError,
     TransportFault,
 )
@@ -377,6 +378,12 @@ class FaultLayer:
                 transport._trace_refused_flush(refused)
                 raise
             fault.lost_records += refused.lost_records
+        except PolicyError as refused:
+            # the caller may not write here at all: the refusal is the
+            # outcome, and it loses the undelivered suffix with the prefix
+            if fault:
+                refused.lost_records += fault.lost_records
+            raise
         if fault:
             raise fault  # the undelivered rest is gone: updates are hints
 

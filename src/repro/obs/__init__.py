@@ -1,9 +1,9 @@
 """Observability for the Prediction System Service stack.
 
 White-box instrumentation (PRETZEL-style): a bounded structured event
-tracer with causal request spans, a metrics registry with log-bucketed
-latency histograms, and declarative SLOs with multi-window error-budget
-burn rates.  This package exports what a request runs through; the
+tracer whose spans are events with a duration, a metrics registry with
+log-bucketed latency histograms, and declarative SLOs with multi-window
+error-budget burn rates.  This package exports what a request runs through; the
 subsystems a request never touches are imported from their own
 modules: exporters for JSONL, Chrome trace-event JSON and Prometheus
 text (:mod:`repro.obs.exporters`), the flight recorder and its
@@ -29,12 +29,6 @@ from repro.obs.slo import (
     SLOVerdict,
     default_slos,
 )
-from repro.obs.spans import (
-    SPAN_NAMES,
-    Span,
-    span_children,
-    validate_spans,
-)
 from repro.obs.trace import (
     EVENT_KINDS,
     NULL_TRACER,
@@ -43,14 +37,14 @@ from repro.obs.trace import (
     TraceEvent,
     Tracer,
     TracerLike,
+    span_children,
+    validate_spans,
 )
 
 __all__ = [
     "EVENT_KINDS",
     "NULL_TRACER",
     "NullTracer",
-    "SPAN_NAMES",
-    "Span",
     "SpanHandleLike",
     "TraceEvent",
     "Tracer",

@@ -3,12 +3,12 @@
 Three consumers, three formats:
 
 * :func:`write_jsonl` - one JSON object per line, greppable and
-  streamable, the raw event log.
+  streamable: the raw event log, or the spans.
 * :func:`chrome_trace` / :func:`write_chrome_trace` - the Chrome
   trace-event format (``{"traceEvents": [...]}``) loadable in Perfetto
   or ``chrome://tracing``; each (domain, transport) pair becomes its own
   track, operations with a simulated duration are complete events and
-  everything else is an instant.  Completed spans render as nested
+  everything else is an instant.  Ended spans render as nested
   complete events on the same tracks, with flow arrows connecting a
   parent span to children living on a *different* track (a client span
   fanning out to per-shard kernel dispatches draws one arrow per shard).
@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import Any, Iterable
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import Span
 from repro.obs.trace import TraceEvent, TracerLike
 
 #: event kinds that represent work with a duration (Chrome "X" events);
@@ -32,18 +31,19 @@ from repro.obs.trace import TraceEvent, TracerLike
 DURATION_KINDS = frozenset({"predict", "update", "reset", "flush"})
 
 
-def write_jsonl(tracer: TracerLike, path: str | Path) -> int:
-    """Dump the tracer's events as JSON Lines; returns the event count."""
-    events = tracer.events()
+def write_jsonl(records: Iterable[TraceEvent], path: str | Path) -> int:
+    """Dump records (``tracer.events()`` or ``tracer.spans()``) as JSON
+    Lines of their exported form; returns the record count."""
+    held = list(records)
     with Path(path).open("w", encoding="utf-8") as handle:
-        for event in events:
-            handle.write(json.dumps(event.as_dict(),
+        for record in held:
+            handle.write(json.dumps(record.as_dict(),
                                     separators=(",", ":")))
             handle.write("\n")
-    return len(events)
+    return len(held)
 
 
-def _track_name(event: TraceEvent | Span) -> str:
+def _track_name(event: TraceEvent) -> str:
     if event.domain and event.transport:
         base = f"{event.domain}/{event.transport}"
     else:
@@ -57,7 +57,7 @@ def _track_name(event: TraceEvent | Span) -> str:
 
 
 def chrome_trace(events: Iterable[TraceEvent],
-                 spans: Iterable[Span] = ()) -> dict[str, Any]:
+                 spans: Iterable[TraceEvent] = ()) -> dict[str, Any]:
     """Render events (and optionally spans) as a Chrome trace object.
 
     Timestamps are simulated nanoseconds scaled to the format's
@@ -79,7 +79,7 @@ def chrome_trace(events: Iterable[TraceEvent],
     }]
     body: list[dict[str, Any]] = []
 
-    def track_tid(record: TraceEvent | Span) -> int:
+    def track_tid(record: TraceEvent) -> int:
         track = _track_name(record)
         tid = tids.get(track)
         if tid is None:
@@ -111,7 +111,7 @@ def chrome_trace(events: Iterable[TraceEvent],
             record["s"] = "t"
         body.append(record)
 
-    placed: dict[int, tuple[Span, int]] = {}
+    placed: dict[int, tuple[TraceEvent, int]] = {}
     for span in spans:
         tid = track_tid(span)
         placed[span.span_id] = (span, tid)
@@ -120,7 +120,7 @@ def chrome_trace(events: Iterable[TraceEvent],
         if span.detail:
             args.update(span.detail)
         body.append({
-            "name": span.name,
+            "name": span.kind,
             "cat": "pss.span",
             "ph": "X",
             "pid": pid,
@@ -136,7 +136,7 @@ def chrome_trace(events: Iterable[TraceEvent],
         # Cross-track causality: arrow from the parent span's track to
         # the child's, anchored at the child's start time.
         ts = span.start_ns / 1000.0
-        flow = {"cat": "pss.flow", "name": span.name, "pid": pid,
+        flow = {"cat": "pss.flow", "name": span.kind, "pid": pid,
                 "id": span.span_id}
         body.append({**flow, "ph": "s", "tid": parent[1], "ts": ts})
         body.append({**flow, "ph": "f", "bp": "e", "tid": tid, "ts": ts})

@@ -5,7 +5,7 @@ ring semantics, same span API - that additionally watches the event
 stream for trigger kinds (shard crash, breaker open, checkpoint
 corruption, SLO page) and, the moment one lands, dumps everything it
 holds into a CRC-checked post-mortem bundle: the recent events, the
-completed and still-open spans (the open stack is the crash context),
+ended and still-open spans (the open stack is the crash context),
 the latest metrics snapshot, and the trigger itself.  Because every
 component already records through its tracer, handing them a recorder
 instead of a plain tracer needs **zero extra wiring**.
@@ -60,8 +60,10 @@ class FlightRecorder(Tracer):
         self.suppressed_dumps = 0
         self._metrics: MetricsRegistry | None = None
         self._dump_seq = 0
-        #: every event lands here - ``record`` and a hot site's bound
+        #: every instant lands here - ``record`` and a hot site's bound
         #: ``emit`` alike - so a trigger kind dumps whichever emitted it
+        #: (a span's end appends to the ring directly: no span name is
+        #: a trigger)
         self.emit = self._emit_watched
 
     def attach_metrics(self, metrics: MetricsRegistry) -> None:

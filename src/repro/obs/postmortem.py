@@ -25,8 +25,7 @@ import sys
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.obs.flightrec import load_bundle
-from repro.obs.spans import Span, SpanLike, _as_span, span_children
-from repro.obs.trace import TraceEvent
+from repro.obs.trace import TraceEvent, span_children
 
 #: cap the rendered tree; a bundle can hold tens of thousands of spans
 MAX_TREE_SPANS = 200
@@ -43,81 +42,80 @@ USAGE = ("usage: python -m repro postmortem BUNDLE.json\n"
          "[--request N] [--slowest K]")
 
 
-def _forest(spans: Iterable[SpanLike]) -> tuple[list[Span],
-                                                dict[int, list[Span]]]:
+#: an exported span, as a bundle or ``spans.jsonl`` holds it
+SpanDict = Mapping[str, Any]
+
+
+def _dur(span: SpanDict) -> float:
+    return float(span["end_ns"] - span["start_ns"])
+
+
+def _where(span: SpanDict, pad: str = "  ") -> str:
+    where = "/".join(span[part] for part in ("domain", "shard")
+                     if span.get(part))
+    return f"{pad}({where})" if where else ""
+
+
+def _forest(spans: Sequence[SpanDict]
+            ) -> tuple[list[SpanDict], dict[int, list[SpanDict]]]:
     """Roots + children map; spans whose parent was evicted from the
     ring are treated as roots (a bundle keeps the most recent window,
     not necessarily whole trees)."""
-    resolved = [_as_span(span) for span in spans]
-    ids = {span.span_id for span in resolved}
-    children = span_children(resolved)
-    roots = [span for span in resolved
-             if span.parent_id == 0 or span.parent_id not in ids]
-    return roots, children
+    ids = {span["span_id"] for span in spans}
+    roots = [span for span in spans if span["parent_id"] not in ids]
+    return roots, span_children(spans)
 
 
-def render_tree(spans: Sequence[SpanLike],
+def render_tree(spans: Sequence[SpanDict],
                 max_spans: int = MAX_TREE_SPANS) -> str:
     """Indented causal tree, one line per span, most recent roots last."""
     roots, children = _forest(spans)
     lines: list[str] = []
 
-    def visit(span: Span, depth: int) -> None:
+    def visit(span: SpanDict, depth: int) -> None:
         if len(lines) >= max_spans:
             return
-        where = "/".join(part for part in (span.domain, span.shard) if part)
-        status = "" if span.status == "ok" else f"  [{span.status}]"
-        extra = f"  {span.detail}" if span.detail else ""
-        lines.append(
-            f"{'  ' * depth}{span.name}"
-            f"{f'  ({where})' if where else ''}"
-            f"  {span.dur_ns:.2f} ns{status}{extra}")
-        for child in children.get(span.span_id, []):
+        status = "" if span["status"] == "ok" else f"  [{span['status']}]"
+        extra = f"  {span['detail']}" if span.get("detail") else ""
+        lines.append(f"{'  ' * depth}{span['name']}{_where(span)}"
+                     f"  {_dur(span):.2f} ns{status}{extra}")
+        for child in children.get(span["span_id"], []):
             visit(child, depth + 1)
 
     for root in roots:
         visit(root, 0)
     if not lines:
         return "(no spans recorded)"
-    total = len(spans)
     if len(lines) >= max_spans:
-        lines.append(f"... ({total} spans; showing first {max_spans})")
+        lines.append(f"... ({len(spans)} spans; showing first {max_spans})")
     return "\n".join(lines)
 
 
-def critical_paths(spans: Sequence[SpanLike],
-                   top: int = MAX_PATHS) -> list[tuple[float, list[Span]]]:
+def critical_paths(spans: Sequence[SpanDict], top: int = MAX_PATHS
+                   ) -> list[tuple[float, list[SpanDict]]]:
     """The ``top`` slowest root-to-leaf paths by root duration.
 
     Within a tree, the path follows the slowest child at every level -
     the chain that kept the request's critical path busy longest.
     """
     roots, children = _forest(spans)
-    ranked = sorted(roots, key=lambda span: span.dur_ns, reverse=True)
-    paths: list[tuple[float, list[Span]]] = []
-    for root in ranked[:top]:
+    paths: list[tuple[float, list[SpanDict]]] = []
+    for root in sorted(roots, key=_dur, reverse=True)[:top]:
         path = [root]
-        cursor = root
-        while True:
-            kids = children.get(cursor.span_id, [])
-            if not kids:
-                break
-            cursor = max(kids, key=lambda span: span.dur_ns)
-            path.append(cursor)
-        paths.append((root.dur_ns, path))
+        while kids := children.get(path[-1]["span_id"]):
+            path.append(max(kids, key=_dur))
+        paths.append((_dur(root), path))
     return paths
 
 
-def render_critical_paths(spans: Sequence[SpanLike],
+def render_critical_paths(spans: Sequence[SpanDict],
                           top: int = MAX_PATHS) -> str:
     paths = critical_paths(spans, top=top)
     if not paths:
         return "(no spans recorded)"
-    lines = []
-    for dur_ns, path in paths:
-        chain = " -> ".join(span.name for span in path)
-        lines.append(f"{dur_ns:10.2f} ns  {chain}")
-    return "\n".join(lines)
+    return "\n".join(
+        f"{dur_ns:10.2f} ns  {' -> '.join(span['name'] for span in path)}"
+        for dur_ns, path in paths)
 
 
 def render_bundle(payload: dict[str, Any]) -> str:
@@ -141,12 +139,9 @@ def render_bundle(payload: dict[str, Any]) -> str:
             "",
             "== open at trigger (crash context, outermost first) ==",
         ]
-        for raw in open_spans:
-            span = _as_span(raw)
-            where = "/".join(p for p in (span.domain, span.shard) if p)
-            lines.append(
-                f"  {span.name}{f' ({where})' if where else ''} "
-                f"started at {span.start_ns:.2f} ns")
+        for span in open_spans:
+            lines.append(f"  {span['name']}{_where(span, ' ')} "
+                         f"started at {span['start_ns']:.2f} ns")
     lines += [
         "",
         "== slowest critical paths ==",

@@ -13,7 +13,6 @@ post-mortem bundles the flight recorder dumped.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -82,7 +81,7 @@ class ObsSession:
             ) if str(self.trace_path).endswith(".json") else Path(
                 str(self.trace_path) + ".jsonl"
             )
-            write_jsonl(self.tracer, events_path)
+            write_jsonl(self.tracer.events(), events_path)
             lines.append(
                 f"trace: {count} events -> {self.trace_path} "
                 f"(Chrome trace-event; open in Perfetto) and "
@@ -91,11 +90,7 @@ class ObsSession:
             spans = self.tracer.spans()
             if spans:
                 spans_path = Path(str(self.trace_path) + ".spans.jsonl")
-                with spans_path.open("w", encoding="utf-8") as handle:
-                    for span in spans:
-                        handle.write(json.dumps(span.as_dict(),
-                                                separators=(",", ":")))
-                        handle.write("\n")
+                write_jsonl(spans, spans_path)
                 lines.append(
                     f"trace: {len(spans)} spans -> {spans_path} (JSONL)")
             if self.tracer.dropped:
@@ -105,7 +100,7 @@ class ObsSession:
                 )
             if self.tracer.span_dropped:
                 lines.append(
-                    f"trace: span ring dropped "
+                    f"trace: ring buffer dropped "
                     f"{self.tracer.span_dropped} oldest spans"
                 )
         if self.slo and self.tracer.enabled:

@@ -3,31 +3,32 @@
 The paper's evaluation reasons about latency *distributions* across the
 user/kernel boundary, which means knowing what the service actually did,
 event by event: which predictions hit the score cache, when a batch
-flushed, when a fault was injected and how the client degraded.  A
-:class:`Tracer` is a bounded ring buffer of typed :class:`TraceEvent`
-records carrying simulated-nanosecond timestamps; exporters
-(:mod:`repro.obs.exporters`) turn the buffer into JSONL, Chrome
-trace-event JSON (one track per domain/transport, loadable in Perfetto or
-``chrome://tracing``), or plain dicts.
+flushed, when a fault was injected and how the client degraded - and
+which stage of which request the time went to.  A :class:`Tracer` is a
+bounded ring of typed :class:`TraceEvent` records carrying
+simulated-nanosecond timestamps.  A timed stage (a *span*) is an event
+with a duration, appended when it ends with its own id and its parent's,
+so every request yields a reconstructable tree.  Exporters
+(:mod:`repro.obs.exporters`) turn the ring into JSONL, Chrome
+trace-event JSON (loadable in Perfetto) or plain dicts.
 
 Tracing is opt-in and the disabled path is allocation-free: every traced
 component holds :data:`NULL_TRACER` by default and guards each record
-with ``if tracer.enabled`` - a single attribute check, no event object is
+with ``if tracer.enabled`` - a single attribute check, no record is
 ever built.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from contextlib import nullcontext
 from itertools import count
 from types import TracebackType
-from typing import Any, Callable, NamedTuple, Union, cast
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Union, cast
 
-from repro.obs.spans import ROOT_PARENT, Span
-
-#: event kinds emitted by the instrumented stack (transports, clients,
-#: fault injector, checkpoint manager).  Exporters and tests treat this
-#: as the schema; new kinds must be added here.
+#: every kind the instrumented stack records, an instant's or a span's
+#: name.  Exporters and tests treat this as the schema; new kinds must
+#: be added here.
 EVENT_KINDS = frozenset({
     "predict",            # a prediction crossed (or was served) here;
                           # a vDSO read's detail.cache says "hit"/"miss"
@@ -60,16 +61,33 @@ EVENT_KINDS = frozenset({
                           # or - refused at submit - the reason
     "queue.shed",         # an admitted request was shed (back-pressure)
     "batch.flush_timeout",  # a partial batch flushed on window expiry
+    # spans: a client call on its degrade ladder, a boundary crossing,
+    # a kernel stage, a reshard step, a drained batch of two or more
+    "client.predict", "client.predict_batch", "client.update",
+    "client.reset", "client.flush",
+    "vdso.predict_batch", "vdso.reset", "vdso.flush",
+    "syscall.predict", "syscall.predict_batch", "syscall.update",
+    "syscall.reset",
+    "kernel.predict", "kernel.predict_batch", "kernel.update",
+    "kernel.update_batch", "kernel.admission", "kernel.failover",
+    "plan.execute", "migrate.step", "serve.dispatch",
 })
 
 
 class TraceEvent(NamedTuple):
-    """One traced occurrence.
+    """One traced record: an instant, or a span that has ended.
 
     ``ts_ns`` is simulated nanoseconds on the emitting component's
     timeline (a transport stamps its latency account's cumulative time;
-    events with no natural clock get a monotonic sequence number).
+    records with no natural clock get a monotonic sequence number).
     ``dur_ns`` is the simulated cost of the operation (0 for instants).
+
+    A span's record has a ``status`` - ``"ok"``, ``"error:<Type>"``, or
+    ``"open"`` in :meth:`Tracer.open_spans` - and its ``kind`` is the
+    span's name, ``ts_ns`` its end, ``start_ns`` its start as recorded,
+    ``span_id`` its own id and ``parent_id`` its parent's.  An instant
+    has no status and no start, and its ``span_id`` is the span that
+    encloses it.
     """
 
     ts_ns: float
@@ -83,51 +101,135 @@ class TraceEvent(NamedTuple):
     #: exports) on single-shard services, keeping their output
     #: byte-identical to pre-sharding traces
     shard: str = ""
-    #: enclosing span at record time; 0 (and omitted from exports) when
-    #: no span was open, keeping span-free traces byte-identical to
-    #: pre-span output
+    #: an instant's enclosing span (0, and omitted from exports, when
+    #: no span was open); a span's own id
     span_id: int = 0
+    parent_id: int = 0
+    start_ns: float = 0.0
+    status: str = ""
 
     def as_dict(self) -> dict[str, Any]:
-        d = {
-            "ts_ns": self.ts_ns,
-            "kind": self.kind,
-            "domain": self.domain,
-            "transport": self.transport,
-            "dur_ns": self.dur_ns,
-            "generation": self.generation,
-        }
-        if self.shard:
-            d["shard"] = self.shard
-        if self.span_id:
-            d["span_id"] = self.span_id
+        """The exported form: an instant's JSONL line, or a span's, the
+        form :func:`validate_spans` and the post-mortem read."""
+        if self.status:
+            d: dict[str, Any] = {
+                "span_id": self.span_id, "parent_id": self.parent_id,
+                "name": self.kind, "start_ns": self.start_ns,
+                "end_ns": self.ts_ns, "status": self.status}
+            d.update((key, value) for key, value in (
+                ("domain", self.domain), ("transport", self.transport),
+                ("shard", self.shard)) if value)
+        else:
+            d = {"ts_ns": self.ts_ns, "kind": self.kind,
+                 "domain": self.domain, "transport": self.transport,
+                 "dur_ns": self.dur_ns, "generation": self.generation}
+            if self.shard:
+                d["shard"] = self.shard
+            if self.span_id:
+                d["span_id"] = self.span_id
         if self.detail:
             d["detail"] = self.detail
         return d
 
 
 # Allocation without a Python-level frame: the NamedTuple's generated
-# ``__new__`` and a ``Span.__init__`` call would each add one per record.
+# ``__new__`` would add one per record.
 _new_event = cast("Callable[[type[TraceEvent], tuple[Any, ...]], "
                   "TraceEvent]", tuple.__new__)
-_new_span = cast("Callable[[type[Span]], Span]", object.__new__)
+#: what an instant's ring tuple lacks of a span's: parent, start, status
+_INSTANT = (0, 0.0, "")
+#: the length of an instant's ring tuple (a span's is three longer)
+_INSTANT_LEN = 10
+
+
+class OpenSpan:
+    """A span from :meth:`Tracer.span` to its end, and while open its
+    entry on the tracer's ``span_stack`` - what is needed to write its
+    record, no more.
+
+    Entering sets the id, the parent and the start (without a clock of
+    its own a span rides the enclosing span's, so a request tree shares
+    one simulated-ns timeline) and returns the id; leaving appends the
+    span's record to the ring.
+    """
+
+    __slots__ = ("span_id", "parent_id", "start_ns", "clock", "tracer",
+                 "name", "domain", "transport", "shard", "detail")
+
+    span_id: int
+    parent_id: int
+    start_ns: float     # None from ``Tracer.span`` unless given
+    clock: Callable[[], float] | None
+    tracer: Tracer
+    name: str
+    domain: str
+    transport: str
+    shard: str
+    detail: dict[str, Any] | None
+
+    def __enter__(self) -> int:
+        tracer = self.tracer
+        tracer._ticks += 1
+        stack = tracer.span_stack
+        if stack:
+            parent = stack[-1]
+            self.parent_id = parent.span_id
+            if self.clock is None:
+                self.clock = parent.clock
+        if self.start_ns is None:
+            clock = self.clock
+            if clock is None:
+                clock = tracer.clock
+            self.start_ns = clock() if clock is not None \
+                else tracer._sequence()
+        span_id = self.span_id = tracer._next_span_id
+        tracer._next_span_id = span_id + 1
+        stack.append(self)
+        return span_id
+
+    def __exit__(self, exc_type: type[BaseException] | None,
+                 exc: BaseException | None,
+                 tb: TracebackType | None) -> None:
+        tracer = self.tracer
+        tracer._ticks += 1
+        clock = self.clock
+        if clock is None:
+            clock = tracer.clock
+        start = self.start_ns
+        end = clock() if clock is not None else tracer._sequence()
+        if end < start:
+            end = start
+        stack = tracer.span_stack
+        if stack and stack[-1] is self:
+            stack.pop()
+        else:  # mis-nested close: unwind defensively
+            stack[:] = [entry for entry in stack if entry is not self]
+        tracer._spans_issued += 1
+        ring = tracer._ring
+        # a span takes no number of its own: it carries the newest
+        # instant's, which is what ``dropped`` counts from
+        ring.append((
+            ring[-1][0] if ring else tracer._cleared_at, end,
+            self.name, self.domain, self.transport,
+            end - start, 0, self.detail, self.shard, self.span_id,
+            self.parent_id, start,
+            "ok" if exc_type is None else f"error:{exc_type.__name__}"))
+
+
+# ``OpenSpan`` has no ``__init__``: one would add a frame per span.
+_new_open = cast("Callable[[type[OpenSpan]], OpenSpan]", object.__new__)
 
 
 class Tracer:
-    """Bounded ring buffer of :class:`TraceEvent` records.
+    """Bounded ring of :class:`TraceEvent` records, instants and spans.
 
-    When the buffer is full the oldest events are overwritten and
-    :attr:`dropped` counts how many were lost - a long run keeps its most
-    recent window instead of growing without bound.
-
-    Both rings are ``deque(maxlen=capacity)``: the event ring holds
-    plain tuples ``(number, *TraceEvent fields)``, numbered from
-    :attr:`next_number`, and :meth:`events` builds the
-    :class:`TraceEvent` records only when it is read.  A hot site binds
-    :attr:`emit` (the ring's own ``append``), :attr:`next_number` and
-    :attr:`span_stack` once and records with one inline tuple append -
-    no Python frame; :meth:`record` is the same append for every other
-    site.
+    The ring is a ``deque(maxlen=capacity)`` of plain tuples
+    ``(number, *TraceEvent fields)`` - an instant's without the three
+    span fields, a span's numbered as the newest instant - and a full
+    ring overwrites its oldest record, of either kind.  :meth:`events` and :meth:`spans` build the records
+    only when read.  A hot site binds :attr:`emit` (the ring's own
+    ``append``), :attr:`next_number` and :attr:`span_stack` once and
+    records with one inline tuple append - no Python frame.
     """
 
     enabled = True
@@ -138,50 +240,63 @@ class Tracer:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
         #: optional global clock (e.g. a sim Engine's ``now``) used for
-        #: events recorded without an explicit timestamp
+        #: records made without an explicit timestamp
         self.clock = clock
-        self.span_dropped = 0
         self._ring: deque[tuple[Any, ...]] = deque(maxlen=capacity)
-        self._spans: deque[Span] = deque(maxlen=capacity)  # completed
         #: open spans, innermost last: emptied only by their own exits,
         #: so the reference a hot site binds stays live
-        self.span_stack: list[Span] = []
+        self.span_stack: list[OpenSpan] = []
         #: the record path a hot site binds: append one event tuple,
         #: ``(next_number(), ts_ns, kind, domain, transport, dur_ns,
         #: generation, detail, shard, span_id)``
         self.emit: Callable[[tuple[Any, ...]], None] = self._ring.append
         self.next_number: Callable[[], int] = count(1).__next__
-        # Fallback timestamp of a clockless record: its number plus the
-        # span enters and exits so far (one monotonic sequence).
+        #: spans ended since the last :meth:`clear`
+        self._spans_issued = 0
+        # Fallback timestamp of a clockless record: the newest instant's
+        # number plus the span enters and exits so far (one monotonic
+        # sequence).
         self._ticks = 0
-        self._cleared_at = 0   # the last event number at clear()
+        self._cleared_at = 0   # the last instant's number at clear()
         self._next_span_id = 1
 
     def __len__(self) -> int:
-        return len(self._ring)
+        """Instants held (the span view is :meth:`spans`)."""
+        return len(self._ring) - self._spans_held()
+
+    def _spans_held(self) -> int:
+        return sum(len(record) > _INSTANT_LEN for record in self._ring)
 
     def _last_number(self) -> int:
-        """The newest event's number (the last one before a
+        """The newest instant's number (the last one before a
         :meth:`clear` while the ring is empty)."""
         ring = self._ring
         number: int = ring[-1][0] if ring else self._cleared_at
         return number
 
+    def _sequence(self) -> float:
+        """A clockless span's start or end stamp."""
+        return float(self._last_number() + self._ticks)
+
     @property
     def dropped(self) -> int:
-        """Events overwritten since the last :meth:`clear`: every
-        number issued since then that the ring no longer holds."""
-        return self._last_number() - self._cleared_at - len(self._ring)
+        """Instants overwritten since the last :meth:`clear`."""
+        return self._last_number() - self._cleared_at - len(self)
+
+    @property
+    def span_dropped(self) -> int:
+        """Spans overwritten since the last :meth:`clear`."""
+        return self._spans_issued - self._spans_held()
 
     def record(self, kind: str, domain: str = "", transport: str = "",
                ts_ns: float | None = None, dur_ns: float = 0.0,
                generation: int = 0,
                detail: dict[str, Any] | None = None,
                shard: str = "") -> None:
-        """Append one event, evicting the oldest when full.
+        """Append one instant, evicting the oldest record when full.
 
-        The event attaches to the innermost open span, if any - flat
-        events are not replaced by spans, they become their leaves.
+        It attaches to the innermost open span, if any: instants are
+        the leaves of span trees.
         """
         number = self.next_number()
         if ts_ns is None:
@@ -190,65 +305,57 @@ class Tracer:
         stack = self.span_stack
         self.emit((number, ts_ns, kind, domain, transport, dur_ns,
                    generation, detail, shard,
-                   stack[-1].span_id if stack else ROOT_PARENT))
+                   stack[-1].span_id if stack else 0))
 
     def span(self, name: str, domain: str = "", transport: str = "",
              shard: str = "", ts_ns: float | None = None,
              detail: dict[str, Any] | None = None,
-             clock: Callable[[], float] | None = None) -> Span:
-        """Open a span for the duration of a ``with`` block.
-
-        The only way to open a span, as a ``with`` item (the tracer
-        has no begin / end pair): the returned
-        :class:`~repro.obs.spans.Span` is its own context manager and
-        closes on every path, stamping ``status`` from the in-flight
-        exception.  ``clock`` overrides the tracer clock for this span
-        and the spans nested in it (transports pass their latency
-        account so durations are simulated ns).  This allocates the
-        span and nothing else.
-        """
-        opened = _new_span(Span)
-        opened.span_id = opened.parent_id = ROOT_PARENT
-        opened.start_ns = opened.end_ns = 0.0
+             clock: Callable[[], float] | None = None) -> OpenSpan:
+        """A span over a ``with`` block, the only way to open one; it
+        ends on every path, ``status`` naming the in-flight exception.
+        ``clock`` overrides the tracer clock for this span and the spans
+        nested in it (transports pass their latency account, so
+        durations are simulated ns)."""
+        opened = _new_open(OpenSpan)
+        opened.span_id = opened.parent_id = 0
+        opened.start_ns = ts_ns  # type: ignore[assignment]
+        opened.clock = clock
+        opened.tracer = self
         opened.name = name
         opened.domain = domain
         opened.transport = transport
         opened.shard = shard
-        opened.status = "open"
         opened.detail = detail
-        opened._tracer = self
-        opened._clock = clock
-        opened._ts_ns = ts_ns
         return opened
 
-    def current_span_id(self) -> int:
-        stack = self.span_stack
-        return stack[-1].span_id if stack else ROOT_PARENT
-
     def events(self) -> list[TraceEvent]:
-        """All buffered events, oldest first."""
-        return [_new_event(TraceEvent, event[1:]) for event in self._ring]
+        """The instants held, oldest first."""
+        return [_new_event(TraceEvent, record[1:] + _INSTANT)
+                for record in self._ring if len(record) == _INSTANT_LEN]
 
-    def spans(self) -> list[Span]:
-        """All completed spans, completion order (children first)."""
-        return list(self._spans)
+    def spans(self) -> list[TraceEvent]:
+        """The ended spans held, in end order (children first)."""
+        return [_new_event(TraceEvent, record[1:])
+                for record in self._ring if len(record) > _INSTANT_LEN]
 
-    def open_spans(self) -> list[Span]:
-        """Spans still on the stack (outermost first) - crash context."""
-        return list(self.span_stack)
+    def open_spans(self) -> list[TraceEvent]:
+        """Spans still on the stack (outermost first), as records with
+        status ``"open"`` - crash context."""
+        return [TraceEvent(0.0, s.name, s.domain, s.transport, 0.0, 0,
+                           s.detail, s.shard, s.span_id, s.parent_id,
+                           s.start_ns, "open")
+                for s in self.span_stack]
 
     def clear(self) -> None:
-        """Forget every buffered event and completed span.
+        """Forget every record held.
 
-        Spans still open stay on the stack - they close into the
-        emptied ring - and the ids they hold are never handed out
-        again.  Both rings are emptied in place, so what a hot site
-        bound stays live.
+        Spans still open stay on the stack - they end into the emptied
+        ring - and the ids they hold are never handed out again.  The
+        ring is emptied in place, so what a hot site bound stays live.
         """
         self._cleared_at = self._last_number()
         self._ring.clear()
-        self._spans.clear()
-        self.span_dropped = 0
+        self._spans_issued = 0
         stack = self.span_stack
         self._next_span_id = stack[-1].span_id + 1 if stack else 1
 
@@ -267,7 +374,7 @@ class NullTracer:
     clock: Callable[[], float] | None = None
     #: the emit path's names are inert too (``emit``, ``next_number``
     #: below): a site binds them all, and records only while ``enabled``
-    span_stack: tuple[Span, ...] = ()
+    span_stack: tuple[OpenSpan, ...] = ()
 
     def __len__(self) -> int:
         return 0
@@ -282,20 +389,13 @@ class NullTracer:
     def span(self, name: str, domain: str = "", transport: str = "",
              shard: str = "", ts_ns: float | None = None,
              detail: dict[str, Any] | None = None,
-             clock: Callable[[], float] | None = None) -> NullSpanHandle:
+             clock: Callable[[], float] | None = None) -> nullcontext[int]:
         return NULL_SPAN_HANDLE
-
-    def current_span_id(self) -> int:
-        return 0
 
     def events(self) -> list[TraceEvent]:
         return []
 
-    def spans(self) -> list[Span]:
-        return []
-
-    def open_spans(self) -> list[Span]:
-        return []
+    spans = open_spans = events
 
     def clear(self) -> None:
         pass
@@ -307,31 +407,53 @@ class NullTracer:
         return 0
 
 
-class NullSpanHandle:
-    """Shared no-op span context: nothing allocated, nothing recorded."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> Span:
-        return NULL_SPAN
-
-    def __exit__(self, exc_type: type[BaseException] | None,
-                 exc: BaseException | None,
-                 tb: TracebackType | None) -> None:
-        return None
-
-
-#: shared inert span returned by the null handle; ``annotate`` on it is
-#: a no-op (``span_id == 0`` guard in :class:`~repro.obs.spans.Span`)
-NULL_SPAN = Span(span_id=0, parent_id=0, name="", status="ok")
-NULL_SPAN_HANDLE = NullSpanHandle()
+#: the shared no-op span: nothing allocated, nothing recorded, id 0
+NULL_SPAN_HANDLE = nullcontext(0)
 
 
 #: what components hold: a live :class:`Tracer` or the null object
 TracerLike = Union[Tracer, NullTracer]
 
-#: what ``tracer.span(...)`` returns: a live handle or the shared no-op
-SpanHandleLike = Union[Span, NullSpanHandle]
+#: what ``tracer.span(...)`` returns: a live span or the shared no-op
+SpanHandleLike = Union[OpenSpan, "nullcontext[int]"]
 
 #: shared disabled tracer; safe to use as a default everywhere
 NULL_TRACER = NullTracer()
+
+
+def validate_spans(spans: Iterable[Mapping[str, Any]]
+                   ) -> list[Mapping[str, Any]]:
+    """Check exported spans (``as_dict`` form) form a well-formed
+    forest; return its roots.
+
+    Raises :class:`ValueError` on the first violation: duplicate or
+    non-positive ids, an orphan (``parent_id`` naming no span in the
+    set), a span ending before it started, or a span left ``"open"``.
+    """
+    held = list(spans)
+    ids = {span["span_id"] for span in held}
+    if len(ids) < len(held) or min(ids, default=1) <= 0:
+        raise ValueError("span ids must be positive and distinct")
+    roots: list[Mapping[str, Any]] = []
+    for span in held:
+        what = f"span {span['span_id']} ({span['name']!r})"
+        if span["parent_id"] == 0:
+            roots.append(span)
+        elif span["parent_id"] not in ids:
+            raise ValueError(f"orphan {what}: parent {span['parent_id']} "
+                             "not in the set")
+        if span["end_ns"] < span["start_ns"]:
+            raise ValueError(f"{what} ends before it starts: "
+                             f"[{span['start_ns']}, {span['end_ns']}]")
+        if span["status"] == "open":
+            raise ValueError(f"{what} was never closed")
+    return roots
+
+
+def span_children(spans: Iterable[Mapping[str, Any]]
+                  ) -> dict[int, list[Mapping[str, Any]]]:
+    """Group exported spans by ``parent_id``, keeping end order."""
+    children: dict[int, list[Mapping[str, Any]]] = {}
+    for span in spans:
+        children.setdefault(span["parent_id"], []).append(span)
+    return children

@@ -131,8 +131,8 @@ class TestChaosInvariant:
         tracer = Tracer()
         run_chaos(seed=42, replicas=2, reshard_schedule=dict(SCHEDULE),
                   tracer=tracer)
-        spans = tracer.spans()
-        assert any(span.parent_id for span in spans)
+        spans = [span.as_dict() for span in tracer.spans()]
+        assert any(span["parent_id"] for span in spans)
         assert mixed_label_spans(spans) == []
 
     def test_no_faults_means_no_losses(self):

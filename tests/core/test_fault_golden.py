@@ -72,8 +72,8 @@ def drive(client, start, steps):
 
 def spans(tracer):
     return [{"id": span.span_id, "parent": span.parent_id,
-             "name": span.name, "transport": span.transport,
-             "start_ns": span.start_ns, "end_ns": span.end_ns,
+             "name": span.kind, "transport": span.transport,
+             "start_ns": span.start_ns, "end_ns": span.ts_ns,
              "status": span.status, "detail": span.detail}
             for span in tracer.spans()]
 

@@ -2,14 +2,20 @@
 
 import pytest
 
-from repro.core import LatencyModel, TransportFault
-from repro.core.errors import ConfigError
+from repro.core import (
+    LatencyModel,
+    PredictionService,
+    PSSConfig,
+    TransportFault,
+)
+from repro.core.errors import ConfigError, PolicyError
 from repro.core.faults import (
     FaultInjector,
     FaultPlan,
     FaultStats,
     attach_injector,
 )
+from repro.core.policy import ClientIdentity, DomainPolicy, SharingMode
 from repro.core.transport import SyscallTransport, VdsoTransport
 from tests.core.fake_handle import FakeHandle
 
@@ -164,6 +170,26 @@ class TestVdsoTransportFaults:
         assert exc.value.lost_records == 7 - delivered
         # Delivery order is preserved: the delivered part is a prefix.
         assert target.updates == [((i,), True) for i in range(delivered)]
+
+    def test_a_policy_refused_partial_flush_counts_its_suffix(self):
+        """A partial flush the domain's policy refuses raises the
+        refusal, and it names every buffered record lost: the refused
+        prefix and the suffix that never crossed."""
+        owner, other = ClientIdentity(1, "a"), ClientIdentity(2, "b")
+        service = PredictionService()
+        service.create_domain(
+            "d", config=PSSConfig(num_features=2), identity=owner,
+            policy=DomainPolicy(owner=owner, mode=SharingMode.READ_ONLY))
+        client = service.connect(
+            "d", identity=other, transport="vdso", batch_size=8,
+            fault_plan=FaultPlan(seed=1, partial_flush_rate=1.0))
+        for i in range(5):
+            client.update((i, i + 1), True)
+        with pytest.raises(PolicyError) as refused:
+            client.flush()
+        assert refused.value.lost_records == 5
+        assert client.stats.dropped_updates == 5
+        assert service.domain("d").stats.updates == 0
 
     def test_failed_flush_still_charges_syscall(self):
         t = VdsoTransport(FakeHandle(score=0), LAT, batch_size=4)

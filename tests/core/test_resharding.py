@@ -281,7 +281,8 @@ def assert_filed_under_current_owners(stack, before):
             continue
         if record.shard or record.transport in SHARD_SIDE:
             assert record.shard == owner[record.domain], record
-    assert mixed_label_spans(stack.tracer.spans()) == []
+    assert mixed_label_spans(
+        [span.as_dict() for span in stack.tracer.spans()]) == []
     for key, held in stack.series().items():
         labels = dict(key[1])
         if before.get(key) == held or "shard" not in labels:

@@ -10,16 +10,17 @@ on ``chaos-trace.json.spans.jsonl``.
 
 
 def mixed_label_spans(spans):
-    """``(ancestor, span)`` for every span whose shard label differs
-    from its nearest labelled ancestor's."""
-    by_id = {span.span_id: span for span in spans}
+    """``(ancestor, span)`` for every span - in its exported form, a
+    ``spans.jsonl`` line - whose shard label differs from its nearest
+    labelled ancestor's."""
+    by_id = {span["span_id"]: span for span in spans}
     mixed = []
     for span in spans:
-        if not span.shard:
+        if not span.get("shard"):
             continue
-        ancestor = by_id.get(span.parent_id)
-        while ancestor is not None and not ancestor.shard:
-            ancestor = by_id.get(ancestor.parent_id)
-        if ancestor is not None and ancestor.shard != span.shard:
+        ancestor = by_id.get(span["parent_id"])
+        while ancestor is not None and not ancestor.get("shard"):
+            ancestor = by_id.get(ancestor["parent_id"])
+        if ancestor is not None and ancestor["shard"] != span["shard"]:
             mixed.append((ancestor, span))
     return mixed

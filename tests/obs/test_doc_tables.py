@@ -1,9 +1,9 @@
-"""docs/OBSERVABILITY.md's event, span and metric tables are the ones
+"""docs/OBSERVABILITY.md's trace-kind and metric tables are the ones
 ``docs/generate_tables.py`` prints from the registries, and its
 watch-budget table the one it prints from ``BENCH_trajectory.json``.
 
 The generator refuses a registry name without a row and a row naming
-something no registry holds, so a kind, span or metric cannot be added,
+something no registry holds, so a kind or metric cannot be added,
 renamed or retired without the table changing; this test then fails
 until ``docs/generate_tables.py --write`` has been run.  It refuses a
 ``perf/`` workload whose committed ``obs_overhead_x`` is over its watch
@@ -35,8 +35,8 @@ def test_committed_tables_are_the_generated_ones(generator):
 
 
 def test_a_name_without_a_row_is_refused(generator, monkeypatch):
-    monkeypatch.setattr(generator, "SPAN_NAMES",
-                        generator.SPAN_NAMES | {"vdso.teleport"})
+    monkeypatch.setattr(generator, "EVENT_KINDS",
+                        generator.EVENT_KINDS | {"vdso.teleport"})
     with pytest.raises(SystemExit, match="'vdso.teleport' has no row"):
         generator.tables()
 

@@ -31,7 +31,7 @@ class TestJsonl:
     def test_one_parseable_object_per_line(self, tmp_path):
         tracer = _sample_tracer()
         path = tmp_path / "events.jsonl"
-        count = write_jsonl(tracer, path)
+        count = write_jsonl(tracer.events(), path)
         lines = path.read_text().splitlines()
         assert count == len(lines) == 4
         parsed = [json.loads(line) for line in lines]

@@ -259,7 +259,7 @@ class TestPostmortemCLI:
         assert [type(f.error).__name__ for f in futures] == [
             "NoneType", "NoneType", "RequestShedError", "FeatureError"]
         path = tmp_path / "trace.jsonl"
-        write_jsonl(tracer, path)
+        write_jsonl(tracer.events(), path)
         # in record order: the shed, the refusal, then the two served
         assert postmortem_main([str(path), "--request", "1"]) == 0
         assert capsys.readouterr().out.splitlines() == [

@@ -28,7 +28,7 @@ from repro.core.serving import (
     ServingPipeline,
     serving_slos,
 )
-from repro.obs import MetricsRegistry, Span, Tracer
+from repro.obs import MetricsRegistry, Tracer
 from repro.obs.flightrec import FlightRecorder
 from repro.obs.session import ObsSession
 from repro.sim.process import spawn
@@ -44,8 +44,9 @@ class Boom(Exception):
 class ModelTracer:
     """What a tracer is specified to hold, written the slow way.
 
-    Unbounded lists trimmed to ``capacity`` on read, an explicit span
-    stack and an explicit stack of inherited clocks.
+    One unbounded list of records, events and ended spans alike,
+    trimmed to ``capacity`` on read, an explicit span stack and an
+    explicit stack of inherited clocks.
     """
 
     def __init__(self, capacity, clock=None):
@@ -53,8 +54,7 @@ class ModelTracer:
         self.clock = clock
         self.seq = 0
         self.next_id = 1
-        self.all_events = []
-        self.done = []
+        self.records = []
         self.stack = []
         self.clocks = []
 
@@ -74,7 +74,7 @@ class ModelTracer:
         event.update({k: v for k, v in fields.items() if v})
         if self.stack:
             event["span_id"] = self.stack[-1]["span_id"]
-        self.all_events.append(event)
+        self.records.append(event)
 
     def enter(self, name, clock, detail):
         if clock is None and self.clocks:
@@ -99,21 +99,28 @@ class ModelTracer:
         span["status"] = ("ok" if error is None
                           else f"error:{type(error).__name__}")
         assert self.stack.pop() is span
-        self.done.append(span)
+        self.records.append(span)
+
+    def _held(self, spans):
+        return [record for record in self.records[-self.capacity:]
+                if ("status" in record) == spans]
 
     def events(self):
-        return self.all_events[-self.capacity:]
+        return self._held(spans=False)
 
     def spans(self):
-        return self.done[-self.capacity:]
+        return self._held(spans=True)
+
+    def _issued(self, spans):
+        return sum(("status" in record) == spans for record in self.records)
 
     @property
     def dropped(self):
-        return max(0, len(self.all_events) - self.capacity)
+        return self._issued(spans=False) - len(self.events())
 
     @property
     def span_dropped(self):
-        return max(0, len(self.done) - self.capacity)
+        return self._issued(spans=True) - len(self.spans())
 
 
 #: a program is a tree: ("record", kind, ts or None) leaves and
@@ -157,8 +164,7 @@ def run_real(tracer, program, clock):
         try:
             with tracer.span(name, domain="d",
                              detail=dict(detail) if detail else None,
-                             clock=clock if clocked else None) as span:
-                span.annotate(seen=True)
+                             clock=clock if clocked else None):
                 run_real(tracer, children, clock)
                 if raises:
                     raise Boom(name)
@@ -176,7 +182,6 @@ def run_model(model, program, clock):
         span, inherited = model.enter(
             name, clock if clocked else None, detail)
         span["domain"] = "d"
-        span.setdefault("detail", {})["seen"] = True
         run_model(model, children, clock)
         model.exit(span, inherited, Boom(name) if raises else None)
 
@@ -211,8 +216,6 @@ class TestAgainstReferenceModel:
         assert seen["dropped"] == model.dropped
         assert seen["span_dropped"] == model.span_dropped
         assert seen["len"] == len(model.events())
-        for span in tracer.spans():
-            assert Span.from_dict(span.as_dict()) == span
 
     @given(program=programs, capacity=st.integers(1, 8))
     @settings(max_examples=50, deadline=None)
@@ -230,14 +233,14 @@ class TestAgainstReferenceModel:
         tracer = Tracer()
         model = ModelTracer(tracer.capacity)
         clock = Ticker()
-        with tracer.span("outer", clock=clock) as outer:
+        with tracer.span("outer", clock=clock):
             with tracer.span("inner") as inner:
-                assert tracer.open_spans() == [outer, inner]
-                assert inner.status == "open"
-                assert tracer.current_span_id() == inner.span_id
+                now_open = [s.as_dict() for s in tracer.open_spans()]
+                assert tracer.span_stack[-1].span_id == inner
         model_clock = Ticker()
         outer_m, c1 = model.enter("outer", model_clock, None)
         inner_m, c2 = model.enter("inner", None, None)
+        assert now_open == [dict(outer_m), dict(inner_m)]
         model.exit(inner_m, c2, None)
         model.exit(outer_m, c1, None)
         assert [s.as_dict() for s in tracer.spans()] == model.spans()
@@ -338,7 +341,7 @@ class TestPinnedExports:
         assert {"hit", "miss"} == {
             event.detail["cache"] for event in tracer.events()
             if event.kind == "predict" and event.transport == "vdso"}
-        names = {span.name for span in tracer.spans()}
+        names = {span.kind for span in tracer.spans()}
         assert not any(name.startswith("client.") for name in names)
         # buffering and a scalar read, hit or miss, open no span
         assert not {"vdso.update", "vdso.predict"} & names
@@ -349,7 +352,7 @@ class TestPinnedExports:
         # a served request is its record: nothing opens under a drained
         # batch, whose requests' records are its leaves
         dispatches = {span.span_id for span in tracer.spans()
-                      if span.name == "serve.dispatch"}
+                      if span.kind == "serve.dispatch"}
         assert not any(span.parent_id in dispatches
                        for span in tracer.spans())
         assert "kernel.predict" not in names

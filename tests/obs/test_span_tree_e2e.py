@@ -42,32 +42,36 @@ class TestBatchSpanTree:
     def test_single_root_tree_with_all_stages(self):
         tracer, scores, _ = traced_batch()
         assert len(scores) == len(ROWS)
-        spans = tracer.spans()
+        spans = [span.as_dict() for span in tracer.spans()]
         root, = validate_spans(spans)  # raises on orphans/dups/open
-        assert (root.name, root.domain) == ("kernel.predict_batch", "d")
-        assert root.detail == {"rows": len(ROWS)}
+        assert (root["name"], root["domain"]) == (
+            "kernel.predict_batch", "d")
+        assert root["detail"] == {"rows": len(ROWS)}
         # the charge, then a failover per row: a crashed primary runs
         # no plan pass
-        stages = span_children(spans)[root.span_id]
-        assert [s.name for s in stages] == \
+        stages = span_children(spans)[root["span_id"]]
+        assert [s["name"] for s in stages] == \
             ["kernel.admission"] + ["kernel.failover"] * len(ROWS)
 
     def test_crashed_shard_dispatch_holds_failovers(self):
         tracer, _, victim = traced_batch()
-        spans = tracer.spans()
+        spans = [span.as_dict() for span in tracer.spans()]
         root, = validate_spans(spans)
-        failovers = [s for s in span_children(spans)[root.span_id]
-                     if s.name == "kernel.failover"]
+        failovers = [s for s in span_children(spans)[root["span_id"]]
+                     if s["name"] == "kernel.failover"]
         # every row is served by follower failover, on the crashed shard
         assert len(failovers) == len(ROWS)
-        assert {(s.domain, s.shard) for s in failovers} == {("d", victim)}
+        assert {(s["domain"], s["shard"]) for s in failovers} == {
+            ("d", victim)}
         events = [e for e in tracer.events() if e.kind == "failover"]
-        assert [e.span_id for e in events] == [s.span_id for s in failovers]
+        assert [e.span_id for e in events] == [
+            s["span_id"] for s in failovers]
         assert mixed_label_spans(spans) == []
 
     def test_rendered_tree_shows_the_causal_story(self):
         tracer, _, _ = traced_batch()
-        lines = render_tree(tracer.spans()).splitlines()
+        lines = render_tree(
+            [span.as_dict() for span in tracer.spans()]).splitlines()
         assert lines[0].startswith("kernel.predict_batch")
         assert any(line.startswith("  kernel.admission")
                    for line in lines)
@@ -97,8 +101,8 @@ class TestOneShardIsShardZero:
         service.crash_shard(0)
         tracer.clear()
         client.predict((1, 2))
-        spans = tracer.spans()
-        assert [(s.name, s.shard) for s in spans] == [
+        spans = [span.as_dict() for span in tracer.spans()]
+        assert [(s["name"], s["shard"]) for s in spans] == [
             ("kernel.failover", "0"), ("kernel.predict", "0"),
             ("syscall.predict", "0")]
         assert mixed_label_spans(spans) == []
@@ -122,5 +126,5 @@ class TestOneShardIsShardZero:
         pipeline.run()
         record, = [e for e in tracer.events() if e.kind == "request"]
         span, = tracer.spans()
-        assert (span.name, span.shard, record.shard) \
+        assert (span.kind, span.shard, record.shard) \
             == ("kernel.failover", "0", "0")

@@ -46,7 +46,7 @@ class Host:
 
 
 def span_names(tracer):
-    return [span.name for span in tracer.spans()]
+    return [span.kind for span in tracer.spans()]
 
 
 class TestWrapper:
@@ -71,7 +71,7 @@ class TestWrapper:
         assert host.op(2, scale=3) == 6
         assert host.opened == [(2, 3)]
         (span,) = tracer.spans()
-        assert (span.name, span.status, span.detail) == (
+        assert (span.kind, span.status, span.detail) == (
             "host.op", "ok", {"value": 2})
 
     def test_opener_may_decline(self):
@@ -127,7 +127,7 @@ class TestWrapper:
         assert host.one(4) == 4
         assert host.many([1, 2, 3], scale=2) == [2, 4, 6]
         assert host.many([]) == []      # an empty batch opens no span
-        assert [(span.name, span.detail) for span in tracer.spans()] == [
+        assert [(span.kind, span.detail) for span in tracer.spans()] == [
             ("host.one", None), ("host.many", {"rows": 3})]
 
     @pytest.mark.parametrize("body", [
@@ -178,9 +178,9 @@ class TestInstrumentedStack:
         client.predict(ROW)
         # the refused crossing comes first; the ladder's one span roots
         # the two retried crossings, the retries and the fallback
-        root, = [s for s in tracer.spans() if s.name == "client.predict"]
+        root, = [s for s in tracer.spans() if s.kind == "client.predict"]
         assert [s.parent_id for s in tracer.spans()
-                if s.name == "syscall.predict"] == [0] + [root.span_id] * 2
+                if s.kind == "syscall.predict"] == [0] + [root.span_id] * 2
         assert [e.kind for e in tracer.events() if e.span_id == root.span_id
                 ] == ["retry", "retry", "fallback"]
 

@@ -71,11 +71,11 @@ class TestTracer:
             tracer.record("flush")
             with tracer.span("b") as inner:
                 pass
-        assert inner.span_id != outer.span_id
-        assert inner.parent_id == outer.span_id
-        assert tracer.events()[0].span_id == outer.span_id
-        roots = validate_spans(tracer.spans())
-        assert [span.name for span in roots] == ["a"]
+        assert inner != outer
+        assert tracer.spans()[0].parent_id == outer
+        assert tracer.events()[0].span_id == outer
+        roots = validate_spans(s.as_dict() for s in tracer.spans())
+        assert [span["name"] for span in roots] == ["a"]
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -1,77 +1,84 @@
-"""The tracer's bounded deques against the list rings they replaced.
+"""The tracer's bounded deque against the list ring it replaced.
 
-:class:`~repro.obs.Tracer` keeps events as numbered tuples in a
-``deque(maxlen=capacity)``, derives ``dropped`` and the fallback
-timestamps of clockless records from the event numbers, and lets a hot
-site append through its bound ``emit``.  :class:`ListRing` is the
-earlier tracer, kept here: hand-rotated lists, an explicit drop count
-and one sequence counter.  Its ``clear()`` has the fix the deques
-brought with them - open spans stay on the stack and their ids are
-never handed out again - and is otherwise as it was.  A hypothesis test
-drives both through the same random mixes of records, hot-site emits,
-nested spans and clears, and compares what a reader can see after every
-step.
+:class:`~repro.obs.Tracer` keeps every record - events and ended spans
+alike - as numbered tuples in one ``deque(maxlen=capacity)``, derives
+``dropped``, ``span_dropped`` and the fallback timestamps of clockless
+records from the record numbers, and lets a hot site append through its
+bound ``emit``.  :class:`ListRing` is the earlier tracer, kept here:
+a hand-rotated list, explicit drop counts and one sequence counter.  It
+has the two changes the deque brought with it: ``clear()`` leaves open
+spans on the stack and never hands out an id one of them holds, and
+events and spans share the one ring, so a full ring overwrites its
+oldest record of either kind.  A hypothesis test drives both through
+the same random mixes of records, hot-site emits, nested spans and
+clears, and compares what a reader can see after every step.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import Span, Tracer, TraceEvent
+from repro.obs import Tracer, TraceEvent
 
 
 class ListRing:
     """The list-ring tracer: ``record``, ``enter`` / ``exit`` of a
     span, ``clear`` and the readers, every field but ``kind`` and
-    ``ts_ns`` left at its default."""
+    ``ts_ns`` (and a span's ids, start and status) left at its
+    default."""
 
     def __init__(self, capacity):
         self.capacity = capacity
         self.dropped = self.span_dropped = 0
         self.ring, self.head = [], 0
-        self.done, self.span_head = [], 0
         self.stack, self.seq, self.next_id = [], 0, 1
 
-    def _push(self, ring, head, item):
-        """Append or overwrite the oldest; the new head and the drop."""
-        if len(ring) < self.capacity:
-            ring.append(item)
-            return head, 0
-        ring[head] = item
-        return (head + 1) % self.capacity, 1
+    def _push(self, record):
+        """Append, or overwrite the oldest record and count its loss."""
+        if len(self.ring) < self.capacity:
+            self.ring.append(record)
+            return
+        lost, self.ring[self.head] = self.ring[self.head], record
+        self.head = (self.head + 1) % self.capacity
+        if lost.status:
+            self.span_dropped += 1
+        else:
+            self.dropped += 1
+
+    def _parent(self):
+        return self.stack[-1][0] if self.stack else 0
 
     def record(self, kind, ts_ns=None):
         self.seq += 1
-        event = TraceEvent(
+        self._push(TraceEvent(
             float(self.seq) if ts_ns is None else ts_ns, kind, "", "",
-            0.0, 0, None, "", self.stack[-1].span_id if self.stack else 0)
-        self.head, lost = self._push(self.ring, self.head, event)
-        self.dropped += lost
+            0.0, 0, None, "", self._parent()))
 
     def enter(self, name):
         self.seq += 1
-        span = Span(self.next_id,
-                    self.stack[-1].span_id if self.stack else 0, name,
-                    start_ns=float(self.seq))
+        self.stack.append((self.next_id, self._parent(), name,
+                           float(self.seq)))
         self.next_id += 1
-        self.stack.append(span)
 
     def exit(self):
         self.seq += 1
-        span = self.stack.pop()
-        span.end_ns, span.status = float(self.seq), "ok"
-        self.span_head, lost = self._push(self.done, self.span_head, span)
-        self.span_dropped += lost
+        span_id, parent_id, name, start = self.stack.pop()
+        end = float(self.seq)
+        self._push(TraceEvent(end, name, "", "", end - start, 0, None, "",
+                              span_id, parent_id, start, "ok"))
 
     def clear(self):
-        self.ring, self.head, self.dropped = [], 0, 0
-        self.done, self.span_head, self.span_dropped = [], 0, 0
-        self.next_id = self.stack[-1].span_id + 1 if self.stack else 1
+        self.ring, self.head = [], 0
+        self.dropped = self.span_dropped = 0
+        self.next_id = self._parent() + 1
 
-    def events(self):
+    def _held(self):
         return self.ring[self.head:] + self.ring[:self.head]
 
+    def events(self):
+        return [record for record in self._held() if not record.status]
+
     def spans(self):
-        return self.done[self.span_head:] + self.done[:self.span_head]
+        return [record for record in self._held() if record.status]
 
 
 def emit(tracer, kind, ts_ns):
@@ -96,7 +103,7 @@ def readable(tracer):
     return {
         "events": tracer.events(),
         "dropped": tracer.dropped,
-        "spans": [span.as_dict() for span in tracer.spans()],
+        "spans": tracer.spans(),
         "span_dropped": tracer.span_dropped,
     }
 
@@ -127,4 +134,4 @@ def test_deques_hold_what_the_list_rings_held(program, capacity):
         assert readable(tracer) == readable(model)
         assert len(tracer) == len(model.events())
         assert ([span.span_id for span in tracer.open_spans()]
-                == [span.span_id for span in model.stack])
+                == [entry[0] for entry in model.stack])

@@ -245,7 +245,7 @@ class TestLedgerBoundaries:
         if window > 0.0:   # real batches formed
             batches = pipeline.batch_stats()
             assert batches["rows"] > batches["batches"]
-            assert any(span.name == "serve.dispatch"
+            assert any(span.kind == "serve.dispatch"
                        and span.detail["rows"] > 1
                        for span in tracer.spans())
         # calls == events: every scheduled event fired through step()

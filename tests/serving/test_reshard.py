@@ -93,7 +93,8 @@ class TestGrow:
         assert {event.domain: event.shard for event in tracer.events()
                 if event.kind == "request"} \
             == {name: str(service.shard_of(name)) for name in NAMES}
-        assert mixed_label_spans(tracer.spans()) == []
+        assert mixed_label_spans(
+            [span.as_dict() for span in tracer.spans()]) == []
 
     def test_lanes_grow_while_the_engine_runs(self):
         """A lane started mid-run (its dispatcher spawned from inside a

@@ -14,8 +14,9 @@ After every step the system must equal the reference: per domain,
 the frozen perceptron of ``tests/core/reference_impl.py`` (what the
 live model holds), the model each shard's follower last synced and
 what each checkpoint saved, plus :class:`Tenants`, the policy and quota
-rules written out once more.  No span is left open, and no request is
-shed for a page whose bad samples have all aged out.
+rules written out once more, and the update records each domain's
+clients counted lost.  No span is left open, and no request is shed
+for a page whose bad samples have all aged out.
 
 The budget is the machine's settings at the bottom of this file:
 ``max_examples=500`` runs of up to ``stateful_step_count=50`` steps,
@@ -103,6 +104,8 @@ FALLBACK = 1_000
 ATTEMPTS = ResilienceConfig().max_attempts
 #: a client call that ends in one of these serves its fallback
 DEGRADED = (QuotaExceededError, TransportFault, ShardDownError)
+#: the fallback of a client update: the record is dropped and counted
+LOST = object()
 #: the longest a bad serving sample can hold a page up: its long window,
 #: plus the up-to-one-interval age of the latest grid point judged
 PAGE_MEMORY_NS = (serving_slos()[0].long_window_ns
@@ -159,6 +162,9 @@ class Ref:
         self.followers = {}
         self.removed = False
         self.generation = domain.generation
+        #: update records its clients dropped: ``dropped_updates`` of
+        #: the resilience stats they share
+        self.dropped = 0
 
 
 class Tenants:
@@ -464,27 +470,36 @@ class SystemMachine(RuleBasedStateMachine):
 
     def flush_records(self, conn, delivered):
         """One ``VdsoTransport.flush`` of what was buffered, of which the
-        crossing delivered ``delivered``."""
+        crossing delivered ``delivered``: its outcome, and the records
+        its error names lost - every one not applied, unless the domain
+        is gone."""
         records, conn.pending = conn.pending, []
         if not records:
-            return None
+            return None, 0
+        applied = conn.ref.stats.updates
         refused = (self.handle_update(conn.who, conn.ref,
                                       records[:delivered])
                    if delivered else None)
+        lost = 0 if refused is DomainError else \
+            len(records) - (conn.ref.stats.updates - applied)
         if refused in (PolicyError, DomainError):
-            return refused
-        return TransportFault if delivered < len(records) else refused
+            return refused, lost
+        return (TransportFault if delivered < len(records)
+                else refused), lost
 
     def buffered(self, conn, before, record):
         if before.blocked:
-            return None                                 # dropped
+            conn.ref.dropped += 1                       # dropped
+            return None
         conn.pending.append(record)
         if len(conn.pending) < conn.batch:
             return None
-        result = self.flush_records(
+        result, lost = self.flush_records(
             conn, conn.client.latency.update_records - before.delivered)
         if result in (TransportFault, ShardDownError):
             conn.pending.append(record)     # the retry buffers it again
+            lost -= 1                       # ... and it is not lost
+        conn.ref.dropped += lost
         return None if result in DEGRADED else result
 
     def resets(self, conn, before, row, reset_all):
@@ -500,7 +515,8 @@ class SystemMachine(RuleBasedStateMachine):
             records = len(conn.pending)
             delivered = conn.client.latency.update_records \
                 - before.delivered
-            flushed = self.flush_records(conn, delivered)
+            flushed, lost = self.flush_records(conn, delivered)
+            conn.ref.dropped += lost
             if flushed is not None:     # the attempt ended in its flush
                 attempts -= 1
                 if delivered < records and rolls == before.rolls:
@@ -569,10 +585,26 @@ class SystemMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.conns)
     @rule(pick=PICK, seed=st.integers(0, 9))
     def inject(self, pick, seed):
-        conn = self.conns[pick % len(self.conns)]
-        conn.injector = FaultInjector(FaultPlan(
+        self.attach(self.conns[pick % len(self.conns)], FaultPlan(
             seed=seed, syscall_failure_rate=0.4, flush_drop_rate=0.2,
             partial_flush_rate=0.3))
+
+    @precondition(lambda self: any(conn.vdso for conn in self.conns))
+    @rule(seed=st.integers(0, 9), behind=st.lists(
+        st.tuples(ROWS, st.booleans()), min_size=1, max_size=2))
+    def flush_partial(self, seed, behind):
+        """Every vDSO client's flushes cut short from now on, and each
+        flushes behind the updates ``behind``: a delivered prefix then
+        meets the kernel's refusals - a policy's, a quota's - with a
+        suffix lost."""
+        for pick, conn in enumerate(self.conns):
+            if conn.vdso:
+                self.attach(conn, FaultPlan(seed=seed,
+                                            partial_flush_rate=1.0))
+                self.flush(pick, behind)
+
+    def attach(self, conn, plan):
+        conn.injector = FaultInjector(plan)
         conn.client.attach_fault_injector(conn.injector)
 
     # -- rules: the synchronous calls ---------------------------------------
@@ -634,19 +666,27 @@ class SystemMachine(RuleBasedStateMachine):
             want = self.buffered(conn, before, (tuple(row), direction))
         else:
             want = self.ladder(conn, before, lambda: self.handle_update(
-                conn.who, conn.ref, [(row, direction)]), None)
+                conn.who, conn.ref, [(row, direction)]), LOST)
+            if want is LOST:
+                conn.ref.dropped += 1
+                want = None
         assert got == want, (got, want)
 
     @precondition(lambda self: self.conns)
-    @rule(pick=PICK)
-    def flush(self, pick):
+    @rule(pick=PICK,
+          behind=st.lists(st.tuples(ROWS, st.booleans()), max_size=2))
+    def flush(self, pick, behind):
+        """A flush, made behind the updates ``behind`` as a reset is,
+        so that it often carries more than one record."""
         conn = self.conns[pick % len(self.conns)]
+        self.updates_behind(pick, conn, behind)
         before = self.before(conn)
         got = outcome(conn.client.flush)
         want = None
         if conn.pending and not before.blocked:
-            want = self.flush_records(
+            want, lost = self.flush_records(
                 conn, conn.client.latency.update_records - before.delivered)
+            conn.ref.dropped += lost
             if want in DEGRADED:
                 want = None
         assert got == want, (got, want)
@@ -660,13 +700,18 @@ class SystemMachine(RuleBasedStateMachine):
         buffer), so that the flush a vDSO reset crosses first is not
         left to chance."""
         conn = self.conns[pick % len(self.conns)]
-        room = conn.batch - 1 - len(conn.pending) if conn.vdso else 2
-        for features, direction in behind[:room]:
-            self.update(pick, features, direction)
+        self.updates_behind(pick, conn, behind)
         before = self.before(conn)
         got = outcome(lambda: conn.client.reset(row, reset_all=reset_all))
         want = self.resets(conn, before, tuple(row), reset_all)
         assert got == want, (got, want)
+
+    def updates_behind(self, pick, conn, updates):
+        """``update`` steps on ``conn``, short of filling its vDSO
+        buffer."""
+        room = conn.batch - 1 - len(conn.pending) if conn.vdso else 2
+        for features, direction in updates[:room]:
+            self.update(pick, features, direction)
 
     # -- rules: the pipeline ------------------------------------------------
 
@@ -753,6 +798,8 @@ class SystemMachine(RuleBasedStateMachine):
 
         def check(done):
             degraded = isinstance(inner.error, DEGRADED)
+            if update and degraded:
+                conn.ref.dropped += 1
             want = ((None if update else FALLBACK) if degraded
                     else settled(inner))
             if settled(done) != want:
@@ -977,6 +1024,7 @@ class SystemMachine(RuleBasedStateMachine):
             assert report.resilience is None \
                 or any(report.resilience is stats for stats in shared)
         for conn in self.conns:
+            assert conn.client.stats.dropped_updates == conn.ref.dropped
             transport = conn.transport
             assert transport._version is conn.ref.domain.version
             if not conn.vdso:
@@ -1048,11 +1096,11 @@ class SystemMachine(RuleBasedStateMachine):
                     if ref.removed}
         for record in (*events, *spans):
             if record.domain not in owner or record.domain in orphaned \
-                    or getattr(record, "kind", "") == "request":
+                    or record.kind == "request":
                 continue
             if record.shard or record.transport in SHARD_SIDE:
                 assert record.shard == owner[record.domain], record
-        assert mixed_label_spans(spans) == []
+        assert mixed_label_spans([span.as_dict() for span in spans]) == []
         # and so does every series of a domain that grew this step
         series = {key: counter.value
                   for key, counter in self.metrics.counters()}

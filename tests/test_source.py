@@ -300,7 +300,6 @@ REQUEST_PATH_MODULES = [
     "repro.obs.metrics",
     "repro.obs.slo",
     "repro.obs.spanned",
-    "repro.obs.spans",
     "repro.obs.trace",
     "repro.sim",
     "repro.sim.engine",
