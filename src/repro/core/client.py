@@ -21,9 +21,6 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence, Union
 
 from repro.core.config import LatencyModel, ResilienceConfig
 from repro.core.errors import (
-    AdmissionError,
-    FeatureError,
-    PolicyError,
     PSSError,
     QuotaExceededError,
     RequestShedError,
@@ -46,8 +43,6 @@ Fallback = Union[int, Callable[[Sequence[int]], int]]
 
 #: what the degrade ladder absorbs instead of raising
 _DEGRADABLE = (QuotaExceededError, TransportFault)
-#: what may lose update records with it (``lost_records``)
-_LOSSY = (FeatureError, AdmissionError, PolicyError, TransportFault)
 
 
 def _settled(call: Callable[..., Any], *args: Any) -> CompletionFuture:
@@ -486,10 +481,9 @@ class PSSClient:
             attempt += 1
             last = (not isinstance(error, TransportFault)
                     or attempt >= attempts)
-            if isinstance(error, _LOSSY):
-                self.stats.dropped_updates += (
-                    error.lost_records if last
-                    else max(error.lost_records - resent, 0))
+            self.stats.dropped_updates += (
+                error.lost_records if last
+                else max(error.lost_records - resent, 0))
             if last:
                 raise error
             self.stats.retries += 1

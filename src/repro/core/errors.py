@@ -13,6 +13,11 @@ from __future__ import annotations
 class PSSError(Exception):
     """Base class for all Prediction System Service errors."""
 
+    #: update records handed over with the refused operation and not
+    #: applied, set where records are delivered (``DomainHandle
+    #: .update_batch``, a fault-injected flush); 0 on any other error
+    lost_records = 0
+
 
 class ConfigError(PSSError):
     """A configuration value is out of its documented range."""
@@ -26,17 +31,10 @@ class FeatureError(PSSError):
     malformed: every other record is applied, in order, and the first
     record's error is raised once after the batch with ``refused``
     holding the positions of the records that were not applied.
-    ``lost_records`` is their number, named as on a
-    :class:`TransportFault`; it is 0 on an error raised by a scalar
-    call, whose one record never reached a buffer.
     """
 
     #: positions, in the batch handed in, of the records refused
     refused: tuple[int, ...] = ()
-
-    @property
-    def lost_records(self) -> int:
-        return len(self.refused)
 
 
 class DomainError(PSSError):
@@ -44,23 +42,11 @@ class DomainError(PSSError):
 
 
 class PolicyError(PSSError):
-    """The caller is not permitted to perform the requested operation.
-
-    ``lost_records`` counts the update records refused with it: a
-    whole delivered batch, as on an :class:`AdmissionError`.
-    """
-
-    lost_records = 0
+    """The caller is not permitted to perform the requested operation."""
 
 
 class AdmissionError(PSSError):
-    """The admission layer refused a request before it reached a domain.
-
-    ``lost_records`` counts the update records refused with it: the
-    suffix of a delivered batch that no longer fit a budget.
-    """
-
-    lost_records = 0
+    """The admission layer refused a request before it reached a domain."""
 
 
 class QuotaExceededError(AdmissionError):
@@ -99,22 +85,18 @@ class TransportFault(TransportError):
     """A transient boundary-crossing failure (simulated ``EAGAIN``/``EINTR``).
 
     Raised by transports under fault injection when a syscall crossing
-    fails.  ``errno_name`` names the simulated errno; ``lost_records``
-    counts buffered update records that were dropped with the failed
-    crossing (non-zero only for batch-flush faults).  Transient: the same
-    operation may succeed when retried, which is what the
+    fails.  ``errno_name`` names the simulated errno.  Transient: the
+    same operation may succeed when retried, which is what the
     :class:`repro.core.client.PSSClient` retry path does.
     """
 
     def __init__(self, errno_name: str = "EAGAIN",
-                 lost_records: int = 0,
                  message: str | None = None) -> None:
         super().__init__(
             message
             or f"simulated {errno_name} while crossing the service boundary"
         )
         self.errno_name = errno_name
-        self.lost_records = lost_records
 
 
 class ShardDownError(TransportFault):
@@ -131,10 +113,9 @@ class ShardDownError(TransportFault):
     shard.
     """
 
-    def __init__(self, shard_id: int, domain: str = "",
-                 lost_records: int = 0) -> None:
+    def __init__(self, shard_id: int, domain: str = "") -> None:
         super().__init__(
-            "EHOSTDOWN", lost_records,
+            "EHOSTDOWN",
             f"shard {shard_id} is down"
             + (f" (domain {domain!r})" if domain else ""),
         )
@@ -160,7 +141,7 @@ class RequestShedError(TransportFault):
     def __init__(self, reason: str = "queue_full", domain: str = "",
                  shard_id: int = 0) -> None:
         super().__init__(
-            "EAGAIN", 0,
+            "EAGAIN",
             f"request shed ({reason}) for shard {shard_id}"
             + (f" (domain {domain!r})" if domain else ""),
         )

@@ -47,7 +47,7 @@ from repro.core.errors import (
     AdmissionError,
     ConfigError,
     FeatureError,
-    PolicyError,
+    PSSError,
     ShardDownError,
     TransportFault,
 )
@@ -360,8 +360,6 @@ class FaultLayer:
         if not fault and delivered < count:
             fault = TransportFault("EAGAIN", message=(
                 f"batch flush delivered {delivered} of {count} records"))
-        if fault:
-            fault.lost_records = count - delivered
         account.charge_syscall(cost, records=delivered)
         if transport._tracer.enabled:
             transport._trace("flush", dur_ns=cost, detail={
@@ -369,23 +367,26 @@ class FaultLayer:
             if fault:
                 transport._trace("fault", detail={
                     "op": "flush", "errno": fault.errno_name,
-                    "lost_records": fault.lost_records})
+                    "lost_records": count - delivered})
+        # A lost record is one handed over and not applied: the suffix
+        # never delivered, and what the handle did not apply of the rest.
+        error, lost = fault, count - delivered
         try:
             if delivered:
                 self.handle.update_batch(records[:delivered])
         except (AdmissionError, ShardDownError, FeatureError) as refused:
+            lost += refused.lost_records
             if not fault:
                 transport._trace_refused_flush(refused)
-                raise
-            fault.lost_records += refused.lost_records
-        except PolicyError as refused:
-            # the caller may not write here at all: the refusal is the
-            # outcome, and it loses the undelivered suffix with the prefix
-            if fault:
-                refused.lost_records += fault.lost_records
-            raise
-        if fault:
-            raise fault  # the undelivered rest is gone: updates are hints
+                error = refused
+        except PSSError as refused:
+            # the caller may not write here at all, or the domain is
+            # gone: the refusal is the outcome, fault or not
+            lost += refused.lost_records
+            error = refused
+        if error is not None:
+            error.lost_records = lost
+            raise error  # the undelivered rest is gone: updates are hints
 
     def close(self) -> None:
         try:

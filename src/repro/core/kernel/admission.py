@@ -111,20 +111,17 @@ class TenantMeter:
         as far as it fits, which is what delivering its records one by
         one would do: the prefix the remaining budget covers is
         charged, and the rest is refused with one
-        :class:`QuotaExceededError` - counted as one rejection, its
-        ``lost_records`` the length of the refused suffix - for the
-        caller to drop.  Budgets are monotonic, so a record past the
-        first refused one would have been refused too.
+        :class:`QuotaExceededError`, counted as one rejection, for the
+        caller to drop (what was charged is the prefix that fit).
+        Budgets are monotonic, so a record past the first refused one
+        would have been refused too.
         """
         usage = self.usage
         budget = self.quota.update_budget
         if budget is not None and usage.updates + count > budget:
-            fits = max(budget - usage.updates, 0)
-            usage.updates += fits
+            usage.updates += max(budget - usage.updates, 0)
             usage.rejections += 1
-            refusal = QuotaExceededError(self.identity, "updates", budget)
-            refusal.lost_records = count - fits
-            raise refusal
+            raise QuotaExceededError(self.identity, "updates", budget)
         usage.updates += count
 
     #: the one-record entry: the same body, charging one

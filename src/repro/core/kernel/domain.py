@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Any, NoReturn, Sequence
 from repro.core.config import PSSConfig
 from repro.core.errors import (
     FeatureError,
-    PolicyError,
+    PSSError,
     QuotaExceededError,
     ShardDownError,
 )
@@ -144,13 +144,12 @@ class Domain:
         self.stats.record_prediction(score, self.config.threshold)
         return score
 
-    def refuse_write(self, lost_records: int = 0) -> NoReturn:
+    def refuse_write(self) -> NoReturn:
         """A write's crash rule: a crashed primary cannot apply a record
         anywhere (replicas are read-only).  Each write path tests
         ``shard.down`` inline - a handle's between policy and charge -
         and raises through here."""
-        raise ShardDownError(self.shard_id, self.name,
-                             lost_records=lost_records)
+        raise ShardDownError(self.shard_id, self.name)
 
     def _tracer(self) -> TracerLike:
         shard = self.shard
@@ -450,43 +449,44 @@ class DomainHandle:
 
         One policy check and one shard-down test cover the batch (a
         refused identity or a crashed primary refuses before anything
-        is charged, every record lost and counted in the error's
-        ``lost_records``), and admission charges the records in one
-        step (:meth:`TenantMeter.charge_updates`): the prefix the
-        budget covers is applied and the refusal raised with the
-        suffix as its ``lost_records`` - what delivering the records
-        one by one and stopping at the first refusal does.  Records the
-        domain itself refused (:meth:`Domain.update_batch`) are lost
-        with it.
+        is charged), and admission charges the records in one step
+        (:meth:`TenantMeter.charge_updates`): the prefix the budget
+        covers is applied and the quota's refusal raised - what
+        delivering the records one by one and stopping at the first
+        refusal does.  Whatever refuses leaves with ``lost_records``
+        = the records handed in that ``stats.updates`` did not count.
         """
         if not records:
             return
         domain = self._domain
-        if domain.policy is not self._policy:
-            self._judge()
-        if not self._may_update:
-            try:
+        applied = domain.stats.updates
+        try:
+            if domain.policy is not self._policy:
+                self._judge()
+            if not self._may_update:
                 self._policy.check_update(self._identity, domain.name)
-            except PolicyError as refusal:
-                refusal.lost_records = len(records)
-                raise
-        shard = domain.shard
-        if shard is not None and shard.down:
-            domain.refuse_write(len(records))
-        admission = self._admission
-        if admission is not None:
-            meter = self._meter or self._bind_meter(admission)
-            try:
-                meter.charge_updates(len(records))
-            except QuotaExceededError as refusal:
-                fits = len(records) - refusal.lost_records
-                if fits:
-                    try:
-                        domain.update_batch(records[:fits])
-                    except FeatureError as error:
-                        refusal.lost_records += error.lost_records
-                raise
-        domain.update_batch(records)
+            shard = domain.shard
+            if shard is not None and shard.down:
+                domain.refuse_write()
+            admission = self._admission
+            if admission is not None:
+                meter = self._meter or self._bind_meter(admission)
+                charged = meter.usage.updates
+                try:
+                    meter.charge_updates(len(records))
+                except QuotaExceededError:
+                    fits = meter.usage.updates - charged
+                    if fits:
+                        try:
+                            domain.update_batch(records[:fits])
+                        except FeatureError:
+                            pass    # the quota's refusal is the outcome
+                    raise
+            domain.update_batch(records)
+        except PSSError as refusal:
+            refusal.lost_records = len(records) - (
+                domain.stats.updates - applied)
+            raise
 
     def reset(self, features: Sequence[int], reset_all: bool) -> None:
         domain = self._domain

@@ -164,8 +164,8 @@ class TestChargeUpdates:
         with pytest.raises(QuotaExceededError) as exc_info:
             meter.charge_updates(32)
         assert self.usage(meter) == (10, 1)
+        assert 32 - (meter.usage.updates - 3) == 25     # the suffix refused
         refusal = exc_info.value
-        assert refusal.lost_records == 25
         assert (refusal.resource, refusal.limit, refusal.identity) == (
             "updates", 10, OWNER)
 
@@ -175,7 +175,8 @@ class TestChargeUpdates:
         with pytest.raises(QuotaExceededError) as exc_info:
             meter.charge_updates(5)
         assert self.usage(meter) == (spent, 1)
-        assert exc_info.value.lost_records == 5
+        assert 5 - (meter.usage.updates - spent) == 5   # all refused
+        assert exc_info.value.resource == "updates"
 
     def test_unlimited(self):
         meter = self.meter(budget=None, spent=3)
@@ -190,7 +191,8 @@ class TestChargeUpdates:
         with pytest.raises(QuotaExceededError) as exc_info:
             meter.charge_update()
         assert self.usage(meter) == (2, 1)
-        assert exc_info.value.lost_records == 1
+        assert 1 - (meter.usage.updates - 2) == 1       # refused
+        assert exc_info.value.limit == 2
         assert TenantMeter.charge_update is TenantMeter.charge_updates
 
 

@@ -3,20 +3,23 @@
 The paper's contract is that a failing prediction service may cost
 performance but never correctness.  :class:`SystemMachine` drives the
 public operations in whatever order hypothesis finds: domains created
-and removed under an open, a private or a read-only policy; clients of
-three identities over both transports; sync reads,
-batches, writes, flushes and resets; kernel batches by name; submits
-through the serving pipeline (shedding on SLO pages or not), with
-closed-loop sim clients interleaving, idle gaps and drains; fault
-plans, shard crashes, promotions, live reshard steps (some stalled);
-replica syncs, checkpoints, a corrupted checkpoint file and restores.
+and removed under an open, a private or a read-only policy, and live
+domains given another policy; clients of three identities over both
+transports; sync reads, batches, writes, flushes and resets; kernel
+batches by name; submits through the serving pipeline (shedding on SLO
+pages or not), with closed-loop sim clients interleaving, idle gaps and
+drains; fault plans, shard crashes, promotions, live reshard steps
+(some stalled); replica syncs, checkpoints, a corrupted checkpoint file
+and restores.
 After every step the system must equal the reference: per domain,
 the frozen perceptron of ``tests/core/reference_impl.py`` (what the
 live model holds), the model each shard's follower last synced and
 what each checkpoint saved, plus :class:`Tenants`, the policy and quota
 rules written out once more, and the update records each domain's
-clients counted lost.  No span is left open, and no request is shed
-for a page whose bad samples have all aged out.
+clients counted lost and the retries they made.  Every update record
+a domain's clients accepted is applied, pending in a buffer or counted
+lost (:meth:`SystemMachine.check_ledger`).  No span is left open, and
+no request is shed for a page whose bad samples have all aged out.
 
 The budget is the machine's settings at the bottom of this file:
 ``max_examples=500`` runs of up to ``stateful_step_count=50`` steps,
@@ -162,9 +165,14 @@ class Ref:
         self.followers = {}
         self.removed = False
         self.generation = domain.generation
-        #: update records its clients dropped: ``dropped_updates`` of
-        #: the resilience stats they share
-        self.dropped = 0
+        #: update records its clients dropped, and the attempts they
+        #: retried: ``dropped_updates`` and ``retries`` of the
+        #: resilience stats they share
+        self.dropped = self.retries = 0
+        #: the ledger's terms: update records its clients accepted,
+        #: writes by name applied, and what restores moved the
+        #: applied count by
+        self.accepted = self.by_name = self.restored = 0
 
 
 class Tenants:
@@ -233,6 +241,7 @@ class Tracked:
     op: str
     row: tuple
     direction: bool
+    by_name: bool
 
 
 @dataclasses.dataclass
@@ -425,11 +434,13 @@ class SystemMachine(RuleBasedStateMachine):
         if before.blocked:
             return fallback
         faults = injected(conn)[0] - before.faults
-        result = TransportFault
+        result, tries = TransportFault, faults
         for _ in range(ATTEMPTS - faults):
+            tries += 1
             result = attempt()
             if result is not ShardDownError:
                 break
+        conn.ref.retries += tries - 1
         return fallback if result in DEGRADED else result
 
     def hit(self, conn, row):
@@ -471,8 +482,7 @@ class SystemMachine(RuleBasedStateMachine):
     def flush_records(self, conn, delivered):
         """One ``VdsoTransport.flush`` of what was buffered, of which the
         crossing delivered ``delivered``: its outcome, and the records
-        its error names lost - every one not applied, unless the domain
-        is gone."""
+        its error names lost - every one not applied."""
         records, conn.pending = conn.pending, []
         if not records:
             return None, 0
@@ -480,14 +490,14 @@ class SystemMachine(RuleBasedStateMachine):
         refused = (self.handle_update(conn.who, conn.ref,
                                       records[:delivered])
                    if delivered else None)
-        lost = 0 if refused is DomainError else \
-            len(records) - (conn.ref.stats.updates - applied)
+        lost = len(records) - (conn.ref.stats.updates - applied)
         if refused in (PolicyError, DomainError):
             return refused, lost
         return (TransportFault if delivered < len(records)
                 else refused), lost
 
     def buffered(self, conn, before, record):
+        conn.ref.accepted += 1
         if before.blocked:
             conn.ref.dropped += 1                       # dropped
             return None
@@ -499,6 +509,7 @@ class SystemMachine(RuleBasedStateMachine):
         if result in (TransportFault, ShardDownError):
             conn.pending.append(record)     # the retry buffers it again
             lost -= 1                       # ... and it is not lost
+            conn.ref.retries += 1
         conn.ref.dropped += lost
         return None if result in DEGRADED else result
 
@@ -523,11 +534,14 @@ class SystemMachine(RuleBasedStateMachine):
                     faults -= 1         # the flush's own crossing
                 if flushed not in (TransportFault, ShardDownError):
                     return None if flushed in DEGRADED else flushed
-        result = TransportFault
+        # tried so far: an attempt its flush ended, crossings that failed
+        result, tries = TransportFault, ATTEMPTS - attempts + faults
         for _ in range(attempts - faults):
+            tries += 1
             result = self.handle_reset(conn.who, conn.ref, row, reset_all)
             if result is not ShardDownError:
                 break
+        conn.ref.retries += tries - 1
         return None if result in DEGRADED else result
 
     def check_fallback_flag(self, conn, before, fell_back):
@@ -552,6 +566,19 @@ class SystemMachine(RuleBasedStateMachine):
             assert got is QuotaExceededError
         else:
             self.adopt(got, None if shared else who, who).mode = mode
+
+    @rule(name=st.sampled_from(NAMES), who=WHO,
+          mode=st.sampled_from(SharingMode))
+    def set_policy(self, name, who, mode):
+        """A live domain given another policy: every open handle reads
+        its verdicts again at its next call, a flush of records
+        buffered under the old one included."""
+        ref = self.refs.get(name)
+        if ref is None:
+            return
+        ref.domain.policy = DomainPolicy(owner=who, mode=mode)
+        ref.owner = None if mode is SharingMode.SHARED else who
+        ref.mode = mode
 
     @rule(name=st.sampled_from(NAMES))
     def remove(self, name):
@@ -670,6 +697,7 @@ class SystemMachine(RuleBasedStateMachine):
             if want is LOST:
                 conn.ref.dropped += 1
                 want = None
+            conn.ref.accepted += want is None
         assert got == want, (got, want)
 
     @precondition(lambda self: self.conns)
@@ -756,7 +784,8 @@ class SystemMachine(RuleBasedStateMachine):
                 self.refused += 1
                 self.refusals += 1
             return future
-        tracked = Tracked(future, ref, op, row, direction)
+        tracked = Tracked(future, ref, op, row, direction,
+                          isinstance(target, str))
         self.tracked.append(tracked)
         if future.done:
             self.wrong.append(("settled at submit", op, row, future.error))
@@ -775,6 +804,7 @@ class SystemMachine(RuleBasedStateMachine):
             want = ShardDownError
         else:
             want = self.apply(ref, tracked.row, tracked.direction)
+            ref.by_name += tracked.by_name and want is None
         got = settled(tracked.future)
         if got != want:
             self.wrong.append(("served", tracked.op, tracked.row, want, got))
@@ -802,6 +832,8 @@ class SystemMachine(RuleBasedStateMachine):
                 conn.ref.dropped += 1
             want = ((None if update else FALLBACK) if degraded
                     else settled(inner))
+            if update and want is None:
+                conn.ref.accepted += 1
             if settled(done) != want:
                 self.wrong.append(("degraded", want, settled(done)))
             if not update and \
@@ -909,6 +941,7 @@ class SystemMachine(RuleBasedStateMachine):
             ref = self.refs.get(name) or self.adopt(
                 self.service.domain(name), None, None)
             ref.model = copy_of(model)
+            ref.restored += stats.updates - ref.stats.updates
             ref.stats = dataclasses.replace(stats)
 
     @rule(action=st.sampled_from(["save", "load", "checkpoint",
@@ -981,6 +1014,7 @@ class SystemMachine(RuleBasedStateMachine):
         assert not self.wrong, self.wrong
         self.check_domains()
         self.check_clients()
+        self.check_ledger()
         self.check_pipeline()
         self.check_records()
         assert self.tracer.open_spans() == []   # every span closed
@@ -1024,7 +1058,9 @@ class SystemMachine(RuleBasedStateMachine):
             assert report.resilience is None \
                 or any(report.resilience is stats for stats in shared)
         for conn in self.conns:
-            assert conn.client.stats.dropped_updates == conn.ref.dropped
+            stats = conn.client.stats
+            assert (stats.dropped_updates, stats.retries) \
+                == (conn.ref.dropped, conn.ref.retries)
             transport = conn.transport
             assert transport._version is conn.ref.domain.version
             if not conn.vdso:
@@ -1058,6 +1094,22 @@ class SystemMachine(RuleBasedStateMachine):
                        in histograms
                        if key == VDSO_READ_NS and label in labels) \
                 == sum(account.vdso_calls for account in mine)
+
+    def check_ledger(self):
+        """Per domain object: the update records its clients accepted,
+        and the writes by name, are applied, pending in a client's
+        buffer or counted lost - restores moving the applied count by
+        a term of their own."""
+        pending, dropped = {}, {}
+        for conn in self.conns:
+            key = id(conn.ref)
+            pending[key] = pending.get(key, 0) + conn.client.pending_updates
+            dropped[key] = conn.client.stats.dropped_updates
+        for ref in self.by_domain.values():
+            key = id(ref)
+            assert ref.accepted + ref.by_name + ref.restored \
+                == ref.domain.stats.updates + pending.get(key, 0) \
+                + dropped.get(key, 0), ref.domain.name
 
     def check_pipeline(self):
         pipeline = self.pipeline

@@ -2,7 +2,7 @@
 
 Everything else the system promises is checked by running it (the state
 machine in ``tests/test_machine.py``, the kind-coverage and close
-contract tests, the plan type).  These eight are about what the code
+contract tests, the plan type).  These nine are about what the code
 *says* whether or not a run reaches it, so they parse the tree:
 
 * simulated time and seeded streams only - the modules that may import
@@ -17,6 +17,10 @@ contract tests, the plan type).  These eight are about what the code
 * a read on a crashed shard fails over in one place: only the
   ``Domain`` calls ``failover_predict``; and a write on one is refused
   in one place, ``Domain.refuse_write``;
+* a lost update record is one handed over and not applied, decided
+  where records are delivered: ``lost_records`` is written only by
+  ``DomainHandle.update_batch`` and ``FaultLayer.flush``, and declared
+  only as ``PSSError``'s default;
 * the plain transports know nothing of injected faults: no function in
   ``core/transport.py`` names the injector or its stale die, and the
   module does not import ``repro.core.faults`` (injection is the
@@ -196,6 +200,41 @@ def test_only_the_domain_refuses_a_write():
                    and dotted(node.func) == "ShardDownError")
     assert found == ["core/kernel/domain.py:refuse_write",
                      "core/kernel/shard.py:failover_predict"]
+
+
+def assigned_names(owner):
+    """The names a function or class body sets: attributes, parameters,
+    and a class body's own fields."""
+    for node in own_nodes(owner):
+        if isinstance(node, ast.arg):
+            yield node.arg
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target]
+                   if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+                   else [])
+        for target in targets:
+            if isinstance(target, ast.Attribute):
+                yield target.attr
+            elif isinstance(target, ast.Name) \
+                    and isinstance(owner, ast.ClassDef):
+                yield target.id
+
+
+def test_a_loss_is_decided_where_records_are_delivered():
+    """``lost_records`` is written in two functions, once each - the
+    handle every flushed batch enters, and the fault layer's flush,
+    which adds the suffix it never delivered - and declared once, as
+    ``PSSError``'s default of 0.  No function takes it as a
+    parameter."""
+    found = sorted(f"{path}:{owner.name}"
+                   for path, tree in SOURCES.items()
+                   for owner in ast.walk(tree)
+                   if isinstance(owner, (ast.FunctionDef, ast.ClassDef))
+                   for name in assigned_names(owner)
+                   if name == "lost_records")
+    assert found == ["core/errors.py:PSSError",
+                     "core/faults.py:flush",
+                     "core/kernel/domain.py:update_batch"]
 
 
 def test_the_transports_name_no_injector():
